@@ -212,6 +212,11 @@ pub struct PhysicalPool {
     scratch_resume: Vec<JobId>,
     /// Sort-key buffer threaded through the machine-level planners.
     scratch_keys: crate::machine::ResidentKeys,
+    /// Mutation counter: every public `&mut self` mutator bumps it once,
+    /// so an unchanged generation means an unchanged [`PoolSnapshot`].
+    ///
+    /// [`PoolSnapshot`]: crate::snapshot::PoolSnapshot
+    generation: u64,
 }
 
 impl PhysicalPool {
@@ -255,6 +260,7 @@ impl PhysicalPool {
             scratch_best: Vec::new(),
             scratch_resume: Vec::new(),
             scratch_keys: Vec::new(),
+            generation: 0,
         }
     }
 
@@ -263,6 +269,13 @@ impl PhysicalPool {
     /// machines in lock-step.
     fn sync_index(&mut self, idx: usize) {
         self.index.sync(idx, &self.machines[idx]);
+    }
+
+    /// How many mutator calls this pool has seen: two reads at the same
+    /// generation observe the same pool state. Cached views compare it to
+    /// skip re-capturing pools that did not change.
+    pub fn generation(&self) -> u64 {
+        self.generation
     }
 
     /// Cumulative statistics since construction.
@@ -423,6 +436,7 @@ impl PhysicalPool {
         spec: &JobSpec,
         actions: &mut Vec<PoolAction>,
     ) -> SubmitKind {
+        self.generation += 1;
         let res = spec.resources;
         if !self.is_eligible(res) {
             return SubmitKind::Ineligible;
@@ -597,6 +611,7 @@ impl PhysicalPool {
         job: JobId,
         actions: &mut Vec<PoolAction>,
     ) -> bool {
+        self.generation += 1;
         let Some(mid) = self.running_on.remove(&job) else {
             return false;
         };
@@ -612,6 +627,7 @@ impl PhysicalPool {
     ///
     /// Returns the entry, or `None` if the job is not waiting here.
     pub fn remove_waiting(&mut self, job: JobId) -> Option<WaitEntry> {
+        self.generation += 1;
         let key = self.queue_index.remove(&job)?;
         let entry = self.queue.remove(&key);
         if let Some(e) = &entry {
@@ -641,6 +657,7 @@ impl PhysicalPool {
         job: JobId,
         actions: &mut Vec<PoolAction>,
     ) -> bool {
+        self.generation += 1;
         let Some(mid) = self.suspended_on.remove(&job) else {
             return false;
         };
@@ -749,6 +766,7 @@ impl PhysicalPool {
         running: &mut Vec<JobId>,
         suspended: &mut Vec<JobId>,
     ) -> bool {
+        self.generation += 1;
         let idx = machine.as_usize();
         if idx >= self.machines.len() || self.machines[idx].is_down() {
             return false;
@@ -790,6 +808,7 @@ impl PhysicalPool {
         machine: MachineId,
         actions: &mut Vec<PoolAction>,
     ) -> bool {
+        self.generation += 1;
         let idx = machine.as_usize();
         if idx >= self.machines.len() || !self.machines[idx].is_down() {
             return false;
@@ -809,6 +828,7 @@ impl PhysicalPool {
     /// index, accepting no new work, while residents keep running (and
     /// resuming). Returns whether the machine was not already draining.
     pub fn drain_machine(&mut self, machine: MachineId) -> bool {
+        self.generation += 1;
         let idx = machine.as_usize();
         if idx >= self.machines.len() || self.machines[idx].is_draining() {
             return false;
@@ -841,6 +861,7 @@ impl PhysicalPool {
         machine: MachineId,
         actions: &mut Vec<PoolAction>,
     ) -> bool {
+        self.generation += 1;
         let idx = machine.as_usize();
         if idx >= self.machines.len() || !self.machines[idx].is_draining() {
             return false;
@@ -874,6 +895,7 @@ impl PhysicalPool {
     /// Sets a machine's per-run health score (clamped to 0..=1000),
     /// keeping the effective-capacity sum consistent.
     pub fn set_machine_health(&mut self, machine: MachineId, health_milli: u32) {
+        self.generation += 1;
         let idx = machine.as_usize();
         if idx >= self.machines.len() {
             return;
@@ -1221,6 +1243,7 @@ mod tests {
 
     mod prop {
         use super::*;
+        use crate::snapshot::ClusterSnapshot;
         use proptest::prelude::*;
 
         /// One random pool operation.
@@ -1239,6 +1262,7 @@ mod tests {
             RestoreMachine(u32),
             DrainMachine(u32),
             UndrainMachine(u32),
+            SetHealth(u32, u32),
         }
 
         fn arb_op() -> impl Strategy<Value = Op> {
@@ -1258,7 +1282,66 @@ mod tests {
                 (0u32..4).prop_map(Op::RestoreMachine),
                 (0u32..4).prop_map(Op::DrainMachine),
                 (0u32..4).prop_map(Op::UndrainMachine),
+                (0u32..5, 0u32..1200).prop_map(|(m, health)| Op::SetHealth(m, health)),
             ]
+        }
+
+        /// Applies `op` to `pool` at `t`: exactly one mutator call. Submits
+        /// take fresh ids from `next_id`; jobs the pool accepted join
+        /// `known`, which the job-targeted ops pick from (an id the pool
+        /// never saw while `known` is empty).
+        fn apply(
+            pool: &mut PhysicalPool,
+            op: &Op,
+            t: SimTime,
+            next_id: &mut u64,
+            known: &mut Vec<JobId>,
+        ) {
+            let pick = |i: usize| {
+                known
+                    .get(i % known.len().max(1))
+                    .copied()
+                    .unwrap_or(JobId(u64::MAX))
+            };
+            match *op {
+                Op::Submit {
+                    prio,
+                    cores,
+                    mem,
+                    runtime,
+                } => {
+                    let spec = JobSpec::new(JobId(*next_id), t, SimDuration::from_minutes(runtime))
+                        .with_priority(Priority::new(prio))
+                        .with_cores(cores)
+                        .with_memory_mb(mem);
+                    *next_id += 1;
+                    if !matches!(pool.submit(t, &spec), SubmitOutcome::Ineligible) {
+                        known.push(spec.id);
+                    }
+                }
+                Op::Release(i) => {
+                    pool.release(t, pick(i));
+                }
+                Op::RemoveWaiting(i) => {
+                    pool.remove_waiting(pick(i));
+                }
+                Op::RemoveSuspended(i) => {
+                    pool.remove_suspended(t, pick(i));
+                }
+                Op::FailMachine(m) => {
+                    pool.fail_machine(MachineId(m));
+                }
+                Op::RestoreMachine(m) => {
+                    pool.restore_machine(t, MachineId(m));
+                }
+                Op::DrainMachine(m) => {
+                    pool.drain_machine(MachineId(m));
+                }
+                Op::UndrainMachine(m) => {
+                    pool.undrain_machine(t, MachineId(m));
+                }
+                Op::SetHealth(m, health) => pool.set_machine_health(MachineId(m), health),
+            }
         }
 
         /// A pool mixing three capacity classes (so class grouping, bucket
@@ -1295,50 +1378,7 @@ mod tests {
                 ];
                 for op in ops {
                     now += 1;
-                    let t = SimTime::from_minutes(now);
-                    match op {
-                        Op::Submit { prio, cores, mem, runtime } => {
-                            let spec = JobSpec::new(
-                                JobId(next_id),
-                                t,
-                                SimDuration::from_minutes(runtime),
-                            )
-                            .with_priority(Priority::new(prio))
-                            .with_cores(cores)
-                            .with_memory_mb(mem);
-                            next_id += 1;
-                            if !matches!(pool.submit(t, &spec), SubmitOutcome::Ineligible) {
-                                known.push(spec.id);
-                            }
-                        }
-                        Op::Release(i) => {
-                            if let Some(&job) = known.get(i % known.len().max(1)) {
-                                pool.release(t, job);
-                            }
-                        }
-                        Op::RemoveWaiting(i) => {
-                            if let Some(&job) = known.get(i % known.len().max(1)) {
-                                pool.remove_waiting(job);
-                            }
-                        }
-                        Op::RemoveSuspended(i) => {
-                            if let Some(&job) = known.get(i % known.len().max(1)) {
-                                pool.remove_suspended(t, job);
-                            }
-                        }
-                        Op::FailMachine(m) => {
-                            pool.fail_machine(MachineId(m));
-                        }
-                        Op::RestoreMachine(m) => {
-                            pool.restore_machine(t, MachineId(m));
-                        }
-                        Op::DrainMachine(m) => {
-                            pool.drain_machine(MachineId(m));
-                        }
-                        Op::UndrainMachine(m) => {
-                            pool.undrain_machine(t, MachineId(m));
-                        }
-                    }
+                    apply(&mut pool, &op, SimTime::from_minutes(now), &mut next_id, &mut known);
                     for (cores, mem) in probes {
                         let res = Resources { cores, memory_mb: mem };
                         prop_assert_eq!(
@@ -1416,13 +1456,121 @@ mod tests {
                         Op::UndrainMachine(m) => {
                             pool.undrain_machine(t, MachineId(m));
                         }
+                        Op::SetHealth(m, health) => pool.set_machine_health(MachineId(m), health),
                     }
                     prop_assert!(pool.check_invariants(), "invariants violated after {op:?}");
                     prop_assert!(pool.busy_cores() <= pool.total_cores());
                     prop_assert!(pool.utilization() <= 1.0 + 1e-12);
                 }
             }
+
+            /// Differential check for the generation-stamped view: under
+            /// arbitrary sequences of every mutator across two pools, each
+            /// call bumps exactly its own pool's generation, and the
+            /// incrementally refreshed snapshot equals a full capture.
+            #[test]
+            fn prop_incremental_snapshot_matches_full_capture(
+                steps in proptest::collection::vec((0usize..2, arb_op()), 1..120),
+            ) {
+                let mut pools = [
+                    heterogeneous_pool(),
+                    PhysicalPool::new(PoolConfig::uniform(PoolId(1), 4, 2, 4096)),
+                ];
+                let mut known: [Vec<JobId>; 2] = Default::default();
+                let mut next_id = 0u64;
+                let mut view = ClusterSnapshot::default();
+                view.refresh(&pools);
+                for (now, (k, op)) in (1u64..).zip(steps) {
+                    let before = pools.each_ref().map(PhysicalPool::generation);
+                    apply(&mut pools[k], &op, SimTime::from_minutes(now), &mut next_id, &mut known[k]);
+                    for (i, pool) in pools.iter().enumerate() {
+                        let bumps = u64::from(i == k);
+                        prop_assert_eq!(pool.generation(), before[i] + bumps, "pool {} after {:?}", i, op);
+                    }
+                    view.refresh(&pools);
+                    prop_assert_eq!(&view, &ClusterSnapshot::capture(&pools), "after {:?}", op);
+                }
+            }
         }
+    }
+
+    #[test]
+    fn every_mutator_bumps_generation_once() {
+        fn bumps(p: &mut PhysicalPool, what: &str, f: impl FnOnce(&mut PhysicalPool)) {
+            let before = p.generation();
+            f(p);
+            assert_eq!(
+                p.generation(),
+                before + 1,
+                "{what} must bump the generation once"
+            );
+        }
+        let mut p = small_pool();
+        let mut actions = Vec::new();
+        let (mut running, mut suspended) = (Vec::new(), Vec::new());
+        bumps(&mut p, "submit_into", |p| {
+            p.submit_into(t(0), &spec(1, Priority::LOW, 10), &mut actions);
+        });
+        bumps(&mut p, "submit", |p| {
+            p.submit(t(0), &spec(2, Priority::LOW, 10));
+        });
+        bumps(&mut p, "release_into", |p| {
+            p.release_into(t(1), JobId(1), &mut actions);
+        });
+        bumps(&mut p, "release", |p| {
+            p.release(t(1), JobId(2));
+        });
+        for id in 3..7 {
+            p.submit(t(2), &spec(id, Priority::LOW, 10));
+        }
+        // Four low jobs fill the pool; a high one suspends one of them.
+        p.submit(t(3), &spec(7, Priority::HIGH, 10));
+        let victim = (3..7)
+            .map(JobId)
+            .find(|&j| p.suspended_machine(j).is_some())
+            .expect("a low job was suspended");
+        bumps(&mut p, "remove_suspended_into", |p| {
+            p.remove_suspended_into(t(4), victim, &mut actions);
+        });
+        p.submit(t(4), &spec(8, Priority::HIGH, 10));
+        let victim = (3..7)
+            .map(JobId)
+            .find(|&j| p.suspended_machine(j).is_some())
+            .expect("a low job was suspended");
+        bumps(&mut p, "remove_suspended", |p| {
+            p.remove_suspended(t(5), victim);
+        });
+        p.submit(t(5), &spec(9, Priority::LOW, 10));
+        assert!(p.waiting_since(JobId(9)).is_some());
+        bumps(&mut p, "remove_waiting", |p| {
+            p.remove_waiting(JobId(9));
+        });
+        bumps(&mut p, "fail_machine_into", |p| {
+            p.fail_machine_into(MachineId(0), &mut running, &mut suspended);
+        });
+        bumps(&mut p, "restore_machine_into", |p| {
+            p.restore_machine_into(t(6), MachineId(0), &mut actions);
+        });
+        bumps(&mut p, "fail_machine", |p| {
+            p.fail_machine(MachineId(1));
+        });
+        bumps(&mut p, "restore_machine", |p| {
+            p.restore_machine(t(7), MachineId(1));
+        });
+        bumps(&mut p, "drain_machine", |p| {
+            p.drain_machine(MachineId(0));
+        });
+        bumps(&mut p, "undrain_machine_into", |p| {
+            p.undrain_machine_into(t(8), MachineId(0), &mut actions);
+        });
+        p.drain_machine(MachineId(0));
+        bumps(&mut p, "undrain_machine", |p| {
+            p.undrain_machine(t(9), MachineId(0));
+        });
+        bumps(&mut p, "set_machine_health", |p| {
+            p.set_machine_health(MachineId(1), 500);
+        });
+        assert!(p.check_invariants());
     }
 
     #[test]

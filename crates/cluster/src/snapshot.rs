@@ -3,6 +3,15 @@
 //! Snapshots serve two consumers: the per-minute sampling that produces
 //! Figure 4 (suspension count and utilization over time), and scheduling
 //! policies (`ResSusUtil` et al.) that rank candidate pools by load.
+//!
+//! The policies' view is one long-lived [`ClusterSnapshot`] kept current
+//! by [`ClusterSnapshot::refresh`]. Each [`PoolSnapshot`] records the
+//! [`PhysicalPool::generation`] it was captured at, and a refresh
+//! recaptures only the pools whose generation has moved since. Every pool
+//! mutator bumps the generation, so an unmoved pool would capture to an
+//! equal snapshot: the refreshed view is exactly what
+//! [`ClusterSnapshot::capture`] would build, at the cost of one integer
+//! compare per unchanged pool.
 
 use std::fmt;
 
@@ -43,6 +52,8 @@ pub struct PoolSnapshot {
     /// O(1) preemptibility signal: a job can only preempt here if its
     /// priority is strictly above this.
     pub lowest_running_priority: Option<Priority>,
+    /// The pool's [`PhysicalPool::generation`] when this was captured.
+    pub generation: u64,
 }
 
 impl PoolSnapshot {
@@ -61,6 +72,7 @@ impl PoolSnapshot {
             draining_machines: pool.draining_machine_count(),
             effective_cores_milli: pool.effective_cores_milli(),
             lowest_running_priority: pool.lowest_running_priority(),
+            generation: pool.generation(),
         }
     }
 
@@ -124,20 +136,35 @@ pub struct ClusterSnapshot {
 }
 
 impl ClusterSnapshot {
-    /// Captures every pool.
+    /// Captures every pool: the reference that
+    /// [`ClusterSnapshot::refresh`] is checked against.
     pub fn capture<'a>(pools: impl IntoIterator<Item = &'a PhysicalPool>) -> Self {
         ClusterSnapshot {
             pools: pools.into_iter().map(PoolSnapshot::capture).collect(),
         }
     }
 
-    /// Re-captures every pool into this snapshot, reusing its buffer —
-    /// the per-decision path of the simulator refreshes one long-lived
-    /// snapshot instead of allocating a new `Vec` per view.
-    pub fn capture_into<'a>(&mut self, pools: impl IntoIterator<Item = &'a PhysicalPool>) {
-        self.pools.clear();
-        self.pools
-            .extend(pools.into_iter().map(PoolSnapshot::capture));
+    /// Brings this snapshot up to date with `pools` in place: recaptures
+    /// only the pools whose generation moved since they were captured, or
+    /// every pool when the pool count differs (the first refresh of an
+    /// empty snapshot). The snapshot must have been captured from these
+    /// same pools; the result then equals [`ClusterSnapshot::capture`],
+    /// which debug builds assert after every refresh.
+    pub fn refresh(&mut self, pools: &[PhysicalPool]) {
+        if self.pools.len() == pools.len() {
+            for (snap, pool) in self.pools.iter_mut().zip(pools) {
+                if snap.generation != pool.generation() {
+                    *snap = PoolSnapshot::capture(pool);
+                }
+            }
+        } else {
+            self.pools.clear();
+            self.pools.extend(pools.iter().map(PoolSnapshot::capture));
+        }
+        debug_assert!(
+            *self == ClusterSnapshot::capture(pools),
+            "incremental snapshot diverged from a full capture"
+        );
     }
 
     /// Site-wide core utilization in `[0, 1]` (Figure 4's dotted line).
@@ -242,6 +269,7 @@ mod tests {
                     draining_machines: 0,
                     effective_cores_milli: u64::from(total) * 1000,
                     lowest_running_priority: None,
+                    generation: 0,
                 })
                 .collect(),
         }

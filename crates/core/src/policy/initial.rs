@@ -235,6 +235,7 @@ mod tests {
                     draining_machines: 0,
                     effective_cores_milli: u64::from(total) * 1000,
                     lowest_running_priority: None,
+                    generation: 0,
                 })
                 .collect(),
         }

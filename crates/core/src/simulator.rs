@@ -535,8 +535,9 @@ pub struct Simulator {
     // `None`): drain/undrain events are seeded from it and its kill
     // intervals are merged into the fault plan.
     lifecycle_plan: LifecyclePlan,
-    // Cached cluster view for policies (refreshed in place per
-    // view_staleness; `view_at == None` means the snapshot is stale).
+    // Cached cluster view for policies, refreshed in place by
+    // `refresh_view`; `view_at` is its last refresh instant, kept only
+    // under a non-zero view_staleness.
     view_snap: ClusterSnapshot,
     view_at: Option<SimTime>,
     // Reusable hot-path buffers (see `Scratch`).
@@ -889,27 +890,22 @@ impl Simulator {
 
     // ---- internals ----
 
-    /// Brings the policy's (possibly stale) cluster view up to date in
-    /// place; after this call `self.view_snap` is what decisions at `now`
-    /// should see. Refreshing in place reuses the snapshot's pool buffer
-    /// rather than cloning a fresh snapshot per decision.
+    /// Brings the policy's cluster view up to date in place; after this
+    /// call `self.view_snap` is what decisions at `now` should see. With
+    /// zero `view_staleness` every read refreshes (the paper's oracle
+    /// assumption), which recaptures only the pools mutated since the
+    /// last read. Otherwise the view is refreshed at the first read more
+    /// than `view_staleness` after the previous refresh, and reads in
+    /// between see the aged view.
     fn refresh_view(&mut self, now: SimTime) {
-        let fresh_needed = match self.view_at {
-            Some(at) => now.since(at) > self.config.view_staleness,
-            None => true,
-        };
-        if fresh_needed {
-            self.view_snap.capture_into(self.pools.iter());
+        let staleness = self.config.view_staleness;
+        if !staleness.is_zero() {
+            if self.view_at.is_some_and(|at| now.since(at) <= staleness) {
+                return;
+            }
             self.view_at = Some(now);
         }
-    }
-
-    /// Invalidate the view when staleness is zero so every decision sees
-    /// current state (the paper's oracle assumption).
-    fn touch_view(&mut self) {
-        if self.config.view_staleness.is_zero() {
-            self.view_at = None;
-        }
+        self.view_snap.refresh(&self.pools);
     }
 
     /// Emits a [`ObsEvent::PolicyAudit`] carrying the ranking inputs the
@@ -1035,13 +1031,11 @@ impl Simulator {
         let mut actions = self.scratch.take_actions();
         let placed = match self.pools[pool.as_usize()].submit_into(now, spec, &mut actions) {
             SubmitKind::Dispatched => {
-                self.touch_view();
                 self.emit(now, ObsEvent::PoolChosen { job: spec.id, pool });
                 self.apply_actions(pool, &actions, now, sched);
                 true
             }
             SubmitKind::Queued => {
-                self.touch_view();
                 self.emit(now, ObsEvent::PoolChosen { job: spec.id, pool });
                 self.jobs[spec.id.as_usize()]
                     .enqueue(now, pool)
@@ -1213,7 +1207,6 @@ impl Simulator {
                 let was_suspended =
                     self.pools[at_pool.as_usize()].remove_suspended_into(now, job, &mut actions);
                 assert!(was_suspended, "checked suspended above");
-                self.touch_view();
                 let overhead = self.move_overhead(job, target);
                 let discarded = self.jobs[job.as_usize()].attempt_progress();
                 self.jobs[job.as_usize()]
@@ -1242,7 +1235,6 @@ impl Simulator {
                 let was_suspended =
                     self.pools[at_pool.as_usize()].remove_suspended_into(now, job, &mut actions);
                 assert!(was_suspended, "checked suspended above");
-                self.touch_view();
                 let remaining = self.jobs[job.as_usize()]
                     .migrate_out(now, self.config.migration.delay)
                     .expect("suspended jobs can migrate");
@@ -1324,11 +1316,9 @@ impl Simulator {
         let mut actions = self.scratch.take_actions();
         match self.pools[target.as_usize()].submit_into(now, &spec, &mut actions) {
             SubmitKind::Dispatched => {
-                self.touch_view();
                 self.apply_batch(target, &actions, now, sched, suspended);
             }
             SubmitKind::Queued => {
-                self.touch_view();
                 self.jobs[job.as_usize()]
                     .enqueue(now, target)
                     .expect("job at VPM after abort");
@@ -1359,7 +1349,6 @@ impl Simulator {
         let mut actions = self.scratch.take_actions();
         let was_running = self.pools[pool.as_usize()].release_into(now, job, &mut actions);
         assert!(was_running, "running job releases");
-        self.touch_view();
         self.apply_actions(pool, &actions, now, sched);
         self.scratch.put_actions(actions);
         self.resolve_duplicate_race(job, now, sched);
@@ -1406,14 +1395,12 @@ impl Simulator {
                 let actions = self.pools[pool.as_usize()]
                     .release(now, loser)
                     .expect("loser was running");
-                self.touch_view();
                 self.apply_actions(pool, &actions, now, sched);
             }
             JobPhase::Suspended { pool, .. } => {
                 let actions = self.pools[pool.as_usize()]
                     .remove_suspended(now, loser)
                     .expect("loser was suspended");
-                self.touch_view();
                 self.apply_actions(pool, &actions, now, sched);
             }
             JobPhase::Waiting { pool } => {
@@ -1580,11 +1567,9 @@ impl Simulator {
         let mut actions = self.scratch.take_actions();
         match self.pools[target.as_usize()].submit_into(now, &spec, &mut actions) {
             SubmitKind::Dispatched => {
-                self.touch_view();
                 self.apply_batch(target, &actions, now, sched, &mut suspended);
             }
             SubmitKind::Queued => {
-                self.touch_view();
                 self.jobs[job.as_usize()]
                     .enqueue(now, target)
                     .expect("migrating job is at VPM");
@@ -1622,7 +1607,6 @@ impl Simulator {
             self.scratch.evict_suspended = susp;
             return;
         }
-        self.touch_view();
         self.emit(now, ObsEvent::MachineDown { pool, machine });
         let mut blacklisted_until = None;
         if self.config.resilience.enabled {
@@ -1819,7 +1803,6 @@ impl Simulator {
     ) {
         let mut actions = self.scratch.take_actions();
         if self.pools[pool.as_usize()].restore_machine_into(now, machine, &mut actions) {
-            self.touch_view();
             self.emit(now, ObsEvent::MachineUp { pool, machine });
             self.apply_actions(pool, &actions, now, sched);
         }
@@ -1844,7 +1827,6 @@ impl Simulator {
         if !self.pools[pool.as_usize()].drain_machine(machine) {
             return; // already draining or unknown machine
         }
-        self.touch_view();
         self.emit(
             now,
             ObsEvent::MachineDraining {
@@ -1929,7 +1911,6 @@ impl Simulator {
                 _ => self.pools[pool.as_usize()].remove_suspended_into(now, job, &mut actions),
             };
             assert!(removed, "phase re-checked above");
-            self.touch_view();
             self.jobs[job.as_usize()]
                 .abort_for_restart(now, self.config.restart_overhead)
                 .expect("evacuees were running or suspended");
@@ -1967,7 +1948,6 @@ impl Simulator {
     ) {
         let mut actions = self.scratch.take_actions();
         if self.pools[pool.as_usize()].undrain_machine_into(now, machine, &mut actions) {
-            self.touch_view();
             self.emit(now, ObsEvent::MachineUndrained { pool, machine });
             self.apply_actions(pool, &actions, now, sched);
         }

@@ -152,6 +152,19 @@ grep -q '^netbatch;shard1;submit ' "$tmpdir/stream.folded"
 echo "==> streaming conformance (golden matrix, materialized parity)"
 cargo test --release -q --test streaming_conformance
 
+# Benchmark contract: perfbench's own tests check that the metric names
+# it prints match BENCHMARK.json and that instrumentation never changes
+# what is simulated; the smoke run then drives every workload at a short
+# length and fails on any output-check error (non-zero exit). perfbench
+# is a workspace of its own, so it needs its own manifest path.
+echo "==> benchmark contract tests (perfbench)"
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+echo "==> benchmark smoke (all workloads, 2 s)"
+cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- \
+  --workload all --seconds 2 > "$tmpdir/perfbench.out" \
+  || { cat "$tmpdir/perfbench.out"; exit 1; }
+grep '^digest ' "$tmpdir/perfbench.out"
+
 # Perf smoke: one small hot-path cell (events/sec + allocs/event) checked
 # against the committed BENCH_hotpath.json. Fails on a >30% events/sec
 # regression or an allocs/event ceiling breach; never rewrites the
