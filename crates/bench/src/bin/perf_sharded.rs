@@ -205,7 +205,7 @@ fn host_cores() -> usize {
 
 /// One timed materialized-serial round; returns (events, wall seconds).
 /// Trace generation happens before the clock starts (the materialized
-/// backends pay it before t=0; its cost shows up in the streaming walls
+/// serial run pays it before t=0; its cost shows up in the streaming walls
 /// instead, where it belongs).
 fn run_serial_round(p: &PerPoolParams, trace: &Trace) -> (u64, f64) {
     let config = SimConfig::new(InitialKind::RoundRobin, StrategyKind::NoRes);

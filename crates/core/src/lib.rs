@@ -36,7 +36,6 @@ pub mod faults;
 pub mod observer;
 pub mod policy;
 pub mod provenance;
-mod sharded;
 pub mod simulator;
 mod streaming;
 pub mod telemetry;
@@ -52,12 +51,12 @@ pub use provenance::{Cause, KernelProfile, SpanRecorder};
 pub use simulator::{Backend, RunCounters, SimConfig, SimOutput, Simulator};
 
 /// Returns and resets the process-wide aggregate time worker threads of
-/// the sharded backend spent executing batches, in nanoseconds. A
+/// the streaming backend spent executing epochs, in nanoseconds. A
 /// benchmarking aid for measuring the serial/parallel work split (see
-/// the `perf_sharded` harness); meaningful only when sharded runs are
+/// the `perf_sharded` harness); meaningful only when streaming runs are
 /// not concurrent.
 #[doc(hidden)]
 pub fn take_sharded_worker_busy_nanos() -> u64 {
-    sharded::take_worker_busy_nanos()
+    streaming::take_worker_busy_nanos()
 }
 pub use telemetry::{Registry, Telemetry, TelemetrySummary};

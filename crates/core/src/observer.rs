@@ -459,23 +459,20 @@ pub trait SimObserver: std::fmt::Debug {
     /// Called once after the event loop drains, with the final state.
     fn on_run_end(&mut self, _now: SimTime, _ctx: &ObsCtx<'_>) {}
 
-    /// Called instead of [`SimObserver::on_event`] when the sharded
-    /// backend replays events buffered during a shard flush. Semantically
-    /// identical to `on_event` — same events, same deterministic order —
-    /// but delivered *after* the shards' mutations have all been applied,
-    /// so `ctx` reflects the post-barrier state rather than the state at
-    /// the instant each event fired. Observers that compare their shadow
-    /// model against `ctx` mid-stream (the invariant checker) override
-    /// this to defer those comparisons to [`SimObserver::on_settle`];
-    /// observers that only read the event itself keep the default.
+    /// Called instead of [`SimObserver::on_event`] when the streaming
+    /// backend replays the events its workers buffered during one epoch.
+    /// Semantically identical to `on_event` — same events, same
+    /// deterministic order — but delivered *after* the epoch's mutations
+    /// have all been applied, so `ctx` reflects the post-barrier state
+    /// rather than the state at the instant each event fired (and
+    /// `ctx.jobs` stays empty until drain). Observers that only read the
+    /// event itself keep the default.
     fn on_replayed_event(&mut self, now: SimTime, event: &ObsEvent, ctx: &ObsCtx<'_>) {
         self.on_event(now, event, ctx);
     }
 
-    /// Called by the sharded backend once per flush, after every buffered
-    /// event has been replayed and all barrier state is settled —
-    /// the point at which `ctx`-vs-shadow comparisons deferred from
-    /// [`SimObserver::on_replayed_event`] are valid again.
+    /// Called by the streaming backend once per epoch, after every
+    /// buffered event has been replayed and all barrier state is settled.
     fn on_settle(&mut self, _now: SimTime, _ctx: &ObsCtx<'_>) {}
 
     /// Upcast for downcasting out of
@@ -1359,43 +1356,6 @@ impl SimObserver for InvariantChecker {
         self.ensure_init(ctx);
         self.check_touched(now, ctx);
         self.deep_sweep(now, ctx);
-    }
-
-    fn on_replayed_event(&mut self, now: SimTime, event: &ObsEvent, ctx: &ObsCtx<'_>) {
-        // During a shard-flush replay, `ctx` holds the *post-barrier*
-        // state: every event in the batch has already been applied. The
-        // kernel-boundary shadow-vs-actual comparisons (check_touched,
-        // deep sweeps) would compare mid-batch shadow state against
-        // end-of-batch pool state and report phantom violations, so the
-        // kernel arm only does its bookkeeping here and the comparisons
-        // run once the batch settles (`on_settle`). Every other arm reads
-        // settled per-job data (records, resources, down flags) that the
-        // replay order reproduces exactly, so it runs unchanged.
-        if let ObsEvent::Kernel { .. } = event {
-            self.ensure_init(ctx);
-            if now < self.last_now {
-                self.violation(now, &format!("time regressed from {}", self.last_now));
-            }
-            self.last_now = now;
-            if self.history.len() == HISTORY {
-                self.history.pop_front();
-            }
-            self.history.push_back((now, *event));
-            self.events_seen += 1;
-            self.queue_started.clear();
-        } else {
-            self.on_event(now, event, ctx);
-        }
-    }
-
-    fn on_settle(&mut self, now: SimTime, ctx: &ObsCtx<'_>) {
-        self.ensure_init(ctx);
-        self.check_touched(now, ctx);
-        let interval = DEEP_SWEEP_EVERY.max(ctx.jobs.len() as u64 + self.machine_total);
-        if self.events_seen - self.last_sweep >= interval {
-            self.deep_sweep(now, ctx);
-            self.last_sweep = self.events_seen;
-        }
     }
 
     fn as_any(&self) -> &dyn Any {

@@ -44,17 +44,18 @@ pub trait InitialScheduler: std::fmt::Debug + Send {
 
     /// Switches the scheduler into health-aware mode: pool ordering
     /// weights candidates by pool health (effective capacity). Default:
-    /// no-op — round-robin is a pure cursor and stays health-blind (its
-    /// shard classification depends on consulting no pool state).
+    /// no-op — round-robin is a pure cursor and stays health-blind (the
+    /// streaming kernel's fast class depends on it consulting no pool
+    /// state).
     fn set_health_aware(&mut self, _aware: bool) {}
 
-    /// Downcast hook for the sharded backend: round-robin is the one
-    /// scheduler whose choice can be computed without the cluster view
-    /// (it is a pure cursor rotation), which is what lets submissions be
-    /// classified to a shard before any pool state is consulted.
+    /// Whether this is [`RoundRobin`], for the streaming backend's
+    /// fast-class check: round-robin is the one scheduler whose choice
+    /// can be computed without the cluster view (it is a pure cursor
+    /// rotation).
     #[doc(hidden)]
-    fn as_round_robin_mut(&mut self) -> Option<&mut RoundRobin> {
-        None
+    fn is_round_robin(&self) -> bool {
+        false
     }
 }
 
@@ -72,20 +73,6 @@ impl RoundRobin {
     /// Creates a round-robin scheduler starting at the first pool.
     pub fn new() -> Self {
         RoundRobin::default()
-    }
-
-    /// The rotation start [`RoundRobin::order_into`] would use for a
-    /// candidate list of `len` pools — without committing the cursor.
-    pub(crate) fn peek_start(&self, len: usize) -> usize {
-        self.cursor % len
-    }
-
-    /// Commits one rotation step, exactly as a successful `order_into`
-    /// call would. The sharded backend pairs this with
-    /// [`RoundRobin::peek_start`]: peek to classify the submission, then
-    /// advance only once the dispatch is known to proceed.
-    pub(crate) fn advance(&mut self) {
-        self.cursor = self.cursor.wrapping_add(1);
     }
 }
 
@@ -111,8 +98,8 @@ impl InitialScheduler for RoundRobin {
         out.extend_from_slice(&candidates[..start]);
     }
 
-    fn as_round_robin_mut(&mut self) -> Option<&mut RoundRobin> {
-        Some(self)
+    fn is_round_robin(&self) -> bool {
+        true
     }
 }
 

@@ -227,7 +227,7 @@ pub trait ReschedPolicy: std::fmt::Debug + Send {
 
     /// Whether this policy is the `NoRes` baseline: every suspension
     /// decision is `Stay`, no RNG is drawn, and the cluster view is never
-    /// consulted. The sharded backend uses this to prove pool-local
+    /// consulted. The streaming backend requires this to prove pool-local
     /// events have no cross-pool effects; any policy that cannot make
     /// that promise must leave the default `false`.
     #[doc(hidden)]

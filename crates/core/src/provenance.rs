@@ -13,10 +13,9 @@
 //! inputs that chose the target pool, or the retry attempt number.
 //!
 //! Determinism: the recorder consumes only `(time, event)` — never the
-//! mid-stream [`ObsCtx`] — so the sharded backend's replay seam
-//! ([`SimObserver::on_replayed_event`]) produces byte-identical span
-//! trees at every shard count (differentially tested at shards
-//! {1, 2, 4, 20} on both queue backends).
+//! mid-stream [`ObsCtx`] — so its span trees are a pure function of the
+//! event stream: byte-identical on both event-queue backends
+//! (`tests/provenance.rs`).
 
 use std::fmt::{self, Write as _};
 
@@ -753,9 +752,9 @@ pub const KERNEL_EV_KINDS: [&str; 10] = [
     "drain_end",
 ];
 
-/// Labels for the worker-side phases the parallel backends attribute:
-/// batch submits, batch completions, and (streaming backend only) lazy
-/// shard-local trace generation.
+/// Labels for the worker-side phases the streaming backend attributes:
+/// epoch submits, epoch completions and lazy shard-local trace
+/// generation.
 const SHARD_PHASES: [&str; 3] = ["submit", "complete", "generate"];
 
 /// Worker phase indices for [`KernelProfile::record_shard`].
@@ -766,7 +765,7 @@ pub(crate) const PHASE_COMPLETE: usize = 1;
 pub(crate) const PHASE_GENERATE: usize = 2;
 
 /// Coordinator barrier phases beyond the per-event kinds: `merge` is the
-/// serial effect-replay + emission-reduce section at each epoch barrier —
+/// serial report-fold + emission-reduce section at each epoch barrier —
 /// the Amdahl-relevant serial fraction, readable straight from the folded
 /// stacks as `netbatch;coordinator;merge` vs the `netbatch;shardN;*` lanes.
 const COORD_PHASES: [&str; 1] = ["merge"];
@@ -779,11 +778,10 @@ pub(crate) const COORD_MERGE: usize = 0;
 /// branch per event when off. The nanosecond readings are wall-clock and
 /// therefore nondeterministic — they never appear in deterministic
 /// outputs, and the `Debug` rendering redacts them (counts only), exactly
-/// like the sharded backend's busy-nanos counter.
+/// like the streaming backend's busy-nanos counter.
 #[derive(Clone, Default)]
 pub struct KernelProfile {
-    // (nanos, events) per Ev kind, accumulated on the serial executor or
-    // the sharded coordinator.
+    // (nanos, events) per Ev kind, accumulated on the serial executor.
     coordinator: [(u64, u64); KERNEL_EV_KINDS.len()],
     // (nanos, barriers) per coordinator barrier phase ([merge]).
     coord_phases: [(u64, u64); COORD_PHASES.len()],
@@ -792,13 +790,13 @@ pub struct KernelProfile {
 }
 
 impl KernelProfile {
-    /// An empty profile (no shard lanes until the sharded backend sizes
-    /// them).
+    /// An empty profile (no shard lanes until the streaming backend
+    /// sizes them).
     pub fn new() -> Self {
         KernelProfile::default()
     }
 
-    /// Sizes the per-shard lanes (parallel backends only).
+    /// Sizes the per-shard lanes (streaming backend only).
     pub(crate) fn init_shards(&mut self, shards: usize) {
         self.shards = vec![[(0, 0); SHARD_PHASES.len()]; shards];
     }
@@ -810,7 +808,7 @@ impl KernelProfile {
         cell.1 += 1;
     }
 
-    /// Folds one shard's flushed batch work into its lane.
+    /// Folds one shard's epoch work into its lane.
     pub(crate) fn record_shard(&mut self, shard: usize, phase: usize, nanos: u64, items: u64) {
         let cell = &mut self.shards[shard][phase];
         cell.0 += nanos;

@@ -119,7 +119,7 @@ pub struct SimConfig {
     /// default; like every observer it costs nothing when not attached.
     pub spans: bool,
     /// Kernel self-profiling: attribute wall time per event kind (and per
-    /// shard on the sharded backend), rendered as folded stacks for
+    /// shard on the streaming backend), rendered as folded stacks for
     /// flamegraphs. Wall-clock readings are nondeterministic and never
     /// enter deterministic outputs. Off by default (one branch per event).
     pub profile: bool,
@@ -129,7 +129,7 @@ pub struct SimConfig {
     /// known minute directly succeeds the last dispatched one. On by
     /// default; the switch exists so the conformance suite can assert
     /// pipelined and unpipelined runs are byte-identical. Ignored by the
-    /// serial and sharded backends.
+    /// serial executor.
     pub stream_pipeline: bool,
     /// Run on the reference binary-heap event queue instead of the
     /// hierarchical timer wheel. The two backends are contractually
@@ -137,30 +137,26 @@ pub struct SimConfig {
     /// tests can assert golden traces are byte-identical on both.
     #[doc(hidden)]
     pub use_reference_queue: bool,
-    /// Which simulation kernel drives the run. [`Backend::Serial`] (the
-    /// default) is the reference single-threaded executor;
-    /// [`Backend::Sharded`] partitions pools across worker threads and
-    /// synchronizes at minute-epoch barriers, producing byte-identical
-    /// traces (conformance-tested against serial at every shard count).
+    /// How many worker threads a [`Simulator::run_streaming`] run uses.
+    /// [`Simulator::run_to_completion`] always runs the serial executor
+    /// and ignores it.
     pub backend: Backend,
 }
 
-/// Which simulation kernel [`Simulator::run_to_completion`] uses.
-///
-/// Mirrors the `use_reference_queue` switch pattern one level up: the
-/// serial executor stays as the reference implementation, and the sharded
-/// kernel is differentially tested against it (golden matrix + property
-/// conformance suite) rather than trusted.
+/// The worker count of the streaming kernel ([`Simulator::run_streaming`]).
+/// Materialized runs ([`Simulator::run_to_completion`]) always run the
+/// single-threaded serial executor, whatever this says.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Backend {
-    /// The single-threaded reference executor.
+    /// One streaming worker.
     #[default]
     Serial,
-    /// Pool-sharded workers under `std::thread::scope`, synchronized at
-    /// minute-epoch barriers with a canonical (epoch, pool, seq) merge.
+    /// Pool-sharded streaming workers under `std::thread::scope`,
+    /// synchronized at minute-epoch barriers.
     Sharded {
         /// Number of worker threads (pools are assigned round-robin by
-        /// pool id). Clamped to at least 1.
+        /// pool id). Clamped to `1..=pool count`: output does not depend
+        /// on it.
         shards: usize,
     },
 }
@@ -745,13 +741,24 @@ impl Simulator {
         sim
     }
 
-    /// Runs the whole trace until every job completes (the paper's run
-    /// discipline). Returns the run counters.
-    pub fn run_to_completion(self) -> SimOutput {
-        match self.config.backend {
-            Backend::Serial => self.run_serial(),
-            Backend::Sharded { shards } => crate::sharded::run_sharded(self, shards.max(1)),
-        }
+    /// Runs the whole trace on the serial executor until every job
+    /// completes (the paper's run discipline). Returns the run counters.
+    pub fn run_to_completion(mut self) -> SimOutput {
+        // Pre-size the queue for the submit wave; the reference-heap
+        // backend exists for end-to-end differential tests only.
+        let mut executor = if self.config.use_reference_queue {
+            Executor::with_queue(EventQueue::with_reference_heap())
+        } else {
+            Executor::with_capacity(self.jobs.len() * 2 + 64)
+        };
+        self.seed_initial_events(&mut executor);
+        let stats = executor.run(&mut self);
+        assert_eq!(
+            stats.outcome,
+            RunOutcome::Drained,
+            "simulation should drain, not stop early"
+        );
+        self.finish_run(stats.end_time, stats.events_processed)
     }
 
     /// Runs a workload to completion with *streaming* generation: jobs
@@ -760,7 +767,8 @@ impl Simulator {
     /// use), so peak memory is proportional to the in-flight job count,
     /// not the trace length. The simulator must be constructed with an
     /// **empty** spec list; [`Backend::Serial`] runs one worker,
-    /// [`Backend::Sharded`] one per shard, byte-identically.
+    /// [`Backend::Sharded`] one per shard (at most one per pool),
+    /// byte-identically.
     ///
     /// [`SimOutput::jobs`] is populated only when at least one observer
     /// is attached (retaining records would defeat flat memory);
@@ -781,36 +789,16 @@ impl Simulator {
         crate::streaming::run_streaming(self, workload, seed, shards)
     }
 
-    fn run_serial(mut self) -> SimOutput {
-        // Pre-size the queue for the submit wave; the reference-heap
-        // backend exists for end-to-end differential tests only.
-        let mut executor = if self.config.use_reference_queue {
-            Executor::with_queue(EventQueue::with_reference_heap())
-        } else {
-            Executor::with_capacity(self.jobs.len() * 2 + 64)
-        };
-        self.seed_initial_events(|at, ev| {
-            executor.seed_event(at, ev);
-        });
-        let stats = executor.run(&mut self);
-        assert_eq!(
-            stats.outcome,
-            RunOutcome::Drained,
-            "simulation should drain, not stop early"
-        );
-        self.finish_run(stats.end_time, stats.events_processed)
-    }
-
     /// Seeds the run's initial events — job submissions, the first sample
-    /// tick, the fault schedule — through `seed`, in the canonical order
-    /// both backends must share (event ids are assigned sequentially, so
-    /// seeding order is part of the determinism contract).
-    pub(crate) fn seed_initial_events(&mut self, mut seed: impl FnMut(SimTime, Ev)) {
+    /// tick, the fault schedule — in canonical order (event ids are
+    /// assigned sequentially, so seeding order is part of the determinism
+    /// contract).
+    fn seed_initial_events(&mut self, executor: &mut Executor<Ev>) {
         for job in &self.jobs {
-            seed(job.spec().submit_time, Ev::Submit(job.id()));
+            executor.seed_event(job.spec().submit_time, Ev::Submit(job.id()));
         }
         if let Some(sampler) = self.sampler.as_mut() {
-            seed(sampler.next_tick(), Ev::Sample);
+            executor.seed_event(sampler.next_tick(), Ev::Sample);
         }
         // Validate the ad-hoc failure list and merge it with the generated
         // schedule: per-machine intervals are non-overlapping afterwards,
@@ -833,9 +821,9 @@ impl Simulator {
             plan = plan.merge(FaultPlan::new(self.lifecycle_plan.kill_outages()));
         }
         for o in plan.outages() {
-            seed(o.from, Ev::MachineDown(o.pool, o.machine));
+            executor.seed_event(o.from, Ev::MachineDown(o.pool, o.machine));
             if let Some(until) = o.until {
-                seed(until, Ev::MachineUp(o.pool, o.machine));
+                executor.seed_event(until, Ev::MachineUp(o.pool, o.machine));
             }
         }
         // Keep the merged plan: outage ids in fault audits are indices
@@ -845,12 +833,12 @@ impl Simulator {
         // instant the machine is restored (still draining, no dispatch)
         // before the drain ends and re-opens it.
         for w in self.lifecycle_plan.windows() {
-            seed(w.drain_from, Ev::DrainStart(w.pool, w.machine, w.down_from));
-            seed(w.until, Ev::DrainEnd(w.pool, w.machine));
+            executor.seed_event(w.drain_from, Ev::DrainStart(w.pool, w.machine, w.down_from));
+            executor.seed_event(w.until, Ev::DrainEnd(w.pool, w.machine));
         }
     }
 
-    /// Final bookkeeping shared by both backends: records the event count,
+    /// Final bookkeeping shared by both kernels: records the event count,
     /// runs `on_run_end`, filters shadow copies out of the reported
     /// population and assembles the [`SimOutput`].
     pub(crate) fn finish_run(mut self, end_time: SimTime, events_processed: u64) -> SimOutput {
@@ -1184,9 +1172,8 @@ impl Simulator {
         self.scratch.put_pool_list(candidates);
         // Decision audit: the exact ranking inputs the policy saw, emitted
         // before the transition its verdict produces. Skipped for `NoRes`,
-        // whose suspensions are not decisions (and whose fast-class
-        // sharded path never consults the policy — the skip keeps span
-        // trees byte-identical across backends).
+        // whose suspensions are not decisions (and which the streaming
+        // kernel never consults at all).
         if !self.observers.is_empty() && !self.policy.is_no_res() {
             self.emit_policy_audit(
                 job,

@@ -2,14 +2,13 @@
 //! generation under minute-epoch barriers, with coordinator offload and
 //! epoch pipelining.
 //!
-//! # Why a third backend
+//! # Why a second kernel
 //!
-//! Both existing backends materialize every [`netbatch_cluster::job::JobSpec`]
+//! The serial executor materializes every [`netbatch_cluster::job::JobSpec`]
 //! before t=0, so a year-scale 200-pool run holds tens of millions of
-//! specs and records in memory, and generation itself sits in the serial
-//! section of the sharded kernel's Amdahl split (DESIGN.md §12). Here each
-//! worker owns a [`TraceStream`] filtered to its own pools' streams and
-//! pulls arrivals epoch by epoch, so:
+//! specs and records in memory, and generation itself is serial work
+//! ahead of the run. Here each worker owns a [`TraceStream`] filtered to
+//! its own pools' streams and pulls arrivals epoch by epoch, so:
 //!
 //! * peak memory is O(in-flight jobs): a job exists from the epoch it is
 //!   generated (two minutes of lookahead) until its completion is
@@ -17,9 +16,9 @@
 //!   attached, in which case records are retained for [`SimOutput::jobs`];
 //! * generation runs inside the workers' parallel section, leaving the
 //!   coordinator a pure merge loop;
-//! * the coordinator no longer owns an event queue at all — each worker
-//!   runs a per-pool [`EventQueue`] for completion bookings, which also
-//!   removes the cross-shard effect replay the sharded backend needs.
+//! * the coordinator owns no event queue at all — each worker runs a
+//!   per-pool [`EventQueue`] for completion bookings, so queue effects
+//!   apply immediately and never cross a shard.
 //!
 //! # The epoch protocol
 //!
@@ -57,7 +56,8 @@
 //!
 //! # Supported configuration
 //!
-//! Exactly the sharded fast class, enforced rather than degraded:
+//! The fast class, enforced rather than degraded (the one configuration
+//! space where submissions and completions are provably pool-confined):
 //! `NoRes` + round-robin + zero staleness + no topology, faults,
 //! lifecycle or resilience — plus the streaming-specific contract that
 //! every stream is pinned to one pool in non-decreasing order. Observers
@@ -68,6 +68,7 @@
 //! are rejected.
 
 use std::collections::{HashMap, VecDeque};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
 
 use netbatch_cluster::ids::{JobId, PoolId};
@@ -93,16 +94,36 @@ const LOOKAHEAD: usize = 2;
 /// Maximum epochs in flight when pipelining (no observers attached).
 const PIPELINE_DEPTH: usize = 2;
 
+/// Aggregate time worker threads spent priming and executing epochs,
+/// across every streaming run in the process since the last
+/// [`take_worker_busy_nanos`]. A benchmarking aid (the `perf_sharded`
+/// harness measures the serial/parallel work split with it), never part
+/// of the simulation contract: timing is collected around epoch
+/// execution and does not feed back into any decision.
+static WORKER_BUSY_NANOS: AtomicU64 = AtomicU64::new(0);
+
+/// Returns and resets the aggregate worker busy time in nanoseconds.
+/// Meaningful only when runs are not concurrent (the counter is global).
+pub(crate) fn take_worker_busy_nanos() -> u64 {
+    WORKER_BUSY_NANOS.swap(0, Ordering::Relaxed)
+}
+
+fn add_worker_busy_nanos(nanos: u64) {
+    WORKER_BUSY_NANOS.fetch_add(nanos, Ordering::Relaxed);
+}
+
 /// Raw view into the simulator's pool storage, shipped to workers for
 /// the duration of the in-flight epochs.
 ///
 /// # Safety
 ///
-/// Same contract as the sharded backend's arena, minus the job half
-/// (streaming workers own their jobs outright): pools are partitioned by
-/// `pool_id % shards`, a worker only touches pools it owns, and the
-/// coordinator touches `sim.pools` only while no epoch is in flight
-/// (sampling and observer replay both require a quiescent barrier).
+/// Shared mutable access is sound because accesses are disjoint and the
+/// coordinator is quiescent (workers own their jobs outright, so only
+/// pools are shared): pools are partitioned by `pool_id % shards`, a
+/// worker only touches pools it owns, the coordinator touches
+/// `sim.pools` only while no epoch is in flight (sampling and observer
+/// replay both require a quiescent barrier), and workers derive only
+/// short-lived per-element references, never whole-slice `&mut` views.
 #[derive(Clone, Copy)]
 struct PoolArena {
     pools: *mut PhysicalPool,
@@ -178,7 +199,8 @@ struct PoolLane<'a> {
 }
 
 /// Per-thread streaming executor: generates its pools' arrivals, runs
-/// the same fast-class transitions as the sharded worker, and applies
+/// the serial executor's fast-class transitions (same record
+/// transitions, same pool calls, same emission order), and applies
 /// queue effects immediately against its own per-pool queues.
 struct StreamWorker<'a> {
     shard: usize,
@@ -325,9 +347,11 @@ impl<'a> StreamWorker<'a> {
         }
     }
 
-    /// Mirror of the sharded worker's submit path, with the record
-    /// instantiated here (the spec never existed before this call) and
-    /// ineligibility handled in place of the serial give-up.
+    /// Mirror of the serial `Ev::Submit` arm under the fast class: the
+    /// target pool is the job's pinned pool, and topology and wait timers
+    /// do not exist. The record is instantiated here (the spec never
+    /// existed before this call) and ineligibility is handled in place of
+    /// the serial give-up.
     fn run_submit(
         &mut self,
         li: usize,
@@ -373,9 +397,11 @@ impl<'a> StreamWorker<'a> {
         self.actions.clear();
     }
 
-    /// Mirror of the sharded worker's complete path. No staleness check
-    /// is needed: suspensions cancel their booking in the same call, so a
-    /// superseded completion never survives in the queue to be delivered.
+    /// Mirror of the serial `Ev::Complete` arm under the fast class
+    /// (shadow copies and duplicate races need the Duplicate decision,
+    /// which `NoRes` never makes). No staleness check is needed:
+    /// suspensions cancel their booking in the same call, so a superseded
+    /// completion never survives in the queue to be delivered.
     fn run_complete(
         &mut self,
         li: usize,
@@ -416,9 +442,10 @@ impl<'a> StreamWorker<'a> {
         self.apply_batch(li, pool, now);
     }
 
-    /// Mirror of the sharded worker's action drain, with queue effects
-    /// applied immediately against the lane's own queue instead of being
-    /// deferred to a barrier replay.
+    /// Mirror of the serial `apply_batch` drain, with queue effects
+    /// applied immediately against the lane's own queue. The policy
+    /// consultation vanishes: `NoRes` always answers `Stay`, reads no
+    /// randomness and leaves no side effect, so suspended jobs stay put.
     fn apply_batch(&mut self, li: usize, pool: PoolId, now: SimTime) {
         if !self.actions.is_empty() {
             self.emit(ObsEvent::BatchStart { pool });
@@ -509,9 +536,9 @@ impl<'a> StreamWorker<'a> {
 }
 
 /// Rejects every configuration the streaming kernel does not model.
-/// Panics (rather than silently degrading like the sharded backend) so a
-/// run outside the fast class is never mistaken for a streaming one.
-fn validate(sim: &mut Simulator, workload: &WorkloadSpec) {
+/// Panics (rather than silently falling back to the serial executor) so
+/// a run outside the fast class is never mistaken for a streaming one.
+fn validate(sim: &Simulator, workload: &WorkloadSpec) {
     assert!(
         sim.jobs.is_empty(),
         "streaming runs generate their own jobs; construct the Simulator with an empty spec list"
@@ -521,7 +548,7 @@ fn validate(sim: &mut Simulator, workload: &WorkloadSpec) {
         "streaming backend supports only the NoRes fast class"
     );
     assert!(
-        sim.initial.as_round_robin_mut().is_some(),
+        sim.initial.is_round_robin(),
         "streaming backend requires round-robin initial scheduling"
     );
     assert!(
@@ -561,8 +588,11 @@ pub(crate) fn run_streaming(
     seed: u64,
     shards: usize,
 ) -> SimOutput {
-    validate(&mut sim, workload);
+    validate(&sim, workload);
     let pool_count = sim.pool_count as usize;
+    // Shards past the pool count would own no pools; output does not
+    // depend on the shard count, so spawn no idle workers.
+    let shards = shards.min(pool_count).max(1);
     let pinned: Vec<u16> = workload
         .streams
         .iter()
@@ -608,7 +638,7 @@ pub(crate) fn run_streaming(
                 let t0 = std::time::Instant::now();
                 worker.prime();
                 let primed = worker.epoch_result(None);
-                crate::sharded::add_worker_busy_nanos(t0.elapsed().as_nanos() as u64);
+                add_worker_busy_nanos(t0.elapsed().as_nanos() as u64);
                 if results.send(primed).is_err() {
                     return (worker.jobs, worker.finished);
                 }
@@ -616,7 +646,7 @@ pub(crate) fn run_streaming(
                     let t0 = std::time::Instant::now();
                     worker.run_epoch(msg.epoch, &msg.bases, &msg.arena);
                     let result = worker.epoch_result(Some(msg.epoch));
-                    crate::sharded::add_worker_busy_nanos(t0.elapsed().as_nanos() as u64);
+                    add_worker_busy_nanos(t0.elapsed().as_nanos() as u64);
                     if results.send(result).is_err() {
                         break;
                     }

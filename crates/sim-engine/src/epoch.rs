@@ -1,19 +1,18 @@
 //! Deterministic merging of per-lane progress at epoch barriers.
 //!
-//! The sharded simulation backend advances independent lanes (one per
+//! The streaming simulation backend advances independent lanes (one per
 //! shard) inside a minute-epoch and synchronizes at epoch barriers, where
-//! every cross-lane action — queue effects, observer emissions — must be
-//! applied in an order that does **not** depend on which lane finished
-//! first. This module provides that order: a total [`MergeKey`] of
-//! `(epoch, lane, seq)` plus a k-way merge of per-lane runs that are
-//! already sorted by `seq` (each lane executes its items in ascending
-//! global sequence order, so its output run is sorted by construction).
+//! every cross-lane action — observer emissions — must be applied in an
+//! order that does **not** depend on which lane finished first. This
+//! module provides that order: a total [`MergeKey`] of `(epoch, lane,
+//! seq)` plus a k-way merge of per-lane runs that are already sorted by
+//! their key.
 //!
-//! The canonical ordering is what makes the sharded backend replay
-//! byte-identically against the serial reference: `seq` is the global
-//! pop order the coordinator assigned before fanning items out, so the
-//! merged stream reproduces the exact serial interleaving regardless of
-//! shard scheduling, completion order, or thread count.
+//! The streaming kernel keys each emission by its pool id: pools are
+//! lane-disjoint and every lane visits its pools in ascending id order,
+//! so each run is sorted by construction and the merged stream is the
+//! same regardless of shard scheduling, completion order, or thread
+//! count.
 
 /// A totally ordered position for one merged item: epoch first (barriers
 /// never reorder across epochs), then lane (pool/shard id breaks ties
@@ -41,8 +40,8 @@ impl MergeKey {
 /// run's internal order for equal keys (stable within a lane).
 ///
 /// Each input run must already be sorted by the key function — which the
-/// sharded coordinator guarantees by construction, since every lane
-/// executes its items in ascending `seq` order. Ties across lanes (two
+/// streaming coordinator guarantees by construction, since every lane
+/// visits its pools in ascending id order. Ties across lanes (two
 /// lanes producing the same key) resolve in favour of the lower lane
 /// index, so the output is a pure function of the runs' *contents*, never
 /// of the order the lanes happened to finish in.
@@ -97,8 +96,7 @@ mod tests {
 
     /// A cross-pool action as the coordinator sees it at a barrier: what
     /// happened, where, and its canonical position. The tests model the
-    /// adversarial same-epoch scenarios from the sharded backend's merge
-    /// step: the *contents* of the lanes are fixed, the order the lanes
+    /// adversarial same-epoch scenarios of a barrier merge step: the *contents* of the lanes are fixed, the order the lanes
     /// finish in is permuted, and the merged stream must never change.
     #[derive(Debug, Clone, PartialEq, Eq)]
     struct Action {

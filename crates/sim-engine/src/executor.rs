@@ -56,16 +56,6 @@ impl<E> fmt::Debug for Scheduler<'_, E> {
 }
 
 impl<'a, E> Scheduler<'a, E> {
-    /// Wraps a queue in a scheduler view at virtual time `now`.
-    ///
-    /// Exists for external drivers (the sharded simulation coordinator)
-    /// that run a [`Handler`] without an [`Executor`]; the causality
-    /// guarantees hold exactly as they do inside the executor loop.
-    #[doc(hidden)]
-    pub fn for_queue(now: SimTime, queue: &'a mut EventQueue<E>) -> Self {
-        Scheduler { now, queue }
-    }
-
     /// The current virtual time.
     pub fn now(&self) -> SimTime {
         self.now

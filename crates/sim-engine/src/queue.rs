@@ -278,7 +278,7 @@ impl<E> Wheel<E> {
     /// Returns the `(time, id)` that `pop_front` would deliver next,
     /// **without** advancing the cursor or cascading levels. Keeping the
     /// cursor put matters to callers that schedule between a peek and the
-    /// next pop (the sharded coordinator's epoch barrier does): an
+    /// next pop (the streaming workers' completion loop does): an
     /// advanced cursor would clamp such schedules up to the peeked minute
     /// and deliver them out of order.
     fn peek_front(&self) -> Option<(SimTime, EventId)> {
@@ -510,11 +510,10 @@ impl<E> EventQueue<E> {
     /// Like [`EventQueue::pop`] but also returns the delivered entry's
     /// [`EventId`] — the handle [`EventQueue::schedule`] returned for it.
     ///
-    /// External drivers (the sharded simulation coordinator) use the id to
-    /// validate that a popped event is still the one a consumer expects:
-    /// with deferred cancellation, an event can be popped before the cancel
-    /// that would have removed it is applied, and the id is the only way to
-    /// tell a live completion from a superseded one.
+    /// External drivers (the streaming simulation workers) use the id to
+    /// check that a popped event is still the one a consumer expects: the
+    /// id is the only way to tell a live completion from a superseded
+    /// one.
     pub fn pop_with_id(&mut self) -> Option<(SimTime, EventId, E)> {
         loop {
             let entry = match &mut self.backend {

@@ -285,8 +285,8 @@ impl ScenarioParams {
 }
 
 /// A pool-decomposable scenario: N uniform pools, each fed only by streams
-/// pinned to it. This is the shape the sharded and streaming kernels
-/// parallelize perfectly — no cross-pool affinity, so every pool's dynamics
+/// pinned to it. This is the shape the streaming kernel
+/// parallelizes perfectly — no cross-pool affinity, so every pool's dynamics
 /// are independent — and the shape `perf_sharded` and the year-scale CLI
 /// runs sweep. Streams are emitted in ascending pool order, satisfying
 /// [`WorkloadSpec::validate_pool_major`].

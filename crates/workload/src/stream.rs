@@ -6,8 +6,8 @@
 //! — but holds only O(streams) state: one arrival cursor and one lookahead
 //! record per stream. This is what lets year-scale runs keep memory flat
 //! (ROADMAP: "streaming trace generation … so memory stays flat while event
-//! counts reach the hundreds of millions") and what lets the sharded kernel
-//! move generation out of the coordinator's serial section: each shard
+//! counts reach the hundreds of millions") and what lets the streaming
+//! kernel move generation out of the coordinator's serial section: each shard
 //! builds a [`TraceStream`] filtered to its own pools' streams and pulls
 //! arrivals epoch by epoch.
 

@@ -56,18 +56,15 @@ cargo run --release --bin netbatch -- simulate \
 
 # Lifecycle smoke: scheduled maintenance drains, a rolling-update wave
 # and health cordons with proactive evacuation, layered over stochastic
-# faults, on both backends, under the online invariant checker (which
-# also enforces the lifecycle discipline: no dispatch onto draining
-# machines, legal drain/undrain alternation, evacuations inside their
-# drain windows). Any violation panics and fails this step.
-echo "==> invariant-checked lifecycle smoke (serial + sharded)"
-for backend in "" "--backend sharded --shards 4"; do
-  # shellcheck disable=SC2086
-  cargo run --release --bin netbatch -- simulate \
-    --scale 0.02 --strategy ResSusWaitUtil --check-invariants \
-    --lifecycle --health-aware \
-    --fault-mtbf 24 --fault-mttr 4 --fault-flaky 0.05 $backend
-done
+# faults, under the online invariant checker (which also enforces the
+# lifecycle discipline: no dispatch onto draining machines, legal
+# drain/undrain alternation, evacuations inside their drain windows).
+# Any violation panics and fails this step.
+echo "==> invariant-checked lifecycle smoke"
+cargo run --release --bin netbatch -- simulate \
+  --scale 0.02 --strategy ResSusWaitUtil --check-invariants \
+  --lifecycle --health-aware \
+  --fault-mtbf 24 --fault-mttr 4 --fault-flaky 0.05
 
 # Degradation gate: under a heavy lifecycle tier the health-aware
 # configuration must actually evacuate — a regression that silently
@@ -126,18 +123,8 @@ python3 -c "import json,sys; d=json.load(open(sys.argv[1])); assert d['traceEven
 echo "==> provenance reconciliation (spans vs telemetry vs counters)"
 cargo test --release -q --test provenance
 
-# Sharded-kernel smoke: the same invariant-checked run on the sharded
-# backend (4 worker shards), plus the cross-backend golden matrix, which
-# replays every committed fixture on serial and sharded at shard counts
-# {1, 2, 4, 20} and fails on the first non-identical byte.
-echo "==> invariant-checked sharded smoke (4 shards)"
-cargo run --release --bin netbatch -- simulate \
-  --backend sharded --shards 4 --scale 0.02 --check-invariants
-echo "==> cross-backend golden matrix"
-cargo test --release -q --test golden_matrix
-
 # Streaming pipeline smoke: a year-window run through the CLI front end
-# on the sharded backend. The workload is generated shard-locally epoch
+# on 2 worker shards. The workload is generated shard-locally epoch
 # by epoch (never materialized), so this exercises the full pipeline —
 # per-shard generation, coordinator merge, kernel profiler lanes — at
 # the paper's full trace span in under a second. The greps pin the

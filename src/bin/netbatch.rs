@@ -78,9 +78,10 @@ knobs tune it (drain lead default 60 min, maintenance every 48h for 2h,
 `--health-aware` makes scheduling weight pools by health-adjusted
 effective capacity and proactively evacuates jobs off draining machines
 before the kill deadline (implies `--lifecycle` and `--hardened`).
-`--backend sharded` runs the simulation on the sharded kernel (pools
-partitioned across `--shards N` worker threads, default 4); output is
-byte-identical to the serial backend at any shard count.
+`--backend sharded` runs a `--stream-workload` run on `--shards N`
+worker threads (default 4; at most one per pool); output is
+byte-identical at any shard count. Materialized runs always use the
+serial executor and reject `--backend sharded`.
 `--stream-workload` runs the streaming pipeline instead of a
 materialized trace: a pool-major workload (`--pools N` pools, default
 20, arrival rates scaled by `--scale`) is generated shard-locally epoch
@@ -522,6 +523,11 @@ fn run(cmd: Command) -> Result<(), String> {
             if !stream_workload && (pools.is_some() || horizon.is_some()) {
                 return Err("--pools and --horizon apply only to --stream-workload runs".into());
             }
+            if !stream_workload && backend != Backend::Serial {
+                return Err("--backend sharded applies only to --stream-workload runs \
+                     (materialized runs use the serial executor)"
+                    .into());
+            }
             if stream_workload {
                 // The streaming pipeline runs the NoRes fast class on its
                 // own pool-major generated workload; everything outside
@@ -694,7 +700,6 @@ fn run(cmd: Command) -> Result<(), String> {
             config.telemetry = metrics_out.is_some();
             config.spans = spans_out.is_some();
             config.profile = profile_out.is_some();
-            config.backend = backend;
             let t0 = std::time::Instant::now();
             // Observer-carrying runs drive the simulator directly; the
             // plain path stays on the Experiment front door.
@@ -1651,6 +1656,10 @@ mod tests {
         assert!(parse_args(&args("simulate --backend sharded --shards 0"))
             .unwrap_err()
             .contains("at least 1"));
+        // Only streaming runs have a parallel kernel.
+        let run_err = |s: &str| run(parse_args(&args(s)).unwrap()).unwrap_err();
+        assert!(run_err("simulate --backend sharded").contains("--stream-workload"));
+        assert!(run_err("simulate --backend sharded --shards 2").contains("--stream-workload"));
     }
 
     #[test]

@@ -18,7 +18,7 @@ use netbatch::cluster::pool::PoolConfig;
 use netbatch::core::faults::{FaultModel, LifecycleModel, ResiliencePolicy};
 use netbatch::core::observer::{InvariantChecker, TraceRecorder};
 use netbatch::core::policy::{InitialKind, StrategyKind};
-use netbatch::core::simulator::{Backend, MachineFailure, SimConfig, SimOutput, Simulator};
+use netbatch::core::simulator::{MachineFailure, SimConfig, SimOutput, Simulator};
 use netbatch::sim_engine::time::{SimDuration, SimTime};
 use netbatch::workload::scenarios::SiteSpec;
 use netbatch::workload::trace::{Trace, TraceRecord};
@@ -151,8 +151,8 @@ fn run_chaos(
 }
 
 /// Like [`run_chaos`] but with a machine-lifecycle plan layered on top of
-/// the stochastic faults, health-aware scheduling with proactive
-/// evacuation toggled by `aware`, and a selectable backend.
+/// the stochastic faults and health-aware scheduling with proactive
+/// evacuation toggled by `aware`.
 fn run_lifecycle_chaos(
     records: Vec<TraceRecord>,
     strategy: StrategyKind,
@@ -160,7 +160,6 @@ fn run_lifecycle_chaos(
     model: FaultModel,
     lifecycle: LifecycleModel,
     aware: bool,
-    backend: Backend,
 ) -> SimOutput {
     let site = small_site(3, 2, 2);
     let trace = Trace::from_records(records);
@@ -175,7 +174,6 @@ fn run_lifecycle_chaos(
     } else {
         ResiliencePolicy::hardened()
     };
-    config.backend = backend;
     let mut sim = Simulator::new(&site, trace.to_specs(), config);
     sim.attach_observer(Box::new(TraceRecorder::in_memory()));
     sim.run_to_completion()
@@ -266,7 +264,7 @@ proptest! {
     ) {
         let n = records.len() as u64;
         let out = run_lifecycle_chaos(
-            records, strategy, seed, model, lifecycle, aware, Backend::Serial,
+            records, strategy, seed, model, lifecycle, aware,
         );
         let checker = out
             .observer::<InvariantChecker>()
@@ -288,44 +286,6 @@ proptest! {
         if !aware {
             prop_assert_eq!(out.counters.evacuations, 0,
                 "evacuation fired with the policy disabled");
-        }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(10))]
-
-    /// Lifecycle events are part of the determinism contract on *both*
-    /// backends: the serial reference and the sharded kernel (at 2 and 4
-    /// shards) must produce byte-identical traces for the same seed.
-    #[test]
-    fn prop_lifecycle_chaos_backend_equivalence(
-        records in prop::collection::vec(arb_record(), 1..30),
-        strategy in arb_any_strategy(),
-        seed in 0u64..1000,
-        model in arb_fault_model(),
-        lifecycle in arb_lifecycle_model(),
-        aware in prop::bool::ANY,
-    ) {
-        let lines = |out: &SimOutput| {
-            out.observer::<TraceRecorder>()
-                .expect("recorder attached")
-                .lines()
-                .to_string()
-        };
-        let serial = lines(&run_lifecycle_chaos(
-            records.clone(), strategy, seed, model.clone(), lifecycle.clone(),
-            aware, Backend::Serial,
-        ));
-        for shards in [2usize, 4] {
-            let sharded = lines(&run_lifecycle_chaos(
-                records.clone(), strategy, seed, model.clone(), lifecycle.clone(),
-                aware, Backend::Sharded { shards },
-            ));
-            prop_assert_eq!(
-                &serial, &sharded,
-                "serial and sharded x{} traces diverge under lifecycle churn", shards
-            );
         }
     }
 }

@@ -29,9 +29,7 @@ const GOLDEN_SCALE: f64 = 0.002;
 /// Fixture path relative to the crate root.
 const GOLDEN_PATH: &str = "tests/golden/lifecycle_drain_rswu.jsonl";
 
-/// The recorded cell, shared with the cross-backend matrix
-/// (`tests/golden_matrix.rs` replays the same fixture at shard counts
-/// {1, 2, 4, 20} and on the reference heap queue).
+/// The recorded cell, replayed on both event queues below.
 fn lifecycle_config() -> SimConfig {
     let mut config = SimConfig::new(InitialKind::RoundRobin, StrategyKind::ResSusWaitUtil);
     config.check_invariants = true;

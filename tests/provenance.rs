@@ -26,6 +26,13 @@ const TEST_SCALE: f64 = 0.02;
 /// resilience + proactive evacuation on the halved high-load site) with
 /// both the [`Telemetry`] and [`SpanRecorder`] observers attached.
 fn run_chaos(strategy: StrategyKind) -> (ExperimentResult, Vec<Box<dyn SimObserver>>) {
+    run_chaos_on(strategy, false)
+}
+
+fn run_chaos_on(
+    strategy: StrategyKind,
+    use_reference_queue: bool,
+) -> (ExperimentResult, Vec<Box<dyn SimObserver>>) {
     let params = ScenarioParams::normal_week(TEST_SCALE);
     let site = params.build_site().halved();
     let trace = params.generate_trace();
@@ -46,6 +53,7 @@ fn run_chaos(strategy: StrategyKind) -> (ExperimentResult, Vec<Box<dyn SimObserv
             .with_rolling(1, 0.25, SimDuration::from_hours(1)),
     );
     config.health_aware = true;
+    config.use_reference_queue = use_reference_queue;
     let mut output = Simulator::new(&site, trace.to_specs(), config).run_to_completion();
     let observers = std::mem::take(&mut output.observers);
     let result = ExperimentResult::from_output(initial, strategy, output);
@@ -64,6 +72,18 @@ fn telemetry(observers: &[Box<dyn SimObserver>]) -> &Telemetry {
         .iter()
         .find_map(|o| o.as_any().downcast_ref::<Telemetry>())
         .expect("telemetry attached via SimConfig")
+}
+
+#[test]
+fn span_trees_are_identical_on_the_reference_heap_queue() {
+    // The recorder reads only the event stream, so the two event-queue
+    // implementations must yield the same span trees and decision audit.
+    let (_, wheel) = run_chaos(StrategyKind::ResSusWaitUtil);
+    let (_, heap) = run_chaos_on(StrategyKind::ResSusWaitUtil, true);
+    assert!(
+        recorder(&wheel).render_jsonl() == recorder(&heap).render_jsonl(),
+        "span JSONL diverges between the timer wheel and the reference heap"
+    );
 }
 
 #[test]

@@ -1,10 +1,11 @@
-//! Conformance suite for the streaming backend (differential testing,
-//! same discipline as `sharded_conformance`):
+//! Conformance suite for the streaming backend (differential testing
+//! against its own single-worker run and the materialized serial run):
 //!
 //! * streaming runs are **shard-count independent**: the golden JSONL
-//!   trace is byte-identical across 1/2/4/20 workers and across both
-//!   event-queue backends (the streaming canonical order is defined
-//!   per-pool, so partitioning cannot reorder it);
+//!   trace is byte-identical across 1/2/4/20/10 000 requested workers
+//!   (capped at the pool count) and across both event-queue backends
+//!   (the streaming canonical order is defined per-pool, so partitioning
+//!   cannot reorder it);
 //! * streaming equals a **materialized** serial run job-for-job and
 //!   counter-for-counter when sampling is off (per-pool event sequences
 //!   coincide; only cross-pool interleaving within a minute differs,
@@ -61,7 +62,8 @@ fn assert_same_trace(reference: &str, other: &str, label: &str) {
 }
 
 /// The golden matrix: every worker count and both queue backends yield
-/// the byte-identical event stream, counters and job records.
+/// the byte-identical event stream, counters and job records. Counts past
+/// the pool count (20 and 10 000 on 8 pools) are capped, not spawned.
 #[test]
 fn streaming_trace_is_shard_count_independent() {
     let p = params();
@@ -74,7 +76,7 @@ fn streaming_trace_is_shard_count_independent() {
     );
     assert!(reference.counters.suspensions > 0, "bursts must preempt");
 
-    for shards in [1usize, 2, 4, 20] {
+    for shards in [1usize, 2, 4, 20, 10_000] {
         for reference_queue in [false, true] {
             let mut config = base_config(Backend::Sharded { shards }).with_sampling();
             config.seed = p.seed;
