@@ -1,14 +1,13 @@
-//! Cross-backend golden matrix: every committed golden fixture must
-//! replay **byte-identically** on the serial reference backend and on the
-//! sharded backend at shards ∈ {1, 2, 4, NUM_POOLS}.
+//! Backend golden matrix for materialized runs: every committed golden
+//! fixture must replay **byte-identically**, with the invariant checker
+//! on, whatever [`Backend`] the configuration names.
 //!
-//! This is the conformance contract of the sharded kernel: shard count is
-//! an execution detail, never an observable. The matrix covers the
-//! fault-free fast-class cell (where sharding actually fans submissions
-//! and completions out to workers), the hardened chaos cell (which falls
-//! back to inline execution per event and must *still* be identical
-//! through the same coordinator), and the telemetry-attached variant
-//! (exercising the replay/settle observer seam end to end).
+//! `Backend::Sharded { shards }` sets only the worker count of the
+//! streaming kernel; `Simulator::run_to_completion` always runs the
+//! serial executor and must ignore it. The matrix pins that contract on
+//! the fault-free fast-class cell, the hardened chaos cell and the
+//! lifecycle drain cell (on both event-queue backends), so a backend
+//! value can never leak into a materialized trace.
 
 use netbatch::core::faults::{FaultModel, LifecycleModel, ResiliencePolicy};
 use netbatch::core::observer::TraceRecorder;
@@ -31,8 +30,8 @@ fn read_fixture(name: &str) -> String {
     fs::read_to_string(&path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"))
 }
 
-/// Runs one configured cell with a trace recorder attached and returns
-/// the JSONL stream.
+/// Runs one configured cell with the invariant checker on and a trace
+/// recorder attached and returns the JSONL stream.
 fn record(mut config: SimConfig) -> String {
     let params = ScenarioParams::normal_week(GOLDEN_SCALE);
     let site = params.build_site();
@@ -108,7 +107,7 @@ fn table1_fixture_is_shard_count_invariant() {
     assert_matches(&golden, &record(table1_config(Backend::Serial)), "serial");
     for shards in shard_matrix() {
         let got = record(table1_config(Backend::Sharded { shards }));
-        assert_matches(&golden, &got, &format!("sharded x{shards}"));
+        assert_matches(&golden, &got, &format!("materialized, sharded x{shards}"));
     }
 }
 
@@ -118,15 +117,14 @@ fn chaos_fixture_is_shard_count_invariant() {
     assert_matches(&golden, &record(chaos_config(Backend::Serial)), "serial");
     for shards in shard_matrix() {
         let got = record(chaos_config(Backend::Sharded { shards }));
-        assert_matches(&golden, &got, &format!("sharded x{shards}"));
+        assert_matches(&golden, &got, &format!("materialized, sharded x{shards}"));
     }
 }
 
 #[test]
 fn lifecycle_fixture_is_shard_count_invariant() {
-    // Lifecycle drains and evacuations run inline on the coordinator
-    // (classified to no shard), so shard count must stay unobservable
-    // even while machines drain, die, evacuate and re-open mid-run.
+    // Machines drain, die, evacuate and re-open mid-run; the backend
+    // value must stay unobservable throughout.
     let golden = read_fixture("lifecycle_drain_rswu.jsonl");
     assert_matches(
         &golden,
@@ -135,49 +133,29 @@ fn lifecycle_fixture_is_shard_count_invariant() {
     );
     for shards in shard_matrix() {
         let got = record(lifecycle_config(Backend::Sharded { shards }));
-        assert_matches(&golden, &got, &format!("lifecycle sharded x{shards}"));
+        assert_matches(
+            &golden,
+            &got,
+            &format!("lifecycle materialized, sharded x{shards}"),
+        );
     }
 }
 
 #[test]
 fn lifecycle_fixture_on_reference_heap_queue_is_backend_invariant() {
     // The queue axis composes with the backend axis under lifecycle
-    // churn too: same fixture on the reference binary-heap queue, both
-    // serial and sharded.
+    // churn too: same fixture on the reference binary-heap queue, with
+    // either backend value.
     let golden = read_fixture("lifecycle_drain_rswu.jsonl");
     for (backend, label) in [
         (Backend::Serial, "serial on reference heap"),
         (
             Backend::Sharded { shards: 4 },
-            "sharded x4 on reference heap",
+            "materialized, sharded x4 on reference heap",
         ),
     ] {
         let mut config = lifecycle_config(backend);
         config.use_reference_queue = true;
         assert_matches(&golden, &record(config), label);
     }
-}
-
-#[test]
-fn telemetry_attached_trace_is_shard_count_invariant() {
-    // Telemetry riding along must not perturb the recorded stream on any
-    // backend (observer independence), and the telemetry observer itself
-    // must survive the replay/settle delivery path.
-    let golden = read_fixture("table1_nores_rr.jsonl");
-    for shards in shard_matrix() {
-        let mut config = table1_config(Backend::Sharded { shards });
-        config.telemetry = true;
-        assert_matches(&golden, &record(config), &format!("telemetry x{shards}"));
-    }
-}
-
-#[test]
-fn sharded_backend_on_reference_heap_queue_matches_fixture() {
-    // Orthogonality: the backend switch composes with the event-queue
-    // switch. One cell is enough — both axes are exhaustively covered by
-    // their own suites.
-    let golden = read_fixture("table1_nores_rr.jsonl");
-    let mut config = table1_config(Backend::Sharded { shards: 4 });
-    config.use_reference_queue = true;
-    assert_matches(&golden, &record(config), "sharded x4 on reference heap");
 }
