@@ -2,8 +2,8 @@
 //! timer-wheel event queue against the reference binary heap, both as a
 //! queue kernel (schedule/pop churn shaped like simulator traffic) and
 //! end-to-end (a whole week cell run on each backend). Throughput is
-//! reported in events/second so regressions read directly against
-//! `BENCH_hotpath.json`.
+//! reported in events/second. Cross-revision tracking is perfbench's job
+//! (`perfbench/`, declared in `BENCHMARK.json`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use netbatch_core::policy::{InitialKind, StrategyKind};

@@ -1,0 +1,161 @@
+//! Perf budgets that do not depend on timing: heap allocations per
+//! processed event on the materialized kernel, and streaming peak heap
+//! staying flat as the horizon grows.
+//!
+//! Both read process-global counters kept by this file's counting
+//! allocator, so the tests take [`SERIAL`] to keep each other's
+//! allocations out of their figures. Debug builds allocate inside
+//! `debug_assert`s on the hot path, so the budgets hold for release
+//! builds only:
+//!
+//! ```text
+//! cargo test --release -q -p netbatch-bench --test perf_budgets
+//! ```
+//!
+//! Timing (events/s, coordination overhead, speedup) is not gated here:
+//! it is judged by perfbench's paired runs on one host.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
+
+use netbatch_bench::runner::{build_scenario, Load};
+use netbatch_core::policy::{InitialKind, StrategyKind};
+use netbatch_core::simulator::{Backend, SimConfig, Simulator};
+use netbatch_workload::scenarios::PerPoolParams;
+
+/// Counts allocations (`alloc` + `realloc`) and tracks live heap bytes
+/// with their high-water mark. Relaxed atomics: cross-thread interleaving
+/// can smear the peak by a few allocations, noise against the megabytes
+/// it is compared in.
+struct CountingAlloc;
+
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+static LIVE_BYTES: AtomicU64 = AtomicU64::new(0);
+static PEAK_BYTES: AtomicU64 = AtomicU64::new(0);
+
+fn note_alloc(size: usize) {
+    ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    let live = LIVE_BYTES.fetch_add(size as u64, Ordering::Relaxed) + size as u64;
+    PEAK_BYTES.fetch_max(live, Ordering::Relaxed);
+}
+
+fn note_dealloc(size: usize) {
+    LIVE_BYTES.fetch_sub(size as u64, Ordering::Relaxed);
+}
+
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note_alloc(layout.size());
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        note_dealloc(layout.size());
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note_dealloc(layout.size());
+        note_alloc(new_size);
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Held by each test for its whole run: the counters are process-global.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+const MIB: f64 = 1024.0 * 1024.0;
+
+/// Ceiling on heap allocations per processed event over the two
+/// normal-load cells. The last committed measurement of these cells was
+/// 0.2410 allocations per event; the ceiling is that figure × 1.5 slack.
+/// The count is deterministic for one build, so the slack only absorbs
+/// allocator and toolchain differences.
+const MAX_ALLOCS_PER_EVENT: f64 = 0.2410 * 1.5;
+
+/// Quadrupling the horizon may grow the streaming run's peak heap by at
+/// most this factor. The in-flight working set is horizon-independent once
+/// the runtime distribution reaches steady state; the slack absorbs the
+/// heavy tail's slow convergence.
+const MEM_FLATNESS_SLACK: f64 = 1.5;
+
+/// Two simulated days, the unit of the memory-flatness horizons.
+const FLAT_HORIZON: u64 = 2 * 24 * 60;
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "debug assertions allocate on the hot path; run with --release"
+)]
+fn allocations_per_event_stay_under_the_ceiling() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let (site, trace) = build_scenario(Load::Normal, 0.02);
+    let mut worst = 0.0f64;
+    for strategy in [StrategyKind::NoRes, StrategyKind::ResSusWaitUtil] {
+        let config = SimConfig::new(InitialKind::RoundRobin, strategy);
+        let sim = Simulator::new(&site, trace.to_specs(), config);
+        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        let out = sim.run_to_completion();
+        let allocs = ALLOCATIONS.load(Ordering::Relaxed) - before;
+        let per_event = allocs as f64 / out.counters.events.max(1) as f64;
+        println!(
+            "{}: {allocs} allocations over {} events = {per_event:.4}/event",
+            strategy.name(),
+            out.counters.events
+        );
+        worst = worst.max(per_event);
+    }
+    assert!(
+        worst <= MAX_ALLOCS_PER_EVENT,
+        "allocations per event regressed: {worst:.4} vs ceiling {MAX_ALLOCS_PER_EVENT:.4} \
+         — something on the per-event path allocates again"
+    );
+}
+
+/// Peak heap growth, in bytes, of one observer-less 1-shard streaming run
+/// of the 20-pool cell over `horizon` minutes.
+fn streaming_peak_bytes(horizon: u64) -> u64 {
+    let p = PerPoolParams::new(20, 0.25, horizon);
+    let workload = p.build_workload();
+    let mut config = SimConfig::new(InitialKind::RoundRobin, StrategyKind::NoRes);
+    config.backend = Backend::Sharded { shards: 1 };
+    let sim = Simulator::new(&p.build_site(), Vec::new(), config);
+    let baseline = LIVE_BYTES.load(Ordering::Relaxed);
+    PEAK_BYTES.store(baseline, Ordering::Relaxed);
+    sim.run_streaming(&workload, p.seed);
+    PEAK_BYTES.load(Ordering::Relaxed).saturating_sub(baseline)
+}
+
+/// Both horizons (8 and 32 days) sit past the timer wheel's slab warm-up
+/// (level-0 slot capacities ratchet toward the max-ever per-minute
+/// occupancy over the first tens of thousands of minutes), so the
+/// comparison sees the steady state rather than the warm-up.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "debug assertions allocate on the hot path; run with --release"
+)]
+fn streaming_peak_heap_is_flat_in_the_horizon() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let (short_h, long_h) = (4 * FLAT_HORIZON, 16 * FLAT_HORIZON);
+    let short = streaming_peak_bytes(short_h) as f64;
+    let long = streaming_peak_bytes(long_h) as f64;
+    println!(
+        "peak heap {:.2} MiB at {short_h} min, {:.2} MiB at {long_h} min",
+        short / MIB,
+        long / MIB
+    );
+    let ceiling = (short * MEM_FLATNESS_SLACK).max(MIB);
+    assert!(
+        long <= ceiling,
+        "streaming peak heap grows with the horizon: {:.2} MiB at {long_h} min vs \
+         {:.2} MiB at {short_h} min (limit {MEM_FLATNESS_SLACK}x) — something retains \
+         per-job state past completion",
+        long / MIB,
+        short / MIB
+    );
+}

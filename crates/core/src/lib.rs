@@ -50,13 +50,4 @@ pub use policy::{InitialKind, ReschedPolicy, StrategyKind};
 pub use provenance::{Cause, KernelProfile, SpanRecorder};
 pub use simulator::{Backend, RunCounters, SimConfig, SimOutput, Simulator};
 
-/// Returns and resets the process-wide aggregate time worker threads of
-/// the streaming backend spent executing epochs, in nanoseconds. A
-/// benchmarking aid for measuring the serial/parallel work split (see
-/// the `perf_sharded` harness); meaningful only when streaming runs are
-/// not concurrent.
-#[doc(hidden)]
-pub fn take_sharded_worker_busy_nanos() -> u64 {
-    streaming::take_worker_busy_nanos()
-}
 pub use telemetry::{Registry, Telemetry, TelemetrySummary};

@@ -1377,11 +1377,10 @@ enum Sink {
 /// Streams every lifecycle event as one JSON object per line (JSONL).
 ///
 /// The JSON is hand-written with a fixed field order per event kind (the
-/// workspace carries no serde, the same offline constraint as
-/// `perf_baseline`), so two same-seed runs produce byte-identical logs —
-/// the property the golden-trace conformance suite pins. Structural
-/// markers ([`ObsEvent::Kernel`], [`ObsEvent::BatchStart`]) are not
-/// recorded.
+/// workspace carries no serde), so two same-seed runs produce
+/// byte-identical logs — the property the golden-trace conformance suite
+/// pins. Structural markers ([`ObsEvent::Kernel`],
+/// [`ObsEvent::BatchStart`]) are not recorded.
 pub struct TraceRecorder {
     sink: Sink,
     counts: BTreeMap<&'static str, u64>,

@@ -114,10 +114,10 @@ impl PoolSelector {
             PoolSelector::Random => {
                 // Count-then-index instead of collecting the non-current
                 // candidates into a per-pick Vec: this was the ResSusRand
-                // hot-path outlier in BENCH_dispatch.json (one allocation
-                // per random pick). One `next_below(n)` draw over the same
-                // n as before, so the RNG stream and the chosen pool are
-                // byte-identical to the collecting implementation.
+                // hot-path outlier in the dispatch benchmark (one
+                // allocation per random pick). One `next_below(n)` draw over
+                // the same n as before, so the RNG stream and the chosen pool
+                // are byte-identical to the collecting implementation.
                 let n = candidates.iter().filter(|&&p| p != current).count();
                 if n == 0 {
                     None

@@ -68,7 +68,6 @@
 //! are rejected.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
 
 use netbatch_cluster::ids::{JobId, PoolId};
@@ -93,24 +92,6 @@ const LOOKAHEAD: usize = 2;
 
 /// Maximum epochs in flight when pipelining (no observers attached).
 const PIPELINE_DEPTH: usize = 2;
-
-/// Aggregate time worker threads spent priming and executing epochs,
-/// across every streaming run in the process since the last
-/// [`take_worker_busy_nanos`]. A benchmarking aid (the `perf_sharded`
-/// harness measures the serial/parallel work split with it), never part
-/// of the simulation contract: timing is collected around epoch
-/// execution and does not feed back into any decision.
-static WORKER_BUSY_NANOS: AtomicU64 = AtomicU64::new(0);
-
-/// Returns and resets the aggregate worker busy time in nanoseconds.
-/// Meaningful only when runs are not concurrent (the counter is global).
-pub(crate) fn take_worker_busy_nanos() -> u64 {
-    WORKER_BUSY_NANOS.swap(0, Ordering::Relaxed)
-}
-
-fn add_worker_busy_nanos(nanos: u64) {
-    WORKER_BUSY_NANOS.fetch_add(nanos, Ordering::Relaxed);
-}
 
 /// Raw view into the simulator's pool storage, shipped to workers for
 /// the duration of the in-flight epochs.
@@ -635,18 +616,14 @@ pub(crate) fn run_streaming(
                     collect,
                     profile_on,
                 );
-                let t0 = std::time::Instant::now();
                 worker.prime();
                 let primed = worker.epoch_result(None);
-                add_worker_busy_nanos(t0.elapsed().as_nanos() as u64);
                 if results.send(primed).is_err() {
                     return (worker.jobs, worker.finished);
                 }
                 while let Ok(msg) = rx.recv() {
-                    let t0 = std::time::Instant::now();
                     worker.run_epoch(msg.epoch, &msg.bases, &msg.arena);
                     let result = worker.epoch_result(Some(msg.epoch));
-                    add_worker_busy_nanos(t0.elapsed().as_nanos() as u64);
                     if results.send(result).is_err() {
                         break;
                     }

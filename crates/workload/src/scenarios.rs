@@ -287,8 +287,9 @@ impl ScenarioParams {
 /// A pool-decomposable scenario: N uniform pools, each fed only by streams
 /// pinned to it. This is the shape the streaming kernel
 /// parallelizes perfectly — no cross-pool affinity, so every pool's dynamics
-/// are independent — and the shape `perf_sharded` and the year-scale CLI
-/// runs sweep. Streams are emitted in ascending pool order, satisfying
+/// are independent — and the shape perfbench's `stream_pools` workload, the
+/// streaming memory-flatness test and the year-scale CLI runs use. Streams
+/// are emitted in ascending pool order, satisfying
 /// [`WorkloadSpec::validate_pool_major`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct PerPoolParams {
@@ -321,7 +322,7 @@ pub struct PerPoolParams {
 }
 
 impl PerPoolParams {
-    /// The `perf_sharded` calibration: 96 machines × 4 cores per pool,
+    /// The streaming benchmark calibration: 96 machines × 4 cores per pool,
     /// 0.5 jobs/min/pool, normal-week runtime shape.
     pub fn new(pools: u16, scale: f64, horizon: u64) -> Self {
         assert!(pools > 0, "need at least one pool");

@@ -152,26 +152,12 @@ cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- \
   || { cat "$tmpdir/perfbench.out"; exit 1; }
 grep '^digest ' "$tmpdir/perfbench.out"
 
-# Perf smoke: one small hot-path cell (events/sec + allocs/event) checked
-# against the committed BENCH_hotpath.json. Fails on a >30% events/sec
-# regression or an allocs/event ceiling breach; never rewrites the
-# baseline (regenerate deliberately with `perf_hotpath` on a quiet
-# machine). Catches "the refactor reintroduced per-event allocations"
-# without the cost or noise sensitivity of the full scale-0.25 matrix.
-echo "==> perf smoke (hot path, scale 0.02)"
-cargo run --release -p netbatch-bench --bin perf_hotpath -- \
-  --check --scale 0.02
-
-# Streaming perf gate: the committed BENCH_sharded.json headline
-# (200-pool streaming cell) must carry a parallel work fraction >= 0.75
-# and project >= 1.5x at 4 shards from the measured coordinator/worker
-# split; a re-measured smoke cell must show neither coordination-
-# overhead nor parallel-work-fraction regressions; and a memory-flatness
-# smoke asserts that quadrupling the horizon leaves the streaming run's
-# peak heap within 1.5x — catching anything that starts retaining
-# per-job state past completion (all checks are meaningful on
-# single-core CI hosts, where threads cannot show wall-clock speedups).
-echo "==> perf smoke (streaming pipeline)"
-cargo run --release -p netbatch-bench --bin perf_sharded -- --check
+# Perf budgets that do not depend on timing: allocations per event on
+# two normal-load cells at scale 0.02 stay under a fixed ceiling, and a
+# streaming run's peak heap stays flat when its horizon quadruples
+# (catching anything that retains per-job state past completion). Timing
+# is judged by perfbench's paired runs on one host, not gated here.
+echo "==> perf budgets (allocs/event, streaming memory flatness)"
+cargo test --release -q -p netbatch-bench --test perf_budgets
 
 echo "ci: all green"

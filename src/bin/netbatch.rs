@@ -11,6 +11,7 @@
 //! trace analysis, policy simulation — without writing Rust. Argument
 //! parsing is hand-rolled (the workspace carries no CLI dependency).
 
+use std::cell::Cell;
 use std::process::ExitCode;
 
 use netbatch::core::experiment::{Experiment, ExperimentResult};
@@ -232,6 +233,19 @@ fn parse_horizon(v: Option<String>) -> Result<Option<u64>, String> {
     Ok(Some(minutes))
 }
 
+/// Parses `--scale` (default 0.1). Every subcommand that takes it goes
+/// through here: the site and arrival-rate builders need a positive finite
+/// factor, so zero, negative, infinite and NaN values are rejected.
+fn parse_scale(v: Option<String>) -> Result<f64, String> {
+    let Some(v) = v else { return Ok(0.1) };
+    match v.parse::<f64>() {
+        Ok(scale) if scale.is_finite() && scale > 0.0 => Ok(scale),
+        _ => Err(format!(
+            "--scale expects a positive finite number, got `{v}`"
+        )),
+    }
+}
+
 fn parse_initial(name: &str) -> Result<InitialKind, String> {
     match name.to_ascii_lowercase().as_str() {
         "rr" | "round-robin" | "roundrobin" => Ok(InitialKind::RoundRobin),
@@ -243,8 +257,9 @@ fn parse_initial(name: &str) -> Result<InitialKind, String> {
 fn parse_args(args: &[String]) -> Result<Command, String> {
     let mut it = args.iter();
     let cmd = it.next().map(String::as_str).unwrap_or("help");
-    // Flag scanner shared by the subcommands.
-    let mut flags: Vec<(String, Option<String>)> = Vec::new();
+    // Flag scanner shared by the subcommands. Each flag carries a mark set
+    // when a subcommand reads it; a flag left unread is unknown to it.
+    let mut flags: Vec<(String, Option<String>, Cell<bool>)> = Vec::new();
     let mut positional: Vec<String> = Vec::new();
     let rest: Vec<&String> = it.collect();
     let mut i = 0;
@@ -266,10 +281,10 @@ fn parse_args(args: &[String]) -> Result<Command, String> {
                 let v = rest
                     .get(i + 1)
                     .ok_or_else(|| format!("flag --{name} needs a value"))?;
-                flags.push((name.to_string(), Some(v.to_string())));
+                flags.push((name.to_string(), Some(v.to_string()), Cell::new(false)));
                 i += 2;
             } else {
-                flags.push((name.to_string(), None));
+                flags.push((name.to_string(), None, Cell::new(false)));
                 i += 1;
             }
         } else {
@@ -277,21 +292,17 @@ fn parse_args(args: &[String]) -> Result<Command, String> {
             i += 1;
         }
     }
-    let get = |name: &str| -> Option<String> {
-        flags
-            .iter()
-            .find(|(n, _)| n == name)
-            .and_then(|(_, v)| v.clone())
-    };
-    let has = |name: &str| flags.iter().any(|(n, _)| n == name);
-    let num = |name: &str, default: f64| -> Result<f64, String> {
-        match get(name) {
-            Some(v) => v
-                .parse()
-                .map_err(|_| format!("--{name} expects a number, got `{v}`")),
-            None => Ok(default),
+    // Marks every occurrence of `name` read; the first one's value wins.
+    let read = |name: &str| -> Option<Option<String>> {
+        let mut value = None;
+        for (_, v, seen) in flags.iter().filter(|(n, ..)| n == name) {
+            seen.set(true);
+            value.get_or_insert_with(|| v.clone());
         }
+        value
     };
+    let get = |name: &str| -> Option<String> { read(name).flatten() };
+    let has = |name: &str| read(name).is_some();
     let int = |name: &str| -> Result<Option<u64>, String> {
         match get(name) {
             Some(v) => v
@@ -311,10 +322,10 @@ fn parse_args(args: &[String]) -> Result<Command, String> {
         }
     };
 
-    match cmd {
+    let command = match cmd {
         "generate" => Ok(Command::Generate {
             scenario: get("scenario").unwrap_or_else(|| "normal".into()),
-            scale: num("scale", 0.1)?,
+            scale: parse_scale(get("scale"))?,
             seed: int("seed")?,
             out: get("out").ok_or("generate needs --out FILE")?,
         }),
@@ -323,12 +334,12 @@ fn parse_args(args: &[String]) -> Result<Command, String> {
                 .first()
                 .cloned()
                 .ok_or("analyze needs a trace file argument")?,
-            scale: num("scale", 0.1)?,
+            scale: parse_scale(get("scale"))?,
         }),
         "simulate" => Ok(Command::Simulate {
             trace: get("trace"),
             scenario: get("scenario").unwrap_or_else(|| "normal".into()),
-            scale: num("scale", 0.1)?,
+            scale: parse_scale(get("scale"))?,
             seed: int("seed")?,
             strategy: parse_strategy(&get("strategy").unwrap_or_else(|| "NoRes".into()))?,
             initial: parse_initial(&get("initial").unwrap_or_else(|| "rr".into()))?,
@@ -365,7 +376,7 @@ fn parse_args(args: &[String]) -> Result<Command, String> {
         "report" => Ok(Command::Report {
             trace: get("trace"),
             scenario: get("scenario").unwrap_or_else(|| "normal".into()),
-            scale: num("scale", 0.1)?,
+            scale: parse_scale(get("scale"))?,
             seed: int("seed")?,
             strategy: parse_strategy(&get("strategy").unwrap_or_else(|| "NoRes".into()))?,
             initial: parse_initial(&get("initial").unwrap_or_else(|| "rr".into()))?,
@@ -387,6 +398,12 @@ fn parse_args(args: &[String]) -> Result<Command, String> {
         "strategies" => Ok(Command::Strategies),
         "help" | "--help" | "-h" => Ok(Command::Help),
         other => Err(format!("unknown command `{other}`; try `netbatch help`")),
+    }?;
+    match flags.iter().find(|(.., seen)| !seen.get()) {
+        Some((name, ..)) => Err(format!(
+            "unknown flag --{name} for `{cmd}`; try `netbatch help`"
+        )),
+        None => Ok(command),
     }
 }
 
@@ -1370,6 +1387,12 @@ mod tests {
                 out: "t.csv".into()
             }
         );
+        for bad in ["0", "-1", "nan", "inf", "x"] {
+            let err = parse_args(&args(&format!("generate --scale {bad} --out t.csv")));
+            assert!(err.unwrap_err().contains("--scale"), "--scale {bad}");
+            let err = parse_args(&args(&format!("analyze t.csv --scale {bad}")));
+            assert!(err.unwrap_err().contains("--scale"), "--scale {bad}");
+        }
     }
 
     #[test]
@@ -1400,6 +1423,15 @@ mod tests {
         assert_eq!(staleness, 30);
         assert_eq!(max_restarts, Some(4));
         assert_eq!(seed, Some(9));
+        for bad in ["0", "-1", "nan"] {
+            let err = parse_args(&args(&format!("simulate --scale {bad}")));
+            assert!(err.unwrap_err().contains("--scale"), "--scale {bad}");
+        }
+        // A misspelt flag is an error, not silently dropped.
+        let err = parse_args(&args("simulate --scale 0.02 --stratgy ResSusUtil")).unwrap_err();
+        assert!(err.contains("--stratgy"), "{err}");
+        let err = parse_args(&args("simulate --high-lod --sample")).unwrap_err();
+        assert!(err.contains("--high-lod"), "{err}");
     }
 
     #[test]
@@ -1629,6 +1661,13 @@ mod tests {
         assert_eq!(out, "report.md");
         assert_eq!(csv_prefix, None);
         assert_eq!(metrics_out, None);
+        for bad in ["0", "-1", "nan"] {
+            let err = parse_args(&args(&format!("report --scale {bad}")));
+            assert!(err.unwrap_err().contains("--scale"), "--scale {bad}");
+        }
+        // Flags of other subcommands are unknown here.
+        let err = parse_args(&args("report --sample")).unwrap_err();
+        assert!(err.contains("--sample"), "{err}");
     }
 
     #[test]
@@ -1703,6 +1742,12 @@ mod tests {
         assert!(parse_args(&args("simulate --horizon 0"))
             .unwrap_err()
             .contains("at least 1 minute"));
+        for bad in ["0", "-1", "nan"] {
+            let err = parse_args(&args(&format!(
+                "simulate --stream-workload --pools 4 --scale {bad}"
+            )));
+            assert!(err.unwrap_err().contains("--scale"), "--scale {bad}");
+        }
     }
 
     #[test]
