@@ -1,15 +1,18 @@
-//! Shared experiment-running machinery for the harness binaries.
+//! Shared experiment-running machinery for `repro`'s presets.
 //!
-//! Every table binary does the same thing: build a scenario, run one
-//! experiment per strategy (in parallel — runs are independent), and print
-//! measured rows interleaved with the paper's published rows. The scale
-//! factor comes from `NETBATCH_SCALE` (default 0.1 = a 10% replica of the
+//! Every preset does the same thing: build a scenario, run one experiment
+//! per configuration (in parallel — runs are independent), and print
+//! measured rows, interleaved with the paper's published rows where the
+//! paper has them. The scale factor (default 0.1 = a 10% replica of the
 //! paper's site and arrival rates, which preserves utilization and policy
-//! behaviour; use 1.0 for the full 20x-larger runs).
+//! behaviour; use 1.0 for the full 20x-larger runs) comes from `repro
+//! --scale`.
+
+use std::num::NonZeroUsize;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use netbatch_core::experiment::ExperimentResult;
-use netbatch_core::observer::StatsProbe;
-use netbatch_core::policy::{InitialKind, StrategyKind};
+use netbatch_core::policy::StrategyKind;
 use netbatch_core::simulator::{SimConfig, Simulator};
 use netbatch_metrics::table::{fmt_minutes, fmt_percent, Table};
 use netbatch_workload::scenarios::{ScenarioParams, SiteSpec};
@@ -17,26 +20,8 @@ use netbatch_workload::trace::Trace;
 
 use crate::paper::PaperRow;
 
-/// Default scale when `NETBATCH_SCALE` is unset.
+/// Scale when `repro` gets no `--scale`.
 pub const DEFAULT_SCALE: f64 = 0.1;
-
-/// Reads the experiment scale from the environment.
-///
-/// # Panics
-///
-/// Panics if `NETBATCH_SCALE` is set but not a positive number.
-pub fn scale_from_env() -> f64 {
-    match std::env::var("NETBATCH_SCALE") {
-        Ok(v) => {
-            let scale: f64 = v
-                .parse()
-                .unwrap_or_else(|_| panic!("NETBATCH_SCALE must be a number, got `{v}`"));
-            assert!(scale > 0.0, "NETBATCH_SCALE must be positive");
-            scale
-        }
-        Err(_) => DEFAULT_SCALE,
-    }
-}
 
 /// Which load regime a table runs under.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,108 +42,58 @@ pub fn build_scenario(load: Load, scale: f64) -> (SiteSpec, Trace) {
     (site, params.generate_trace())
 }
 
-/// Observer options for a harness run.
+/// Applies `cell` to every item on scoped worker threads and returns the
+/// results in input order.
 ///
-/// The default (all off) keeps the hot path observer-free; the harness
-/// binaries flip these from `--check-invariants` / `--stats` flags.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RunnerOpts {
-    /// Run every cell under the online [`netbatch_core::InvariantChecker`]
-    /// (panics, with event history, on the first violated invariant).
-    pub check_invariants: bool,
-    /// Attach a [`StatsProbe`] per cell and print its per-event-kind
-    /// report after the strategies of a table finish.
-    pub stats: bool,
-    /// Attach a [`netbatch_core::Telemetry`] observer per cell (spans,
-    /// per-pool series, exposition). Used by the observer-overhead bench.
-    pub telemetry: bool,
-    /// Attach a [`netbatch_core::SpanRecorder`] per cell (causal span
-    /// trees + decision audit). Used by the observer-overhead bench.
-    pub spans: bool,
-}
-
-/// Runs one experiment cell.
-pub fn run_cell(
-    site: &SiteSpec,
-    trace: &Trace,
-    initial: InitialKind,
-    strategy: StrategyKind,
-) -> ExperimentResult {
-    run_cell_opts(site, trace, initial, strategy, RunnerOpts::default()).0
-}
-
-/// Runs one experiment cell under the given observer options.
-///
-/// Returns the experiment result plus the [`StatsProbe`] report when
-/// `opts.stats` is set (`None` otherwise).
-pub fn run_cell_opts(
-    site: &SiteSpec,
-    trace: &Trace,
-    initial: InitialKind,
-    strategy: StrategyKind,
-    opts: RunnerOpts,
-) -> (ExperimentResult, Option<String>) {
-    let mut config = SimConfig::new(initial, strategy);
-    config.check_invariants = opts.check_invariants;
-    config.telemetry = opts.telemetry;
-    config.spans = opts.spans;
-    let mut sim = Simulator::new(site, trace.to_specs(), config);
-    if opts.stats {
-        sim.attach_observer(Box::new(StatsProbe::new()));
-    }
-    let mut output = sim.run_to_completion();
-    let observers = std::mem::take(&mut output.observers);
-    let result = ExperimentResult::from_output(initial, strategy, output);
-    let report = observers.iter().find_map(|o| {
-        o.as_any()
-            .downcast_ref::<StatsProbe>()
-            .map(|probe| format!("-- {} --\n{}", strategy.name(), probe.report()))
-    });
-    (result, report)
-}
-
-/// Runs a list of strategies over the same scenario, in parallel (one
-/// thread per strategy — the runs share nothing).
-pub fn run_strategies(
-    site: &SiteSpec,
-    trace: &Trace,
-    initial: InitialKind,
-    strategies: &[StrategyKind],
-) -> Vec<ExperimentResult> {
-    run_strategies_opts(site, trace, initial, strategies, RunnerOpts::default())
-}
-
-/// Runs a list of strategies in parallel under the given observer
-/// options. Stats reports (if requested) are printed after all cells
-/// finish, in strategy order, so parallel runs never interleave output.
-pub fn run_strategies_opts(
-    site: &SiteSpec,
-    trace: &Trace,
-    initial: InitialKind,
-    strategies: &[StrategyKind],
-    opts: RunnerOpts,
-) -> Vec<ExperimentResult> {
-    let cells: Vec<(ExperimentResult, Option<String>)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = strategies
-            .iter()
-            .map(|&strategy| {
-                scope.spawn(move || run_cell_opts(site, trace, initial, strategy, opts))
+/// At most `available_parallelism` cells run at once, each worker taking
+/// the next unclaimed item, so a long sweep never holds more simulations
+/// in memory than there are cores. A panicking cell (for example an
+/// invariant violation) re-raises its panic on the calling thread.
+pub fn run_cells<T: Sync, R: Send>(items: &[T], cell: impl Fn(&T) -> R + Sync) -> Vec<R> {
+    let workers = std::thread::available_parallelism()
+        .map_or(1, NonZeroUsize::get)
+        .min(items.len());
+    let next = AtomicUsize::new(0);
+    let mut slots: Vec<Option<R>> = std::iter::repeat_with(|| None).take(items.len()).collect();
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut done = Vec::new();
+                    loop {
+                        // The counter only hands out indices; results
+                        // reach the caller through `join`.
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(item) = items.get(i) else {
+                            return done;
+                        };
+                        done.push((i, cell(item)));
+                    }
+                })
             })
             .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("experiment thread panicked"))
-            .collect()
-    });
-    cells
-        .into_iter()
-        .map(|(result, report)| {
-            if let Some(report) = report {
-                print!("{report}");
+        for handle in handles {
+            let done = handle
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            for (i, result) in done {
+                slots[i] = Some(result);
             }
-            result
-        })
+        }
+    });
+    slots
+        .into_iter()
+        .map(|r| r.expect("every cell ran"))
         .collect()
+}
+
+/// Runs one experiment per config over the same scenario, in parallel
+/// (see [`run_cells`]), returning results in config order.
+pub fn run_configs(site: &SiteSpec, trace: &Trace, configs: &[SimConfig]) -> Vec<ExperimentResult> {
+    run_cells(configs, |config| {
+        let output = Simulator::new(site, trace.to_specs(), config.clone()).run_to_completion();
+        ExperimentResult::from_output(config.initial, config.strategy, output)
+    })
 }
 
 /// Prints a measured-vs-paper comparison table.
@@ -256,6 +191,10 @@ pub fn markdown_comparison(results: &[ExperimentResult], paper: &[PaperRow]) -> 
 
 #[cfg(test)]
 mod tests {
+    use netbatch_core::experiment::Experiment;
+    use netbatch_core::policy::InitialKind;
+    use netbatch_sim_engine::time::SimDuration;
+
     use super::*;
 
     #[test]
@@ -269,44 +208,56 @@ mod tests {
 
     #[test]
     fn parallel_runs_match_serial_runs() {
-        let (site, trace) = build_scenario(Load::Normal, 0.01);
-        let strategies = [StrategyKind::NoRes, StrategyKind::ResSusUtil];
-        let parallel = run_strategies(&site, &trace, InitialKind::RoundRobin, &strategies);
-        for (r, &strategy) in parallel.iter().zip(&strategies) {
-            let serial = run_cell(&site, &trace, InitialKind::RoundRobin, strategy);
+        let (site, trace) = build_scenario(Load::High, 0.01);
+        let mut configs = vec![
+            SimConfig::new(InitialKind::RoundRobin, StrategyKind::NoRes),
+            SimConfig::new(InitialKind::RoundRobin, StrategyKind::ResSusUtil),
+        ];
+        let mut stale = SimConfig::new(InitialKind::RoundRobin, StrategyKind::ResSusUtil);
+        stale.view_staleness = SimDuration::from_minutes(120);
+        let mut overhead =
+            SimConfig::new(InitialKind::UtilizationBased, StrategyKind::ResSusWaitRand);
+        overhead.restart_overhead = SimDuration::from_minutes(30);
+        let mut checked = SimConfig::new(InitialKind::RoundRobin, StrategyKind::ResSusUtil);
+        checked.check_invariants = true;
+        configs.extend([stale, overhead, checked]);
+
+        let parallel = run_configs(&site, &trace, &configs);
+        assert_eq!(parallel.len(), configs.len());
+        for (r, config) in parallel.iter().zip(&configs) {
+            let serial = Experiment::new(site.clone(), trace.clone(), config.clone()).run();
+            assert_eq!(r.strategy, config.strategy, "results stay in input order");
             assert_eq!(r.suspend_rate, serial.suspend_rate);
             assert_eq!(r.avg_ct_all, serial.avg_ct_all);
+            assert_eq!(r.avg_wct(), serial.avg_wct());
+            assert_eq!(
+                r.counters.restarts_from_wait,
+                serial.counters.restarts_from_wait
+            );
         }
+        // A non-default knob must actually reach its cell, and the
+        // invariant checker, being read-only, must change nothing.
+        let no_overhead = SimConfig {
+            restart_overhead: SimDuration::ZERO,
+            ..configs[3].clone()
+        };
+        let no_overhead = Experiment::new(site, trace, no_overhead).run();
+        assert!(parallel[3].avg_wct() > no_overhead.avg_wct());
+        assert_eq!(parallel[4].avg_ct_all, parallel[1].avg_ct_all);
     }
 
     #[test]
-    fn opts_cell_checks_invariants_and_reports_stats() {
-        let (site, trace) = build_scenario(Load::Normal, 0.01);
-        let opts = RunnerOpts {
-            check_invariants: true,
-            stats: true,
-            telemetry: false,
-            spans: false,
-        };
-        let (result, report) = run_cell_opts(
-            &site,
-            &trace,
-            InitialKind::RoundRobin,
-            StrategyKind::ResSusUtil,
-            opts,
+    fn cells_keep_input_order_and_propagate_panics() {
+        let items: Vec<u64> = (0..17).collect();
+        assert_eq!(
+            run_cells(&items, |&i| i * i),
+            items.iter().map(|i| i * i).collect::<Vec<_>>()
         );
-        // Same numbers as the observer-free path: observers are read-only.
-        let plain = run_cell(
-            &site,
-            &trace,
-            InitialKind::RoundRobin,
-            StrategyKind::ResSusUtil,
-        );
-        assert_eq!(result.avg_ct_all, plain.avg_ct_all);
-        assert_eq!(result.suspend_rate, plain.suspend_rate);
-        let report = report.expect("stats report requested");
-        assert!(report.contains("ResSusUtil"));
-        assert!(report.contains("submit"));
+        assert!(run_cells(&[] as &[u64], |&i| i).is_empty());
+        let panicked = std::panic::catch_unwind(|| {
+            run_cells(&items, |&i| assert_ne!(i, 5, "cell five fails"));
+        });
+        assert!(panicked.is_err());
     }
 
     #[test]
@@ -319,12 +270,8 @@ mod tests {
     #[test]
     fn markdown_contains_paper_rows() {
         let (site, trace) = build_scenario(Load::Normal, 0.01);
-        let results = run_strategies(
-            &site,
-            &trace,
-            InitialKind::RoundRobin,
-            &[StrategyKind::NoRes],
-        );
+        let config = SimConfig::new(InitialKind::RoundRobin, StrategyKind::NoRes);
+        let results = run_configs(&site, &trace, &[config]);
         let md = markdown_comparison(&results, &crate::paper::TABLE_1);
         assert!(md.contains("NoRes (paper)"));
         assert!(md.contains("2498.7"));

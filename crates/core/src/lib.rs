@@ -44,7 +44,7 @@ pub use experiment::{render_results_table, Experiment, ExperimentResult, PAPER_T
 pub use faults::{FaultModel, FaultPlan, MachineOutage, ResiliencePolicy};
 pub use observer::{
     AuditTrigger, AuditVerdict, InvariantChecker, ObsCtx, ObsEvent, PhaseTag, ReschedKind,
-    SimObserver, StatsProbe, TraceRecorder,
+    SimObserver, TraceRecorder,
 };
 pub use policy::{InitialKind, ReschedPolicy, StrategyKind};
 pub use provenance::{Cause, KernelProfile, SpanRecorder};

@@ -23,10 +23,7 @@
 //!   replayable event context on the first violation;
 //! * [`TraceRecorder`] — streams a deterministic JSONL event log
 //!   (hand-written JSON; the workspace carries no serde) for golden-trace
-//!   conformance tests and cross-run differential debugging;
-//! * [`StatsProbe`] — per-event-kind counters and per-kernel-event
-//!   wall-clock timings, surfaced through the CLI (`--stats`) and the
-//!   bench runner.
+//!   conformance tests and cross-run differential debugging.
 
 use std::any::Any;
 use std::collections::{BTreeMap, VecDeque};
@@ -36,7 +33,6 @@ use std::io::Write as _;
 use netbatch_cluster::ids::{JobId, MachineId, PoolId};
 use netbatch_cluster::job::JobRecord;
 use netbatch_cluster::pool::PhysicalPool;
-use netbatch_sim_engine::observe::{LabelCounter, LabelTimer};
 use netbatch_sim_engine::time::{SimDuration, SimTime};
 
 /// Why a job left its pool through the rescheduling path.
@@ -1642,113 +1638,6 @@ impl SimObserver for TraceRecorder {
     }
 }
 
-// ---------------------------------------------------------------------
-// StatsProbe
-// ---------------------------------------------------------------------
-
-/// Counts events per kind and measures real (host) wall-clock time spent
-/// handling each kernel event kind.
-///
-/// The probe is composed from two deliberately separated halves (see
-/// [`netbatch_sim_engine::observe`]): deterministic sim-domain
-/// [`LabelCounter`]s, which may appear in traces, debug output and golden
-/// fixtures, and a wall-clock [`LabelTimer`], whose measurements are
-/// nondeterministic and whose `Debug` impl redacts them — so an `Instant`
-/// delta can never leak into a deterministic rendering, no matter how the
-/// probe is formatted.
-///
-/// Timings come from deltas between consecutive kernel markers, so they
-/// attribute the *whole* handler (including cascaded rescheduling) to the
-/// kernel event that triggered it.
-pub struct StatsProbe {
-    counts: LabelCounter,
-    kernel_counts: LabelCounter,
-    kernel_timer: LabelTimer,
-}
-
-impl Default for StatsProbe {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl std::fmt::Debug for StatsProbe {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        // Only the deterministic halves; the timer would redact itself
-        // anyway, but keeping it out entirely keeps the rendering stable
-        // across the split.
-        f.debug_struct("StatsProbe")
-            .field("counts", self.counts.counts())
-            .field("kernel_counts", self.kernel_counts.counts())
-            .finish()
-    }
-}
-
-impl StatsProbe {
-    /// A fresh probe.
-    pub fn new() -> Self {
-        StatsProbe {
-            counts: LabelCounter::new(),
-            kernel_counts: LabelCounter::new(),
-            kernel_timer: LabelTimer::new(),
-        }
-    }
-
-    /// Observed transition counts per kind (markers excluded).
-    pub fn counts(&self) -> &BTreeMap<&'static str, u64> {
-        self.counts.counts()
-    }
-
-    /// Kernel events per kind.
-    pub fn kernel_counts(&self) -> &BTreeMap<&'static str, u64> {
-        self.kernel_counts.counts()
-    }
-
-    /// Host wall-clock nanos per kernel event kind (nondeterministic;
-    /// surfaced for reports only, never for traces or fixtures).
-    pub fn kernel_nanos(&self) -> &BTreeMap<&'static str, u128> {
-        self.kernel_timer.all_nanos()
-    }
-
-    /// Human-readable summary table.
-    pub fn report(&self) -> String {
-        let mut out = String::from("event counts:\n");
-        for (kind, n) in self.counts.counts() {
-            let _ = writeln!(out, "  {kind:<22} {n}");
-        }
-        out.push_str("handler wall time by kernel event:\n");
-        for (kind, n) in self.kernel_counts.counts() {
-            let nanos = self.kernel_timer.nanos(kind);
-            let _ = writeln!(
-                out,
-                "  {kind:<22} {n:>9} events  {:>8.1} ms total  {:>7.2} µs/event",
-                nanos as f64 / 1e6,
-                nanos as f64 / 1e3 / (*n).max(1) as f64
-            );
-        }
-        out
-    }
-}
-
-impl SimObserver for StatsProbe {
-    fn on_event(&mut self, _now: SimTime, event: &ObsEvent, _ctx: &ObsCtx<'_>) {
-        if let ObsEvent::Kernel { kind } = event {
-            self.kernel_counts.inc(kind);
-            self.kernel_timer.start(kind);
-        } else if !matches!(event, ObsEvent::BatchStart { .. }) {
-            self.counts.inc(event.label());
-        }
-    }
-
-    fn on_run_end(&mut self, _now: SimTime, _ctx: &ObsCtx<'_>) {
-        self.kernel_timer.stop();
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1812,21 +1701,5 @@ mod tests {
         .unwrap();
         assert!(resched.contains(r#""to":null"#));
         assert!(resched.contains(r#""ev":"failure_evict""#));
-    }
-
-    #[test]
-    fn stats_probe_report_lists_kinds() {
-        let mut probe = StatsProbe::new();
-        let ctx = ObsCtx {
-            pools: &[],
-            jobs: &[],
-            shadows: &Default::default(),
-        };
-        probe.on_event(SimTime::ZERO, &ObsEvent::Kernel { kind: "submit" }, &ctx);
-        probe.on_event(SimTime::ZERO, &ObsEvent::Submit { job: JobId(0) }, &ctx);
-        probe.on_run_end(SimTime::ZERO, &ctx);
-        assert_eq!(probe.counts()["submit"], 1);
-        assert_eq!(probe.kernel_counts()["submit"], 1);
-        assert!(probe.report().contains("submit"));
     }
 }

@@ -890,9 +890,9 @@ impl KernelProfile {
 
 impl fmt::Debug for KernelProfile {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        // Redact the wall-clock nanos: like `LabelTimer`, Debug output must
-        // stay deterministic so profiles can ride `SimOutput` without
-        // breaking byte-identical-output contracts.
+        // Redact the wall-clock nanos: Debug output must stay
+        // deterministic so profiles can ride `SimOutput` without breaking
+        // byte-identical-output contracts.
         f.debug_struct("KernelProfile")
             .field("events", &self.total_events())
             .field("shards", &self.shards.len())

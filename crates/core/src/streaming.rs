@@ -62,8 +62,7 @@
 //! lifecycle or resilience — plus the streaming-specific contract that
 //! every stream is pinned to one pool in non-decreasing order. Observers
 //! must not index `ctx.jobs` (the run keeps it empty until drain);
-//! [`TraceRecorder`](crate::observer::TraceRecorder) and
-//! [`StatsProbe`](crate::observer::StatsProbe) qualify, the invariant
+//! [`TraceRecorder`](crate::observer::TraceRecorder) qualifies; the invariant
 //! checker, telemetry and span observers do not and their config switches
 //! are rejected.
 

@@ -4,37 +4,14 @@
 //! shard) inside a minute-epoch and synchronizes at epoch barriers, where
 //! every cross-lane action — observer emissions — must be applied in an
 //! order that does **not** depend on which lane finished first. This
-//! module provides that order: a total [`MergeKey`] of `(epoch, lane,
-//! seq)` plus a k-way merge of per-lane runs that are already sorted by
-//! their key.
+//! module provides that order: a k-way merge of per-lane runs that are
+//! already sorted by their key.
 //!
 //! The streaming kernel keys each emission by its pool id: pools are
 //! lane-disjoint and every lane visits its pools in ascending id order,
 //! so each run is sorted by construction and the merged stream is the
 //! same regardless of shard scheduling, completion order, or thread
 //! count.
-
-/// A totally ordered position for one merged item: epoch first (barriers
-/// never reorder across epochs), then lane (pool/shard id breaks ties
-/// between lanes at the same epoch when no finer sequence exists), then
-/// the per-epoch sequence number.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct MergeKey {
-    /// The epoch (minute) the item belongs to.
-    pub epoch: u64,
-    /// The lane (shard / pool group) that produced the item.
-    pub lane: u32,
-    /// Position within the epoch — for the simulator, the global pop
-    /// sequence the coordinator stamped before dispatching to lanes.
-    pub seq: u64,
-}
-
-impl MergeKey {
-    /// Builds a key.
-    pub fn new(epoch: u64, lane: u32, seq: u64) -> Self {
-        MergeKey { epoch, lane, seq }
-    }
-}
 
 /// Merges per-lane runs into one stream ordered by `key`, preserving each
 /// run's internal order for equal keys (stable within a lane).
@@ -94,34 +71,16 @@ where
 mod tests {
     use super::*;
 
-    /// A cross-pool action as the coordinator sees it at a barrier: what
-    /// happened, where, and its canonical position. The tests model the
-    /// adversarial same-epoch scenarios of a barrier merge step: the *contents* of the lanes are fixed, the order the lanes
-    /// finish in is permuted, and the merged stream must never change.
-    #[derive(Debug, Clone, PartialEq, Eq)]
-    struct Action {
-        key: MergeKey,
-        what: &'static str,
-    }
+    /// An emission as the coordinator sees it at a barrier: its merge key
+    /// (`(epoch, pool)`) and a label for what happened.
+    type Action = ((u64, u32), &'static str);
 
-    fn act(epoch: u64, lane: u32, seq: u64, what: &'static str) -> Action {
-        Action {
-            key: MergeKey::new(epoch, lane, seq),
-            what,
-        }
-    }
-
-    /// Merges the given per-lane runs under every permutation of "which
-    /// lane finished first" (the coordinator collects results in lane
-    /// order regardless, but a buggy merge keyed on arrival would differ)
-    /// and asserts the output is identical each time.
-    fn assert_order_independent(lanes: Vec<Vec<Action>>) -> Vec<Action> {
-        let reference = merge_sorted_runs(lanes.clone(), |a| a.key);
-        // Simulate out-of-order completion: rotate which lane's results
-        // land first. The merge receives lanes indexed by lane id (as the
-        // coordinator stores them), so any arrival order must reduce to
-        // the same input — we model "arrival" by building the runs vector
-        // from each rotation and scattering entries back to lane slots.
+    /// Merges the given per-lane runs under every rotation of "which lane
+    /// finished first" and asserts the output never changes. The
+    /// coordinator stores results by lane index, so any arrival order
+    /// must reduce to the same input; a merge keyed on arrival would not.
+    fn assert_order_independent(lanes: Vec<Vec<Action>>) -> Vec<&'static str> {
+        let reference = merge_sorted_runs(lanes.clone(), |a| a.0);
         let n = lanes.len();
         for first in 0..n {
             let mut slots: Vec<Vec<Action>> = vec![Vec::new(); n];
@@ -129,113 +88,49 @@ mod tests {
                 let lane = (first + off) % n;
                 slots[lane] = lanes[lane].clone();
             }
-            let merged = merge_sorted_runs(slots, |a| a.key);
+            let merged = merge_sorted_runs(slots, |a| a.0);
             assert_eq!(
                 merged, reference,
                 "merge output depends on lane completion order (lane {first} first)"
             );
         }
-        reference
+        reference.into_iter().map(|a| a.1).collect()
     }
 
     #[test]
-    fn merge_key_orders_epoch_then_lane_then_seq() {
-        let a = MergeKey::new(1, 5, 9);
-        let b = MergeKey::new(2, 0, 0);
-        assert!(a < b, "earlier epoch wins regardless of lane/seq");
-        let c = MergeKey::new(1, 6, 0);
-        assert!(a < c, "same epoch: lower lane wins regardless of seq");
-        let d = MergeKey::new(1, 5, 10);
-        assert!(a < d, "same epoch+lane: lower seq wins");
-    }
-
-    #[test]
-    fn two_pools_releasing_capacity_for_one_queued_job() {
-        // Epoch 100: pools 3 and 7 both complete a job, freeing capacity
-        // that could start the same queued job j9. The canonical order is
-        // pool-major within the epoch, so pool 3's release *and* the
-        // dependent start replay before pool 7's release — j9 lands on
-        // pool 3 no matter which shard reports its slice first.
+    fn equal_keys_keep_their_order_within_a_lane() {
+        // Several emissions from one pool in one epoch share a key; the
+        // merge must replay them in the order the lane produced them.
         let lanes = vec![
             vec![
-                act(100, 3, 40, "complete@p3"),
-                act(100, 3, 42, "start queued j9 on p3"),
+                ((100, 3), "complete@p3"),
+                ((100, 3), "start queued j9 on p3"),
             ],
-            vec![act(100, 7, 41, "complete@p7")],
+            vec![((100, 7), "complete@p7")],
         ];
-        let merged = assert_order_independent(lanes);
-        let order: Vec<_> = merged.iter().map(|a| a.what).collect();
         assert_eq!(
-            order,
-            ["complete@p3", "start queued j9 on p3", "complete@p7"],
-            "the pool that owns the earlier lane must win the queued job \
-             and its whole epoch slice replays as one contiguous block"
-        );
-    }
-
-    #[test]
-    fn blacklist_expiry_ties_with_ressus_targeting_same_pool() {
-        // Epoch 200: pool 2's blacklist expires (a lane-2 action at seq 7)
-        // the same minute a ResSus* decision on lane 0 targets pool 2
-        // (seq 5). The serial simulator evaluated the targeting *before*
-        // the expiry, so the merged order must keep the targeting first —
-        // it saw the pool still blacklisted — regardless of which shard
-        // finishes its epoch slice first.
-        let lanes = vec![
-            vec![act(200, 0, 5, "ressus targets p2 (still blacklisted)")],
-            vec![act(200, 2, 7, "blacklist expires on p2")],
-        ];
-        let merged = assert_order_independent(lanes);
-        assert_eq!(merged[0].what, "ressus targets p2 (still blacklisted)");
-        assert_eq!(merged[1].what, "blacklist expires on p2");
-    }
-
-    #[test]
-    fn retry_backoff_landing_exactly_on_the_barrier() {
-        // A retry scheduled to fire at the epoch boundary belongs to the
-        // *next* epoch (the barrier flushes strictly-earlier work first),
-        // so it must sort after every action of the closing epoch even
-        // though its seq number is smaller than theirs.
-        let lanes = vec![
-            vec![
-                act(300, 1, 90, "evict j4"),
-                act(301, 1, 12, "retry j4 fires"),
-            ],
-            vec![act(300, 4, 91, "sample tick")],
-        ];
-        let merged = assert_order_independent(lanes);
-        let order: Vec<_> = merged.iter().map(|a| a.what).collect();
-        assert_eq!(
-            order,
-            ["evict j4", "sample tick", "retry j4 fires"],
-            "epoch dominates seq: the barrier-straddling retry replays last"
+            assert_order_independent(lanes),
+            ["complete@p3", "start queued j9 on p3", "complete@p7"]
         );
     }
 
     #[test]
     fn ties_across_lanes_resolve_to_lowest_lane() {
-        // Two lanes producing the *same* key (possible for barrier-level
-        // bookkeeping records that carry no per-event seq) must still
-        // merge deterministically: lowest lane index first.
-        let lanes = vec![
-            vec![act(5, 9, 0, "late lane, equal key... not equal lane")],
-            vec![act(5, 9, 0, "duplicate key on a later slot")],
-        ];
-        let merged = assert_order_independent(lanes);
-        assert_eq!(merged[0].what, "late lane, equal key... not equal lane");
+        // Two lanes producing the *same* key must still merge
+        // deterministically: lowest lane index first.
+        let lanes = vec![vec![((5, 9), "lane 0")], vec![((5, 9), "lane 1")]];
+        assert_eq!(assert_order_independent(lanes), ["lane 0", "lane 1"]);
     }
 
     #[test]
     fn empty_and_uneven_runs_merge_cleanly() {
         let lanes = vec![
             Vec::new(),
-            vec![act(1, 1, 0, "a"), act(1, 1, 3, "b"), act(2, 1, 0, "c")],
+            vec![((1, 1), "a"), ((1, 1), "b"), ((2, 1), "c")],
             Vec::new(),
-            vec![act(1, 3, 1, "d")],
+            vec![((1, 3), "d")],
         ];
-        let merged = assert_order_independent(lanes);
-        let order: Vec<_> = merged.iter().map(|a| a.what).collect();
-        assert_eq!(order, ["a", "b", "d", "c"]);
-        assert!(merge_sorted_runs(Vec::<Vec<Action>>::new(), |a| a.key).is_empty());
+        assert_eq!(assert_order_independent(lanes), ["a", "b", "d", "c"]);
+        assert!(merge_sorted_runs(Vec::<Vec<Action>>::new(), |a| a.0).is_empty());
     }
 }

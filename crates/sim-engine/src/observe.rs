@@ -1,24 +1,10 @@
-//! Observer-facing event metadata and label-keyed accounting.
+//! Observer-facing event metadata.
 //!
 //! The kernel is generic over the event alphabet, so it cannot name event
 //! kinds itself. Simulations that expose an observer layer (trace
-//! recorders, online invariant checkers, stats probes) implement
-//! [`EventLabel`] for their alphabet; observers then group, count and time
+//! recorders, online invariant checkers, telemetry) implement
+//! [`EventLabel`] for their alphabet; observers then group and count
 //! events by the returned label without knowing the concrete enum.
-//!
-//! Two accounting helpers live beside the trait, deliberately split by
-//! determinism domain:
-//!
-//! * [`LabelCounter`] counts events per label in **simulation** domain —
-//!   same seed, same counts — so its state is safe to render into traces,
-//!   debug output and golden fixtures;
-//! * [`LabelTimer`] measures **host wall-clock** time per label. Its
-//!   measurements differ on every run by construction, so its `Debug`
-//!   impl redacts them: a timer embedded in an observer can never leak
-//!   nondeterministic nanos into a deterministic rendering.
-
-use std::collections::BTreeMap;
-use std::time::Instant;
 
 /// A stable, human-readable label per event kind.
 ///
@@ -48,100 +34,6 @@ pub trait EventLabel {
     fn label(&self) -> &'static str;
 }
 
-/// Deterministic per-label event counter (simulation domain).
-///
-/// Keyed by `&'static str` labels through a `BTreeMap`, so iteration —
-/// and any `Debug`/trace rendering built on it — is byte-stable across
-/// same-seed runs. This is the half of a stats probe that **may** appear
-/// in golden fixtures.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct LabelCounter {
-    counts: BTreeMap<&'static str, u64>,
-}
-
-impl LabelCounter {
-    /// An empty counter.
-    pub fn new() -> Self {
-        LabelCounter::default()
-    }
-
-    /// Increments the count for `label`.
-    pub fn inc(&mut self, label: &'static str) {
-        *self.counts.entry(label).or_insert(0) += 1;
-    }
-
-    /// The count for `label` (0 if never seen).
-    pub fn get(&self, label: &str) -> u64 {
-        self.counts.get(label).copied().unwrap_or(0)
-    }
-
-    /// All counts, in label order.
-    pub fn counts(&self) -> &BTreeMap<&'static str, u64> {
-        &self.counts
-    }
-
-    /// Sum over all labels.
-    pub fn total(&self) -> u64 {
-        self.counts.values().sum()
-    }
-}
-
-/// Host wall-clock span timer per label. **Nondeterministic by nature.**
-///
-/// [`LabelTimer::start`] closes any open span and opens a new one for the
-/// given label; [`LabelTimer::stop`] closes the open span. Accumulated
-/// nanos are only reachable through the explicit accessors — the `Debug`
-/// impl prints a redaction marker instead, so embedding a timer in an
-/// observer whose `Debug` output feeds determinism suites or golden
-/// fixtures is safe by construction.
-#[derive(Clone, Default)]
-pub struct LabelTimer {
-    nanos: BTreeMap<&'static str, u128>,
-    open: Option<(&'static str, Instant)>,
-}
-
-impl std::fmt::Debug for LabelTimer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        // Never print the measured nanos: they differ on every run.
-        write!(f, "LabelTimer(wall-clock timings redacted)")
-    }
-}
-
-impl LabelTimer {
-    /// An idle timer.
-    pub fn new() -> Self {
-        LabelTimer::default()
-    }
-
-    /// Closes the open span (if any) and starts timing `label`.
-    pub fn start(&mut self, label: &'static str) {
-        self.stop();
-        self.open = Some((label, Instant::now()));
-    }
-
-    /// Closes the open span, attributing its elapsed time to its label.
-    pub fn stop(&mut self) {
-        if let Some((label, started)) = self.open.take() {
-            *self.nanos.entry(label).or_insert(0) += started.elapsed().as_nanos();
-        }
-    }
-
-    /// Accumulated nanos for `label` (0 if never timed).
-    pub fn nanos(&self, label: &str) -> u128 {
-        self.nanos.get(label).copied().unwrap_or(0)
-    }
-
-    /// Accumulated nanos per label, in label order.
-    pub fn all_nanos(&self) -> &BTreeMap<&'static str, u128> {
-        &self.nanos
-    }
-
-    /// Sum over all labels.
-    pub fn total_nanos(&self) -> u128 {
-        self.nanos.values().sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -159,37 +51,6 @@ mod tests {
                 Ev::B(_) => "b",
             }
         }
-    }
-
-    #[test]
-    fn counter_counts_per_label() {
-        let mut c = LabelCounter::new();
-        c.inc("a");
-        c.inc("a");
-        c.inc("b");
-        assert_eq!(c.get("a"), 2);
-        assert_eq!(c.get("b"), 1);
-        assert_eq!(c.get("missing"), 0);
-        assert_eq!(c.total(), 3);
-        // BTreeMap keying: label order, deterministically.
-        let labels: Vec<_> = c.counts().keys().copied().collect();
-        assert_eq!(labels, vec!["a", "b"]);
-    }
-
-    #[test]
-    fn timer_attributes_spans_and_redacts_debug() {
-        let mut t = LabelTimer::new();
-        t.start("x");
-        t.start("y"); // implicitly closes "x"
-        t.stop();
-        t.stop(); // idempotent when idle
-        assert!(t.all_nanos().keys().eq(["x", "y"].iter()));
-        assert_eq!(t.nanos("z"), 0);
-        assert!(t.total_nanos() >= t.nanos("x"));
-        // The Debug rendering must not contain any digits of the measured
-        // timings — that is the whole point of the split.
-        let dbg = format!("{t:?}");
-        assert_eq!(dbg, "LabelTimer(wall-clock timings redacted)");
     }
 
     #[test]

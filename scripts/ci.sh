@@ -38,10 +38,10 @@ fi
 # Quick invariant-checked reproduction: every cell of every table runs
 # under the online conservation/lifecycle checker, which panics (failing
 # this step) on the first violation. Shape checks are informational at
-# this scale (--smoke): they gate at report scale via repro_all's default
+# this scale (--smoke): they gate at report scale via repro's default
 # exit behaviour.
 echo "==> invariant-checked quick repro (scale 0.02)"
-cargo run --release -p netbatch-bench --bin repro_all -- \
+cargo run --release -p netbatch-bench --bin repro -- \
   --scale 0.02 --check-invariants --smoke
 
 # Chaos smoke: a small faulty run with the hardened resilience policy,

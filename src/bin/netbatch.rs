@@ -16,7 +16,7 @@ use std::process::ExitCode;
 
 use netbatch::core::experiment::{Experiment, ExperimentResult};
 use netbatch::core::faults::{FaultModel, LifecycleModel, ResiliencePolicy};
-use netbatch::core::observer::{StatsProbe, TraceRecorder};
+use netbatch::core::observer::TraceRecorder;
 use netbatch::core::policy::{InitialKind, StrategyKind};
 use netbatch::core::provenance::{perfetto_from_jsonl, SpanRecorder};
 use netbatch::core::simulator::{Backend, SimConfig, Simulator};
@@ -40,7 +40,7 @@ USAGE:
                     [--restart-overhead MIN] [--staleness MIN] [--max-restarts N]
                     [--sample] [--series-out FILE] [--trace-out FILE|-]
                     [--metrics-out FILE|-] [--spans-out FILE|-]
-                    [--profile-out FILE|-] [--check-invariants] [--stats]
+                    [--profile-out FILE|-] [--check-invariants]
                     [--fault-mtbf HOURS] [--fault-mttr HOURS]
                     [--fault-pool-outages N] [--fault-flaky FRAC] [--hardened]
                     [--lifecycle] [--lifecycle-drain-lead MIN]
@@ -90,7 +90,7 @@ by epoch over `--horizon` (week, year, or minutes; default week), so
 peak memory tracks in-flight jobs rather than total jobs — year-scale
 runs fit in tens of MiB. Streaming supports only `--strategy NoRes`
 with the round-robin initial scheduler; `--sample`, `--series-out`,
-`--trace-out`, `--stats` and `--profile-out` work as usual.
+`--trace-out` and `--profile-out` work as usual.
 `--spans-out` records every job's causal span tree (queue-wait, running,
 suspended, backoff, migrating segments, each with the typed cause that
 started it) plus the policy/evacuation/fault decision audit, as JSONL.
@@ -102,7 +102,7 @@ evacuation and blacklist decision), or export Chrome/Perfetto JSON with
 `--perfetto-out` (jobs as tracks, pools as process groups). Sinks named
 `-` write to stdout for pipelines; at most one sink may claim stdout.
 The paper's full tables live in the bench harness:
-  cargo run --release -p netbatch-bench --bin repro_all
+  cargo run --release -p netbatch-bench --bin repro
 ";
 
 /// A parsed command line. One value exists per process, so the variant
@@ -138,7 +138,6 @@ enum Command {
         spans_out: Option<String>,
         profile_out: Option<String>,
         check_invariants: bool,
-        stats: bool,
         fault_mtbf: Option<f64>,
         fault_mttr: f64,
         fault_pool_outages: u32,
@@ -271,7 +270,6 @@ fn parse_args(args: &[String]) -> Result<Command, String> {
                 "sample"
                     | "high-load"
                     | "check-invariants"
-                    | "stats"
                     | "hardened"
                     | "lifecycle"
                     | "health-aware"
@@ -354,7 +352,6 @@ fn parse_args(args: &[String]) -> Result<Command, String> {
             spans_out: get("spans-out"),
             profile_out: get("profile-out"),
             check_invariants: has("check-invariants"),
-            stats: has("stats"),
             fault_mtbf: fnum("fault-mtbf")?,
             fault_mttr: fnum("fault-mttr")?.unwrap_or(12.0),
             fault_pool_outages: int("fault-pool-outages")?.unwrap_or(0) as u32,
@@ -501,7 +498,6 @@ fn run(cmd: Command) -> Result<(), String> {
             spans_out,
             profile_out,
             check_invariants,
-            stats,
             fault_mtbf,
             fault_mttr,
             fault_pool_outages,
@@ -594,7 +590,6 @@ fn run(cmd: Command) -> Result<(), String> {
                     series_out,
                     trace_out,
                     profile_out,
-                    stats,
                     backend,
                     stdout_sinks.len() == 1,
                 );
@@ -721,7 +716,6 @@ fn run(cmd: Command) -> Result<(), String> {
             // Observer-carrying runs drive the simulator directly; the
             // plain path stays on the Experiment front door.
             let direct = trace_out.is_some()
-                || stats
                 || metrics_out.is_some()
                 || spans_out.is_some()
                 || profile_out.is_some();
@@ -735,9 +729,6 @@ fn run(cmd: Command) -> Result<(), String> {
                             .map_err(|e| format!("cannot create {path}: {e}"))?
                     };
                     sim.attach_observer(Box::new(rec));
-                }
-                if stats {
-                    sim.attach_observer(Box::new(StatsProbe::new()));
                 }
                 let mut output = sim.run_to_completion();
                 let observers = std::mem::take(&mut output.observers);
@@ -845,13 +836,6 @@ fn run(cmd: Command) -> Result<(), String> {
                 if let Some(rec) = obs.as_any().downcast_ref::<TraceRecorder>() {
                     if let Some(path) = &trace_out {
                         status!("trace: {} events written to {path}", rec.events());
-                    }
-                }
-                if let Some(probe) = obs.as_any().downcast_ref::<StatsProbe>() {
-                    if quiet {
-                        eprint!("{}", probe.report());
-                    } else {
-                        print!("{}", probe.report());
                     }
                 }
                 if let Some(tel) = obs.as_any().downcast_ref::<Telemetry>() {
@@ -1085,7 +1069,6 @@ fn simulate_streaming(
     series_out: Option<String>,
     trace_out: Option<String>,
     profile_out: Option<String>,
-    stats: bool,
     backend: Backend,
     quiet: bool,
 ) -> Result<(), String> {
@@ -1110,9 +1093,6 @@ fn simulate_streaming(
             TraceRecorder::to_file(path).map_err(|e| format!("cannot create {path}: {e}"))?
         };
         sim.attach_observer(Box::new(rec));
-    }
-    if stats {
-        sim.attach_observer(Box::new(StatsProbe::new()));
     }
     let t0 = std::time::Instant::now();
     let mut output = sim.run_streaming(&workload, p.seed);
@@ -1162,13 +1142,6 @@ fn simulate_streaming(
         if let Some(rec) = obs.as_any().downcast_ref::<TraceRecorder>() {
             if let Some(path) = &trace_out {
                 status!("trace: {} events written to {path}", rec.events());
-            }
-        }
-        if let Some(probe) = obs.as_any().downcast_ref::<StatsProbe>() {
-            if quiet {
-                eprint!("{}", probe.report());
-            } else {
-                print!("{}", probe.report());
             }
         }
     }
@@ -1432,18 +1405,22 @@ mod tests {
         assert!(err.contains("--stratgy"), "{err}");
         let err = parse_args(&args("simulate --high-lod --sample")).unwrap_err();
         assert!(err.contains("--high-lod"), "{err}");
+        // `--stats` is gone (per-kind counts live in `--metrics-out`,
+        // per-kind handler time in `--profile-out`): like any unknown
+        // flag it is a parse error, which `main` turns into exit 2.
+        let err = parse_args(&args("simulate --stats")).unwrap_err();
+        assert!(err.contains("--stats"), "{err}");
     }
 
     #[test]
     fn parses_observer_flags() {
         let cmd = parse_args(&args(
-            "simulate --check-invariants --stats --trace-out events.jsonl --strategy NoRes",
+            "simulate --check-invariants --trace-out events.jsonl --strategy NoRes",
         ))
         .unwrap();
         let Command::Simulate {
             trace_out,
             check_invariants,
-            stats,
             sample,
             ..
         } = cmd
@@ -1451,7 +1428,7 @@ mod tests {
             panic!("expected simulate")
         };
         assert_eq!(trace_out.as_deref(), Some("events.jsonl"));
-        assert!(check_invariants && stats);
+        assert!(check_invariants);
         assert!(!sample, "observer flags must not imply sampling");
         // The boolean flags take no value: a following flag must not be
         // swallowed as one.

@@ -1,5 +1,5 @@
-//! Golden fixture for the policy view's refresh rule: the
-//! `ablation_staleness` cells (`ResSusUtil` and `ResSusWaitUtil` under
+//! Golden fixture for the policy view's refresh rule: staleness cells
+//! like those of `repro staleness` (`ResSusUtil` and `ResSusWaitUtil` under
 //! round-robin and utilization-based initial placement, with the cluster
 //! view aged 0, 10 and 120 minutes) plus one `DupSusUtil` and one
 //! `MigrateSusUtil` cell at staleness 0, all at high load and small

@@ -1,5 +1,5 @@
 //! Fast shape tests: the paper's qualitative claims at reduced scale.
-//! These are the same assertions `repro_all` makes at report scale,
+//! These are the same assertions `repro` makes at report scale,
 //! pinned into the test suite so regressions in the model or the policies
 //! break CI rather than silently deforming the reproduction.
 //!
