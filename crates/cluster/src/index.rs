@@ -5,26 +5,27 @@
 //! the machine list for on every submit — O(machines) per event, the
 //! dominant cost at the paper's scale (680-machine pools, 248k jobs/week).
 //!
-//! [`AvailabilityIndex`] replaces the scan: machines are grouped into
-//! *capacity classes* (identical static `(cores, memory_mb)` configuration)
-//! and, within each class, bucketed by their current free capacity
-//! `(free_cores, free_memory)`. Buckets hold machine indices in sorted
-//! vectors, so the lowest-id available machine in a bucket is `O(1)` and a
-//! full first-fit query is `O(classes · buckets)` with each bucket visited
-//! only when it can actually satisfy the footprint. The pool keeps the
-//! index in sync with one [`AvailabilityIndex::sync`] call (a binary
-//! search plus a small shift in a contiguous level vector) after every
-//! machine mutation (start / suspend / resume / release / fail /
-//! restore); drained bucket vectors are recycled, so steady-state sync is
-//! allocation-free.
+//! [`AvailabilityIndex`] replaces the scan with one flat **max-tree** over
+//! machine indices: an implicit binary tree (root at 1, children of `i`
+//! at `2i` and `2i + 1`, machine `m` at leaf `size + m`) in which every
+//! node holds the maximum free cores and the maximum free memory of its
+//! subtree. A down or draining machine's leaf holds zeros, and an
+//! available machine's leaf holds its free memory and its free cores
+//! *plus one*, so even a zero-core footprint needs an available machine.
+//! [`AvailabilityIndex::first_fit`] is a left-first descent that skips
+//! every subtree whose maxima cannot cover the footprint;
+//! [`AvailabilityIndex::sync`] rewrites one leaf and recomputes maxima up
+//! its leaf-to-root path, stopping at the first ancestor that does not
+//! change. Both are allocation-free.
 //!
-//! **Behavior preservation:** a machine appears in a bucket iff it is up,
-//! not draining, and the bucket key equals its exact free capacity, and bucket sets are
-//! ordered by machine index, so [`AvailabilityIndex::first_fit`] returns
-//! precisely the machine the reference linear scan
-//! (`position(|m| m.can_ever_run(res) && m.can_run_now(res))`) would find.
-//! `PhysicalPool` cross-checks this with the retained reference scan in
-//! debug builds and under property tests.
+//! **Behavior preservation:** a subtree's maxima bound every leaf below
+//! it, so the descent prunes only subtrees with no fitting machine, and
+//! it visits leaves in index order, so [`AvailabilityIndex::first_fit`]
+//! returns precisely the machine the reference linear scan
+//! (`position(|m| m.can_ever_run(res) && m.can_run_now(res))`) would find
+//! — free capacity never exceeds the static configuration, so a leaf that
+//! fits also passes `can_ever_run`. `PhysicalPool` cross-checks this with
+//! the retained reference scan in debug builds and under property tests.
 //!
 //! The module also provides [`MinMultiset`], the ordered counting multiset
 //! behind the pool's two other O(1) short-circuits: the lowest running
@@ -37,123 +38,41 @@ use std::collections::BTreeMap;
 use crate::job::Resources;
 use crate::machine::Machine;
 
-/// Upper bound on drained bucket vectors salvaged per class for reuse.
-const SPARE_LIMIT: usize = 64;
-
-/// One core level: `free_memory → machine indices` buckets, sorted by key.
-type MemLevel = Vec<(u64, Vec<usize>)>;
-
-/// Machines sharing one static `(cores, memory_mb)` configuration, with
-/// their current free capacity bucketed for ordered first-fit queries.
-///
-/// Buckets live in **flat sorted vectors** rather than `BTreeMap`s: a
-/// machine changing state moves between buckets on every start / release,
-/// and tree-node churn (a node allocated and freed per move) was the
-/// dominant per-event allocation in the dispatch loop. Shifting a few
-/// `(key, bucket)` pairs in a small contiguous vector costs less than a
-/// node allocation, never allocates in steady state (capacity is the
-/// high-water mark, drained bucket vectors are recycled through `spare`),
-/// and keeps range queries walking only *live* buckets.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct CapacityClass {
-    /// Static core count of every machine in the class.
-    cores: u32,
-    /// Static memory of every machine in the class.
-    memory_mb: u64,
-    /// `free_cores → free_memory → machine indices`, every vector sorted
-    /// by its key (machine indices ascending). Nested (rather than keyed
-    /// by the pair) so a memory range query never walks buckets below the
-    /// requested floor. Memory buckets are removed when drained; core
-    /// levels are retained (at most `cores + 1` of them, trivially skipped
-    /// when empty).
-    levels: Vec<(u32, MemLevel)>,
-    /// Drained bucket vectors, reused when a fresh bucket key appears so
-    /// steady-state bucket creation allocates nothing.
-    spare: Vec<Vec<usize>>,
+/// One max-tree node: the largest availability key on each axis over the
+/// node's subtree. A leaf holds `(free_cores + 1, free_memory)` while its
+/// machine is up and not draining and zeros otherwise, so the core key
+/// alone also encodes availability. Widened to `u64`, the `+ 1` cannot
+/// overflow, and the node stays 16 bytes.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Node {
+    cores: u64,
+    memory: u64,
 }
 
-impl CapacityClass {
-    /// The lowest machine index in this class that can run `res` right
-    /// now, or `None`.
-    fn first_fit(&self, res: Resources) -> Option<usize> {
-        let mut best: Option<usize> = None;
-        let lo = self.levels.partition_point(|&(c, _)| c < res.cores);
-        for (_, mem_level) in &self.levels[lo..] {
-            let mo = mem_level.partition_point(|&(m, _)| m < res.memory_mb);
-            for (_, set) in &mem_level[mo..] {
-                if let Some(&idx) = set.first() {
-                    best = Some(best.map_or(idx, |b| b.min(idx)));
-                }
-            }
-        }
-        best
-    }
-
-    fn insert(&mut self, key: (u32, u64), idx: usize) {
-        let li = match self.levels.binary_search_by_key(&key.0, |&(c, _)| c) {
-            Ok(i) => i,
-            Err(i) => {
-                self.levels.insert(i, (key.0, Vec::new()));
-                i
-            }
-        };
-        let mem_level = &mut self.levels[li].1;
-        match mem_level.binary_search_by_key(&key.1, |&(m, _)| m) {
-            Ok(mi) => {
-                let set = &mut mem_level[mi].1;
-                match set.binary_search(&idx) {
-                    Err(pos) => set.insert(pos, idx),
-                    Ok(_) => debug_assert!(false, "machine {idx} already in its bucket"),
-                }
-            }
-            Err(mi) => {
-                let mut set = self.spare.pop().unwrap_or_default();
-                set.push(idx);
-                mem_level.insert(mi, (key.1, set));
+impl Node {
+    /// The leaf key of a machine's current state.
+    fn of(machine: &Machine) -> Node {
+        if machine.is_down() || machine.is_draining() {
+            Node::default()
+        } else {
+            Node {
+                cores: u64::from(machine.cores_free()) + 1,
+                memory: machine.memory_free(),
             }
         }
     }
 
-    fn remove(&mut self, key: (u32, u64), idx: usize) {
-        let li = self
-            .levels
-            .binary_search_by_key(&key.0, |&(c, _)| c)
-            .expect("core level exists");
-        let mem_level = &mut self.levels[li].1;
-        let mi = mem_level
-            .binary_search_by_key(&key.1, |&(m, _)| m)
-            .expect("bucket exists");
-        let set = &mut mem_level[mi].1;
-        let pos = set
-            .binary_search(&idx)
-            .unwrap_or_else(|_| panic!("machine {idx} missing from its bucket"));
-        set.remove(pos);
-        if set.is_empty() {
-            let (_, drained) = mem_level.remove(mi);
-            if self.spare.len() < SPARE_LIMIT {
-                self.spare.push(drained);
-            }
+    fn max(self, other: Node) -> Node {
+        Node {
+            cores: self.cores.max(other.cores),
+            memory: self.memory.max(other.memory),
         }
     }
 
-    /// The occupied buckets in key order — the class's *semantic* content,
-    /// independent of spare capacity or retained-but-empty core levels.
-    fn occupied(&self) -> impl Iterator<Item = (u32, u64, &[usize])> + '_ {
-        self.levels.iter().flat_map(|(cores, mem_level)| {
-            mem_level
-                .iter()
-                .map(move |(mem, set)| (*cores, *mem, set.as_slice()))
-        })
+    /// True if some leaf below this node may fit `res` (exact at leaves).
+    fn covers(self, res: Resources) -> bool {
+        self.cores > u64::from(res.cores) && self.memory >= res.memory_mb
     }
-}
-
-/// The per-machine slot tracked by the index: which class the machine
-/// belongs to and which bucket it currently sits in (`None` while down
-/// or draining).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Slot {
-    class: usize,
-    bucket: Option<(u32, u64)>,
 }
 
 /// Incremental index over a pool's machines answering *"which machine does
@@ -164,102 +83,99 @@ struct Slot {
 /// structure and the behavior-preservation argument.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AvailabilityIndex {
-    classes: Vec<CapacityClass>,
-    slots: Vec<Slot>,
+    /// Leaf count: the machine count rounded up to a power of two.
+    /// Padding leaves hold zeros and never fit.
+    size: usize,
+    /// The tree, `2 * size` nodes; index 0 is unused.
+    nodes: Vec<Node>,
+    /// The distinct static `(cores, memory_mb)` configurations, in order
+    /// of first appearance. Static, so eligibility never consults the tree.
+    configs: Vec<(u32, u64)>,
 }
 
 impl AvailabilityIndex {
-    /// Builds the index for a machine list, grouping by static
-    /// configuration and placing every machine in its current bucket.
+    /// Builds the index for a machine list from the machines' current
+    /// state.
     pub fn new(machines: &[Machine]) -> Self {
-        let mut classes: Vec<CapacityClass> = Vec::new();
-        let mut slots = Vec::with_capacity(machines.len());
+        let size = machines.len().next_power_of_two();
+        let mut nodes = vec![Node::default(); 2 * size];
+        let mut configs: Vec<(u32, u64)> = Vec::new();
         for (idx, m) in machines.iter().enumerate() {
-            let (cores, memory_mb) = (m.config().cores, m.config().memory_mb);
-            let class = classes
-                .iter()
-                .position(|c| c.cores == cores && c.memory_mb == memory_mb)
-                .unwrap_or_else(|| {
-                    classes.push(CapacityClass {
-                        cores,
-                        memory_mb,
-                        levels: Vec::new(),
-                        spare: Vec::new(),
-                    });
-                    classes.len() - 1
-                });
-            let bucket =
-                (!m.is_down() && !m.is_draining()).then(|| (m.cores_free(), m.memory_free()));
-            if let Some(key) = bucket {
-                classes[class].insert(key, idx);
+            nodes[size + idx] = Node::of(m);
+            let config = (m.config().cores, m.config().memory_mb);
+            if !configs.contains(&config) {
+                configs.push(config);
             }
-            slots.push(Slot { class, bucket });
         }
-        AvailabilityIndex { classes, slots }
-    }
-
-    /// Number of distinct capacity classes (the `classes` factor in the
-    /// query complexity).
-    pub fn class_count(&self) -> usize {
-        self.classes.len()
+        for i in (1..size).rev() {
+            nodes[i] = nodes[2 * i].max(nodes[2 * i + 1]);
+        }
+        AvailabilityIndex {
+            size,
+            nodes,
+            configs,
+        }
     }
 
     /// Re-syncs machine `idx` after any state change (start / suspend /
-    /// resume / release / fail / restore). `O(log n)`.
+    /// resume / release / fail / restore / drain). `O(log n)`, and `O(1)`
+    /// when the machine's key did not change.
     pub fn sync(&mut self, idx: usize, machine: &Machine) {
-        let new_bucket = (!machine.is_down() && !machine.is_draining())
-            .then(|| (machine.cores_free(), machine.memory_free()));
-        let slot = self.slots[idx];
-        if slot.bucket == new_bucket {
+        let mut i = self.size + idx;
+        let key = Node::of(machine);
+        if self.nodes[i] == key {
             return;
         }
-        if let Some(old) = slot.bucket {
-            self.classes[slot.class].remove(old, idx);
+        self.nodes[i] = key;
+        while i > 1 {
+            i >>= 1;
+            let merged = self.nodes[2 * i].max(self.nodes[2 * i + 1]);
+            if self.nodes[i] == merged {
+                break;
+            }
+            self.nodes[i] = merged;
         }
-        if let Some(new) = new_bucket {
-            self.classes[slot.class].insert(new, idx);
-        }
-        self.slots[idx].bucket = new_bucket;
     }
 
     /// True if any machine (up **or down** — eligibility deliberately
     /// ignores downtime, matching `Machine::can_ever_run`) could run the
-    /// footprint when idle. `O(classes)`: class membership is static.
+    /// footprint when idle. `O(configurations)`: configurations are static.
     pub fn is_eligible(&self, res: Resources) -> bool {
-        self.classes
+        self.configs
             .iter()
-            .any(|c| res.cores <= c.cores && res.memory_mb <= c.memory_mb)
+            .any(|&(cores, memory_mb)| res.cores <= cores && res.memory_mb <= memory_mb)
     }
 
     /// The lowest-index machine that can run `res` *right now* — exactly
-    /// the machine the seed's linear first-fit scan would pick (the class
-    /// check reproduces `can_ever_run`; bucket membership reproduces
-    /// `can_run_now`).
+    /// the machine the seed's linear first-fit scan would pick.
     pub fn first_fit(&self, res: Resources) -> Option<usize> {
-        let mut best: Option<usize> = None;
-        for class in &self.classes {
-            if res.cores > class.cores || res.memory_mb > class.memory_mb {
-                continue;
-            }
-            if let Some(idx) = class.first_fit(res) {
-                best = Some(best.map_or(idx, |b| b.min(idx)));
+        let mut i = 1;
+        if !self.nodes[i].covers(res) {
+            return None;
+        }
+        while i < self.size {
+            // Descend left; on a miss, move to the next subtree to the
+            // right: the right sibling, or the right sibling of the
+            // nearest ancestor that is a left child.
+            i *= 2;
+            while !self.nodes[i].covers(res) {
+                while i & 1 == 1 {
+                    if i == 1 {
+                        return None;
+                    }
+                    i >>= 1;
+                }
+                i += 1;
             }
         }
-        best
+        Some(i - self.size)
     }
 
     /// Full consistency check against the live machine list (used by
     /// `PhysicalPool::check_invariants` and property tests): rebuilding
-    /// from scratch must reproduce the incrementally-maintained state.
-    /// Compared *semantically* — retained-but-empty buckets (an allocation
-    /// optimization, invisible to queries) are ignored.
+    /// from scratch must reproduce the incrementally-maintained tree.
     pub fn check_consistency(&self, machines: &[Machine]) -> bool {
-        let fresh = AvailabilityIndex::new(machines);
-        self.slots == fresh.slots
-            && self.classes.len() == fresh.classes.len()
-            && self.classes.iter().zip(&fresh.classes).all(|(a, b)| {
-                a.cores == b.cores && a.memory_mb == b.memory_mb && a.occupied().eq(b.occupied())
-            })
+        *self == AvailabilityIndex::new(machines)
     }
 }
 
@@ -328,6 +244,7 @@ mod tests {
     use crate::machine::MachineConfig;
     use crate::priority::Priority;
     use netbatch_sim_engine::time::SimTime;
+    use proptest::prelude::*;
 
     fn res(cores: u32, mem: u64) -> Resources {
         Resources {
@@ -337,7 +254,7 @@ mod tests {
     }
 
     /// A heterogeneous machine list: two 2-core/4 GB, one 4-core/8 GB, one
-    /// 1-core/2 GB (classes in id order).
+    /// 1-core/2 GB (configurations in id order).
     fn machines() -> Vec<Machine> {
         [(2u32, 4096u64), (2, 4096), (4, 8192), (1, 2048)]
             .into_iter()
@@ -353,10 +270,35 @@ mod tests {
     }
 
     #[test]
-    fn groups_identical_configs_into_one_class() {
+    fn eligibility_lists_each_static_configuration_once() {
         let ms = machines();
         let idx = AvailabilityIndex::new(&ms);
-        assert_eq!(idx.class_count(), 3);
+        assert_eq!(idx.configs, vec![(2, 4096), (4, 8192), (1, 2048)]);
+        assert!(idx.is_eligible(res(4, 8192)));
+        assert!(!idx.is_eligible(res(4, 8193)));
+        assert!(!idx.is_eligible(res(5, 1)));
+    }
+
+    #[test]
+    fn empty_and_single_machine_pools() {
+        let idx = AvailabilityIndex::new(&[]);
+        assert_eq!(idx.first_fit(res(0, 0)), None);
+        assert!(!idx.is_eligible(res(0, 0)));
+        let mut one = vec![Machine::new(MachineConfig::new(MachineId(0), 2, 1000))];
+        let mut idx = AvailabilityIndex::new(&one);
+        assert_eq!(idx.first_fit(res(2, 1000)), Some(0));
+        one[0].start(SimTime::ZERO, JobId(1), res(2, 1000), Priority::LOW);
+        idx.sync(0, &one[0]);
+        assert_eq!(idx.first_fit(res(1, 1)), None);
+        assert_eq!(
+            idx.first_fit(res(0, 0)),
+            Some(0),
+            "a zero footprint fits a full but available machine"
+        );
+        one[0].fail();
+        idx.sync(0, &one[0]);
+        assert_eq!(idx.first_fit(res(0, 0)), None, "but never a down one");
+        assert!(idx.check_consistency(&one));
     }
 
     #[test]
@@ -456,5 +398,112 @@ mod tests {
     #[should_panic(expected = "value present")]
     fn min_multiset_remove_absent_panics() {
         MinMultiset::<u32>::new().remove(1);
+    }
+
+    /// One machine mutation of the index proptest, on machine `m % len`.
+    #[derive(Debug, Clone)]
+    enum Step {
+        Start { m: usize, cores: u32, mem: u64 },
+        Release(usize),
+        Suspend(usize),
+        Fail(usize),
+        Restore(usize),
+        Drain(usize),
+        Undrain(usize),
+    }
+
+    fn arb_step() -> impl Strategy<Value = Step> {
+        (0u8..10, 0usize..64, 1u32..5, 0u64..9000).prop_map(|(op, m, cores, mem)| match op {
+            0..=2 => Step::Start { m, cores, mem },
+            3 | 4 => Step::Release(m),
+            5 => Step::Suspend(m),
+            6 => Step::Fail(m),
+            7 => Step::Restore(m),
+            8 => Step::Drain(m),
+            _ => Step::Undrain(m),
+        })
+    }
+
+    /// Applies `step` to its machine (skipping moves the machine cannot
+    /// make) and returns the machine index touched.
+    fn apply(ms: &mut [Machine], step: &Step, next_job: &mut u64) -> usize {
+        let t = SimTime::ZERO;
+        let m = match *step {
+            Step::Start { m, .. }
+            | Step::Release(m)
+            | Step::Suspend(m)
+            | Step::Fail(m)
+            | Step::Restore(m)
+            | Step::Drain(m)
+            | Step::Undrain(m) => m % ms.len(),
+        };
+        let machine = &mut ms[m];
+        match *step {
+            Step::Start { cores, mem, .. } => {
+                if machine.can_run_now(res(cores, mem)) {
+                    *next_job += 1;
+                    machine.start(t, JobId(*next_job), res(cores, mem), Priority::LOW);
+                }
+            }
+            Step::Release(_) => {
+                if let Some(r) = machine.running().first().copied() {
+                    machine.release(r.job);
+                } else if let Some(r) = machine.suspended().first().copied() {
+                    machine.remove_suspended(r.job);
+                }
+            }
+            Step::Suspend(_) => {
+                if let Some(r) = machine.running().first().copied() {
+                    machine.suspend(t, r.job);
+                }
+            }
+            Step::Fail(_) => {
+                machine.fail();
+            }
+            Step::Restore(_) => machine.restore(),
+            Step::Drain(_) => machine.start_drain(),
+            Step::Undrain(_) => machine.end_drain(),
+        }
+        m
+    }
+
+    proptest! {
+        /// Over random machine mutations on mixed configurations —
+        /// including a single machine and counts that are not powers of
+        /// two — the tree's first fit equals the reference scan for a
+        /// sweep of footprints, and the incrementally synced tree equals
+        /// a fresh rebuild, after every step.
+        #[test]
+        fn prop_first_fit_matches_reference_scan(
+            configs in proptest::collection::vec(
+                prop_oneof![Just((8u32, 32_768u64)), Just((2, 8_192)), Just((4, 16_384)), Just((1, 2_048))],
+                1..13,
+            ),
+            steps in proptest::collection::vec(arb_step(), 1..150),
+        ) {
+            let mut ms: Vec<Machine> = configs
+                .iter()
+                .enumerate()
+                .map(|(i, &(c, m))| Machine::new(MachineConfig::new(MachineId(i as u32), c, m)))
+                .collect();
+            let mut idx = AvailabilityIndex::new(&ms);
+            let mut next_job = 0;
+            let probes = [
+                (0u32, 0u64), (1, 1), (1, 2_048), (1, 5_000), (2, 1), (2, 8_192),
+                (3, 100), (4, 16_000), (5, 1), (8, 32_768), (9, 1),
+            ];
+            for step in &steps {
+                let m = apply(&mut ms, step, &mut next_job);
+                idx.sync(m, &ms[m]);
+                for (cores, mem) in probes {
+                    prop_assert_eq!(
+                        idx.first_fit(res(cores, mem)),
+                        reference_first_fit(&ms, res(cores, mem)),
+                        "probe ({}, {}) after {:?}", cores, mem, step
+                    );
+                }
+                prop_assert!(idx.check_consistency(&ms), "tree drifted after {:?}", step);
+            }
+        }
     }
 }

@@ -13,11 +13,12 @@
 //! incremental [`AvailabilityIndex`] rather than a linear scan — same
 //! chosen machine (verified against the retained reference scan,
 //! [`PhysicalPool::reference_first_fit`], in debug builds and property
-//! tests), O(classes·log n) instead of O(machines) per dispatch.
+//! tests), one max-tree descent instead of O(machines) per dispatch.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt;
 
+use netbatch_sim_engine::hash::IntMap;
 use netbatch_sim_engine::time::{SimDuration, SimTime};
 
 use crate::ids::{JobId, MachineId, PoolId};
@@ -169,10 +170,10 @@ pub struct PhysicalPool {
     id: PoolId,
     machines: Vec<Machine>,
     queue: BTreeMap<QueueKey, WaitEntry>,
-    queue_index: HashMap<JobId, QueueKey>,
+    queue_index: IntMap<JobId, QueueKey>,
     queue_seq: u64,
-    running_on: HashMap<JobId, MachineId>,
-    suspended_on: HashMap<JobId, MachineId>,
+    running_on: IntMap<JobId, MachineId>,
+    suspended_on: IntMap<JobId, MachineId>,
     total_cores: u32,
     /// Static core total across all machines, up or down — the health
     /// gauge's denominator (`total_cores` shrinks while machines are
@@ -241,10 +242,10 @@ impl PhysicalPool {
             id: config.id,
             machines,
             queue: BTreeMap::new(),
-            queue_index: HashMap::new(),
+            queue_index: IntMap::default(),
             queue_seq: 0,
-            running_on: HashMap::new(),
-            suspended_on: HashMap::new(),
+            running_on: IntMap::default(),
+            suspended_on: IntMap::default(),
             total_cores,
             nominal_cores: total_cores,
             busy_cores: 0,
@@ -1344,8 +1345,8 @@ mod tests {
             }
         }
 
-        /// A pool mixing three capacity classes (so class grouping, bucket
-        /// maintenance, and cross-class minimums are all exercised).
+        /// A pool mixing three machine configurations, five machines (not
+        /// a power of two, so the index tree has padding leaves).
         fn heterogeneous_pool() -> PhysicalPool {
             let machines = [(2u32, 4096u64), (4, 8192), (2, 4096), (1, 2048), (4, 8192)]
                 .into_iter()

@@ -18,6 +18,7 @@ use netbatch_cluster::pool::{PhysicalPool, PoolAction, SubmitKind};
 use netbatch_cluster::snapshot::ClusterSnapshot;
 use netbatch_metrics::timeseries::TimeSeries;
 use netbatch_sim_engine::executor::{Control, Executor, Handler, RunOutcome, Scheduler};
+use netbatch_sim_engine::hash::{IntMap, IntSet};
 use netbatch_sim_engine::observe::EventLabel;
 use netbatch_sim_engine::queue::EventQueue;
 use netbatch_sim_engine::rng::DetRng;
@@ -549,14 +550,14 @@ pub struct Simulator {
     blacklist: Vec<SimTime>,
     // Jobs that exhausted their retry budget; kept so duplicate pairs are
     // settled exactly once.
-    gave_up: std::collections::HashSet<JobId>,
+    gave_up: IntSet<JobId>,
     // Remaining runtime a migrating job resubmits with, parked while the
     // transfer delay elapses.
-    migrating: std::collections::HashMap<JobId, SimDuration>,
+    migrating: IntMap<JobId, SimDuration>,
     // Home VPM per job (empty when no topology is configured).
     vpm_assignment: Vec<usize>,
     // original -> duplicate and duplicate -> original links.
-    dup_of: std::collections::HashMap<JobId, JobId>,
+    dup_of: IntMap<JobId, JobId>,
     // Job ids that are duplicate (shadow) copies, excluded from metrics.
     pub(crate) shadows: std::collections::HashSet<JobId>,
     // Figure-4 series (populated when sampling is enabled).
@@ -673,10 +674,10 @@ impl Simulator {
             wait_checks,
             fault_retries,
             blacklist,
-            gave_up: std::collections::HashSet::new(),
+            gave_up: IntSet::default(),
             vpm_assignment,
-            migrating: std::collections::HashMap::new(),
-            dup_of: std::collections::HashMap::new(),
+            migrating: IntMap::default(),
+            dup_of: IntMap::default(),
             shadows: std::collections::HashSet::new(),
             initial,
             policy,

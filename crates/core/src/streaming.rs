@@ -66,13 +66,14 @@
 //! checker, telemetry and span observers do not and their config switches
 //! are rejected.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::mpsc;
 
 use netbatch_cluster::ids::{JobId, PoolId};
 use netbatch_cluster::job::{JobPhase, JobRecord};
 use netbatch_cluster::pool::{PhysicalPool, PoolAction, SubmitKind};
 use netbatch_sim_engine::epoch::merge_sorted_runs;
+use netbatch_sim_engine::hash::IntMap;
 use netbatch_sim_engine::queue::{EventId, EventQueue};
 use netbatch_sim_engine::time::{SimDuration, SimTime};
 use netbatch_workload::trace::TraceRecord;
@@ -187,7 +188,7 @@ struct StreamWorker<'a> {
     lanes: Vec<PoolLane<'a>>,
     /// Jobs currently in flight (submitted and not yet completed); the
     /// O(in-flight) working set that replaces the dense `sim.jobs` vec.
-    jobs: HashMap<JobId, JobRecord>,
+    jobs: IntMap<JobId, JobRecord>,
     /// Completed (and unrunnable) records, kept only when `retain`.
     finished: Vec<JobRecord>,
     retain: bool,
@@ -234,7 +235,7 @@ impl<'a> StreamWorker<'a> {
         StreamWorker {
             shard,
             lanes,
-            jobs: HashMap::new(),
+            jobs: IntMap::default(),
             finished: Vec::new(),
             retain,
             collect,

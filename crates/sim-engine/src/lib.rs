@@ -15,7 +15,9 @@
 //! * per-minute sampling cadence helpers ([`sampler::PeriodicSampler`]),
 //!   mirroring ASCA's "sample each minute, aggregate per 100 minutes"
 //!   methodology;
-//! * reproducible, splittable randomness ([`rng::DetRng`]).
+//! * reproducible, splittable randomness ([`rng::DetRng`]);
+//! * a keyless integer hasher for id-keyed lookup maps
+//!   ([`hash::IntMap`]).
 //!
 //! Everything upstream (cluster model, workloads, policies) is pure logic on
 //! top of these primitives, which is what makes whole-trace simulations
@@ -57,6 +59,7 @@
 
 pub mod epoch;
 pub mod executor;
+pub mod hash;
 pub mod observe;
 pub mod queue;
 pub mod rng;

@@ -146,6 +146,12 @@ cargo test --release -q --test streaming_conformance
 # is a workspace of its own, so it needs its own manifest path.
 echo "==> benchmark contract tests (perfbench)"
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
+# The same contract tests in a debug build: every dispatch then also runs
+# the debug-assert cross-checks (indexed first fit vs the reference scan,
+# index consistency), so traced_repetitions_simulate_exactly_what_plain_ones_do
+# guards every kernel change with the oracles switched on (about 20 s).
+echo "==> benchmark contract tests (perfbench, debug assertions)"
+cargo test --offline -q --manifest-path perfbench/Cargo.toml
 echo "==> benchmark smoke (all workloads, 2 s)"
 cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- \
   --workload all --seconds 2 > "$tmpdir/perfbench.out" \
