@@ -1,6 +1,7 @@
 //! Perf budgets that do not depend on timing: heap allocations per
 //! processed event on the materialized kernel, and streaming peak heap
-//! staying flat as the horizon grows.
+//! staying flat as the horizon grows and tracking in-flight jobs rather
+//! than the pool count.
 //!
 //! Both read process-global counters kept by this file's counting
 //! allocator, so the tests take [`SERIAL`] to keep each other's
@@ -87,6 +88,15 @@ const MEM_FLATNESS_SLACK: f64 = 1.5;
 /// Two simulated days, the unit of the memory-flatness horizons.
 const FLAT_HORIZON: u64 = 2 * 24 * 60;
 
+/// Ceiling on the streaming peak heap of 200 pools at scale 0.1 over that
+/// of 20 pools at scale 1.0: the same machines and the same arrival rate,
+/// so the same in-flight jobs, spread over ten times the pools. Measured
+/// 1.075 (7.07 vs 6.57 MiB at eight days) with one completion queue per
+/// worker; 2.69 when every pool owned its own timer wheel. The ceiling
+/// leaves room for the per-pool state that must exist (pool, lane and
+/// generator structs) but not for per-pool queues.
+const MAX_POOL_SPREAD_RATIO: f64 = 1.5;
+
 #[test]
 #[cfg_attr(
     debug_assertions,
@@ -118,9 +128,9 @@ fn allocations_per_event_stay_under_the_ceiling() {
 }
 
 /// Peak heap growth, in bytes, of one observer-less 1-shard streaming run
-/// of the 20-pool cell over `horizon` minutes.
-fn streaming_peak_bytes(horizon: u64) -> u64 {
-    let p = PerPoolParams::new(20, 0.25, horizon);
+/// of `pools` pools at `scale` over `horizon` minutes.
+fn streaming_peak_bytes(pools: u16, scale: f64, horizon: u64) -> u64 {
+    let p = PerPoolParams::new(pools, scale, horizon);
     let workload = p.build_workload();
     let mut config = SimConfig::new(InitialKind::RoundRobin, StrategyKind::NoRes);
     config.backend = Backend::Sharded { shards: 1 };
@@ -131,10 +141,11 @@ fn streaming_peak_bytes(horizon: u64) -> u64 {
     PEAK_BYTES.load(Ordering::Relaxed).saturating_sub(baseline)
 }
 
-/// Both horizons (8 and 32 days) sit past the timer wheel's slab warm-up
-/// (level-0 slot capacities ratchet toward the max-ever per-minute
-/// occupancy over the first tens of thousands of minutes), so the
-/// comparison sees the steady state rather than the warm-up.
+/// Both horizons (8 and 32 days) sit past the warm-up of the worker's
+/// one timer wheel (its level-0 slot capacities ratchet toward the
+/// max-ever per-minute occupancy over the first tens of thousands of
+/// minutes), so the comparison sees the steady state rather than the
+/// warm-up.
 #[test]
 #[cfg_attr(
     debug_assertions,
@@ -143,8 +154,8 @@ fn streaming_peak_bytes(horizon: u64) -> u64 {
 fn streaming_peak_heap_is_flat_in_the_horizon() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let (short_h, long_h) = (4 * FLAT_HORIZON, 16 * FLAT_HORIZON);
-    let short = streaming_peak_bytes(short_h) as f64;
-    let long = streaming_peak_bytes(long_h) as f64;
+    let short = streaming_peak_bytes(20, 0.25, short_h) as f64;
+    let long = streaming_peak_bytes(20, 0.25, long_h) as f64;
     println!(
         "peak heap {:.2} MiB at {short_h} min, {:.2} MiB at {long_h} min",
         short / MIB,
@@ -158,5 +169,35 @@ fn streaming_peak_heap_is_flat_in_the_horizon() {
          per-job state past completion",
         long / MIB,
         short / MIB
+    );
+}
+
+/// Spreading the same machines and arrivals over ten times the pools may
+/// not grow the streaming peak heap past [`MAX_POOL_SPREAD_RATIO`]: the
+/// working set is the in-flight jobs, and per-pool state stays small.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "debug assertions allocate on the hot path; run with --release"
+)]
+fn streaming_peak_heap_tracks_in_flight_jobs_not_pools() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let horizon = 4 * FLAT_HORIZON;
+    let few = streaming_peak_bytes(20, 1.0, horizon) as f64;
+    let many = streaming_peak_bytes(200, 0.1, horizon) as f64;
+    let ratio = many / few;
+    println!(
+        "peak heap {:.2} MiB on 20 pools x 1.0, {:.2} MiB on 200 pools x 0.1 (ratio {ratio:.3})",
+        few / MIB,
+        many / MIB
+    );
+    assert!(
+        ratio <= MAX_POOL_SPREAD_RATIO,
+        "streaming peak heap grows with the pool count: {:.2} MiB on 200 pools vs \
+         {:.2} MiB on 20 pools of the same capacity and load (ratio {ratio:.3}, limit \
+         {MAX_POOL_SPREAD_RATIO}) — some per-pool structure scales with the horizon \
+         or the queue",
+        many / MIB,
+        few / MIB
     );
 }

@@ -147,7 +147,7 @@ impl Cause {
                      \"tgt_queue\":{tgt_queue}}}",
                     trigger.label(),
                     verdict.label(),
-                    opt_u64(target.map(|p| u64::from(p.as_u16()))),
+                    OptU64(target.map(|p| u64::from(p.as_u16()))),
                 );
             }
             Cause::Fault {
@@ -157,7 +157,7 @@ impl Cause {
                 let _ = write!(
                     out,
                     "{{\"type\":\"fault\",\"outage\":{outage},\"blacklisted_until\":{}}}",
-                    opt_u64(blacklisted_until.map(|t| t.as_minutes())),
+                    OptU64(blacklisted_until.map(|t| t.as_minutes())),
                 );
             }
             Cause::Evacuation { window, deadline } => {
@@ -367,9 +367,9 @@ impl SpanRecorder {
                  \"start\":{},\"end\":{},\"pool\":{},\"machine\":{},\"cause\":",
                 seg.phase,
                 seg.start.as_minutes(),
-                opt_u64(seg.end.map(|t| t.as_minutes())),
-                opt_u64(seg.pool.map(|p| u64::from(p.as_u16()))),
-                opt_u64(seg.machine.map(|m| u64::from(m.as_u32()))),
+                OptU64(seg.end.map(|t| t.as_minutes())),
+                OptU64(seg.pool.map(|p| u64::from(p.as_u16()))),
+                OptU64(seg.machine.map(|m| u64::from(m.as_u32()))),
             );
             seg.cause.render(&mut out);
             out.push_str("}\n");
@@ -378,10 +378,16 @@ impl SpanRecorder {
     }
 }
 
-fn opt_u64(v: Option<u64>) -> String {
-    match v {
-        Some(v) => v.to_string(),
-        None => "null".to_string(),
+/// An optional JSON number, `null` when absent; formats straight into
+/// the output buffer.
+struct OptU64(Option<u64>);
+
+impl fmt::Display for OptU64 {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.0 {
+            Some(v) => write!(f, "{v}"),
+            None => f.write_str("null"),
+        }
     }
 }
 
@@ -410,7 +416,7 @@ fn render_decision(out: &mut String, t: SimTime, ev: &ObsEvent) {
                 pool.as_u16(),
                 trigger.label(),
                 verdict.label(),
-                opt_u64(target.map(|p| u64::from(p.as_u16()))),
+                OptU64(target.map(|p| u64::from(p.as_u16()))),
             );
         }
         ObsEvent::EvacAudit {
@@ -446,7 +452,7 @@ fn render_decision(out: &mut String, t: SimTime, ev: &ObsEvent) {
                 t.as_minutes(),
                 pool.as_u16(),
                 machine.as_u32(),
-                opt_u64(blacklisted_until.map(|t| t.as_minutes())),
+                OptU64(blacklisted_until.map(|t| t.as_minutes())),
             );
         }
         _ => unreachable!("only audit events are recorded as decisions"),

@@ -1,6 +1,6 @@
 //! The streaming simulation backend: shard-local lazy workload
-//! generation under minute-epoch barriers, with coordinator offload and
-//! epoch pipelining.
+//! generation under minute-epoch barriers, with coordinator offload,
+//! run-ahead and epoch pipelining.
 //!
 //! # Why a second kernel
 //!
@@ -16,43 +16,84 @@
 //!   attached, in which case records are retained for [`SimOutput::jobs`];
 //! * generation runs inside the workers' parallel section, leaving the
 //!   coordinator a pure merge loop;
-//! * the coordinator owns no event queue at all — each worker runs a
-//!   per-pool [`EventQueue`] for completion bookings, so queue effects
-//!   apply immediately and never cross a shard.
+//! * the coordinator owns no event queue at all — each worker runs one
+//!   [`EventQueue`] of `(lane, job)` completion bookings for all of its
+//!   pools, so queue effects apply immediately and never cross a shard.
 //!
 //! # The epoch protocol
 //!
-//! Workers report, per epoch, the minutes their lookahead buffers hold
-//! (`(pool, minute, record-count)`) and the earliest booking in their
-//! local queues. The coordinator's entire serial section is: pick the
-//! lowest known minute, hand out dense job-id bases for every pool
-//! submitting at that minute (ascending pool order, so ids match the
-//! materialized trace exactly — see
-//! [`WorkloadSpec::validate_pool_major`]), broadcast the epoch to every
-//! worker, and fold the results back in. With no observers attached the
-//! coordinator may keep up to two epochs in flight (the barrier is
-//! double-buffered): epoch `N+1` is pre-dispatched while `N`'s results
-//! are still outstanding whenever `N+1` is the next known minute and no
-//! sample tick lands at or before it. Pre-dispatch is sound because the
-//! two-minute-deep lookahead means every submission minute is known one
-//! epoch early, completions need no coordinator data at all, and every
-//! worker receives every epoch.
+//! The coordinator tracks, per pool, the submission minutes the pool's
+//! lookahead holds (`(minute, record-count)`, at most [`LOOKAHEAD`]
+//! deep) and whether its stream has run dry, plus, per worker, the
+//! earliest booking left in the worker's queue. Each dispatch names the
+//! lowest known minute `e`, the dense job-id bases of every pool
+//! submitting at `e` (ascending pool order, so ids match the materialized
+//! trace exactly — see [`WorkloadSpec::validate_pool_major`]) and an
+//! exclusive bound. A worker runs `e`, then keeps delivering its own
+//! bookings due before the bound without another round trip, and
+//! reports back.
+//!
+//! An epoch visits only its active lanes: the lanes submitting at `e`
+//! and the lanes with a booking due at `e`. A report carries only the
+//! lanes whose lookahead changed (the submitting ones, re-filled in the
+//! same epoch), and the coordinator updates only those pools.
+//!
+//! # Barrier duties
+//!
+//! The coordinator has two duties that need the workers stopped: handing
+//! out job-id bases at a submission minute (the bases depend on every
+//! pool's record count at that minute) and reading pool state at a
+//! sample tick (the pools must be quiescent). A dispatch's bound is
+//! therefore the earliest known next submission minute over all pools,
+//! capped at the next sample tick. A pool that is not dry but whose next
+//! minute is not yet reported (its report is still in flight) pins the
+//! bound to `e+1`. Between two duties the workers drain their completion
+//! minutes on their own, so the barrier count follows the submission
+//! minutes and sample ticks, not the completion minutes; after the last
+//! submission of an unsampled run the whole tail drains in one dispatch.
+//!
+//! Observer runs keep one barrier per active minute (bound `e+1`):
+//! replay and [`Observer::on_settle`](crate::observer::Observer::on_settle)
+//! read the pools at barrier time. Without observers the coordinator may
+//! also keep two dispatches in flight: the next one goes out early when
+//! its minute is the current bound (it is then the next minute whatever
+//! the pending reports say) and no sample tick lands at or before it.
+//! The two-minute lookahead makes that sound: consuming a minute refills
+//! the buffer in the same epoch, so a pool's next submission minute is
+//! known one dispatch early.
 //!
 //! # Canonical order
 //!
 //! The streaming backend defines its own canonical within-minute order —
 //! sample tick first (pools quiescent), then per pool ascending: buffered
-//! submissions, then due completions in booking order. This order is
-//! *shard-count independent* (per-pool queues and per-pool emission
-//! merging make the merged sequence identical for 1 or N workers, wheel
-//! or reference heap, pipelining on or off — the conformance suite
-//! asserts golden traces byte-identical across all of them). It is *not*
-//! the serial backend's global event-id order: cross-pool completion
-//! interleaving within a minute differs. Per-pool event sequences are
-//! identical, so job records and run counters match a materialized serial
-//! run exactly when sampling is off; with sampling on, series values at
-//! minutes where a tick coincides with events may differ (the serial
-//! sampler pops mid-minute).
+//! submissions, then due completions in booking order. One queue per
+//! worker keeps this order: at minute `e` the worker pops every booking
+//! due at `e` and stable-sorts the batch by lane. Same-minute bookings
+//! pop in booking order (the queue is FIFO within a minute), so the sort
+//! keeps each pool's booking order, which is exactly what a per-pool
+//! queue would deliver. A booking the lane makes for `e` itself while
+//! running `e` (a job resumed with no wall time left) is drained right
+//! after that lane's batch, behind the earlier ones, again as a per-pool
+//! queue would. Since the order is per pool, it is *shard-count
+//! independent*: the merged sequence is identical for 1 or N workers,
+//! wheel or reference heap, run-ahead and pipelining on or off (the
+//! conformance suite asserts golden traces byte-identical across all of
+//! them). It is *not* the serial backend's global event-id order:
+//! cross-pool completion interleaving within a minute differs. Per-pool
+//! event sequences are identical, so job records and run counters match
+//! a materialized serial run exactly when sampling is off; with sampling
+//! on, series values at minutes where a tick coincides with events may
+//! differ (the serial sampler pops mid-minute).
+//!
+//! # Staleness skip
+//!
+//! Popping the due batch first means a booking can leave the queue
+//! before the submissions of the same minute run. If one of those
+//! submissions preempts the booked job, the suspension's `cancel` finds
+//! the booking already gone and returns `false`; the batch entry is then
+//! skipped at delivery because the job's
+//! [`JobRecord::completion_event`] no longer names it (the suspension
+//! cleared it, and a resume books a new handle).
 //!
 //! # Supported configuration
 //!
@@ -67,7 +108,7 @@
 //! are rejected.
 
 use std::collections::VecDeque;
-use std::sync::mpsc;
+use std::sync::{mpsc, Arc};
 
 use netbatch_cluster::ids::{JobId, PoolId};
 use netbatch_cluster::job::{JobPhase, JobRecord};
@@ -84,13 +125,13 @@ use crate::provenance::{COORD_MERGE, PHASE_COMPLETE, PHASE_GENERATE, PHASE_SUBMI
 use crate::simulator::{SimOutput, Simulator};
 
 /// Lookahead depth in generated-but-unsubmitted minutes per pool. Two is
-/// the minimum that lets the coordinator pre-dispatch epoch `N+1` before
-/// `N`'s results return: consuming a minute refills the buffer in the
-/// same epoch, so every submission minute is reported at least one epoch
-/// before it is due.
+/// the minimum that lets the coordinator pre-dispatch the next epoch
+/// before the current one's results return: consuming a minute refills
+/// the buffer in the same epoch, so every submission minute is reported
+/// at least one epoch before it is due.
 const LOOKAHEAD: usize = 2;
 
-/// Maximum epochs in flight when pipelining (no observers attached).
+/// Maximum dispatches in flight when pipelining (no observers attached).
 const PIPELINE_DEPTH: usize = 2;
 
 /// Raw view into the simulator's pool storage, shipped to workers for
@@ -133,19 +174,39 @@ impl PoolArena {
     }
 }
 
-/// One epoch's work order, broadcast to every worker.
+/// Dense job-id base per pool submitting at a dispatched minute,
+/// ascending pool order; one buffer shared by every worker.
+type Bases = Arc<Vec<(u16, u64)>>;
+
+/// One dispatch's work order, broadcast to every worker.
 struct FlushMsg {
+    /// The dispatched minute: the earliest known submission or booking.
     epoch: SimTime,
-    /// Dense job-id base per pool submitting this epoch, ascending pool
-    /// order. Pools absent from the list have no buffered minute due.
-    bases: Vec<(u16, u64)>,
+    /// Exclusive run-ahead bound: after `epoch` the worker keeps
+    /// delivering its own bookings due before it. No submission minute
+    /// and no sample tick lies in `(epoch, bound)`.
+    bound: SimTime,
+    /// Pools absent from the list have no buffered minute due.
+    bases: Bases,
     arena: PoolArena,
 }
 
-/// What a worker hands back after each epoch (and once at priming).
+/// A lane's lookahead after it changed: what the coordinator plans
+/// job-id bases and run-ahead bounds from.
+#[derive(Clone, Copy)]
+struct LaneAhead {
+    pool: u16,
+    /// Buffered `(minute, record-count)`, oldest first.
+    minutes: [Option<(SimTime, u32)>; LOOKAHEAD],
+    /// The stream holds no minute beyond `minutes`.
+    exhausted: bool,
+}
+
+/// What a worker hands back after each dispatch (and once at priming).
 struct EpochResult {
     shard: usize,
-    /// `None` for the priming report sent before any epoch runs.
+    /// The dispatched minute; `None` for the priming report sent before
+    /// any epoch runs.
     epoch: Option<SimTime>,
     /// Buffered observer events keyed by pool id (ascending within the
     /// run; pools are worker-disjoint, so a k-way merge by pool restores
@@ -154,13 +215,16 @@ struct EpochResult {
     completed: u64,
     suspensions: u64,
     unrunnable: u64,
-    /// Events executed this epoch (submissions incl. unrunnable ones,
-    /// plus delivered completions).
+    /// Events executed (submissions incl. unrunnable ones, plus delivered
+    /// completions).
     executed: u64,
-    /// Post-epoch lookahead state: every buffered `(pool, minute,
-    /// record-count)`, the coordinator's source of job-id bases.
-    pending: Vec<(u16, SimTime, u32)>,
-    /// Earliest completion booking across this worker's pool queues.
+    /// Latest minute at which an event executed.
+    last_active: Option<SimTime>,
+    /// Lookahead of every lane that consumed a minute (every lane in the
+    /// priming report).
+    lanes: Vec<LaneAhead>,
+    /// Earliest booking left in the worker's queue (at or past the
+    /// dispatch's bound).
     next_local: Option<SimTime>,
     /// Per-phase `(items, nanos)` self-profile (submit/complete/generate);
     /// zeros when profiling is off.
@@ -174,18 +238,28 @@ struct PoolLane<'a> {
     /// Generated-but-unsubmitted minutes, oldest first, at most
     /// [`LOOKAHEAD`] deep.
     ahead: VecDeque<(u64, Vec<TraceRecord>)>,
-    /// Completion bookings for jobs running in this pool. Per-pool (not
-    /// per-shard) so delivery order is independent of the shard count.
-    queue: EventQueue<JobId>,
 }
 
 /// Per-thread streaming executor: generates its pools' arrivals, runs
 /// the serial executor's fast-class transitions (same record
 /// transitions, same pool calls, same emission order), and applies
-/// queue effects immediately against its own per-pool queues.
+/// queue effects immediately against its own queue.
 struct StreamWorker<'a> {
     shard: usize,
+    shards: usize,
+    /// Owned pools, ascending: lane `li` is pool `shard + li * shards`.
     lanes: Vec<PoolLane<'a>>,
+    /// Completion bookings of every owned pool, as `(lane, job)`.
+    queue: EventQueue<(u32, JobId)>,
+    /// The current minute's due bookings `(lane, handle, job)`; reused.
+    due: Vec<(u32, EventId, JobId)>,
+    /// `(lane, job-id base)` of the owned pools submitting at the
+    /// dispatched minute; reused.
+    subs: Vec<(u32, u64)>,
+    /// Lanes whose lookahead changed since the last report.
+    changed: Vec<LaneAhead>,
+    /// Emptied minute buffers, reused by [`StreamWorker::refill`].
+    spare: Vec<Vec<TraceRecord>>,
     /// Jobs currently in flight (submitted and not yet completed); the
     /// O(in-flight) working set that replaces the dense `sim.jobs` vec.
     jobs: IntMap<JobId, JobRecord>,
@@ -200,6 +274,7 @@ struct StreamWorker<'a> {
     suspensions: u64,
     unrunnable: u64,
     executed: u64,
+    last_active: Option<SimTime>,
     profile_nanos: [(u64, u64); 3],
     /// Emission key of the pool currently being processed.
     cur_pool: u32,
@@ -225,16 +300,21 @@ impl<'a> StreamWorker<'a> {
                 pool: PoolId(p as u16),
                 stream: TraceStream::filtered(spec, seed, |i| pinned[i] as usize == p),
                 ahead: VecDeque::new(),
-                queue: if reference_queue {
-                    EventQueue::with_reference_heap()
-                } else {
-                    EventQueue::new()
-                },
             })
             .collect();
         StreamWorker {
             shard,
+            shards,
             lanes,
+            queue: if reference_queue {
+                EventQueue::with_reference_heap()
+            } else {
+                EventQueue::new()
+            },
+            due: Vec::new(),
+            subs: Vec::new(),
+            changed: Vec::new(),
+            spare: Vec::new(),
             jobs: IntMap::default(),
             finished: Vec::new(),
             retain,
@@ -246,6 +326,7 @@ impl<'a> StreamWorker<'a> {
             suspensions: 0,
             unrunnable: 0,
             executed: 0,
+            last_active: None,
             profile_nanos: [(0, 0); 3],
             cur_pool: 0,
         }
@@ -257,9 +338,11 @@ impl<'a> StreamWorker<'a> {
         }
     }
 
-    /// Tops up one lane's lookahead to [`LOOKAHEAD`] minutes. This is
-    /// where generation cost is paid — inside the worker's epoch, off the
-    /// coordinator's serial section.
+    /// Tops up one lane's lookahead to [`LOOKAHEAD`] minutes, in buffers
+    /// recycled from consumed minutes, and queues the lane's new
+    /// lookahead for the next report. This is where generation cost is
+    /// paid — inside the worker's epoch, off the coordinator's serial
+    /// section.
     fn refill(&mut self, li: usize) {
         let t0 = self.profile.then(std::time::Instant::now);
         let mut generated = 0u64;
@@ -268,7 +351,7 @@ impl<'a> StreamWorker<'a> {
             let Some(m) = lane.stream.peek_minute() else {
                 break;
             };
-            let mut records = Vec::new();
+            let mut records = self.spare.pop().unwrap_or_default();
             generated += lane.stream.drain_minute(m, &mut records) as u64;
             lane.ahead.push_back((m, records));
         }
@@ -277,6 +360,17 @@ impl<'a> StreamWorker<'a> {
             cell.0 += generated;
             cell.1 += t0.elapsed().as_nanos() as u64;
         }
+        // The refill stops short of LOOKAHEAD only on a dry stream.
+        let lane = &self.lanes[li];
+        let mut minutes = [None; LOOKAHEAD];
+        for (slot, (m, records)) in minutes.iter_mut().zip(&lane.ahead) {
+            *slot = Some((SimTime::from_minutes(*m), records.len() as u32));
+        }
+        self.changed.push(LaneAhead {
+            pool: lane.pool.as_usize() as u16,
+            minutes,
+            exhausted: lane.ahead.len() < LOOKAHEAD,
+        });
     }
 
     /// Fills every lane's lookahead before the first epoch, so the
@@ -287,37 +381,72 @@ impl<'a> StreamWorker<'a> {
         }
     }
 
-    /// Executes one epoch: per owned pool ascending, deliver buffered
-    /// submissions, then pop due completions, then refill the lookahead.
-    fn run_epoch(&mut self, epoch: SimTime, bases: &[(u16, u64)], arena: &PoolArena) {
-        let minute = epoch.as_minutes();
-        for li in 0..self.lanes.len() {
-            let pool = self.lanes[li].pool;
-            self.cur_pool = pool.as_usize() as u32;
-            if self.lanes[li].ahead.front().map(|&(m, _)| m) == Some(minute) {
-                let (_, records) = self.lanes[li].ahead.pop_front().expect("front checked");
-                let base = bases
-                    .iter()
-                    .find(|&&(p, _)| p as usize == pool.as_usize())
-                    .map(|&(_, b)| b)
-                    .expect("coordinator assigns a base to every reported minute");
-                let t0 = self.profile.then(std::time::Instant::now);
-                let n = records.len() as u64;
-                for (k, record) in records.into_iter().enumerate() {
-                    self.run_submit(li, JobId(base + k as u64), record, epoch, arena);
-                }
-                if let Some(t0) = t0 {
-                    let cell = &mut self.profile_nanos[PHASE_SUBMIT];
-                    cell.0 += n;
-                    cell.1 += t0.elapsed().as_nanos() as u64;
-                }
-                self.refill(li);
+    /// Executes one dispatch: the dispatched minute, then every minute
+    /// of this worker's own bookings due before the bound.
+    fn run_dispatch(&mut self, msg: &FlushMsg) {
+        debug_assert!(
+            !self.collect || msg.bound == msg.epoch + SimDuration::MINUTE,
+            "observer runs barrier every minute"
+        );
+        debug_assert!(
+            self.queue.peek_time().is_none_or(|t| t >= msg.epoch),
+            "no booking lies before the dispatched minute"
+        );
+        let mut subs = std::mem::take(&mut self.subs);
+        subs.extend(
+            msg.bases
+                .iter()
+                .filter(|&&(p, _)| p as usize % self.shards == self.shard)
+                .map(|&(p, base)| ((p as usize / self.shards) as u32, base)),
+        );
+        self.run_minute(msg.epoch, &subs, &msg.arena);
+        subs.clear();
+        self.subs = subs;
+        while let Some(t) = self.queue.peek_time().filter(|&t| t < msg.bound) {
+            self.run_minute(t, &[], &msg.arena);
+        }
+    }
+
+    /// Executes one minute over its active lanes, ascending: per lane,
+    /// deliver the buffered submissions (`subs`, ascending by lane), then
+    /// the lane's due completions in booking order.
+    fn run_minute(&mut self, now: SimTime, subs: &[(u32, u64)], arena: &PoolArena) {
+        let executed_before = self.executed;
+        let mut due = std::mem::take(&mut self.due);
+        while self.queue.peek_time() == Some(now) {
+            let (_, id, (lane, job)) = self.queue.pop_with_id().expect("time peeked");
+            due.push((lane, id, job));
+        }
+        // Stable: the queue pops same-minute bookings in booking order,
+        // so each lane keeps its own booking order.
+        due.sort_by_key(|&(lane, _, _)| lane);
+        let (mut si, mut di) = (0, 0);
+        loop {
+            let lane = match (subs.get(si), due.get(di)) {
+                (None, None) => break,
+                (Some(&(s, _)), None) => s,
+                (None, Some(&(d, _, _))) => d,
+                (Some(&(s, _)), Some(&(d, _, _))) => s.min(d),
+            };
+            let li = lane as usize;
+            self.cur_pool = self.lanes[li].pool.as_usize() as u32;
+            if let Some(&(_, base)) = subs.get(si).filter(|s| s.0 == lane) {
+                self.submit_minute(li, base, now, arena);
+                si += 1;
             }
             let t0 = self.profile.then(std::time::Instant::now);
-            let mut popped = 0u64;
-            while self.lanes[li].queue.peek_time() == Some(epoch) {
-                let (_, id, job) = self.lanes[li].queue.pop_with_id().expect("time peeked");
-                self.run_complete(li, job, id, epoch, arena);
+            let first = di;
+            while let Some(&(_, id, job)) = due.get(di).filter(|d| d.0 == lane) {
+                self.deliver(li, id, job, now, arena);
+                di += 1;
+            }
+            let mut popped = (di - first) as u64;
+            // Bookings this lane made for `now` itself; earlier lanes
+            // drained theirs, so every one left is this lane's.
+            while self.queue.peek_time() == Some(now) {
+                let (_, id, (l, job)) = self.queue.pop_with_id().expect("time peeked");
+                debug_assert_eq!(l, lane, "same-minute bookings come from the active lane");
+                self.deliver(li, id, job, now, arena);
                 popped += 1;
             }
             if let Some(t0) = t0 {
@@ -325,6 +454,47 @@ impl<'a> StreamWorker<'a> {
                 cell.0 += popped;
                 cell.1 += t0.elapsed().as_nanos() as u64;
             }
+        }
+        due.clear();
+        self.due = due;
+        if self.executed > executed_before {
+            self.last_active = Some(now);
+        }
+    }
+
+    /// Submits a lane's buffered minute under the coordinator's job-id
+    /// base, then refills the lookahead with the emptied buffer.
+    fn submit_minute(&mut self, li: usize, base: u64, now: SimTime, arena: &PoolArena) {
+        let (m, mut records) = self.lanes[li]
+            .ahead
+            .pop_front()
+            .expect("coordinator assigns bases only to reported minutes");
+        debug_assert_eq!(m, now.as_minutes(), "bases name the lane's oldest minute");
+        let t0 = self.profile.then(std::time::Instant::now);
+        let n = records.len() as u64;
+        for (k, record) in records.drain(..).enumerate() {
+            self.run_submit(li, JobId(base + k as u64), record, now, arena);
+        }
+        if let Some(t0) = t0 {
+            let cell = &mut self.profile_nanos[PHASE_SUBMIT];
+            cell.0 += n;
+            cell.1 += t0.elapsed().as_nanos() as u64;
+        }
+        self.spare.push(records);
+        self.refill(li);
+    }
+
+    /// Delivers a popped booking unless it went stale: a same-minute
+    /// suspension that ran after the booking left the queue clears the
+    /// job's `completion_event` (and a resume books a new handle), so a
+    /// booking no longer named by its job is skipped.
+    fn deliver(&mut self, li: usize, id: EventId, job: JobId, now: SimTime, arena: &PoolArena) {
+        let live = self
+            .jobs
+            .get(&job)
+            .is_some_and(|rec| rec.completion_event == Some(id));
+        if live {
+            self.run_complete(li, job, now, arena);
         }
     }
 
@@ -380,28 +550,15 @@ impl<'a> StreamWorker<'a> {
 
     /// Mirror of the serial `Ev::Complete` arm under the fast class
     /// (shadow copies and duplicate races need the Duplicate decision,
-    /// which `NoRes` never makes). No staleness check is needed:
-    /// suspensions cancel their booking in the same call, so a superseded
-    /// completion never survives in the queue to be delivered.
-    fn run_complete(
-        &mut self,
-        li: usize,
-        job: JobId,
-        delivered: EventId,
-        now: SimTime,
-        arena: &PoolArena,
-    ) {
+    /// which `NoRes` never makes). [`StreamWorker::deliver`] has already
+    /// checked that the booking is live.
+    fn run_complete(&mut self, li: usize, job: JobId, now: SimTime, arena: &PoolArena) {
         self.executed += 1;
         self.emit(ObsEvent::Kernel { kind: "complete" });
         let rec = self
             .jobs
             .get_mut(&job)
             .expect("delivered completion for a tracked job");
-        debug_assert_eq!(
-            rec.completion_event,
-            Some(delivered),
-            "immediate cancellation leaves no stale deliveries"
-        );
         let JobPhase::Running { pool, machine } = rec.phase() else {
             unreachable!("live completion for non-running job");
         };
@@ -424,7 +581,7 @@ impl<'a> StreamWorker<'a> {
     }
 
     /// Mirror of the serial `apply_batch` drain, with queue effects
-    /// applied immediately against the lane's own queue. The policy
+    /// applied immediately against the worker's queue. The policy
     /// consultation vanishes: `NoRes` always answers `Stay`, reads no
     /// randomness and leaves no side effect, so suspended jobs stay put.
     fn apply_batch(&mut self, li: usize, pool: PoolId, now: SimTime) {
@@ -435,7 +592,7 @@ impl<'a> StreamWorker<'a> {
         for &action in &actions {
             match action {
                 PoolAction::Started { job, machine, wall } => {
-                    let ev = self.lanes[li].queue.schedule(now + wall, job);
+                    let ev = self.queue.schedule(now + wall, (li as u32, job));
                     let rec = self.jobs.get_mut(&job).expect("pool starts tracked jobs");
                     let from_queue = matches!(rec.phase(), JobPhase::Waiting { .. });
                     rec.start(now, pool, machine, wall)
@@ -457,8 +614,9 @@ impl<'a> StreamWorker<'a> {
                         .completion_event
                         .take()
                         .expect("running job has a booked completion");
-                    let live = self.lanes[li].queue.cancel(ev);
-                    assert!(live, "completion bookings lie strictly ahead of the epoch");
+                    // `false` when the booking is due now and already
+                    // sits in the minute's due batch; delivery skips it.
+                    self.queue.cancel(ev);
                     self.jobs
                         .get_mut(&job)
                         .expect("presence checked")
@@ -471,7 +629,7 @@ impl<'a> StreamWorker<'a> {
                     let rec = self.jobs.get_mut(&job).expect("pool resumes tracked jobs");
                     rec.resume(now).expect("pool resumes only suspended jobs");
                     let wall = rec.remaining_wall();
-                    let ev = self.lanes[li].queue.schedule(now + wall, job);
+                    let ev = self.queue.schedule(now + wall, (li as u32, job));
                     self.jobs
                         .get_mut(&job)
                         .expect("presence checked")
@@ -484,23 +642,10 @@ impl<'a> StreamWorker<'a> {
         self.actions.clear();
     }
 
-    /// Packages the epoch's buffered progress plus the post-epoch
-    /// lookahead/queue summary the coordinator schedules from.
-    fn epoch_result(&mut self, epoch: Option<SimTime>) -> EpochResult {
-        let mut pending = Vec::new();
-        let mut next_local: Option<SimTime> = None;
-        for lane in &mut self.lanes {
-            for (m, records) in &lane.ahead {
-                pending.push((
-                    lane.pool.as_usize() as u16,
-                    SimTime::from_minutes(*m),
-                    records.len() as u32,
-                ));
-            }
-            if let Some(t) = lane.queue.peek_time() {
-                next_local = Some(next_local.map_or(t, |n| n.min(t)));
-            }
-        }
+    /// Packages the buffered progress since the last report plus the
+    /// changed lanes' lookahead and the queue's earliest booking, which
+    /// the coordinator schedules from.
+    fn report(&mut self, epoch: Option<SimTime>) -> EpochResult {
         EpochResult {
             shard: self.shard,
             epoch,
@@ -509,8 +654,9 @@ impl<'a> StreamWorker<'a> {
             suspensions: std::mem::take(&mut self.suspensions),
             unrunnable: std::mem::take(&mut self.unrunnable),
             executed: std::mem::take(&mut self.executed),
-            pending,
-            next_local,
+            last_active: self.last_active.take(),
+            lanes: std::mem::take(&mut self.changed),
+            next_local: self.queue.peek_time(),
             profile: std::mem::take(&mut self.profile_nanos),
         }
     }
@@ -617,14 +763,17 @@ pub(crate) fn run_streaming(
                     profile_on,
                 );
                 worker.prime();
-                let primed = worker.epoch_result(None);
-                if results.send(primed).is_err() {
+                if results.send(worker.report(None)).is_err() {
                     return (worker.jobs, worker.finished);
                 }
                 while let Ok(msg) = rx.recv() {
-                    worker.run_epoch(msg.epoch, &msg.bases, &msg.arena);
-                    let result = worker.epoch_result(Some(msg.epoch));
-                    if results.send(result).is_err() {
+                    worker.run_dispatch(&msg);
+                    let epoch = msg.epoch;
+                    // Release the shared bases before reporting: once
+                    // every report of an epoch is in, the coordinator
+                    // holds the only handle and reuses the buffer.
+                    drop(msg);
+                    if results.send(worker.report(Some(epoch))).is_err() {
                         break;
                     }
                 }
@@ -634,19 +783,23 @@ pub(crate) fn run_streaming(
         drop(result_tx);
 
         // Scheduling state: per-pool pending minutes (each ≤ LOOKAHEAD
-        // deep), per-shard earliest local booking, both wholesale-replaced
-        // from each report after filtering out minutes already dispatched
-        // (a pre-dispatched epoch's own minute would otherwise re-trigger
-        // it and stall the pipeline).
+        // deep) and dryness, replaced for the lanes a report names; per
+        // shard the earliest local booking. Reported minutes and bookings
+        // below the frontier (the exclusive bound of the last dispatch)
+        // are already covered by a dispatch in flight and are dropped, so
+        // a pre-dispatched minute cannot re-trigger itself.
         let mut pend: Vec<VecDeque<(SimTime, u32)>> = vec![VecDeque::new(); pool_count];
+        let mut exhausted = vec![false; pool_count];
         let mut next_local: Vec<Option<SimTime>> = vec![None; shards];
-        let mut inflight: VecDeque<SimTime> = VecDeque::new();
+        let mut frontier = SimTime::ZERO;
+        let mut inflight: VecDeque<(SimTime, Bases)> = VecDeque::new();
+        // Bases buffers of folded epochs, unshared and ready for reuse.
+        let mut spare_bases: Vec<Bases> = Vec::new();
         let mut stash: Vec<EpochResult> = Vec::new();
-        let mut last_dispatched: Option<SimTime> = None;
+        let mut results: Vec<EpochResult> = Vec::with_capacity(shards);
         let mut next_job_id: u64 = 0;
         let mut events: u64 = 0;
         let mut end_time = SimTime::ZERO;
-        let mut bases: Vec<(u16, u64)> = Vec::new();
 
         macro_rules! apply_report {
             ($r:expr) => {{
@@ -654,17 +807,19 @@ pub(crate) fn run_streaming(
                 sim.counters.completed += r.completed;
                 sim.counters.suspensions += r.suspensions;
                 sim.counters.unrunnable += r.unrunnable;
-                for p in (r.shard..pool_count).step_by(shards) {
+                for lane in &r.lanes {
+                    let p = lane.pool as usize;
                     pend[p].clear();
+                    pend[p].extend(
+                        lane.minutes
+                            .iter()
+                            .flatten()
+                            .filter(|&&(m, _)| m >= frontier),
+                    );
+                    exhausted[p] = lane.exhausted;
                 }
-                for &(p, m, n) in &r.pending {
-                    if last_dispatched.map_or(true, |l| m > l) {
-                        pend[p as usize].push_back((m, n));
-                    }
-                }
-                next_local[r.shard] = r
-                    .next_local
-                    .filter(|&m| last_dispatched.map_or(true, |l| m > l));
+                next_local[r.shard] = r.next_local.filter(|&m| m >= frontier);
+                end_time = end_time.max(r.last_active.unwrap_or(SimTime::ZERO));
                 if let Some(profile) = sim.profile.as_mut() {
                     for (phase, &(items, nanos)) in r.profile.iter().enumerate() {
                         profile.record_shard(r.shard, phase, nanos, items);
@@ -677,29 +832,46 @@ pub(crate) fn run_streaming(
         macro_rules! dispatch {
             ($e:expr) => {{
                 let e: SimTime = $e;
+                let mut shared = spare_bases.pop().unwrap_or_default();
+                let bases = Arc::get_mut(&mut shared).expect("a folded epoch's bases are unshared");
                 bases.clear();
-                for p in 0..pool_count {
-                    if pend[p].front().map(|&(m, _)| m) == Some(e) {
-                        let (_, n) = pend[p].pop_front().expect("front checked");
+                // Run ahead to the next barrier duty: the earliest next
+                // submission, a pool whose next minute is unreported, or
+                // the next sample tick. Observer runs stop every minute.
+                let mut bound = if collect {
+                    e + SimDuration::MINUTE
+                } else {
+                    sim.peek_sample_tick().unwrap_or(SimTime::MAX)
+                };
+                for (p, q) in pend.iter_mut().enumerate() {
+                    if q.front().map(|&(m, _)| m) == Some(e) {
+                        let (_, n) = q.pop_front().expect("front checked");
                         bases.push((p as u16, next_job_id));
                         next_job_id += u64::from(n);
                     }
+                    match q.front() {
+                        Some(&(m, _)) => bound = bound.min(m),
+                        None if !exhausted[p] => bound = bound.min(e + SimDuration::MINUTE),
+                        None => {}
+                    }
                 }
+                debug_assert!(bound > e, "a dispatch covers its own minute");
+                frontier = bound;
                 let arena = PoolArena::of(&mut sim);
                 for tx in &work_txs {
                     tx.send(FlushMsg {
                         epoch: e,
-                        bases: bases.clone(),
+                        bound,
+                        bases: Arc::clone(&shared),
                         arena,
                     })
                     .expect("worker alive while coordinator runs");
                 }
-                inflight.push_back(e);
-                last_dispatched = Some(e);
-                // The dispatched minute is now the workers' problem; a
-                // next_local entry at it must not re-trigger dispatch.
+                inflight.push_back((e, shared));
+                // Bookings below the bound are now the workers' problem;
+                // a next_local entry there must not re-trigger dispatch.
                 for nl in next_local.iter_mut() {
-                    if *nl == Some(e) {
+                    if nl.is_some_and(|m| m < frontier) {
                         *nl = None;
                     }
                 }
@@ -709,7 +881,7 @@ pub(crate) fn run_streaming(
         for _ in 0..shards {
             let r = result_rx.recv().expect("worker panicked while priming");
             debug_assert!(r.epoch.is_none(), "first report is the priming one");
-            apply_report!(&r);
+            apply_report!(r);
         }
 
         loop {
@@ -737,25 +909,24 @@ pub(crate) fn run_streaming(
                         sim.record_sample(s);
                         sim.consume_sample_tick();
                         events += 1;
-                        end_time = s;
+                        end_time = end_time.max(s);
                         continue;
                     }
                 }
                 dispatch!(e);
             } else {
-                let succ =
-                    last_dispatched.expect("inflight implies a dispatch") + SimDuration::MINUTE;
+                // The frontier is the next minute whatever the pending
+                // reports say once something is known to happen there.
                 let may_pipeline = pipeline
                     && inflight.len() < PIPELINE_DEPTH
-                    && next_known == Some(succ)
-                    && next_sample.is_none_or(|s| s > succ);
+                    && next_known == Some(frontier)
+                    && next_sample.is_none_or(|s| s > frontier);
                 if may_pipeline {
-                    dispatch!(succ);
+                    dispatch!(frontier);
                     continue;
                 }
-                // Barrier: fold in the oldest in-flight epoch.
-                let e = inflight.pop_front().expect("nonempty checked");
-                let mut results: Vec<EpochResult> = Vec::with_capacity(shards);
+                // Barrier: fold in the oldest in-flight dispatch.
+                let (e, shared) = inflight.pop_front().expect("nonempty checked");
                 let mut i = 0;
                 while i < stash.len() {
                     if stash[i].epoch == Some(e) {
@@ -772,11 +943,13 @@ pub(crate) fn run_streaming(
                         stash.push(r);
                     }
                 }
+                // Every worker dropped its handle before reporting.
+                spare_bases.push(shared);
                 let t0 = profile_on.then(std::time::Instant::now);
                 results.sort_by_key(|r| r.shard);
                 let mut executed = 0u64;
                 let mut emission_runs: Vec<Vec<(u32, ObsEvent)>> = Vec::new();
-                for r in results {
+                for r in results.drain(..) {
                     let r = apply_report!(r);
                     executed += r.executed;
                     if collect {
@@ -784,12 +957,6 @@ pub(crate) fn run_streaming(
                     }
                 }
                 events += executed;
-                if executed > 0 {
-                    // A dispatched epoch can come up empty when the
-                    // booking that announced it was cancelled since; the
-                    // serial clock would not have moved either.
-                    end_time = e;
-                }
                 if collect {
                     debug_assert!(inflight.is_empty(), "replay requires quiescent workers");
                     let emissions = merge_sorted_runs(emission_runs, |run| run.0);

@@ -161,9 +161,11 @@ grep '^digest ' "$tmpdir/perfbench.out"
 # Perf budgets that do not depend on timing: allocations per event on
 # two normal-load cells at scale 0.02 stay under a fixed ceiling, and a
 # streaming run's peak heap stays flat when its horizon quadruples
-# (catching anything that retains per-job state past completion). Timing
-# is judged by perfbench's paired runs on one host, not gated here.
-echo "==> perf budgets (allocs/event, streaming memory flatness)"
+# (catching anything that retains per-job state past completion) and
+# when the same load spreads over ten times the pools (catching
+# per-pool structures that scale with the queue). Timing is judged by
+# perfbench's paired runs on one host, not gated here.
+echo "==> perf budgets (allocs/event, streaming memory)"
 cargo test --release -q -p netbatch-bench --test perf_budgets
 
 echo "ci: all green"

@@ -12,12 +12,25 @@
 //!   which no per-job record or counter can see);
 //! * epoch **pipelining** is unobservable: with pipelining force-disabled
 //!   the deterministic outputs are identical;
+//! * **run-ahead** is unobservable: an observer-less, unsampled run (whose
+//!   workers drain completion minutes between barrier duties) matches the
+//!   same run with a recorder attached (one barrier per active minute);
+//! * a booking due in the minute a submission preempts its job is skipped,
+//!   as a materialized run does;
 //! * a year-long horizon streams in bounded state end to end.
 
+use netbatch::cluster::ids::PoolId;
+use netbatch::cluster::pool::PoolConfig;
+use netbatch::cluster::priority::Priority;
 use netbatch::core::observer::TraceRecorder;
 use netbatch::core::policy::{InitialKind, StrategyKind};
 use netbatch::core::simulator::{Backend, SimConfig, SimOutput, Simulator};
-use netbatch::workload::scenarios::PerPoolParams;
+use netbatch::sim_engine::rng::DetRng;
+use netbatch::sim_engine::time::SimTime;
+use netbatch::workload::distributions::{Constant, WeightedChoice};
+use netbatch::workload::generator::{AffinityPicker, ArrivalProcess};
+use netbatch::workload::scenarios::{PerPoolParams, SiteSpec};
+use netbatch::workload::{JobClass, Stream, WorkloadSpec};
 
 fn base_config(backend: Backend) -> SimConfig {
     let mut config = SimConfig::new(InitialKind::RoundRobin, StrategyKind::NoRes);
@@ -166,6 +179,189 @@ fn pipelining_is_unobservable() {
             "{backend:?}: waiting series"
         );
         assert!(piped.jobs.is_empty(), "observer-less runs drop records");
+    }
+}
+
+/// Observer-less runs take the run-ahead path: workers drain their
+/// completion minutes between barrier duties (submission minutes, sample
+/// ticks) without a round trip; unsampled, that is the path perfbench
+/// measures. Attaching a recorder forces a barrier every active minute,
+/// so equal counters (events included), end time, pool stats and series
+/// prove run-ahead unobservable.
+#[test]
+fn run_ahead_matches_per_minute_barriers() {
+    let p = params();
+    let site = p.build_site();
+    let workload = p.build_workload();
+    let run =
+        |shards: usize, reference_queue: bool, pipeline: bool, sampled: bool, traced: bool| {
+            let mut config = base_config(Backend::Sharded { shards });
+            if sampled {
+                config = config.with_sampling();
+            }
+            config.seed = p.seed;
+            config.use_reference_queue = reference_queue;
+            config.stream_pipeline = pipeline;
+            let mut sim = Simulator::new(&site, Vec::new(), config);
+            if traced {
+                sim.attach_observer(Box::new(TraceRecorder::in_memory()));
+            }
+            sim.run_streaming(&workload, p.seed)
+        };
+    for shards in [1usize, 2, 4] {
+        for reference_queue in [false, true] {
+            for pipeline in [false, true] {
+                for sampled in [false, true] {
+                    let label = format!(
+                        "shards={shards} refq={reference_queue} pipeline={pipeline} sampled={sampled}"
+                    );
+                    let barriered = run(shards, reference_queue, pipeline, sampled, true);
+                    let fast = run(shards, reference_queue, pipeline, sampled, false);
+                    assert!(
+                        barriered.counters.suspensions > 0,
+                        "{label}: bursts must preempt"
+                    );
+                    assert_eq!(barriered.counters, fast.counters, "{label}: counters");
+                    assert_eq!(barriered.end_time, fast.end_time, "{label}: end time");
+                    assert_eq!(barriered.pool_stats, fast.pool_stats, "{label}: pools");
+                    assert_eq!(
+                        barriered.utilization_series, fast.utilization_series,
+                        "{label}: utilization series"
+                    );
+                    assert_eq!(
+                        barriered.suspended_series, fast.suspended_series,
+                        "{label}: suspended series"
+                    );
+                    assert_eq!(
+                        barriered.waiting_series, fast.waiting_series,
+                        "{label}: waiting series"
+                    );
+                    assert!(
+                        fast.jobs.is_empty(),
+                        "{label}: observer-less runs drop records"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// Arrivals at fixed minutes, for hand-built collisions.
+#[derive(Debug)]
+struct At(Vec<u64>);
+
+impl ArrivalProcess for At {
+    fn generate(&self, _rng: &mut DetRng, start: u64, end: u64) -> Vec<u64> {
+        self.0
+            .iter()
+            .copied()
+            .filter(|m| (start..end).contains(m))
+            .collect()
+    }
+
+    /// Unused: nothing calibrates against a hand-built workload.
+    fn rate(&self) -> f64 {
+        0.0
+    }
+}
+
+fn fixed_class(name: &str, priority: u8, runtime: f64, pool: u16) -> JobClass {
+    JobClass::new(name, priority, Box::new(Constant(runtime)))
+        .with_cores(WeightedChoice::new(&[(1.0, 1.0)]))
+        .with_memory(WeightedChoice::new(&[(512.0, 1.0)]))
+        .with_affinity(AffinityPicker::Fixed(vec![pool]))
+}
+
+/// A high-priority submission at minute `e` preempts a job whose
+/// completion is due at `e` itself. Submissions run before completions
+/// within a minute, so the booking is already in the worker's due batch
+/// when the suspension cancels it; delivery must skip it. The preempted
+/// job resumes with no wall time left, so its new booking is due in the
+/// minute it is made — and drained in that minute.
+#[test]
+fn a_completion_due_at_a_preempting_submission_is_skipped() {
+    // Two one-core pools, each with a low job due at minute 10 and a
+    // high job arriving then. Pool 1's low job is booked first, so the
+    // minute's due batch pops lane 1 before lane 0 and the sort by lane
+    // has to reorder it.
+    let site = SiteSpec {
+        pools: (0..2)
+            .map(|p| PoolConfig::uniform(PoolId(p), 1, 1, 8192))
+            .collect(),
+    };
+    let mut workload = WorkloadSpec::new(0, 100);
+    for (pool, low_at) in [(0u16, 1u64), (1, 0)] {
+        workload = workload
+            .stream(Stream::new(
+                fixed_class("low", 0, (10 - low_at) as f64, pool),
+                Box::new(At(vec![low_at])),
+            ))
+            .stream(Stream::new(
+                fixed_class("high", 10, 5.0, pool),
+                Box::new(At(vec![10])),
+            ));
+    }
+    let seed = 3;
+    let config = base_config(Backend::Serial);
+    let materialized = Simulator::new(&site, workload.generate(seed).to_specs(), config.clone())
+        .run_to_completion();
+    // The collision happened: each low job was suspended at its due
+    // minute 10, then finished at 15, the moment its high job left.
+    assert_eq!(materialized.counters.suspensions, 2);
+    let lows: Vec<_> = materialized
+        .jobs
+        .iter()
+        .filter(|j| j.spec().priority == Priority::LOW)
+        .collect();
+    assert_eq!(lows.len(), 2);
+    for low in lows {
+        assert_eq!(low.suspensions(), 1, "{:?} was preempted", low.id());
+        assert_eq!(
+            low.run_time(),
+            low.spec().runtime,
+            "{:?} ran its full wall",
+            low.id()
+        );
+        assert_eq!(
+            low.spec().submit_time + low.completion_time().expect("completed"),
+            SimTime::from_minutes(15),
+            "{:?} resumed with nothing left to run",
+            low.id()
+        );
+    }
+
+    for shards in [1usize, 2] {
+        for reference_queue in [false, true] {
+            let label = format!("shards={shards} refq={reference_queue}");
+            let mut cfg = config.clone();
+            cfg.backend = Backend::Sharded { shards };
+            cfg.use_reference_queue = reference_queue;
+            let mut sim = Simulator::new(&site, Vec::new(), cfg.clone());
+            sim.attach_observer(Box::new(TraceRecorder::in_memory()));
+            let streamed = sim.run_streaming(&workload, seed);
+            assert_eq!(materialized.jobs, streamed.jobs, "{label}: job records");
+            assert_eq!(
+                materialized.counters, streamed.counters,
+                "{label}: counters"
+            );
+            assert_eq!(
+                materialized.end_time, streamed.end_time,
+                "{label}: end time"
+            );
+            assert_eq!(
+                materialized.pool_stats, streamed.pool_stats,
+                "{label}: pools"
+            );
+            let fast = Simulator::new(&site, Vec::new(), cfg).run_streaming(&workload, seed);
+            assert_eq!(
+                materialized.counters, fast.counters,
+                "{label}: run-ahead counters"
+            );
+            assert_eq!(
+                materialized.end_time, fast.end_time,
+                "{label}: run-ahead end time"
+            );
+        }
     }
 }
 
