@@ -1,7 +1,7 @@
 //! Perf budgets that do not depend on timing: heap allocations per
-//! processed event on the materialized kernel, and streaming peak heap
-//! staying flat as the horizon grows and tracking in-flight jobs rather
-//! than the pool count.
+//! processed event on the materialized kernel and per completed job on
+//! the streaming kernel, and streaming peak heap staying flat as the
+//! horizon grows and tracking in-flight jobs rather than the pool count.
 //!
 //! Both read process-global counters kept by this file's counting
 //! allocator, so the tests take [`SERIAL`] to keep each other's
@@ -97,6 +97,14 @@ const FLAT_HORIZON: u64 = 2 * 24 * 60;
 /// generator structs) but not for per-pool queues.
 const MAX_POOL_SPREAD_RATIO: f64 = 1.5;
 
+/// Ceiling on heap allocations per completed job of the streaming cell
+/// of 20 pools at scale 1.0 over eight days, at 1 and 2 shards. Measured
+/// 1.3451 at 2 shards (1.2850 at 1); the ceiling is that figure × 1.5.
+/// About one allocation per job is the generated record's affinity
+/// `Vec`, which the spec takes over in place; the rest is per-barrier
+/// traffic. The count was 2.35 when every spec copied the affinity.
+const MAX_STREAM_ALLOCS_PER_JOB: f64 = 1.3451 * 1.5;
+
 #[test]
 #[cfg_attr(
     debug_assertions,
@@ -127,18 +135,38 @@ fn allocations_per_event_stay_under_the_ceiling() {
     );
 }
 
-/// Peak heap growth, in bytes, of one observer-less 1-shard streaming run
-/// of `pools` pools at `scale` over `horizon` minutes.
-fn streaming_peak_bytes(pools: u16, scale: f64, horizon: u64) -> u64 {
+/// What one observer-less streaming run cost on the heap.
+struct StreamCost {
+    /// Peak heap growth over the live bytes before the run.
+    peak_bytes: u64,
+    /// Heap allocations during the run.
+    allocations: u64,
+    completed: u64,
+}
+
+/// Runs one observer-less streaming cell of `pools` pools at `scale`
+/// over `horizon` minutes on `shards` shards.
+fn streaming_cost(pools: u16, scale: f64, horizon: u64, shards: usize) -> StreamCost {
     let p = PerPoolParams::new(pools, scale, horizon);
     let workload = p.build_workload();
     let mut config = SimConfig::new(InitialKind::RoundRobin, StrategyKind::NoRes);
-    config.backend = Backend::Sharded { shards: 1 };
+    config.backend = Backend::Sharded { shards };
     let sim = Simulator::new(&p.build_site(), Vec::new(), config);
     let baseline = LIVE_BYTES.load(Ordering::Relaxed);
     PEAK_BYTES.store(baseline, Ordering::Relaxed);
-    sim.run_streaming(&workload, p.seed);
-    PEAK_BYTES.load(Ordering::Relaxed).saturating_sub(baseline)
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let out = sim.run_streaming(&workload, p.seed);
+    StreamCost {
+        peak_bytes: PEAK_BYTES.load(Ordering::Relaxed).saturating_sub(baseline),
+        allocations: ALLOCATIONS.load(Ordering::Relaxed) - before,
+        completed: out.counters.completed,
+    }
+}
+
+/// Peak heap growth, in bytes, of one observer-less 1-shard streaming run
+/// of `pools` pools at `scale` over `horizon` minutes.
+fn streaming_peak_bytes(pools: u16, scale: f64, horizon: u64) -> u64 {
+    streaming_cost(pools, scale, horizon, 1).peak_bytes
 }
 
 /// Both horizons (8 and 32 days) sit past the warm-up of the worker's
@@ -199,5 +227,31 @@ fn streaming_peak_heap_tracks_in_flight_jobs_not_pools() {
          or the queue",
         many / MIB,
         few / MIB
+    );
+}
+
+/// Heap allocations per completed job on a streaming cell, at 1 and 2
+/// shards, may not pass [`MAX_STREAM_ALLOCS_PER_JOB`].
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "debug assertions allocate on the hot path; run with --release"
+)]
+fn streaming_allocations_per_job_stay_under_the_ceiling() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let mut worst = 0.0f64;
+    for shards in [1, 2] {
+        let cost = streaming_cost(20, 1.0, 4 * FLAT_HORIZON, shards);
+        let per_job = cost.allocations as f64 / cost.completed.max(1) as f64;
+        println!(
+            "{shards} shard(s): {} allocations over {} jobs = {per_job:.4}/job",
+            cost.allocations, cost.completed
+        );
+        worst = worst.max(per_job);
+    }
+    assert!(
+        worst <= MAX_STREAM_ALLOCS_PER_JOB,
+        "streaming allocations per job regressed: {worst:.4} vs ceiling \
+         {MAX_STREAM_ALLOCS_PER_JOB:.4} — something on the per-job path allocates again"
     );
 }

@@ -138,26 +138,27 @@ pub struct SimConfig {
     /// tests can assert golden traces are byte-identical on both.
     #[doc(hidden)]
     pub use_reference_queue: bool,
-    /// How many worker threads a [`Simulator::run_streaming`] run uses.
+    /// How many shards a [`Simulator::run_streaming`] run uses.
     /// [`Simulator::run_to_completion`] always runs the serial executor
     /// and ignores it.
     pub backend: Backend,
 }
 
-/// The worker count of the streaming kernel ([`Simulator::run_streaming`]).
+/// The shard count of the streaming kernel ([`Simulator::run_streaming`]).
 /// Materialized runs ([`Simulator::run_to_completion`]) always run the
 /// single-threaded serial executor, whatever this says.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Backend {
-    /// One streaming worker.
+    /// One streaming shard, run on the calling thread.
     #[default]
     Serial,
-    /// Pool-sharded streaming workers under `std::thread::scope`,
-    /// synchronized at minute-epoch barriers.
+    /// Pool-sharded streaming workers synchronized at minute-epoch
+    /// barriers. The calling thread runs shard 0 as well as the barrier
+    /// merge; shards 1.. run under `std::thread::scope`.
     Sharded {
-        /// Number of worker threads (pools are assigned round-robin by
-        /// pool id). Clamped to `1..=pool count`: output does not depend
-        /// on it.
+        /// Number of shards, and so of threads including the calling one
+        /// (pools are assigned round-robin by pool id). Clamped to
+        /// `1..=pool count`: output does not depend on it.
         shards: usize,
     },
 }
@@ -767,9 +768,10 @@ impl Simulator {
     /// substreams (`seed` must be the trace seed a materialized run would
     /// use), so peak memory is proportional to the in-flight job count,
     /// not the trace length. The simulator must be constructed with an
-    /// **empty** spec list; [`Backend::Serial`] runs one worker,
-    /// [`Backend::Sharded`] one per shard (at most one per pool),
-    /// byte-identically.
+    /// **empty** spec list; [`Backend::Serial`] runs one shard on the
+    /// calling thread and spawns none, [`Backend::Sharded`] runs shard 0
+    /// on the calling thread and one thread per further shard (at most
+    /// one shard per pool), byte-identically.
     ///
     /// [`SimOutput::jobs`] is populated only when at least one observer
     /// is attached (retaining records would defeat flat memory);

@@ -14,11 +14,23 @@
 //!   generated (two minutes of lookahead) until its completion is
 //!   processed, after which its record is dropped — unless observers are
 //!   attached, in which case records are retained for [`SimOutput::jobs`];
-//! * generation runs inside the workers' parallel section, leaving the
-//!   coordinator a pure merge loop;
-//! * the coordinator owns no event queue at all — each worker runs one
-//!   [`EventQueue`] of `(lane, job)` completion bookings for all of its
-//!   pools, so queue effects apply immediately and never cross a shard.
+//! * generation runs inside each shard's part of an epoch, so the shards
+//!   generate in parallel;
+//! * each shard's worker runs one [`EventQueue`] of `(lane, job)`
+//!   completion bookings for all of its pools, so queue effects apply
+//!   immediately and never cross a shard; the coordinator's own
+//!   scheduling state holds no event queue.
+//!
+//! # Threads
+//!
+//! A run on N shards uses N threads. The coordinator thread drives shard
+//! 0's worker itself; shards 1.. run on scoped threads. Each dispatch
+//! goes to the spawned shards first, then the coordinator runs shard 0's
+//! part inline and stashes its report, which the barrier fold picks up
+//! like any other. A barrier thus waits on N − 1 cross-thread reports,
+//! and a 1-shard run spawns no thread and sends no message. The channels
+//! are locals of the scope closure: if shard 0 panics on the coordinator
+//! thread, unwinding closes them and the spawned workers exit.
 //!
 //! # The epoch protocol
 //!
@@ -139,13 +151,16 @@ const PIPELINE_DEPTH: usize = 2;
 ///
 /// # Safety
 ///
-/// Shared mutable access is sound because accesses are disjoint and the
-/// coordinator is quiescent (workers own their jobs outright, so only
-/// pools are shared): pools are partitioned by `pool_id % shards`, a
-/// worker only touches pools it owns, the coordinator touches
-/// `sim.pools` only while no epoch is in flight (sampling and observer
-/// replay both require a quiescent barrier), and workers derive only
-/// short-lived per-element references, never whole-slice `&mut` views.
+/// Shared mutable access is sound because accesses are disjoint (workers
+/// own their jobs outright, so only pools are shared): pools are
+/// partitioned by `pool_id % shards`, and a worker only touches pools it
+/// owns. Shard 0's worker runs on the coordinator thread, so the
+/// coordinator does mutate its own shard's pools while other shards'
+/// epochs are in flight, but only through the arena, like any worker.
+/// Beyond that the coordinator forms no reference into `sim.pools` while
+/// an epoch is in flight (sampling and observer replay both require a
+/// quiescent barrier), and workers derive only short-lived per-element
+/// references, never whole-slice `&mut` views.
 #[derive(Clone, Copy)]
 struct PoolArena {
     pools: *mut PhysicalPool,
@@ -153,7 +168,8 @@ struct PoolArena {
 }
 
 // SAFETY: see the struct-level contract — disjoint pool ownership,
-// quiescent coordinator, per-element reference derivation.
+// coordinator reads of `sim.pools` only at quiescent barriers,
+// per-element reference derivation.
 unsafe impl Send for PoolArena {}
 
 impl PoolArena {
@@ -341,8 +357,8 @@ impl<'a> StreamWorker<'a> {
     /// Tops up one lane's lookahead to [`LOOKAHEAD`] minutes, in buffers
     /// recycled from consumed minutes, and queues the lane's new
     /// lookahead for the next report. This is where generation cost is
-    /// paid — inside the worker's epoch, off the coordinator's serial
-    /// section.
+    /// paid — inside the shard's part of the epoch, in parallel with the
+    /// other shards, off the coordinator's merge.
     fn refill(&mut self, li: usize) {
         let t0 = self.profile.then(std::time::Instant::now);
         let mut generated = 0u64;
@@ -513,7 +529,7 @@ impl<'a> StreamWorker<'a> {
     ) {
         self.executed += 1;
         self.emit(ObsEvent::Kernel { kind: "submit" });
-        let mut job = JobRecord::new(record.to_spec(id));
+        let mut job = JobRecord::new(record.into_spec(id));
         job.submit(now).expect("streamed submissions fire once");
         self.emit(ObsEvent::Submit { job: id });
         let pool = self.lanes[li].pool;
@@ -738,30 +754,35 @@ pub(crate) fn run_streaming(
         profile.init_shards(shards);
     }
     let reference_queue = sim.config.use_reference_queue;
-    let spec_ref = workload;
-    let pinned_ref = &pinned;
+
+    let build = |shard: usize| {
+        StreamWorker::new(
+            shard,
+            shards,
+            workload,
+            seed,
+            &pinned,
+            pool_count as u16,
+            reference_queue,
+            retain,
+            collect,
+            profile_on,
+        )
+    };
 
     std::thread::scope(|scope| {
+        // Shards 1.. run on their own threads. The channels stay locals of
+        // this closure: if shard 0 panics on this thread, unwinding drops
+        // them and the spawned workers exit instead of waiting forever.
         let (result_tx, result_rx) = mpsc::channel::<EpochResult>();
-        let mut work_txs = Vec::with_capacity(shards);
-        let mut handles = Vec::with_capacity(shards);
-        for shard in 0..shards {
+        let mut work_txs = Vec::with_capacity(shards - 1);
+        let mut handles = Vec::with_capacity(shards - 1);
+        for shard in 1..shards {
             let (tx, rx) = mpsc::channel::<FlushMsg>();
             work_txs.push(tx);
             let results = result_tx.clone();
             handles.push(scope.spawn(move || {
-                let mut worker = StreamWorker::new(
-                    shard,
-                    shards,
-                    spec_ref,
-                    seed,
-                    pinned_ref,
-                    pool_count as u16,
-                    reference_queue,
-                    retain,
-                    collect,
-                    profile_on,
-                );
+                let mut worker = build(shard);
                 worker.prime();
                 if results.send(worker.report(None)).is_err() {
                     return (worker.jobs, worker.finished);
@@ -781,6 +802,10 @@ pub(crate) fn run_streaming(
             }));
         }
         drop(result_tx);
+        // Shard 0 runs inline: this thread executes its part of every
+        // dispatch between sending the others theirs and the barrier.
+        let mut worker0 = build(0);
+        worker0.prime();
 
         // Scheduling state: per-pool pending minutes (each ≤ LOOKAHEAD
         // deep) and dryness, replaced for the lanes a report names; per
@@ -857,17 +882,24 @@ pub(crate) fn run_streaming(
                 }
                 debug_assert!(bound > e, "a dispatch covers its own minute");
                 frontier = bound;
-                let arena = PoolArena::of(&mut sim);
+                let msg = FlushMsg {
+                    epoch: e,
+                    bound,
+                    bases: shared,
+                    arena: PoolArena::of(&mut sim),
+                };
                 for tx in &work_txs {
                     tx.send(FlushMsg {
-                        epoch: e,
-                        bound,
-                        bases: Arc::clone(&shared),
-                        arena,
+                        bases: Arc::clone(&msg.bases),
+                        ..msg
                     })
                     .expect("worker alive while coordinator runs");
                 }
-                inflight.push_back((e, shared));
+                // Shard 0's report waits in the stash for the barrier fold,
+                // like a spawned worker's report that arrived early.
+                worker0.run_dispatch(&msg);
+                stash.push(worker0.report(Some(e)));
+                inflight.push_back((e, msg.bases));
                 // Bookings below the bound are now the workers' problem;
                 // a next_local entry there must not re-trigger dispatch.
                 for nl in next_local.iter_mut() {
@@ -878,7 +910,8 @@ pub(crate) fn run_streaming(
             }};
         }
 
-        for _ in 0..shards {
+        apply_report!(worker0.report(None));
+        for _ in 1..shards {
             let r = result_rx.recv().expect("worker panicked while priming");
             debug_assert!(r.epoch.is_none(), "first report is the priming one");
             apply_report!(r);
@@ -982,7 +1015,11 @@ pub(crate) fn run_streaming(
         }
 
         drop(work_txs);
-        let mut finished: Vec<JobRecord> = Vec::new();
+        assert!(
+            worker0.jobs.is_empty(),
+            "a drained run leaves no in-flight jobs"
+        );
+        let mut finished = worker0.finished;
         for handle in handles {
             let (jobs, mut fin) = handle.join().expect("worker thread panicked");
             assert!(jobs.is_empty(), "a drained run leaves no in-flight jobs");

@@ -34,10 +34,27 @@ pub struct TraceRecord {
 impl TraceRecord {
     /// Converts the record into a [`JobSpec`] with the given id.
     pub fn to_spec(&self, id: JobId) -> JobSpec {
-        let affinity = if self.affinity.is_empty() {
+        self.spec_with(id, self.affinity.iter().copied().map(PoolId).collect())
+    }
+
+    /// [`TraceRecord::to_spec`] for an owned record: the affinity buffer
+    /// becomes the spec's pool set in place instead of being copied.
+    pub fn into_spec(mut self, id: JobId) -> JobSpec {
+        // `PoolId` has `u16`'s layout, so the collect reuses the buffer.
+        let pools = std::mem::take(&mut self.affinity)
+            .into_iter()
+            .map(PoolId)
+            .collect();
+        self.spec_with(id, pools)
+    }
+
+    /// The one builder behind both conversions; `pools` is the record's
+    /// affinity, already converted (empty means any pool).
+    fn spec_with(&self, id: JobId, pools: Vec<PoolId>) -> JobSpec {
+        let affinity = if pools.is_empty() {
             PoolAffinity::Any
         } else {
-            PoolAffinity::Subset(self.affinity.iter().copied().map(PoolId).collect())
+            PoolAffinity::Subset(pools)
         };
         let mut spec = JobSpec::new(
             id,
@@ -286,5 +303,19 @@ mod tests {
         assert!(specs[1].affinity.allows(PoolId(3)));
         assert!(!specs[1].affinity.allows(PoolId(0)));
         assert!(specs[0].affinity.allows(PoolId(0)));
+    }
+
+    #[test]
+    fn into_spec_matches_to_spec() {
+        let mut subset = rec(7, 42);
+        subset.affinity = vec![1, 3];
+        let mut task = rec(9, 5);
+        task.priority = 10;
+        task.affinity = vec![2];
+        task.task = Some(4);
+        for (k, r) in [rec(3, 1), subset, task].into_iter().enumerate() {
+            let id = JobId(k as u64 + 11);
+            assert_eq!(r.clone().into_spec(id), r.to_spec(id), "record {k}");
+        }
     }
 }

@@ -124,8 +124,9 @@ echo "==> provenance reconciliation (spans vs telemetry vs counters)"
 cargo test --release -q --test provenance
 
 # Streaming pipeline smoke: a year-window run through the CLI front end
-# on 2 worker shards. The workload is generated shard-locally epoch
-# by epoch (never materialized), so this exercises the full pipeline —
+# on 2 shards (shard 0 runs on the coordinator thread, shard 1 on a
+# worker thread). The workload is generated shard-locally epoch by
+# epoch (never materialized), so this exercises the full pipeline —
 # per-shard generation, coordinator merge, kernel profiler lanes — at
 # the paper's full trace span in under a second. The greps pin the
 # profiler's lane split: coordinator merge vs per-shard generate.
@@ -136,6 +137,15 @@ cargo run --release --bin netbatch -- simulate \
 grep -q '^netbatch;coordinator;merge ' "$tmpdir/stream.folded"
 grep -q '^netbatch;shard0;generate ' "$tmpdir/stream.folded"
 grep -q '^netbatch;shard1;submit ' "$tmpdir/stream.folded"
+# The same run on 1 shard takes the thread-free path: the coordinator
+# runs shard 0 inline and spawns no worker, yet both profiler lanes
+# must still be there.
+echo "==> streaming pipeline smoke (year window, 1 shard, no worker thread)"
+cargo run --release --bin netbatch -- simulate \
+  --stream-workload --pools 8 --horizon year --scale 0.02 --seed 11 \
+  --backend sharded --shards 1 --profile-out "$tmpdir/stream1.folded"
+grep -q '^netbatch;coordinator;merge ' "$tmpdir/stream1.folded"
+grep -q '^netbatch;shard0;generate ' "$tmpdir/stream1.folded"
 echo "==> streaming conformance (golden matrix, materialized parity)"
 cargo test --release -q --test streaming_conformance
 

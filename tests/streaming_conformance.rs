@@ -2,7 +2,7 @@
 //! against its own single-worker run and the materialized serial run):
 //!
 //! * streaming runs are **shard-count independent**: the golden JSONL
-//!   trace is byte-identical across 1/2/4/20/10 000 requested workers
+//!   trace is byte-identical across 1/2/3/4/20/10 000 requested workers
 //!   (capped at the pool count) and across both event-queue backends
 //!   (the streaming canonical order is defined per-pool, so partitioning
 //!   cannot reorder it);
@@ -14,7 +14,8 @@
 //!   the deterministic outputs are identical;
 //! * **run-ahead** is unobservable: an observer-less, unsampled run (whose
 //!   workers drain completion minutes between barrier duties) matches the
-//!   same run with a recorder attached (one barrier per active minute);
+//!   same run with a recorder attached (one barrier per active minute)
+//!   and the 1-shard run;
 //! * a booking due in the minute a submission preempts its job is skipped,
 //!   as a materialized run does;
 //! * a year-long horizon streams in bounded state end to end.
@@ -89,7 +90,9 @@ fn streaming_trace_is_shard_count_independent() {
     );
     assert!(reference.counters.suspensions > 0, "bursts must preempt");
 
-    for shards in [1usize, 2, 4, 20, 10_000] {
+    // 3 shards split the 8 pools 3/3/2: the inline shard 0 owns more
+    // pools than spawned shard 2.
+    for shards in [1usize, 2, 3, 4, 20, 10_000] {
         for reference_queue in [false, true] {
             let mut config = base_config(Backend::Sharded { shards }).with_sampling();
             config.seed = p.seed;
@@ -187,7 +190,8 @@ fn pipelining_is_unobservable() {
 /// ticks) without a round trip; unsampled, that is the path perfbench
 /// measures. Attaching a recorder forces a barrier every active minute,
 /// so equal counters (events included), end time, pool stats and series
-/// prove run-ahead unobservable.
+/// prove run-ahead unobservable. Every cell also equals the 1-shard
+/// barriered run, job records included.
 #[test]
 fn run_ahead_matches_per_minute_barriers() {
     let p = params();
@@ -208,7 +212,11 @@ fn run_ahead_matches_per_minute_barriers() {
             }
             sim.run_streaming(&workload, p.seed)
         };
-    for shards in [1usize, 2, 4] {
+    // Per sampling mode, the 1-shard barriered run every cell must equal.
+    let reference = [false, true].map(|sampled| run(1, false, false, sampled, true));
+    // 3 shards split the 8 pools 3/3/2: the inline shard 0 owns more
+    // pools than spawned shard 2.
+    for shards in [1usize, 2, 3, 4] {
         for reference_queue in [false, true] {
             for pipeline in [false, true] {
                 for sampled in [false, true] {
@@ -221,21 +229,10 @@ fn run_ahead_matches_per_minute_barriers() {
                         barriered.counters.suspensions > 0,
                         "{label}: bursts must preempt"
                     );
-                    assert_eq!(barriered.counters, fast.counters, "{label}: counters");
-                    assert_eq!(barriered.end_time, fast.end_time, "{label}: end time");
-                    assert_eq!(barriered.pool_stats, fast.pool_stats, "{label}: pools");
-                    assert_eq!(
-                        barriered.utilization_series, fast.utilization_series,
-                        "{label}: utilization series"
-                    );
-                    assert_eq!(
-                        barriered.suspended_series, fast.suspended_series,
-                        "{label}: suspended series"
-                    );
-                    assert_eq!(
-                        barriered.waiting_series, fast.waiting_series,
-                        "{label}: waiting series"
-                    );
+                    assert_same_outcome(&barriered, &fast, &label);
+                    let one_shard = &reference[usize::from(sampled)];
+                    assert_same_outcome(one_shard, &barriered, &format!("{label} vs 1 shard"));
+                    assert_eq!(one_shard.jobs, barriered.jobs, "{label}: job records");
                     assert!(
                         fast.jobs.is_empty(),
                         "{label}: observer-less runs drop records"
@@ -244,6 +241,26 @@ fn run_ahead_matches_per_minute_barriers() {
             }
         }
     }
+}
+
+/// Asserts two runs' counters (events included), end time, pool stats
+/// and sampled series are equal.
+fn assert_same_outcome(a: &SimOutput, b: &SimOutput, label: &str) {
+    assert_eq!(a.counters, b.counters, "{label}: counters");
+    assert_eq!(a.end_time, b.end_time, "{label}: end time");
+    assert_eq!(a.pool_stats, b.pool_stats, "{label}: pools");
+    assert_eq!(
+        a.utilization_series, b.utilization_series,
+        "{label}: utilization series"
+    );
+    assert_eq!(
+        a.suspended_series, b.suspended_series,
+        "{label}: suspended series"
+    );
+    assert_eq!(
+        a.waiting_series, b.waiting_series,
+        "{label}: waiting series"
+    );
 }
 
 /// Arrivals at fixed minutes, for hand-built collisions.
