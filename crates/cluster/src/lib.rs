@@ -41,6 +41,7 @@ pub mod machine;
 pub mod pool;
 pub mod priority;
 pub mod snapshot;
+mod wait_queue;
 
 pub use ids::{JobId, MachineId, PoolId, TaskId};
 pub use index::{AvailabilityIndex, MinMultiset};

@@ -15,7 +15,6 @@
 //! [`PhysicalPool::reference_first_fit`], in debug builds and property
 //! tests), one max-tree descent instead of O(machines) per dispatch.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use netbatch_sim_engine::hash::IntMap;
@@ -26,6 +25,7 @@ use crate::index::{AvailabilityIndex, MinMultiset};
 use crate::job::{JobSpec, Resources};
 use crate::machine::{Machine, MachineConfig};
 use crate::priority::Priority;
+use crate::wait_queue::WaitQueue;
 
 /// Static description of a pool.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -162,16 +162,12 @@ pub struct PoolStats {
     pub peak_suspended: usize,
 }
 
-/// Queue key: higher priority first, FIFO within a priority.
-type QueueKey = (std::cmp::Reverse<u8>, u64);
-
 /// A physical pool: machines plus a priority wait queue.
 pub struct PhysicalPool {
     id: PoolId,
     machines: Vec<Machine>,
-    queue: BTreeMap<QueueKey, WaitEntry>,
-    queue_index: IntMap<JobId, QueueKey>,
-    queue_seq: u64,
+    /// Waiting jobs: higher priority first, FIFO within a priority.
+    queue: WaitQueue,
     running_on: IntMap<JobId, MachineId>,
     suspended_on: IntMap<JobId, MachineId>,
     total_cores: u32,
@@ -241,9 +237,7 @@ impl PhysicalPool {
         PhysicalPool {
             id: config.id,
             machines,
-            queue: BTreeMap::new(),
-            queue_index: IntMap::default(),
-            queue_seq: 0,
+            queue: WaitQueue::default(),
             running_on: IntMap::default(),
             suspended_on: IntMap::default(),
             total_cores,
@@ -366,8 +360,7 @@ impl PhysicalPool {
 
     /// Since when a job has been waiting in this pool's queue, if it is.
     pub fn waiting_since(&self, job: JobId) -> Option<SimTime> {
-        let key = self.queue_index.get(&job)?;
-        self.queue.get(key).map(|e| e.enqueued_at)
+        self.queue.get(job).map(|e| e.enqueued_at)
     }
 
     /// The machine a job is suspended on, if it is suspended here.
@@ -382,7 +375,7 @@ impl PhysicalPool {
 
     /// Iterates the wait queue in dispatch order (priority desc, FIFO).
     pub fn waiting_jobs(&self) -> impl Iterator<Item = &WaitEntry> {
-        self.queue.values()
+        self.queue.iter()
     }
 
     /// True if any machine could ever run the footprint (the pool-level
@@ -573,19 +566,13 @@ impl PhysicalPool {
     }
 
     fn enqueue(&mut self, now: SimTime, spec: &JobSpec) {
-        let key = (std::cmp::Reverse(spec.priority.level()), self.queue_seq);
-        self.queue_seq += 1;
-        self.queue.insert(
-            key,
-            WaitEntry {
-                job: spec.id,
-                resources: spec.resources,
-                priority: spec.priority,
-                runtime: spec.runtime,
-                enqueued_at: now,
-            },
-        );
-        self.queue_index.insert(spec.id, key);
+        self.queue.push(WaitEntry {
+            job: spec.id,
+            resources: spec.resources,
+            priority: spec.priority,
+            runtime: spec.runtime,
+            enqueued_at: now,
+        });
         self.queue_cores.insert(spec.resources.cores);
         self.queue_mem.insert(spec.resources.memory_mb);
         self.stats.enqueues += 1;
@@ -629,13 +616,10 @@ impl PhysicalPool {
     /// Returns the entry, or `None` if the job is not waiting here.
     pub fn remove_waiting(&mut self, job: JobId) -> Option<WaitEntry> {
         self.generation += 1;
-        let key = self.queue_index.remove(&job)?;
-        let entry = self.queue.remove(&key);
-        if let Some(e) = &entry {
-            self.queue_cores.remove(e.resources.cores);
-            self.queue_mem.remove(e.resources.memory_mb);
-        }
-        entry
+        let entry = self.queue.remove(job)?;
+        self.queue_cores.remove(entry.resources.cores);
+        self.queue_mem.remove(entry.resources.memory_mb);
+        Some(entry)
     }
 
     /// Removes a suspended job from its machine (a suspend-rescheduling
@@ -712,22 +696,14 @@ impl PhysicalPool {
                     .is_some_and(|m| m <= machine.memory_free());
             if !can_fit_something {
                 debug_assert!(
-                    !self
-                        .queue
-                        .values()
-                        .any(|e| self.machines[idx].can_run_now(e.resources)),
+                    !self.queue.iter().any(|e| machine.can_run_now(e.resources)),
                     "min-footprint cutoff skipped a dispatchable entry"
                 );
                 break;
             }
-            let candidate = self
-                .queue
-                .iter()
-                .find(|(_, e)| self.machines[idx].can_run_now(e.resources))
-                .map(|(k, _)| *k);
-            let Some(key) = candidate else { break };
-            let entry = self.queue.remove(&key).expect("key just found");
-            self.queue_index.remove(&entry.job);
+            let Some(entry) = self.queue.take_first(|e| machine.can_run_now(e.resources)) else {
+                break;
+            };
             self.queue_cores.remove(entry.resources.cores);
             self.queue_mem.remove(entry.resources.memory_mb);
             let wall = self.machines[idx].config().scaled_wall(entry.runtime);
@@ -911,7 +887,8 @@ impl PhysicalPool {
     }
 
     /// Pool-level invariant check used by tests: index maps agree with
-    /// machine residency, capacity counters are consistent, and the
+    /// machine residency, capacity counters are consistent, the wait
+    /// queue's lanes are in level order with consistent links, and the
     /// incremental availability index and min-summaries match a rebuild
     /// from scratch.
     pub fn check_invariants(&self) -> bool {
@@ -928,8 +905,8 @@ impl PhysicalPool {
                     .min();
         let queue_summary_ok = self.queue_cores.len() == self.queue.len()
             && self.queue_mem.len() == self.queue.len()
-            && self.queue_cores.min() == self.queue.values().map(|e| e.resources.cores).min()
-            && self.queue_mem.min() == self.queue.values().map(|e| e.resources.memory_mb).min();
+            && self.queue_cores.min() == self.queue.iter().map(|e| e.resources.cores).min()
+            && self.queue_mem.min() == self.queue.iter().map(|e| e.resources.memory_mb).min();
         let down = self.machines.iter().filter(|m| m.is_down()).count();
         let draining = self.machines.iter().filter(|m| m.is_draining()).count();
         let eff: u64 = self
@@ -941,7 +918,7 @@ impl PhysicalPool {
         machines_ok
             && running == self.running_on.len()
             && suspended == self.suspended_on.len()
-            && self.queue.len() == self.queue_index.len()
+            && self.queue.check_consistency()
             && busy == self.busy_cores
             && down == self.down_machines
             && draining == self.draining_machines

@@ -540,6 +540,11 @@ pub struct Simulator {
     view_at: Option<SimTime>,
     // Reusable hot-path buffers (see `Scratch`).
     scratch: Scratch,
+    // The serial run's submission stream: job indices stably sorted by
+    // submit time, and a cursor into them. The executor merges it with
+    // its queue (`Handler::peek_arrival`), so submissions are never queued.
+    arrivals: Vec<u32>,
+    next_arrival: usize,
     // Progress.
     pub(crate) total_jobs: u64,
     pub(crate) counters: RunCounters,
@@ -570,7 +575,7 @@ pub struct Simulator {
     // Sampling cadence (mirrors `config.sample_interval`).
     sampler: Option<PeriodicSampler>,
     // The merged, normalized fault schedule (injected failures + generated
-    // outages + lifecycle kills), stored at seeding time so fault audits
+    // outages + lifecycle kills), stored at run start so fault audits
     // can name the outage id behind each `MachineDown`.
     fault_plan: FaultPlan,
     // Kernel self-profiler (`config.profile`); `None` costs one branch per
@@ -688,6 +693,8 @@ impl Simulator {
             view_snap: ClusterSnapshot::default(),
             view_at: None,
             scratch: Scratch::default(),
+            arrivals: Vec::new(),
+            next_arrival: 0,
             total_jobs,
             counters: RunCounters::default(),
             suspended_series: TimeSeries::new(),
@@ -746,12 +753,22 @@ impl Simulator {
     /// Runs the whole trace on the serial executor until every job
     /// completes (the paper's run discipline). Returns the run counters.
     pub fn run_to_completion(mut self) -> SimOutput {
-        // Pre-size the queue for the submit wave; the reference-heap
-        // backend exists for end-to-end differential tests only.
+        // Submissions arrive from the jobs themselves, in submit-time
+        // order; the stable sort keeps job-index order within a minute.
+        let n = u32::try_from(self.jobs.len()).expect("fewer than 2^32 jobs");
+        let mut arrivals: Vec<u32> = (0..n).collect();
+        arrivals.sort_by_key(|&j| self.jobs[j as usize].spec().submit_time);
+        self.arrivals = arrivals;
+        self.fault_plan = self.build_fault_plan();
+        // Pre-size the queue for what it holds at once: a completion per
+        // busy core at most, plus the seeded plan events. The
+        // reference-heap backend exists for differential tests only.
         let mut executor = if self.config.use_reference_queue {
             Executor::with_queue(EventQueue::with_reference_heap())
         } else {
-            Executor::with_capacity(self.jobs.len() * 2 + 64)
+            let cores: usize = self.pools.iter().map(|p| p.nominal_cores() as usize).sum();
+            let plan = self.fault_plan.outages().len() + self.lifecycle_plan.windows().len();
+            Executor::with_capacity(cores + 2 * plan + 64)
         };
         self.seed_initial_events(&mut executor);
         let stats = executor.run(&mut self);
@@ -792,17 +809,9 @@ impl Simulator {
         crate::streaming::run_streaming(self, workload, seed, shards)
     }
 
-    /// Seeds the run's initial events — job submissions, the first sample
-    /// tick, the fault schedule — in canonical order (event ids are
-    /// assigned sequentially, so seeding order is part of the determinism
-    /// contract).
-    fn seed_initial_events(&mut self, executor: &mut Executor<Ev>) {
-        for job in &self.jobs {
-            executor.seed_event(job.spec().submit_time, Ev::Submit(job.id()));
-        }
-        if let Some(sampler) = self.sampler.as_mut() {
-            executor.seed_event(sampler.next_tick(), Ev::Sample);
-        }
+    /// The run's merged fault schedule: the ad-hoc failure list, the
+    /// generated outages and the lifecycle kills, normalized into one plan.
+    fn build_fault_plan(&self) -> FaultPlan {
         // Validate the ad-hoc failure list and merge it with the generated
         // schedule: per-machine intervals are non-overlapping afterwards,
         // so no up-event can resurrect a machine inside a later outage.
@@ -823,15 +832,27 @@ impl Simulator {
         if !self.lifecycle_plan.is_empty() {
             plan = plan.merge(FaultPlan::new(self.lifecycle_plan.kill_outages()));
         }
-        for o in plan.outages() {
+        plan
+    }
+
+    /// Seeds the run's initial events — the first sample tick, the fault
+    /// schedule (`self.fault_plan`, whose outage ids fault audits cite),
+    /// the drain windows — in canonical order (event ids are assigned
+    /// sequentially, so seeding order is part of the determinism
+    /// contract). Job submissions are not seeded: they stream in through
+    /// `Handler::pop_arrival`, and an arrival goes before any queued event
+    /// at its minute — the order submissions seeded ahead of every other
+    /// event would get (DESIGN.md §11).
+    fn seed_initial_events(&mut self, executor: &mut Executor<Ev>) {
+        if let Some(sampler) = self.sampler.as_mut() {
+            executor.seed_event(sampler.next_tick(), Ev::Sample);
+        }
+        for o in self.fault_plan.outages() {
             executor.seed_event(o.from, Ev::MachineDown(o.pool, o.machine));
             if let Some(until) = o.until {
                 executor.seed_event(until, Ev::MachineUp(o.pool, o.machine));
             }
         }
-        // Keep the merged plan: outage ids in fault audits are indices
-        // into exactly this normalized schedule.
-        self.fault_plan = plan;
         // Drain windows seed after the outage pairs, so at a shared
         // instant the machine is restored (still draining, no dispatch)
         // before the drain ends and re-opens it.
@@ -2062,6 +2083,17 @@ impl Handler for Simulator {
         }
         Control::Continue
     }
+
+    fn peek_arrival(&self) -> Option<SimTime> {
+        let &job = self.arrivals.get(self.next_arrival)?;
+        Some(self.jobs[job as usize].spec().submit_time)
+    }
+
+    fn pop_arrival(&mut self) -> Option<Ev> {
+        let &job = self.arrivals.get(self.next_arrival)?;
+        self.next_arrival += 1;
+        Some(Ev::Submit(JobId(u64::from(job))))
+    }
 }
 
 /// Everything a finished run produces.
@@ -2694,6 +2726,63 @@ mod tests {
         );
         assert_eq!(count("restart_from_wait"), out.counters.restarts_from_wait);
         assert_eq!(count("submit"), 60);
+    }
+
+    #[test]
+    fn submissions_arrive_in_time_then_job_index_order() {
+        use crate::observer::TraceRecorder;
+        // Submit times out of index order, with ties at minutes 5 and 30;
+        // job 3 (submitted at 0) completes at minute 5, tying the
+        // submissions there.
+        let times = [30, 5, 30, 0, 5, 30, 12, 5];
+        let jobs: Vec<JobSpec> = times
+            .iter()
+            .enumerate()
+            .map(|(i, &t)| spec(i as u64, t, 5))
+            .collect();
+        for use_reference_queue in [false, true] {
+            let mut cfg = SimConfig::new(InitialKind::RoundRobin, StrategyKind::NoRes);
+            cfg.check_invariants = true;
+            cfg.use_reference_queue = use_reference_queue;
+            let mut sim = Simulator::new(&tiny_site(2, 2, 2), jobs.clone(), cfg);
+            sim.attach_observer(Box::new(TraceRecorder::in_memory()));
+            let out = sim.run_to_completion();
+            let lines = out.observer::<TraceRecorder>().unwrap().lines();
+            let field = |line: &str, key: &str| -> u64 {
+                let rest = &line[line.find(key).expect("field present") + key.len()..];
+                rest[..rest.find([',', '}']).unwrap()].parse().unwrap()
+            };
+            let submits: Vec<(u64, u64)> = lines
+                .lines()
+                .filter(|l| l.contains(r#""ev":"submit""#))
+                .map(|l| (field(l, r#""t":"#), field(l, r#""job":"#)))
+                .collect();
+            assert_eq!(
+                submits,
+                vec![
+                    (0, 3),
+                    (5, 1),
+                    (5, 4),
+                    (5, 7),
+                    (12, 6),
+                    (30, 0),
+                    (30, 2),
+                    (30, 5)
+                ]
+            );
+            // At minute 5 every submission goes before job 3's completion.
+            let at_five: Vec<&str> = lines
+                .lines()
+                .filter(|l| l.starts_with(r#"{"t":5,"#))
+                .filter(|l| l.contains(r#""ev":"submit""#) || l.contains(r#""ev":"complete""#))
+                .collect();
+            assert_eq!(at_five.len(), 4, "{at_five:?}");
+            assert!(
+                at_five[3].contains(r#""ev":"complete","job":3"#),
+                "{at_five:?}"
+            );
+            assert_eq!(out.counters.completed, times.len() as u64);
+        }
     }
 
     #[test]

@@ -24,6 +24,15 @@ pub enum Control {
 ///
 /// Implementations receive each event together with a [`Scheduler`] through
 /// which they may schedule or cancel future events.
+///
+/// Besides the queue, a handler may offer a stream of *arrivals*: events
+/// it already holds in time order (a workload sorted by submit time), so
+/// they need no ordered structure of their own. [`Executor::run`] merges
+/// the stream with the queue through [`Handler::peek_arrival`] and
+/// [`Handler::pop_arrival`]. On a tie at one minute the arrival goes
+/// first, which is the order the same arrivals would get had they all
+/// been seeded into the queue before anything else. The default offers
+/// none.
 pub trait Handler {
     /// The event alphabet of this simulation.
     type Event;
@@ -35,6 +44,19 @@ pub trait Handler {
         event: Self::Event,
         sched: &mut Scheduler<'_, Self::Event>,
     ) -> Control;
+
+    /// The instant of the next arrival, if any remain. Successive
+    /// arrivals must come in non-decreasing time order, and never before
+    /// the executor's current time.
+    fn peek_arrival(&self) -> Option<SimTime> {
+        None
+    }
+
+    /// Takes the arrival [`Handler::peek_arrival`] announced. The executor
+    /// calls it only right after that returned `Some`.
+    fn pop_arrival(&mut self) -> Option<Self::Event> {
+        None
+    }
 }
 
 /// The event-scheduling capability handed to handlers.
@@ -87,7 +109,8 @@ impl<'a, E> Scheduler<'a, E> {
         self.queue.cancel(id)
     }
 
-    /// Number of events currently pending.
+    /// Number of events currently queued. Arrivals the handler has yet
+    /// to offer (see [`Handler::peek_arrival`]) are not counted.
     pub fn pending(&self) -> usize {
         self.queue.len()
     }
@@ -96,7 +119,8 @@ impl<'a, E> Scheduler<'a, E> {
 /// Why an [`Executor::run`] call returned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RunOutcome {
-    /// The event queue drained completely.
+    /// The event queue drained completely and the handler has no
+    /// arrivals left.
     Drained,
     /// The handler returned [`Control::Stop`].
     Stopped,
@@ -111,7 +135,7 @@ pub enum RunOutcome {
 pub struct RunStats {
     /// Why the run ended.
     pub outcome: RunOutcome,
-    /// Number of events delivered to the handler.
+    /// Number of events delivered to the handler, arrivals included.
     pub events_processed: u64,
     /// Virtual time when the run ended.
     pub end_time: SimTime,
@@ -165,9 +189,10 @@ impl<E> Executor<E> {
         }
     }
 
-    /// Creates an executor whose queue (and its auxiliary id sets) is
-    /// pre-sized for `capacity` pending events, so a simulation that seeds
-    /// its whole workload up front performs no queue growth in the loop.
+    /// Creates an executor whose queue is pre-sized for `capacity` stored
+    /// events. Size it for what the run keeps queued at once (in-flight
+    /// timers plus seeded events), not for the arrivals a handler streams
+    /// in through [`Handler::pop_arrival`]: those never enter the queue.
     pub fn with_capacity(capacity: usize) -> Self {
         Executor {
             queue: EventQueue::with_capacity(capacity),
@@ -192,8 +217,8 @@ impl<E> Executor<E> {
         self
     }
 
-    /// Sets a maximum number of events to deliver across all `run` calls —
-    /// a backstop against accidental event storms.
+    /// Sets a maximum number of events (arrivals included) to deliver
+    /// across all `run` calls — a backstop against accidental event storms.
     pub fn with_step_budget(mut self, budget: u64) -> Self {
         self.step_budget = budget;
         self
@@ -219,22 +244,37 @@ impl<E> Executor<E> {
         self.queue.schedule(at, event)
     }
 
-    /// Runs the event loop until the queue drains, the handler stops it, or
-    /// a limit is hit.
+    /// Runs the event loop until the queue and the handler's arrivals are
+    /// both drained, the handler stops it, or a limit is hit.
+    ///
+    /// Each step delivers the handler's next arrival when its minute is at
+    /// or before the queue's next event, and pops the queue otherwise.
+    /// Arrivals count as events: toward [`RunStats::events_processed`],
+    /// the step budget and the horizon alike.
     pub fn run<H: Handler<Event = E>>(&mut self, handler: &mut H) -> RunStats {
         loop {
             if self.events_processed >= self.step_budget {
                 return self.stats(RunOutcome::StepBudgetExhausted);
             }
-            let Some(next_time) = self.queue.peek_time() else {
-                return self.stats(RunOutcome::Drained);
+            let arrival = handler.peek_arrival();
+            let queued = self.queue.peek_time();
+            let (next_time, is_arrival) = match (arrival, queued) {
+                (Some(a), Some(q)) if a <= q => (a, true),
+                (Some(a), None) => (a, true),
+                (_, Some(q)) => (q, false),
+                (None, None) => return self.stats(RunOutcome::Drained),
             };
             if next_time > self.horizon {
                 self.now = self.horizon;
                 return self.stats(RunOutcome::HorizonReached);
             }
-            let (time, event) = self.queue.pop().expect("peeked event exists");
-            debug_assert!(time >= self.now, "event queue delivered out of order");
+            let (time, event) = if is_arrival {
+                let event = handler.pop_arrival().expect("peeked arrival exists");
+                (next_time, event)
+            } else {
+                self.queue.pop().expect("peeked event exists")
+            };
+            debug_assert!(time >= self.now, "events delivered out of order");
             self.now = time;
             self.events_processed += 1;
             let mut sched = Scheduler {
@@ -438,7 +478,96 @@ mod tests {
             }
         }
 
+        /// Records deliveries and reacts to each one as a function of its
+        /// payload alone, so two runs that deliver the same sequence make
+        /// the same scheduling and cancelling decisions: a payload divisible
+        /// by 3 schedules a follow-up `payload % 7` minutes later (0 is the
+        /// same minute), and one divisible by 5 cancels the latest
+        /// follow-up still on record.
+        struct Mixed {
+            arrivals: std::collections::VecDeque<(u64, u32)>,
+            seen: Vec<(u64, u32)>,
+            scheduled: Vec<EventId>,
+            next_follow_up: u32,
+        }
+
+        impl Mixed {
+            fn new(arrivals: Vec<(u64, u32)>) -> Self {
+                Mixed {
+                    arrivals: arrivals.into(),
+                    seen: Vec::new(),
+                    scheduled: Vec::new(),
+                    next_follow_up: 100_000,
+                }
+            }
+        }
+
+        impl Handler for Mixed {
+            type Event = u32;
+
+            fn handle(&mut self, now: SimTime, e: u32, s: &mut Scheduler<'_, u32>) -> Control {
+                self.seen.push((now.as_minutes(), e));
+                if e.is_multiple_of(3) && self.next_follow_up < 100_400 {
+                    let delay = SimDuration::from_minutes(u64::from(e % 7));
+                    self.scheduled
+                        .push(s.schedule_in(delay, self.next_follow_up));
+                    self.next_follow_up += 1;
+                }
+                if e.is_multiple_of(5) {
+                    if let Some(id) = self.scheduled.pop() {
+                        s.cancel(id);
+                    }
+                }
+                Control::Continue
+            }
+
+            fn peek_arrival(&self) -> Option<SimTime> {
+                self.arrivals
+                    .front()
+                    .map(|&(t, _)| SimTime::from_minutes(t))
+            }
+
+            fn pop_arrival(&mut self) -> Option<u32> {
+                self.arrivals.pop_front().map(|(_, e)| e)
+            }
+        }
+
         proptest! {
+            /// Arrivals merged into a run — on the wheel and on the heap —
+            /// are delivered exactly as if they had all been seeded first
+            /// into the reference heap: same (time, payload) sequence,
+            /// with seeded, run-scheduled and cancelled events around them.
+            #[test]
+            fn prop_arrival_merge_matches_seeding_arrivals_first(
+                mut arrival_times in proptest::collection::vec(0u64..300, 0..80),
+                seeded in proptest::collection::vec(0u64..300, 0..80),
+            ) {
+                arrival_times.sort_unstable();
+                let arrivals: Vec<(u64, u32)> =
+                    arrival_times.iter().enumerate().map(|(i, &t)| (t, i as u32)).collect();
+                let seed = |ex: &mut Executor<u32>| {
+                    for (i, &t) in seeded.iter().enumerate() {
+                        ex.seed_event(SimTime::from_minutes(t), 1_000 + i as u32);
+                    }
+                };
+                // Reference: arrivals seeded first, then everything else.
+                let mut reference = Executor::with_queue(EventQueue::with_reference_heap());
+                for &(t, e) in &arrivals {
+                    reference.seed_event(SimTime::from_minutes(t), e);
+                }
+                seed(&mut reference);
+                let mut want = Mixed::new(Vec::new());
+                let want_stats = reference.run(&mut want);
+                for queue in [EventQueue::new(), EventQueue::with_reference_heap()] {
+                    let mut ex = Executor::with_queue(queue);
+                    seed(&mut ex);
+                    let mut got = Mixed::new(arrivals.clone());
+                    let stats = ex.run(&mut got);
+                    prop_assert_eq!(&got.seen, &want.seen);
+                    prop_assert_eq!(stats, want_stats);
+                }
+            }
+
             /// Arbitrary seeded schedules are delivered in non-decreasing
             /// time order with FIFO ties, exactly once each.
             #[test]
@@ -481,6 +610,107 @@ mod tests {
                 prop_assert_eq!(h.seen.len(), expected);
             }
         }
+    }
+
+    /// A handler that offers a pre-sorted arrival stream and records
+    /// every delivery; an arrival at minute 0 schedules `chain_at`.
+    struct Stream {
+        arrivals: std::collections::VecDeque<(u64, u32)>,
+        seen: Vec<(u64, u32)>,
+        chain_at: Option<u64>,
+    }
+
+    impl Stream {
+        fn new(arrivals: &[(u64, u32)]) -> Self {
+            Stream {
+                arrivals: arrivals.iter().copied().collect(),
+                seen: Vec::new(),
+                chain_at: None,
+            }
+        }
+    }
+
+    impl Handler for Stream {
+        type Event = u32;
+
+        fn handle(&mut self, now: SimTime, e: u32, s: &mut Scheduler<'_, u32>) -> Control {
+            self.seen.push((now.as_minutes(), e));
+            if let Some(at) = self.chain_at.take() {
+                s.schedule_at(SimTime::from_minutes(at), 200);
+            }
+            Control::Continue
+        }
+
+        fn peek_arrival(&self) -> Option<SimTime> {
+            self.arrivals
+                .front()
+                .map(|&(t, _)| SimTime::from_minutes(t))
+        }
+
+        fn pop_arrival(&mut self) -> Option<u32> {
+            self.arrivals.pop_front().map(|(_, e)| e)
+        }
+    }
+
+    #[test]
+    fn an_arrival_goes_before_seeded_and_scheduled_events_at_its_minute() {
+        let mut ex = Executor::new();
+        ex.seed_event(SimTime::from_minutes(5), 100);
+        let mut h = Stream::new(&[(0, 1), (5, 2), (5, 3), (7, 4)]);
+        h.chain_at = Some(5);
+        let stats = ex.run(&mut h);
+        assert_eq!(stats.outcome, RunOutcome::Drained);
+        assert_eq!(stats.events_processed, 6);
+        assert_eq!(
+            h.seen,
+            vec![(0, 1), (5, 2), (5, 3), (5, 100), (5, 200), (7, 4)]
+        );
+    }
+
+    #[test]
+    fn arrivals_consume_the_step_budget() {
+        let mut ex = Executor::new().with_step_budget(2);
+        ex.seed_event(SimTime::from_minutes(9), 100);
+        let mut h = Stream::new(&[(1, 1), (2, 2), (3, 3)]);
+        let stats = ex.run(&mut h);
+        assert_eq!(stats.outcome, RunOutcome::StepBudgetExhausted);
+        assert_eq!(stats.events_processed, 2);
+        assert_eq!(h.seen, vec![(1, 1), (2, 2)]);
+    }
+
+    #[test]
+    fn an_arrival_past_the_horizon_is_not_delivered() {
+        let mut ex = Executor::new().with_horizon(SimTime::from_minutes(10));
+        ex.seed_event(SimTime::from_minutes(4), 100);
+        let mut h = Stream::new(&[(10, 1), (11, 2)]);
+        let stats = ex.run(&mut h);
+        assert_eq!(stats.outcome, RunOutcome::HorizonReached);
+        assert_eq!(stats.end_time, SimTime::from_minutes(10));
+        assert_eq!(h.seen, vec![(4, 100), (10, 1)]);
+        assert_eq!(h.peek_arrival(), Some(SimTime::from_minutes(11)));
+    }
+
+    #[test]
+    fn drained_needs_both_sources_empty() {
+        // The queue empties first: the run goes on with the arrivals.
+        let mut ex = Executor::new();
+        ex.seed_event(SimTime::from_minutes(1), 100);
+        let mut h = Stream::new(&[(50, 1), (60, 2)]);
+        let stats = ex.run(&mut h);
+        assert_eq!(stats.outcome, RunOutcome::Drained);
+        assert_eq!(stats.end_time, SimTime::from_minutes(60));
+        assert_eq!(h.seen, vec![(1, 100), (50, 1), (60, 2)]);
+        // Arrivals alone, nothing ever queued.
+        let mut ex = Executor::new();
+        let mut h = Stream::new(&[(3, 1)]);
+        assert_eq!(ex.run(&mut h).outcome, RunOutcome::Drained);
+        assert_eq!(h.seen, vec![(3, 1)]);
+        // The arrivals run out first: the queue still drains.
+        let mut ex = Executor::new();
+        ex.seed_event(SimTime::from_minutes(8), 100);
+        let mut h = Stream::new(&[(2, 1)]);
+        assert_eq!(ex.run(&mut h).outcome, RunOutcome::Drained);
+        assert_eq!(h.seen, vec![(2, 1), (8, 100)]);
     }
 
     #[test]

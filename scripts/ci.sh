@@ -19,6 +19,13 @@ cargo build --release --workspace --examples
 echo "==> cargo test (workspace)"
 cargo test --workspace -q
 
+# Deeper differential pass over the kernel's oracles: the timer wheel vs
+# the reference heap, the executor's arrival merge vs seeding arrivals
+# into the heap, and the pools' lane wait queue vs an ordered map — 16x
+# the default 64 proptest cases, about a second in release.
+echo "==> differential proptests, 1024 cases (engine, cluster)"
+PROPTEST_CASES=1024 cargo test --release -q -p netbatch-sim-engine -p netbatch-cluster
+
 # Proptest persistence discipline: a shrunk failure worth keeping gets
 # promoted to an explicit named regression test (see
 # regression_single_machine_filling_job_completes), never committed as
