@@ -515,7 +515,7 @@ const DEEP_SWEEP_EVERY: u64 = 1024;
 /// from the event stream, and compares it against the pools' internal
 /// accounting at every kernel boundary (pool state is fully settled
 /// there). A mismatch means the simulator's incremental accounting and its
-/// event stream disagree; the checker panics with the last [`HISTORY`]
+/// event stream disagree; the checker panics with the last `HISTORY`
 /// events so the failure is replayable.
 ///
 /// Checked invariants:

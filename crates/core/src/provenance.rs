@@ -828,26 +828,6 @@ impl KernelProfile {
         cell.1 += items;
     }
 
-    /// Total attributed wall time, in nanoseconds.
-    pub fn total_nanos(&self) -> u64 {
-        let coord: u64 = self.coordinator.iter().map(|c| c.0).sum();
-        let phases: u64 = self.coord_phases.iter().map(|c| c.0).sum();
-        let shard: u64 = self.shards.iter().flatten().map(|c| c.0).sum();
-        coord + phases + shard
-    }
-
-    /// Wall time attributed to the coordinator's serial sections
-    /// (per-event handling plus the barrier merges), in nanoseconds.
-    pub fn coordinator_nanos(&self) -> u64 {
-        self.coordinator.iter().map(|c| c.0).sum::<u64>()
-            + self.coord_phases.iter().map(|c| c.0).sum::<u64>()
-    }
-
-    /// Wall time attributed to worker (shard) lanes, in nanoseconds.
-    pub fn worker_nanos(&self) -> u64 {
-        self.shards.iter().flatten().map(|c| c.0).sum()
-    }
-
     /// Number of execution lanes: 1 (serial or coordinator) plus one per
     /// shard.
     pub fn lane_count(&self) -> usize {

@@ -39,6 +39,10 @@ use crate::provenance::KernelProfile;
 
 /// Simulator configuration: the experiment's policy axes plus extension
 /// knobs (all defaults match the paper's setup).
+///
+/// Epoch pipelining on the streaming kernel
+/// ([`Simulator::run_streaming`]) has no knob here: it is on exactly when
+/// no observer is attached, the one condition under which it is sound.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimConfig {
     /// Virtual-pool-manager scheduler.
@@ -124,14 +128,6 @@ pub struct SimConfig {
     /// flamegraphs. Wall-clock readings are nondeterministic and never
     /// enter deterministic outputs. Off by default (one branch per event).
     pub profile: bool,
-    /// Epoch pipelining on the streaming backend: with no observers
-    /// attached, the coordinator keeps up to two epochs in flight
-    /// (merging epoch N while workers execute N+1) whenever the next
-    /// known minute directly succeeds the last dispatched one. On by
-    /// default; the switch exists so the conformance suite can assert
-    /// pipelined and unpipelined runs are byte-identical. Ignored by the
-    /// serial executor.
-    pub stream_pipeline: bool,
     /// Run on the reference binary-heap event queue instead of the
     /// hierarchical timer wheel. The two backends are contractually
     /// identical (differentially tested); this knob exists so end-to-end
@@ -286,7 +282,6 @@ impl Default for SimConfig {
             telemetry: false,
             spans: false,
             profile: false,
-            stream_pipeline: true,
             use_reference_queue: false,
             backend: Backend::Serial,
         }
@@ -313,19 +308,6 @@ impl SimConfig {
     /// the run.
     pub fn with_telemetry(mut self) -> Self {
         self.telemetry = true;
-        self
-    }
-
-    /// Attaches a [`SpanRecorder`](crate::provenance::SpanRecorder)
-    /// provenance observer to the run.
-    pub fn with_spans(mut self) -> Self {
-        self.spans = true;
-        self
-    }
-
-    /// Enables the kernel self-profiler for the run.
-    pub fn with_profile(mut self) -> Self {
-        self.profile = true;
         self
     }
 }

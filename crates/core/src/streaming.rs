@@ -66,10 +66,12 @@
 //!
 //! Observer runs keep one barrier per active minute (bound `e+1`):
 //! replay and [`Observer::on_settle`](crate::observer::Observer::on_settle)
-//! read the pools at barrier time. Without observers the coordinator may
-//! also keep two dispatches in flight: the next one goes out early when
-//! its minute is the current bound (it is then the next minute whatever
-//! the pending reports say) and no sample tick lands at or before it.
+//! read the pools at barrier time. Every observer-less run pipelines;
+//! there is no switch, because having no observer attached is the one
+//! condition under which pipelining is sound. The coordinator then keeps
+//! up to two dispatches in flight: the next one goes out early when its
+//! minute is the current bound (it is then the next minute whatever the
+//! pending reports say) and no sample tick lands at or before it.
 //! The two-minute lookahead makes that sound: consuming a minute refills
 //! the buffer in the same epoch, so a pool's next submission minute is
 //! known one dispatch early.
@@ -88,7 +90,7 @@
 //! after that lane's batch, behind the earlier ones, again as a per-pool
 //! queue would. Since the order is per pool, it is *shard-count
 //! independent*: the merged sequence is identical for 1 or N workers,
-//! wheel or reference heap, run-ahead and pipelining on or off (the
+//! wheel or reference heap, with or without run-ahead and pipelining (the
 //! conformance suite asserts golden traces byte-identical across all of
 //! them). It is *not* the serial backend's global event-id order:
 //! cross-pool completion interleaving within a minute differs. Per-pool
@@ -116,8 +118,13 @@
 //! every stream is pinned to one pool in non-decreasing order. Observers
 //! must not index `ctx.jobs` (the run keeps it empty until drain);
 //! [`TraceRecorder`](crate::observer::TraceRecorder) qualifies; the invariant
-//! checker, telemetry and span observers do not and their config switches
-//! are rejected.
+//! checker, telemetry and span observers do not, and are rejected whether
+//! attached directly or through their config switches.
+//!
+//! Generation is the same code as a materialized run's: a shard's
+//! [`TraceStream`] is the workload's one generator, filtered to the
+//! shard's pools, and [`WorkloadSpec::generate`] drains the unfiltered
+//! stream.
 
 use std::collections::VecDeque;
 use std::sync::{mpsc, Arc};
@@ -132,9 +139,10 @@ use netbatch_sim_engine::time::{SimDuration, SimTime};
 use netbatch_workload::trace::TraceRecord;
 use netbatch_workload::{TraceStream, WorkloadSpec};
 
-use crate::observer::{ObsCtx, ObsEvent};
-use crate::provenance::{COORD_MERGE, PHASE_COMPLETE, PHASE_GENERATE, PHASE_SUBMIT};
+use crate::observer::{InvariantChecker, ObsCtx, ObsEvent};
+use crate::provenance::{SpanRecorder, COORD_MERGE, PHASE_COMPLETE, PHASE_GENERATE, PHASE_SUBMIT};
 use crate::simulator::{SimOutput, Simulator};
+use crate::telemetry::Telemetry;
 
 /// Lookahead depth in generated-but-unsubmitted minutes per pool. Two is
 /// the minimum that lets the coordinator pre-dispatch the next epoch
@@ -279,10 +287,11 @@ struct StreamWorker<'a> {
     /// Jobs currently in flight (submitted and not yet completed); the
     /// O(in-flight) working set that replaces the dense `sim.jobs` vec.
     jobs: IntMap<JobId, JobRecord>,
-    /// Completed (and unrunnable) records, kept only when `retain`.
+    /// Completed (and unrunnable) records, kept only when `observed`.
     finished: Vec<JobRecord>,
-    retain: bool,
-    collect: bool,
+    /// Observers are attached: keep finished records and buffer
+    /// emissions for replay.
+    observed: bool,
     profile: bool,
     actions: Vec<PoolAction>,
     emissions: Vec<(u32, ObsEvent)>,
@@ -306,8 +315,7 @@ impl<'a> StreamWorker<'a> {
         pinned: &[u16],
         pool_count: u16,
         reference_queue: bool,
-        retain: bool,
-        collect: bool,
+        observed: bool,
         profile: bool,
     ) -> Self {
         let lanes = (shard..pool_count as usize)
@@ -333,8 +341,7 @@ impl<'a> StreamWorker<'a> {
             spare: Vec::new(),
             jobs: IntMap::default(),
             finished: Vec::new(),
-            retain,
-            collect,
+            observed,
             profile,
             actions: Vec::new(),
             emissions: Vec::new(),
@@ -349,7 +356,7 @@ impl<'a> StreamWorker<'a> {
     }
 
     fn emit(&mut self, event: ObsEvent) {
-        if self.collect {
+        if self.observed {
             self.emissions.push((self.cur_pool, event));
         }
     }
@@ -401,7 +408,7 @@ impl<'a> StreamWorker<'a> {
     /// of this worker's own bookings due before the bound.
     fn run_dispatch(&mut self, msg: &FlushMsg) {
         debug_assert!(
-            !self.collect || msg.bound == msg.epoch + SimDuration::MINUTE,
+            !self.observed || msg.bound == msg.epoch + SimDuration::MINUTE,
             "observer runs barrier every minute"
         );
         debug_assert!(
@@ -541,7 +548,7 @@ impl<'a> StreamWorker<'a> {
             // pool can never run it. The record parks in Submitted phase.
             self.unrunnable += 1;
             self.emit(ObsEvent::Unrunnable { job: id });
-            if self.retain {
+            if self.observed {
                 self.finished.push(job);
             }
             return;
@@ -590,7 +597,7 @@ impl<'a> StreamWorker<'a> {
         let was_running = unsafe { arena.pool(pool) }.release_into(now, job, &mut self.actions);
         assert!(was_running, "running job releases");
         let done = self.jobs.remove(&job).expect("presence checked");
-        if self.retain {
+        if self.observed {
             self.finished.push(done);
         }
         self.apply_batch(li, pool, now);
@@ -714,8 +721,13 @@ fn validate(sim: &Simulator, workload: &WorkloadSpec) {
         !sim.config.resilience.enabled,
         "streaming backend does not model scheduler resilience"
     );
+    // The config switches attach these same types in `Simulator::new`,
+    // so checking what is attached covers both routes.
     assert!(
-        !sim.config.check_invariants && !sim.config.telemetry && !sim.config.spans,
+        !sim.observers.iter().any(|o| {
+            let any = o.as_any();
+            any.is::<InvariantChecker>() || any.is::<Telemetry>() || any.is::<SpanRecorder>()
+        }),
         "built-in dense-id observers cannot run on the streaming backend \
          (ctx.jobs stays empty until drain)"
     );
@@ -741,14 +753,12 @@ pub(crate) fn run_streaming(
         .iter()
         .map(|s| s.pinned_pool().expect("validated pool-major"))
         .collect();
-    // Finished records are retained only for observer runs; benchmark
-    // runs drop them at completion, which is what keeps memory flat.
-    let retain = !sim.observers.is_empty();
-    let collect = retain;
-    // Observer replay reads pool state at the barrier, so pipelining
-    // (workers mutating pools while the coordinator replays) is only
-    // sound without observers.
-    let pipeline = sim.config.stream_pipeline && !collect;
+    // Observer runs retain finished records and replay emissions at the
+    // barrier; benchmark runs drop records at completion, which is what
+    // keeps memory flat. Replay reads pool state at the barrier, so
+    // pipelining (workers mutating pools while the coordinator replays)
+    // is on exactly when no observer is attached.
+    let observed = !sim.observers.is_empty();
     let profile_on = sim.profile.is_some();
     if let Some(profile) = sim.profile.as_mut() {
         profile.init_shards(shards);
@@ -764,8 +774,7 @@ pub(crate) fn run_streaming(
             &pinned,
             pool_count as u16,
             reference_queue,
-            retain,
-            collect,
+            observed,
             profile_on,
         )
     };
@@ -863,7 +872,7 @@ pub(crate) fn run_streaming(
                 // Run ahead to the next barrier duty: the earliest next
                 // submission, a pool whose next minute is unreported, or
                 // the next sample tick. Observer runs stop every minute.
-                let mut bound = if collect {
+                let mut bound = if observed {
                     e + SimDuration::MINUTE
                 } else {
                     sim.peek_sample_tick().unwrap_or(SimTime::MAX)
@@ -950,7 +959,7 @@ pub(crate) fn run_streaming(
             } else {
                 // The frontier is the next minute whatever the pending
                 // reports say once something is known to happen there.
-                let may_pipeline = pipeline
+                let may_pipeline = !observed
                     && inflight.len() < PIPELINE_DEPTH
                     && next_known == Some(frontier)
                     && next_sample.is_none_or(|s| s > frontier);
@@ -985,12 +994,12 @@ pub(crate) fn run_streaming(
                 for r in results.drain(..) {
                     let r = apply_report!(r);
                     executed += r.executed;
-                    if collect {
+                    if observed {
                         emission_runs.push(r.emissions);
                     }
                 }
                 events += executed;
-                if collect {
+                if observed {
                     debug_assert!(inflight.is_empty(), "replay requires quiescent workers");
                     let emissions = merge_sorted_runs(emission_runs, |run| run.0);
                     let ctx = ObsCtx {
@@ -1025,7 +1034,7 @@ pub(crate) fn run_streaming(
             assert!(jobs.is_empty(), "a drained run leaves no in-flight jobs");
             finished.append(&mut fin);
         }
-        if retain {
+        if observed {
             finished.sort_by_key(JobRecord::id);
             debug_assert_eq!(
                 finished.len() as u64,

@@ -145,13 +145,8 @@ type LabelSet = Vec<(String, String)>;
 /// [`LogHistogram`]-backed histograms, keyed by metric name and label
 /// set, with deterministic (BTreeMap-ordered) rendering to the
 /// Prometheus text format.
-///
-/// Recording into a disabled registry ([`Registry::disabled`]) is a
-/// no-op that performs no allocation — the zero-cost-when-disabled
-/// contract for call sites that cannot gate on an observer seam.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Registry {
-    enabled: bool,
     families: BTreeMap<&'static str, (&'static str, MetricKind)>,
     counters: BTreeMap<(&'static str, LabelSet), u64>,
     gauges: BTreeMap<(&'static str, LabelSet), f64>,
@@ -165,10 +160,9 @@ impl Default for Registry {
 }
 
 impl Registry {
-    /// An enabled, empty registry.
+    /// An empty registry.
     pub fn new() -> Self {
         Registry {
-            enabled: true,
             families: BTreeMap::new(),
             counters: BTreeMap::new(),
             gauges: BTreeMap::new(),
@@ -176,26 +170,10 @@ impl Registry {
         }
     }
 
-    /// A disabled registry: every recording call returns immediately.
-    pub fn disabled() -> Self {
-        Registry {
-            enabled: false,
-            ..Registry::new()
-        }
-    }
-
-    /// Whether recording is live.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Declares a metric family's help text and type. Recording methods
     /// auto-declare undocumented families, so this is optional but makes
     /// the exposition self-describing.
     pub fn declare(&mut self, name: &'static str, help: &'static str, kind: MetricKind) {
-        if !self.enabled {
-            return;
-        }
         self.families.entry(name).or_insert((help, kind));
     }
 
@@ -211,27 +189,18 @@ impl Registry {
 
     /// Adds `by` to a counter.
     pub fn inc(&mut self, name: &'static str, labels: &[(&str, &str)], by: u64) {
-        if !self.enabled {
-            return;
-        }
         self.declare(name, "(undocumented)", MetricKind::Counter);
         *self.counters.entry(Self::key(name, labels)).or_insert(0) += by;
     }
 
     /// Sets a gauge to `value` (last write wins).
     pub fn gauge(&mut self, name: &'static str, labels: &[(&str, &str)], value: f64) {
-        if !self.enabled {
-            return;
-        }
         self.declare(name, "(undocumented)", MetricKind::Gauge);
         self.gauges.insert(Self::key(name, labels), value);
     }
 
     /// Records one observation into a decade histogram.
     pub fn observe(&mut self, name: &'static str, labels: &[(&str, &str)], value: f64) {
-        if !self.enabled {
-            return;
-        }
         self.declare(name, "(undocumented)", MetricKind::Histogram);
         self.histograms
             .entry(Self::key(name, labels))
@@ -248,9 +217,6 @@ impl Registry {
         labels: &[(&str, &str)],
         hist: LogHistogram,
     ) {
-        if !self.enabled {
-            return;
-        }
         self.declare(name, "(undocumented)", MetricKind::Histogram);
         self.histograms.insert(Self::key(name, labels), hist);
     }
@@ -463,13 +429,6 @@ impl Telemetry {
             .filter(|h| h.count() > 0)
     }
 
-    /// Suspension latency histogram for one pool, if any span closed there.
-    pub fn pool_suspended(&self, pool: PoolId) -> Option<&LogHistogram> {
-        self.suspended_by_pool
-            .get(pool.as_usize())
-            .filter(|h| h.count() > 0)
-    }
-
     /// Per-job total suspension times (suspended completed jobs only) as
     /// the Figure 2 CDF.
     pub fn suspension_cdf(&self) -> Cdf {
@@ -494,11 +453,6 @@ impl Telemetry {
     /// Proactive evacuations off draining machines observed.
     pub fn evacuations(&self) -> u64 {
         self.evacuations
-    }
-
-    /// Progress discarded by evacuations, as a minutes histogram.
-    pub fn evacuation_discarded(&self) -> &LogHistogram {
-        &self.evac_discarded
     }
 
     /// Lifecycle spans still open — jobs still queued, suspended, or
@@ -643,7 +597,7 @@ impl Telemetry {
 
     /// Renders the Prometheus text exposition of the whole run. The
     /// output is deterministic and always passes
-    /// [`validate_exposition`].
+    /// [`validate_prom`].
     pub fn render_prom(&self) -> String {
         let mut reg = Registry::new();
         reg.declare(
@@ -1207,18 +1161,6 @@ mod tests {
 
     fn t(m: u64) -> SimTime {
         SimTime::from_minutes(m)
-    }
-
-    #[test]
-    fn registry_disabled_is_a_noop() {
-        let mut reg = Registry::disabled();
-        reg.inc("x_total", &[("a", "b")], 5);
-        reg.gauge("g", &[], 1.0);
-        reg.observe("h_minutes", &[], 3.0);
-        assert!(!reg.is_enabled());
-        assert_eq!(reg.counter_value("x_total", &[("a", "b")]), 0);
-        assert_eq!(reg.gauge_value("g", &[]), None);
-        assert!(reg.render().is_empty());
     }
 
     #[test]

@@ -53,21 +53,6 @@ impl Table {
         }
     }
 
-    /// Overrides column alignments.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the alignment count differs from the column count.
-    pub fn with_aligns(mut self, aligns: Vec<Align>) -> Self {
-        assert_eq!(
-            aligns.len(),
-            self.headers.len(),
-            "alignment count must match column count"
-        );
-        self.aligns = aligns;
-        self
-    }
-
     /// Appends a row.
     ///
     /// # Panics

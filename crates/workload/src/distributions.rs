@@ -207,82 +207,6 @@ impl<B: Distribution, T: Distribution> Distribution for Mixture<B, T> {
     }
 }
 
-/// Uniform distribution over `[lo, hi)`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Uniform {
-    lo: f64,
-    hi: f64,
-}
-
-impl Uniform {
-    /// Creates a uniform distribution over `[lo, hi)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `lo < hi`.
-    pub fn new(lo: f64, hi: f64) -> Self {
-        assert!(lo < hi && lo.is_finite() && hi.is_finite(), "need lo < hi");
-        Uniform { lo, hi }
-    }
-}
-
-impl Distribution for Uniform {
-    fn sample(&self, rng: &mut DetRng) -> f64 {
-        self.lo + (self.hi - self.lo) * rng.next_f64()
-    }
-
-    fn mean(&self) -> f64 {
-        (self.lo + self.hi) / 2.0
-    }
-}
-
-/// An empirical distribution built from observed samples (inverse-CDF
-/// sampling). The bridge for users with real traces: fit runtimes or
-/// memory footprints directly from observed data instead of choosing a
-/// parametric family.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Empirical {
-    sorted: Vec<f64>,
-}
-
-impl Empirical {
-    /// Builds an empirical distribution from observations.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `samples` is empty or contains NaN.
-    pub fn from_samples(samples: impl IntoIterator<Item = f64>) -> Self {
-        let mut sorted: Vec<f64> = samples.into_iter().collect();
-        assert!(!sorted.is_empty(), "empirical distribution needs samples");
-        assert!(sorted.iter().all(|x| !x.is_nan()), "NaN sample rejected");
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("no NaNs"));
-        Empirical { sorted }
-    }
-
-    /// Number of underlying observations.
-    pub fn len(&self) -> usize {
-        self.sorted.len()
-    }
-
-    /// True if built from a single observation (degenerate).
-    pub fn is_empty(&self) -> bool {
-        false // construction guarantees at least one sample
-    }
-}
-
-impl Distribution for Empirical {
-    fn sample(&self, rng: &mut DetRng) -> f64 {
-        // Bootstrap resampling: each observation is drawn with equal
-        // probability, so the resampling distribution matches the sample
-        // exactly (including its mean — important for load calibration).
-        self.sorted[rng.next_below(self.sorted.len() as u64) as usize]
-    }
-
-    fn mean(&self) -> f64 {
-        self.sorted.iter().sum::<f64>() / self.sorted.len() as f64
-    }
-}
-
 /// Weighted choice over a small discrete set (core counts, memory sizes).
 #[derive(Debug, Clone, PartialEq)]
 pub struct WeightedChoice {
@@ -401,17 +325,6 @@ mod tests {
     }
 
     #[test]
-    fn uniform_bounds_and_mean() {
-        let d = Uniform::new(5.0, 15.0);
-        let mut rng = DetRng::from_seed_u64(5);
-        for _ in 0..1000 {
-            let x = d.sample(&mut rng);
-            assert!((5.0..15.0).contains(&x));
-        }
-        assert_eq!(d.mean(), 10.0);
-    }
-
-    #[test]
     fn weighted_choice_frequencies() {
         let d = WeightedChoice::new(&[(1.0, 0.5), (2.0, 0.25), (4.0, 0.25)]);
         let mut rng = DetRng::from_seed_u64(6);
@@ -422,35 +335,6 @@ mod tests {
         assert!((f64::from(counts[&1]) / 100_000.0 - 0.5).abs() < 0.02);
         assert!((f64::from(counts[&2]) / 100_000.0 - 0.25).abs() < 0.02);
         assert!((d.mean() - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn empirical_resamples_the_input_range() {
-        let data = vec![10.0, 20.0, 30.0, 40.0, 1000.0];
-        let d = Empirical::from_samples(data.clone());
-        assert_eq!(d.len(), 5);
-        assert!((d.mean() - 220.0).abs() < 1e-9);
-        let mut rng = DetRng::from_seed_u64(8);
-        for _ in 0..500 {
-            let x = d.sample(&mut rng);
-            assert!((10.0..=1000.0).contains(&x));
-        }
-        // Empirical mean of resamples approaches the sample mean.
-        let m = empirical_mean(&d, 100_000, 9);
-        assert!((m / d.mean() - 1.0).abs() < 0.1, "resample mean {m}");
-    }
-
-    #[test]
-    fn empirical_single_sample_is_constant() {
-        let d = Empirical::from_samples([7.0]);
-        let mut rng = DetRng::from_seed_u64(1);
-        assert_eq!(d.sample(&mut rng), 7.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "needs samples")]
-    fn empirical_rejects_empty() {
-        Empirical::from_samples(std::iter::empty());
     }
 
     #[test]

@@ -6,6 +6,11 @@
 //! bursty in nature … job suspension can spike suddenly due to the arrival
 //! of a large number of higher priority jobs and last from several hours to
 //! a week" (§2.3).
+//!
+//! A process generates arrivals one way only: [`ArrivalProcess::cursor`]
+//! returns a lazy iterator over a window. [`crate::TraceStream`] merges the
+//! streams' cursors, and a materialized trace is that stream drained, so
+//! every kernel reads the same draws.
 
 use std::fmt;
 
@@ -15,40 +20,15 @@ use crate::distributions::{Distribution, Exponential};
 
 /// Generates arrival instants (in minutes) over a half-open window.
 pub trait ArrivalProcess: fmt::Debug {
-    /// Returns the sorted arrival minutes in `[start, end)`.
-    fn generate(&self, rng: &mut DetRng, start: u64, end: u64) -> Vec<u64>;
-
     /// The long-run arrival rate (jobs per minute), for calibration.
     fn rate(&self) -> f64;
 
-    /// Returns a lazy cursor over the same window. The cursor MUST yield
-    /// exactly the sequence `generate` would return for the same `rng`
-    /// state — streaming runs rely on this to stay byte-identical to
-    /// materialized runs. The default implementation materializes the whole
-    /// window (correct for any process, O(window) memory); the built-in
-    /// processes override it with O(1)-state incremental cursors.
-    fn cursor(&self, mut rng: DetRng, start: u64, end: u64) -> Box<dyn ArrivalCursor + Send> {
-        Box::new(MaterializedCursor {
-            arrivals: self.generate(&mut rng, start, end).into(),
-        })
-    }
-}
-
-/// A pull-based iterator over arrival minutes, yielding them in order.
-pub trait ArrivalCursor {
-    /// The next arrival minute, or `None` when the window is exhausted.
-    fn next_arrival(&mut self) -> Option<u64>;
-}
-
-/// Fallback cursor that holds a fully materialized window.
-struct MaterializedCursor {
-    arrivals: std::collections::VecDeque<u64>,
-}
-
-impl ArrivalCursor for MaterializedCursor {
-    fn next_arrival(&mut self) -> Option<u64> {
-        self.arrivals.pop_front()
-    }
+    /// Returns the arrival minutes in `[start, end)`, in non-decreasing
+    /// order, drawn lazily from `rng`: each `next` pays for one arrival,
+    /// and the iterator holds O(1) state however long the window. This is
+    /// the only way a process generates arrivals, so a materialized trace
+    /// and a streaming run read the same draws by construction.
+    fn cursor(&self, rng: DetRng, start: u64, end: u64) -> Box<dyn Iterator<Item = u64> + Send>;
 }
 
 /// Homogeneous Poisson arrivals.
@@ -73,54 +53,38 @@ impl PoissonArrivals {
 }
 
 impl ArrivalProcess for PoissonArrivals {
-    fn generate(&self, rng: &mut DetRng, start: u64, end: u64) -> Vec<u64> {
-        let gap = Exponential::with_rate(self.rate_per_minute);
-        let mut t = start as f64;
-        let mut out = Vec::new();
-        loop {
-            t += gap.sample(rng);
-            if t >= end as f64 {
-                return out;
-            }
-            out.push(t as u64);
-        }
-    }
-
     fn rate(&self) -> f64 {
         self.rate_per_minute
     }
 
-    fn cursor(&self, rng: DetRng, start: u64, end: u64) -> Box<dyn ArrivalCursor + Send> {
+    fn cursor(&self, rng: DetRng, start: u64, end: u64) -> Box<dyn Iterator<Item = u64> + Send> {
         Box::new(PoissonCursor {
             gap: Exponential::with_rate(self.rate_per_minute),
             t: start as f64,
             end: end as f64,
             rng,
-            done: false,
         })
     }
 }
 
-/// Incremental state of [`PoissonArrivals::generate`]'s loop.
+/// [`PoissonArrivals`]' walk: exponential gaps from the window start until
+/// one lands at or past the end.
 struct PoissonCursor {
     gap: Exponential,
     t: f64,
     end: f64,
     rng: DetRng,
-    done: bool,
 }
 
-impl ArrivalCursor for PoissonCursor {
-    fn next_arrival(&mut self) -> Option<u64> {
-        if self.done {
+impl Iterator for PoissonCursor {
+    type Item = u64;
+
+    fn next(&mut self) -> Option<u64> {
+        if self.t >= self.end {
             return None;
         }
         self.t += self.gap.sample(&mut self.rng);
-        if self.t >= self.end {
-            self.done = true;
-            return None;
-        }
-        Some(self.t as u64)
+        (self.t < self.end).then_some(self.t as u64)
     }
 }
 
@@ -183,40 +147,12 @@ impl BurstArrivals {
 }
 
 impl ArrivalProcess for BurstArrivals {
-    fn generate(&self, rng: &mut DetRng, start: u64, end: u64) -> Vec<u64> {
-        let quiet_len = Exponential::with_mean(self.mean_quiet_len);
-        let burst_len = Exponential::with_mean(self.mean_burst_len);
-        let mut out = Vec::new();
-        let mut t = start as f64;
-        let mut in_burst = self.start_in_burst;
-        while t < end as f64 {
-            let (phase_len, rate) = if in_burst {
-                (burst_len.sample(rng), self.burst_rate)
-            } else {
-                (quiet_len.sample(rng), self.quiet_rate)
-            };
-            let phase_end = (t + phase_len).min(end as f64);
-            let gap = Exponential::with_rate(rate);
-            let mut a = t;
-            loop {
-                a += gap.sample(rng);
-                if a >= phase_end {
-                    break;
-                }
-                out.push(a as u64);
-            }
-            t = phase_end;
-            in_burst = !in_burst;
-        }
-        out
-    }
-
     fn rate(&self) -> f64 {
         let bf = self.burst_fraction();
         bf * self.burst_rate + (1.0 - bf) * self.quiet_rate
     }
 
-    fn cursor(&self, rng: DetRng, start: u64, end: u64) -> Box<dyn ArrivalCursor + Send> {
+    fn cursor(&self, rng: DetRng, start: u64, end: u64) -> Box<dyn Iterator<Item = u64> + Send> {
         Box::new(BurstCursor {
             quiet_len: Exponential::with_mean(self.mean_quiet_len),
             burst_len: Exponential::with_mean(self.mean_burst_len),
@@ -231,9 +167,9 @@ impl ArrivalProcess for BurstArrivals {
     }
 }
 
-/// Incremental state of [`BurstArrivals::generate`]'s nested loops: the
-/// outer phase machine plus the inner within-phase arrival walk. Draw order
-/// (phase length, then gaps until the phase boundary) matches `generate`.
+/// [`BurstArrivals`]' walk: the outer phase machine plus the inner
+/// within-phase arrival walk. Each phase draws its length first, then
+/// exponential gaps at the phase's rate until one crosses the phase end.
 struct BurstCursor {
     quiet_len: Exponential,
     burst_len: Exponential,
@@ -247,8 +183,10 @@ struct BurstCursor {
     rng: DetRng,
 }
 
-impl ArrivalCursor for BurstCursor {
-    fn next_arrival(&mut self) -> Option<u64> {
+impl Iterator for BurstCursor {
+    type Item = u64;
+
+    fn next(&mut self) -> Option<u64> {
         loop {
             match &mut self.phase {
                 None => {
@@ -278,164 +216,39 @@ impl ArrivalCursor for BurstCursor {
     }
 }
 
-/// Arrivals with a diurnal (and weekend) profile: a base Poisson rate
-/// modulated by hour-of-day and day-of-week factors. Real batch platforms
-/// show strong submit-rate cycles — engineers submit during working hours —
-/// which shape the utilization timeline (Figure 4's banding).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DiurnalArrivals {
-    /// Mean arrival rate (jobs/min) averaged over a full week.
-    pub mean_rate: f64,
-    /// Peak-to-trough ratio of the daily cycle (1.0 = flat).
-    pub day_swing: f64,
-    /// Weekend rate as a fraction of the weekday rate.
-    pub weekend_factor: f64,
-}
-
-impl DiurnalArrivals {
-    /// Creates a diurnal process.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `mean_rate > 0`, `day_swing ≥ 1`, and
-    /// `weekend_factor ∈ (0, 1]`.
-    pub fn new(mean_rate: f64, day_swing: f64, weekend_factor: f64) -> Self {
-        assert!(
-            mean_rate > 0.0 && mean_rate.is_finite(),
-            "rate must be positive"
-        );
-        assert!(
-            day_swing >= 1.0 && day_swing.is_finite(),
-            "day swing must be >= 1"
-        );
-        assert!(
-            weekend_factor > 0.0 && weekend_factor <= 1.0,
-            "weekend factor must be in (0, 1]"
-        );
-        DiurnalArrivals {
-            mean_rate,
-            day_swing,
-            weekend_factor,
-        }
-    }
-
-    /// The instantaneous rate multiplier at minute `t` (mean 1 over a week
-    /// up to weekend scaling normalization).
-    fn modulation(&self, minute: u64) -> f64 {
-        const DAY: u64 = 24 * 60;
-        const WEEK: u64 = 7 * DAY;
-        let day_pos = (minute % DAY) as f64 / DAY as f64;
-        // Peak at 14:00, trough at 02:00 (cosine centred on 14h).
-        let phase = std::f64::consts::TAU * (day_pos - 14.0 / 24.0);
-        let amp = (self.day_swing - 1.0) / (self.day_swing + 1.0);
-        let daily = 1.0 + amp * phase.cos();
-        let weekday = (minute % WEEK) / DAY; // 0..6, day 5/6 = weekend
-        let weekend = if weekday >= 5 {
-            self.weekend_factor
-        } else {
-            1.0
-        };
-        daily * weekend
-    }
-
-    /// The peak instantaneous rate, used for thinning.
-    fn peak_rate(&self) -> f64 {
-        let amp = (self.day_swing - 1.0) / (self.day_swing + 1.0);
-        self.mean_rate * (1.0 + amp)
-    }
-}
-
-impl ArrivalProcess for DiurnalArrivals {
-    fn generate(&self, rng: &mut DetRng, start: u64, end: u64) -> Vec<u64> {
-        // Thinning (Lewis-Shedler): draw from a homogeneous process at the
-        // peak rate, accept with probability rate(t)/peak.
-        let peak = self.peak_rate();
-        let gap = Exponential::with_rate(peak);
-        let mut out = Vec::new();
-        let mut t = start as f64;
-        loop {
-            t += gap.sample(rng);
-            if t >= end as f64 {
-                return out;
-            }
-            let minute = t as u64;
-            let accept = self.mean_rate * self.modulation(minute) / peak;
-            if rng.next_f64() < accept {
-                out.push(minute);
-            }
-        }
-    }
-
-    fn rate(&self) -> f64 {
-        // Mean over the week: 5 weekdays at 1, 2 weekend days at the factor
-        // (the daily cosine averages out).
-        self.mean_rate * (5.0 + 2.0 * self.weekend_factor) / 7.0
-    }
-
-    fn cursor(&self, rng: DetRng, start: u64, end: u64) -> Box<dyn ArrivalCursor + Send> {
-        Box::new(DiurnalCursor {
-            process: *self,
-            gap: Exponential::with_rate(self.peak_rate()),
-            t: start as f64,
-            end: end as f64,
-            rng,
-            done: false,
-        })
-    }
-}
-
-/// Incremental state of [`DiurnalArrivals::generate`]'s thinning loop.
-struct DiurnalCursor {
-    process: DiurnalArrivals,
-    gap: Exponential,
-    t: f64,
-    end: f64,
-    rng: DetRng,
-    done: bool,
-}
-
-impl ArrivalCursor for DiurnalCursor {
-    fn next_arrival(&mut self) -> Option<u64> {
-        if self.done {
-            return None;
-        }
-        let peak = self.process.peak_rate();
-        loop {
-            self.t += self.gap.sample(&mut self.rng);
-            if self.t >= self.end {
-                self.done = true;
-                return None;
-            }
-            let minute = self.t as u64;
-            let accept = self.process.mean_rate * self.process.modulation(minute) / peak;
-            if self.rng.next_f64() < accept {
-                return Some(minute);
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Drains a process's cursor over `[start, end)` from a fresh seed.
+    fn arrivals(p: &dyn ArrivalProcess, seed: u64, start: u64, end: u64) -> Vec<u64> {
+        let mut cursor = p.cursor(DetRng::from_seed_u64(seed), start, end);
+        let out: Vec<u64> = cursor.by_ref().collect();
+        // Exhausted cursors stay exhausted.
+        assert_eq!(cursor.next(), None);
+        out
+    }
+
     #[test]
     fn poisson_count_matches_rate() {
         let p = PoissonArrivals::new(0.5);
-        let mut rng = DetRng::from_seed_u64(1);
-        let arrivals = p.generate(&mut rng, 0, 100_000);
+        let arrivals = arrivals(&p, 1, 0, 100_000);
         let rate = arrivals.len() as f64 / 100_000.0;
         assert!((rate - 0.5).abs() < 0.02, "empirical rate {rate}");
     }
 
     #[test]
     fn arrivals_are_sorted_and_in_window() {
-        let p = PoissonArrivals::new(1.0);
-        let mut rng = DetRng::from_seed_u64(2);
-        let arrivals = p.generate(&mut rng, 500, 1500);
-        assert!(arrivals.windows(2).all(|w| w[0] <= w[1]));
-        assert!(arrivals.iter().all(|&a| (500..1500).contains(&a)));
-        assert!(!arrivals.is_empty());
+        let processes: [&dyn ArrivalProcess; 2] = [
+            &PoissonArrivals::new(1.0),
+            &BurstArrivals::new(0.05, 0.8, 300.0, 60.0).starting_in_burst(),
+        ];
+        for p in processes {
+            let arrivals = arrivals(p, 2, 500, 1500);
+            assert!(arrivals.windows(2).all(|w| w[0] <= w[1]), "{p:?}");
+            assert!(arrivals.iter().all(|&a| (500..1500).contains(&a)), "{p:?}");
+            assert!(!arrivals.is_empty(), "{p:?}");
+        }
     }
 
     #[test]
@@ -443,8 +256,6 @@ mod tests {
         // Same long-run rate; compare variance of per-window counts.
         let burst = BurstArrivals::new(0.01, 2.0, 2000.0, 200.0);
         let poisson = PoissonArrivals::new(burst.rate());
-        let mut rng_a = DetRng::from_seed_u64(3);
-        let mut rng_b = DetRng::from_seed_u64(4);
         let horizon = 500_000;
         let window = 1000u64;
         let var = |arrivals: &[u64]| {
@@ -455,8 +266,8 @@ mod tests {
             let mean = counts.iter().sum::<f64>() / counts.len() as f64;
             counts.iter().map(|c| (c - mean).powi(2)).sum::<f64>() / counts.len() as f64
         };
-        let vb = var(&burst.generate(&mut rng_a, 0, horizon));
-        let vp = var(&poisson.generate(&mut rng_b, 0, horizon));
+        let vb = var(&arrivals(&burst, 3, 0, horizon));
+        let vp = var(&arrivals(&poisson, 4, 0, horizon));
         assert!(
             vb > 3.0 * vp,
             "burst variance {vb} should dwarf poisson variance {vp}"
@@ -466,9 +277,7 @@ mod tests {
     #[test]
     fn burst_long_run_rate_matches_formula() {
         let b = BurstArrivals::new(0.1, 1.0, 900.0, 100.0);
-        let mut rng = DetRng::from_seed_u64(5);
-        let arrivals = b.generate(&mut rng, 0, 2_000_000);
-        let emp = arrivals.len() as f64 / 2_000_000.0;
+        let emp = arrivals(&b, 5, 0, 2_000_000).len() as f64 / 2_000_000.0;
         assert!(
             (emp / b.rate() - 1.0).abs() < 0.1,
             "empirical {emp} vs theoretical {}",
@@ -479,20 +288,17 @@ mod tests {
     #[test]
     fn empty_window_produces_nothing() {
         let p = PoissonArrivals::new(1.0);
-        let mut rng = DetRng::from_seed_u64(6);
-        assert!(p.generate(&mut rng, 100, 100).is_empty());
+        assert!(arrivals(&p, 6, 100, 100).is_empty());
         let b = BurstArrivals::new(0.1, 1.0, 10.0, 10.0);
-        assert!(b.generate(&mut rng, 100, 100).is_empty());
+        assert!(arrivals(&b, 6, 100, 100).is_empty());
     }
 
     #[test]
     fn starting_in_burst_produces_immediate_arrivals() {
         let quiet = BurstArrivals::new(0.001, 2.0, 50_000.0, 2_000.0);
         let stormy = quiet.starting_in_burst();
-        let mut rng_a = DetRng::from_seed_u64(9);
-        let mut rng_b = DetRng::from_seed_u64(9);
-        let lazy = quiet.generate(&mut rng_a, 0, 5_000);
-        let eager = stormy.generate(&mut rng_b, 0, 5_000);
+        let lazy = arrivals(&quiet, 9, 0, 5_000);
+        let eager = arrivals(&stormy, 9, 0, 5_000);
         assert!(
             eager.len() > 10 * lazy.len().max(1),
             "{} vs {}",
@@ -504,108 +310,8 @@ mod tests {
     #[test]
     fn deterministic_per_seed() {
         let p = BurstArrivals::new(0.05, 0.8, 300.0, 60.0);
-        let a = p.generate(&mut DetRng::from_seed_u64(7), 0, 10_000);
-        let b = p.generate(&mut DetRng::from_seed_u64(7), 0, 10_000);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn diurnal_day_night_and_weekend_cycles() {
-        let d = DiurnalArrivals::new(1.0, 4.0, 0.3);
-        let mut rng = DetRng::from_seed_u64(10);
-        // Four weeks for stable statistics.
-        let arrivals = d.generate(&mut rng, 0, 4 * 7 * 24 * 60);
-        // Afternoon (13:00-15:00) busier than pre-dawn (01:00-03:00) on weekdays.
-        let bucket = |h_lo: u64, h_hi: u64, weekend: bool| -> usize {
-            arrivals
-                .iter()
-                .filter(|&&a| {
-                    let day = (a % (7 * 1440)) / 1440;
-                    let hour = (a % 1440) / 60;
-                    (day >= 5) == weekend && (h_lo..h_hi).contains(&hour)
-                })
-                .count()
-        };
-        let afternoon = bucket(13, 15, false);
-        let night = bucket(1, 3, false);
-        assert!(
-            afternoon > 2 * night,
-            "afternoon {afternoon} should dwarf night {night}"
-        );
-        // Weekends are quieter than weekdays (per-day average).
-        let weekday_total = arrivals
-            .iter()
-            .filter(|&&a| (a % (7 * 1440)) / 1440 < 5)
-            .count() as f64
-            / 5.0;
-        let weekend_total = arrivals
-            .iter()
-            .filter(|&&a| (a % (7 * 1440)) / 1440 >= 5)
-            .count() as f64
-            / 2.0;
-        assert!(weekend_total < 0.6 * weekday_total);
-        // Long-run rate is close to the analytic value.
-        let emp = arrivals.len() as f64 / (4.0 * 7.0 * 24.0 * 60.0);
-        assert!(
-            (emp / d.rate() - 1.0).abs() < 0.1,
-            "rate {emp} vs {}",
-            d.rate()
-        );
-    }
-
-    fn drain(mut cursor: Box<dyn ArrivalCursor + Send>) -> Vec<u64> {
-        let mut out = Vec::new();
-        while let Some(a) = cursor.next_arrival() {
-            out.push(a);
-        }
-        // Exhausted cursors stay exhausted.
-        assert_eq!(cursor.next_arrival(), None);
-        out
-    }
-
-    #[test]
-    fn cursors_replay_generate_exactly() {
-        let processes: Vec<Box<dyn ArrivalProcess>> = vec![
-            Box::new(PoissonArrivals::new(0.7)),
-            Box::new(BurstArrivals::new(0.01, 2.0, 2000.0, 200.0)),
-            Box::new(BurstArrivals::new(0.05, 0.8, 300.0, 60.0).starting_in_burst()),
-            Box::new(DiurnalArrivals::new(1.3, 4.0, 0.3)),
-        ];
-        for (pi, p) in processes.iter().enumerate() {
-            for seed in [1u64, 42, 20_101_108] {
-                for (start, end) in [(0u64, 20_000u64), (500, 1500), (100, 100)] {
-                    let rng = DetRng::from_seed_u64(seed ^ pi as u64);
-                    let batch = p.generate(&mut rng.clone(), start, end);
-                    let lazy = drain(p.cursor(rng, start, end));
-                    assert_eq!(batch, lazy, "process {pi} seed {seed} [{start},{end})");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn default_cursor_materializes_consistently() {
-        // A process relying on the default cursor impl still matches.
-        #[derive(Debug)]
-        struct EveryK(u64);
-        impl ArrivalProcess for EveryK {
-            fn generate(&self, _rng: &mut DetRng, start: u64, end: u64) -> Vec<u64> {
-                (start..end).step_by(self.0 as usize).collect()
-            }
-            fn rate(&self) -> f64 {
-                1.0 / self.0 as f64
-            }
-        }
-        let p = EveryK(7);
-        let rng = DetRng::from_seed_u64(0);
-        let batch = p.generate(&mut rng.clone(), 3, 100);
-        assert_eq!(batch, drain(p.cursor(rng, 3, 100)));
-    }
-
-    #[test]
-    #[should_panic(expected = "day swing")]
-    fn diurnal_rejects_sub_unit_swing() {
-        DiurnalArrivals::new(1.0, 0.5, 1.0);
+        assert_eq!(arrivals(&p, 7, 0, 10_000), arrivals(&p, 7, 0, 10_000));
+        assert_ne!(arrivals(&p, 7, 0, 10_000), arrivals(&p, 8, 0, 10_000));
     }
 
     #[test]

@@ -3,20 +3,20 @@
 //!
 //! This is the stand-in for the proprietary NetBatch trace (see DESIGN.md
 //! §2, S3). Each *stream* pairs a [`JobClass`] with an
-//! [`ArrivalProcess`]; the generator runs every stream over the same window
-//! with independent RNG substreams and merges the results, so adding or
-//! re-parameterizing one stream never perturbs another.
+//! [`ArrivalProcess`]; every stream runs over the same window with
+//! independent RNG substreams, so adding or re-parameterizing one stream
+//! never perturbs another. [`TraceStream`] merges the streams lazily; a
+//! materialized [`Trace`] is that stream drained.
 
 pub mod affinity;
 pub mod arrivals;
 pub mod jobs;
 
-use netbatch_sim_engine::rng::DetRng;
-
+use crate::stream::TraceStream;
 use crate::trace::Trace;
 
 pub use affinity::AffinityPicker;
-pub use arrivals::{ArrivalProcess, BurstArrivals, DiurnalArrivals, PoissonArrivals};
+pub use arrivals::{ArrivalProcess, BurstArrivals, PoissonArrivals};
 pub use jobs::JobClass;
 
 /// One workload stream: a class of jobs and the process that submits them.
@@ -80,28 +80,15 @@ impl WorkloadSpec {
         self.streams.iter().map(Stream::offered_cores).sum()
     }
 
-    /// Generates the trace. Deterministic in (`spec`, `seed`): every stream
-    /// draws from its own substream of `seed`.
+    /// Generates the trace: the drained [`TraceStream`] of the spec.
+    /// Deterministic in (`spec`, `seed`): every stream draws from its own
+    /// substream of `seed`.
     pub fn generate(&self, seed: u64) -> Trace {
-        let root = DetRng::from_seed_u64(seed);
-        let mut records = Vec::new();
-        // Task-id ranges are partitioned per stream so classes never share
-        // a task id.
-        let task_stride = 1u32 << 24;
-        for (i, stream) in self.streams.iter().enumerate() {
-            let mut arr_rng = root.stream_indexed("arrivals", i as u64);
-            let mut job_rng = root.stream_indexed("jobs", i as u64);
-            let arrivals = stream.arrivals.generate(&mut arr_rng, self.start, self.end);
-            let task_base = (i as u32) * task_stride;
-            for (seq, submit) in arrivals.into_iter().enumerate() {
-                records.push(
-                    stream
-                        .class
-                        .instantiate(&mut job_rng, seq as u64, submit, task_base),
-                );
-            }
-        }
-        Trace::from_records(records)
+        Trace::from_records(
+            TraceStream::new(self, seed)
+                .map(|(_, record)| record)
+                .collect(),
+        )
     }
 }
 

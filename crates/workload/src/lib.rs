@@ -13,6 +13,8 @@
 //!   tail) implemented in-tree;
 //! * [`generator`] — arrival processes (Poisson background, MMPP bursts),
 //!   job classes and pool-affinity assignment;
+//! * [`stream`] — the generator proper: a lazy merge of every stream's
+//!   arrivals in canonical order, which a materialized trace drains;
 //! * [`scenarios`] — presets calibrated to every aggregate the paper
 //!   publishes (40% utilization, 248k-job busy week, bursty pinned
 //!   high-priority streams);

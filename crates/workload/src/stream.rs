@@ -1,23 +1,22 @@
 //! Lazy, pull-based trace generation.
 //!
-//! [`TraceStream`] yields the exact record sequence
-//! [`WorkloadSpec::generate`] would materialize — same seed derivation, same
-//! per-stream RNG substreams, same (submit-minute, stream-index) merge order
-//! — but holds only O(streams) state: one arrival cursor and one lookahead
-//! record per stream. This is what lets year-scale runs keep memory flat
-//! (ROADMAP: "streaming trace generation … so memory stays flat while event
-//! counts reach the hundreds of millions") and what lets the streaming
-//! kernel move generation out of the coordinator's serial section: each shard
-//! builds a [`TraceStream`] filtered to its own pools' streams and pulls
-//! arrivals epoch by epoch.
+//! [`TraceStream`] is the workload generator: it merges every stream's
+//! arrival cursor into one record sequence in canonical order, holding only
+//! O(streams) state — one arrival cursor and one pending arrival per
+//! stream. [`WorkloadSpec::generate`] materializes a trace by draining it,
+//! so materialized and streaming runs read one generator by construction.
+//! Streaming is what lets year-scale runs keep memory flat and what lets
+//! the streaming kernel move generation out of the coordinator's serial
+//! section: each shard builds a [`TraceStream`] filtered to its own pools'
+//! streams and pulls arrivals epoch by epoch.
 
 use netbatch_sim_engine::rng::DetRng;
 
-use crate::generator::arrivals::ArrivalCursor;
 use crate::generator::{AffinityPicker, Stream, WorkloadSpec};
 use crate::trace::TraceRecord;
 
-/// Task-id stride per stream; must match [`WorkloadSpec::generate`].
+/// Task-id stride per stream: task ids are partitioned per stream so
+/// classes never share a task id.
 const TASK_STRIDE: u32 = 1 << 24;
 
 impl Stream {
@@ -66,7 +65,7 @@ impl WorkloadSpec {
 struct Lane {
     /// Index of this stream in the spec (the RNG substream index).
     stream_idx: usize,
-    cursor: Box<dyn ArrivalCursor + Send>,
+    cursor: Box<dyn Iterator<Item = u64> + Send>,
     job_rng: DetRng,
     /// Next arrival minute not yet emitted, if any.
     pending: Option<u64>,
@@ -75,19 +74,19 @@ struct Lane {
     task_base: u32,
 }
 
-/// A lazy iterator over a workload's trace records in canonical order.
+/// A lazy iterator over a workload's trace records in canonical order,
+/// each with its stream index.
 ///
-/// Canonical order is (submit minute, stream index, per-stream sequence) —
-/// exactly what `Trace::from_records`'s stable sort produces from the
-/// batch generator's stream-major record list.
+/// Canonical order is (submit minute, stream index, per-stream sequence).
+/// Job-attribute draws happen at emission time, so pulling is what pays
+/// the generation cost — one record at a time.
 pub struct TraceStream<'a> {
     spec: &'a WorkloadSpec,
     lanes: Vec<Lane>,
 }
 
 impl<'a> TraceStream<'a> {
-    /// Streams every lane of the workload. Identical output to
-    /// `spec.generate(seed)` record-for-record.
+    /// Streams every lane of the workload.
     pub fn new(spec: &'a WorkloadSpec, seed: u64) -> Self {
         Self::filtered(spec, seed, |_| true)
     }
@@ -111,7 +110,7 @@ impl<'a> TraceStream<'a> {
                 let arr_rng = root.stream_indexed("arrivals", i as u64);
                 let job_rng = root.stream_indexed("jobs", i as u64);
                 let mut cursor = stream.arrivals.cursor(arr_rng, spec.start, spec.end);
-                let pending = cursor.next_arrival();
+                let pending = cursor.next();
                 Lane {
                     stream_idx: i,
                     cursor,
@@ -130,35 +129,36 @@ impl<'a> TraceStream<'a> {
         self.lanes.iter().filter_map(|l| l.pending).min()
     }
 
-    /// Pulls the next record in canonical order, with its stream index.
-    /// Job-attribute draws happen here, at emission time, so pulling is
-    /// what pays the generation cost — one record at a time.
-    pub fn next_record(&mut self) -> Option<(usize, TraceRecord)> {
-        let minute = self.peek_minute()?;
-        // Ties break toward the lowest stream index, matching the stable
-        // sort over the stream-major batch list.
-        let lane = self
-            .lanes
-            .iter_mut()
-            .find(|l| l.pending == Some(minute))
-            .expect("peeked minute must belong to a lane");
-        let class = &self.spec.streams[lane.stream_idx].class;
-        let record = class.instantiate(&mut lane.job_rng, lane.seq, minute, lane.task_base);
-        lane.seq += 1;
-        lane.pending = lane.cursor.next_arrival();
-        Some((lane.stream_idx, record))
-    }
-
     /// Drains every record at the given minute (in canonical order) into
     /// `out`. Returns the number of records drained.
     pub fn drain_minute(&mut self, minute: u64, out: &mut Vec<TraceRecord>) -> usize {
         let mut n = 0;
         while self.peek_minute() == Some(minute) {
-            let (_, rec) = self.next_record().expect("peeked record");
+            let (_, rec) = self.next().expect("peeked record");
             out.push(rec);
             n += 1;
         }
         n
+    }
+}
+
+impl Iterator for TraceStream<'_> {
+    type Item = (usize, TraceRecord);
+
+    fn next(&mut self) -> Option<(usize, TraceRecord)> {
+        // The earliest pending lane; `min_by_key` keeps the first of equal
+        // minutes, so ties break toward the lowest stream index.
+        let lane = self
+            .lanes
+            .iter_mut()
+            .filter(|l| l.pending.is_some())
+            .min_by_key(|l| l.pending)?;
+        let minute = lane.pending.expect("filtered to pending lanes");
+        let class = &self.spec.streams[lane.stream_idx].class;
+        let record = class.instantiate(&mut lane.job_rng, lane.seq, minute, lane.task_base);
+        lane.seq += 1;
+        lane.pending = lane.cursor.next();
+        Some((lane.stream_idx, record))
     }
 }
 
@@ -167,7 +167,6 @@ mod tests {
     use super::*;
     use crate::distributions::Constant;
     use crate::generator::{BurstArrivals, JobClass, PoissonArrivals};
-    use crate::scenarios::ScenarioParams;
 
     fn pinned_spec() -> WorkloadSpec {
         let mut spec = WorkloadSpec::new(0, 30_000);
@@ -188,51 +187,15 @@ mod tests {
     }
 
     #[test]
-    fn streaming_matches_materialized_generator() {
-        for seed in [7u64, 42, 20_101_108] {
-            let spec = pinned_spec();
-            let batch = spec.generate(seed);
-            let mut stream = TraceStream::new(&spec, seed);
-            let mut lazy = Vec::new();
-            while let Some((_, rec)) = stream.next_record() {
-                lazy.push(rec);
-            }
-            assert_eq!(batch.records(), &lazy[..], "seed {seed}");
-        }
-    }
-
-    #[test]
-    fn streaming_matches_scenario_preset() {
-        // The paper-calibrated preset (mixture runtimes, bursty pinned
-        // high streams) exercises every distribution through the lazy path.
-        let params = ScenarioParams::normal_week(0.02);
-        let spec = params.build_workload();
-        let batch = spec.generate(params.seed);
-        let mut stream = TraceStream::new(&spec, params.seed);
-        let mut lazy = Vec::new();
-        while let Some((_, rec)) = stream.next_record() {
-            lazy.push(rec);
-        }
-        assert_eq!(batch.records(), &lazy[..]);
-    }
-
-    #[test]
     fn filtered_stream_is_exact_subsequence() {
         let spec = pinned_spec();
         let seed = 11u64;
-        let mut full = TraceStream::new(&spec, seed);
-        let mut all = Vec::new();
-        while let Some(pair) = full.next_record() {
-            all.push(pair);
-        }
+        let all: Vec<_> = TraceStream::new(&spec, seed).collect();
         // Union of per-pool filtered streams == full stream, per lane.
         for pool in 0..4u16 {
-            let mut filtered =
-                TraceStream::filtered(&spec, seed, |i| spec.streams[i].pinned_pool() == Some(pool));
-            let mut got = Vec::new();
-            while let Some(pair) = filtered.next_record() {
-                got.push(pair);
-            }
+            let got: Vec<_> =
+                TraceStream::filtered(&spec, seed, |i| spec.streams[i].pinned_pool() == Some(pool))
+                    .collect();
             let want: Vec<_> = all
                 .iter()
                 .filter(|(i, _)| spec.streams[*i].pinned_pool() == Some(pool))

@@ -10,6 +10,13 @@ cargo fmt --all -- --check
 echo "==> cargo clippy (all targets, warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+# Rustdoc over the project crates (the vendor/ shims excluded): a broken
+# intra-doc link, such as one to an item that was deleted or is private,
+# fails the gate.
+echo "==> cargo doc (project crates, warnings are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace \
+  --exclude proptest --exclude criterion
+
 echo "==> cargo build --release"
 cargo build --release --workspace
 

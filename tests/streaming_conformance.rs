@@ -10,12 +10,11 @@
 //!   counter-for-counter when sampling is off (per-pool event sequences
 //!   coincide; only cross-pool interleaving within a minute differs,
 //!   which no per-job record or counter can see);
-//! * epoch **pipelining** is unobservable: with pipelining force-disabled
-//!   the deterministic outputs are identical;
-//! * **run-ahead** is unobservable: an observer-less, unsampled run (whose
-//!   workers drain completion minutes between barrier duties) matches the
-//!   same run with a recorder attached (one barrier per active minute)
-//!   and the 1-shard run;
+//! * **run-ahead** and epoch **pipelining** are unobservable: an
+//!   observer-less run (whose workers drain completion minutes between
+//!   barrier duties, with two dispatches in flight) matches the same run
+//!   with a recorder attached (one barrier per active minute, no
+//!   pipelining) and the 1-shard run;
 //! * a booking due in the minute a submission preempts its job is skipped,
 //!   as a materialized run does;
 //! * a year-long horizon streams in bounded state end to end.
@@ -23,7 +22,7 @@
 use netbatch::cluster::ids::PoolId;
 use netbatch::cluster::pool::PoolConfig;
 use netbatch::cluster::priority::Priority;
-use netbatch::core::observer::TraceRecorder;
+use netbatch::core::observer::{InvariantChecker, TraceRecorder};
 use netbatch::core::policy::{InitialKind, StrategyKind};
 use netbatch::core::simulator::{Backend, SimConfig, SimOutput, Simulator};
 use netbatch::sim_engine::rng::DetRng;
@@ -149,95 +148,54 @@ fn streaming_matches_materialized_run() {
     }
 }
 
-/// Pipelining only engages on observer-less runs, so its conformance
-/// signal is the deterministic outputs that survive without observers:
-/// counters, end time, pool stats and the sampled series.
-#[test]
-fn pipelining_is_unobservable() {
-    let p = params();
-    let site = p.build_site();
-    let workload = p.build_workload();
-    let run = |pipeline: bool, backend: Backend| {
-        let mut config = base_config(backend).with_sampling();
-        config.seed = p.seed;
-        config.stream_pipeline = pipeline;
-        Simulator::new(&site, Vec::new(), config).run_streaming(&workload, p.seed)
-    };
-    let reference = run(false, Backend::Serial);
-    for backend in [Backend::Serial, Backend::Sharded { shards: 4 }] {
-        let piped = run(true, backend);
-        assert_eq!(reference.counters, piped.counters, "{backend:?}: counters");
-        assert_eq!(reference.end_time, piped.end_time, "{backend:?}: end time");
-        assert_eq!(reference.pool_stats, piped.pool_stats, "{backend:?}: pools");
-        assert_eq!(
-            reference.suspended_series, piped.suspended_series,
-            "{backend:?}: suspended series"
-        );
-        assert_eq!(
-            reference.utilization_series, piped.utilization_series,
-            "{backend:?}: utilization series"
-        );
-        assert_eq!(
-            reference.waiting_series, piped.waiting_series,
-            "{backend:?}: waiting series"
-        );
-        assert!(piped.jobs.is_empty(), "observer-less runs drop records");
-    }
-}
-
-/// Observer-less runs take the run-ahead path: workers drain their
-/// completion minutes between barrier duties (submission minutes, sample
-/// ticks) without a round trip; unsampled, that is the path perfbench
-/// measures. Attaching a recorder forces a barrier every active minute,
-/// so equal counters (events included), end time, pool stats and series
-/// prove run-ahead unobservable. Every cell also equals the 1-shard
-/// barriered run, job records included.
+/// Observer-less runs take the run-ahead, pipelined path: workers drain
+/// their completion minutes between barrier duties (submission minutes,
+/// sample ticks) without a round trip, and the coordinator keeps up to two
+/// dispatches in flight; unsampled, that is the path perfbench measures.
+/// Attaching a recorder forces a barrier every active minute and turns
+/// pipelining off, so equal counters (events included), end time, pool
+/// stats and series prove both unobservable. Every cell also equals the
+/// 1-shard barriered run, job records included.
 #[test]
 fn run_ahead_matches_per_minute_barriers() {
     let p = params();
     let site = p.build_site();
     let workload = p.build_workload();
-    let run =
-        |shards: usize, reference_queue: bool, pipeline: bool, sampled: bool, traced: bool| {
-            let mut config = base_config(Backend::Sharded { shards });
-            if sampled {
-                config = config.with_sampling();
-            }
-            config.seed = p.seed;
-            config.use_reference_queue = reference_queue;
-            config.stream_pipeline = pipeline;
-            let mut sim = Simulator::new(&site, Vec::new(), config);
-            if traced {
-                sim.attach_observer(Box::new(TraceRecorder::in_memory()));
-            }
-            sim.run_streaming(&workload, p.seed)
-        };
+    let run = |shards: usize, reference_queue: bool, sampled: bool, traced: bool| {
+        let mut config = base_config(Backend::Sharded { shards });
+        if sampled {
+            config = config.with_sampling();
+        }
+        config.seed = p.seed;
+        config.use_reference_queue = reference_queue;
+        let mut sim = Simulator::new(&site, Vec::new(), config);
+        if traced {
+            sim.attach_observer(Box::new(TraceRecorder::in_memory()));
+        }
+        sim.run_streaming(&workload, p.seed)
+    };
     // Per sampling mode, the 1-shard barriered run every cell must equal.
-    let reference = [false, true].map(|sampled| run(1, false, false, sampled, true));
+    let reference = [false, true].map(|sampled| run(1, false, sampled, true));
     // 3 shards split the 8 pools 3/3/2: the inline shard 0 owns more
     // pools than spawned shard 2.
     for shards in [1usize, 2, 3, 4] {
         for reference_queue in [false, true] {
-            for pipeline in [false, true] {
-                for sampled in [false, true] {
-                    let label = format!(
-                        "shards={shards} refq={reference_queue} pipeline={pipeline} sampled={sampled}"
-                    );
-                    let barriered = run(shards, reference_queue, pipeline, sampled, true);
-                    let fast = run(shards, reference_queue, pipeline, sampled, false);
-                    assert!(
-                        barriered.counters.suspensions > 0,
-                        "{label}: bursts must preempt"
-                    );
-                    assert_same_outcome(&barriered, &fast, &label);
-                    let one_shard = &reference[usize::from(sampled)];
-                    assert_same_outcome(one_shard, &barriered, &format!("{label} vs 1 shard"));
-                    assert_eq!(one_shard.jobs, barriered.jobs, "{label}: job records");
-                    assert!(
-                        fast.jobs.is_empty(),
-                        "{label}: observer-less runs drop records"
-                    );
-                }
+            for sampled in [false, true] {
+                let label = format!("shards={shards} refq={reference_queue} sampled={sampled}");
+                let barriered = run(shards, reference_queue, sampled, true);
+                let fast = run(shards, reference_queue, sampled, false);
+                assert!(
+                    barriered.counters.suspensions > 0,
+                    "{label}: bursts must preempt"
+                );
+                assert_same_outcome(&barriered, &fast, &label);
+                let one_shard = &reference[usize::from(sampled)];
+                assert_same_outcome(one_shard, &barriered, &format!("{label} vs 1 shard"));
+                assert_eq!(one_shard.jobs, barriered.jobs, "{label}: job records");
+                assert!(
+                    fast.jobs.is_empty(),
+                    "{label}: observer-less runs drop records"
+                );
             }
         }
     }
@@ -268,17 +226,19 @@ fn assert_same_outcome(a: &SimOutput, b: &SimOutput, label: &str) {
 struct At(Vec<u64>);
 
 impl ArrivalProcess for At {
-    fn generate(&self, _rng: &mut DetRng, start: u64, end: u64) -> Vec<u64> {
-        self.0
-            .iter()
-            .copied()
-            .filter(|m| (start..end).contains(m))
-            .collect()
-    }
-
     /// Unused: nothing calibrates against a hand-built workload.
     fn rate(&self) -> f64 {
         0.0
+    }
+
+    fn cursor(&self, _rng: DetRng, start: u64, end: u64) -> Box<dyn Iterator<Item = u64> + Send> {
+        let minutes: Vec<u64> = self
+            .0
+            .iter()
+            .copied()
+            .filter(|m| (start..end).contains(m))
+            .collect();
+        Box::new(minutes.into_iter())
     }
 }
 
@@ -429,4 +389,29 @@ fn unpinned_workloads_are_rejected() {
     let workload = params.build_workload();
     let config = SimConfig::new(InitialKind::RoundRobin, StrategyKind::NoRes);
     Simulator::new(&site, Vec::new(), config).run_streaming(&workload, params.seed);
+}
+
+/// The built-in dense-id observers index `ctx.jobs`, which a streaming
+/// run keeps empty until drain: attaching one is rejected up front.
+#[test]
+#[should_panic(expected = "built-in dense-id observers cannot run on the streaming backend")]
+fn attached_invariant_checker_is_rejected() {
+    let p = params();
+    let site = p.build_site();
+    let workload = p.build_workload();
+    let mut sim = Simulator::new(&site, Vec::new(), base_config(Backend::Serial));
+    sim.attach_observer(Box::new(InvariantChecker::new()));
+    sim.run_streaming(&workload, p.seed);
+}
+
+/// The config switches attach the same observers, and are rejected the
+/// same way.
+#[test]
+#[should_panic(expected = "built-in dense-id observers cannot run on the streaming backend")]
+fn telemetry_switch_is_rejected() {
+    let p = params();
+    let site = p.build_site();
+    let workload = p.build_workload();
+    let config = base_config(Backend::Sharded { shards: 2 }).with_telemetry();
+    Simulator::new(&site, Vec::new(), config).run_streaming(&workload, p.seed);
 }
