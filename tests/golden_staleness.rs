@@ -3,8 +3,8 @@
 //! round-robin and utilization-based initial placement, with the cluster
 //! view aged 0, 10 and 120 minutes) plus one `DupSusUtil` and one
 //! `MigrateSusUtil` cell at staleness 0, all at high load and small
-//! scale. Each fixture line pins a cell's `RunCounters` and its paper
-//! Table row.
+//! scale. Each fixture line pins a cell's `RunCounters`, its paper Table
+//! row, and the FNV-1a digest and line count of its event trace.
 //!
 //! Every cell depends on *when* the policies' cluster view is refreshed
 //! and on which pool mutations it reflects, so any change to the refresh
@@ -12,6 +12,11 @@
 //! duplicate cell settles duplicate races whose loser is still waiting,
 //! and the wait-rescheduling cells pull jobs out of wait queues; both are
 //! pool mutations a decision at the same instant must observe.
+//!
+//! The trace digests pin, event by event, the placements no other golden
+//! fixture reaches: restarts that queue and restarts that dispatch, a
+//! migrating job's arrival at its target, and a duplicate's launch. The
+//! test asserts the cells together still exercise all four.
 //!
 //! To regenerate after an *intentional* behaviour change:
 //!
@@ -27,6 +32,7 @@ use netbatch::core::policy::{InitialKind, StrategyKind};
 use netbatch::core::simulator::{SimConfig, Simulator};
 use netbatch::sim_engine::time::SimDuration;
 use netbatch::workload::scenarios::ScenarioParams;
+use std::collections::{BTreeSet, HashMap};
 use std::fs;
 
 /// Small enough for a debug-build test, large enough that high load
@@ -73,35 +79,99 @@ fn cells() -> Vec<Cell> {
     cells
 }
 
-/// Runs every cell and returns the fixture text, plus the trace of the
-/// duplicate cell (for the coverage check).
-fn record() -> (String, String) {
+/// 64-bit FNV-1a over a whole trace document.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// The unsigned integer after `"key":` in one JSONL trace line.
+fn field(line: &str, key: &str) -> Option<u64> {
+    let pat = format!(r#""{key}":"#);
+    let rest = &line[line.find(&pat)? + pat.len()..];
+    let end = rest
+        .find(|c: char| !c.is_ascii_digit())
+        .unwrap_or(rest.len());
+    rest[..end].parse().ok()
+}
+
+/// How a job reached a pool without a routing decision, as seen in a
+/// trace: its placement (`dispatch` or `enqueue`) directly follows a
+/// restart, a migration or its own launch as a duplicate.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Placement {
+    RestartQueued,
+    RestartDispatched,
+    MigrationArrival,
+    DuplicateLaunch,
+}
+
+/// Adds the placements `trace` exercises to `seen`.
+fn placements(trace: &str, seen: &mut BTreeSet<Placement>) {
+    let mut last: HashMap<u64, &str> = HashMap::new();
+    for line in trace.lines() {
+        let ev = line
+            .split(r#""ev":""#)
+            .nth(1)
+            .and_then(|r| r.split('"').next())
+            .expect("every trace line names its event");
+        if ev == "duplicate" {
+            last.insert(field(line, "clone").expect("clone id"), ev);
+            continue;
+        }
+        let Some(job) = field(line, "job") else {
+            continue;
+        };
+        let prev = last.insert(job, ev);
+        let placement = match (prev, ev) {
+            (Some("restart_from_suspend" | "restart_from_wait"), "enqueue") => {
+                Placement::RestartQueued
+            }
+            (Some("restart_from_suspend" | "restart_from_wait"), "dispatch") => {
+                Placement::RestartDispatched
+            }
+            (Some("migrate"), "enqueue" | "dispatch") => Placement::MigrationArrival,
+            (Some("duplicate"), "enqueue" | "dispatch") => Placement::DuplicateLaunch,
+            _ => continue,
+        };
+        seen.insert(placement);
+    }
+}
+
+/// Runs every cell and returns the fixture text, the placements the
+/// cells' traces exercise, and whether the duplicate cell settled a race
+/// against a waiting loser.
+fn record() -> (String, BTreeSet<Placement>, bool) {
     let params = ScenarioParams::normal_week(SCALE);
     let site = params.build_site().halved();
     let trace = params.generate_trace();
     let mut text = String::new();
-    let mut dup_trace = String::new();
+    let mut seen = BTreeSet::new();
+    let mut waiting_loser = false;
     for cell in cells() {
         let mut config = SimConfig::new(cell.initial, cell.strategy);
         config.view_staleness = SimDuration::from_minutes(cell.staleness_min);
         let mut sim = Simulator::new(&site, trace.to_specs(), config);
-        let is_dup = cell.strategy == StrategyKind::DupSusUtil;
-        if is_dup {
-            sim.attach_observer(Box::new(TraceRecorder::in_memory()));
-        }
+        sim.attach_observer(Box::new(TraceRecorder::in_memory()));
         let mut out = sim.run_to_completion();
-        if is_dup {
-            dup_trace = out
-                .observer::<TraceRecorder>()
-                .expect("recorder attached")
-                .lines()
-                .to_string();
-            out.observers.clear();
+        let events = out
+            .observer::<TraceRecorder>()
+            .expect("recorder attached")
+            .lines();
+        let digest = fnv1a(events.as_bytes());
+        let lines = events.lines().count();
+        placements(events, &mut seen);
+        if cell.strategy == StrategyKind::DupSusUtil {
+            waiting_loser |= events.lines().any(|l| {
+                l.contains(r#""ev":"proxy_finish""#) && l.contains(r#""from_phase":"waiting""#)
+            });
         }
+        out.observers.clear();
         let counters = out.counters;
         let result = ExperimentResult::from_output(cell.initial, cell.strategy, out);
         text.push_str(&format!(
-            "{} {} staleness {}min | {} | {:?}\n",
+            "{} {} staleness {}min | {} | {:?} | trace fnv1a {digest:016x} lines {lines}\n",
             cell.initial.name(),
             cell.strategy.name(),
             cell.staleness_min,
@@ -109,21 +179,30 @@ fn record() -> (String, String) {
             counters
         ));
     }
-    (text, dup_trace)
+    (text, seen, waiting_loser)
 }
 
 #[test]
 fn staleness_cells_match_golden_fixture() {
     let path = format!("{}/{GOLDEN_PATH}", env!("CARGO_MANIFEST_DIR"));
-    let (recorded, dup_trace) = record();
+    let (recorded, seen, waiting_loser) = record();
 
     // The fixture must reach the mutation sites it exists to pin.
     assert!(
-        dup_trace.lines().any(
-            |l| l.contains(r#""ev":"proxy_finish""#) && l.contains(r#""from_phase":"waiting""#)
-        ),
+        waiting_loser,
         "the duplicate cell settled no race against a waiting loser"
     );
+    for placement in [
+        Placement::RestartQueued,
+        Placement::RestartDispatched,
+        Placement::MigrationArrival,
+        Placement::DuplicateLaunch,
+    ] {
+        assert!(
+            seen.contains(&placement),
+            "no cell's trace exercises {placement:?}"
+        );
+    }
     assert!(
         recorded
             .lines()
