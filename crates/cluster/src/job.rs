@@ -320,6 +320,9 @@ pub struct JobRecord {
     pub completion_event: Option<EventId>,
     /// Pending wait-threshold timer, if any.
     pub wait_timer_event: Option<EventId>,
+    /// Wait-threshold timers armed in the current waiting stint (a
+    /// livelock guard; reset when the job starts).
+    pub wait_checks: u32,
 }
 
 impl JobRecord {
@@ -342,6 +345,7 @@ impl JobRecord {
             completed_at: None,
             completion_event: None,
             wait_timer_event: None,
+            wait_checks: 0,
             spec,
         }
     }

@@ -35,6 +35,7 @@ pub mod experiment;
 pub mod faults;
 pub mod observer;
 pub mod policy;
+mod pool_step;
 pub mod provenance;
 pub mod simulator;
 mod streaming;

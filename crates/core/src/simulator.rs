@@ -10,17 +10,15 @@
 //! "we execute these jobs on the ASCA simulator until all 248000 jobs are
 //! completed").
 
-use std::collections::VecDeque;
-
 use netbatch_cluster::ids::{JobId, MachineId, PoolId};
-use netbatch_cluster::job::{JobRecord, JobSpec, PoolAffinity};
+use netbatch_cluster::job::{JobPhase, JobRecord, JobSpec, PoolAffinity};
 use netbatch_cluster::pool::{PhysicalPool, PoolAction, SubmitKind};
 use netbatch_cluster::snapshot::ClusterSnapshot;
 use netbatch_metrics::timeseries::TimeSeries;
 use netbatch_sim_engine::executor::{Control, Executor, Handler, RunOutcome, Scheduler};
 use netbatch_sim_engine::hash::{IntMap, IntSet};
 use netbatch_sim_engine::observe::EventLabel;
-use netbatch_sim_engine::queue::EventQueue;
+use netbatch_sim_engine::queue::{EventId, EventQueue};
 use netbatch_sim_engine::rng::DetRng;
 use netbatch_sim_engine::sampler::PeriodicSampler;
 use netbatch_sim_engine::time::{SimDuration, SimTime};
@@ -35,6 +33,7 @@ use crate::observer::{
 };
 use crate::policy::initial::{InitialKind, InitialScheduler};
 use crate::policy::resched::{Decision, ReschedPolicy, StrategyKind};
+use crate::pool_step::{self, PoolHost, Suspended};
 use crate::provenance::KernelProfile;
 
 /// Simulator configuration: the experiment's policy axes plus extension
@@ -429,7 +428,7 @@ struct Scratch {
     /// Free list of pool-action batches.
     actions: Vec<Vec<PoolAction>>,
     /// Free list of suspended-cascade worklists.
-    worklists: Vec<VecDeque<(JobId, PoolId)>>,
+    worklists: Vec<Suspended>,
     /// Free list of spec clones whose affinity is `Any` (`JobSpec::clone_from`
     /// reuses the affinity subset allocation on reuse).
     specs_any: Vec<JobSpec>,
@@ -443,8 +442,6 @@ struct Scratch {
     evict_running: Vec<JobId>,
     /// Suspended-side eviction list for the same failure event.
     evict_suspended: Vec<JobId>,
-    /// Combined eviction worklist tagged with the pre-eviction phase.
-    evicted: Vec<(JobId, PhaseTag)>,
 }
 
 impl Scratch {
@@ -466,11 +463,11 @@ impl Scratch {
         self.actions.push(batch);
     }
 
-    fn take_worklist(&mut self) -> VecDeque<(JobId, PoolId)> {
+    fn take_worklist(&mut self) -> Suspended {
         self.worklists.pop().unwrap_or_default()
     }
 
-    fn put_worklist(&mut self, mut list: VecDeque<(JobId, PoolId)>) {
+    fn put_worklist(&mut self, mut list: Suspended) {
         list.clear();
         self.worklists.push(list);
     }
@@ -530,8 +527,6 @@ pub struct Simulator {
     // Progress.
     pub(crate) total_jobs: u64,
     pub(crate) counters: RunCounters,
-    // Wait-check re-arms per waiting stint (livelock guard; reset on start).
-    wait_checks: Vec<u32>,
     // Failure-driven retry attempts per job (hardened runs only).
     fault_retries: Vec<u32>,
     // Per-pool blacklisted-until instant (SimTime::ZERO = never failed).
@@ -627,7 +622,6 @@ impl Simulator {
         }
         let total_jobs = specs.len() as u64;
         let policy_rng = DetRng::from_seed_u64(config.seed).stream("policy");
-        let wait_checks = vec![0; specs.len()];
         let fault_retries = vec![0; specs.len()];
         let blacklist = vec![SimTime::ZERO; pools.len()];
         let vpm_assignment = match config.topology.as_ref() {
@@ -659,7 +653,6 @@ impl Simulator {
         Simulator {
             pools,
             jobs: specs.into_iter().map(JobRecord::new).collect(),
-            wait_checks,
             fault_retries,
             blacklist,
             gave_up: IntSet::default(),
@@ -849,6 +842,9 @@ impl Simulator {
     /// population and assembles the [`SimOutput`].
     pub(crate) fn finish_run(mut self, end_time: SimTime, events_processed: u64) -> SimOutput {
         self.counters.events = events_processed;
+        // Preemption is the pools' to count: every suspension either kernel
+        // applies came out of one pool's action batch.
+        self.counters.suspensions = self.pools.iter().map(|p| p.stats().suspensions).sum();
         debug_assert!(self.pools.iter().all(PhysicalPool::check_invariants));
         if !self.observers.is_empty() {
             let ctx = ObsCtx {
@@ -987,61 +983,78 @@ impl Simulator {
         }
     }
 
-    /// Routes a job through the virtual pool manager: try pools in the
-    /// initial scheduler's preference order, bouncing on ineligibility.
+    /// Routes a job through the virtual pool manager to its initial
+    /// candidates.
     fn route_via_vpm(&mut self, job: JobId, now: SimTime, sched: &mut Scheduler<'_, Ev>) {
         let spec = self.scratch.take_spec(self.jobs[job.as_usize()].spec());
         let mut candidates = self.scratch.take_pool_list();
         self.initial_candidates_into(&spec, &mut candidates);
-        self.refresh_view(now);
-        let mut order = self.scratch.take_pool_list();
-        self.initial
-            .order_into(&spec, &candidates, &self.view_snap, &mut order);
-        let mut routed = false;
-        for &pool in &order {
-            if self.try_pool(pool, &spec, now, sched) {
-                routed = true;
-                break;
-            }
-        }
-        if !routed {
-            // No pool can ever run this job.
-            self.give_up(job, now);
-        }
-        self.scratch.put_pool_list(order);
+        self.route_in_order(&spec, &candidates, now, sched);
         self.scratch.put_pool_list(candidates);
         self.scratch.put_spec(spec);
     }
 
-    /// Tries one pool; `true` if the job was dispatched or queued there,
-    /// `false` if the pool is ineligible.
-    fn try_pool(
+    /// Tries `candidates` in the initial scheduler's preference order,
+    /// bouncing on ineligibility, until one dispatches or queues the job;
+    /// a job no candidate can ever run is given up.
+    fn route_in_order(
+        &mut self,
+        spec: &JobSpec,
+        candidates: &[PoolId],
+        now: SimTime,
+        sched: &mut Scheduler<'_, Ev>,
+    ) {
+        self.refresh_view(now);
+        let mut order = self.scratch.take_pool_list();
+        self.initial
+            .order_into(spec, candidates, &self.view_snap, &mut order);
+        let mut suspended = self.scratch.take_worklist();
+        let routed = order.iter().any(|&pool| {
+            self.place(pool, spec, true, now, sched, &mut suspended) != SubmitKind::Ineligible
+        });
+        self.decide_all(suspended, now, sched);
+        if !routed {
+            self.give_up(spec.id, now);
+        }
+        self.scratch.put_pool_list(order);
+    }
+
+    /// The serial kernel's one placement call: submits `spec` into `pool`
+    /// through the shared pool step and arms the wait timer if the job
+    /// queued. A `routed` placement (the VPM's choice) bounces off an
+    /// ineligible pool; a direct one (a restart, duplicate launch or
+    /// migration arrival) there routes the job's full spec through the
+    /// VPM instead, though policies only pick eligible targets.
+    /// Preemptions the placement causes land on `suspended`.
+    fn place(
         &mut self,
         pool: PoolId,
         spec: &JobSpec,
+        routed: bool,
         now: SimTime,
         sched: &mut Scheduler<'_, Ev>,
-    ) -> bool {
+        suspended: &mut Suspended,
+    ) -> SubmitKind {
         let mut actions = self.scratch.take_actions();
-        let placed = match self.pools[pool.as_usize()].submit_into(now, spec, &mut actions) {
-            SubmitKind::Dispatched => {
-                self.emit(now, ObsEvent::PoolChosen { job: spec.id, pool });
-                self.apply_actions(pool, &actions, now, sched);
-                true
-            }
-            SubmitKind::Queued => {
-                self.emit(now, ObsEvent::PoolChosen { job: spec.id, pool });
-                self.jobs[spec.id.as_usize()]
-                    .enqueue(now, pool)
-                    .expect("job routed while at VPM");
-                self.emit(now, ObsEvent::Enqueue { job: spec.id, pool });
-                self.arm_wait_timer(spec.id, now, sched);
-                true
-            }
-            SubmitKind::Ineligible => false,
-        };
+        let host = &mut self.host(sched);
+        let kind = pool_step::submit(host, pool, spec, routed, now, &mut actions, suspended);
         self.scratch.put_actions(actions);
-        placed
+        match kind {
+            SubmitKind::Queued => {
+                if let Some(threshold) = self.policy.wait_threshold() {
+                    self.arm_wait_timer(spec.id, now + threshold, sched);
+                }
+            }
+            SubmitKind::Ineligible if !routed => self.route_via_vpm(spec.id, now, sched),
+            _ => {}
+        }
+        kind
+    }
+
+    /// The pool step's host over this simulator and the executor's
+    /// scheduler.
+    fn host<'s, 'q>(&'s mut self, sched: &'s mut Scheduler<'q, Ev>) -> SerialHost<'s, 'q> {
+        SerialHost { sim: self, sched }
     }
 
     /// The most wait-check timer re-arms a job may consume per waiting
@@ -1049,23 +1062,18 @@ impl Simulator {
     /// start (e.g. every capable machine failed permanently).
     const MAX_WAIT_CHECKS: u32 = 10_000;
 
-    /// Arms the wait-rescheduling timer for a freshly queued job, if the
-    /// strategy reschedules waiting jobs.
-    fn arm_wait_timer(&mut self, job: JobId, now: SimTime, sched: &mut Scheduler<'_, Ev>) {
-        if let Some(threshold) = self.policy.wait_threshold() {
-            if self.wait_checks[job.as_usize()] >= Self::MAX_WAIT_CHECKS {
-                return;
-            }
-            self.wait_checks[job.as_usize()] += 1;
-            let id = sched.schedule_at(now + threshold, Ev::WaitCheck(job));
-            self.jobs[job.as_usize()].wait_timer_event = Some(id);
+    /// Books a waiting job's next wait check at `at`, unless its waiting
+    /// stint has used up its re-arm budget.
+    fn arm_wait_timer(&mut self, job: JobId, at: SimTime, sched: &mut Scheduler<'_, Ev>) {
+        let rec = &mut self.jobs[job.as_usize()];
+        if rec.wait_checks < Self::MAX_WAIT_CHECKS {
+            rec.wait_checks += 1;
+            rec.wait_timer_event = Some(sched.schedule_at(at, Ev::WaitCheck(job)));
         }
     }
 
     /// Applies a batch of pool actions, then runs rescheduling decisions
-    /// for any jobs the batch suspended. Rescheduling can cascade (a
-    /// restarted job may preempt in its new pool); the worklist makes the
-    /// cascade iterative and bounded.
+    /// for any jobs the batch suspended.
     fn apply_actions(
         &mut self,
         pool: PoolId,
@@ -1074,72 +1082,24 @@ impl Simulator {
         sched: &mut Scheduler<'_, Ev>,
     ) {
         let mut suspended = self.scratch.take_worklist();
-        self.apply_batch(pool, actions, now, sched, &mut suspended);
-        while let Some((job, at_pool)) = suspended.pop_front() {
-            self.decide_suspended(job, at_pool, now, sched, &mut suspended);
-        }
-        self.scratch.put_worklist(suspended);
+        pool_step::apply(&mut self.host(sched), pool, actions, now, &mut suspended);
+        self.decide_all(suspended, now, sched);
     }
 
-    /// Bookkeeping for one action batch; newly suspended jobs are pushed
-    /// onto the worklist rather than decided inline.
-    fn apply_batch(
+    /// Decides every suspension on the worklist, then returns the list to
+    /// the scratch pool. Rescheduling can cascade (a restarted job may
+    /// preempt in its new pool); the worklist makes the cascade iterative
+    /// and bounded.
+    fn decide_all(
         &mut self,
-        pool: PoolId,
-        actions: &[PoolAction],
+        mut suspended: Suspended,
         now: SimTime,
         sched: &mut Scheduler<'_, Ev>,
-        suspended: &mut VecDeque<(JobId, PoolId)>,
     ) {
-        if !actions.is_empty() {
-            // Scope for the per-batch resume-order invariant.
-            self.emit(now, ObsEvent::BatchStart { pool });
+        while let Some((job, pool)) = suspended.pop_front() {
+            self.decide_suspended(job, pool, now, sched, &mut suspended);
         }
-        for &action in actions {
-            match action {
-                PoolAction::Started { job, machine, wall } => {
-                    self.wait_checks[job.as_usize()] = 0;
-                    let from_queue = matches!(
-                        self.jobs[job.as_usize()].phase(),
-                        netbatch_cluster::job::JobPhase::Waiting { .. }
-                    );
-                    let rec = &mut self.jobs[job.as_usize()];
-                    if let Some(timer) = rec.wait_timer_event.take() {
-                        sched.cancel(timer);
-                    }
-                    rec.start(now, pool, machine, wall)
-                        .expect("pool starts only routed jobs");
-                    rec.completion_event = Some(sched.schedule_at(now + wall, Ev::Complete(job)));
-                    self.emit(
-                        now,
-                        ObsEvent::Dispatch {
-                            job,
-                            pool,
-                            machine,
-                            wall,
-                            from_queue,
-                        },
-                    );
-                }
-                PoolAction::Suspended { job, machine } => {
-                    let rec = &mut self.jobs[job.as_usize()];
-                    if let Some(ev) = rec.completion_event.take() {
-                        sched.cancel(ev);
-                    }
-                    rec.suspend(now).expect("pool suspends only running jobs");
-                    self.counters.suspensions += 1;
-                    self.emit(now, ObsEvent::Suspend { job, pool, machine });
-                    suspended.push_back((job, pool));
-                }
-                PoolAction::Resumed { job, machine } => {
-                    let rec = &mut self.jobs[job.as_usize()];
-                    rec.resume(now).expect("pool resumes only suspended jobs");
-                    let wall = rec.remaining_wall();
-                    rec.completion_event = Some(sched.schedule_at(now + wall, Ev::Complete(job)));
-                    self.emit(now, ObsEvent::Resume { job, pool, machine });
-                }
-            }
-        }
+        self.scratch.put_worklist(suspended);
     }
 
     /// Consults the rescheduling policy for one freshly suspended job and
@@ -1150,7 +1110,7 @@ impl Simulator {
         at_pool: PoolId,
         now: SimTime,
         sched: &mut Scheduler<'_, Ev>,
-        suspended: &mut VecDeque<(JobId, PoolId)>,
+        suspended: &mut Suspended,
     ) {
         let rec = &self.jobs[job.as_usize()];
         // The job may already have been resumed (or even completed) by a
@@ -1163,7 +1123,7 @@ impl Simulator {
                 return;
             }
         }
-        let spec = self.scratch.take_spec(self.jobs[job.as_usize()].spec());
+        let mut spec = self.scratch.take_spec(self.jobs[job.as_usize()].spec());
         let mut candidates = self.scratch.take_pool_list();
         self.eligible_candidates_into(&spec, now, &mut candidates);
         self.refresh_view(now);
@@ -1193,24 +1153,42 @@ impl Simulator {
         }
         match decision {
             Decision::Stay => {}
-            Decision::Restart(target) => {
+            Decision::Restart(target) | Decision::Migrate(target) => {
                 // Pull the job out of its pool (frees its resident memory,
                 // which may start queued jobs there)...
                 let mut actions = self.scratch.take_actions();
                 let was_suspended =
                     self.pools[at_pool.as_usize()].remove_suspended_into(now, job, &mut actions);
                 assert!(was_suspended, "checked suspended above");
-                let overhead = self.move_overhead(job, target);
-                let discarded = self.jobs[job.as_usize()].attempt_progress();
-                self.jobs[job.as_usize()]
-                    .abort_for_restart(now, overhead)
-                    .expect("suspended jobs can abort");
-                self.counters.restarts_from_suspend += 1;
+                let restart = matches!(decision, Decision::Restart(_));
+                let (kind, discarded) = if restart {
+                    let overhead = self.move_overhead(job, target);
+                    let discarded = self.jobs[job.as_usize()].attempt_progress();
+                    self.jobs[job.as_usize()]
+                        .abort_for_restart(now, overhead)
+                        .expect("suspended jobs can abort");
+                    self.counters.restarts_from_suspend += 1;
+                    (ReschedKind::RestartFromSuspend, discarded)
+                } else {
+                    let remaining = self.jobs[job.as_usize()]
+                        .migrate_out(now, self.config.migration.delay)
+                        .expect("suspended jobs can migrate");
+                    // The migrated copy runs `slowdown` slower (§2.3's 10-20%
+                    // virtualization overhead), minimum one minute.
+                    let slowed = (remaining.as_minutes()
+                        * u64::from(self.config.migration.slowdown_milli))
+                    .div_ceil(1000)
+                    .max(1);
+                    self.migrating
+                        .insert(job, SimDuration::from_minutes(slowed));
+                    self.counters.migrations += 1;
+                    (ReschedKind::Migrate, SimDuration::ZERO)
+                };
                 self.emit(
                     now,
                     ObsEvent::Reschedule {
                         job,
-                        kind: ReschedKind::RestartFromSuspend,
+                        kind,
                         from_pool: at_pool,
                         machine: Some(machine),
                         from_phase: PhaseTag::Suspended,
@@ -1218,56 +1196,24 @@ impl Simulator {
                         discarded,
                     },
                 );
-                self.apply_batch(at_pool, &actions, now, sched, suspended);
+                pool_step::apply(&mut self.host(sched), at_pool, &actions, now, suspended);
                 self.scratch.put_actions(actions);
-                // ...and restart it from scratch at the chosen pool.
-                self.restart_at(job, target, now, sched, suspended);
-            }
-            Decision::Migrate(target) => {
-                let mut actions = self.scratch.take_actions();
-                let was_suspended =
-                    self.pools[at_pool.as_usize()].remove_suspended_into(now, job, &mut actions);
-                assert!(was_suspended, "checked suspended above");
-                let remaining = self.jobs[job.as_usize()]
-                    .migrate_out(now, self.config.migration.delay)
-                    .expect("suspended jobs can migrate");
-                // The migrated copy runs `slowdown` slower (§2.3's 10-20%
-                // virtualization overhead), minimum one minute.
-                let slowed = (remaining.as_minutes()
-                    * u64::from(self.config.migration.slowdown_milli))
-                .div_ceil(1000)
-                .max(1);
-                self.migrating
-                    .insert(job, SimDuration::from_minutes(slowed));
-                self.counters.migrations += 1;
-                self.emit(
-                    now,
-                    ObsEvent::Reschedule {
-                        job,
-                        kind: ReschedKind::Migrate,
-                        from_pool: at_pool,
-                        machine: Some(machine),
-                        from_phase: PhaseTag::Suspended,
-                        to: Some(target),
-                        discarded: SimDuration::ZERO,
-                    },
-                );
-                self.apply_batch(at_pool, &actions, now, sched, suspended);
-                self.scratch.put_actions(actions);
-                sched.schedule_at(
-                    now + self.config.migration.delay,
-                    Ev::MigrateArrive(job, target),
-                );
+                // ...and restart it from scratch at the chosen pool, or
+                // land it there once the transfer delay has elapsed.
+                if restart {
+                    self.place(target, &spec, false, now, sched, suspended);
+                } else {
+                    let arrive = now + self.config.migration.delay;
+                    sched.schedule_at(arrive, Ev::MigrateArrive(job, target));
+                }
             }
             Decision::Duplicate(target) => {
                 // Only one live duplicate per original, and shadows never
                 // spawn their own duplicates.
                 if !self.dup_of.contains_key(&job) && !self.shadows.contains(&job) {
                     let clone_id = JobId(self.jobs.len() as u64);
-                    let mut clone_spec = spec.clone();
-                    clone_spec.id = clone_id;
-                    self.jobs.push(JobRecord::new(clone_spec));
-                    self.wait_checks.push(0);
+                    spec.id = clone_id;
+                    self.jobs.push(JobRecord::new(spec.clone()));
                     self.fault_retries.push(0);
                     if !self.vpm_assignment.is_empty() {
                         let home = self.vpm_assignment[job.as_usize()];
@@ -1288,62 +1234,23 @@ impl Simulator {
                             target,
                         },
                     );
-                    self.restart_at(clone_id, target, now, sched, suspended);
+                    self.place(target, &spec, false, now, sched, suspended);
                 }
             }
         }
         self.scratch.put_spec(spec);
     }
 
-    /// Submits a restarted job directly to `target`, collecting any
-    /// preemptions it causes onto the worklist.
-    fn restart_at(
-        &mut self,
-        job: JobId,
-        target: PoolId,
-        now: SimTime,
-        sched: &mut Scheduler<'_, Ev>,
-        suspended: &mut VecDeque<(JobId, PoolId)>,
-    ) {
-        let spec = self.scratch.take_spec(self.jobs[job.as_usize()].spec());
-        let mut actions = self.scratch.take_actions();
-        match self.pools[target.as_usize()].submit_into(now, &spec, &mut actions) {
-            SubmitKind::Dispatched => {
-                self.apply_batch(target, &actions, now, sched, suspended);
-            }
-            SubmitKind::Queued => {
-                self.jobs[job.as_usize()]
-                    .enqueue(now, target)
-                    .expect("job at VPM after abort");
-                self.emit(now, ObsEvent::Enqueue { job, pool: target });
-                self.arm_wait_timer(job, now, sched);
-            }
-            SubmitKind::Ineligible => {
-                // Policies only pick eligible candidates, but defend anyway:
-                // route through the VPM.
-                self.route_via_vpm(job, now, sched);
-            }
-        }
-        self.scratch.put_actions(actions);
-        self.scratch.put_spec(spec);
-    }
-
     fn handle_complete(&mut self, job: JobId, now: SimTime, sched: &mut Scheduler<'_, Ev>) {
-        let rec = &mut self.jobs[job.as_usize()];
-        let netbatch_cluster::job::JobPhase::Running { pool, machine } = rec.phase() else {
-            unreachable!("completion events are cancelled on suspension/restart");
-        };
-        rec.completion_event = None;
-        rec.complete(now).expect("phase checked running");
+        let mut actions = self.scratch.take_actions();
+        let mut suspended = self.scratch.take_worklist();
+        let host = &mut self.host(sched);
+        pool_step::complete(host, job, now, &mut actions, &mut suspended);
+        self.scratch.put_actions(actions);
         if !self.shadows.contains(&job) {
             self.counters.completed += 1;
         }
-        self.emit(now, ObsEvent::Complete { job, pool, machine });
-        let mut actions = self.scratch.take_actions();
-        let was_running = self.pools[pool.as_usize()].release_into(now, job, &mut actions);
-        assert!(was_running, "running job releases");
-        self.apply_actions(pool, &actions, now, sched);
-        self.scratch.put_actions(actions);
+        self.decide_all(suspended, now, sched);
         self.resolve_duplicate_race(job, now, sched);
     }
 
@@ -1369,40 +1276,32 @@ impl Simulator {
         if let Some(timer) = rec.wait_timer_event.take() {
             sched.cancel(timer);
         }
-        use netbatch_cluster::job::JobPhase;
         // Capture where the loser was before eviction, for the proxy-finish
         // event emitted once the record is settled.
         let loser_state = match rec.phase() {
             JobPhase::Running { pool, machine } => {
-                Some((PhaseTag::Running, Some(pool), Some(machine)))
-            }
-            JobPhase::Suspended { pool, machine } => {
-                Some((PhaseTag::Suspended, Some(pool), Some(machine)))
-            }
-            JobPhase::Waiting { pool } => Some((PhaseTag::Waiting, Some(pool), None)),
-            JobPhase::AtVpm => Some((PhaseTag::AtVpm, None, None)),
-            JobPhase::Created | JobPhase::Completed => None,
-        };
-        match rec.phase() {
-            JobPhase::Running { pool, .. } => {
                 let actions = self.pools[pool.as_usize()]
                     .release(now, loser)
                     .expect("loser was running");
                 self.apply_actions(pool, &actions, now, sched);
+                Some((PhaseTag::Running, Some(pool), Some(machine)))
             }
-            JobPhase::Suspended { pool, .. } => {
+            JobPhase::Suspended { pool, machine } => {
                 let actions = self.pools[pool.as_usize()]
                     .remove_suspended(now, loser)
                     .expect("loser was suspended");
                 self.apply_actions(pool, &actions, now, sched);
+                Some((PhaseTag::Suspended, Some(pool), Some(machine)))
             }
             JobPhase::Waiting { pool } => {
                 self.pools[pool.as_usize()]
                     .remove_waiting(loser)
                     .expect("loser was waiting");
+                Some((PhaseTag::Waiting, Some(pool), None))
             }
-            JobPhase::AtVpm | JobPhase::Created | JobPhase::Completed => {}
-        }
+            JobPhase::AtVpm => Some((PhaseTag::AtVpm, None, None)),
+            JobPhase::Created | JobPhase::Completed => None,
+        };
         // Settle: the ORIGINAL record carries the metrics.
         let mut proxied = false;
         if clone_won {
@@ -1449,7 +1348,7 @@ impl Simulator {
 
     fn handle_wait_check(&mut self, job: JobId, now: SimTime, sched: &mut Scheduler<'_, Ev>) {
         let rec = &self.jobs[job.as_usize()];
-        let netbatch_cluster::job::JobPhase::Waiting { pool } = rec.phase() else {
+        let JobPhase::Waiting { pool } = rec.phase() else {
             return; // Started or moved in the meantime; timer is stale.
         };
         let Some(threshold) = self.policy.wait_threshold() else {
@@ -1458,11 +1357,7 @@ impl Simulator {
         let waited = now.since(rec.phase_since());
         if waited < threshold {
             // Re-arm for the remainder (can happen after requeueing races).
-            if self.wait_checks[job.as_usize()] < Self::MAX_WAIT_CHECKS {
-                self.wait_checks[job.as_usize()] += 1;
-                let id = sched.schedule_at(rec.phase_since() + threshold, Ev::WaitCheck(job));
-                self.jobs[job.as_usize()].wait_timer_event = Some(id);
-            }
+            self.arm_wait_timer(job, rec.phase_since() + threshold, sched);
             return;
         }
         if let Some(cap) = self.config.max_restarts {
@@ -1522,20 +1417,11 @@ impl Simulator {
                     },
                 );
                 let mut suspended = self.scratch.take_worklist();
-                self.restart_at(job, target, now, sched, &mut suspended);
-                while let Some((j, p)) = suspended.pop_front() {
-                    self.decide_suspended(j, p, now, sched, &mut suspended);
-                }
-                self.scratch.put_worklist(suspended);
+                self.place(target, &spec, false, now, sched, &mut suspended);
+                self.decide_all(suspended, now, sched);
             }
-            _ => {
-                // Stay put; check again one threshold later (bounded).
-                if self.wait_checks[job.as_usize()] < Self::MAX_WAIT_CHECKS {
-                    self.wait_checks[job.as_usize()] += 1;
-                    let id = sched.schedule_at(now + threshold, Ev::WaitCheck(job));
-                    self.jobs[job.as_usize()].wait_timer_event = Some(id);
-                }
-            }
+            // Stay put; check again one threshold later (bounded).
+            _ => self.arm_wait_timer(job, now + threshold, sched),
         }
         self.scratch.put_spec(spec);
     }
@@ -1557,29 +1443,8 @@ impl Simulator {
         let mut spec = self.scratch.take_spec(self.jobs[job.as_usize()].spec());
         spec.runtime = remaining;
         let mut suspended = self.scratch.take_worklist();
-        let mut actions = self.scratch.take_actions();
-        match self.pools[target.as_usize()].submit_into(now, &spec, &mut actions) {
-            SubmitKind::Dispatched => {
-                self.apply_batch(target, &actions, now, sched, &mut suspended);
-            }
-            SubmitKind::Queued => {
-                self.jobs[job.as_usize()]
-                    .enqueue(now, target)
-                    .expect("migrating job is at VPM");
-                self.emit(now, ObsEvent::Enqueue { job, pool: target });
-                self.arm_wait_timer(job, now, sched);
-            }
-            SubmitKind::Ineligible => {
-                // Defensive: route anywhere eligible, still with the
-                // remaining work only. Fall back to a full VPM route.
-                self.route_via_vpm(job, now, sched);
-            }
-        }
-        self.scratch.put_actions(actions);
-        while let Some((j, p)) = suspended.pop_front() {
-            self.decide_suspended(j, p, now, sched, &mut suspended);
-        }
-        self.scratch.put_worklist(suspended);
+        self.place(target, &spec, false, now, sched, &mut suspended);
+        self.decide_all(suspended, now, sched);
         self.scratch.put_spec(spec);
     }
 
@@ -1630,45 +1495,62 @@ impl Simulator {
                 },
             );
         }
-        let mut evicted = std::mem::take(&mut self.scratch.evicted);
-        evicted.clear();
-        evicted.extend(running.iter().map(|&j| (j, PhaseTag::Running)));
-        evicted.extend(susp.iter().map(|&j| (j, PhaseTag::Suspended)));
+        for &job in running.iter().chain(&susp) {
+            self.counters.failure_evictions += 1;
+            self.evict(job, ReschedKind::FailureEvict, &[], now, sched);
+        }
         self.scratch.evict_running = running;
         self.scratch.evict_suspended = susp;
-        for &(job, from_phase) in &evicted {
-            self.counters.failure_evictions += 1;
-            let rec = &mut self.jobs[job.as_usize()];
-            if let Some(ev) = rec.completion_event.take() {
-                sched.cancel(ev);
-            }
-            // A running job's progress counter lags its current stint;
-            // add the elapsed time since it (re)started on the machine.
-            let discarded = match from_phase {
-                PhaseTag::Running => rec.attempt_progress() + now.since(rec.phase_since()),
-                _ => rec.attempt_progress(),
-            };
-            rec.abort_for_restart(now, self.config.restart_overhead)
-                .expect("evicted jobs were running or suspended");
-            self.emit(
-                now,
-                ObsEvent::Reschedule {
-                    job,
-                    kind: ReschedKind::FailureEvict,
-                    from_pool: pool,
-                    machine: Some(machine),
-                    from_phase,
-                    to: None,
-                    discarded,
-                },
-            );
-            if self.config.resilience.enabled {
-                self.schedule_retry(job, now, sched);
-            } else {
-                self.route_via_vpm(job, now, sched);
-            }
+    }
+
+    /// Restarts a job its pool has just let go of, off the machine its
+    /// record still names, after a failure or a drain: cancels its
+    /// completion, aborts its attempt, applies `freed` (what its removal
+    /// freed), then sends it back through the VPM, or into backoff when
+    /// the scheduler is hardened.
+    fn evict(
+        &mut self,
+        job: JobId,
+        kind: ReschedKind,
+        freed: &[PoolAction],
+        now: SimTime,
+        sched: &mut Scheduler<'_, Ev>,
+    ) {
+        let rec = &mut self.jobs[job.as_usize()];
+        let (pool, machine, from_phase) = match rec.phase() {
+            JobPhase::Running { pool, machine } => (pool, machine, PhaseTag::Running),
+            JobPhase::Suspended { pool, machine } => (pool, machine, PhaseTag::Suspended),
+            _ => unreachable!("evicted jobs were running or suspended"),
+        };
+        if let Some(ev) = rec.completion_event.take() {
+            sched.cancel(ev);
         }
-        self.scratch.evicted = evicted;
+        // A running job's progress counter lags its current stint;
+        // add the elapsed time since it (re)started on the machine.
+        let discarded = match from_phase {
+            PhaseTag::Running => rec.attempt_progress() + now.since(rec.phase_since()),
+            _ => rec.attempt_progress(),
+        };
+        rec.abort_for_restart(now, self.config.restart_overhead)
+            .expect("evicted jobs were running or suspended");
+        self.emit(
+            now,
+            ObsEvent::Reschedule {
+                job,
+                kind,
+                from_pool: pool,
+                machine: Some(machine),
+                from_phase,
+                to: None,
+                discarded,
+            },
+        );
+        self.apply_actions(pool, freed, now, sched);
+        if self.config.resilience.enabled {
+            self.schedule_retry(job, now, sched);
+        } else {
+            self.route_via_vpm(job, now, sched);
+        }
     }
 
     /// Books one failure-driven re-dispatch for `job`: waits out the
@@ -1701,7 +1583,7 @@ impl Simulator {
     fn handle_retry_dispatch(&mut self, job: JobId, now: SimTime, sched: &mut Scheduler<'_, Ev>) {
         let rec = &self.jobs[job.as_usize()];
         if rec.is_completed()
-            || !matches!(rec.phase(), netbatch_cluster::job::JobPhase::AtVpm)
+            || !matches!(rec.phase(), JobPhase::AtVpm)
             || self.gave_up.contains(&job)
         {
             return; // finished (possibly by a duplicate) or moved meanwhile
@@ -1725,21 +1607,7 @@ impl Simulator {
                 self.schedule_retry(job, now, sched);
             }
         } else {
-            self.refresh_view(now);
-            let mut order = self.scratch.take_pool_list();
-            self.initial
-                .order_into(&spec, &up, &self.view_snap, &mut order);
-            let mut routed = false;
-            for &pool in &order {
-                if self.try_pool(pool, &spec, now, sched) {
-                    routed = true;
-                    break;
-                }
-            }
-            if !routed {
-                self.give_up(job, now);
-            }
-            self.scratch.put_pool_list(order);
+            self.route_in_order(&spec, &up, now, sched);
         }
         self.scratch.put_pool_list(up);
         self.scratch.put_pool_list(capable);
@@ -1841,19 +1709,14 @@ impl Simulator {
         running.clear();
         susp.clear();
         self.pools[pool.as_usize()].residents_into(machine, &mut running, &mut susp);
-        let mut evacuated = std::mem::take(&mut self.scratch.evicted);
-        evacuated.clear();
-        evacuated.extend(running.iter().copied().filter_map(|j| {
+        running.retain(|j| {
             let rec = &self.jobs[j.as_usize()];
             // A running job's completion instant is its phase start plus
             // the wall remaining at that boundary; jobs that beat the
             // deadline are left to finish in place.
-            (rec.phase_since() + rec.remaining_wall() > deadline).then_some((j, PhaseTag::Running))
-        }));
-        evacuated.extend(susp.iter().map(|&j| (j, PhaseTag::Suspended)));
-        self.scratch.evict_running = running;
-        self.scratch.evict_suspended = susp;
-        for &(job, _) in &evacuated {
+            rec.phase_since() + rec.remaining_wall() > deadline
+        });
+        for &job in running.iter().chain(&susp) {
             // Re-read the job's phase: an earlier evacuee's freed cores
             // may have resumed this one meanwhile (resuming on a draining
             // machine is legal — only *new* placements are barred).
@@ -1888,14 +1751,6 @@ impl Simulator {
                     },
                 );
             }
-            let rec = &mut self.jobs[job.as_usize()];
-            if let Some(ev) = rec.completion_event.take() {
-                sched.cancel(ev);
-            }
-            let discarded = match from_phase {
-                PhaseTag::Running => rec.attempt_progress() + now.since(rec.phase_since()),
-                _ => rec.attempt_progress(),
-            };
             let mut actions = self.scratch.take_actions();
             let removed = match from_phase {
                 PhaseTag::Running => {
@@ -1904,30 +1759,11 @@ impl Simulator {
                 _ => self.pools[pool.as_usize()].remove_suspended_into(now, job, &mut actions),
             };
             assert!(removed, "phase re-checked above");
-            self.jobs[job.as_usize()]
-                .abort_for_restart(now, self.config.restart_overhead)
-                .expect("evacuees were running or suspended");
-            self.emit(
-                now,
-                ObsEvent::Reschedule {
-                    job,
-                    kind: ReschedKind::Evacuation,
-                    from_pool: pool,
-                    machine: Some(machine),
-                    from_phase,
-                    to: None,
-                    discarded,
-                },
-            );
-            self.apply_actions(pool, &actions, now, sched);
+            self.evict(job, ReschedKind::Evacuation, &actions, now, sched);
             self.scratch.put_actions(actions);
-            if self.config.resilience.enabled {
-                self.schedule_retry(job, now, sched);
-            } else {
-                self.route_via_vpm(job, now, sched);
-            }
         }
-        self.scratch.evicted = evacuated;
+        self.scratch.evict_running = running;
+        self.scratch.evict_suspended = susp;
     }
 
     /// A lifecycle window closes: the machine re-opens for placement and
@@ -2018,6 +1854,36 @@ fn decision_target(decision: Decision) -> Option<PoolId> {
     match decision {
         Decision::Stay => None,
         Decision::Restart(t) | Decision::Migrate(t) | Decision::Duplicate(t) => Some(t),
+    }
+}
+
+/// The pool step's host on the serial kernel: the simulator's pools and
+/// dense job records, with completions booked as [`Ev::Complete`] on the
+/// executor's queue.
+struct SerialHost<'s, 'q> {
+    sim: &'s mut Simulator,
+    sched: &'s mut Scheduler<'q, Ev>,
+}
+
+impl PoolHost for SerialHost<'_, '_> {
+    fn pool(&mut self, id: PoolId) -> &mut PhysicalPool {
+        &mut self.sim.pools[id.as_usize()]
+    }
+
+    fn job(&mut self, id: JobId) -> &mut JobRecord {
+        &mut self.sim.jobs[id.as_usize()]
+    }
+
+    fn book(&mut self, at: SimTime, job: JobId) -> EventId {
+        self.sched.schedule_at(at, Ev::Complete(job))
+    }
+
+    fn cancel(&mut self, id: EventId) {
+        self.sched.cancel(id);
+    }
+
+    fn emit(&mut self, now: SimTime, event: ObsEvent) {
+        self.sim.emit(now, event);
     }
 }
 

@@ -21,6 +21,10 @@
 //!   immediately and never cross a shard; the coordinator's own
 //!   scheduling state holds no event queue.
 //!
+//! Within a pool a worker runs the serial kernel's own protocol code,
+//! the shared step in `pool_step`, through a [`StreamHost`]; what is
+//! particular to this kernel is generation, lanes and barriers.
+//!
 //! # Threads
 //!
 //! A run on N shards uses N threads. The coordinator thread drives shard
@@ -65,7 +69,7 @@
 //! submission of an unsampled run the whole tail drains in one dispatch.
 //!
 //! Observer runs keep one barrier per active minute (bound `e+1`):
-//! replay and [`Observer::on_settle`](crate::observer::Observer::on_settle)
+//! replay and [`SimObserver::on_settle`](crate::observer::SimObserver::on_settle)
 //! read the pools at barrier time. Every observer-less run pipelines;
 //! there is no switch, because having no observer attached is the one
 //! condition under which pipelining is sound. The coordinator then keeps
@@ -127,10 +131,11 @@
 //! stream.
 
 use std::collections::VecDeque;
+use std::mem::take;
 use std::sync::{mpsc, Arc};
 
 use netbatch_cluster::ids::{JobId, PoolId};
-use netbatch_cluster::job::{JobPhase, JobRecord};
+use netbatch_cluster::job::{JobRecord, JobSpec, PoolAffinity};
 use netbatch_cluster::pool::{PhysicalPool, PoolAction, SubmitKind};
 use netbatch_sim_engine::epoch::merge_sorted_runs;
 use netbatch_sim_engine::hash::IntMap;
@@ -140,6 +145,7 @@ use netbatch_workload::trace::TraceRecord;
 use netbatch_workload::{TraceStream, WorkloadSpec};
 
 use crate::observer::{InvariantChecker, ObsCtx, ObsEvent};
+use crate::pool_step::{self, PoolHost, Suspended};
 use crate::provenance::{SpanRecorder, COORD_MERGE, PHASE_COMPLETE, PHASE_GENERATE, PHASE_SUBMIT};
 use crate::simulator::{SimOutput, Simulator};
 use crate::telemetry::Telemetry;
@@ -237,7 +243,6 @@ struct EpochResult {
     /// the canonical order).
     emissions: Vec<(u32, ObsEvent)>,
     completed: u64,
-    suspensions: u64,
     unrunnable: u64,
     /// Events executed (submissions incl. unrunnable ones, plus delivered
     /// completions).
@@ -264,10 +269,10 @@ struct PoolLane<'a> {
     ahead: VecDeque<(u64, Vec<TraceRecord>)>,
 }
 
-/// Per-thread streaming executor: generates its pools' arrivals, runs
-/// the serial executor's fast-class transitions (same record
-/// transitions, same pool calls, same emission order), and applies
-/// queue effects immediately against its own queue.
+/// Per-thread streaming executor: generates its pools' arrivals, feeds
+/// them and its due completions through the pool step both kernels share
+/// (so record transitions, pool calls and emission order are the serial
+/// kernel's), and keeps its pools' completion bookings in its own queue.
 struct StreamWorker<'a> {
     shard: usize,
     shards: usize,
@@ -293,10 +298,11 @@ struct StreamWorker<'a> {
     /// emissions for replay.
     observed: bool,
     profile: bool,
+    /// The pool step's scratch batch and suspension worklist; reused.
     actions: Vec<PoolAction>,
+    suspended: Suspended,
     emissions: Vec<(u32, ObsEvent)>,
     completed: u64,
-    suspensions: u64,
     unrunnable: u64,
     executed: u64,
     last_active: Option<SimTime>,
@@ -344,9 +350,9 @@ impl<'a> StreamWorker<'a> {
             observed,
             profile,
             actions: Vec::new(),
+            suspended: Suspended::new(),
             emissions: Vec::new(),
             completed: 0,
-            suspensions: 0,
             unrunnable: 0,
             executed: 0,
             last_active: None,
@@ -486,7 +492,9 @@ impl<'a> StreamWorker<'a> {
     }
 
     /// Submits a lane's buffered minute under the coordinator's job-id
-    /// base, then refills the lookahead with the emptied buffer.
+    /// base, then refills the lookahead with the emptied buffer. Each
+    /// record becomes a job here (its spec never existed before) and goes
+    /// through the pool step to the lane's pool, its only candidate.
     fn submit_minute(&mut self, li: usize, base: u64, now: SimTime, arena: &PoolArena) {
         let (m, mut records) = self.lanes[li]
             .ahead
@@ -495,8 +503,35 @@ impl<'a> StreamWorker<'a> {
         debug_assert_eq!(m, now.as_minutes(), "bases name the lane's oldest minute");
         let t0 = self.profile.then(std::time::Instant::now);
         let n = records.len() as u64;
+        let pool = self.lanes[li].pool;
         for (k, record) in records.drain(..).enumerate() {
-            self.run_submit(li, JobId(base + k as u64), record, now, arena);
+            let id = JobId(base + k as u64);
+            self.executed += 1;
+            self.emit(ObsEvent::Kernel { kind: "submit" });
+            let mut job = JobRecord::new(record.into_spec(id));
+            job.submit(now).expect("streamed submissions fire once");
+            self.emit(ObsEvent::Submit { job: id });
+            // The pool reads no affinity (routing is the VPM's), so this
+            // copy without the pool list submits exactly like the record.
+            let spec = JobSpec {
+                affinity: PoolAffinity::Any,
+                ..*job.spec()
+            };
+            self.jobs.insert(id, job);
+            let kind = self.step(li, arena, |host, actions, suspended| {
+                pool_step::submit(host, pool, &spec, true, now, actions, suspended)
+            });
+            if kind == SubmitKind::Ineligible {
+                // The serial give-up (unhardened): the job's only
+                // candidate pool can never run it. The record parks at
+                // the VPM.
+                let job = self.jobs.remove(&id).expect("inserted above");
+                self.unrunnable += 1;
+                self.emit(ObsEvent::Unrunnable { job: id });
+                if self.observed {
+                    self.finished.push(job);
+                }
+            }
         }
         if let Some(t0) = t0 {
             let cell = &mut self.profile_nanos[PHASE_SUBMIT];
@@ -510,159 +545,47 @@ impl<'a> StreamWorker<'a> {
     /// Delivers a popped booking unless it went stale: a same-minute
     /// suspension that ran after the booking left the queue clears the
     /// job's `completion_event` (and a resume books a new handle), so a
-    /// booking no longer named by its job is skipped.
+    /// booking no longer named by its job is skipped. Completed records
+    /// leave the in-flight set.
     fn deliver(&mut self, li: usize, id: EventId, job: JobId, now: SimTime, arena: &PoolArena) {
         let live = self
             .jobs
             .get(&job)
             .is_some_and(|rec| rec.completion_event == Some(id));
-        if live {
-            self.run_complete(li, job, now, arena);
-        }
-    }
-
-    /// Mirror of the serial `Ev::Submit` arm under the fast class: the
-    /// target pool is the job's pinned pool, and topology and wait timers
-    /// do not exist. The record is instantiated here (the spec never
-    /// existed before this call) and ineligibility is handled in place of
-    /// the serial give-up.
-    fn run_submit(
-        &mut self,
-        li: usize,
-        id: JobId,
-        record: TraceRecord,
-        now: SimTime,
-        arena: &PoolArena,
-    ) {
-        self.executed += 1;
-        self.emit(ObsEvent::Kernel { kind: "submit" });
-        let mut job = JobRecord::new(record.into_spec(id));
-        job.submit(now).expect("streamed submissions fire once");
-        self.emit(ObsEvent::Submit { job: id });
-        let pool = self.lanes[li].pool;
-        let resources = job.spec().resources;
-        // SAFETY: `pool` is owned by this worker (PoolArena contract).
-        let pool_ref = unsafe { arena.pool(pool) };
-        if !pool_ref.is_eligible(resources) {
-            // The serial give-up (unhardened): the job's only candidate
-            // pool can never run it. The record parks in Submitted phase.
-            self.unrunnable += 1;
-            self.emit(ObsEvent::Unrunnable { job: id });
-            if self.observed {
-                self.finished.push(job);
-            }
+        if !live {
             return;
         }
-        let outcome = pool_ref.submit_into(now, job.spec(), &mut self.actions);
-        match outcome {
-            SubmitKind::Dispatched => {
-                self.emit(ObsEvent::PoolChosen { job: id, pool });
-                self.jobs.insert(id, job);
-                self.apply_batch(li, pool, now);
-            }
-            SubmitKind::Queued => {
-                self.emit(ObsEvent::PoolChosen { job: id, pool });
-                job.enqueue(now, pool).expect("job routed while at VPM");
-                self.emit(ObsEvent::Enqueue { job: id, pool });
-                self.jobs.insert(id, job);
-            }
-            SubmitKind::Ineligible => unreachable!("eligibility pre-checked"),
-        }
-        self.actions.clear();
-    }
-
-    /// Mirror of the serial `Ev::Complete` arm under the fast class
-    /// (shadow copies and duplicate races need the Duplicate decision,
-    /// which `NoRes` never makes). [`StreamWorker::deliver`] has already
-    /// checked that the booking is live.
-    fn run_complete(&mut self, li: usize, job: JobId, now: SimTime, arena: &PoolArena) {
         self.executed += 1;
         self.emit(ObsEvent::Kernel { kind: "complete" });
-        let rec = self
-            .jobs
-            .get_mut(&job)
-            .expect("delivered completion for a tracked job");
-        let JobPhase::Running { pool, machine } = rec.phase() else {
-            unreachable!("live completion for non-running job");
-        };
-        rec.completion_event = None;
-        rec.complete(now).expect("phase checked running");
+        self.step(li, arena, |host, actions, suspended| {
+            pool_step::complete(host, job, now, actions, suspended);
+        });
         self.completed += 1;
-        self.emit(ObsEvent::Complete { job, pool, machine });
-        debug_assert_eq!(
-            pool, self.lanes[li].pool,
-            "jobs never leave their pinned pool"
-        );
-        // SAFETY: `pool` is owned by this worker.
-        let was_running = unsafe { arena.pool(pool) }.release_into(now, job, &mut self.actions);
-        assert!(was_running, "running job releases");
-        let done = self.jobs.remove(&job).expect("presence checked");
+        let done = self.jobs.remove(&job).expect("completed job is tracked");
         if self.observed {
             self.finished.push(done);
         }
-        self.apply_batch(li, pool, now);
     }
 
-    /// Mirror of the serial `apply_batch` drain, with queue effects
-    /// applied immediately against the worker's queue. The policy
-    /// consultation vanishes: `NoRes` always answers `Stay`, reads no
-    /// randomness and leaves no side effect, so suspended jobs stay put.
-    fn apply_batch(&mut self, li: usize, pool: PoolId, now: SimTime) {
-        if !self.actions.is_empty() {
-            self.emit(ObsEvent::BatchStart { pool });
-        }
-        let actions = std::mem::take(&mut self.actions);
-        for &action in &actions {
-            match action {
-                PoolAction::Started { job, machine, wall } => {
-                    let ev = self.queue.schedule(now + wall, (li as u32, job));
-                    let rec = self.jobs.get_mut(&job).expect("pool starts tracked jobs");
-                    let from_queue = matches!(rec.phase(), JobPhase::Waiting { .. });
-                    rec.start(now, pool, machine, wall)
-                        .expect("pool starts only routed jobs");
-                    rec.completion_event = Some(ev);
-                    self.emit(ObsEvent::Dispatch {
-                        job,
-                        pool,
-                        machine,
-                        wall,
-                        from_queue,
-                    });
-                }
-                PoolAction::Suspended { job, machine } => {
-                    let ev = self
-                        .jobs
-                        .get_mut(&job)
-                        .expect("pool suspends tracked jobs")
-                        .completion_event
-                        .take()
-                        .expect("running job has a booked completion");
-                    // `false` when the booking is due now and already
-                    // sits in the minute's due batch; delivery skips it.
-                    self.queue.cancel(ev);
-                    self.jobs
-                        .get_mut(&job)
-                        .expect("presence checked")
-                        .suspend(now)
-                        .expect("pool suspends only running jobs");
-                    self.suspensions += 1;
-                    self.emit(ObsEvent::Suspend { job, pool, machine });
-                }
-                PoolAction::Resumed { job, machine } => {
-                    let rec = self.jobs.get_mut(&job).expect("pool resumes tracked jobs");
-                    rec.resume(now).expect("pool resumes only suspended jobs");
-                    let wall = rec.remaining_wall();
-                    let ev = self.queue.schedule(now + wall, (li as u32, job));
-                    self.jobs
-                        .get_mut(&job)
-                        .expect("presence checked")
-                        .completion_event = Some(ev);
-                    self.emit(ObsEvent::Resume { job, pool, machine });
-                }
-            }
-        }
-        self.actions = actions;
-        self.actions.clear();
+    /// Runs one pool step on lane `li` with the worker's scratch batch and
+    /// worklist. `NoRes` leaves every suspended job in place, so the
+    /// worklist is dropped.
+    fn step<R>(
+        &mut self,
+        li: usize,
+        arena: &PoolArena,
+        run: impl FnOnce(&mut StreamHost<'_, 'a>, &mut Vec<PoolAction>, &mut Suspended) -> R,
+    ) -> R {
+        let (mut actions, mut suspended) = (take(&mut self.actions), take(&mut self.suspended));
+        let host = &mut StreamHost {
+            worker: self,
+            arena,
+            lane: li,
+        };
+        let out = run(host, &mut actions, &mut suspended);
+        suspended.clear();
+        (self.actions, self.suspended) = (actions, suspended);
+        out
     }
 
     /// Packages the buffered progress since the last report plus the
@@ -674,7 +597,6 @@ impl<'a> StreamWorker<'a> {
             epoch,
             emissions: std::mem::take(&mut self.emissions),
             completed: std::mem::take(&mut self.completed),
-            suspensions: std::mem::take(&mut self.suspensions),
             unrunnable: std::mem::take(&mut self.unrunnable),
             executed: std::mem::take(&mut self.executed),
             last_active: self.last_active.take(),
@@ -682,6 +604,49 @@ impl<'a> StreamWorker<'a> {
             next_local: self.queue.peek_time(),
             profile: std::mem::take(&mut self.profile_nanos),
         }
+    }
+}
+
+/// The pool step's host on the streaming kernel: one lane of a worker,
+/// with completions booked as `(lane, job)` on the worker's queue and
+/// emissions buffered under the lane's pool for barrier replay.
+struct StreamHost<'w, 'a> {
+    worker: &'w mut StreamWorker<'a>,
+    arena: &'w PoolArena,
+    lane: usize,
+}
+
+impl PoolHost for StreamHost<'_, '_> {
+    fn pool(&mut self, id: PoolId) -> &mut PhysicalPool {
+        assert_eq!(
+            id, self.worker.lanes[self.lane].pool,
+            "jobs never leave their pinned pool"
+        );
+        // SAFETY: the lane's pool is owned by this worker under the shard
+        // partition (PoolArena contract), and the returned borrow holds
+        // `self` mutably, so no other reference to the pool is live.
+        unsafe { self.arena.pool(id) }
+    }
+
+    fn job(&mut self, id: JobId) -> &mut JobRecord {
+        self.worker
+            .jobs
+            .get_mut(&id)
+            .expect("the pool acts only on tracked jobs")
+    }
+
+    fn book(&mut self, at: SimTime, job: JobId) -> EventId {
+        self.worker.queue.schedule(at, (self.lane as u32, job))
+    }
+
+    fn cancel(&mut self, id: EventId) {
+        // `false` when the booking is due now and already sits in the
+        // minute's due batch; delivery then skips it as stale.
+        self.worker.queue.cancel(id);
+    }
+
+    fn emit(&mut self, _now: SimTime, event: ObsEvent) {
+        self.worker.emit(event);
     }
 }
 
@@ -839,7 +804,6 @@ pub(crate) fn run_streaming(
             ($r:expr) => {{
                 let r = $r;
                 sim.counters.completed += r.completed;
-                sim.counters.suspensions += r.suspensions;
                 sim.counters.unrunnable += r.unrunnable;
                 for lane in &r.lanes {
                     let p = lane.pool as usize;

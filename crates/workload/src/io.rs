@@ -13,6 +13,12 @@ use crate::trace::{Trace, TraceRecord};
 /// The header line written at the top of every trace file.
 pub const CSV_HEADER: &str = "submit_minute,runtime_minutes,cores,memory_mb,priority,affinity,task";
 
+/// The largest `submit_minute` or `runtime_minutes` a trace file may
+/// carry: 2^40 minutes, about two million years. Far past any real trace,
+/// and small enough that the simulator's minute arithmetic (a submit time
+/// plus a speed-scaled wall time plus waits) cannot overflow `SimTime`.
+pub const MAX_TRACE_MINUTES: u64 = 1 << 40;
+
 /// Error produced when parsing a trace file.
 #[derive(Debug)]
 pub enum TraceIoError {
@@ -83,8 +89,9 @@ pub fn write_csv<W: Write>(mut w: W, trace: &Trace) -> Result<(), TraceIoError> 
 ///
 /// # Errors
 ///
-/// Returns [`TraceIoError::Parse`] on any malformed line and
-/// [`TraceIoError::Io`] on read failures.
+/// Returns [`TraceIoError::Parse`] on any malformed line, including one
+/// whose `submit_minute` or `runtime_minutes` exceeds
+/// [`MAX_TRACE_MINUTES`], and [`TraceIoError::Io`] on read failures.
 pub fn read_csv<R: Read>(r: R) -> Result<Trace, TraceIoError> {
     let reader = BufReader::new(r);
     let mut lines = reader.lines().enumerate();
@@ -122,6 +129,15 @@ fn parse_line(line: &str) -> Result<TraceRecord, String> {
     fn num<T: std::str::FromStr>(s: &str, name: &str) -> Result<T, String> {
         s.parse().map_err(|_| format!("invalid {name} value `{s}`"))
     }
+    fn minutes(s: &str, name: &str) -> Result<u64, String> {
+        let m = num(s, name)?;
+        if m > MAX_TRACE_MINUTES {
+            return Err(format!(
+                "{name} value `{s}` exceeds the cap of {MAX_TRACE_MINUTES} minutes"
+            ));
+        }
+        Ok(m)
+    }
     let affinity = if fields[5].is_empty() {
         Vec::new()
     } else {
@@ -136,8 +152,8 @@ fn parse_line(line: &str) -> Result<TraceRecord, String> {
         Some(num::<u32>(fields[6], "task")?)
     };
     Ok(TraceRecord {
-        submit_minute: num(fields[0], "submit_minute")?,
-        runtime_minutes: num(fields[1], "runtime_minutes")?,
+        submit_minute: minutes(fields[0], "submit_minute")?,
+        runtime_minutes: minutes(fields[1], "runtime_minutes")?,
         cores: num(fields[2], "cores")?,
         memory_mb: num(fields[3], "memory_mb")?,
         priority: num(fields[4], "priority")?,
@@ -226,6 +242,31 @@ mod tests {
         };
         assert_eq!(line, 3);
         assert!(message.contains("submit_minute"));
+    }
+
+    #[test]
+    fn minutes_past_the_cap_are_rejected() {
+        // At the cap a row still parses; one past it, or a value whose
+        // simulator arithmetic would overflow, names its line and field.
+        let at_cap = format!("{CSV_HEADER}\n{MAX_TRACE_MINUTES},{MAX_TRACE_MINUTES},1,100,1,,\n");
+        assert_eq!(read_csv(at_cap.as_bytes()).unwrap().len(), 1);
+        for (row, field) in [
+            ("18446744073709551615,10,1,100,1,,", "submit_minute"),
+            ("100,18446744073709551615,1,100,1,,", "runtime_minutes"),
+            ("1099511627777,10,1,100,1,,", "submit_minute"),
+            ("100,1099511627777,1,100,1,,", "runtime_minutes"),
+        ] {
+            let text = format!("{CSV_HEADER}\n{row}\n");
+            let TraceIoError::Parse { line, message } = read_csv(text.as_bytes()).unwrap_err()
+            else {
+                panic!("expected parse error for {row}")
+            };
+            assert_eq!(line, 2, "{row}");
+            assert!(
+                message.contains(field) && message.contains("cap"),
+                "{message}"
+            );
+        }
     }
 
     #[test]

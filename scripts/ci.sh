@@ -162,6 +162,13 @@ grep -q '^netbatch;coordinator;merge ' "$tmpdir/stream1.folded"
 grep -q '^netbatch;shard0;generate ' "$tmpdir/stream1.folded"
 echo "==> streaming conformance (golden matrix, materialized parity)"
 cargo test --release -q --test streaming_conformance
+# The golden fixtures in a release build as well: both kernels run the
+# same generic pool step, and release builds wrap on overflow and drop
+# every debug_assert, so byte-identity checked only in debug would miss
+# what the shipped binary does.
+echo "==> golden fixtures (release)"
+cargo test --release -q --test golden_trace --test golden_chaos \
+  --test golden_lifecycle --test golden_staleness --test golden_matrix
 
 # Benchmark contract: perfbench's own tests check that the metric names
 # it prints match BENCHMARK.json and that instrumentation never changes

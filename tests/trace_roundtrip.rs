@@ -61,3 +61,43 @@ fn trace_files_on_disk_work() {
     assert_eq!(back, trace);
     std::fs::remove_file(&path).ok();
 }
+
+#[test]
+fn cli_rejects_trace_minutes_past_the_cap() {
+    // Each row once overflowed the simulator's minute arithmetic: the
+    // first panicked scheduling a completion, the second wrapped a wall
+    // time and reported a nonsense mean. Both must now stop at parse time.
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
+    for (name, row, field) in [
+        (
+            "submit",
+            "18446744073709551615,10,1,100,1,,",
+            "submit_minute",
+        ),
+        (
+            "runtime",
+            "100,18446744073709551615,1,100,1,,",
+            "runtime_minutes",
+        ),
+    ] {
+        let path = dir.join(format!("overflow_{name}.csv"));
+        std::fs::write(
+            &path,
+            format!("{}\n{row}\n", netbatch::workload::io::CSV_HEADER),
+        )
+        .expect("write trace");
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_netbatch"))
+            .args(["simulate", "--trace"])
+            .arg(&path)
+            .output()
+            .expect("run netbatch");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{name}: {stderr}");
+        assert!(
+            stderr.contains("trace parse error at line 2") && stderr.contains(field),
+            "{name}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{name}: {stderr}");
+        std::fs::remove_file(&path).ok();
+    }
+}
