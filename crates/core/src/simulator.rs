@@ -1503,9 +1503,9 @@ impl Simulator {
         self.scratch.evict_suspended = susp;
     }
 
-    /// Restarts a job its pool has just let go of, off the machine its
-    /// record still names, after a failure or a drain: cancels its
-    /// completion, aborts its attempt, applies `freed` (what its removal
+    /// Restarts a job that a failure or a drain has just taken off its
+    /// machine, which its record still names: cancels its completion,
+    /// aborts its attempt, applies `freed` (what its removal from the pool
     /// freed), then sends it back through the VPM, or into backoff when
     /// the scheduler is hardened.
     fn evict(
