@@ -20,6 +20,7 @@
 use std::fmt::{self, Write as _};
 
 use netbatch_cluster::ids::{JobId, MachineId, PoolId};
+use netbatch_sim_engine::hash::IntMap;
 use netbatch_sim_engine::time::SimTime;
 
 use crate::observer::{AuditTrigger, AuditVerdict, ObsCtx, ObsEvent, ReschedKind, SimObserver};
@@ -118,16 +119,17 @@ impl Cause {
         }
     }
 
-    fn render(&self, out: &mut String) {
+    fn render(&self, out: &mut impl Sink) {
         match *self {
-            Cause::Submitted | Cause::Preempted | Cause::Resumed | Cause::DuplicateRace => {
-                let _ = write!(out, "{{\"type\":\"{}\"}}", self.label());
+            Cause::Submitted => out.text("{\"type\":\"submitted\"}"),
+            Cause::Preempted => out.text("{\"type\":\"preempted\"}"),
+            Cause::Resumed => out.text("{\"type\":\"resumed\"}"),
+            Cause::DuplicateRace => out.text("{\"type\":\"duplicate_race\"}"),
+            Cause::Dispatched { from_queue: true } => {
+                out.text("{\"type\":\"dispatched\",\"from_queue\":true}");
             }
-            Cause::Dispatched { from_queue } => {
-                let _ = write!(
-                    out,
-                    "{{\"type\":\"dispatched\",\"from_queue\":{from_queue}}}"
-                );
+            Cause::Dispatched { from_queue: false } => {
+                out.text("{\"type\":\"dispatched\",\"from_queue\":false}");
             }
             Cause::Policy {
                 trigger,
@@ -139,36 +141,45 @@ impl Cause {
                 cur_queue,
                 tgt_queue,
             } => {
-                let _ = write!(
-                    out,
-                    "{{\"type\":\"policy\",\"trigger\":\"{}\",\"verdict\":\"{}\",\"target\":{},\
-                     \"candidates\":{candidates},\"cur_util_milli\":{cur_util_milli},\
-                     \"tgt_util_milli\":{tgt_util_milli},\"cur_queue\":{cur_queue},\
-                     \"tgt_queue\":{tgt_queue}}}",
-                    trigger.label(),
-                    verdict.label(),
-                    OptU64(target.map(|p| u64::from(p.as_u16()))),
-                );
+                out.text("{\"type\":\"policy\",\"trigger\":\"");
+                out.text(trigger.label());
+                out.text("\",\"verdict\":\"");
+                out.text(verdict.label());
+                out.text("\",\"target\":");
+                out.opt(target.map(|p| u64::from(p.as_u16())));
+                out.text(",\"candidates\":");
+                out.uint(u64::from(candidates));
+                out.text(",\"cur_util_milli\":");
+                out.uint(u64::from(cur_util_milli));
+                out.text(",\"tgt_util_milli\":");
+                out.uint(u64::from(tgt_util_milli));
+                out.text(",\"cur_queue\":");
+                out.uint(u64::from(cur_queue));
+                out.text(",\"tgt_queue\":");
+                out.uint(u64::from(tgt_queue));
+                out.text("}");
             }
             Cause::Fault {
                 outage,
                 blacklisted_until,
             } => {
-                let _ = write!(
-                    out,
-                    "{{\"type\":\"fault\",\"outage\":{outage},\"blacklisted_until\":{}}}",
-                    OptU64(blacklisted_until.map(|t| t.as_minutes())),
-                );
+                out.text("{\"type\":\"fault\",\"outage\":");
+                out.uint(u64::from(outage));
+                out.text(",\"blacklisted_until\":");
+                out.opt(blacklisted_until.map(|t| t.as_minutes()));
+                out.text("}");
             }
             Cause::Evacuation { window, deadline } => {
-                let _ = write!(
-                    out,
-                    "{{\"type\":\"evacuation\",\"window\":{window},\"deadline\":{}}}",
-                    deadline.as_minutes()
-                );
+                out.text("{\"type\":\"evacuation\",\"window\":");
+                out.uint(u64::from(window));
+                out.text(",\"deadline\":");
+                out.uint(deadline.as_minutes());
+                out.text("}");
             }
             Cause::Retry { attempt } => {
-                let _ = write!(out, "{{\"type\":\"retry\",\"attempt\":{attempt}}}");
+                out.text("{\"type\":\"retry\",\"attempt\":");
+                out.uint(u64::from(attempt));
+                out.text("}");
             }
         }
     }
@@ -195,13 +206,14 @@ pub struct Segment {
 // Per-job cursor into the flat segment arena. Keeping the segments
 // themselves out of this struct matters for overhead: one shared arena
 // grows amortized instead of one tiny heap allocation (plus reallocs)
-// per job, which is what dominates recording cost at scale.
+// per job, which is what dominates recording cost at scale. The struct
+// is 12 bytes: the cause stashed for a job's next segment lives only
+// between an audit and the transition it explains, so it sits in the
+// recorder's `pending` map rather than in every job's state.
 #[derive(Default, Clone, Copy)]
 struct JobState {
     open: Option<u32>,
     count: u32,
-    pending: Option<Cause>,
-    submitted_at: Option<SimTime>,
 }
 
 /// Observer that folds the event stream into per-job span trees plus a
@@ -216,6 +228,10 @@ pub struct SpanRecorder {
     jobs: Vec<JobState>,
     // Flat arena of every segment, tagged (job, seq), in open order.
     segments: Vec<(u32, u32, Segment)>,
+    // The cause stashed for each job's next segment: set by an audit (or
+    // a fault eviction, retry or duplicate launch), taken by the
+    // transition it explains, cleared when the job finishes.
+    pending: IntMap<JobId, Cause>,
     decisions: Vec<(SimTime, ObsEvent)>,
     // The most recent machine-failure audit; consumed (shared, not
     // cleared) by the failure evictions that follow it.
@@ -231,6 +247,7 @@ impl SpanRecorder {
             initial,
             jobs: Vec::new(),
             segments: Vec::new(),
+            pending: IntMap::default(),
             decisions: Vec::new(),
             last_fault: None,
         }
@@ -280,8 +297,17 @@ impl SpanRecorder {
         ));
     }
 
+    // `take_pending` and `stash` size the job table exactly as when the
+    // pending cause was a `JobState` field: the header's job count is
+    // the highest job id any of them touched, plus one.
     fn take_pending(&mut self, job: JobId) -> Option<Cause> {
-        self.job_mut(job).pending.take()
+        self.job_mut(job);
+        self.pending.remove(&job)
+    }
+
+    fn stash(&mut self, job: JobId, cause: Cause) {
+        self.job_mut(job);
+        self.pending.insert(job, cause);
     }
 
     /// Number of jobs with at least one recorded segment or submission.
@@ -336,62 +362,127 @@ impl SpanRecorder {
     /// decision in time order, then every segment grouped by job id. All
     /// hand-written JSON — byte-identical across runs, backends and shard
     /// counts.
+    ///
+    /// Linear in the output: segments are grouped by job through a prefix
+    /// sum over the per-job segment counts, not a sort, and a counting pass
+    /// sizes the buffer exactly before the writing pass fills it.
     pub fn render_jsonl(&self) -> String {
-        let mut out = String::with_capacity(4096);
-        let _ = writeln!(
-            out,
-            "{{\"schema\":\"netbatch-spans/1\",\"strategy\":\"{}\",\"initial\":\"{}\",\
-             \"jobs\":{},\"spans\":{},\"decisions\":{}}}",
-            self.strategy,
-            self.initial,
-            self.jobs.len(),
-            self.span_count(),
-            self.decisions.len(),
-        );
-        for (t, ev) in &self.decisions {
-            render_decision(&mut out, *t, ev);
-        }
-        // The arena holds segments in open order; group them by job for
-        // rendering (within one job the arena order already is seq order,
-        // so the sort only interleaves jobs, deterministically).
-        let mut order: Vec<u32> = (0..self.segments.len() as u32).collect();
-        order.sort_unstable_by_key(|&i| {
-            let (job, seq, _) = self.segments[i as usize];
-            (job, seq)
-        });
-        for i in order {
-            let (idx, seq, seg) = self.segments[i as usize];
-            let _ = write!(
-                out,
-                "{{\"kind\":\"span\",\"job\":{idx},\"seq\":{seq},\"phase\":\"{}\",\
-                 \"start\":{},\"end\":{},\"pool\":{},\"machine\":{},\"cause\":",
-                seg.phase,
-                seg.start.as_minutes(),
-                OptU64(seg.end.map(|t| t.as_minutes())),
-                OptU64(seg.pool.map(|p| u64::from(p.as_u16()))),
-                OptU64(seg.machine.map(|m| u64::from(m.as_u32()))),
-            );
-            seg.cause.render(&mut out);
-            out.push_str("}\n");
-        }
+        let order = self.render_order();
+        let mut len = ByteCount(0);
+        self.write_jsonl(&order, &mut len);
+        let mut out = String::with_capacity(len.0);
+        self.write_jsonl(&order, &mut out);
+        debug_assert_eq!(out.len(), len.0, "the counting pass sized the buffer");
         out
     }
-}
 
-/// An optional JSON number, `null` when absent; formats straight into
-/// the output buffer.
-struct OptU64(Option<u64>);
+    // Arena indices in rendering order, (job, seq) ascending. Job `j`'s
+    // segments occupy slots `start[j] .. start[j] + count[j]`, and segment
+    // `seq` of job `j` goes to slot `start[j] + seq`.
+    fn render_order(&self) -> Vec<u32> {
+        let mut start = Vec::with_capacity(self.jobs.len());
+        let mut next = 0u32;
+        for js in &self.jobs {
+            start.push(next);
+            next += js.count;
+        }
+        debug_assert_eq!(next as usize, self.segments.len());
+        let mut order = vec![0u32; self.segments.len()];
+        for (i, &(job, seq, _)) in self.segments.iter().enumerate() {
+            order[(start[job as usize] + seq) as usize] = i as u32;
+        }
+        order
+    }
 
-impl fmt::Display for OptU64 {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.0 {
-            Some(v) => write!(f, "{v}"),
-            None => f.write_str("null"),
+    fn write_jsonl(&self, order: &[u32], out: &mut impl Sink) {
+        out.text("{\"schema\":\"netbatch-spans/1\",\"strategy\":\"");
+        out.text(self.strategy);
+        out.text("\",\"initial\":\"");
+        out.text(self.initial);
+        out.text("\",\"jobs\":");
+        out.uint(self.jobs.len() as u64);
+        out.text(",\"spans\":");
+        out.uint(self.span_count());
+        out.text(",\"decisions\":");
+        out.uint(self.decisions.len() as u64);
+        out.text("}\n");
+        for (t, ev) in &self.decisions {
+            render_decision(out, *t, ev);
+        }
+        for &i in order {
+            let (job, seq, seg) = self.segments[i as usize];
+            out.text("{\"kind\":\"span\",\"job\":");
+            out.uint(u64::from(job));
+            out.text(",\"seq\":");
+            out.uint(u64::from(seq));
+            out.text(",\"phase\":\"");
+            out.text(seg.phase);
+            out.text("\",\"start\":");
+            out.uint(seg.start.as_minutes());
+            out.text(",\"end\":");
+            out.opt(seg.end.map(|t| t.as_minutes()));
+            out.text(",\"pool\":");
+            out.opt(seg.pool.map(|p| u64::from(p.as_u16())));
+            out.text(",\"machine\":");
+            out.opt(seg.machine.map(|m| u64::from(m.as_u32())));
+            out.text(",\"cause\":");
+            seg.cause.render(out);
+            out.text("}\n");
         }
     }
 }
 
-fn render_decision(out: &mut String, t: SimTime, ev: &ObsEvent) {
+/// Where the span JSONL renderer writes: the output buffer, or a byte
+/// counter that sizes the buffer beforehand. One renderer drives both, so
+/// the count cannot drift from what is written.
+trait Sink {
+    /// Appends literal text.
+    fn text(&mut self, s: &str);
+    /// Appends an unsigned integer in decimal.
+    fn uint(&mut self, v: u64);
+    /// Appends an optional integer, `null` when absent.
+    fn opt(&mut self, v: Option<u64>) {
+        match v {
+            Some(v) => self.uint(v),
+            None => self.text("null"),
+        }
+    }
+}
+
+impl Sink for String {
+    fn text(&mut self, s: &str) {
+        self.push_str(s);
+    }
+
+    fn uint(&mut self, mut v: u64) {
+        let mut buf = [0u8; 20];
+        let mut i = buf.len();
+        loop {
+            i -= 1;
+            buf[i] = b'0' + (v % 10) as u8;
+            v /= 10;
+            if v == 0 {
+                break;
+            }
+        }
+        self.push_str(std::str::from_utf8(&buf[i..]).expect("ASCII digits"));
+    }
+}
+
+/// Counts the bytes a render would write.
+struct ByteCount(usize);
+
+impl Sink for ByteCount {
+    fn text(&mut self, s: &str) {
+        self.0 += s.len();
+    }
+
+    fn uint(&mut self, v: u64) {
+        self.0 += v.checked_ilog10().map_or(1, |d| d as usize + 1);
+    }
+}
+
+fn render_decision(out: &mut impl Sink, t: SimTime, ev: &ObsEvent) {
     match *ev {
         ObsEvent::PolicyAudit {
             job,
@@ -405,19 +496,29 @@ fn render_decision(out: &mut String, t: SimTime, ev: &ObsEvent) {
             cur_queue,
             tgt_queue,
         } => {
-            let _ = writeln!(
-                out,
-                "{{\"kind\":\"decision\",\"type\":\"policy\",\"t\":{},\"job\":{},\"pool\":{},\
-                 \"trigger\":\"{}\",\"verdict\":\"{}\",\"target\":{},\"candidates\":{candidates},\
-                 \"cur_util_milli\":{cur_util_milli},\"tgt_util_milli\":{tgt_util_milli},\
-                 \"cur_queue\":{cur_queue},\"tgt_queue\":{tgt_queue}}}",
-                t.as_minutes(),
-                job.as_u64(),
-                pool.as_u16(),
-                trigger.label(),
-                verdict.label(),
-                OptU64(target.map(|p| u64::from(p.as_u16()))),
-            );
+            out.text("{\"kind\":\"decision\",\"type\":\"policy\",\"t\":");
+            out.uint(t.as_minutes());
+            out.text(",\"job\":");
+            out.uint(job.as_u64());
+            out.text(",\"pool\":");
+            out.uint(u64::from(pool.as_u16()));
+            out.text(",\"trigger\":\"");
+            out.text(trigger.label());
+            out.text("\",\"verdict\":\"");
+            out.text(verdict.label());
+            out.text("\",\"target\":");
+            out.opt(target.map(|p| u64::from(p.as_u16())));
+            out.text(",\"candidates\":");
+            out.uint(u64::from(candidates));
+            out.text(",\"cur_util_milli\":");
+            out.uint(u64::from(cur_util_milli));
+            out.text(",\"tgt_util_milli\":");
+            out.uint(u64::from(tgt_util_milli));
+            out.text(",\"cur_queue\":");
+            out.uint(u64::from(cur_queue));
+            out.text(",\"tgt_queue\":");
+            out.uint(u64::from(tgt_queue));
+            out.text("}\n");
         }
         ObsEvent::EvacAudit {
             job,
@@ -427,17 +528,21 @@ fn render_decision(out: &mut String, t: SimTime, ev: &ObsEvent) {
             remaining,
             deadline,
         } => {
-            let _ = writeln!(
-                out,
-                "{{\"kind\":\"decision\",\"type\":\"evac\",\"t\":{},\"job\":{},\"pool\":{},\
-                 \"machine\":{},\"window\":{window},\"remaining\":{},\"deadline\":{}}}",
-                t.as_minutes(),
-                job.as_u64(),
-                pool.as_u16(),
-                machine.as_u32(),
-                remaining.as_minutes(),
-                deadline.as_minutes(),
-            );
+            out.text("{\"kind\":\"decision\",\"type\":\"evac\",\"t\":");
+            out.uint(t.as_minutes());
+            out.text(",\"job\":");
+            out.uint(job.as_u64());
+            out.text(",\"pool\":");
+            out.uint(u64::from(pool.as_u16()));
+            out.text(",\"machine\":");
+            out.uint(u64::from(machine.as_u32()));
+            out.text(",\"window\":");
+            out.uint(u64::from(window));
+            out.text(",\"remaining\":");
+            out.uint(remaining.as_minutes());
+            out.text(",\"deadline\":");
+            out.uint(deadline.as_minutes());
+            out.text("}\n");
         }
         ObsEvent::FaultAudit {
             pool,
@@ -445,15 +550,17 @@ fn render_decision(out: &mut String, t: SimTime, ev: &ObsEvent) {
             outage,
             blacklisted_until,
         } => {
-            let _ = writeln!(
-                out,
-                "{{\"kind\":\"decision\",\"type\":\"fault\",\"t\":{},\"pool\":{},\"machine\":{},\
-                 \"outage\":{outage},\"blacklisted_until\":{}}}",
-                t.as_minutes(),
-                pool.as_u16(),
-                machine.as_u32(),
-                OptU64(blacklisted_until.map(|t| t.as_minutes())),
-            );
+            out.text("{\"kind\":\"decision\",\"type\":\"fault\",\"t\":");
+            out.uint(t.as_minutes());
+            out.text(",\"pool\":");
+            out.uint(u64::from(pool.as_u16()));
+            out.text(",\"machine\":");
+            out.uint(u64::from(machine.as_u32()));
+            out.text(",\"outage\":");
+            out.uint(u64::from(outage));
+            out.text(",\"blacklisted_until\":");
+            out.opt(blacklisted_until.map(|t| t.as_minutes()));
+            out.text("}\n");
         }
         _ => unreachable!("only audit events are recorded as decisions"),
     }
@@ -478,7 +585,8 @@ impl SimObserver for SpanRecorder {
     fn on_event(&mut self, now: SimTime, event: &ObsEvent, _ctx: &ObsCtx<'_>) {
         match *event {
             ObsEvent::Submit { job } => {
-                self.job_mut(job).submitted_at = Some(now);
+                // No segment yet, but the job counts in the header.
+                self.job_mut(job);
             }
             ObsEvent::Enqueue { job, pool } => {
                 let cause = self.take_pending(job).unwrap_or(Cause::Submitted);
@@ -524,7 +632,7 @@ impl SimObserver for SpanRecorder {
             | ObsEvent::ProxyFinish { job, .. }
             | ObsEvent::Unrunnable { job } => {
                 self.close_open(job, now);
-                self.job_mut(job).pending = None;
+                self.pending.remove(&job);
             }
             ObsEvent::Reschedule {
                 job,
@@ -548,7 +656,7 @@ impl SimObserver for SpanRecorder {
                     ReschedKind::FailureEvict => {
                         if let Some((p, m, cause)) = self.last_fault {
                             if p == from_pool && machine == Some(m) {
-                                self.job_mut(job).pending = Some(cause);
+                                self.stash(job, cause);
                             }
                         }
                     }
@@ -562,7 +670,7 @@ impl SimObserver for SpanRecorder {
                 let cause = self.take_pending(job).unwrap_or(Cause::Retry { attempt });
                 self.close_open(job, now);
                 self.open(job, SPAN_BACKOFF, now, None, None, cause);
-                self.job_mut(job).pending = Some(Cause::Retry { attempt });
+                self.stash(job, Cause::Retry { attempt });
             }
             ObsEvent::DuplicateLaunched {
                 original, clone, ..
@@ -570,9 +678,7 @@ impl SimObserver for SpanRecorder {
                 // The policy decision that launched the copy moves to the
                 // clone: the original never transitions.
                 let cause = self.take_pending(original).unwrap_or(Cause::DuplicateRace);
-                let js = self.job_mut(clone);
-                js.submitted_at = Some(now);
-                js.pending = Some(cause);
+                self.stash(clone, cause);
             }
             ObsEvent::PolicyAudit { job, verdict, .. } => {
                 self.decisions.push((now, *event));
@@ -589,16 +695,19 @@ impl SimObserver for SpanRecorder {
                         ..
                     } = *event
                     {
-                        self.job_mut(job).pending = Some(Cause::Policy {
-                            trigger,
-                            verdict,
-                            target,
-                            candidates,
-                            cur_util_milli,
-                            tgt_util_milli,
-                            cur_queue,
-                            tgt_queue,
-                        });
+                        self.stash(
+                            job,
+                            Cause::Policy {
+                                trigger,
+                                verdict,
+                                target,
+                                candidates,
+                                cur_util_milli,
+                                tgt_util_milli,
+                                cur_queue,
+                                tgt_queue,
+                            },
+                        );
                     }
                 }
             }
@@ -609,7 +718,7 @@ impl SimObserver for SpanRecorder {
                 ..
             } => {
                 self.decisions.push((now, *event));
-                self.job_mut(job).pending = Some(Cause::Evacuation { window, deadline });
+                self.stash(job, Cause::Evacuation { window, deadline });
             }
             ObsEvent::FaultAudit {
                 pool,
@@ -889,6 +998,195 @@ impl fmt::Debug for KernelProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The span JSONL renderer as it was before the linear-time one:
+    /// arena indices sorted by (job, seq), every line written with
+    /// `write!`. The oracle of the differential tests.
+    mod by_sorting {
+        use std::fmt::{self, Write as _};
+
+        use netbatch_sim_engine::time::SimTime;
+
+        use crate::observer::ObsEvent;
+        use crate::provenance::{Cause, SpanRecorder};
+
+        pub(super) fn render_jsonl(this: &SpanRecorder) -> String {
+            let mut out = String::with_capacity(4096);
+            let _ = writeln!(
+                out,
+                "{{\"schema\":\"netbatch-spans/1\",\"strategy\":\"{}\",\"initial\":\"{}\",\
+             \"jobs\":{},\"spans\":{},\"decisions\":{}}}",
+                this.strategy,
+                this.initial,
+                this.jobs.len(),
+                this.span_count(),
+                this.decisions.len(),
+            );
+            for (t, ev) in &this.decisions {
+                render_decision(&mut out, *t, ev);
+            }
+            // The arena holds segments in open order; group them by job for
+            // rendering (within one job the arena order already is seq order,
+            // so the sort only interleaves jobs, deterministically).
+            let mut order: Vec<u32> = (0..this.segments.len() as u32).collect();
+            order.sort_unstable_by_key(|&i| {
+                let (job, seq, _) = this.segments[i as usize];
+                (job, seq)
+            });
+            for i in order {
+                let (idx, seq, seg) = this.segments[i as usize];
+                let _ = write!(
+                    out,
+                    "{{\"kind\":\"span\",\"job\":{idx},\"seq\":{seq},\"phase\":\"{}\",\
+                 \"start\":{},\"end\":{},\"pool\":{},\"machine\":{},\"cause\":",
+                    seg.phase,
+                    seg.start.as_minutes(),
+                    OptU64(seg.end.map(|t| t.as_minutes())),
+                    OptU64(seg.pool.map(|p| u64::from(p.as_u16()))),
+                    OptU64(seg.machine.map(|m| u64::from(m.as_u32()))),
+                );
+                render_cause(&seg.cause, &mut out);
+                out.push_str("}\n");
+            }
+            out
+        }
+
+        fn render_cause(this: &Cause, out: &mut String) {
+            match *this {
+                Cause::Submitted | Cause::Preempted | Cause::Resumed | Cause::DuplicateRace => {
+                    let _ = write!(out, "{{\"type\":\"{}\"}}", this.label());
+                }
+                Cause::Dispatched { from_queue } => {
+                    let _ = write!(
+                        out,
+                        "{{\"type\":\"dispatched\",\"from_queue\":{from_queue}}}"
+                    );
+                }
+                Cause::Policy {
+                    trigger,
+                    verdict,
+                    target,
+                    candidates,
+                    cur_util_milli,
+                    tgt_util_milli,
+                    cur_queue,
+                    tgt_queue,
+                } => {
+                    let _ = write!(
+                    out,
+                    "{{\"type\":\"policy\",\"trigger\":\"{}\",\"verdict\":\"{}\",\"target\":{},\
+                     \"candidates\":{candidates},\"cur_util_milli\":{cur_util_milli},\
+                     \"tgt_util_milli\":{tgt_util_milli},\"cur_queue\":{cur_queue},\
+                     \"tgt_queue\":{tgt_queue}}}",
+                    trigger.label(),
+                    verdict.label(),
+                    OptU64(target.map(|p| u64::from(p.as_u16()))),
+                );
+                }
+                Cause::Fault {
+                    outage,
+                    blacklisted_until,
+                } => {
+                    let _ = write!(
+                        out,
+                        "{{\"type\":\"fault\",\"outage\":{outage},\"blacklisted_until\":{}}}",
+                        OptU64(blacklisted_until.map(|t| t.as_minutes())),
+                    );
+                }
+                Cause::Evacuation { window, deadline } => {
+                    let _ = write!(
+                        out,
+                        "{{\"type\":\"evacuation\",\"window\":{window},\"deadline\":{}}}",
+                        deadline.as_minutes()
+                    );
+                }
+                Cause::Retry { attempt } => {
+                    let _ = write!(out, "{{\"type\":\"retry\",\"attempt\":{attempt}}}");
+                }
+            }
+        }
+
+        /// An optional JSON number, `null` when absent; formats straight into
+        /// the output buffer.
+        struct OptU64(Option<u64>);
+
+        impl fmt::Display for OptU64 {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                match self.0 {
+                    Some(v) => write!(f, "{v}"),
+                    None => f.write_str("null"),
+                }
+            }
+        }
+
+        fn render_decision(out: &mut String, t: SimTime, ev: &ObsEvent) {
+            match *ev {
+                ObsEvent::PolicyAudit {
+                    job,
+                    pool,
+                    trigger,
+                    verdict,
+                    target,
+                    candidates,
+                    cur_util_milli,
+                    tgt_util_milli,
+                    cur_queue,
+                    tgt_queue,
+                } => {
+                    let _ = writeln!(
+                out,
+                "{{\"kind\":\"decision\",\"type\":\"policy\",\"t\":{},\"job\":{},\"pool\":{},\
+                 \"trigger\":\"{}\",\"verdict\":\"{}\",\"target\":{},\"candidates\":{candidates},\
+                 \"cur_util_milli\":{cur_util_milli},\"tgt_util_milli\":{tgt_util_milli},\
+                 \"cur_queue\":{cur_queue},\"tgt_queue\":{tgt_queue}}}",
+                t.as_minutes(),
+                job.as_u64(),
+                pool.as_u16(),
+                trigger.label(),
+                verdict.label(),
+                OptU64(target.map(|p| u64::from(p.as_u16()))),
+            );
+                }
+                ObsEvent::EvacAudit {
+                    job,
+                    pool,
+                    machine,
+                    window,
+                    remaining,
+                    deadline,
+                } => {
+                    let _ = writeln!(
+                out,
+                "{{\"kind\":\"decision\",\"type\":\"evac\",\"t\":{},\"job\":{},\"pool\":{},\
+                 \"machine\":{},\"window\":{window},\"remaining\":{},\"deadline\":{}}}",
+                t.as_minutes(),
+                job.as_u64(),
+                pool.as_u16(),
+                machine.as_u32(),
+                remaining.as_minutes(),
+                deadline.as_minutes(),
+            );
+                }
+                ObsEvent::FaultAudit {
+                    pool,
+                    machine,
+                    outage,
+                    blacklisted_until,
+                } => {
+                    let _ = writeln!(
+                out,
+                "{{\"kind\":\"decision\",\"type\":\"fault\",\"t\":{},\"pool\":{},\"machine\":{},\
+                 \"outage\":{outage},\"blacklisted_until\":{}}}",
+                t.as_minutes(),
+                pool.as_u16(),
+                machine.as_u32(),
+                OptU64(blacklisted_until.map(|t| t.as_minutes())),
+            );
+                }
+                _ => unreachable!("only audit events are recorded as decisions"),
+            }
+        }
+    }
     use netbatch_sim_engine::observe::EventLabel;
     use netbatch_sim_engine::time::SimDuration;
 
@@ -1176,6 +1474,120 @@ mod tests {
         assert!(trace.contains("\"pid\":3"), "pool 2 renders as pid 3");
         assert!(trace.contains("\"name\":\"pool 2\""));
         assert!(trace.contains("\"name\":\"queue_wait\""));
+    }
+
+    /// The chaos cell of `tests/provenance.rs` (faults, lifecycle windows,
+    /// hardened resilience with evacuation) with the recorder attached.
+    fn chaos_run(strategy: crate::policy::StrategyKind) -> crate::simulator::SimOutput {
+        use crate::faults::{FaultModel, LifecycleModel, ResiliencePolicy};
+        use crate::policy::InitialKind;
+        use crate::simulator::{SimConfig, Simulator};
+        use netbatch_workload::scenarios::ScenarioParams;
+
+        let params = ScenarioParams::normal_week(0.02);
+        let site = params.build_site().halved();
+        let trace = params.generate_trace();
+        let mut config = SimConfig::new(InitialKind::RoundRobin, strategy);
+        config.spans = true;
+        config.seed = 7;
+        config.fault_model = Some(FaultModel::new(
+            SimDuration::from_hours(24),
+            SimDuration::from_hours(6),
+            SimDuration::from_days(8),
+        ));
+        config.resilience = ResiliencePolicy::hardened().with_evacuation();
+        config.lifecycle = Some(
+            LifecycleModel::new(SimDuration::from_days(8))
+                .with_maintenance(SimDuration::from_hours(48), SimDuration::from_hours(2))
+                .with_rolling(1, 0.25, SimDuration::from_hours(1)),
+        );
+        config.health_aware = true;
+        Simulator::new(&site, trace.to_specs(), config).run_to_completion()
+    }
+
+    #[test]
+    fn linear_render_equals_the_sorting_renderer_on_chaos_runs() {
+        use crate::policy::StrategyKind;
+        for strategy in [
+            StrategyKind::ResSusWaitUtil,
+            StrategyKind::MigrateSusUtil,
+            StrategyKind::DupSusUtil,
+        ] {
+            let out = chaos_run(strategy);
+            let rec = out.observer::<SpanRecorder>().expect("recorder attached");
+            assert!(rec.span_count() > 0 && !rec.decisions().is_empty());
+            let jsonl = rec.render_jsonl();
+            assert!(
+                jsonl == by_sorting::render_jsonl(rec),
+                "{}: the linear renderer diverges from the sorting one",
+                strategy.name()
+            );
+            // Sized once by the counting pass: the buffer never grew.
+            assert_eq!(jsonl.capacity(), jsonl.len());
+            // Every stashed cause was taken or cleared by run end.
+            assert!(
+                rec.pending.is_empty(),
+                "{}: {} pending causes left after a drained run",
+                strategy.name(),
+                rec.pending.len()
+            );
+        }
+    }
+
+    #[test]
+    fn linear_render_groups_interleaved_jobs_and_open_segments() {
+        // Jobs open segments in an order unrelated to their ids, one job
+        // is never submitted, and one segment stays open.
+        let shadows = std::collections::HashSet::new();
+        let c = ctx(&shadows);
+        let mut rec = SpanRecorder::new("nores", "round_robin");
+        let (pool, m) = (PoolId(3), MachineId(u32::MAX));
+        for (minute, job) in [(0, 5), (1, 2), (2, 9), (3, 2), (4, 5), (5, 0)] {
+            let job = JobId(job);
+            rec.on_event(t(minute), &ObsEvent::Submit { job }, &c);
+            rec.on_event(t(minute), &ObsEvent::Enqueue { job, pool }, &c);
+            rec.on_event(
+                t(minute + 1),
+                &ObsEvent::Dispatch {
+                    job,
+                    pool,
+                    machine: m,
+                    wall: SimDuration::from_minutes(10),
+                    from_queue: true,
+                },
+                &c,
+            );
+        }
+        rec.on_event(
+            t(u64::MAX / 2),
+            &ObsEvent::Complete {
+                job: JobId(9),
+                pool,
+                machine: m,
+            },
+            &c,
+        );
+        assert_eq!(rec.job_count(), 10);
+        let jsonl = rec.render_jsonl();
+        assert_eq!(jsonl, by_sorting::render_jsonl(&rec));
+        assert_eq!(jsonl.capacity(), jsonl.len());
+        assert!(jsonl.contains("\"end\":null"));
+        assert!(jsonl.contains(&format!("\"machine\":{}", u32::MAX)));
+        // An empty recorder renders its header alone.
+        let empty = SpanRecorder::new("nores", "round_robin");
+        assert_eq!(empty.render_jsonl(), by_sorting::render_jsonl(&empty));
+    }
+
+    #[test]
+    fn integer_sink_writes_and_counts_every_width() {
+        for v in [0, 1, 9, 10, 99, 100, 12_345, u64::from(u32::MAX), u64::MAX] {
+            let mut text = String::new();
+            text.uint(v);
+            let mut len = ByteCount(0);
+            len.uint(v);
+            assert_eq!(text, v.to_string());
+            assert_eq!(len.0, text.len());
+        }
     }
 
     #[test]

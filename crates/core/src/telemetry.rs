@@ -16,7 +16,11 @@
 //!   and per pool;
 //! * a **per-pool time-series sampler** (utilization, queue depth, down
 //!   machines, suspended jobs) driven by the existing per-minute sample
-//!   tick, feeding [`TimeSeries`];
+//!   tick. Nothing renders a single sample, so each series is folded
+//!   online into the reductions the renderers read ([`SeriesStats`]),
+//!   and the four site series into the Figure 4 timeline's
+//!   [`TIMELINE_BUCKET`] means ([`BucketMeans`]): memory is
+//!   O(pools + horizon / bucket), not O(samples × pools);
 //! * a **Table-1-shape summary** (suspend rate, AvgCT, AvgST, AvgWCT)
 //!   accumulated online at job completion, so the paper's headline
 //!   numbers come straight from telemetry without re-scanning traces.
@@ -50,7 +54,7 @@ use netbatch_metrics::histogram::LogHistogram;
 use netbatch_metrics::spans::SpanCollector;
 use netbatch_metrics::summary::OnlineStats;
 use netbatch_metrics::table::{fmt_minutes, fmt_percent, Table};
-use netbatch_metrics::timeseries::TimeSeries;
+use netbatch_metrics::timeseries::{BucketMeans, SeriesStats};
 use netbatch_sim_engine::time::{SimDuration, SimTime};
 
 use crate::observer::{ObsCtx, ObsEvent, PhaseTag, ReschedKind, SimObserver};
@@ -285,17 +289,22 @@ struct JobTrack {
     done: bool,
 }
 
-/// Per-pool sampled series (one point per sample tick).
+/// Per-pool sampled series (one point per sample tick), each reduced
+/// online to what the renderers read.
 #[derive(Debug, Clone, Default)]
 struct PoolSeries {
-    utilization_pct: TimeSeries,
-    queue_depth: TimeSeries,
-    suspended: TimeSeries,
-    down_machines: TimeSeries,
-    draining_machines: TimeSeries,
-    health: TimeSeries,
+    utilization_pct: SeriesStats,
+    queue_depth: SeriesStats,
+    suspended: SeriesStats,
+    down_machines: SeriesStats,
+    draining_machines: SeriesStats,
+    health: SeriesStats,
     machines: u64,
 }
+
+/// Lanes of [`Telemetry`]'s site timeline: suspended jobs, utilization
+/// percent, waiting jobs and down machines, summed over the pools.
+const TIMELINE_LANES: usize = 4;
 
 /// The Table-1-shape numbers telemetry accumulates online.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -338,10 +347,8 @@ pub struct Telemetry {
     queue_wait_by_pool: Vec<LogHistogram>,
     suspended_by_pool: Vec<LogHistogram>,
     pools: Vec<PoolSeries>,
-    site_utilization_pct: TimeSeries,
-    site_suspended: TimeSeries,
-    site_waiting: TimeSeries,
-    site_down_machines: TimeSeries,
+    // The site series of every sample, bucketed for Figure 4.
+    timeline: BucketMeans<TIMELINE_LANES>,
     ct_all: OnlineStats,
     ct_susp: OnlineStats,
     st: OnlineStats,
@@ -384,10 +391,7 @@ impl Telemetry {
             queue_wait_by_pool: Vec::new(),
             suspended_by_pool: Vec::new(),
             pools: Vec::new(),
-            site_utilization_pct: TimeSeries::new(),
-            site_suspended: TimeSeries::new(),
-            site_waiting: TimeSeries::new(),
-            site_down_machines: TimeSeries::new(),
+            timeline: BucketMeans::new(TIMELINE_BUCKET),
             ct_all: OnlineStats::new(),
             ct_susp: OnlineStats::new(),
             st: OnlineStats::new(),
@@ -433,16 +437,6 @@ impl Telemetry {
     /// the Figure 2 CDF.
     pub fn suspension_cdf(&self) -> Cdf {
         self.susp_totals.iter().copied().collect()
-    }
-
-    /// Site-wide utilization samples, percent.
-    pub fn site_utilization_pct(&self) -> &TimeSeries {
-        &self.site_utilization_pct
-    }
-
-    /// Site-wide suspended-job samples.
-    pub fn site_suspended(&self) -> &TimeSeries {
-        &self.site_suspended
     }
 
     /// Sample ticks observed.
@@ -587,10 +581,10 @@ impl Telemetry {
         } else {
             busy as f64 / total as f64 * 100.0
         };
-        self.site_utilization_pct.push(now, util_pct);
-        self.site_suspended.push(now, suspended as f64);
-        self.site_waiting.push(now, waiting as f64);
-        self.site_down_machines.push(now, down as f64);
+        self.timeline.push(
+            now,
+            [suspended as f64, util_pct, waiting as f64, down as f64],
+        );
     }
 
     // ---- rendering ----
@@ -795,7 +789,7 @@ impl Telemetry {
             let pool = i.to_string();
             let labels: [(&str, &str); 1] = [("pool", &pool)];
             reg.gauge("netbatch_pool_machines", &labels, series.machines as f64);
-            if let Some(&(_, last)) = series.utilization_pct.samples().last() {
+            if let Some((_, last)) = series.utilization_pct.last() {
                 reg.gauge("netbatch_pool_utilization_pct", &labels, last);
             }
             reg.gauge(
@@ -803,7 +797,7 @@ impl Telemetry {
                 &labels,
                 series.utilization_pct.time_weighted_mean(),
             );
-            if let Some(&(_, last)) = series.queue_depth.samples().last() {
+            if let Some((_, last)) = series.queue_depth.last() {
                 reg.gauge("netbatch_pool_queue_depth", &labels, last);
             }
             reg.gauge(
@@ -811,16 +805,16 @@ impl Telemetry {
                 &labels,
                 series.queue_depth.time_weighted_mean(),
             );
-            if let Some(&(_, last)) = series.suspended.samples().last() {
+            if let Some((_, last)) = series.suspended.last() {
                 reg.gauge("netbatch_pool_suspended_jobs", &labels, last);
             }
-            if let Some(&(_, last)) = series.down_machines.samples().last() {
+            if let Some((_, last)) = series.down_machines.last() {
                 reg.gauge("netbatch_pool_down_machines", &labels, last);
             }
-            if let Some(&(_, last)) = series.draining_machines.samples().last() {
+            if let Some((_, last)) = series.draining_machines.last() {
                 reg.gauge("netbatch_pool_draining_machines", &labels, last);
             }
-            if let Some(&(_, last)) = series.health.samples().last() {
+            if let Some((_, last)) = series.health.last() {
                 reg.gauge("netbatch_pool_health", &labels, last);
             }
         }
@@ -884,15 +878,11 @@ impl Telemetry {
         }
 
         let _ = writeln!(out, "## Site timeline (Figure 4, 100-minute buckets)\n");
-        if self.site_suspended.is_empty() {
+        if self.timeline.is_empty() {
             out.push_str(
                 "No samples: run without `--sample` (the report subcommand enables it).\n\n",
             );
         } else {
-            let sus = self.site_suspended.aggregate(TIMELINE_BUCKET);
-            let util = self.site_utilization_pct.aggregate(TIMELINE_BUCKET);
-            let wait = self.site_waiting.aggregate(TIMELINE_BUCKET);
-            let down = self.site_down_machines.aggregate(TIMELINE_BUCKET);
             let mut table = Table::new([
                 "minute",
                 "suspended",
@@ -900,9 +890,7 @@ impl Telemetry {
                 "waiting",
                 "down machines",
             ]);
-            for (((&(t, s), &(_, u)), &(_, w)), &(_, d)) in
-                sus.iter().zip(&util).zip(&wait).zip(&down)
-            {
+            for (t, [s, u, w, d]) in self.timeline.means() {
                 table.row([
                     t.as_minutes().to_string(),
                     format!("{s:.1}"),
@@ -984,12 +972,7 @@ impl Telemetry {
     /// [`TIMELINE_BUCKET`]-wide buckets.
     pub fn timeline_csv(&self) -> String {
         let mut out = String::from("minute,suspended,utilization_pct,waiting,down_machines\n");
-        let sus = self.site_suspended.aggregate(TIMELINE_BUCKET);
-        let util = self.site_utilization_pct.aggregate(TIMELINE_BUCKET);
-        let wait = self.site_waiting.aggregate(TIMELINE_BUCKET);
-        let down = self.site_down_machines.aggregate(TIMELINE_BUCKET);
-        for (((&(t, s), &(_, u)), &(_, w)), &(_, d)) in sus.iter().zip(&util).zip(&wait).zip(&down)
-        {
+        for (t, [s, u, w, d]) in self.timeline.means() {
             let _ = writeln!(out, "{},{s:.3},{u:.3},{w:.3},{d:.3}", t.as_minutes());
         }
         out

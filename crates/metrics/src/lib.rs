@@ -8,7 +8,7 @@
 //! * [`cdf`] — empirical CDFs with log-x series (Figure 2);
 //! * [`histogram`] — logarithmic histograms for heavy-tailed durations;
 //! * [`timeseries`] — per-minute sampling with 100-minute aggregation
-//!   (Figure 4);
+//!   (Figure 4), retained or folded online;
 //! * [`spans`] — begin/end lifecycle span matching feeding per-phase
 //!   latency histograms (the telemetry layer's span engine);
 //! * [`export`] — Prometheus-style text exposition rendering and a
@@ -48,5 +48,5 @@ pub use histogram::LogHistogram;
 pub use spans::SpanCollector;
 pub use summary::{OnlineStats, SampleSet};
 pub use table::{Align, Table};
-pub use timeseries::TimeSeries;
+pub use timeseries::{BucketMeans, SeriesStats, TimeSeries};
 pub use waste::WasteBreakdown;
