@@ -765,8 +765,13 @@ impl SimObserver for SpanRecorder {
 /// events carrying their cause in `args`. Timestamps are minutes rendered
 /// as microseconds. Open segments (no `end`) are rendered with zero
 /// duration.
+///
+/// Hostile input gives an error, never a panic or invalid JSON: a span
+/// whose `job` or `start` is not a non-negative integer, whose `end` is
+/// neither that nor null, or whose `pool` is neither null nor a pool id
+/// (`0..=65535`) is rejected, and strings are escaped on the way out.
 pub fn perfetto_from_jsonl(input: &str) -> Result<String, String> {
-    use netbatch_metrics::json::Value;
+    use netbatch_metrics::json::{render_string, Value};
     let mut events = String::new();
     let mut tracks: std::collections::BTreeSet<(u64, u64)> = std::collections::BTreeSet::new();
     let mut n = 0u64;
@@ -784,15 +789,30 @@ pub fn perfetto_from_jsonl(input: &str) -> Result<String, String> {
                 .and_then(Value::as_u64)
                 .ok_or_else(|| format!("line {}: span missing \"{k}\"", lineno + 1))
         };
+        // Absent or null is `None`; anything else must be a u64.
+        let optional = |k: &str| match v.get(k) {
+            None | Some(Value::Null) => Ok(None),
+            Some(x) => x.as_u64().map(Some).ok_or_else(|| {
+                format!(
+                    "line {}: span \"{k}\" is not a non-negative integer",
+                    lineno + 1
+                )
+            }),
+        };
         let job = field("job")?;
         let start = field("start")?;
-        let end = v.get("end").and_then(Value::as_u64).unwrap_or(start);
+        let end = optional("end")?.unwrap_or(start);
         let phase = v
             .get("phase")
             .and_then(Value::as_str)
             .ok_or_else(|| format!("line {}: span missing \"phase\"", lineno + 1))?;
         // pid 0 = off-pool (VPM/backoff); pools shift up by one.
-        let pid = v.get("pool").and_then(Value::as_u64).map_or(0, |p| p + 1);
+        let pid = match optional("pool")? {
+            None => 0,
+            Some(p) => u16::try_from(p)
+                .map(|p| u64::from(p) + 1)
+                .map_err(|_| format!("line {}: span pool {p} is not a pool id", lineno + 1))?,
+        };
         tracks.insert((pid, job));
         let cause = v
             .get("cause")
@@ -800,10 +820,12 @@ pub fn perfetto_from_jsonl(input: &str) -> Result<String, String> {
         if n > 0 {
             events.push(',');
         }
+        events.push_str("{\"name\":");
+        render_string(phase, &mut events);
         let _ = write!(
             events,
-            "{{\"name\":\"{phase}\",\"ph\":\"X\",\"pid\":{pid},\"tid\":{job},\
-             \"ts\":{start},\"dur\":{},\"args\":{{\"cause\":{cause}}}}}",
+            ",\"ph\":\"X\",\"pid\":{pid},\"tid\":{job},\"ts\":{start},\"dur\":{},\
+             \"args\":{{\"cause\":{cause}}}}}",
             end.saturating_sub(start),
         );
         n += 1;
@@ -1425,6 +1447,136 @@ mod tests {
         );
         assert_eq!(segs[2].cause, Cause::Retry { attempt: 1 });
         assert_eq!(rec.decisions().len(), 1);
+    }
+
+    /// A span line with every field in place; `{pool}`-style holes take
+    /// the hostile values below.
+    fn span_line(
+        job: &str,
+        phase: &str,
+        start: &str,
+        end: &str,
+        pool: &str,
+        cause: &str,
+    ) -> String {
+        format!(
+            "{{\"kind\":\"span\",\"job\":{job},\"seq\":0,\"phase\":{phase},\"start\":{start},\
+             \"end\":{end},\"pool\":{pool},\"machine\":null,\"cause\":{cause}}}"
+        )
+    }
+
+    #[test]
+    fn perfetto_rejects_out_of_range_pools_and_escapes_phases() {
+        let ok = |pool: &str| {
+            perfetto_from_jsonl(&span_line("1", "\"running\"", "0", "5", pool, "null"))
+        };
+        assert!(ok("65535").unwrap().contains("\"pid\":65536"));
+        for pool in [
+            "18446744073709551615",
+            "18446744073709551616",
+            "65536",
+            "-1",
+            "1.5",
+            "\"3\"",
+        ] {
+            let err = ok(pool).expect_err(pool);
+            assert!(err.starts_with("line 1: span "), "{pool}: {err}");
+        }
+        assert!(perfetto_from_jsonl(&span_line("1", "\"x\"", "0", "1e300", "0", "null")).is_err());
+        // A phase with a quote, a backslash and a control character still
+        // yields valid JSON, and the name survives the round trip.
+        let phase = r#""say \"hi\" \\ \u0001""#;
+        let trace =
+            perfetto_from_jsonl(&span_line("1", phase, "0", "null", "null", "null")).unwrap();
+        let doc = netbatch_metrics::json::parse(&trace).expect("valid JSON");
+        let events = doc
+            .get("traceEvents")
+            .and_then(netbatch_metrics::json::Value::as_arr)
+            .unwrap();
+        let span = events
+            .iter()
+            .find(|e| e.get("ph").and_then(|p| p.as_str()) == Some("X"))
+            .unwrap();
+        assert_eq!(
+            span.get("name").and_then(|n| n.as_str()),
+            Some("say \"hi\" \\ \u{1}")
+        );
+    }
+
+    // Values each span field may take in the hostile-input proptest.
+    const HOSTILE_NUMS: [&str; 10] = [
+        "0",
+        "7",
+        "65535",
+        "65536",
+        "18446744073709551615",
+        "18446744073709551616",
+        "1e300",
+        "-1",
+        "2.5",
+        "null",
+    ];
+    const HOSTILE_PHASES: [&str; 6] = [
+        "\"running\"",
+        r#""a\"b""#,
+        r#""back\\slash""#,
+        r#""\u0001\n""#,
+        "\"é\"",
+        "3",
+    ];
+    const HOSTILE_CAUSES: [&str; 5] = [
+        "null",
+        r#"{"type":"x\"y"}"#,
+        "[1,{\"a\":[]}]",
+        "\"s\"",
+        "1e300",
+    ];
+    const GARBAGE: [&str; 16] = [
+        "{", "}", "[", "]", "\"", ":", ",", "0", "9", "-", ".", "e", "\\", "kind", "span", " ",
+    ];
+
+    fn hostile_line() -> impl proptest::strategy::Strategy<Value = String> {
+        use proptest::strategy::Strategy;
+        let n = HOSTILE_NUMS.len();
+        proptest::prop_oneof![
+            (
+                0..n,
+                0..HOSTILE_PHASES.len(),
+                0..n,
+                0..n,
+                0..n,
+                0..HOSTILE_CAUSES.len()
+            )
+                .prop_map(|(job, phase, start, end, pool, cause)| span_line(
+                    HOSTILE_NUMS[job],
+                    HOSTILE_PHASES[phase],
+                    HOSTILE_NUMS[start],
+                    HOSTILE_NUMS[end],
+                    HOSTILE_NUMS[pool],
+                    HOSTILE_CAUSES[cause],
+                )),
+            proptest::collection::vec(0..GARBAGE.len(), 0..40)
+                .prop_map(|ix| ix.into_iter().map(|i| GARBAGE[i]).collect::<String>()),
+            (0..n)
+                .prop_map(|job| format!("{{\"kind\":\"decision\",\"job\":{}}}", HOSTILE_NUMS[job])),
+        ]
+    }
+
+    proptest::proptest! {
+        /// Malformed or hostile spans JSONL makes the Perfetto exporter
+        /// return an error or valid JSON; it never panics.
+        #[test]
+        fn prop_perfetto_export_never_panics_on_hostile_jsonl(
+            lines in proptest::collection::vec(hostile_line(), 0..6),
+        ) {
+            let input = lines.join("\n");
+            if let Ok(trace) = perfetto_from_jsonl(&input) {
+                proptest::prop_assert!(
+                    netbatch_metrics::json::parse(&trace).is_ok(),
+                    "invalid JSON from {input:?}"
+                );
+            }
+        }
     }
 
     #[test]

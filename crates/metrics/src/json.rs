@@ -53,10 +53,13 @@ impl Value {
         }
     }
 
-    /// The number as `u64`, if it is a non-negative integer.
+    /// The number as `u64`, if it is a non-negative integer below 2^64.
+    /// (`u64::MAX as f64` rounds up to 2^64 itself, which does not fit, so
+    /// the bound is strict; a document's `18446744073709551615` parses to
+    /// that same 2^64 and is rejected too.)
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
+            Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n < u64::MAX as f64 => {
                 Some(*n as u64)
             }
             _ => None,
@@ -133,7 +136,9 @@ impl Value {
     }
 }
 
-fn render_string(s: &str, out: &mut String) {
+/// Appends `s` as a JSON string literal: quoted, with `"`, `\` and
+/// control characters escaped.
+pub fn render_string(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -362,6 +367,13 @@ mod tests {
         assert_eq!(parse("true").unwrap(), Value::Bool(true));
         assert_eq!(parse(" false ").unwrap(), Value::Bool(false));
         assert_eq!(parse("42").unwrap().as_u64(), Some(42));
+        // 2^64 does not fit; the largest double below it does.
+        assert_eq!(parse("18446744073709551616").unwrap().as_u64(), None);
+        assert_eq!(parse("18446744073709551615").unwrap().as_u64(), None);
+        assert_eq!(
+            parse("18446744073709549568").unwrap().as_u64(),
+            Some(18_446_744_073_709_549_568)
+        );
         assert_eq!(parse("-1.5").unwrap().as_f64(), Some(-1.5));
         assert_eq!(parse("1e3").unwrap().as_f64(), Some(1000.0));
         assert_eq!(parse("\"hi\"").unwrap().as_str(), Some("hi"));

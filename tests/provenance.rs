@@ -187,3 +187,62 @@ fn causal_chains_carry_policy_fault_and_evacuation_provenance() {
     assert!(saw.1, "no segment carried a fault cause");
     assert!(saw.2, "no segment carried an evacuation cause");
 }
+
+#[test]
+fn perfetto_export_round_trips_the_chaos_run() {
+    use netbatch::core::provenance::{perfetto_from_jsonl, SPAN_PHASES};
+    use netbatch::metrics::json::{parse, Value};
+    let (_, obs) = run_chaos(StrategyKind::ResSusWaitUtil);
+    let rec = recorder(&obs);
+    let trace = perfetto_from_jsonl(&rec.render_jsonl()).expect("the recorder's JSONL exports");
+    let doc = parse(&trace).expect("the export is valid JSON");
+    let events = doc
+        .get("traceEvents")
+        .and_then(Value::as_arr)
+        .expect("traceEvents array");
+    let spans: Vec<&Value> = events
+        .iter()
+        .filter(|e| e.get("ph").and_then(Value::as_str) == Some("X"))
+        .collect();
+    assert_eq!(spans.len() as u64, rec.span_count(), "one X event per span");
+    // Every segment closed, so each phase's events carry exactly its
+    // segment count and minutes.
+    for phase in SPAN_PHASES {
+        let of_phase: Vec<&&Value> = spans
+            .iter()
+            .filter(|e| e.get("name").and_then(Value::as_str) == Some(phase))
+            .collect();
+        let minutes: u64 = of_phase
+            .iter()
+            .map(|e| e.get("dur").and_then(Value::as_u64).expect("dur"))
+            .sum();
+        assert_eq!(of_phase.len() as u64, rec.segment_count(phase), "{phase}");
+        assert_eq!(minutes, rec.phase_minutes(phase), "{phase}");
+    }
+    // Event by event, in order, the export carries each span line's job,
+    // start, phase, pool track (0 for off-pool phases) and cause.
+    let jsonl = rec.render_jsonl();
+    let lines = jsonl
+        .lines()
+        .map(|l| parse(l).expect("valid line"))
+        .filter(|l| l.get("kind").and_then(Value::as_str) == Some("span"));
+    let mut off_pool = 0;
+    for (line, event) in lines.zip(&spans) {
+        assert_eq!(line.get("job"), event.get("tid"));
+        assert_eq!(line.get("start"), event.get("ts"));
+        assert_eq!(line.get("phase"), event.get("name"));
+        assert_eq!(
+            line.get("cause"),
+            event.get("args").and_then(|a| a.get("cause"))
+        );
+        let pid = event.get("pid").and_then(Value::as_u64).expect("pid");
+        match line.get("pool").and_then(Value::as_u64) {
+            Some(pool) => assert_eq!(pid, pool + 1),
+            None => {
+                assert_eq!(pid, 0);
+                off_pool += 1;
+            }
+        }
+    }
+    assert!(off_pool > 0, "the chaos run backs off at the VPM");
+}
