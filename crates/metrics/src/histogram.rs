@@ -67,7 +67,22 @@ impl LogHistogram {
             self.underflow += 1;
             return;
         }
-        let bin = x.log(self.base).floor() as usize;
+        // `log` can land a hair below an exact power (`1000f64.log(10.0)`
+        // is 2.9999999999999996), so the floor is only an estimate:
+        // correct it against the bin bounds `iter_bins` reports. An
+        // estimate past `MAX_BINS + 1` overflows even if one too high.
+        let estimate = x.log(self.base).floor();
+        if estimate > Self::MAX_BINS as f64 {
+            self.overflow += 1;
+            return;
+        }
+        let mut bin = estimate as i32;
+        if self.base.powi(bin + 1) <= x {
+            bin += 1;
+        } else if self.base.powi(bin) > x {
+            bin -= 1;
+        }
+        let bin = bin as usize;
         if bin >= Self::MAX_BINS {
             self.overflow += 1;
             return;
@@ -171,14 +186,38 @@ mod tests {
     #[test]
     fn bins_by_decade() {
         let mut h = LogHistogram::decades();
-        h.extend([0.5, 1.0, 5.0, 10.0, 99.0, 100.0, 5000.0]);
+        // 1000 and 1e6 are exact decades whose base-10 log rounds below
+        // the integer: they still open their own bins.
+        h.extend([0.5, 1.0, 5.0, 10.0, 99.0, 100.0, 5000.0, 1000.0, 1e6]);
         assert_eq!(h.underflow(), 1);
         let bins: Vec<(f64, f64, u64)> = h.iter_bins().collect();
         assert_eq!(bins[0], (1.0, 10.0, 2));
         assert_eq!(bins[1], (10.0, 100.0, 2));
         assert_eq!(bins[2], (100.0, 1000.0, 1));
-        assert_eq!(bins[3], (1000.0, 10000.0, 1));
-        assert_eq!(h.count(), 7);
+        assert_eq!(bins[3], (1000.0, 10000.0, 2));
+        assert_eq!(bins[4], (1e6, 1e7, 1));
+        assert_eq!(h.count(), 9);
+    }
+
+    #[test]
+    fn every_value_lands_inside_its_reported_bin() {
+        // Exact powers, their floating-point neighbours and values in
+        // between, for a few bases: each lands in the bin whose
+        // `iter_bins` bounds contain it.
+        for base in [2.0, 3.0, 10.0, 1.5] {
+            let mut probes = Vec::new();
+            for i in 0..60 {
+                let p: f64 = f64::powi(base, i);
+                probes.extend([p, p.next_down(), p.next_up(), p * 1.5]);
+            }
+            for x in probes.into_iter().filter(|&x| x >= 1.0) {
+                let mut h = LogHistogram::new(base);
+                h.record(x);
+                let (lo, hi, n) = h.iter_bins().next().expect("one bin");
+                assert_eq!(n, 1);
+                assert!(lo <= x && x < hi, "base {base}: {x} outside [{lo}, {hi})");
+            }
+        }
     }
 
     #[test]

@@ -140,7 +140,7 @@ fn duplicate_chaos_renderings_are_pinned() {
         "chaos DupSusUtil",
         &chaos(StrategyKind::DupSusUtil),
         &[
-            ("prom", 22092, 0x0b808f8bb3a45c92),
+            ("prom", 22092, 0x656ff95355c51b3a),
             ("spans", 2152180, 0x79c6f3fe36d2ba6e),
             ("markdown", 1128, 0x523e67d37e7cff27),
             ("cdf_csv", 243, 0xd6de7dfa00621794),
