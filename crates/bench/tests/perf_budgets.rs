@@ -1,8 +1,9 @@
 //! Perf budgets that do not depend on timing: heap allocations per
 //! processed event on the materialized kernel (two normal-load cells and
 //! the high-load wait path) and per completed job on the streaming
-//! kernel, and streaming peak heap staying flat as the horizon grows and
-//! tracking in-flight jobs rather than the pool count.
+//! kernel, streaming peak heap staying flat as the horizon grows and
+//! tracking in-flight jobs rather than the pool count, and Telemetry's
+//! heap staying flat as the sampling rate grows.
 //!
 //! All of them read process-global counters kept by this file's counting
 //! allocator, so the tests take [`SERIAL`] to keep each other's
@@ -24,7 +25,9 @@ use std::sync::Mutex;
 use netbatch_bench::runner::{build_scenario, Load};
 use netbatch_core::policy::{InitialKind, StrategyKind};
 use netbatch_core::simulator::{Backend, SimConfig, Simulator};
-use netbatch_workload::scenarios::PerPoolParams;
+use netbatch_core::telemetry::Telemetry;
+use netbatch_sim_engine::time::SimDuration;
+use netbatch_workload::scenarios::{PerPoolParams, ScenarioParams};
 
 /// Counts allocations (`alloc` + `realloc`) and tracks live heap bytes
 /// with their high-water mark. Relaxed atomics: cross-thread interleaving
@@ -107,6 +110,16 @@ const FLAT_HORIZON: u64 = 2 * 24 * 60;
 /// leaves room for the per-pool state that must exist (pool, lane and
 /// generator structs) but not for per-pool queues.
 const MAX_POOL_SPREAD_RATIO: f64 = 1.5;
+
+/// Ceiling on Telemetry's heap for a week sampled every minute over the
+/// same week sampled every hour (60 times fewer samples). Telemetry folds
+/// its series online, so the two measured equal (ratio 1.0000) on the
+/// normal week at scales 0.02 and 0.05 and trace seeds 20101108, 1, 2, 3,
+/// 4 and 7; the 1.1 ceiling leaves room for state that legitimately
+/// varies with sampling, not for kept samples. Keeping six series per
+/// pool sample by sample, it measured 29.6–59.2 on the same cells (2.26
+/// vs 124.3 MiB at scale 0.02 and the default seed).
+const MAX_TELEMETRY_SAMPLING_RATIO: f64 = 1.1;
 
 /// Ceiling on heap allocations per completed job of the streaming cell
 /// of 20 pools at scale 1.0 over eight days, at 1 and 2 shards. Measured
@@ -286,5 +299,62 @@ fn streaming_allocations_per_job_stay_under_the_ceiling() {
         worst <= MAX_STREAM_ALLOCS_PER_JOB,
         "streaming allocations per job regressed: {worst:.4} vs ceiling \
          {MAX_STREAM_ALLOCS_PER_JOB:.4} — something on the per-job path allocates again"
+    );
+}
+
+/// Heap held by the Telemetry of one normal week at `scale` (trace seed
+/// `seed`) under ResSusWaitUtil, sampled every `every` minutes, and the
+/// sample ticks it saw. The heap is measured as the bytes freed by
+/// dropping the finished run's Telemetry; none of its state shrinks
+/// during a run, so that is also its peak.
+fn telemetry_heap(scale: f64, seed: u64, every: u64) -> (u64, u64) {
+    let mut params = ScenarioParams::normal_week(scale);
+    params.seed = seed;
+    let (site, trace) = (params.build_site(), params.generate_trace());
+    let mut config = SimConfig::new(InitialKind::RoundRobin, StrategyKind::ResSusWaitUtil);
+    config.sample_interval = Some(SimDuration::from_minutes(every));
+    config.telemetry = true;
+    let mut out = Simulator::new(&site, trace.to_specs(), config).run_to_completion();
+    let at = out
+        .observers
+        .iter()
+        .position(|o| o.as_any().is::<Telemetry>())
+        .expect("telemetry attached via SimConfig");
+    let samples = out.observers[at]
+        .as_any()
+        .downcast_ref::<Telemetry>()
+        .expect("checked")
+        .samples();
+    let telemetry = out.observers.swap_remove(at);
+    let before = LIVE_BYTES.load(Ordering::Relaxed);
+    drop(telemetry);
+    (before - LIVE_BYTES.load(Ordering::Relaxed), samples)
+}
+
+/// Telemetry's heap may not grow by more than [`MAX_TELEMETRY_SAMPLING_RATIO`]
+/// when the same week is sampled every minute instead of every hour.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "debug assertions allocate on the hot path; run with --release"
+)]
+fn telemetry_heap_is_flat_in_the_sampling_rate() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let (hourly, hourly_n) = telemetry_heap(0.02, 20_101_108, 60);
+    let (minutely, minutely_n) = telemetry_heap(0.02, 20_101_108, 1);
+    let ratio = minutely as f64 / hourly as f64;
+    println!(
+        "telemetry heap {:.3} MiB over {hourly_n} hourly samples, {:.3} MiB over \
+         {minutely_n} per-minute samples (ratio {ratio:.4})",
+        hourly as f64 / MIB,
+        minutely as f64 / MIB
+    );
+    assert!(
+        ratio <= MAX_TELEMETRY_SAMPLING_RATIO,
+        "telemetry heap grows with the sample count: {:.3} MiB at 1-minute sampling vs \
+         {:.3} MiB at 60-minute sampling (ratio {ratio:.3}, limit \
+         {MAX_TELEMETRY_SAMPLING_RATIO}) — some per-pool or site series keeps its samples",
+        minutely as f64 / MIB,
+        hourly as f64 / MIB
     );
 }

@@ -194,9 +194,11 @@ grep '^digest ' "$tmpdir/perfbench.out"
 # streaming run's peak heap stays flat when its horizon quadruples
 # (catching anything that retains per-job state past completion) and
 # when the same load spreads over ten times the pools (catching
-# per-pool structures that scale with the queue). Timing is judged by
+# per-pool structures that scale with the queue), and Telemetry's heap
+# stays flat when a week is sampled every minute instead of every hour
+# (catching series that keep their samples). Timing is judged by
 # perfbench's paired runs on one host, not gated here.
-echo "==> perf budgets (allocs/event, streaming memory)"
+echo "==> perf budgets (allocs/event, streaming memory, telemetry memory)"
 cargo test --release -q -p netbatch-bench --test perf_budgets
 
 echo "ci: all green"
