@@ -1011,6 +1011,13 @@ impl SimObserver for Telemetry {
         if matches!(event, ObsEvent::Kernel { .. } | ObsEvent::BatchStart { .. }) {
             return;
         }
+        if self.jobs.capacity() == 0 {
+            // Size the per-job table once: every job the run submits
+            // already has a record in `ctx.jobs` (duplicate clones append
+            // later and grow it), so growth by doubling would leave up to
+            // half of it unused.
+            self.jobs.reserve_exact(ctx.jobs.len());
+        }
         let idx = event_index(event);
         debug_assert_eq!(EVENT_KINDS[idx], event.label());
         self.events[idx] += 1;
