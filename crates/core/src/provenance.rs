@@ -121,15 +121,15 @@ impl Cause {
 
     fn render(&self, out: &mut impl Sink) {
         match *self {
-            Cause::Submitted => out.text("{\"type\":\"submitted\"}"),
-            Cause::Preempted => out.text("{\"type\":\"preempted\"}"),
-            Cause::Resumed => out.text("{\"type\":\"resumed\"}"),
-            Cause::DuplicateRace => out.text("{\"type\":\"duplicate_race\"}"),
-            Cause::Dispatched { from_queue: true } => {
-                out.text("{\"type\":\"dispatched\",\"from_queue\":true}");
+            Cause::Submitted | Cause::Preempted | Cause::Resumed | Cause::DuplicateRace => {
+                out.text("{\"type\":\"");
+                out.text(self.label());
+                out.text("\"}");
             }
-            Cause::Dispatched { from_queue: false } => {
-                out.text("{\"type\":\"dispatched\",\"from_queue\":false}");
+            Cause::Dispatched { from_queue } => {
+                out.text("{\"type\":\"dispatched\",\"from_queue\":");
+                out.text(if from_queue { "true" } else { "false" });
+                out.text("}");
             }
             Cause::Policy {
                 trigger,
@@ -297,9 +297,8 @@ impl SpanRecorder {
         ));
     }
 
-    // `take_pending` and `stash` size the job table exactly as when the
-    // pending cause was a `JobState` field: the header's job count is
-    // the highest job id any of them touched, plus one.
+    // Both touch the job table first: the header's `jobs` count is the
+    // highest job id any event touched, plus one, segment or not.
     fn take_pending(&mut self, job: JobId) -> Option<Cause> {
         self.job_mut(job);
         self.pending.remove(&job)
