@@ -1,7 +1,8 @@
 //! Perf budgets that do not depend on timing: heap allocations per
 //! processed event on the materialized kernel (two normal-load cells and
-//! the high-load wait path) and per completed job on the streaming
-//! kernel, streaming peak heap staying flat as the horizon grows and
+//! the high-load wait path), per generated record of a normal week and
+//! its specs, and per completed job on the streaming kernel, streaming
+//! peak heap staying flat as the horizon grows and
 //! tracking in-flight jobs rather than the pool count, and Telemetry's
 //! heap staying flat as the sampling rate grows.
 //!
@@ -123,11 +124,24 @@ const MAX_TELEMETRY_SAMPLING_RATIO: f64 = 1.1;
 
 /// Ceiling on heap allocations per completed job of the streaming cell
 /// of 20 pools at scale 1.0 over eight days, at 1 and 2 shards. Measured
-/// 1.3451 at 2 shards (1.2850 at 1); the ceiling is that figure × 1.5.
-/// About one allocation per job is the generated record's affinity
-/// `Vec`, which the spec takes over in place; the rest is per-barrier
-/// traffic. The count was 2.35 when every spec copied the affinity.
-const MAX_STREAM_ALLOCS_PER_JOB: f64 = 1.3451 * 1.5;
+/// 0.0704 at 2 shards (0.0527 at 1); the ceiling is that figure × 1.5.
+/// Nothing on the per-job or per-epoch path allocates: what is left is
+/// warm-up bounded by the site, not the jobs (each machine's first
+/// resident list, the completion wheel's slot buffers growing to their
+/// peak minute, per-pool maps and lanes), so over 32 days the same cell
+/// measures 0.0214. It measured 1.3451 while every generated record
+/// carried its own affinity `Vec` and every report regrew its lane
+/// buffer, and 2.35 when every spec also copied the affinity.
+const MAX_STREAM_ALLOCS_PER_JOB: f64 = 0.0704 * 1.5;
+
+/// Ceiling on heap allocations per record of generating the scale-0.25
+/// normal week and materializing its specs with `Trace::to_specs`. Every
+/// job of a class shares the class's pool set, so both steps allocate per
+/// stream and per buffer growth, never per job: measured 24 allocations
+/// for 56 700 records (0.0004 per record; 13 681 restricted, 5 streams).
+/// With a copy of the pool list per restricted record, one in generation
+/// and one in `to_specs`, it measured 27 386 (0.4830 per record).
+const MAX_GENERATE_ALLOCS_PER_RECORD: f64 = 0.01;
 
 /// Heap allocations per processed event of one materialized week at
 /// `scale` under `strategy` with the round-robin initial scheduler.
@@ -178,6 +192,41 @@ fn high_load_wait_path_allocations_per_event_stay_under_the_ceiling() {
         "allocations per event regressed on the high-load wait path: {per_event:.4} vs \
          ceiling {MAX_HIGH_LOAD_ALLOCS_PER_EVENT:.4} — the wait queue or the event queue \
          allocates per entry again"
+    );
+}
+
+/// Generating a normal week and materializing its specs may not allocate
+/// per job: see [`MAX_GENERATE_ALLOCS_PER_RECORD`].
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "debug assertions allocate on the hot path; run with --release"
+)]
+fn generation_and_to_specs_allocate_per_stream_not_per_job() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let params = ScenarioParams::normal_week(0.25);
+    let workload = params.build_workload();
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let trace = workload.generate(params.seed);
+    let specs = trace.to_specs();
+    let allocs = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let restricted = specs
+        .iter()
+        .filter(|s| !s.affinity.pools().is_empty())
+        .count();
+    let per_record = allocs as f64 / trace.len().max(1) as f64;
+    println!(
+        "{allocs} allocations for {} records ({restricted} restricted) over {} streams \
+         = {per_record:.4}/record",
+        trace.len(),
+        workload.streams.len()
+    );
+    assert!(
+        per_record <= MAX_GENERATE_ALLOCS_PER_RECORD,
+        "generation and to_specs allocate per job: {per_record:.4} allocations per record \
+         vs ceiling {MAX_GENERATE_ALLOCS_PER_RECORD} ({restricted} of {} records are \
+         restricted) — a record or spec copies its class's pool set again",
+        trace.len()
     );
 }
 

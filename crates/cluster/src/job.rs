@@ -3,6 +3,7 @@
 
 use std::error::Error;
 use std::fmt;
+use std::sync::Arc;
 
 use netbatch_sim_engine::queue::EventId;
 use netbatch_sim_engine::time::{SimDuration, SimTime};
@@ -15,36 +16,39 @@ use crate::priority::Priority;
 /// Latency-sensitive high-priority jobs at Intel are "configured to only run
 /// in specific sets of physical pools" (§2.3) — the root cause of suspension
 /// bursts at 40% global utilization. `Any` jobs may run everywhere.
-#[derive(Debug, PartialEq, Eq, Hash, Default)]
+///
+/// A `Subset` is shared: every job of a class points at its class's one
+/// set, so cloning an affinity (and with it a [`JobSpec`]) bumps a
+/// reference count and never allocates.
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub enum PoolAffinity {
     /// Eligible for every pool at the site.
     #[default]
     Any,
     /// Eligible only for the listed pools.
-    Subset(Vec<PoolId>),
-}
-
-// Manual Clone so `clone_from` reuses an existing `Subset` buffer — the
-// simulator's scratch `JobSpec` is re-cloned from a job record on every
-// scheduling decision, and the derive would reallocate the pool list each
-// time.
-impl Clone for PoolAffinity {
-    fn clone(&self) -> Self {
-        match self {
-            PoolAffinity::Any => PoolAffinity::Any,
-            PoolAffinity::Subset(pools) => PoolAffinity::Subset(pools.clone()),
-        }
-    }
-
-    fn clone_from(&mut self, source: &Self) {
-        match (self, source) {
-            (PoolAffinity::Subset(dst), PoolAffinity::Subset(src)) => dst.clone_from(src),
-            (dst, src) => *dst = src.clone(),
-        }
-    }
+    Subset(Arc<[PoolId]>),
 }
 
 impl PoolAffinity {
+    /// The affinity of a pool-id list in the trace convention: an empty
+    /// list means any pool. Allocates the shared set; clone the result to
+    /// hand it to further jobs.
+    pub fn from_ids(ids: &[u16]) -> Self {
+        if ids.is_empty() {
+            PoolAffinity::Any
+        } else {
+            PoolAffinity::Subset(ids.iter().copied().map(PoolId).collect())
+        }
+    }
+
+    /// The listed pools; empty for `Any` (the trace convention).
+    pub fn pools(&self) -> &[PoolId] {
+        match self {
+            PoolAffinity::Any => &[],
+            PoolAffinity::Subset(pools) => pools,
+        }
+    }
+
     /// Returns true if the job may run in `pool`.
     pub fn allows(&self, pool: PoolId) -> bool {
         match self {
@@ -71,11 +75,6 @@ impl PoolAffinity {
                 out.extend(pools.iter().copied().filter(|p| p.as_u16() < n_pools))
             }
         }
-    }
-
-    /// Number of candidate pools at a site with `n_pools` pools.
-    pub fn candidate_count(&self, n_pools: u16) -> usize {
-        self.candidates(n_pools).len()
     }
 }
 
@@ -125,7 +124,7 @@ impl Default for Resources {
 ///     .with_cores(2);
 /// assert_eq!(spec.resources.cores, 2);
 /// ```
-#[derive(Debug, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JobSpec {
     /// Unique job identifier.
     pub id: JobId,
@@ -141,35 +140,6 @@ pub struct JobSpec {
     pub affinity: PoolAffinity,
     /// Optional task grouping (§2.2: a task's result needs all its jobs).
     pub task: Option<TaskId>,
-}
-
-// Manual Clone so `clone_from` forwards to `PoolAffinity::clone_from`,
-// which reuses an existing `Subset` buffer. The simulator re-clones its
-// scratch spec from a job record on every routing decision, so the derive's
-// default `clone_from` (drop + fresh clone) would put an allocation back on
-// the hot path.
-impl Clone for JobSpec {
-    fn clone(&self) -> Self {
-        JobSpec {
-            id: self.id,
-            submit_time: self.submit_time,
-            runtime: self.runtime,
-            resources: self.resources,
-            priority: self.priority,
-            affinity: self.affinity.clone(),
-            task: self.task,
-        }
-    }
-
-    fn clone_from(&mut self, source: &Self) {
-        self.id = source.id;
-        self.submit_time = source.submit_time;
-        self.runtime = source.runtime;
-        self.resources = source.resources;
-        self.priority = source.priority;
-        self.affinity.clone_from(&source.affinity);
-        self.task = source.task;
-    }
 }
 
 impl JobSpec {
@@ -847,12 +817,43 @@ mod tests {
     fn affinity_allows_and_candidates() {
         let any = PoolAffinity::Any;
         assert!(any.allows(PoolId(7)));
-        assert_eq!(any.candidate_count(20), 20);
-        let subset = PoolAffinity::Subset(vec![PoolId(1), PoolId(3), PoolId(99)]);
-        assert!(subset.allows(PoolId(3)));
-        assert!(!subset.allows(PoolId(2)));
-        // Out-of-range pools are filtered out of the candidate set.
-        assert_eq!(subset.candidates(20), vec![PoolId(1), PoolId(3)]);
+        assert_eq!(any.candidates(20).len(), 20);
+        assert!(any.pools().is_empty());
+        // Two jobs of one class share the set; both read it alike.
+        let subset = PoolAffinity::from_ids(&[1, 3, 99]);
+        let shared = subset.clone();
+        let (PoolAffinity::Subset(a), PoolAffinity::Subset(b)) = (&subset, &shared) else {
+            panic!("a non-empty id list is a subset")
+        };
+        assert!(Arc::ptr_eq(a, b), "cloning shares the set");
+        for affinity in [&subset, &shared] {
+            assert!(affinity.allows(PoolId(3)));
+            assert!(!affinity.allows(PoolId(2)));
+            // Out-of-range pools are filtered out of the candidate set.
+            let mut out = vec![PoolId(5)];
+            affinity.candidates_into(20, &mut out);
+            assert_eq!(out, vec![PoolId(1), PoolId(3)]);
+            assert_eq!(affinity.pools(), &[PoolId(1), PoolId(3), PoolId(99)]);
+        }
+        assert_eq!(PoolAffinity::from_ids(&[]), PoolAffinity::Any);
+    }
+
+    #[test]
+    fn shared_affinity_keeps_spec_and_record_small() {
+        // One fat pointer: the empty variant lives in its null niche.
+        assert_eq!(std::mem::size_of::<PoolAffinity>(), 16);
+        let set = PoolAffinity::from_ids(&[0]);
+        let spec = spec(1).with_affinity(set.clone());
+        let record = JobRecord::new(spec.clone());
+        let (PoolAffinity::Subset(a), PoolAffinity::Subset(b)) = (&set, &record.spec().affinity)
+        else {
+            panic!("subset affinity")
+        };
+        assert!(
+            Arc::ptr_eq(a, b),
+            "spec and record point at the class's set"
+        );
+        assert_eq!(Arc::strong_count(a), 3);
     }
 
     #[test]
@@ -862,7 +863,7 @@ mod tests {
             .with_cores(4)
             .with_memory_mb(8192)
             .with_task(TaskId(3))
-            .with_affinity(PoolAffinity::Subset(vec![PoolId(0)]));
+            .with_affinity(PoolAffinity::from_ids(&[0]));
         assert_eq!(s.priority, Priority::HIGH);
         assert_eq!(s.resources.cores, 4);
         assert_eq!(s.resources.memory_mb, 8192);

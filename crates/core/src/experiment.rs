@@ -208,6 +208,7 @@ pub fn render_results_table(results: &[ExperimentResult]) -> Table {
 mod tests {
     use super::*;
     use netbatch_cluster::ids::PoolId;
+    use netbatch_cluster::job::PoolAffinity;
     use netbatch_cluster::pool::PoolConfig;
     use netbatch_workload::trace::TraceRecord;
 
@@ -226,7 +227,7 @@ mod tests {
             cores: 1,
             memory_mb: 1024,
             priority,
-            affinity,
+            affinity: PoolAffinity::from_ids(&affinity),
             task: None,
         }
     }

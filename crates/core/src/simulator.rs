@@ -11,7 +11,7 @@
 //! completed").
 
 use netbatch_cluster::ids::{JobId, MachineId, PoolId};
-use netbatch_cluster::job::{JobPhase, JobRecord, JobSpec, PoolAffinity};
+use netbatch_cluster::job::{JobPhase, JobRecord, JobSpec};
 use netbatch_cluster::pool::{PhysicalPool, PoolAction, SubmitKind};
 use netbatch_cluster::snapshot::ClusterSnapshot;
 use netbatch_metrics::timeseries::TimeSeries;
@@ -411,8 +411,9 @@ pub struct RunCounters {
 
 /// Reusable buffers for the per-event hot path: in steady state every
 /// event is handled without heap allocation — candidate lists, preference
-/// orders, pool-action batches, cascade worklists and spec clones all come
-/// from (and return to) these free lists.
+/// orders, pool-action batches and cascade worklists all come from (and
+/// return to) these free lists. Working copies of a job's spec need no
+/// list: a spec shares its affinity set, so its clone never allocates.
 ///
 /// Buffers that can be live at several nesting depths at once are pooled
 /// as free lists rather than held as single fields: a rescheduling cascade
@@ -429,14 +430,6 @@ struct Scratch {
     actions: Vec<Vec<PoolAction>>,
     /// Free list of suspended-cascade worklists.
     worklists: Vec<Suspended>,
-    /// Free list of spec clones whose affinity is `Any` (`JobSpec::clone_from`
-    /// reuses the affinity subset allocation on reuse).
-    specs_any: Vec<JobSpec>,
-    /// Free list of spec clones whose affinity is `Subset`. Kept apart from
-    /// `specs_any` so `clone_from` pairs like with like: cloning a `Subset`
-    /// source over an `Any` clone would reallocate the pool list, and the
-    /// workload mixes both affinities.
-    specs_subset: Vec<JobSpec>,
     /// Machine-failure eviction lists (non-reentrant: one failure event is
     /// fully handled before the next).
     evict_running: Vec<JobId>,
@@ -470,30 +463,6 @@ impl Scratch {
     fn put_worklist(&mut self, mut list: Suspended) {
         list.clear();
         self.worklists.push(list);
-    }
-
-    /// A working copy of `src`; reuses a retired clone's allocations via
-    /// `JobSpec::clone_from` when one with the same affinity variant is
-    /// available (falling back to the other pool, then to a fresh clone).
-    fn take_spec(&mut self, src: &JobSpec) -> JobSpec {
-        let (matching, other) = match src.affinity {
-            PoolAffinity::Any => (&mut self.specs_any, &mut self.specs_subset),
-            PoolAffinity::Subset(_) => (&mut self.specs_subset, &mut self.specs_any),
-        };
-        match matching.pop().or_else(|| other.pop()) {
-            Some(mut spec) => {
-                spec.clone_from(src);
-                spec
-            }
-            None => src.clone(),
-        }
-    }
-
-    fn put_spec(&mut self, spec: JobSpec) {
-        match spec.affinity {
-            PoolAffinity::Any => self.specs_any.push(spec),
-            PoolAffinity::Subset(_) => self.specs_subset.push(spec),
-        }
     }
 }
 
@@ -986,12 +955,11 @@ impl Simulator {
     /// Routes a job through the virtual pool manager to its initial
     /// candidates.
     fn route_via_vpm(&mut self, job: JobId, now: SimTime, sched: &mut Scheduler<'_, Ev>) {
-        let spec = self.scratch.take_spec(self.jobs[job.as_usize()].spec());
+        let spec = self.jobs[job.as_usize()].spec().clone();
         let mut candidates = self.scratch.take_pool_list();
         self.initial_candidates_into(&spec, &mut candidates);
         self.route_in_order(&spec, &candidates, now, sched);
         self.scratch.put_pool_list(candidates);
-        self.scratch.put_spec(spec);
     }
 
     /// Tries `candidates` in the initial scheduler's preference order,
@@ -1123,7 +1091,7 @@ impl Simulator {
                 return;
             }
         }
-        let mut spec = self.scratch.take_spec(self.jobs[job.as_usize()].spec());
+        let mut spec = self.jobs[job.as_usize()].spec().clone();
         let mut candidates = self.scratch.take_pool_list();
         self.eligible_candidates_into(&spec, now, &mut candidates);
         self.refresh_view(now);
@@ -1238,7 +1206,6 @@ impl Simulator {
                 }
             }
         }
-        self.scratch.put_spec(spec);
     }
 
     fn handle_complete(&mut self, job: JobId, now: SimTime, sched: &mut Scheduler<'_, Ev>) {
@@ -1365,7 +1332,7 @@ impl Simulator {
                 return;
             }
         }
-        let spec = self.scratch.take_spec(self.jobs[job.as_usize()].spec());
+        let spec = self.jobs[job.as_usize()].spec().clone();
         self.emit(now, ObsEvent::WaitTimeout { job, pool });
         let mut candidates = self.scratch.take_pool_list();
         self.eligible_candidates_into(&spec, now, &mut candidates);
@@ -1423,7 +1390,6 @@ impl Simulator {
             // Stay put; check again one threshold later (bounded).
             _ => self.arm_wait_timer(job, now + threshold, sched),
         }
-        self.scratch.put_spec(spec);
     }
 
     fn handle_migrate_arrive(
@@ -1440,12 +1406,11 @@ impl Simulator {
             return;
         }
         // Submit a spec carrying only the remaining (slowed) work.
-        let mut spec = self.scratch.take_spec(self.jobs[job.as_usize()].spec());
+        let mut spec = self.jobs[job.as_usize()].spec().clone();
         spec.runtime = remaining;
         let mut suspended = self.scratch.take_worklist();
         self.place(target, &spec, false, now, sched, &mut suspended);
         self.decide_all(suspended, now, sched);
-        self.scratch.put_spec(spec);
     }
 
     fn handle_machine_down(
@@ -1588,7 +1553,7 @@ impl Simulator {
         {
             return; // finished (possibly by a duplicate) or moved meanwhile
         }
-        let spec = self.scratch.take_spec(self.jobs[job.as_usize()].spec());
+        let spec = self.jobs[job.as_usize()].spec().clone();
         let mut capable = self.scratch.take_pool_list();
         self.initial_candidates_into(&spec, &mut capable);
         capable.retain(|p| self.pools[p.as_usize()].is_eligible(spec.resources));
@@ -1611,7 +1576,6 @@ impl Simulator {
         }
         self.scratch.put_pool_list(up);
         self.scratch.put_pool_list(capable);
-        self.scratch.put_spec(spec);
     }
 
     /// Terminal bookkeeping for a job no pool will run: count it
@@ -2074,9 +2038,7 @@ mod tests {
         // job 1 affine to pool 0 to force the preemption.
         let jobs = vec![
             jobs[0].clone(),
-            jobs[1]
-                .clone()
-                .with_affinity(PoolAffinity::Subset(vec![PoolId(0)])),
+            jobs[1].clone().with_affinity(PoolAffinity::from_ids(&[0])),
         ];
         let cfg = SimConfig::new(InitialKind::RoundRobin, StrategyKind::ResSusUtil);
         let out = Simulator::new(&site, jobs, cfg).run_to_completion();
@@ -2102,15 +2064,9 @@ mod tests {
         // at pool0 again (third call → start index 2 % 2 = 0). To pin
         // behaviour, make job2 affine to the pool job1 runs in.
         let jobs = vec![
-            jobs[0]
-                .clone()
-                .with_affinity(PoolAffinity::Subset(vec![PoolId(1)])),
-            jobs[1]
-                .clone()
-                .with_affinity(PoolAffinity::Subset(vec![PoolId(0)])),
-            jobs[2]
-                .clone()
-                .with_affinity(PoolAffinity::Subset(vec![PoolId(0)])),
+            jobs[0].clone().with_affinity(PoolAffinity::from_ids(&[1])),
+            jobs[1].clone().with_affinity(PoolAffinity::from_ids(&[0])),
+            jobs[2].clone().with_affinity(PoolAffinity::from_ids(&[0])),
         ];
         let cfg = SimConfig::new(InitialKind::RoundRobin, StrategyKind::ResSusUtil);
         let out = Simulator::new(&site, jobs, cfg).run_to_completion();
@@ -2131,8 +2087,8 @@ mod tests {
         // 30-minute threshold ResSusWaitUtil moves it to idle pool 0.
         let site = tiny_site(2, 1, 1);
         let jobs = vec![
-            spec(0, 0, 1000).with_affinity(PoolAffinity::Subset(vec![PoolId(1)])),
-            spec(1, 5, 50).with_affinity(PoolAffinity::Subset(vec![PoolId(0), PoolId(1)])),
+            spec(0, 0, 1000).with_affinity(PoolAffinity::from_ids(&[1])),
+            spec(1, 5, 50).with_affinity(PoolAffinity::from_ids(&[0, 1])),
         ];
         let cfg = SimConfig::new(InitialKind::RoundRobin, StrategyKind::ResSusWaitUtil);
         let out = Simulator::new(&site, jobs, cfg).run_to_completion();
@@ -2189,7 +2145,7 @@ mod tests {
                 if i % 4 == 0 {
                     s = s
                         .with_priority(Priority::HIGH)
-                        .with_affinity(PoolAffinity::Subset(vec![PoolId(0)]));
+                        .with_affinity(PoolAffinity::from_ids(&[0]));
                 }
                 s
             })
@@ -2221,7 +2177,7 @@ mod tests {
             spec(0, 0, 100),
             spec(1, 10, 500)
                 .with_priority(Priority::HIGH)
-                .with_affinity(PoolAffinity::Subset(vec![PoolId(0)])),
+                .with_affinity(PoolAffinity::from_ids(&[0])),
         ];
         let mut cfg = SimConfig::new(InitialKind::RoundRobin, StrategyKind::ResSusUtil);
         cfg.max_restarts = Some(0);
@@ -2240,7 +2196,7 @@ mod tests {
             spec(0, 0, 100),
             spec(1, 40, 500)
                 .with_priority(Priority::HIGH)
-                .with_affinity(PoolAffinity::Subset(vec![PoolId(0)])),
+                .with_affinity(PoolAffinity::from_ids(&[0])),
         ];
         let mut cfg = SimConfig::new(InitialKind::RoundRobin, StrategyKind::ResSusUtil);
         cfg.restart_overhead = SimDuration::from_minutes(15);
@@ -2330,7 +2286,7 @@ mod tests {
             spec(0, 0, 100),
             spec(1, 40, 500)
                 .with_priority(Priority::HIGH)
-                .with_affinity(PoolAffinity::Subset(vec![PoolId(0)])),
+                .with_affinity(PoolAffinity::from_ids(&[0])),
         ];
         let cfg = SimConfig::new(InitialKind::RoundRobin, StrategyKind::MigrateSusUtil);
         let out = Simulator::new(&site, jobs, cfg).run_to_completion();
@@ -2354,7 +2310,7 @@ mod tests {
             spec(0, 0, 100),
             spec(1, 40, 500)
                 .with_priority(Priority::HIGH)
-                .with_affinity(PoolAffinity::Subset(vec![PoolId(0)])),
+                .with_affinity(PoolAffinity::from_ids(&[0])),
         ];
         let cfg = SimConfig::new(InitialKind::RoundRobin, StrategyKind::DupSusUtil);
         let out = Simulator::new(&site, jobs, cfg).run_to_completion();
@@ -2386,7 +2342,7 @@ mod tests {
             spec(0, 0, 100),
             spec(1, 90, 5)
                 .with_priority(Priority::HIGH)
-                .with_affinity(PoolAffinity::Subset(vec![PoolId(0)])),
+                .with_affinity(PoolAffinity::from_ids(&[0])),
         ];
         let cfg = SimConfig::new(InitialKind::RoundRobin, StrategyKind::DupSusUtil);
         let out = Simulator::new(&site, jobs, cfg).run_to_completion();
@@ -2412,10 +2368,10 @@ mod tests {
         // inter-site rescheduling the suspended job may only escape to
         // pool 1.
         let jobs = [
-            spec(0, 0, 100).with_affinity(PoolAffinity::Subset(vec![PoolId(0)])),
+            spec(0, 0, 100).with_affinity(PoolAffinity::from_ids(&[0])),
             spec(1, 10, 500)
                 .with_priority(Priority::HIGH)
-                .with_affinity(PoolAffinity::Subset(vec![PoolId(0)])),
+                .with_affinity(PoolAffinity::from_ids(&[0])),
         ];
         // Job 1's affinity {0, 2} spans both VPMs; id 1 assigns it to the
         // second eligible VPM (VPM 1), whose only serving pool is 2 — so
@@ -2428,7 +2384,7 @@ mod tests {
                 SimDuration::from_minutes(500),
             )
             .with_priority(Priority::HIGH)
-            .with_affinity(PoolAffinity::Subset(vec![PoolId(0), PoolId(2)])),
+            .with_affinity(PoolAffinity::from_ids(&[0, 2])),
         ];
         let mut cfg = SimConfig::new(InitialKind::RoundRobin, StrategyKind::ResSusUtil);
         cfg.topology = Some(topo);
@@ -2452,10 +2408,10 @@ mod tests {
         // long before the preemption.
         let jobs = vec![
             spec(0, 0, 100),
-            spec(1, 0, 5).with_affinity(PoolAffinity::Subset(vec![PoolId(1)])),
+            spec(1, 0, 5).with_affinity(PoolAffinity::from_ids(&[1])),
             spec(2, 40, 500)
                 .with_priority(Priority::HIGH)
-                .with_affinity(PoolAffinity::Subset(vec![PoolId(0)])),
+                .with_affinity(PoolAffinity::from_ids(&[0])),
         ];
         let confined = {
             let mut cfg = SimConfig::new(InitialKind::RoundRobin, StrategyKind::ResSusUtil);
@@ -2485,7 +2441,7 @@ mod tests {
                 if i % 4 == 0 {
                     s = s
                         .with_priority(Priority::HIGH)
-                        .with_affinity(PoolAffinity::Subset(vec![PoolId(0)]));
+                        .with_affinity(PoolAffinity::from_ids(&[0]));
                 }
                 s
             })

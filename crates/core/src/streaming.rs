@@ -219,6 +219,10 @@ struct FlushMsg {
     /// Pools absent from the list have no buffered minute due.
     bases: Bases,
     arena: PoolArena,
+    /// Emptied report buffers of a folded epoch, handed back so the
+    /// worker refills them instead of growing fresh ones.
+    lanes: Vec<LaneAhead>,
+    emissions: Vec<(u32, ObsEvent)>,
 }
 
 /// A lane's lookahead after it changed: what the coordinator plans
@@ -411,8 +415,11 @@ impl<'a> StreamWorker<'a> {
     }
 
     /// Executes one dispatch: the dispatched minute, then every minute
-    /// of this worker's own bookings due before the bound.
-    fn run_dispatch(&mut self, msg: &FlushMsg) {
+    /// of this worker's own bookings due before the bound. Consuming the
+    /// message releases its shared bases before the worker reports: once
+    /// every report of an epoch is in, the coordinator holds the only
+    /// handle and reuses the buffer.
+    fn run_dispatch(&mut self, msg: FlushMsg) {
         debug_assert!(
             !self.observed || msg.bound == msg.epoch + SimDuration::MINUTE,
             "observer runs barrier every minute"
@@ -421,6 +428,12 @@ impl<'a> StreamWorker<'a> {
             self.queue.peek_time().is_none_or(|t| t >= msg.epoch),
             "no booking lies before the dispatched minute"
         );
+        // The last report took the worker's buffers; fill the ones the
+        // coordinator handed back.
+        debug_assert!(self.changed.is_empty() && self.emissions.is_empty());
+        debug_assert!(msg.lanes.is_empty() && msg.emissions.is_empty());
+        self.changed = msg.lanes;
+        self.emissions = msg.emissions;
         let mut subs = std::mem::take(&mut self.subs);
         subs.extend(
             msg.bases
@@ -508,7 +521,7 @@ impl<'a> StreamWorker<'a> {
             let id = JobId(base + k as u64);
             self.executed += 1;
             self.emit(ObsEvent::Kernel { kind: "submit" });
-            let mut job = JobRecord::new(record.into_spec(id));
+            let mut job = JobRecord::new(record.to_spec(id));
             job.submit(now).expect("streamed submissions fire once");
             self.emit(ObsEvent::Submit { job: id });
             // The pool reads no affinity (routing is the VPM's), so this
@@ -748,11 +761,15 @@ pub(crate) fn run_streaming(
         // Shards 1.. run on their own threads. The channels stay locals of
         // this closure: if shard 0 panics on this thread, unwinding drops
         // them and the spawned workers exit instead of waiting forever.
-        let (result_tx, result_rx) = mpsc::channel::<EpochResult>();
+        // They are bounded, so their buffers are allocated once here
+        // rather than block by block as messages flow. A worker holds at
+        // most PIPELINE_DEPTH unfolded dispatches, so neither bound ever
+        // makes a send wait.
+        let (result_tx, result_rx) = mpsc::sync_channel::<EpochResult>(PIPELINE_DEPTH * shards);
         let mut work_txs = Vec::with_capacity(shards - 1);
         let mut handles = Vec::with_capacity(shards - 1);
         for shard in 1..shards {
-            let (tx, rx) = mpsc::channel::<FlushMsg>();
+            let (tx, rx) = mpsc::sync_channel::<FlushMsg>(PIPELINE_DEPTH);
             work_txs.push(tx);
             let results = result_tx.clone();
             handles.push(scope.spawn(move || {
@@ -762,12 +779,8 @@ pub(crate) fn run_streaming(
                     return (worker.jobs, worker.finished);
                 }
                 while let Ok(msg) = rx.recv() {
-                    worker.run_dispatch(&msg);
                     let epoch = msg.epoch;
-                    // Release the shared bases before reporting: once
-                    // every report of an epoch is in, the coordinator
-                    // holds the only handle and reuses the buffer.
-                    drop(msg);
+                    worker.run_dispatch(msg);
                     if results.send(worker.report(Some(epoch))).is_err() {
                         break;
                     }
@@ -792,8 +805,15 @@ pub(crate) fn run_streaming(
         let mut next_local: Vec<Option<SimTime>> = vec![None; shards];
         let mut frontier = SimTime::ZERO;
         let mut inflight: VecDeque<(SimTime, Bases)> = VecDeque::new();
-        // Bases buffers of folded epochs, unshared and ready for reuse.
+        // Buffers of folded epochs, emptied and ready for reuse: bases
+        // (unshared again) and the report buffers that go back to the
+        // workers with the next dispatches.
         let mut spare_bases: Vec<Bases> = Vec::new();
+        let mut spare_lanes: Vec<Vec<LaneAhead>> = Vec::new();
+        let mut spare_emissions: Vec<Vec<(u32, ObsEvent)>> = Vec::new();
+        // Observer runs: one barrier's emission runs and their merge.
+        let mut emission_runs: Vec<Vec<(u32, ObsEvent)>> = Vec::new();
+        let mut merged: Vec<(u32, ObsEvent)> = Vec::new();
         let mut stash: Vec<EpochResult> = Vec::new();
         let mut results: Vec<EpochResult> = Vec::with_capacity(shards);
         let mut next_job_id: u64 = 0;
@@ -802,7 +822,7 @@ pub(crate) fn run_streaming(
 
         macro_rules! apply_report {
             ($r:expr) => {{
-                let r = $r;
+                let mut r: EpochResult = $r;
                 sim.counters.completed += r.completed;
                 sim.counters.unrunnable += r.unrunnable;
                 for lane in &r.lanes {
@@ -816,6 +836,8 @@ pub(crate) fn run_streaming(
                     );
                     exhausted[p] = lane.exhausted;
                 }
+                r.lanes.clear();
+                spare_lanes.push(take(&mut r.lanes));
                 next_local[r.shard] = r.next_local.filter(|&m| m >= frontier);
                 end_time = end_time.max(r.last_active.unwrap_or(SimTime::ZERO));
                 if let Some(profile) = sim.profile.as_mut() {
@@ -855,24 +877,24 @@ pub(crate) fn run_streaming(
                 }
                 debug_assert!(bound > e, "a dispatch covers its own minute");
                 frontier = bound;
-                let msg = FlushMsg {
+                let arena = PoolArena::of(&mut sim);
+                let mut order = || FlushMsg {
                     epoch: e,
                     bound,
-                    bases: shared,
-                    arena: PoolArena::of(&mut sim),
+                    bases: Arc::clone(&shared),
+                    arena,
+                    lanes: spare_lanes.pop().unwrap_or_default(),
+                    emissions: spare_emissions.pop().unwrap_or_default(),
                 };
                 for tx in &work_txs {
-                    tx.send(FlushMsg {
-                        bases: Arc::clone(&msg.bases),
-                        ..msg
-                    })
-                    .expect("worker alive while coordinator runs");
+                    tx.send(order())
+                        .expect("worker alive while coordinator runs");
                 }
                 // Shard 0's report waits in the stash for the barrier fold,
                 // like a spawned worker's report that arrived early.
-                worker0.run_dispatch(&msg);
+                worker0.run_dispatch(order());
                 stash.push(worker0.report(Some(e)));
-                inflight.push_back((e, msg.bases));
+                inflight.push_back((e, shared));
                 // Bookings below the bound are now the workers' problem;
                 // a next_local entry there must not re-trigger dispatch.
                 for nl in next_local.iter_mut() {
@@ -954,7 +976,6 @@ pub(crate) fn run_streaming(
                 let t0 = profile_on.then(std::time::Instant::now);
                 results.sort_by_key(|r| r.shard);
                 let mut executed = 0u64;
-                let mut emission_runs: Vec<Vec<(u32, ObsEvent)>> = Vec::new();
                 for r in results.drain(..) {
                     let r = apply_report!(r);
                     executed += r.executed;
@@ -965,18 +986,20 @@ pub(crate) fn run_streaming(
                 events += executed;
                 if observed {
                     debug_assert!(inflight.is_empty(), "replay requires quiescent workers");
-                    let emissions = merge_sorted_runs(emission_runs, |run| run.0);
+                    merge_sorted_runs(&mut emission_runs, |run| run.0, &mut merged);
+                    spare_emissions.append(&mut emission_runs);
                     let ctx = ObsCtx {
                         pools: &sim.pools,
                         jobs: &sim.jobs,
                         shadows: &sim.shadows,
                     };
                     for obs in &mut sim.observers {
-                        for (_, event) in &emissions {
+                        for (_, event) in &merged {
                             obs.on_replayed_event(e, event, &ctx);
                         }
                         obs.on_settle(e, &ctx);
                     }
+                    merged.clear();
                 }
                 if let Some(t0) = t0 {
                     let nanos = t0.elapsed().as_nanos() as u64;

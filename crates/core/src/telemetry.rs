@@ -279,14 +279,59 @@ fn borrow_labels(labels: &LabelSet) -> Vec<(&str, &str)> {
 /// the 1.2x overhead budget and not.
 #[derive(Debug, Clone, Copy, Default)]
 struct JobTrack {
-    submit_at: Option<SimTime>,
+    life: Life,
     queue_since: Option<SimTime>,
     susp_since: Option<SimTime>,
     wait_min: u64,
     susp_min: u64,
     waste_min: u64,
-    suspended_ever: bool,
-    done: bool,
+}
+
+/// Where a job is in its completion span: not yet submitted, submitted
+/// (the span is open), or finished. The suspended-ever flag shares the
+/// state's tag word, so a `JobTrack` is 72 bytes rather than 80.
+#[derive(Debug, Clone, Copy)]
+enum Life {
+    Unseen {
+        suspended_ever: bool,
+    },
+    Open {
+        since: SimTime,
+        suspended_ever: bool,
+    },
+    Done,
+}
+
+impl Default for Life {
+    fn default() -> Self {
+        Life::Unseen {
+            suspended_ever: false,
+        }
+    }
+}
+
+impl Life {
+    /// Opens the completion span at `now`; a finished job stays finished.
+    fn open(&mut self, now: SimTime) {
+        match *self {
+            Life::Unseen { suspended_ever } | Life::Open { suspended_ever, .. } => {
+                *self = Life::Open {
+                    since: now,
+                    suspended_ever,
+                }
+            }
+            Life::Done => {}
+        }
+    }
+
+    fn mark_suspended(&mut self) {
+        match self {
+            Life::Unseen { suspended_ever } | Life::Open { suspended_ever, .. } => {
+                *suspended_ever = true
+            }
+            Life::Done => {}
+        }
+    }
 }
 
 /// Per-pool sampled series (one point per sample tick), each reduced
@@ -457,7 +502,7 @@ impl Telemetry {
             .map(|t| {
                 u64::from(t.queue_since.is_some())
                     + u64::from(t.susp_since.is_some())
-                    + u64::from(!t.done && t.submit_at.is_some())
+                    + u64::from(matches!(t.life, Life::Open { .. }))
             })
             .sum()
     }
@@ -522,13 +567,15 @@ impl Telemetry {
     fn finish_job(&mut self, job: JobId, now: SimTime, ctx: &ObsCtx<'_>) {
         let shadow = ctx.shadows.contains(&job);
         let t = self.track(job);
-        if t.done {
-            return;
-        }
-        t.done = true;
-        let ct = t.submit_at.map(|opened| now.since(opened));
-        let (wait, susp, waste, suspended) =
-            (t.wait_min, t.susp_min, t.waste_min, t.suspended_ever);
+        let (ct, suspended) = match std::mem::replace(&mut t.life, Life::Done) {
+            Life::Done => return,
+            Life::Unseen { suspended_ever } => (None, suspended_ever),
+            Life::Open {
+                since,
+                suspended_ever,
+            } => (Some(now.since(since)), suspended_ever),
+        };
+        let (wait, susp, waste) = (t.wait_min, t.susp_min, t.waste_min);
         match ct {
             Some(len) => self.spans.observe(PHASE_COMPLETION, len),
             None => self.unmatched_ends += 1,
@@ -1024,15 +1071,16 @@ impl SimObserver for Telemetry {
         match *event {
             ObsEvent::Submit { job } => {
                 // Opens the implicit completion span (closed by finish_job).
-                self.track(job).submit_at = Some(now);
+                self.track(job).life.open(now);
             }
             ObsEvent::Unrunnable { job } => {
                 // Gave up at the VPM: no completion latency to record, so
-                // `done` closes the completion span without observing it.
+                // `Life::Done` closes the completion span without observing
+                // it.
                 let shadow = ctx.shadows.contains(&job);
                 let t = self.track(job);
-                if !t.done {
-                    t.done = true;
+                if !matches!(t.life, Life::Done) {
+                    t.life = Life::Done;
                     if !shadow {
                         self.unrunnable += 1;
                     }
@@ -1054,7 +1102,7 @@ impl SimObserver for Telemetry {
             ObsEvent::Suspend { job, pool: _, .. } => {
                 let t = self.track(job);
                 t.susp_since = Some(now);
-                t.suspended_ever = true;
+                t.life.mark_suspended();
             }
             ObsEvent::Resume { job, pool, .. } => {
                 self.end_suspend_span(job, pool, now);
@@ -1085,7 +1133,7 @@ impl SimObserver for Telemetry {
             }
             ObsEvent::DuplicateLaunched { clone, .. } => {
                 // The shadow copy never gets its own Submit event.
-                self.track(clone).submit_at = Some(now);
+                self.track(clone).life.open(now);
             }
             ObsEvent::ProxyFinish {
                 job,
@@ -1138,6 +1186,19 @@ pub use netbatch_metrics::export::validate_exposition as validate_prom;
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn job_track_is_72_bytes() {
+        // The per-job table is sized once per run from the job count. At
+        // 72 bytes it fits exactly into the buffer the run's specs freed,
+        // which keeps glibc from returning the heap between perfbench's
+        // weeks (EXPERIMENTS.md §Performance).
+        assert_eq!(std::mem::size_of::<JobTrack>(), 72);
+        assert_eq!(
+            std::mem::size_of::<JobTrack>(),
+            std::mem::size_of::<netbatch_cluster::job::JobSpec>()
+        );
+    }
     use netbatch_cluster::ids::MachineId;
     use netbatch_metrics::export::validate_exposition;
 

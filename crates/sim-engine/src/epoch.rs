@@ -13,7 +13,7 @@
 //! same regardless of shard scheduling, completion order, or thread
 //! count.
 
-/// Merges per-lane runs into one stream ordered by `key`, preserving each
+/// Merges per-lane runs into `out`, ordered by `key`, preserving each
 /// run's internal order for equal keys (stable within a lane).
 ///
 /// Each input run must already be sorted by the key function — which the
@@ -23,12 +23,16 @@
 /// index, so the output is a pure function of the runs' *contents*, never
 /// of the order the lanes happened to finish in.
 ///
+/// The runs are drained, not consumed: each is left empty with its
+/// capacity, so a caller that recycles its runs and `out` merges every
+/// barrier without allocating.
+///
 /// # Panics
 ///
 /// Panics (debug builds) if a run is not sorted by its keys — an unsorted
 /// run means a lane executed out of sequence, which would already have
 /// broken determinism upstream.
-pub fn merge_sorted_runs<T, K, F>(runs: Vec<Vec<T>>, key: F) -> Vec<T>
+pub fn merge_sorted_runs<T, K, F>(runs: &mut [Vec<T>], key: F, out: &mut Vec<T>)
 where
     K: Ord,
     F: Fn(&T) -> K,
@@ -36,19 +40,18 @@ where
     debug_assert!(runs
         .iter()
         .all(|run| run.windows(2).all(|w| key(&w[0]) <= key(&w[1]))));
-    let total = runs.iter().map(Vec::len).sum();
-    let mut out = Vec::with_capacity(total);
-    // Peekable cursor per run; k is tiny (the shard count), so a linear
-    // scan over the run heads beats a binary heap and keeps the tie-break
-    // (lowest lane index first) explicit.
-    let mut heads: Vec<_> = runs
-        .into_iter()
-        .map(|run| run.into_iter().peekable())
-        .collect();
+    out.reserve(runs.iter().map(Vec::len).sum());
+    // Reversed, each run's head is its last element and `pop` takes it,
+    // so no cursor needs storing. k is tiny (the shard count), so a
+    // linear scan over the run heads beats a binary heap and keeps the
+    // tie-break (lowest lane index first) explicit.
+    for run in runs.iter_mut() {
+        run.reverse();
+    }
     loop {
         let mut best: Option<(usize, K)> = None;
-        for (lane, cursor) in heads.iter_mut().enumerate() {
-            let Some(head) = cursor.peek() else {
+        for (lane, run) in runs.iter().enumerate() {
+            let Some(head) = run.last() else {
                 continue;
             };
             let k = key(head);
@@ -62,9 +65,8 @@ where
         let Some((lane, _)) = best else {
             break;
         };
-        out.push(heads[lane].next().expect("peeked head present"));
+        out.push(runs[lane].pop().expect("scanned head present"));
     }
-    out
 }
 
 #[cfg(test)]
@@ -75,12 +77,20 @@ mod tests {
     /// (`(epoch, pool)`) and a label for what happened.
     type Action = ((u64, u32), &'static str);
 
+    /// Merges `runs` into a fresh buffer; every run is left drained.
+    fn merge(mut runs: Vec<Vec<Action>>) -> Vec<Action> {
+        let mut out = Vec::new();
+        merge_sorted_runs(&mut runs, |a| a.0, &mut out);
+        assert!(runs.iter().all(Vec::is_empty), "every run is drained");
+        out
+    }
+
     /// Merges the given per-lane runs under every rotation of "which lane
     /// finished first" and asserts the output never changes. The
     /// coordinator stores results by lane index, so any arrival order
     /// must reduce to the same input; a merge keyed on arrival would not.
     fn assert_order_independent(lanes: Vec<Vec<Action>>) -> Vec<&'static str> {
-        let reference = merge_sorted_runs(lanes.clone(), |a| a.0);
+        let reference = merge(lanes.clone());
         let n = lanes.len();
         for first in 0..n {
             let mut slots: Vec<Vec<Action>> = vec![Vec::new(); n];
@@ -88,7 +98,7 @@ mod tests {
                 let lane = (first + off) % n;
                 slots[lane] = lanes[lane].clone();
             }
-            let merged = merge_sorted_runs(slots, |a| a.0);
+            let merged = merge(slots);
             assert_eq!(
                 merged, reference,
                 "merge output depends on lane completion order (lane {first} first)"
@@ -131,6 +141,18 @@ mod tests {
             vec![((1, 3), "d")],
         ];
         assert_eq!(assert_order_independent(lanes), ["a", "b", "d", "c"]);
-        assert!(merge_sorted_runs(Vec::<Vec<Action>>::new(), |a| a.0).is_empty());
+        assert!(merge(Vec::new()).is_empty());
+    }
+
+    #[test]
+    fn drained_runs_keep_their_capacity_and_out_appends() {
+        let mut runs = vec![vec![((1, 0), "a"), ((3, 0), "c")], vec![((2, 1), "b")]];
+        let caps: Vec<usize> = runs.iter().map(Vec::capacity).collect();
+        let mut out = vec![((0, 0), "earlier")];
+        merge_sorted_runs(&mut runs, |a| a.0, &mut out);
+        let labels: Vec<_> = out.iter().map(|a| a.1).collect();
+        assert_eq!(labels, ["earlier", "a", "b", "c"]);
+        let after: Vec<usize> = runs.iter().map(Vec::capacity).collect();
+        assert_eq!(after, caps);
     }
 }

@@ -49,7 +49,7 @@ impl TraceAnalysis {
             if r.priority >= 10 {
                 high += 1;
             }
-            if !r.affinity.is_empty() {
+            if !r.affinity.pools().is_empty() {
                 restricted += 1;
             }
         }
@@ -143,6 +143,7 @@ mod tests {
     use super::*;
     use crate::scenarios::ScenarioParams;
     use crate::trace::TraceRecord;
+    use netbatch_cluster::job::PoolAffinity;
 
     fn rec(submit: u64, runtime: u64, cores: u32, priority: u8) -> TraceRecord {
         TraceRecord {
@@ -151,7 +152,11 @@ mod tests {
             cores,
             memory_mb: 1024,
             priority,
-            affinity: if priority >= 10 { vec![0, 1] } else { vec![] },
+            affinity: if priority >= 10 {
+                PoolAffinity::from_ids(&[0, 1])
+            } else {
+                PoolAffinity::Any
+            },
             task: None,
         }
     }

@@ -2,10 +2,10 @@
 
 use std::fmt;
 
+use netbatch_cluster::job::PoolAffinity;
 use netbatch_sim_engine::rng::DetRng;
 
 use crate::distributions::{Distribution, WeightedChoice};
-use crate::generator::affinity::AffinityPicker;
 use crate::trace::TraceRecord;
 
 /// A population of statistically identical jobs (one priority class with
@@ -22,8 +22,9 @@ pub struct JobClass {
     pub cores: WeightedChoice,
     /// Memory distribution in MB.
     pub memory_mb: WeightedChoice,
-    /// Pool-affinity assignment.
-    pub affinity: AffinityPicker,
+    /// The pools every job of the class may run in: one shared set, which
+    /// each generated record points at.
+    pub affinity: PoolAffinity,
     /// If set, consecutive jobs of this class are grouped into tasks of
     /// this size (the §2.2 "task" unit used by the campaign example).
     pub task_size: Option<u32>,
@@ -47,7 +48,7 @@ impl JobClass {
             runtime,
             cores: WeightedChoice::new(&[(1.0, 1.0)]),
             memory_mb: WeightedChoice::new(&[(1024.0, 1.0)]),
-            affinity: AffinityPicker::Any,
+            affinity: PoolAffinity::Any,
             task_size: None,
             max_runtime: 200_000,
         }
@@ -65,8 +66,8 @@ impl JobClass {
         self
     }
 
-    /// Sets the affinity picker.
-    pub fn with_affinity(mut self, affinity: AffinityPicker) -> Self {
+    /// Restricts every job of the class to `affinity`.
+    pub fn with_affinity(mut self, affinity: PoolAffinity) -> Self {
         self.affinity = affinity;
         self
     }
@@ -113,7 +114,7 @@ impl JobClass {
             cores: self.cores.sample(rng) as u32,
             memory_mb: self.memory_mb.sample(rng) as u64,
             priority: self.priority,
-            affinity: self.affinity.pick(rng),
+            affinity: self.affinity.clone(),
             task,
         }
     }
@@ -158,7 +159,7 @@ mod tests {
         assert_eq!(r.cores, 2);
         assert_eq!(r.memory_mb, 2048);
         assert_eq!(r.priority, 0);
-        assert!(r.affinity.is_empty());
+        assert_eq!(r.affinity, PoolAffinity::Any);
         assert_eq!(r.task, None);
     }
 

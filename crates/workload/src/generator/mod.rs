@@ -8,14 +8,12 @@
 //! never perturbs another. [`TraceStream`] merges the streams lazily; a
 //! materialized [`Trace`] is that stream drained.
 
-pub mod affinity;
 pub mod arrivals;
 pub mod jobs;
 
 use crate::stream::TraceStream;
 use crate::trace::Trace;
 
-pub use affinity::AffinityPicker;
 pub use arrivals::{ArrivalProcess, BurstArrivals, PoissonArrivals};
 pub use jobs::JobClass;
 

@@ -4,9 +4,14 @@
 //! schema, without pulling a CSV dependency. Fields never contain commas, so
 //! no quoting is needed; the affinity list uses `;` as its inner separator.
 
+use std::collections::HashSet;
 use std::error::Error;
 use std::fmt;
 use std::io::{BufRead, BufReader, Read, Write};
+use std::sync::Arc;
+
+use netbatch_cluster::ids::PoolId;
+use netbatch_cluster::job::PoolAffinity;
 
 use crate::trace::{Trace, TraceRecord};
 
@@ -70,8 +75,9 @@ pub fn write_csv<W: Write>(mut w: W, trace: &Trace) -> Result<(), TraceIoError> 
     for r in trace {
         let affinity = r
             .affinity
+            .pools()
             .iter()
-            .map(u16::to_string)
+            .map(|p| p.as_u16().to_string())
             .collect::<Vec<_>>()
             .join(";");
         let task = r.task.map(|t| t.to_string()).unwrap_or_default();
@@ -85,7 +91,8 @@ pub fn write_csv<W: Write>(mut w: W, trace: &Trace) -> Result<(), TraceIoError> 
 }
 
 /// Reads a trace from CSV as produced by [`write_csv`]. The header line is
-/// validated; records are re-sorted by submission minute.
+/// validated; records are re-sorted by submission minute. Records listing
+/// the same pools share one affinity set, as a generated class's do.
 ///
 /// # Errors
 ///
@@ -107,27 +114,63 @@ pub fn read_csv<R: Read>(r: R) -> Result<Trace, TraceIoError> {
         None => return Ok(Trace::new()),
     }
     let mut records = Vec::new();
+    let mut sets = AffinitySets::default();
     for (idx, line) in lines {
         let line = line?;
         let line = line.trim();
         if line.is_empty() {
             continue;
         }
-        records.push(parse_line(line).map_err(|message| TraceIoError::Parse {
-            line: idx + 1,
-            message,
-        })?);
+        records.push(
+            parse_line(line, &mut sets).map_err(|message| TraceIoError::Parse {
+                line: idx + 1,
+                message,
+            })?,
+        );
     }
     Ok(Trace::from_records(records))
 }
 
-fn parse_line(line: &str) -> Result<TraceRecord, String> {
+/// The distinct affinity sets read so far, one shared set per distinct
+/// pool list.
+#[derive(Default)]
+struct AffinitySets {
+    sets: HashSet<Arc<[PoolId]>>,
+    /// The list being parsed; reused across lines.
+    scratch: Vec<PoolId>,
+}
+
+impl AffinitySets {
+    /// Parses a `;`-separated pool list (empty = any pool) into the
+    /// shared set for that list.
+    fn parse(&mut self, field: &str) -> Result<PoolAffinity, String> {
+        if field.is_empty() {
+            return Ok(PoolAffinity::Any);
+        }
+        self.scratch.clear();
+        for id in field.split(';') {
+            self.scratch.push(PoolId(num(id, "affinity")?));
+        }
+        let set = match self.sets.get(self.scratch.as_slice()) {
+            Some(set) => Arc::clone(set),
+            None => {
+                let set: Arc<[PoolId]> = self.scratch.as_slice().into();
+                self.sets.insert(Arc::clone(&set));
+                set
+            }
+        };
+        Ok(PoolAffinity::Subset(set))
+    }
+}
+
+fn num<T: std::str::FromStr>(s: &str, name: &str) -> Result<T, String> {
+    s.parse().map_err(|_| format!("invalid {name} value `{s}`"))
+}
+
+fn parse_line(line: &str, sets: &mut AffinitySets) -> Result<TraceRecord, String> {
     let fields: Vec<&str> = line.split(',').collect();
     if fields.len() != 7 {
         return Err(format!("expected 7 fields, found {}", fields.len()));
-    }
-    fn num<T: std::str::FromStr>(s: &str, name: &str) -> Result<T, String> {
-        s.parse().map_err(|_| format!("invalid {name} value `{s}`"))
     }
     fn minutes(s: &str, name: &str) -> Result<u64, String> {
         let m = num(s, name)?;
@@ -138,14 +181,7 @@ fn parse_line(line: &str) -> Result<TraceRecord, String> {
         }
         Ok(m)
     }
-    let affinity = if fields[5].is_empty() {
-        Vec::new()
-    } else {
-        fields[5]
-            .split(';')
-            .map(|s| num::<u16>(s, "affinity"))
-            .collect::<Result<_, _>>()?
-    };
+    let affinity = sets.parse(fields[5])?;
     let task = if fields[6].is_empty() {
         None
     } else {
@@ -175,7 +211,7 @@ mod tests {
                 cores: 2,
                 memory_mb: 4096,
                 priority: 10,
-                affinity: vec![1, 3, 5],
+                affinity: PoolAffinity::from_ids(&[1, 3, 5]),
                 task: Some(7),
             },
             TraceRecord {
@@ -184,7 +220,7 @@ mod tests {
                 cores: 1,
                 memory_mb: 1024,
                 priority: 0,
-                affinity: Vec::new(),
+                affinity: PoolAffinity::Any,
                 task: None,
             },
         ])
@@ -221,6 +257,17 @@ mod tests {
         let text = format!("{CSV_HEADER}\n\n1,2,1,100,0,,\n\n");
         let t = read_csv(text.as_bytes()).unwrap();
         assert_eq!(t.len(), 1);
+    }
+
+    #[test]
+    fn crlf_endings_and_a_missing_final_newline_parse() {
+        let text = format!("{CSV_HEADER}\r\n1,2,1,100,0,,\r\n3,4,1,100,10,2;5,9");
+        let t = read_csv(text.as_bytes()).unwrap();
+        assert_eq!(t.len(), 2);
+        assert_eq!(t.records()[1].affinity, PoolAffinity::from_ids(&[2, 5]));
+        assert_eq!(t.records()[1].task, Some(9));
+        let err = read_csv("nope\r\n".as_bytes()).unwrap_err();
+        assert!(err.to_string().contains("`nope`"), "{err}");
     }
 
     #[test]
@@ -283,7 +330,92 @@ mod tests {
         assert!(Error::source(&e).is_some());
     }
 
+    fn csv_bytes(trace: &Trace) -> Vec<u8> {
+        let mut buf = Vec::new();
+        write_csv(&mut buf, trace).unwrap();
+        buf
+    }
+
+    #[test]
+    fn write_read_write_is_byte_identical() {
+        let generated = crate::scenarios::ScenarioParams::normal_week(0.02).generate_trace();
+        for trace in [sample_trace(), generated] {
+            let first = csv_bytes(&trace);
+            let second = csv_bytes(&read_csv(first.as_slice()).unwrap());
+            assert_eq!(first, second);
+        }
+    }
+
+    #[test]
+    fn equal_affinity_lists_share_one_set() {
+        let text = format!(
+            "{CSV_HEADER}\n0,1,1,100,10,3,\n1,1,1,100,10,1;3,\n2,1,1,100,0,,\n\
+             3,1,1,100,10,3,\n4,1,1,100,10,1;3,\n5,1,1,100,10,3;1,\n"
+        );
+        let trace = read_csv(text.as_bytes()).unwrap();
+        let set = |i: usize| match &trace.records()[i].affinity {
+            PoolAffinity::Subset(pools) => Arc::clone(pools),
+            PoolAffinity::Any => panic!("record {i} is restricted"),
+        };
+        assert!(Arc::ptr_eq(&set(0), &set(3)));
+        assert!(Arc::ptr_eq(&set(1), &set(4)));
+        assert!(!Arc::ptr_eq(&set(0), &set(1)));
+        // Order is part of the list: `3;1` is written back as read.
+        assert!(!Arc::ptr_eq(&set(1), &set(5)));
+        assert_eq!(trace.records()[2].affinity, PoolAffinity::Any);
+        assert_eq!(csv_bytes(&trace), text.as_bytes());
+    }
+
+    /// Characters a hostile or corrupted trace line is built from: the
+    /// field and list separators, digits, signs, whitespace, letters and
+    /// a multi-byte character.
+    const HOSTILE: [char; 14] = [
+        '0', '1', '7', '9', ',', ';', '-', '+', ' ', '\t', 'x', 'e', '.', '\u{e9}',
+    ];
+
+    fn hostile_char() -> impl Strategy<Value = char> {
+        proptest::sample::select(HOSTILE.to_vec())
+    }
+
     proptest! {
+        /// Arbitrary lines, and valid lines with characters inserted,
+        /// replaced or deleted, parse to `Ok` or `Err` without panicking;
+        /// whatever parses writes back to a trace that reads the same.
+        #[test]
+        fn prop_hostile_lines_never_panic(
+            noise in proptest::collection::vec(hostile_char(), 0..40),
+            base in (0u64..100_000, 1u64..10_000, 1u32..64, 0u8..20,
+                     proptest::collection::vec(0u16..20, 0..4)),
+            edits in proptest::collection::vec((0usize..64, 0u8..3, hostile_char()), 0..6),
+        ) {
+            let (submit, runtime, cores, priority, pools) = base;
+            let pools: Vec<String> = pools.iter().map(u16::to_string).collect();
+            let mut line: Vec<char> =
+                format!("{submit},{runtime},{cores},1024,{priority},{},", pools.join(";"))
+                    .chars()
+                    .collect();
+            for (at, op, c) in edits {
+                let at = at % (line.len() + 1);
+                match op {
+                    0 => line.insert(at, c),
+                    1 if at < line.len() => line[at] = c,
+                    _ if at < line.len() => {
+                        line.remove(at);
+                    }
+                    _ => {}
+                }
+            }
+            let mutated: String = line.into_iter().collect();
+            let noise: String = noise.into_iter().collect();
+            for body in [mutated, noise] {
+                let text = format!("{CSV_HEADER}\n{body}\n");
+                if let Ok(trace) = read_csv(text.as_bytes()) {
+                    let back = read_csv(csv_bytes(&trace).as_slice()).unwrap();
+                    prop_assert_eq!(back, trace);
+                }
+            }
+        }
+
         /// Any generated trace survives a CSV round trip.
         #[test]
         fn prop_round_trip(records in proptest::collection::vec(
@@ -293,7 +425,8 @@ mod tests {
         )) {
             let trace = Trace::from_records(records.into_iter().map(
                 |(submit_minute, runtime_minutes, cores, memory_mb, priority, affinity, task)| TraceRecord {
-                    submit_minute, runtime_minutes, cores, memory_mb, priority, affinity, task,
+                    submit_minute, runtime_minutes, cores, memory_mb, priority,
+                    affinity: PoolAffinity::from_ids(&affinity), task,
                 }).collect());
             let mut buf = Vec::new();
             write_csv(&mut buf, &trace).unwrap();

@@ -17,14 +17,13 @@
 //! behaviour while letting tests run in milliseconds.
 
 use netbatch_cluster::ids::{MachineId, PoolId};
+use netbatch_cluster::job::PoolAffinity;
 use netbatch_cluster::machine::MachineConfig;
 use netbatch_cluster::pool::PoolConfig;
 
 use crate::distributions::{LogNormal, Mixture, Pareto, WeightedChoice};
 use crate::generator::arrivals::ArrivalProcess;
-use crate::generator::{
-    AffinityPicker, BurstArrivals, JobClass, PoissonArrivals, Stream, WorkloadSpec,
-};
+use crate::generator::{BurstArrivals, JobClass, PoissonArrivals, Stream, WorkloadSpec};
 use crate::trace::Trace;
 
 /// The number of physical pools at the paper's site.
@@ -267,7 +266,7 @@ impl ScenarioParams {
             let class = JobClass::new(format!("owner-group-{g}"), 10, Box::new(runtime))
                 .with_cores(WeightedChoice::new(&[(1.0, 0.8), (2.0, 0.2)]))
                 .with_memory(WeightedChoice::new(&[(1024.0, 0.6), (4096.0, 0.4)]))
-                .with_affinity(AffinityPicker::Fixed(pools));
+                .with_affinity(PoolAffinity::from_ids(&pools));
             spec = spec.stream(Stream::new(class, Box::new(self.high_burst())));
         }
         spec
@@ -382,7 +381,7 @@ impl PerPoolParams {
                     (2048.0, 0.5),
                     (6144.0, 0.2),
                 ]))
-                .with_affinity(AffinityPicker::Fixed(vec![p]));
+                .with_affinity(PoolAffinity::from_ids(&[p]));
             spec = spec.stream(Stream::new(
                 low,
                 Box::new(PoissonArrivals::new(self.rate_per_pool * self.scale)),
@@ -391,7 +390,7 @@ impl PerPoolParams {
                 let high = JobClass::new(format!("pool{p}-high"), 10, Box::new(runtime.clone()))
                     .with_cores(WeightedChoice::new(&[(1.0, 0.8), (2.0, 0.2)]))
                     .with_memory(WeightedChoice::new(&[(1024.0, 0.6), (4096.0, 0.4)]))
-                    .with_affinity(AffinityPicker::Fixed(vec![p]));
+                    .with_affinity(PoolAffinity::from_ids(&[p]));
                 spec = spec.stream(Stream::new(
                     high,
                     Box::new(BurstArrivals::new(
@@ -474,7 +473,7 @@ mod tests {
         // High-priority jobs exist and are pool-restricted.
         let high: Vec<_> = trace.iter().filter(|r| r.priority == 10).collect();
         assert!(!high.is_empty());
-        assert!(high.iter().all(|r| !r.affinity.is_empty()));
+        assert!(high.iter().all(|r| !r.affinity.pools().is_empty()));
     }
 
     #[test]

@@ -10,9 +10,10 @@
 //! section: each shard builds a [`TraceStream`] filtered to its own pools'
 //! streams and pulls arrivals epoch by epoch.
 
+use netbatch_cluster::job::PoolAffinity;
 use netbatch_sim_engine::rng::DetRng;
 
-use crate::generator::{AffinityPicker, Stream, WorkloadSpec};
+use crate::generator::{Stream, WorkloadSpec};
 use crate::trace::TraceRecord;
 
 /// Task-id stride per stream: task ids are partitioned per stream so
@@ -21,11 +22,11 @@ const TASK_STRIDE: u32 = 1 << 24;
 
 impl Stream {
     /// The single pool this stream is pinned to, if its affinity is a
-    /// one-pool `Fixed` set. Shard-local generation requires every stream
+    /// one-pool set. Shard-local generation requires every stream
     /// to be pinned so a stream's jobs never leave its owning shard.
     pub fn pinned_pool(&self) -> Option<u16> {
         match &self.class.affinity {
-            AffinityPicker::Fixed(pools) if pools.len() == 1 => Some(pools[0]),
+            PoolAffinity::Subset(pools) if pools.len() == 1 => Some(pools[0].as_u16()),
             _ => None,
         }
     }
@@ -42,7 +43,7 @@ impl WorkloadSpec {
         let mut last_pool = 0u16;
         for (i, stream) in self.streams.iter().enumerate() {
             let pool = stream.pinned_pool().ok_or_else(|| {
-                format!("stream {i} is not pinned to a single pool (streaming needs Fixed([p]))")
+                format!("stream {i} is not pinned to a single pool (streaming needs a one-pool affinity)")
             })?;
             if pool >= pool_count {
                 return Err(format!(
@@ -174,12 +175,12 @@ mod tests {
             spec = spec
                 .stream(Stream::new(
                     JobClass::new(format!("low{pool}"), 0, Box::new(Constant(60.0)))
-                        .with_affinity(AffinityPicker::Fixed(vec![pool])),
+                        .with_affinity(PoolAffinity::from_ids(&[pool])),
                     Box::new(PoissonArrivals::new(0.2)),
                 ))
                 .stream(Stream::new(
                     JobClass::new(format!("high{pool}"), 10, Box::new(Constant(30.0)))
-                        .with_affinity(AffinityPicker::Fixed(vec![pool])),
+                        .with_affinity(PoolAffinity::from_ids(&[pool])),
                     Box::new(BurstArrivals::new(0.01, 0.5, 2000.0, 300.0)),
                 ));
         }
@@ -242,12 +243,12 @@ mod tests {
         let backwards = WorkloadSpec::new(0, 100)
             .stream(Stream::new(
                 JobClass::new("b", 0, Box::new(Constant(10.0)))
-                    .with_affinity(AffinityPicker::Fixed(vec![1])),
+                    .with_affinity(PoolAffinity::from_ids(&[1])),
                 Box::new(PoissonArrivals::new(0.1)),
             ))
             .stream(Stream::new(
                 JobClass::new("a", 0, Box::new(Constant(10.0)))
-                    .with_affinity(AffinityPicker::Fixed(vec![0])),
+                    .with_affinity(PoolAffinity::from_ids(&[0])),
                 Box::new(PoissonArrivals::new(0.1)),
             ));
         assert!(backwards.validate_pool_major(4).is_err());

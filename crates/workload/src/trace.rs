@@ -7,7 +7,7 @@
 //! priority") plus the pool-affinity sets §2.3 describes. Real traces with
 //! this schema can be swapped in through [`crate::io`].
 
-use netbatch_cluster::ids::{JobId, PoolId, TaskId};
+use netbatch_cluster::ids::{JobId, TaskId};
 use netbatch_cluster::job::{JobSpec, PoolAffinity};
 use netbatch_cluster::priority::Priority;
 use netbatch_sim_engine::time::{SimDuration, SimTime};
@@ -25,37 +25,17 @@ pub struct TraceRecord {
     pub memory_mb: u64,
     /// Priority level (0 = low; ≥ 10 = the paper's high class).
     pub priority: u8,
-    /// Eligible pools; empty means "any pool".
-    pub affinity: Vec<u16>,
+    /// Eligible pools: the generating class's shared set, or one set
+    /// shared by every record that lists the same pools in a trace file.
+    pub affinity: PoolAffinity,
     /// Optional task group.
     pub task: Option<u32>,
 }
 
 impl TraceRecord {
-    /// Converts the record into a [`JobSpec`] with the given id.
+    /// Converts the record into a [`JobSpec`] with the given id. The spec
+    /// shares the record's affinity set, so this never allocates.
     pub fn to_spec(&self, id: JobId) -> JobSpec {
-        self.spec_with(id, self.affinity.iter().copied().map(PoolId).collect())
-    }
-
-    /// [`TraceRecord::to_spec`] for an owned record: the affinity buffer
-    /// becomes the spec's pool set in place instead of being copied.
-    pub fn into_spec(mut self, id: JobId) -> JobSpec {
-        // `PoolId` has `u16`'s layout, so the collect reuses the buffer.
-        let pools = std::mem::take(&mut self.affinity)
-            .into_iter()
-            .map(PoolId)
-            .collect();
-        self.spec_with(id, pools)
-    }
-
-    /// The one builder behind both conversions; `pools` is the record's
-    /// affinity, already converted (empty means any pool).
-    fn spec_with(&self, id: JobId, pools: Vec<PoolId>) -> JobSpec {
-        let affinity = if pools.is_empty() {
-            PoolAffinity::Any
-        } else {
-            PoolAffinity::Subset(pools)
-        };
         let mut spec = JobSpec::new(
             id,
             SimTime::from_minutes(self.submit_minute),
@@ -64,7 +44,7 @@ impl TraceRecord {
         .with_priority(Priority::new(self.priority))
         .with_cores(self.cores)
         .with_memory_mb(self.memory_mb)
-        .with_affinity(affinity);
+        .with_affinity(self.affinity.clone());
         if let Some(task) = self.task {
             spec = spec.with_task(TaskId(task));
         }
@@ -222,6 +202,8 @@ impl Extend<TraceRecord> for Trace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use netbatch_cluster::ids::PoolId;
+    use std::sync::Arc;
 
     fn rec(submit: u64, runtime: u64) -> TraceRecord {
         TraceRecord {
@@ -230,7 +212,7 @@ mod tests {
             cores: 1,
             memory_mb: 1024,
             priority: 0,
-            affinity: Vec::new(),
+            affinity: PoolAffinity::Any,
             task: None,
         }
     }
@@ -291,7 +273,7 @@ mod tests {
     fn to_specs_assigns_dense_ids_and_converts_fields() {
         let mut r = rec(7, 42);
         r.priority = 10;
-        r.affinity = vec![1, 3];
+        r.affinity = PoolAffinity::from_ids(&[1, 3]);
         r.task = Some(9);
         let t = Trace::from_records(vec![rec(3, 1), r]);
         let specs = t.to_specs();
@@ -306,16 +288,25 @@ mod tests {
     }
 
     #[test]
-    fn into_spec_matches_to_spec() {
-        let mut subset = rec(7, 42);
-        subset.affinity = vec![1, 3];
-        let mut task = rec(9, 5);
-        task.priority = 10;
-        task.affinity = vec![2];
-        task.task = Some(4);
-        for (k, r) in [rec(3, 1), subset, task].into_iter().enumerate() {
-            let id = JobId(k as u64 + 11);
-            assert_eq!(r.clone().into_spec(id), r.to_spec(id), "record {k}");
+    fn specs_share_their_records_affinity_set() {
+        let set = PoolAffinity::from_ids(&[2]);
+        let records: Vec<TraceRecord> = (0..3)
+            .map(|m| TraceRecord {
+                affinity: set.clone(),
+                ..rec(m, 5)
+            })
+            .collect();
+        let specs = Trace::from_records(records.clone()).to_specs();
+        let PoolAffinity::Subset(class_set) = &set else {
+            panic!("one-pool subset")
+        };
+        for (r, s) in records.iter().zip(&specs) {
+            for affinity in [&r.affinity, &s.affinity] {
+                let PoolAffinity::Subset(pools) = affinity else {
+                    panic!("subset affinity")
+                };
+                assert!(Arc::ptr_eq(pools, class_set));
+            }
         }
     }
 }

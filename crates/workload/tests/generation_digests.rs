@@ -17,15 +17,11 @@ use netbatch_workload::{JobClass, Stream, Trace, WorkloadSpec};
 fn digest(trace: &Trace) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for r in trace.iter() {
+        // The affinity renders as the trace's pool-id list (`[]` = any).
+        let affinity: Vec<u16> = r.affinity.pools().iter().map(|p| p.as_u16()).collect();
         let line = format!(
             "{},{},{},{},{},{:?},{:?}\n",
-            r.submit_minute,
-            r.runtime_minutes,
-            r.cores,
-            r.memory_mb,
-            r.priority,
-            r.affinity,
-            r.task
+            r.submit_minute, r.runtime_minutes, r.cores, r.memory_mb, r.priority, affinity, r.task
         );
         for b in line.bytes() {
             h ^= u64::from(b);

@@ -6,6 +6,7 @@
 //!
 //! Run with `cargo run --release --example burst_storm`.
 
+use netbatch::cluster::job::PoolAffinity;
 use netbatch::core::experiment::Experiment;
 use netbatch::core::policy::{InitialKind, StrategyKind};
 use netbatch::core::simulator::SimConfig;
@@ -13,7 +14,7 @@ use netbatch::metrics::table::Table;
 use netbatch::sim_engine::time::SimDuration;
 use netbatch::workload::distributions::LogNormal;
 use netbatch::workload::generator::{
-    AffinityPicker, BurstArrivals, JobClass, PoissonArrivals, Stream, WorkloadSpec,
+    BurstArrivals, JobClass, PoissonArrivals, Stream, WorkloadSpec,
 };
 use netbatch::workload::scenarios::SiteSpec;
 
@@ -40,7 +41,7 @@ fn main() {
     // 0 and 1 only — a sharp onset that catches low jobs mid-run.
     let storm = Stream::new(
         JobClass::new("storm", 10, Box::new(LogNormal::with_median(240.0, 0.8)))
-            .with_affinity(AffinityPicker::Fixed(vec![0, 1])),
+            .with_affinity(PoolAffinity::from_ids(&[0, 1])),
         Box::new(BurstArrivals::new(0.001, 4.0, 20_000.0, 4_000.0).starting_in_burst()),
     );
     let spec = WorkloadSpec::new(0, 10_080)

@@ -14,12 +14,13 @@
 use std::collections::HashMap;
 
 use netbatch::cluster::ids::TaskId;
+use netbatch::cluster::job::PoolAffinity;
 use netbatch::core::policy::{InitialKind, StrategyKind};
 use netbatch::core::simulator::{SimConfig, Simulator};
 use netbatch::metrics::summary::SampleSet;
 use netbatch::workload::distributions::LogNormal;
 use netbatch::workload::generator::{
-    AffinityPicker, BurstArrivals, JobClass, PoissonArrivals, Stream, WorkloadSpec,
+    BurstArrivals, JobClass, PoissonArrivals, Stream, WorkloadSpec,
 };
 use netbatch::workload::scenarios::SiteSpec;
 
@@ -35,7 +36,7 @@ fn main() {
             Box::new(LogNormal::with_median(180.0, 0.6)),
         )
         .with_task_size(24)
-        .with_affinity(AffinityPicker::Fixed(vec![
+        .with_affinity(PoolAffinity::from_ids(&[
             10, 11, 12, 13, 14, 15, 16, 17, 18, 19,
         ])),
         Box::new(PoissonArrivals::new(1.2)),
@@ -43,7 +44,7 @@ fn main() {
     // Owners' interactive bursts share the same pools at high priority.
     let owners = Stream::new(
         JobClass::new("owners", 10, Box::new(LogNormal::with_median(200.0, 0.8)))
-            .with_affinity(AffinityPicker::Fixed(vec![14, 15, 16, 17, 18, 19])),
+            .with_affinity(PoolAffinity::from_ids(&[14, 15, 16, 17, 18, 19])),
         Box::new(BurstArrivals::new(0.01, 1.5, 3_000.0, 1_200.0).starting_in_burst()),
     );
     let spec = WorkloadSpec::new(0, 10_080).stream(campaign).stream(owners);

@@ -33,12 +33,13 @@ fn main() {
             cores: 1,
             memory_mb: 1024,
             priority: 0,
-            affinity: vec![],
+            affinity: PoolAffinity::Any,
             task: None,
         })
         .collect();
     // ...then the owners show up: a burst of high-priority jobs that may
-    // only run in pool 0 (§2.3 of the paper).
+    // only run in pool 0 (§2.3 of the paper), all sharing one pool set.
+    let pool0 = PoolAffinity::from_ids(&[0]);
     for i in 0..8 {
         records.push(TraceRecord {
             submit_minute: 60 + i,
@@ -46,7 +47,7 @@ fn main() {
             cores: 1,
             memory_mb: 1024,
             priority: 10,
-            affinity: vec![0],
+            affinity: pool0.clone(),
             task: None,
         });
     }
@@ -92,7 +93,7 @@ fn main() {
     let mut pool =
         netbatch::cluster::pool::PhysicalPool::new(PoolConfig::uniform(PoolId(0), 1, 1, 4096));
     let low = JobSpec::new(100.into(), SimTime::ZERO, SimDuration::from_hours(5))
-        .with_affinity(PoolAffinity::Subset(vec![PoolId(0)]));
+        .with_affinity(PoolAffinity::from_ids(&[0]));
     let high = JobSpec::new(101.into(), SimTime::ZERO, SimDuration::from_hours(1))
         .with_priority(Priority::HIGH);
     pool.submit(SimTime::ZERO, &low);

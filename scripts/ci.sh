@@ -109,6 +109,21 @@ grep -q '^## Site timeline (Figure 4, 100-minute buckets)$' "$tmpdir/report.md"
 test -s "$tmpdir/fig_cdf.csv" && test -s "$tmpdir/fig_timeline.csv" \
   && test -s "$tmpdir/fig_pools.csv"
 
+# Trace CSV round trip: a week generated to a CSV file and read back must
+# simulate exactly as the same week generated in memory, line for line
+# except the wall-time line. The reader interns equal affinity lists
+# into shared sets, so this also checks that interning changes nothing.
+echo "==> trace CSV round trip (simulate --trace vs --scenario)"
+cargo run --release --bin netbatch -- generate \
+  --scale 0.02 --seed 7 --out "$tmpdir/week.csv"
+cargo run --release --bin netbatch -- simulate \
+  --trace "$tmpdir/week.csv" --scale 0.02 --seed 7 --strategy ResSusWaitUtil \
+  | grep -v '^simulated ' > "$tmpdir/from_csv.txt"
+cargo run --release --bin netbatch -- simulate \
+  --scenario normal --scale 0.02 --seed 7 --strategy ResSusWaitUtil \
+  | grep -v '^simulated ' > "$tmpdir/in_memory.txt"
+diff "$tmpdir/from_csv.txt" "$tmpdir/in_memory.txt"
+
 # Provenance trace smoke: record spans on a chaos run, query one job's
 # causal chain (with the --why decision audit) through the trace CLI,
 # export and JSON-validate a Perfetto trace, and reconcile the span
@@ -190,7 +205,9 @@ cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- \
 grep '^digest ' "$tmpdir/perfbench.out"
 
 # Perf budgets that do not depend on timing: allocations per event on
-# two normal-load cells at scale 0.02 stay under a fixed ceiling, and a
+# two normal-load cells at scale 0.02 stay under a fixed ceiling, as do
+# allocations per record of generating a week and its specs and per job
+# of a streaming run (catching a per-job copy of a pool set), and a
 # streaming run's peak heap stays flat when its horizon quadruples
 # (catching anything that retains per-job state past completion) and
 # when the same load spreads over ten times the pools (catching
@@ -198,7 +215,7 @@ grep '^digest ' "$tmpdir/perfbench.out"
 # stays flat when a week is sampled every minute instead of every hour
 # (catching series that keep their samples). Timing is judged by
 # perfbench's paired runs on one host, not gated here.
-echo "==> perf budgets (allocs/event, streaming memory, telemetry memory)"
+echo "==> perf budgets (allocs per event/record/job, streaming memory, telemetry memory)"
 cargo test --release -q -p netbatch-bench --test perf_budgets
 
 echo "ci: all green"

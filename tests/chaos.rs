@@ -14,6 +14,7 @@
 //!    shorter, nested outage while a longer one still has it down.
 
 use netbatch::cluster::ids::PoolId;
+use netbatch::cluster::job::PoolAffinity;
 use netbatch::cluster::pool::PoolConfig;
 use netbatch::core::faults::{FaultModel, LifecycleModel, ResiliencePolicy};
 use netbatch::core::observer::{InvariantChecker, TraceRecorder};
@@ -48,9 +49,9 @@ fn arb_record() -> impl Strategy<Value = TraceRecord> {
                 memory_mb: 512,
                 priority,
                 affinity: if restricted && priority >= 10 {
-                    vec![0]
+                    PoolAffinity::from_ids(&[0])
                 } else {
-                    vec![]
+                    PoolAffinity::Any
                 },
                 task: None,
             },
@@ -304,7 +305,7 @@ fn overlapping_outages_do_not_resurrect_early() {
         cores: 1,
         memory_mb: 512,
         priority: 0,
-        affinity: vec![],
+        affinity: PoolAffinity::Any,
         task: None,
     }]);
     let mut config = SimConfig::new(InitialKind::RoundRobin, StrategyKind::NoRes);

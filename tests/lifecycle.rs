@@ -16,6 +16,7 @@
 //!    disables evacuation fails this test (and CI runs it).
 
 use netbatch::cluster::ids::{MachineId, PoolId};
+use netbatch::cluster::job::PoolAffinity;
 use netbatch::cluster::pool::PoolConfig;
 use netbatch::core::experiment::{Experiment, ExperimentResult};
 use netbatch::core::faults::{
@@ -43,7 +44,7 @@ fn rec(submit: u64, runtime: u64) -> TraceRecord {
         cores: 1,
         memory_mb: 512,
         priority: 0,
-        affinity: vec![],
+        affinity: PoolAffinity::Any,
         task: None,
     }
 }

@@ -3,6 +3,7 @@
 //! satisfy regardless of policy.
 
 use netbatch::cluster::ids::PoolId;
+use netbatch::cluster::job::PoolAffinity;
 use netbatch::cluster::pool::PoolConfig;
 use netbatch::core::policy::{InitialKind, StrategyKind};
 use netbatch::core::simulator::{SimConfig, Simulator};
@@ -35,9 +36,9 @@ fn arb_record() -> impl Strategy<Value = TraceRecord> {
                 memory_mb: 512,
                 priority,
                 affinity: if restricted && priority >= 10 {
-                    vec![0]
+                    PoolAffinity::from_ids(&[0])
                 } else {
-                    vec![]
+                    PoolAffinity::Any
                 },
                 task: None,
             },
@@ -160,7 +161,7 @@ fn regression_single_machine_filling_job_completes() {
         cores: 2,
         memory_mb: 512,
         priority: 0,
-        affinity: vec![],
+        affinity: PoolAffinity::Any,
         task: None,
     }]);
     let mut config = SimConfig::new(InitialKind::RoundRobin, StrategyKind::NoRes);

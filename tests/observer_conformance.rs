@@ -8,6 +8,7 @@
 //!    not an approximation.
 
 use netbatch::cluster::ids::PoolId;
+use netbatch::cluster::job::PoolAffinity;
 use netbatch::cluster::pool::PoolConfig;
 use netbatch::core::observer::{InvariantChecker, TraceRecorder};
 use netbatch::core::policy::{InitialKind, StrategyKind};
@@ -40,9 +41,9 @@ fn arb_record() -> impl Strategy<Value = TraceRecord> {
                 memory_mb: 512,
                 priority,
                 affinity: if restricted && priority >= 10 {
-                    vec![0]
+                    PoolAffinity::from_ids(&[0])
                 } else {
-                    vec![]
+                    PoolAffinity::Any
                 },
                 task: None,
             },

@@ -15,11 +15,16 @@
 //!   barrier duties, with two dispatches in flight) matches the same run
 //!   with a recorder attached (one barrier per active minute, no
 //!   pipelining) and the 1-shard run;
+//! * every job of a class shares the class's pool set, from generated
+//!   record through spec to job record, on both kernels;
 //! * a booking due in the minute a submission preempts its job is skipped,
 //!   as a materialized run does;
 //! * a year-long horizon streams in bounded state end to end.
 
+use std::sync::Arc;
+
 use netbatch::cluster::ids::PoolId;
+use netbatch::cluster::job::PoolAffinity;
 use netbatch::cluster::pool::PoolConfig;
 use netbatch::cluster::priority::Priority;
 use netbatch::core::observer::{InvariantChecker, TraceRecorder};
@@ -28,7 +33,7 @@ use netbatch::core::simulator::{Backend, SimConfig, SimOutput, Simulator};
 use netbatch::sim_engine::rng::DetRng;
 use netbatch::sim_engine::time::SimTime;
 use netbatch::workload::distributions::{Constant, WeightedChoice};
-use netbatch::workload::generator::{AffinityPicker, ArrivalProcess};
+use netbatch::workload::generator::ArrivalProcess;
 use netbatch::workload::scenarios::{PerPoolParams, SiteSpec};
 use netbatch::workload::{JobClass, Stream, WorkloadSpec};
 
@@ -148,6 +153,48 @@ fn streaming_matches_materialized_run() {
     }
 }
 
+/// Every job of a class points at its class's one pool set: the
+/// generated record, its spec and its job record, on the serial kernel and
+/// on an observed streaming run (which keeps its finished records). A
+/// per-job copy of the set anywhere on the way fails the pointer check.
+#[test]
+fn every_job_shares_its_class_affinity_set() {
+    let p = params();
+    let site = p.build_site();
+    let workload = p.build_workload();
+    let class_sets: Vec<&Arc<[PoolId]>> = workload
+        .streams
+        .iter()
+        .map(|s| match &s.class.affinity {
+            PoolAffinity::Subset(set) => set,
+            PoolAffinity::Any => panic!("pool-major streams are pinned"),
+        })
+        .collect();
+    let shared = |affinity: &PoolAffinity| match affinity {
+        PoolAffinity::Subset(set) => class_sets.iter().any(|c| Arc::ptr_eq(c, set)),
+        PoolAffinity::Any => false,
+    };
+    let trace = workload.generate(p.seed);
+    assert!(trace.iter().all(|r| shared(&r.affinity)), "trace records");
+    let specs = trace.to_specs();
+    assert!(specs.iter().all(|s| shared(&s.affinity)), "specs");
+
+    let mut config = base_config(Backend::Serial);
+    config.seed = p.seed;
+    let serial = Simulator::new(&site, specs, config.clone()).run_to_completion();
+    config.backend = Backend::Sharded { shards: 2 };
+    let mut sim = Simulator::new(&site, Vec::new(), config);
+    sim.attach_observer(Box::new(TraceRecorder::in_memory()));
+    let streamed = sim.run_streaming(&workload, p.seed);
+    for (label, out) in [("serial", &serial), ("streaming", &streamed)] {
+        assert_eq!(out.jobs.len(), trace.len(), "{label}: every job kept");
+        assert!(
+            out.jobs.iter().all(|j| shared(&j.spec().affinity)),
+            "{label}: job records"
+        );
+    }
+}
+
 /// Observer-less runs take the run-ahead, pipelined path: workers drain
 /// their completion minutes between barrier duties (submission minutes,
 /// sample ticks) without a round trip, and the coordinator keeps up to two
@@ -246,7 +293,7 @@ fn fixed_class(name: &str, priority: u8, runtime: f64, pool: u16) -> JobClass {
     JobClass::new(name, priority, Box::new(Constant(runtime)))
         .with_cores(WeightedChoice::new(&[(1.0, 1.0)]))
         .with_memory(WeightedChoice::new(&[(512.0, 1.0)]))
-        .with_affinity(AffinityPicker::Fixed(vec![pool]))
+        .with_affinity(PoolAffinity::from_ids(&[pool]))
 }
 
 /// A high-priority submission at minute `e` preempts a job whose
