@@ -4,13 +4,10 @@
 //! schema, without pulling a CSV dependency. Fields never contain commas, so
 //! no quoting is needed; the affinity list uses `;` as its inner separator.
 
-use std::collections::HashSet;
 use std::error::Error;
 use std::fmt;
 use std::io::{BufRead, BufReader, Read, Write};
-use std::sync::Arc;
 
-use netbatch_cluster::ids::PoolId;
 use netbatch_cluster::job::PoolAffinity;
 
 use crate::trace::{Trace, TraceRecord};
@@ -91,8 +88,7 @@ pub fn write_csv<W: Write>(mut w: W, trace: &Trace) -> Result<(), TraceIoError> 
 }
 
 /// Reads a trace from CSV as produced by [`write_csv`]. The header line is
-/// validated; records are re-sorted by submission minute. Records listing
-/// the same pools share one affinity set, as a generated class's do.
+/// validated; records are re-sorted by submission minute.
 ///
 /// # Errors
 ///
@@ -114,63 +110,27 @@ pub fn read_csv<R: Read>(r: R) -> Result<Trace, TraceIoError> {
         None => return Ok(Trace::new()),
     }
     let mut records = Vec::new();
-    let mut sets = AffinitySets::default();
     for (idx, line) in lines {
         let line = line?;
         let line = line.trim();
         if line.is_empty() {
             continue;
         }
-        records.push(
-            parse_line(line, &mut sets).map_err(|message| TraceIoError::Parse {
-                line: idx + 1,
-                message,
-            })?,
-        );
+        records.push(parse_line(line).map_err(|message| TraceIoError::Parse {
+            line: idx + 1,
+            message,
+        })?);
     }
     Ok(Trace::from_records(records))
 }
 
-/// The distinct affinity sets read so far, one shared set per distinct
-/// pool list.
-#[derive(Default)]
-struct AffinitySets {
-    sets: HashSet<Arc<[PoolId]>>,
-    /// The list being parsed; reused across lines.
-    scratch: Vec<PoolId>,
-}
-
-impl AffinitySets {
-    /// Parses a `;`-separated pool list (empty = any pool) into the
-    /// shared set for that list.
-    fn parse(&mut self, field: &str) -> Result<PoolAffinity, String> {
-        if field.is_empty() {
-            return Ok(PoolAffinity::Any);
-        }
-        self.scratch.clear();
-        for id in field.split(';') {
-            self.scratch.push(PoolId(num(id, "affinity")?));
-        }
-        let set = match self.sets.get(self.scratch.as_slice()) {
-            Some(set) => Arc::clone(set),
-            None => {
-                let set: Arc<[PoolId]> = self.scratch.as_slice().into();
-                self.sets.insert(Arc::clone(&set));
-                set
-            }
-        };
-        Ok(PoolAffinity::Subset(set))
-    }
-}
-
-fn num<T: std::str::FromStr>(s: &str, name: &str) -> Result<T, String> {
-    s.parse().map_err(|_| format!("invalid {name} value `{s}`"))
-}
-
-fn parse_line(line: &str, sets: &mut AffinitySets) -> Result<TraceRecord, String> {
+fn parse_line(line: &str) -> Result<TraceRecord, String> {
     let fields: Vec<&str> = line.split(',').collect();
     if fields.len() != 7 {
         return Err(format!("expected 7 fields, found {}", fields.len()));
+    }
+    fn num<T: std::str::FromStr>(s: &str, name: &str) -> Result<T, String> {
+        s.parse().map_err(|_| format!("invalid {name} value `{s}`"))
     }
     fn minutes(s: &str, name: &str) -> Result<u64, String> {
         let m = num(s, name)?;
@@ -181,7 +141,15 @@ fn parse_line(line: &str, sets: &mut AffinitySets) -> Result<TraceRecord, String
         }
         Ok(m)
     }
-    let affinity = sets.parse(fields[5])?;
+    let affinity = if fields[5].is_empty() {
+        PoolAffinity::Any
+    } else {
+        let ids = fields[5]
+            .split(';')
+            .map(|s| num::<u16>(s, "affinity"))
+            .collect::<Result<Vec<_>, _>>()?;
+        PoolAffinity::from_ids(&ids)
+    };
     let task = if fields[6].is_empty() {
         None
     } else {
@@ -334,36 +302,6 @@ mod tests {
         let mut buf = Vec::new();
         write_csv(&mut buf, trace).unwrap();
         buf
-    }
-
-    #[test]
-    fn write_read_write_is_byte_identical() {
-        let generated = crate::scenarios::ScenarioParams::normal_week(0.02).generate_trace();
-        for trace in [sample_trace(), generated] {
-            let first = csv_bytes(&trace);
-            let second = csv_bytes(&read_csv(first.as_slice()).unwrap());
-            assert_eq!(first, second);
-        }
-    }
-
-    #[test]
-    fn equal_affinity_lists_share_one_set() {
-        let text = format!(
-            "{CSV_HEADER}\n0,1,1,100,10,3,\n1,1,1,100,10,1;3,\n2,1,1,100,0,,\n\
-             3,1,1,100,10,3,\n4,1,1,100,10,1;3,\n5,1,1,100,10,3;1,\n"
-        );
-        let trace = read_csv(text.as_bytes()).unwrap();
-        let set = |i: usize| match &trace.records()[i].affinity {
-            PoolAffinity::Subset(pools) => Arc::clone(pools),
-            PoolAffinity::Any => panic!("record {i} is restricted"),
-        };
-        assert!(Arc::ptr_eq(&set(0), &set(3)));
-        assert!(Arc::ptr_eq(&set(1), &set(4)));
-        assert!(!Arc::ptr_eq(&set(0), &set(1)));
-        // Order is part of the list: `3;1` is written back as read.
-        assert!(!Arc::ptr_eq(&set(1), &set(5)));
-        assert_eq!(trace.records()[2].affinity, PoolAffinity::Any);
-        assert_eq!(csv_bytes(&trace), text.as_bytes());
     }
 
     /// Characters a hostile or corrupted trace line is built from: the

@@ -111,8 +111,7 @@ test -s "$tmpdir/fig_cdf.csv" && test -s "$tmpdir/fig_timeline.csv" \
 
 # Trace CSV round trip: a week generated to a CSV file and read back must
 # simulate exactly as the same week generated in memory, line for line
-# except the wall-time line. The reader interns equal affinity lists
-# into shared sets, so this also checks that interning changes nothing.
+# except the wall-time line.
 echo "==> trace CSV round trip (simulate --trace vs --scenario)"
 cargo run --release --bin netbatch -- generate \
   --scale 0.02 --seed 7 --out "$tmpdir/week.csv"
