@@ -28,6 +28,7 @@ use netbatch_core::policy::{InitialKind, StrategyKind};
 use netbatch_core::simulator::{Backend, SimConfig, Simulator};
 use netbatch_core::telemetry::Telemetry;
 use netbatch_sim_engine::time::SimDuration;
+use netbatch_workload::io::{read_csv, write_csv};
 use netbatch_workload::scenarios::{PerPoolParams, ScenarioParams};
 
 /// Counts allocations (`alloc` + `realloc`) and tracks live heap bytes
@@ -143,6 +144,15 @@ const MAX_STREAM_ALLOCS_PER_JOB: f64 = 0.0704 * 1.5;
 /// and one in `to_specs`, it measured 27 386 (0.4830 per record).
 const MAX_GENERATE_ALLOCS_PER_RECORD: f64 = 0.01;
 
+/// Ceiling on heap allocations per line of reading the scale-0.25 normal
+/// week back from its CSV with `read_csv`. One line buffer and one
+/// pool-id buffer serve the whole file, so what is left is the shared
+/// pool set of each line that lists pools (13 681 of 56 700 lines, 0.24
+/// per line) plus the record buffer's growth. With a fresh `String` per
+/// line from `BufRead::lines`, a `Vec` of fields and a `Vec` of pool ids
+/// per restricted line it measured 3.49 per line.
+const MAX_CSV_ALLOCS_PER_LINE: f64 = 0.3;
+
 /// Heap allocations per processed event of one materialized week at
 /// `scale` under `strategy` with the round-robin initial scheduler.
 fn allocations_per_event(load: Load, scale: f64, strategy: StrategyKind) -> f64 {
@@ -227,6 +237,41 @@ fn generation_and_to_specs_allocate_per_stream_not_per_job() {
          vs ceiling {MAX_GENERATE_ALLOCS_PER_RECORD} ({restricted} of {} records are \
          restricted) — a record or spec copies its class's pool set again",
         trace.len()
+    );
+}
+
+/// Reading a trace file may not allocate per line beyond the pool sets
+/// the lines list: see [`MAX_CSV_ALLOCS_PER_LINE`].
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "debug assertions allocate on the hot path; run with --release"
+)]
+fn reading_a_trace_csv_allocates_per_pool_set_not_per_line() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let params = ScenarioParams::normal_week(0.25);
+    let trace = params.build_workload().generate(params.seed);
+    let mut csv = Vec::new();
+    write_csv(&mut csv, &trace).unwrap();
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let back = read_csv(csv.as_slice()).unwrap();
+    let allocs = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    assert_eq!(back, trace, "the CSV round trip changed the trace");
+    let restricted = back
+        .iter()
+        .filter(|r| !r.affinity.pools().is_empty())
+        .count();
+    let per_line = allocs as f64 / back.len().max(1) as f64;
+    println!(
+        "{allocs} allocations reading {} lines ({restricted} list pools) = {per_line:.4}/line",
+        back.len()
+    );
+    assert!(
+        per_line <= MAX_CSV_ALLOCS_PER_LINE,
+        "read_csv allocates per line: {per_line:.4} allocations per line vs ceiling \
+         {MAX_CSV_ALLOCS_PER_LINE} ({restricted} of {} lines list pools) — a line buffer \
+         or field list is allocated per line again",
+        back.len()
     );
 }
 

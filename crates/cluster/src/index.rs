@@ -33,8 +33,6 @@
 //! wait queue's minimum footprint (stop `capacity_cycle` scans when the
 //! freed machine cannot fit anything waiting).
 
-use std::collections::BTreeMap;
-
 use crate::job::Resources;
 use crate::machine::Machine;
 
@@ -179,12 +177,14 @@ impl AvailabilityIndex {
     }
 }
 
-/// An ordered counting multiset with O(log n) insert/remove and O(log n)
-/// minimum, used for the pool's running-priority and queue-footprint
-/// summaries.
+/// An ordered counting multiset for the pool's running-priority and
+/// queue-footprint summaries: a sorted `Vec` of distinct values and their
+/// counts. Lookup is a binary search and the minimum is the first entry; a
+/// new value or a last removal shifts the entries above it (O(distinct)).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MinMultiset<T: Ord + Copy> {
-    counts: BTreeMap<T, usize>,
+    /// Distinct values in ascending order, each with its (non-zero) count.
+    counts: Vec<(T, usize)>,
     len: usize,
 }
 
@@ -192,14 +192,17 @@ impl<T: Ord + Copy> MinMultiset<T> {
     /// An empty multiset.
     pub fn new() -> Self {
         MinMultiset {
-            counts: BTreeMap::new(),
+            counts: Vec::new(),
             len: 0,
         }
     }
 
     /// Adds one occurrence of `value`.
     pub fn insert(&mut self, value: T) {
-        *self.counts.entry(value).or_insert(0) += 1;
+        match self.counts.binary_search_by_key(&value, |&(v, _)| v) {
+            Ok(i) => self.counts[i].1 += 1,
+            Err(i) => self.counts.insert(i, (value, 1)),
+        }
         self.len += 1;
     }
 
@@ -210,20 +213,20 @@ impl<T: Ord + Copy> MinMultiset<T> {
     /// Panics if `value` is not present — the pool's bookkeeping inserts
     /// and removes in strict pairs, so absence is a logic error.
     pub fn remove(&mut self, value: T) {
-        let count = self
+        let i = self
             .counts
-            .get_mut(&value)
+            .binary_search_by_key(&value, |&(v, _)| v)
             .expect("value present in multiset");
-        *count -= 1;
-        if *count == 0 {
-            self.counts.remove(&value);
+        self.counts[i].1 -= 1;
+        if self.counts[i].1 == 0 {
+            self.counts.remove(i);
         }
         self.len -= 1;
     }
 
     /// The smallest value present, or `None` when empty.
     pub fn min(&self) -> Option<T> {
-        self.counts.keys().next().copied()
+        self.counts.first().map(|&(v, _)| v)
     }
 
     /// Total number of occurrences.
@@ -397,7 +400,71 @@ mod tests {
     #[test]
     #[should_panic(expected = "value present")]
     fn min_multiset_remove_absent_panics() {
-        MinMultiset::<u32>::new().remove(1);
+        let mut s = MinMultiset::new();
+        s.insert(1u32);
+        s.insert(3);
+        s.remove(2);
+    }
+
+    /// The ordered-map multiset the flat one replaced, kept as its oracle.
+    #[derive(Default)]
+    struct BTreeMinMultiset {
+        counts: std::collections::BTreeMap<u64, usize>,
+        len: usize,
+    }
+
+    impl BTreeMinMultiset {
+        fn insert(&mut self, value: u64) {
+            *self.counts.entry(value).or_insert(0) += 1;
+            self.len += 1;
+        }
+
+        fn remove(&mut self, value: u64) {
+            let count = self.counts.get_mut(&value).expect("value present");
+            *count -= 1;
+            if *count == 0 {
+                self.counts.remove(&value);
+            }
+            self.len -= 1;
+        }
+
+        fn min(&self) -> Option<u64> {
+            self.counts.keys().next().copied()
+        }
+    }
+
+    proptest! {
+        /// The flat multiset answers `min`, `len` and `is_empty` exactly as
+        /// the ordered-map version does under arbitrary insert/remove
+        /// churn, over a narrow value range (long runs of equal values)
+        /// and a wide one (hundreds of distinct values, so inserts and
+        /// removals land anywhere in the sorted buffer).
+        #[test]
+        fn prop_flat_min_multiset_matches_ordered_map(
+            wide in any::<bool>(),
+            ops in proptest::collection::vec((any::<bool>(), 0u64..10_000), 1..600),
+        ) {
+            let mut flat = MinMultiset::new();
+            let mut oracle = BTreeMinMultiset::default();
+            let mut present: Vec<u64> = Vec::new();
+            for (insert, raw) in ops {
+                if insert || present.is_empty() {
+                    let value = if wide { raw } else { raw % 4 };
+                    flat.insert(value);
+                    oracle.insert(value);
+                    present.push(value);
+                } else {
+                    let value = present.swap_remove(raw as usize % present.len());
+                    flat.remove(value);
+                    oracle.remove(value);
+                }
+                prop_assert_eq!(flat.min(), oracle.min());
+                prop_assert_eq!(flat.len(), oracle.len);
+                prop_assert_eq!(flat.is_empty(), oracle.len == 0);
+                prop_assert!(flat.counts.windows(2).all(|w| w[0].0 < w[1].0));
+                prop_assert_eq!(flat.counts.len(), oracle.counts.len());
+            }
+        }
     }
 
     /// One machine mutation of the index proptest, on machine `m % len`.

@@ -157,16 +157,15 @@ impl Machine {
     }
 
     /// Fails the machine: every resident job (running or suspended) is
-    /// evicted and returned; the machine accepts no work until
-    /// [`Machine::restore`].
-    pub fn fail(&mut self) -> Vec<Resident> {
+    /// evicted, so read [`Machine::running`] and [`Machine::suspended`]
+    /// first; the machine accepts no work until [`Machine::restore`].
+    pub fn fail(&mut self) {
         self.down = true;
         self.cores_used = 0;
         self.memory_used = 0;
         self.min_running_prio = None;
-        let mut evicted = std::mem::take(&mut self.running);
-        evicted.append(&mut self.suspended);
-        evicted
+        self.running.clear();
+        self.suspended.clear();
     }
 
     /// Brings a failed machine back online, empty. Any drain/cordon in
@@ -685,8 +684,8 @@ mod tests {
         m.start(t(0), JobId(1), res(1, 1000), Priority::LOW);
         m.start(t(0), JobId(2), res(1, 1000), Priority::LOW);
         m.suspend(t(1), JobId(2)).unwrap();
-        let evicted = m.fail();
-        assert_eq!(evicted.len(), 2);
+        m.fail();
+        assert!(m.running().is_empty() && m.suspended().is_empty());
         assert!(m.is_down());
         assert_eq!(m.cores_used(), 0);
         assert_eq!(m.memory_used(), 0);

@@ -17,7 +17,6 @@
 
 use std::fmt;
 
-use netbatch_sim_engine::hash::IntMap;
 use netbatch_sim_engine::time::{SimDuration, SimTime};
 
 use crate::ids::{JobId, MachineId, PoolId};
@@ -168,8 +167,9 @@ pub struct PhysicalPool {
     machines: Vec<Machine>,
     /// Waiting jobs: higher priority first, FIFO within a priority.
     queue: WaitQueue,
-    running_on: IntMap<JobId, MachineId>,
-    suspended_on: IntMap<JobId, MachineId>,
+    /// Running and suspended jobs; where each one is, is its record's to say.
+    running: usize,
+    suspended: usize,
     total_cores: u32,
     /// Static core total across all machines, up or down — the health
     /// gauge's denominator (`total_cores` shrinks while machines are
@@ -238,8 +238,8 @@ impl PhysicalPool {
             id: config.id,
             machines,
             queue: WaitQueue::default(),
-            running_on: IntMap::default(),
-            suspended_on: IntMap::default(),
+            running: 0,
+            suspended: 0,
             total_cores,
             nominal_cores: total_cores,
             busy_cores: 0,
@@ -315,12 +315,12 @@ impl PhysicalPool {
 
     /// Number of suspended jobs across the pool's machines.
     pub fn suspended_count(&self) -> usize {
-        self.suspended_on.len()
+        self.suspended
     }
 
     /// Number of running jobs.
     pub fn running_count(&self) -> usize {
-        self.running_on.len()
+        self.running
     }
 
     /// Number of machines.
@@ -361,16 +361,6 @@ impl PhysicalPool {
     /// Since when a job has been waiting in this pool's queue, if it is.
     pub fn waiting_since(&self, job: JobId) -> Option<SimTime> {
         self.queue.get(job).map(|e| e.enqueued_at)
-    }
-
-    /// The machine a job is suspended on, if it is suspended here.
-    pub fn suspended_machine(&self, job: JobId) -> Option<MachineId> {
-        self.suspended_on.get(&job).copied()
-    }
-
-    /// The machine a job is running on, if it is running here.
-    pub fn running_machine(&self, job: JobId) -> Option<MachineId> {
-        self.running_on.get(&job).copied()
     }
 
     /// Iterates the wait queue in dispatch order (priority desc, FIFO).
@@ -448,7 +438,7 @@ impl PhysicalPool {
             let mid = self.machines[idx].id();
             self.machines[idx].start(now, spec.id, res, spec.priority);
             self.sync_index(idx);
-            self.running_on.insert(spec.id, mid);
+            self.running += 1;
             self.running_prios.insert(spec.priority);
             self.busy_cores += res.cores;
             self.stats.starts += 1;
@@ -530,11 +520,11 @@ impl PhysicalPool {
                     .suspend(now, victim)
                     .expect("planned victim is running");
                 self.busy_cores -= r.resources.cores;
-                self.running_on.remove(&victim);
+                self.running -= 1;
                 self.running_prios.remove(r.priority);
-                self.suspended_on.insert(victim, mid);
+                self.suspended += 1;
                 self.stats.suspensions += 1;
-                self.stats.peak_suspended = self.stats.peak_suspended.max(self.suspended_on.len());
+                self.stats.peak_suspended = self.stats.peak_suspended.max(self.suspended);
                 actions.push(PoolAction::Suspended {
                     job: victim,
                     machine: mid,
@@ -543,7 +533,7 @@ impl PhysicalPool {
             let wall = self.machines[idx].config().scaled_wall(spec.runtime);
             self.machines[idx].start(now, spec.id, res, spec.priority);
             self.sync_index(idx);
-            self.running_on.insert(spec.id, mid);
+            self.running += 1;
             self.running_prios.insert(spec.priority);
             self.busy_cores += res.cores;
             self.stats.starts += 1;
@@ -581,30 +571,23 @@ impl PhysicalPool {
 
     /// A running job completed: frees its resources, then resumes suspended
     /// jobs on that machine and dispatches waiting jobs onto the freed
-    /// capacity.
-    ///
-    /// Returns the follow-on actions (`Resumed` / `Started`). Returns `None`
-    /// if the job is not running in this pool.
-    pub fn release(&mut self, now: SimTime, job: JobId) -> Option<Vec<PoolAction>> {
-        let mut actions = Vec::new();
-        self.release_into(now, job, &mut actions).then_some(actions)
-    }
-
-    /// Allocation-free variant of [`PhysicalPool::release`]: appends the
-    /// follow-on actions to `actions` and returns whether the job was
-    /// running here (nothing is appended when it was not).
+    /// capacity, appending those actions (`Resumed` / `Started`) to
+    /// `actions`. `machine` is where the caller's record says the job runs:
+    /// the pool keeps no job-to-machine index. Returns whether the job ran
+    /// there; nothing changes when it did not.
     pub fn release_into(
         &mut self,
         now: SimTime,
         job: JobId,
+        machine: MachineId,
         actions: &mut Vec<PoolAction>,
     ) -> bool {
         self.generation += 1;
-        let Some(mid) = self.running_on.remove(&job) else {
+        let idx = machine.as_usize();
+        let Some(r) = self.machines.get_mut(idx).and_then(|m| m.release(job)) else {
             return false;
         };
-        let idx = mid.as_usize();
-        let r = self.machines[idx].release(job).expect("index says running");
+        self.running -= 1;
         self.busy_cores -= r.resources.cores;
         self.running_prios.remove(r.priority);
         self.capacity_cycle_into(now, idx, actions);
@@ -623,33 +606,27 @@ impl PhysicalPool {
     }
 
     /// Removes a suspended job from its machine (a suspend-rescheduling
-    /// decision): frees its resident memory, which may admit queued jobs.
-    ///
-    /// Returns the follow-on actions, or `None` if the job is not suspended
-    /// here.
-    pub fn remove_suspended(&mut self, now: SimTime, job: JobId) -> Option<Vec<PoolAction>> {
-        let mut actions = Vec::new();
-        self.remove_suspended_into(now, job, &mut actions)
-            .then_some(actions)
-    }
-
-    /// Allocation-free variant of [`PhysicalPool::remove_suspended`]:
-    /// appends the follow-on actions to `actions` and returns whether the
-    /// job was suspended here.
+    /// decision): frees its resident memory, which may admit queued jobs,
+    /// appending what it starts to `actions`. `machine` is where the
+    /// caller's record says the job is suspended. Returns whether it was
+    /// suspended there; nothing changes when it was not.
     pub fn remove_suspended_into(
         &mut self,
         now: SimTime,
         job: JobId,
+        machine: MachineId,
         actions: &mut Vec<PoolAction>,
     ) -> bool {
         self.generation += 1;
-        let Some(mid) = self.suspended_on.remove(&job) else {
+        let idx = machine.as_usize();
+        let Some(_) = self
+            .machines
+            .get_mut(idx)
+            .and_then(|m| m.remove_suspended(job))
+        else {
             return false;
         };
-        let idx = mid.as_usize();
-        self.machines[idx]
-            .remove_suspended(job)
-            .expect("index says suspended");
+        self.suspended -= 1;
         self.capacity_cycle_into(now, idx, actions);
         true
     }
@@ -671,8 +648,8 @@ impl PhysicalPool {
         for &job in &resumable {
             let r = self.machines[idx].resume(now, job).expect("resumable fits");
             self.busy_cores += r.resources.cores;
-            self.suspended_on.remove(&job);
-            self.running_on.insert(job, mid);
+            self.suspended -= 1;
+            self.running += 1;
             self.running_prios.insert(r.priority);
             actions.push(PoolAction::Resumed { job, machine: mid });
         }
@@ -708,7 +685,7 @@ impl PhysicalPool {
             self.queue_mem.remove(entry.resources.memory_mb);
             let wall = self.machines[idx].config().scaled_wall(entry.runtime);
             self.machines[idx].start(now, entry.job, entry.resources, entry.priority);
-            self.running_on.insert(entry.job, mid);
+            self.running += 1;
             self.running_prios.insert(entry.priority);
             self.busy_cores += entry.resources.cores;
             self.stats.starts += 1;
@@ -752,15 +729,16 @@ impl PhysicalPool {
             self.eff_cores_milli -= u64::from(self.machines[idx].config().cores)
                 * u64::from(self.machines[idx].health_milli());
         }
-        for r in self.machines[idx].fail() {
-            if self.running_on.remove(&r.job).is_some() {
-                self.busy_cores -= r.resources.cores;
-                self.running_prios.remove(r.priority);
-                running.push(r.job);
-            } else if self.suspended_on.remove(&r.job).is_some() {
-                suspended.push(r.job);
-            }
+        let m = &self.machines[idx];
+        for r in m.running() {
+            self.busy_cores -= r.resources.cores;
+            self.running_prios.remove(r.priority);
+            running.push(r.job);
         }
+        suspended.extend(m.suspended().iter().map(|r| r.job));
+        self.running -= m.running().len();
+        self.suspended -= m.suspended().len();
+        self.machines[idx].fail();
         self.sync_index(idx);
         self.total_cores -= self.machines[idx].config().cores;
         self.down_machines += 1;
@@ -896,7 +874,7 @@ impl PhysicalPool {
         let running: usize = self.machines.iter().map(|m| m.running().len()).sum();
         let suspended: usize = self.machines.iter().map(|m| m.suspended().len()).sum();
         let busy: u32 = self.machines.iter().map(Machine::cores_used).sum();
-        let prios_ok = self.running_prios.len() == self.running_on.len()
+        let prios_ok = self.running_prios.len() == self.running
             && self.running_prios.min()
                 == self
                     .machines
@@ -916,8 +894,8 @@ impl PhysicalPool {
             .map(|m| u64::from(m.config().cores) * u64::from(m.health_milli()))
             .sum();
         machines_ok
-            && running == self.running_on.len()
-            && suspended == self.suspended_on.len()
+            && running == self.running
+            && suspended == self.suspended
             && self.queue.check_consistency()
             && busy == self.busy_cores
             && down == self.down_machines
@@ -937,7 +915,7 @@ impl fmt::Debug for PhysicalPool {
             .field("busy_cores", &self.busy_cores())
             .field("total_cores", &self.total_cores)
             .field("waiting", &self.queue.len())
-            .field("suspended", &self.suspended_on.len())
+            .field("suspended", &self.suspended)
             .finish()
     }
 }
@@ -962,6 +940,37 @@ mod tests {
     fn small_pool() -> PhysicalPool {
         // 2 machines × 2 cores × 4 GB.
         PhysicalPool::new(PoolConfig::uniform(PoolId(0), 2, 2, 4096))
+    }
+
+    /// `release_into` with a fresh action buffer: the follow-on actions,
+    /// or `None` when `machine` does not run the job.
+    fn release(
+        p: &mut PhysicalPool,
+        now: SimTime,
+        job: JobId,
+        machine: MachineId,
+    ) -> Option<Vec<PoolAction>> {
+        let mut actions = Vec::new();
+        p.release_into(now, job, machine, &mut actions)
+            .then_some(actions)
+    }
+
+    /// `remove_suspended_into` with a fresh action buffer.
+    fn remove_suspended(
+        p: &mut PhysicalPool,
+        now: SimTime,
+        job: JobId,
+        machine: MachineId,
+    ) -> Option<Vec<PoolAction>> {
+        let mut actions = Vec::new();
+        p.remove_suspended_into(now, job, machine, &mut actions)
+            .then_some(actions)
+    }
+
+    /// Whether `job` runs on `machine`, read off the machine's own list.
+    fn runs_on(p: &PhysicalPool, job: JobId, machine: MachineId) -> bool {
+        p.machine(machine)
+            .is_some_and(|m| m.running().iter().any(|r| r.job == job))
     }
 
     #[test]
@@ -1075,12 +1084,15 @@ mod tests {
                 .count(),
             2
         );
+        let Some(&PoolAction::Started { machine, .. }) = a.last() else {
+            panic!("the high job starts last")
+        };
         // Queue a low job as well.
         p.submit(t(2), &spec(20, Priority::LOW, 10));
         assert_eq!(p.queue_len(), 1);
         // High job completes: suspended jobs resume first and fill the
         // machine; queued job stays.
-        let actions = p.release(t(31), JobId(9)).expect("running");
+        let actions = release(&mut p, t(31), JobId(9), machine).expect("running");
         let resumed: Vec<_> = actions
             .iter()
             .filter(|x| matches!(x, PoolAction::Resumed { .. }))
@@ -1098,7 +1110,7 @@ mod tests {
         p.submit(t(2), &spec(3, Priority::HIGH, 10)); // equal prio: queues
         p.submit(t(3), &spec(4, Priority::LOW, 10));
         assert_eq!(p.queue_len(), 3);
-        let actions = p.release(t(50), JobId(1)).expect("running");
+        let actions = release(&mut p, t(50), JobId(1), MachineId(0)).expect("running");
         // Highest-priority waiter (job 3) starts on the freed core.
         assert_eq!(actions.len(), 1);
         assert!(matches!(
@@ -1115,7 +1127,7 @@ mod tests {
         let out = p.submit(t(10), &spec(2, Priority::HIGH, 20));
         assert!(matches!(out, SubmitOutcome::Dispatched(_)));
         assert_eq!(p.suspended_count(), 1);
-        let actions = p.release(t(30), JobId(2)).expect("high job running");
+        let actions = release(&mut p, t(30), JobId(2), MachineId(0)).expect("high job running");
         assert_eq!(
             actions,
             vec![PoolAction::Resumed {
@@ -1124,7 +1136,7 @@ mod tests {
             }]
         );
         assert_eq!(p.suspended_count(), 0);
-        assert_eq!(p.running_machine(JobId(1)), Some(MachineId(0)));
+        assert!(runs_on(&p, JobId(1), MachineId(0)));
     }
 
     #[test]
@@ -1164,7 +1176,7 @@ mod tests {
             .with_memory_mb(2000);
         assert_eq!(p.submit(t(2), &waiter), SubmitOutcome::Queued);
         // Reschedule job 1 away: its memory frees, job 3 starts.
-        let actions = p.remove_suspended(t(3), JobId(1)).expect("suspended");
+        let actions = remove_suspended(&mut p, t(3), JobId(1), MachineId(0)).expect("suspended");
         assert!(actions
             .iter()
             .any(|a| matches!(a, PoolAction::Started { job: JobId(3), .. })));
@@ -1175,8 +1187,66 @@ mod tests {
     #[test]
     fn release_unknown_job_is_none() {
         let mut p = small_pool();
-        assert!(p.release(t(0), JobId(77)).is_none());
-        assert!(p.remove_suspended(t(0), JobId(77)).is_none());
+        assert!(release(&mut p, t(0), JobId(77), MachineId(0)).is_none());
+        assert!(remove_suspended(&mut p, t(0), JobId(77), MachineId(0)).is_none());
+    }
+
+    #[test]
+    fn release_and_remove_on_the_wrong_machine_change_nothing() {
+        // Four low jobs fill both machines and a high one suspends one of
+        // them. Every call below names a machine that does not host the
+        // job in that state, or no machine at all.
+        let mut p = small_pool();
+        for id in 1..=4 {
+            p.submit(t(0), &spec(id, Priority::LOW, 100));
+        }
+        let SubmitOutcome::Dispatched(a) = p.submit(t(1), &spec(9, Priority::HIGH, 50)) else {
+            panic!("the high job preempts")
+        };
+        let Some(&PoolAction::Suspended {
+            job: victim,
+            machine,
+        }) = a.first()
+        else {
+            panic!("a low job is suspended first")
+        };
+        let other = MachineId(1 - machine.0);
+        let snapshot = |p: &PhysicalPool| {
+            let residents = |m: u32| {
+                let m = p.machine(MachineId(m)).unwrap();
+                let jobs =
+                    |rs: &[crate::machine::Resident]| rs.iter().map(|r| r.job).collect::<Vec<_>>();
+                (jobs(m.running()), jobs(m.suspended()))
+            };
+            (
+                p.running_count(),
+                p.suspended_count(),
+                p.busy_cores(),
+                p.lowest_running_priority(),
+                p.indexed_first_fit(Resources {
+                    cores: 1,
+                    memory_mb: 1,
+                }),
+                residents(0),
+                residents(1),
+            )
+        };
+        let before = snapshot(&p);
+        let mut actions = Vec::new();
+        let running_here = p.machine(machine).unwrap().running()[0].job;
+        assert!(!p.release_into(t(2), running_here, other, &mut actions));
+        assert!(!p.release_into(t(2), running_here, MachineId(7), &mut actions));
+        assert!(!p.release_into(t(2), victim, machine, &mut actions));
+        assert!(!p.remove_suspended_into(t(2), victim, other, &mut actions));
+        assert!(!p.remove_suspended_into(t(2), victim, MachineId(7), &mut actions));
+        assert!(!p.remove_suspended_into(t(2), running_here, machine, &mut actions));
+        assert!(actions.is_empty());
+        assert_eq!(snapshot(&p), before);
+        assert!(p.check_invariants());
+        // Named correctly, both succeed.
+        assert!(p.remove_suspended_into(t(3), victim, machine, &mut actions));
+        assert!(p.release_into(t(3), running_here, machine, &mut actions));
+        assert!(p.check_invariants());
     }
 
     #[test]
@@ -1213,9 +1283,9 @@ mod tests {
         assert_eq!(s.peak_suspended, 1);
         // High job completes: the suspended job resumes first (no new
         // start); when it finishes, the queued job finally starts.
-        p.release(t(12), JobId(3));
+        release(&mut p, t(12), JobId(3), MachineId(0));
         assert_eq!(p.stats().starts, 2);
-        p.release(t(62), JobId(1));
+        release(&mut p, t(62), JobId(1), MachineId(0));
         assert_eq!(p.stats().starts, 3);
     }
 
@@ -1223,6 +1293,7 @@ mod tests {
         use super::*;
         use crate::snapshot::ClusterSnapshot;
         use proptest::prelude::*;
+        use std::collections::HashMap;
 
         /// One random pool operation.
         #[derive(Debug, Clone)]
@@ -1264,16 +1335,73 @@ mod tests {
             ]
         }
 
+        /// The test's own job-to-machine index, built only from what the
+        /// pool reports (its actions and its evictions): the pool keeps no
+        /// such index, so the proptests hold it for the caller.
+        #[derive(Debug, Default)]
+        struct Placement {
+            running: HashMap<JobId, MachineId>,
+            suspended: HashMap<JobId, MachineId>,
+        }
+
+        impl Placement {
+            fn note(&mut self, actions: &[PoolAction]) {
+                for &action in actions {
+                    match action {
+                        PoolAction::Started { job, machine, .. } => {
+                            assert!(self.running.insert(job, machine).is_none());
+                        }
+                        PoolAction::Suspended { job, machine } => {
+                            assert_eq!(self.running.remove(&job), Some(machine));
+                            self.suspended.insert(job, machine);
+                        }
+                        PoolAction::Resumed { job, machine } => {
+                            assert_eq!(self.suspended.remove(&job), Some(machine));
+                            self.running.insert(job, machine);
+                        }
+                    }
+                }
+            }
+
+            /// Where the caller would say `job` sits: its tracked machine,
+            /// or `fallback` (possibly out of range) when it is on none.
+            fn machine_of(&self, job: JobId, fallback: u32) -> MachineId {
+                self.running
+                    .get(&job)
+                    .or_else(|| self.suspended.get(&job))
+                    .copied()
+                    .unwrap_or(MachineId(fallback))
+            }
+
+            /// The index agrees with every machine's resident lists.
+            fn matches(&self, pool: &PhysicalPool) -> bool {
+                let on = |m: MachineId, job: JobId, running: bool| {
+                    pool.machine(m).is_some_and(|m| {
+                        let list = if running { m.running() } else { m.suspended() };
+                        list.iter().any(|r| r.job == job)
+                    })
+                };
+                self.running.len() == pool.running_count()
+                    && self.suspended.len() == pool.suspended_count()
+                    && self.running.iter().all(|(&j, &m)| on(m, j, true))
+                    && self.suspended.iter().all(|(&j, &m)| on(m, j, false))
+            }
+        }
+
         /// Applies `op` to `pool` at `t`: exactly one mutator call. Submits
         /// take fresh ids from `next_id`; jobs the pool accepted join
         /// `known`, which the job-targeted ops pick from (an id the pool
-        /// never saw while `known` is empty).
+        /// never saw while `known` is empty). A release or removal passes
+        /// the job's tracked machine, or an arbitrary one (possibly out of
+        /// range) for a job on none, and must succeed exactly when the job
+        /// runs, or is suspended, there.
         fn apply(
             pool: &mut PhysicalPool,
             op: &Op,
             t: SimTime,
             next_id: &mut u64,
             known: &mut Vec<JobId>,
+            placed: &mut Placement,
         ) {
             let pick = |i: usize| {
                 known
@@ -1281,6 +1409,7 @@ mod tests {
                     .copied()
                     .unwrap_or(JobId(u64::MAX))
             };
+            let mut actions = Vec::new();
             match *op {
                 Op::Submit {
                     prio,
@@ -1293,33 +1422,61 @@ mod tests {
                         .with_cores(cores)
                         .with_memory_mb(mem);
                     *next_id += 1;
-                    if !matches!(pool.submit(t, &spec), SubmitOutcome::Ineligible) {
+                    let kind = pool.submit_into(t, &spec, &mut actions);
+                    let started = actions
+                        .iter()
+                        .any(|a| matches!(a, PoolAction::Started { job, .. } if *job == spec.id));
+                    assert_eq!(started, kind == SubmitKind::Dispatched);
+                    if kind != SubmitKind::Ineligible {
                         known.push(spec.id);
                     }
                 }
                 Op::Release(i) => {
-                    pool.release(t, pick(i));
+                    let job = pick(i);
+                    let machine = placed.machine_of(job, i as u32 % 6);
+                    let hosted = placed.running.get(&job) == Some(&machine);
+                    assert_eq!(pool.release_into(t, job, machine, &mut actions), hosted);
+                    if hosted {
+                        placed.running.remove(&job);
+                    }
                 }
                 Op::RemoveWaiting(i) => {
                     pool.remove_waiting(pick(i));
                 }
                 Op::RemoveSuspended(i) => {
-                    pool.remove_suspended(t, pick(i));
+                    let job = pick(i);
+                    let machine = placed.machine_of(job, i as u32 % 6);
+                    let hosted = placed.suspended.get(&job) == Some(&machine);
+                    assert_eq!(
+                        pool.remove_suspended_into(t, job, machine, &mut actions),
+                        hosted
+                    );
+                    if hosted {
+                        placed.suspended.remove(&job);
+                    }
                 }
                 Op::FailMachine(m) => {
-                    pool.fail_machine(MachineId(m));
+                    let (mut running, mut suspended) = (Vec::new(), Vec::new());
+                    pool.fail_machine_into(MachineId(m), &mut running, &mut suspended);
+                    for job in running {
+                        assert_eq!(placed.running.remove(&job), Some(MachineId(m)));
+                    }
+                    for job in suspended {
+                        assert_eq!(placed.suspended.remove(&job), Some(MachineId(m)));
+                    }
                 }
                 Op::RestoreMachine(m) => {
-                    pool.restore_machine(t, MachineId(m));
+                    pool.restore_machine_into(t, MachineId(m), &mut actions);
                 }
                 Op::DrainMachine(m) => {
                     pool.drain_machine(MachineId(m));
                 }
                 Op::UndrainMachine(m) => {
-                    pool.undrain_machine(t, MachineId(m));
+                    pool.undrain_machine_into(t, MachineId(m), &mut actions);
                 }
                 Op::SetHealth(m, health) => pool.set_machine_health(MachineId(m), health),
             }
+            placed.note(&actions);
         }
 
         /// A pool mixing three machine configurations, five machines (not
@@ -1349,6 +1506,7 @@ mod tests {
                 let mut pool = heterogeneous_pool();
                 let mut next_id = 0u64;
                 let mut known: Vec<JobId> = Vec::new();
+                let mut placed = Placement::default();
                 let mut now = 0u64;
                 let probes = [
                     (1u32, 64u64), (1, 1500), (1, 3000), (1, 6000),
@@ -1356,7 +1514,8 @@ mod tests {
                 ];
                 for op in ops {
                     now += 1;
-                    apply(&mut pool, &op, SimTime::from_minutes(now), &mut next_id, &mut known);
+                    apply(&mut pool, &op, SimTime::from_minutes(now), &mut next_id, &mut known, &mut placed);
+                    prop_assert!(placed.matches(&pool), "placement diverged after {op:?}");
                     for (cores, mem) in probes {
                         let res = Resources { cores, memory_mb: mem };
                         prop_assert_eq!(
@@ -1380,62 +1539,10 @@ mod tests {
                 let mut pool = PhysicalPool::new(PoolConfig::uniform(PoolId(0), 4, 2, 4096));
                 let mut next_id = 0u64;
                 let mut known: Vec<JobId> = Vec::new();
-                let mut now = 0u64;
-                for op in ops {
-                    now += 1;
-                    let t = SimTime::from_minutes(now);
-                    match op {
-                        Op::Submit { prio, cores, mem, runtime } => {
-                            let spec = JobSpec::new(
-                                JobId(next_id),
-                                t,
-                                SimDuration::from_minutes(runtime),
-                            )
-                            .with_priority(Priority::new(prio))
-                            .with_cores(cores)
-                            .with_memory_mb(mem);
-                            next_id += 1;
-                            match pool.submit(t, &spec) {
-                                SubmitOutcome::Dispatched(actions) => {
-                                    let started_self = actions.iter().any(|a| {
-                                        matches!(a, PoolAction::Started { job, .. } if *job == spec.id)
-                                    });
-                                    prop_assert!(started_self);
-                                    known.push(spec.id);
-                                }
-                                SubmitOutcome::Queued => known.push(spec.id),
-                                SubmitOutcome::Ineligible => {}
-                            }
-                        }
-                        Op::Release(i) => {
-                            if let Some(&job) = known.get(i % known.len().max(1)) {
-                                pool.release(t, job); // None if not running: fine
-                            }
-                        }
-                        Op::RemoveWaiting(i) => {
-                            if let Some(&job) = known.get(i % known.len().max(1)) {
-                                pool.remove_waiting(job);
-                            }
-                        }
-                        Op::RemoveSuspended(i) => {
-                            if let Some(&job) = known.get(i % known.len().max(1)) {
-                                pool.remove_suspended(t, job);
-                            }
-                        }
-                        Op::FailMachine(m) => {
-                            pool.fail_machine(MachineId(m));
-                        }
-                        Op::RestoreMachine(m) => {
-                            pool.restore_machine(t, MachineId(m));
-                        }
-                        Op::DrainMachine(m) => {
-                            pool.drain_machine(MachineId(m));
-                        }
-                        Op::UndrainMachine(m) => {
-                            pool.undrain_machine(t, MachineId(m));
-                        }
-                        Op::SetHealth(m, health) => pool.set_machine_health(MachineId(m), health),
-                    }
+                let mut placed = Placement::default();
+                for (now, op) in (1u64..).zip(ops) {
+                    apply(&mut pool, &op, SimTime::from_minutes(now), &mut next_id, &mut known, &mut placed);
+                    prop_assert!(placed.matches(&pool), "placement diverged after {op:?}");
                     prop_assert!(pool.check_invariants(), "invariants violated after {op:?}");
                     prop_assert!(pool.busy_cores() <= pool.total_cores());
                     prop_assert!(pool.utilization() <= 1.0 + 1e-12);
@@ -1455,12 +1562,13 @@ mod tests {
                     PhysicalPool::new(PoolConfig::uniform(PoolId(1), 4, 2, 4096)),
                 ];
                 let mut known: [Vec<JobId>; 2] = Default::default();
+                let mut placed: [Placement; 2] = Default::default();
                 let mut next_id = 0u64;
                 let mut view = ClusterSnapshot::default();
                 view.refresh(&pools);
                 for (now, (k, op)) in (1u64..).zip(steps) {
                     let before = pools.each_ref().map(PhysicalPool::generation);
-                    apply(&mut pools[k], &op, SimTime::from_minutes(now), &mut next_id, &mut known[k]);
+                    apply(&mut pools[k], &op, SimTime::from_minutes(now), &mut next_id, &mut known[k], &mut placed[k]);
                     for (i, pool) in pools.iter().enumerate() {
                         let bumps = u64::from(i == k);
                         prop_assert_eq!(pool.generation(), before[i] + bumps, "pool {} after {:?}", i, op);
@@ -1493,30 +1601,22 @@ mod tests {
             p.submit(t(0), &spec(2, Priority::LOW, 10));
         });
         bumps(&mut p, "release_into", |p| {
-            p.release_into(t(1), JobId(1), &mut actions);
-        });
-        bumps(&mut p, "release", |p| {
-            p.release(t(1), JobId(2));
+            p.release_into(t(1), JobId(1), MachineId(0), &mut actions);
         });
         for id in 3..7 {
             p.submit(t(2), &spec(id, Priority::LOW, 10));
         }
         // Four low jobs fill the pool; a high one suspends one of them.
-        p.submit(t(3), &spec(7, Priority::HIGH, 10));
-        let victim = (3..7)
-            .map(JobId)
-            .find(|&j| p.suspended_machine(j).is_some())
-            .expect("a low job was suspended");
+        let victim = |out: SubmitOutcome| match out {
+            SubmitOutcome::Dispatched(a) => match a[0] {
+                PoolAction::Suspended { job, machine } => (job, machine),
+                other => panic!("expected a suspension, got {other:?}"),
+            },
+            other => panic!("expected a preemption, got {other:?}"),
+        };
+        let (job, machine) = victim(p.submit(t(3), &spec(7, Priority::HIGH, 10)));
         bumps(&mut p, "remove_suspended_into", |p| {
-            p.remove_suspended_into(t(4), victim, &mut actions);
-        });
-        p.submit(t(4), &spec(8, Priority::HIGH, 10));
-        let victim = (3..7)
-            .map(JobId)
-            .find(|&j| p.suspended_machine(j).is_some())
-            .expect("a low job was suspended");
-        bumps(&mut p, "remove_suspended", |p| {
-            p.remove_suspended(t(5), victim);
+            p.remove_suspended_into(t(4), job, machine, &mut actions);
         });
         p.submit(t(5), &spec(9, Priority::LOW, 10));
         assert!(p.waiting_since(JobId(9)).is_some());
@@ -1569,8 +1669,8 @@ mod tests {
             }
         ));
         // The resident keeps running and completes in place.
-        assert_eq!(p.running_machine(JobId(1)), Some(MachineId(0)));
-        p.release(t(100), JobId(1)).expect("still running");
+        assert!(runs_on(&p, JobId(1), MachineId(0)));
+        release(&mut p, t(100), JobId(1), MachineId(0)).expect("still running");
         // Effective capacity excludes the drained machine (2 of 4 cores).
         assert_eq!(p.effective_cores_milli(), 2 * 1000);
         assert!(p.check_invariants());

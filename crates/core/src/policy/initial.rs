@@ -50,9 +50,9 @@ pub trait InitialScheduler: std::fmt::Debug + Send {
     fn set_health_aware(&mut self, _aware: bool) {}
 
     /// Whether this is [`RoundRobin`], for the streaming backend's
-    /// fast-class check: round-robin is the one scheduler whose choice
-    /// can be computed without the cluster view (it is a pure cursor
-    /// rotation).
+    /// fast-class check and the serial kernel's view refresh: round-robin
+    /// is the one scheduler whose choice can be computed without the
+    /// cluster view (it is a pure cursor rotation).
     #[doc(hidden)]
     fn is_round_robin(&self) -> bool {
         false

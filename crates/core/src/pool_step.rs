@@ -148,7 +148,7 @@ pub(crate) fn complete<H: PoolHost>(
     rec.completion_event = None;
     rec.complete(now).expect("phase checked running");
     host.emit(now, ObsEvent::Complete { job, pool, machine });
-    let was_running = host.pool(pool).release_into(now, job, actions);
+    let was_running = host.pool(pool).release_into(now, job, machine, actions);
     assert!(was_running, "running job releases");
     apply(host, pool, actions, now, suspended);
     actions.clear();

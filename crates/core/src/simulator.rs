@@ -826,13 +826,12 @@ impl Simulator {
             }
         }
         // Duplicate (shadow) copies are bookkeeping, not submitted jobs:
-        // drop them from the reported population.
-        let shadows = self.shadows;
-        let jobs: Vec<JobRecord> = self
-            .jobs
-            .into_iter()
-            .filter(|j| !shadows.contains(&j.id()))
-            .collect();
+        // drop them from the reported population. Only duplicating runs
+        // have any, so every other run hands its records over as they are.
+        let mut jobs = self.jobs;
+        if !self.shadows.is_empty() {
+            jobs.retain(|j| !self.shadows.contains(&j.id()));
+        }
         let pool_stats = self.pools.iter().map(|p| (p.id(), p.stats())).collect();
         SimOutput {
             jobs,
@@ -972,7 +971,11 @@ impl Simulator {
         now: SimTime,
         sched: &mut Scheduler<'_, Ev>,
     ) {
-        self.refresh_view(now);
+        // Round-robin never reads the view; under a non-zero staleness the
+        // refresh still sets the instant later reads age from.
+        if !self.initial.is_round_robin() || !self.config.view_staleness.is_zero() {
+            self.refresh_view(now);
+        }
         let mut order = self.scratch.take_pool_list();
         self.initial
             .order_into(spec, candidates, &self.view_snap, &mut order);
@@ -1083,8 +1086,9 @@ impl Simulator {
         let rec = &self.jobs[job.as_usize()];
         // The job may already have been resumed (or even completed) by a
         // cascade that ran between its suspension and this decision.
-        let Some(machine) = self.pools[at_pool.as_usize()].suspended_machine(job) else {
-            return;
+        let machine = match rec.phase() {
+            JobPhase::Suspended { pool, machine } if pool == at_pool => machine,
+            _ => return,
         };
         if let Some(cap) = self.config.max_restarts {
             if rec.restarts_from_suspend() + rec.restarts_from_wait() >= cap {
@@ -1125,8 +1129,8 @@ impl Simulator {
                 // Pull the job out of its pool (frees its resident memory,
                 // which may start queued jobs there)...
                 let mut actions = self.scratch.take_actions();
-                let was_suspended =
-                    self.pools[at_pool.as_usize()].remove_suspended_into(now, job, &mut actions);
+                let from = &mut self.pools[at_pool.as_usize()];
+                let was_suspended = from.remove_suspended_into(now, job, machine, &mut actions);
                 assert!(was_suspended, "checked suspended above");
                 let restart = matches!(decision, Decision::Restart(_));
                 let (kind, discarded) = if restart {
@@ -1245,18 +1249,19 @@ impl Simulator {
         }
         // Capture where the loser was before eviction, for the proxy-finish
         // event emitted once the record is settled.
+        let mut actions = self.scratch.take_actions();
         let loser_state = match rec.phase() {
             JobPhase::Running { pool, machine } => {
-                let actions = self.pools[pool.as_usize()]
-                    .release(now, loser)
-                    .expect("loser was running");
+                let from = &mut self.pools[pool.as_usize()];
+                let released = from.release_into(now, loser, machine, &mut actions);
+                assert!(released, "loser was running");
                 self.apply_actions(pool, &actions, now, sched);
                 Some((PhaseTag::Running, Some(pool), Some(machine)))
             }
             JobPhase::Suspended { pool, machine } => {
-                let actions = self.pools[pool.as_usize()]
-                    .remove_suspended(now, loser)
-                    .expect("loser was suspended");
+                let from = &mut self.pools[pool.as_usize()];
+                let removed = from.remove_suspended_into(now, loser, machine, &mut actions);
+                assert!(removed, "loser was suspended");
                 self.apply_actions(pool, &actions, now, sched);
                 Some((PhaseTag::Suspended, Some(pool), Some(machine)))
             }
@@ -1269,6 +1274,7 @@ impl Simulator {
             JobPhase::AtVpm => Some((PhaseTag::AtVpm, None, None)),
             JobPhase::Created | JobPhase::Completed => None,
         };
+        self.scratch.put_actions(actions);
         // Settle: the ORIGINAL record carries the metrics.
         let mut proxied = false;
         if clone_won {
@@ -1684,12 +1690,10 @@ impl Simulator {
             // Re-read the job's phase: an earlier evacuee's freed cores
             // may have resumed this one meanwhile (resuming on a draining
             // machine is legal — only *new* placements are barred).
-            let from_phase = if self.pools[pool.as_usize()].running_machine(job) == Some(machine) {
-                PhaseTag::Running
-            } else if self.pools[pool.as_usize()].suspended_machine(job) == Some(machine) {
-                PhaseTag::Suspended
-            } else {
-                continue; // moved or completed by a cascade in between
+            let from_phase = match self.jobs[job.as_usize()].phase() {
+                p if p == JobPhase::Running { pool, machine } => PhaseTag::Running,
+                p if p == JobPhase::Suspended { pool, machine } => PhaseTag::Suspended,
+                _ => continue, // moved or completed by a cascade in between
             };
             self.counters.evacuations += 1;
             if !self.observers.is_empty() {
@@ -1716,11 +1720,10 @@ impl Simulator {
                 );
             }
             let mut actions = self.scratch.take_actions();
+            let from = &mut self.pools[pool.as_usize()];
             let removed = match from_phase {
-                PhaseTag::Running => {
-                    self.pools[pool.as_usize()].release_into(now, job, &mut actions)
-                }
-                _ => self.pools[pool.as_usize()].remove_suspended_into(now, job, &mut actions),
+                PhaseTag::Running => from.release_into(now, job, machine, &mut actions),
+                _ => from.remove_suspended_into(now, job, machine, &mut actions),
             };
             assert!(removed, "phase re-checked above");
             self.evict(job, ReschedKind::Evacuation, &actions, now, sched);

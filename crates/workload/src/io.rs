@@ -88,7 +88,8 @@ pub fn write_csv<W: Write>(mut w: W, trace: &Trace) -> Result<(), TraceIoError> 
 }
 
 /// Reads a trace from CSV as produced by [`write_csv`]. The header line is
-/// validated; records are re-sorted by submission minute.
+/// validated; records are re-sorted by submission minute. One line buffer
+/// and one pool-id buffer serve the whole file.
 ///
 /// # Errors
 ///
@@ -96,39 +97,40 @@ pub fn write_csv<W: Write>(mut w: W, trace: &Trace) -> Result<(), TraceIoError> 
 /// whose `submit_minute` or `runtime_minutes` exceeds
 /// [`MAX_TRACE_MINUTES`], and [`TraceIoError::Io`] on read failures.
 pub fn read_csv<R: Read>(r: R) -> Result<Trace, TraceIoError> {
-    let reader = BufReader::new(r);
-    let mut lines = reader.lines().enumerate();
-    match lines.next() {
-        Some((_, Ok(header))) if header.trim() == CSV_HEADER => {}
-        Some((_, Ok(other))) => {
-            return Err(TraceIoError::Parse {
-                line: 1,
-                message: format!("unexpected header `{other}`"),
-            })
-        }
-        Some((_, Err(e))) => return Err(e.into()),
-        None => return Ok(Trace::new()),
+    let mut reader = BufReader::new(r);
+    let (mut line, mut ids, mut records) = (String::new(), Vec::new(), Vec::new());
+    if reader.read_line(&mut line)? == 0 {
+        return Ok(Trace::new());
     }
-    let mut records = Vec::new();
-    for (idx, line) in lines {
-        let line = line?;
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
+    if line.trim() != CSV_HEADER {
+        let header = line.trim_end_matches(['\r', '\n']);
+        let message = format!("unexpected header `{header}`");
+        return Err(TraceIoError::Parse { line: 1, message });
+    }
+    for number in 2.. {
+        line.clear();
+        if reader.read_line(&mut line)? == 0 {
+            break;
         }
-        records.push(parse_line(line).map_err(|message| TraceIoError::Parse {
-            line: idx + 1,
-            message,
-        })?);
+        if !line.trim().is_empty() {
+            let record = parse_line(line.trim(), &mut ids);
+            records.push(record.map_err(|message| TraceIoError::Parse {
+                line: number,
+                message,
+            })?);
+        }
     }
     Ok(Trace::from_records(records))
 }
 
-fn parse_line(line: &str) -> Result<TraceRecord, String> {
-    let fields: Vec<&str> = line.split(',').collect();
-    if fields.len() != 7 {
-        return Err(format!("expected 7 fields, found {}", fields.len()));
+/// Parses one trimmed data line; `ids` is scratch for its pool list.
+fn parse_line(line: &str, ids: &mut Vec<u16>) -> Result<TraceRecord, String> {
+    let count = line.split(',').count();
+    if count != 7 {
+        return Err(format!("expected 7 fields, found {count}"));
     }
+    let mut split = line.split(',');
+    let fields: [&str; 7] = std::array::from_fn(|_| split.next().unwrap_or_default());
     fn num<T: std::str::FromStr>(s: &str, name: &str) -> Result<T, String> {
         s.parse().map_err(|_| format!("invalid {name} value `{s}`"))
     }
@@ -144,11 +146,11 @@ fn parse_line(line: &str) -> Result<TraceRecord, String> {
     let affinity = if fields[5].is_empty() {
         PoolAffinity::Any
     } else {
-        let ids = fields[5]
-            .split(';')
-            .map(|s| num::<u16>(s, "affinity"))
-            .collect::<Result<Vec<_>, _>>()?;
-        PoolAffinity::from_ids(&ids)
+        ids.clear();
+        for id in fields[5].split(';') {
+            ids.push(num::<u16>(id, "affinity")?);
+        }
+        PoolAffinity::from_ids(ids)
     };
     let task = if fields[6].is_empty() {
         None

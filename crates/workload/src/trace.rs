@@ -65,9 +65,13 @@ impl Trace {
     }
 
     /// Builds a trace from records, sorting them by submission time
-    /// (stable, so same-minute records keep their relative order).
+    /// (stable, so same-minute records keep their relative order) unless
+    /// they already are, as generated weeks are: the sort's scratch buffer
+    /// can be as large as the trace.
     pub fn from_records(mut records: Vec<TraceRecord>) -> Self {
-        records.sort_by_key(|r| r.submit_minute);
+        if !records.is_sorted_by_key(|r| r.submit_minute) {
+            records.sort_by_key(|r| r.submit_minute);
+        }
         Trace { records }
     }
 

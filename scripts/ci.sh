@@ -202,6 +202,12 @@ cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- \
   --workload all --seconds 2 > "$tmpdir/perfbench.out" \
   || { cat "$tmpdir/perfbench.out"; exit 1; }
 grep '^digest ' "$tmpdir/perfbench.out"
+# Behaviour gate: perfbench's digest lines (counters, Table rows, prom and
+# span hashes) at seeds 20101108 and 7 must equal the committed fixture
+# byte for byte. A change meant to alter what is simulated regenerates it
+# with `UPDATE_GOLDEN=1 scripts/perfbench_digests.sh`.
+echo "==> perfbench digests match tests/golden/perfbench_digests.txt"
+scripts/perfbench_digests.sh
 
 # Perf budgets that do not depend on timing: allocations per event on
 # two normal-load cells at scale 0.02 stay under a fixed ceiling, as do
