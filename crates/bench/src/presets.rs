@@ -1307,10 +1307,13 @@ pub fn calibrate(ctx: &Ctx) -> Result<Vec<ShapeCheck>, String> {
         let configs = STRATEGIES.map(|s| ctx.config(InitialKind::RoundRobin, s));
         let cells = run_cells(&configs, |config| {
             let t0 = std::time::Instant::now();
-            let output =
-                Simulator::new(&site, trace.to_specs(), config.clone()).run_to_completion();
-            // Diagnostics come from the jobs before `from_output` consumes
-            // the run.
+            // The diagnostics read every job's record, which a run keeps
+            // only under an observer: the invariant checker rides along.
+            let observed = SimConfig {
+                check_invariants: true,
+                ..config.clone()
+            };
+            let output = Simulator::new(&site, trace.to_specs(), observed).run_to_completion();
             let restarted: Vec<_> = output
                 .jobs
                 .iter()

@@ -1,10 +1,11 @@
 //! Perf budgets that do not depend on timing: heap allocations per
 //! processed event on the materialized kernel (two normal-load cells and
 //! the high-load wait path), per generated record of a normal week and
-//! its specs, and per completed job on the streaming kernel, streaming
-//! peak heap staying flat as the horizon grows and
-//! tracking in-flight jobs rather than the pool count, and Telemetry's
-//! heap staying flat as the sampling rate grows.
+//! its specs, and per completed job on the streaming kernel, the serial
+//! kernel's heap per job beyond the caller's specs, streaming peak heap
+//! staying flat as the horizon grows and tracking in-flight jobs rather
+//! than the pool count, and Telemetry's heap staying flat as the
+//! sampling rate grows.
 //!
 //! All of them read process-global counters kept by this file's counting
 //! allocator, so the tests take [`SERIAL`] to keep each other's
@@ -153,6 +154,16 @@ const MAX_GENERATE_ALLOCS_PER_RECORD: f64 = 0.01;
 /// per restricted line it measured 3.49 per line.
 const MAX_CSV_ALLOCS_PER_LINE: f64 = 0.3;
 
+/// Ceiling on the peak heap an unobserved serial run of the scale-0.25
+/// normal week adds to the caller's specs, per job, from
+/// `Simulator::new` to the end of `run_to_completion`: a per-id slot
+/// (4 bytes) plus the records of the jobs in flight at once and the
+/// cluster state. Measured 47.4 bytes per job (2.56 MiB for 56 700
+/// jobs under ResSusWaitUtil); the ceiling is that figure × 1.5. It
+/// measured 225.0 when `Simulator::new` built every job's 216-byte
+/// record up front.
+const MAX_SERIAL_PEAK_BYTES_PER_JOB: f64 = 47.4 * 1.5;
+
 /// Heap allocations per processed event of one materialized week at
 /// `scale` under `strategy` with the round-robin initial scheduler.
 fn allocations_per_event(load: Load, scale: f64, strategy: StrategyKind) -> f64 {
@@ -272,6 +283,37 @@ fn reading_a_trace_csv_allocates_per_pool_set_not_per_line() {
          {MAX_CSV_ALLOCS_PER_LINE} ({restricted} of {} lines list pools) — a line buffer \
          or field list is allocated per line again",
         back.len()
+    );
+}
+
+/// An unobserved serial run keeps a job's record only while the job is
+/// in flight: see [`MAX_SERIAL_PEAK_BYTES_PER_JOB`].
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "debug assertions allocate on the hot path; run with --release"
+)]
+fn serial_peak_heap_per_job_tracks_in_flight_jobs() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let (site, trace) = build_scenario(Load::Normal, 0.25);
+    let specs = trace.to_specs();
+    let jobs = specs.len();
+    let config = SimConfig::new(InitialKind::RoundRobin, StrategyKind::ResSusWaitUtil);
+    let baseline = LIVE_BYTES.load(Ordering::Relaxed);
+    PEAK_BYTES.store(baseline, Ordering::Relaxed);
+    let out = Simulator::new(&site, specs, config).run_to_completion();
+    let peak = PEAK_BYTES.load(Ordering::Relaxed).saturating_sub(baseline);
+    assert_eq!(out.counters.completed, jobs as u64);
+    let per_job = peak as f64 / jobs as f64;
+    println!(
+        "peak heap beyond the specs {:.2} MiB over {jobs} jobs = {per_job:.1} bytes/job",
+        peak as f64 / MIB
+    );
+    assert!(
+        per_job <= MAX_SERIAL_PEAK_BYTES_PER_JOB,
+        "serial peak heap per job regressed: {per_job:.1} bytes vs ceiling \
+         {MAX_SERIAL_PEAK_BYTES_PER_JOB:.1} — records of finished or unsubmitted jobs \
+         are kept again"
     );
 }
 

@@ -5,12 +5,13 @@
 //! of the paper's Tables 1–5 (Suspend rate, AvgCT over suspended/all jobs,
 //! AvgST, AvgWCT) plus the series behind Figures 2–4.
 
+use netbatch_cluster::ids::JobId;
+use netbatch_cluster::job::JobRecord;
 use netbatch_metrics::cdf::Cdf;
-use netbatch_metrics::summary::OnlineStats;
 use netbatch_metrics::table::{fmt_minutes, fmt_percent, Table};
 use netbatch_metrics::timeseries::TimeSeries;
 use netbatch_metrics::waste::WasteBreakdown;
-use netbatch_sim_engine::time::SimTime;
+use netbatch_sim_engine::time::{SimDuration, SimTime};
 use netbatch_workload::scenarios::SiteSpec;
 use netbatch_workload::trace::Trace;
 
@@ -47,8 +48,75 @@ impl Experiment {
     }
 }
 
+/// Exact whole-minute totals over a run's submitted jobs: what every
+/// Table metric is computed from. Each job is folded in once, when its
+/// record leaves the kernel's job table; duplicate (shadow) copies are
+/// never folded. Totals merge by addition, so shards of a streaming run
+/// add up to the same totals in any order.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct JobTotals {
+    /// Jobs folded, whether or not they completed.
+    pub jobs: u64,
+    /// Jobs that completed: the population of the averages.
+    pub completed: u64,
+    /// Σ completion time over completed jobs, minutes.
+    pub ct: u64,
+    /// Σ wait time over completed jobs, minutes.
+    pub wait: u64,
+    /// Σ suspend time over completed jobs, minutes.
+    pub suspend: u64,
+    /// Σ rescheduling waste over completed jobs, minutes.
+    pub resched: u64,
+    /// Completed jobs suspended at least once.
+    pub suspended: u64,
+    /// Σ completion time over the suspended jobs, minutes.
+    pub ct_suspended: u64,
+    /// Σ suspend time over the suspended jobs, minutes.
+    pub st_suspended: u64,
+    /// Each suspended job's suspend time in minutes, in job-id order
+    /// once the run has finished.
+    pub suspend_times: Vec<(JobId, u64)>,
+}
+
+impl JobTotals {
+    /// Folds one job's final record in. A job that never completed counts
+    /// towards `jobs` only.
+    pub fn add(&mut self, job: &JobRecord) {
+        self.jobs += 1;
+        let Some(ct) = job.completion_time() else {
+            return;
+        };
+        let (ct, st) = (ct.as_minutes(), job.suspend_time().as_minutes());
+        self.completed += 1;
+        self.ct += ct;
+        self.wait += job.wait_time().as_minutes();
+        self.suspend += st;
+        self.resched += job.resched_waste().as_minutes();
+        if job.was_suspended() {
+            self.suspended += 1;
+            self.ct_suspended += ct;
+            self.st_suspended += st;
+            self.suspend_times.push((job.id(), st));
+        }
+    }
+
+    /// Adds another part of the same run's totals (a streaming shard's).
+    pub fn merge(&mut self, other: JobTotals) {
+        self.jobs += other.jobs;
+        self.completed += other.completed;
+        self.ct += other.ct;
+        self.wait += other.wait;
+        self.suspend += other.suspend;
+        self.resched += other.resched;
+        self.suspended += other.suspended;
+        self.ct_suspended += other.ct_suspended;
+        self.st_suspended += other.st_suspended;
+        self.suspend_times.extend(other.suspend_times);
+    }
+}
+
 /// The paper's metrics for one (initial scheduler, strategy) cell.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentResult {
     /// Initial scheduler used.
     pub initial: InitialKind,
@@ -89,45 +157,34 @@ pub struct ExperimentResult {
 }
 
 impl ExperimentResult {
-    /// Computes the metrics from a finished run.
+    /// Computes the metrics from a finished run's [`JobTotals`]. Means
+    /// are taken here, as exact sums over counts.
     pub fn from_output(initial: InitialKind, strategy: StrategyKind, output: SimOutput) -> Self {
-        let mut ct_suspended = OnlineStats::new();
-        let mut ct_all = OnlineStats::new();
-        let mut st = OnlineStats::new();
-        let mut wait_all = OnlineStats::new();
-        let mut waste = WasteBreakdown::new();
-        let mut suspension_times = Vec::new();
-        let mut suspended_jobs = 0u64;
-        for job in &output.jobs {
-            let Some(ct) = job.completion_time() else {
-                continue; // unrunnable jobs are excluded from averages
-            };
-            ct_all.push(ct.as_minutes_f64());
-            wait_all.push(job.wait_time().as_minutes_f64());
-            waste.add_job(job.wait_time(), job.suspend_time(), job.resched_waste());
-            if job.was_suspended() {
-                suspended_jobs += 1;
-                ct_suspended.push(ct.as_minutes_f64());
-                st.push(job.suspend_time().as_minutes_f64());
-                suspension_times.push(job.suspend_time().as_minutes_f64());
+        let t = &output.totals;
+        let mean = |sum: u64, count: u64| {
+            if count == 0 {
+                0.0
+            } else {
+                sum as f64 / count as f64
             }
-        }
-        let total_jobs = output.jobs.len() as u64;
+        };
+        let minutes = SimDuration::from_minutes;
         ExperimentResult {
             initial,
             strategy,
-            total_jobs,
-            suspend_rate: if total_jobs == 0 {
-                0.0
-            } else {
-                suspended_jobs as f64 / total_jobs as f64
+            total_jobs: t.jobs,
+            suspend_rate: mean(t.suspended, t.jobs),
+            avg_ct_suspended: mean(t.ct_suspended, t.suspended),
+            avg_ct_all: mean(t.ct, t.completed),
+            avg_st: mean(t.st_suspended, t.suspended),
+            waste: WasteBreakdown {
+                wait: minutes(t.wait),
+                suspend: minutes(t.suspend),
+                resched: minutes(t.resched),
+                jobs: t.completed,
             },
-            avg_ct_suspended: ct_suspended.mean(),
-            avg_ct_all: ct_all.mean(),
-            avg_st: st.mean(),
-            waste,
-            avg_wait_all: wait_all.mean(),
-            suspension_times,
+            avg_wait_all: mean(t.wait, t.completed),
+            suspension_times: t.suspend_times.iter().map(|&(_, m)| m as f64).collect(),
             counters: output.counters,
             end_time: output.end_time,
             suspended_series: output.suspended_series,

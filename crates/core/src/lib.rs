@@ -33,6 +33,7 @@
 
 pub mod experiment;
 pub mod faults;
+mod job_table;
 pub mod observer;
 pub mod policy;
 mod pool_step;
@@ -41,7 +42,9 @@ pub mod simulator;
 mod streaming;
 pub mod telemetry;
 
-pub use experiment::{render_results_table, Experiment, ExperimentResult, PAPER_TABLE_HEADER};
+pub use experiment::{
+    render_results_table, Experiment, ExperimentResult, JobTotals, PAPER_TABLE_HEADER,
+};
 pub use faults::{FaultModel, FaultPlan, MachineOutage, ResiliencePolicy};
 pub use observer::{
     AuditTrigger, AuditVerdict, InvariantChecker, ObsCtx, ObsEvent, PhaseTag, ReschedKind,

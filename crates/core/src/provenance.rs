@@ -1,6 +1,6 @@
 //! Causal provenance: per-job span trees with typed causes, a decision
-//! audit log, Chrome `trace_event` (Perfetto) export and a kernel
-//! self-profiler.
+//! audit log, queries over the rendered spans JSONL ([`SpansFile`]),
+//! Chrome `trace_event` (Perfetto) export and a kernel self-profiler.
 //!
 //! The paper's evaluation reports aggregates (Table 1, Figure 4); this
 //! layer answers the per-job question those aggregates hide — *why* did
@@ -20,6 +20,7 @@
 use std::fmt::{self, Write as _};
 
 use netbatch_cluster::ids::{JobId, MachineId, PoolId};
+use netbatch_metrics::json::{self, Value};
 use netbatch_sim_engine::hash::IntMap;
 use netbatch_sim_engine::time::SimTime;
 
@@ -770,7 +771,7 @@ impl SimObserver for SpanRecorder {
 /// neither that nor null, or whose `pool` is neither null nor a pool id
 /// (`0..=65535`) is rejected, and strings are escaped on the way out.
 pub fn perfetto_from_jsonl(input: &str) -> Result<String, String> {
-    use netbatch_metrics::json::{render_string, Value};
+    use netbatch_metrics::json::render_string;
     let mut events = String::new();
     let mut tracks: std::collections::BTreeSet<(u64, u64)> = std::collections::BTreeSet::new();
     let mut n = 0u64;
@@ -778,8 +779,7 @@ pub fn perfetto_from_jsonl(input: &str) -> Result<String, String> {
         if line.is_empty() {
             continue;
         }
-        let v =
-            netbatch_metrics::json::parse(line).map_err(|e| format!("line {}: {e}", lineno + 1))?;
+        let v = json::parse(line).map_err(|e| format!("line {}: {e}", lineno + 1))?;
         if v.get("kind").and_then(Value::as_str) != Some("span") {
             continue;
         }
@@ -865,6 +865,264 @@ pub fn perfetto_from_jsonl(input: &str) -> Result<String, String> {
     Ok(format!(
         "{{\"displayTimeUnit\":\"ms\",\"traceEvents\":[{meta}{sep}{events}]}}"
     ))
+}
+
+// ---------------------------------------------------------------------
+// Spans JSONL queries (`netbatch trace`)
+// ---------------------------------------------------------------------
+
+/// One parsed spans JSONL file (the [`SpanRecorder::render_jsonl`]
+/// format): the header, then the decision-audit and span lines in file
+/// order.
+#[derive(Debug)]
+pub struct SpansFile {
+    /// The `netbatch-spans/1` header line.
+    pub header: Value,
+    /// Decision-audit lines (`"kind":"decision"`).
+    pub decisions: Vec<Value>,
+    /// Span lines (`"kind":"span"`).
+    pub spans: Vec<Value>,
+}
+
+/// Which spans `netbatch trace` shows: every filter that is set must
+/// match.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct SpanQuery {
+    /// Only this job's spans.
+    pub job: Option<u64>,
+    /// Only spans in this pool.
+    pub pool: Option<u64>,
+    /// Only spans whose cause has this type (`policy`, `fault`, ...).
+    pub cause: Option<String>,
+    /// This job's spans plus its decision audit; overrides `job`.
+    pub why: Option<u64>,
+}
+
+impl SpanQuery {
+    /// True when the query selects nothing beyond the whole file.
+    pub fn is_empty(&self) -> bool {
+        self == &SpanQuery::default()
+    }
+}
+
+impl SpansFile {
+    /// Parses a spans file; `name` labels errors (`name:line: ...`).
+    /// Hostile input gives an error, never a panic.
+    pub fn parse(name: &str, text: &str) -> Result<SpansFile, String> {
+        let mut header = None;
+        let mut decisions = Vec::new();
+        let mut spans = Vec::new();
+        for (i, line) in text.lines().enumerate() {
+            if line.trim().is_empty() {
+                continue;
+            }
+            let v = json::parse(line).map_err(|e| format!("{name}:{}: {e}", i + 1))?;
+            match v.get("kind").and_then(Value::as_str) {
+                Some("span") => spans.push(v),
+                Some("decision") => decisions.push(v),
+                _ if header.is_none() && v.get("schema").is_some() => header = Some(v),
+                _ => return Err(format!("{name}:{}: unrecognized line", i + 1)),
+            }
+        }
+        let header = header.ok_or_else(|| format!("{name}: missing netbatch-spans header line"))?;
+        let schema = header.get("schema").and_then(Value::as_str).unwrap_or("");
+        if schema != "netbatch-spans/1" {
+            return Err(format!(
+                "{name}: unsupported schema `{schema}` (expected netbatch-spans/1)"
+            ));
+        }
+        Ok(SpansFile {
+            header,
+            decisions,
+            spans,
+        })
+    }
+
+    /// The spans `query` selects, in file order.
+    pub fn select(&self, query: &SpanQuery) -> Vec<&Value> {
+        let job = query.why.or(query.job);
+        self.spans
+            .iter()
+            .filter(|s| job.is_none_or(|j| field_u64(s, "job") == Some(j)))
+            .filter(|s| query.pool.is_none_or(|p| field_u64(s, "pool") == Some(p)))
+            .filter(|s| {
+                query.cause.as_deref().is_none_or(|c| {
+                    s.get("cause")
+                        .and_then(|v| v.get("type"))
+                        .and_then(Value::as_str)
+                        == Some(c)
+                })
+            })
+            .collect()
+    }
+
+    /// The decision audit of `job`: every policy or evacuation decision
+    /// about it, plus the fault outages that `selected` (its spans) cite.
+    pub fn decisions_behind(&self, job: u64, selected: &[&Value]) -> Vec<&Value> {
+        let outages: Vec<u64> = selected
+            .iter()
+            .filter_map(|s| s.get("cause"))
+            .filter(|c| c.get("type").and_then(Value::as_str) == Some("fault"))
+            .filter_map(|c| field_u64(c, "outage"))
+            .collect();
+        self.decisions
+            .iter()
+            .filter(|d| match d.get("type").and_then(Value::as_str) {
+                Some("fault") => field_u64(d, "outage").is_some_and(|o| outages.contains(&o)),
+                _ => field_u64(d, "job") == Some(job),
+            })
+            .collect()
+    }
+
+    /// The answer to `query` as `netbatch trace` prints it: a summary of
+    /// the header, each selected job's causal chain and, for `why`, the
+    /// decision audit with the exact inputs behind each decision.
+    pub fn render(&self, query: &SpanQuery) -> String {
+        let header = &self.header;
+        let text = |k: &str| header.get(k).and_then(Value::as_str).unwrap_or("?");
+        let count = |k: &str| field_u64(header, k).unwrap_or(0);
+        let mut out = format!(
+            "{} | {} | {} initial | {} jobs, {} spans, {} decisions\n",
+            text("schema"),
+            text("strategy"),
+            text("initial"),
+            count("jobs"),
+            count("spans"),
+            count("decisions"),
+        );
+        let selected = self.select(query);
+        if selected.is_empty() {
+            out.push_str("no spans match the query\n");
+            return out;
+        }
+        let mut current_job = None;
+        for span in &selected {
+            let id = field_u64(span, "job");
+            if current_job != id {
+                current_job = id;
+                let _ = writeln!(out, "job {}:", id.unwrap_or(0));
+            }
+            let _ = writeln!(out, "{}", format_span(span));
+        }
+        if let Some(j) = query.why {
+            let _ = writeln!(out, "why job {j}:");
+            let relevant = self.decisions_behind(j, &selected);
+            if relevant.is_empty() {
+                out.push_str("  no recorded decisions — every transition was mechanical\n");
+            }
+            for d in relevant {
+                let _ = writeln!(out, "{}", format_decision(d));
+            }
+        }
+        out
+    }
+}
+
+fn field_u64(v: &Value, key: &str) -> Option<u64> {
+    v.get(key).and_then(Value::as_u64)
+}
+
+/// Renders a span's cause object as a one-line human-readable clause.
+pub fn describe_cause(c: &Value) -> String {
+    let kind = c.get("type").and_then(Value::as_str).unwrap_or("?");
+    match kind {
+        "dispatched" => match c.get("from_queue").and_then(Value::as_bool) {
+            Some(true) => "dispatched from queue".into(),
+            _ => "dispatched on submit".into(),
+        },
+        "policy" => {
+            let trigger = c.get("trigger").and_then(Value::as_str).unwrap_or("?");
+            let verdict = c.get("verdict").and_then(Value::as_str).unwrap_or("?");
+            let target = match field_u64(c, "target") {
+                Some(p) => format!(" to pool {p}"),
+                None => String::new(),
+            };
+            format!(
+                "policy {trigger} -> {verdict}{target} ({} candidates, util {:.1}% -> {:.1}%, \
+                 queue {} -> {})",
+                field_u64(c, "candidates").unwrap_or(0),
+                field_u64(c, "cur_util_milli").unwrap_or(0) as f64 / 10.0,
+                field_u64(c, "tgt_util_milli").unwrap_or(0) as f64 / 10.0,
+                field_u64(c, "cur_queue").unwrap_or(0),
+                field_u64(c, "tgt_queue").unwrap_or(0),
+            )
+        }
+        "fault" => {
+            let blacklist = match field_u64(c, "blacklisted_until") {
+                Some(t) => format!(", pool blacklisted until t={t}"),
+                None => String::new(),
+            };
+            format!(
+                "fault outage #{}{blacklist}",
+                field_u64(c, "outage").unwrap_or(0)
+            )
+        }
+        "evacuation" => format!(
+            "evacuation window #{}, kill deadline t={}",
+            field_u64(c, "window").unwrap_or(0),
+            field_u64(c, "deadline").unwrap_or(0),
+        ),
+        "retry" => format!("retry attempt {}", field_u64(c, "attempt").unwrap_or(0)),
+        other => other.into(),
+    }
+}
+
+/// Renders one span line of a causal chain.
+pub fn format_span(v: &Value) -> String {
+    let end = match field_u64(v, "end") {
+        Some(t) => t.to_string(),
+        None => "open".into(),
+    };
+    let mut location = match field_u64(v, "pool") {
+        Some(p) => format!("pool {p}"),
+        None => String::new(),
+    };
+    if let Some(m) = field_u64(v, "machine") {
+        location = format!("{location} machine {m}");
+    }
+    let cause = v
+        .get("cause")
+        .map(describe_cause)
+        .unwrap_or_else(|| "?".into());
+    format!(
+        "  [{:>6} .. {end:>6}] {:<10} {location:<20} <- {cause}",
+        field_u64(v, "start").unwrap_or(0),
+        v.get("phase").and_then(Value::as_str).unwrap_or("?"),
+    )
+}
+
+/// Renders one decision-audit line for `netbatch trace --why`.
+pub fn format_decision(v: &Value) -> String {
+    let t = field_u64(v, "t").unwrap_or(0);
+    match v.get("type").and_then(Value::as_str).unwrap_or("?") {
+        "policy" => format!(
+            "  t={t} {}",
+            describe_cause(v) // policy decisions carry the same fields as policy causes
+        ),
+        "evac" => format!(
+            "  t={t} evacuation of job {} off pool {} machine {}: window #{}, {} min \
+             remaining, kill deadline t={}",
+            field_u64(v, "job").unwrap_or(0),
+            field_u64(v, "pool").unwrap_or(0),
+            field_u64(v, "machine").unwrap_or(0),
+            field_u64(v, "window").unwrap_or(0),
+            field_u64(v, "remaining").unwrap_or(0),
+            field_u64(v, "deadline").unwrap_or(0),
+        ),
+        "fault" => {
+            let blacklist = match field_u64(v, "blacklisted_until") {
+                Some(until) => format!(", pool blacklisted until t={until}"),
+                None => String::new(),
+            };
+            format!(
+                "  t={t} fault outage #{} downed pool {} machine {}{blacklist}",
+                field_u64(v, "outage").unwrap_or(0),
+                field_u64(v, "pool").unwrap_or(0),
+                field_u64(v, "machine").unwrap_or(0),
+            )
+        }
+        other => format!("  t={t} {other}"),
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -1575,6 +1833,153 @@ mod tests {
                     "invalid JSON from {input:?}"
                 );
             }
+        }
+    }
+
+    /// A valid spans file: a header, one decision of each type and a span
+    /// of each cause type.
+    const SPANS_FILE: &str = concat!(
+        "{\"schema\":\"netbatch-spans/1\",\"strategy\":\"ResSusWaitUtil\",",
+        "\"initial\":\"round_robin\",\"jobs\":2,\"spans\":4,\"decisions\":3}\n",
+        "{\"kind\":\"decision\",\"type\":\"policy\",\"t\":40,\"job\":1,\"trigger\":\"suspend\",",
+        "\"verdict\":\"restart\",\"target\":2,\"candidates\":3,\"cur_util_milli\":913,",
+        "\"tgt_util_milli\":252,\"cur_queue\":7,\"tgt_queue\":0}\n",
+        "{\"kind\":\"decision\",\"type\":\"evac\",\"t\":50,\"job\":1,\"pool\":2,\"machine\":0,",
+        "\"window\":4,\"remaining\":30,\"deadline\":90}\n",
+        "{\"kind\":\"decision\",\"type\":\"fault\",\"t\":60,\"pool\":0,\"machine\":1,",
+        "\"outage\":5,\"blacklisted_until\":120}\n",
+        "{\"kind\":\"span\",\"job\":0,\"seq\":0,\"phase\":\"running\",\"start\":0,\"end\":60,",
+        "\"pool\":0,\"machine\":1,\"cause\":{\"type\":\"dispatched\",\"from_queue\":true}}\n",
+        "{\"kind\":\"span\",\"job\":0,\"seq\":1,\"phase\":\"backoff\",\"start\":60,\"end\":null,",
+        "\"pool\":null,\"machine\":null,\"cause\":{\"type\":\"fault\",\"outage\":5}}\n",
+        "{\"kind\":\"span\",\"job\":1,\"seq\":0,\"phase\":\"running\",\"start\":40,\"end\":50,",
+        "\"pool\":2,\"machine\":0,\"cause\":{\"type\":\"policy\",\"trigger\":\"suspend\"}}\n",
+        "{\"kind\":\"span\",\"job\":1,\"seq\":1,\"phase\":\"queue_wait\",\"start\":50,\"end\":70,",
+        "\"pool\":1,\"machine\":null,\"cause\":{\"type\":\"evacuation\",\"window\":4}}\n",
+    );
+
+    /// Characters a corrupted spans line is built from: JSON structure,
+    /// digits, signs, escapes, letters of the keys and a multi-byte one.
+    const HOSTILE_CHARS: [char; 18] = [
+        '{', '}', '[', ']', '"', ':', ',', '0', '9', '-', '.', 'e', '\\', 'n', 'u', 't', ' ',
+        '\u{e9}',
+    ];
+
+    /// Runs every query and formatter a spans file offers over `text`.
+    fn query_everything(text: &str) {
+        let _ = perfetto_from_jsonl(text);
+        for line in text.lines() {
+            if let Ok(v) = json::parse(line) {
+                let _ = (describe_cause(&v), format_span(&v), format_decision(&v));
+                if let Some(cause) = v.get("cause") {
+                    let _ = describe_cause(cause);
+                }
+            }
+        }
+        let Ok(file) = SpansFile::parse("hostile", text) else {
+            return;
+        };
+        let cause = |c: &str| Some(c.to_string());
+        for query in [
+            SpanQuery::default(),
+            SpanQuery {
+                job: Some(0),
+                ..SpanQuery::default()
+            },
+            SpanQuery {
+                pool: Some(2),
+                ..SpanQuery::default()
+            },
+            SpanQuery {
+                cause: cause("fault"),
+                ..SpanQuery::default()
+            },
+            SpanQuery {
+                why: Some(1),
+                ..SpanQuery::default()
+            },
+            SpanQuery {
+                why: Some(0),
+                pool: Some(0),
+                cause: cause("dispatched"),
+                job: None,
+            },
+        ] {
+            let text = file.render(&query);
+            assert!(text.starts_with(file.render(&SpanQuery::default()).lines().next().unwrap()));
+        }
+    }
+
+    #[test]
+    fn spans_queries_answer_a_valid_file() {
+        let file = SpansFile::parse("t", SPANS_FILE).unwrap();
+        assert_eq!((file.spans.len(), file.decisions.len()), (4, 3));
+        let why = file.render(&SpanQuery {
+            why: Some(0),
+            ..SpanQuery::default()
+        });
+        assert_eq!(
+            why,
+            "netbatch-spans/1 | ResSusWaitUtil | round_robin initial | 2 jobs, 4 spans, 3 decisions\n\
+             job 0:\n\
+             \x20 [     0 ..     60] running    pool 0 machine 1     <- dispatched from queue\n\
+             \x20 [    60 ..   open] backoff                         <- fault outage #5\n\
+             why job 0:\n\
+             \x20 t=60 fault outage #5 downed pool 0 machine 1, pool blacklisted until t=120\n"
+        );
+        let pool = file.render(&SpanQuery {
+            pool: Some(7),
+            ..SpanQuery::default()
+        });
+        assert!(pool.ends_with("\nno spans match the query\n"), "{pool}");
+        let job1 = file.render(&SpanQuery {
+            why: Some(1),
+            ..SpanQuery::default()
+        });
+        assert!(
+            job1.contains("policy suspend -> restart to pool 2 (3 candidates"),
+            "{job1}"
+        );
+        assert!(
+            job1.contains("evacuation of job 1 off pool 2 machine 0"),
+            "{job1}"
+        );
+        query_everything(SPANS_FILE);
+    }
+
+    proptest::proptest! {
+        /// Arbitrary lines, and lines of a valid spans file with
+        /// characters inserted, replaced or deleted, give the parser, every
+        /// query and every formatter an `Err` or output, never a panic.
+        #[test]
+        fn prop_spans_queries_never_panic_on_hostile_jsonl(
+            lines in proptest::collection::vec(hostile_line(), 0..6),
+            edits in proptest::collection::vec(
+                (0usize..16, 0usize..256, 0u8..3, 0..HOSTILE_CHARS.len()),
+                0..8,
+            ),
+        ) {
+            let mut file: Vec<Vec<char>> =
+                SPANS_FILE.lines().map(|l| l.chars().collect()).collect();
+            for (line, at, op, c) in edits {
+                let line = &mut file[line % SPANS_FILE.lines().count()];
+                let at = at % (line.len() + 1);
+                let c = HOSTILE_CHARS[c];
+                match op {
+                    0 => line.insert(at, c),
+                    1 if at < line.len() => line[at] = c,
+                    _ if at < line.len() => {
+                        line.remove(at);
+                    }
+                    _ => {}
+                }
+            }
+            let mutated: Vec<String> = file.into_iter().map(String::from_iter).collect();
+            query_everything(&mutated.join("\n"));
+            query_everything(&lines.join("\n"));
+            // Behind a valid header the hostile lines reach the queries.
+            let header = SPANS_FILE.lines().next().unwrap();
+            query_everything(&format!("{header}\n{}", lines.join("\n")));
         }
     }
 

@@ -24,9 +24,11 @@ use netbatch_sim_engine::sampler::PeriodicSampler;
 use netbatch_sim_engine::time::{SimDuration, SimTime};
 use netbatch_workload::scenarios::SiteSpec;
 
+use crate::experiment::JobTotals;
 use crate::faults::{
     FaultModel, FaultPlan, LifecycleModel, LifecyclePlan, LifecycleWindow, ResiliencePolicy,
 };
+use crate::job_table::JobTable;
 use crate::observer::{
     AuditTrigger, AuditVerdict, InvariantChecker, ObsCtx, ObsEvent, PhaseTag, ReschedKind,
     SimObserver,
@@ -467,11 +469,17 @@ impl Scratch {
 }
 
 /// The simulator itself. Construct with [`Simulator::new`], run with
-/// [`Simulator::run_to_completion`], then read results through
-/// [`Simulator::jobs`], [`Simulator::counters`] and the sampled series.
+/// [`Simulator::run_to_completion`] or [`Simulator::run_streaming`], then
+/// read results from the [`SimOutput`].
 pub struct Simulator {
     pub(crate) pools: Vec<PhysicalPool>,
-    pub(crate) jobs: Vec<JobRecord>,
+    // The caller's specs until the run starts, then the job records: all
+    // of them by id when observed, only the in-flight ones otherwise.
+    pub(crate) jobs: JobTable,
+    // Exact totals of the jobs whose records have been retired.
+    pub(crate) totals: JobTotals,
+    // The id the next duplicate copy gets.
+    next_id: u64,
     pub(crate) initial: Box<dyn InitialScheduler>,
     pub(crate) policy: Box<dyn ReschedPolicy>,
     policy_rng: DetRng,
@@ -489,14 +497,15 @@ pub struct Simulator {
     // Reusable hot-path buffers (see `Scratch`).
     scratch: Scratch,
     // The serial run's submission stream: job indices stably sorted by
-    // submit time, and a cursor into them. The executor merges it with
-    // its queue (`Handler::peek_arrival`), so submissions are never queued.
+    // submit time (empty when the ids already are in that order), and a
+    // cursor into them. The executor merges it with its queue
+    // (`Handler::peek_arrival`), so submissions are never queued.
     arrivals: Vec<u32>,
     next_arrival: usize,
     // Progress.
     pub(crate) total_jobs: u64,
     pub(crate) counters: RunCounters,
-    // Failure-driven retry attempts per job (hardened runs only).
+    // Failure-driven retry attempts per job (empty unless hardened).
     fault_retries: Vec<u32>,
     // Per-pool blacklisted-until instant (SimTime::ZERO = never failed).
     blacklist: Vec<SimTime>,
@@ -533,7 +542,7 @@ impl std::fmt::Debug for Simulator {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Simulator")
             .field("pools", &self.pools.len())
-            .field("jobs", &self.jobs.len())
+            .field("jobs", &self.total_jobs)
             .field("strategy", &self.policy.name())
             .field("initial", &self.initial.name())
             .field("completed", &self.counters.completed)
@@ -591,7 +600,11 @@ impl Simulator {
         }
         let total_jobs = specs.len() as u64;
         let policy_rng = DetRng::from_seed_u64(config.seed).stream("policy");
-        let fault_retries = vec![0; specs.len()];
+        let fault_retries = if config.resilience.enabled {
+            vec![0; specs.len()]
+        } else {
+            Vec::new()
+        };
         let blacklist = vec![SimTime::ZERO; pools.len()];
         let vpm_assignment = match config.topology.as_ref() {
             Some(topo) => specs
@@ -621,7 +634,9 @@ impl Simulator {
             .map(|interval| PeriodicSampler::new(SimTime::ZERO, interval));
         Simulator {
             pools,
-            jobs: specs.into_iter().map(JobRecord::new).collect(),
+            jobs: JobTable::new(specs),
+            totals: JobTotals::default(),
+            next_id: total_jobs,
             fault_retries,
             blacklist,
             gave_up: IntSet::default(),
@@ -668,7 +683,7 @@ impl Simulator {
         }
         let ctx = ObsCtx {
             pools: &self.pools,
-            jobs: &self.jobs,
+            jobs: self.jobs.observed(),
             shadows: &self.shadows,
         };
         for obs in &mut self.observers {
@@ -695,14 +710,23 @@ impl Simulator {
     }
 
     /// Runs the whole trace on the serial executor until every job
-    /// completes (the paper's run discipline). Returns the run counters.
+    /// completes (the paper's run discipline).
+    ///
+    /// [`SimOutput::jobs`] holds every job's record only when an observer
+    /// is attached: otherwise a record exists only while its job is in
+    /// flight, and the Table metrics come from [`SimOutput::totals`].
     pub fn run_to_completion(mut self) -> SimOutput {
         // Submissions arrive from the jobs themselves, in submit-time
         // order; the stable sort keeps job-index order within a minute.
-        let n = u32::try_from(self.jobs.len()).expect("fewer than 2^32 jobs");
-        let mut arrivals: Vec<u32> = (0..n).collect();
-        arrivals.sort_by_key(|&j| self.jobs[j as usize].spec().submit_time);
-        self.arrivals = arrivals;
+        // Generated traces already are in that order and need no index.
+        let specs = self.jobs.specs();
+        if !specs.is_sorted_by_key(|s| s.submit_time) {
+            let n = u32::try_from(specs.len()).expect("fewer than 2^32 jobs");
+            let mut arrivals: Vec<u32> = (0..n).collect();
+            arrivals.sort_by_key(|&j| specs[j as usize].submit_time);
+            self.arrivals = arrivals;
+        }
+        self.jobs.open(!self.observers.is_empty());
         self.fault_plan = self.build_fault_plan();
         // Pre-size the queue for what it holds at once: a completion per
         // busy core at most, plus the seeded plan events. The
@@ -736,7 +760,7 @@ impl Simulator {
     ///
     /// [`SimOutput::jobs`] is populated only when at least one observer
     /// is attached (retaining records would defeat flat memory);
-    /// counters, series and pool stats are always complete.
+    /// totals, counters, series and pool stats are always complete.
     ///
     /// # Panics
     ///
@@ -807,8 +831,8 @@ impl Simulator {
     }
 
     /// Final bookkeeping shared by both kernels: records the event count,
-    /// runs `on_run_end`, filters shadow copies out of the reported
-    /// population and assembles the [`SimOutput`].
+    /// runs `on_run_end`, drains the job table into the totals (shadow
+    /// copies are dropped, not folded) and assembles the [`SimOutput`].
     pub(crate) fn finish_run(mut self, end_time: SimTime, events_processed: u64) -> SimOutput {
         self.counters.events = events_processed;
         // Preemption is the pools' to count: every suspension either kernel
@@ -818,7 +842,7 @@ impl Simulator {
         if !self.observers.is_empty() {
             let ctx = ObsCtx {
                 pools: &self.pools,
-                jobs: &self.jobs,
+                jobs: self.jobs.observed(),
                 shadows: &self.shadows,
             };
             for obs in &mut self.observers {
@@ -827,14 +851,27 @@ impl Simulator {
         }
         // Duplicate (shadow) copies are bookkeeping, not submitted jobs:
         // drop them from the reported population. Only duplicating runs
-        // have any, so every other run hands its records over as they are.
-        let mut jobs = self.jobs;
+        // have any. Records still in the table never retired: a dense
+        // table holds every job, an in-flight one the jobs that never
+        // finished, which count as jobs but not in the averages.
+        let dense = self.jobs.is_dense();
+        let mut jobs = self.jobs.into_records();
         if !self.shadows.is_empty() {
             jobs.retain(|j| !self.shadows.contains(&j.id()));
         }
+        for job in &jobs {
+            self.totals.add(job);
+        }
+        if !dense {
+            jobs = Vec::new();
+        }
+        self.totals
+            .suspend_times
+            .sort_unstable_by_key(|&(id, _)| id);
         let pool_stats = self.pools.iter().map(|p| (p.id(), p.stats())).collect();
         SimOutput {
             jobs,
+            totals: self.totals,
             counters: self.counters,
             pool_stats,
             end_time,
@@ -954,7 +991,7 @@ impl Simulator {
     /// Routes a job through the virtual pool manager to its initial
     /// candidates.
     fn route_via_vpm(&mut self, job: JobId, now: SimTime, sched: &mut Scheduler<'_, Ev>) {
-        let spec = self.jobs[job.as_usize()].spec().clone();
+        let spec = self.jobs[job].spec().clone();
         let mut candidates = self.scratch.take_pool_list();
         self.initial_candidates_into(&spec, &mut candidates);
         self.route_in_order(&spec, &candidates, now, sched);
@@ -1036,7 +1073,7 @@ impl Simulator {
     /// Books a waiting job's next wait check at `at`, unless its waiting
     /// stint has used up its re-arm budget.
     fn arm_wait_timer(&mut self, job: JobId, at: SimTime, sched: &mut Scheduler<'_, Ev>) {
-        let rec = &mut self.jobs[job.as_usize()];
+        let rec = &mut self.jobs[job];
         if rec.wait_checks < Self::MAX_WAIT_CHECKS {
             rec.wait_checks += 1;
             rec.wait_timer_event = Some(sched.schedule_at(at, Ev::WaitCheck(job)));
@@ -1083,7 +1120,7 @@ impl Simulator {
         sched: &mut Scheduler<'_, Ev>,
         suspended: &mut Suspended,
     ) {
-        let rec = &self.jobs[job.as_usize()];
+        let rec = &self.jobs[job];
         // The job may already have been resumed (or even completed) by a
         // cascade that ran between its suspension and this decision.
         let machine = match rec.phase() {
@@ -1095,7 +1132,7 @@ impl Simulator {
                 return;
             }
         }
-        let mut spec = self.jobs[job.as_usize()].spec().clone();
+        let mut spec = self.jobs[job].spec().clone();
         let mut candidates = self.scratch.take_pool_list();
         self.eligible_candidates_into(&spec, now, &mut candidates);
         self.refresh_view(now);
@@ -1135,14 +1172,14 @@ impl Simulator {
                 let restart = matches!(decision, Decision::Restart(_));
                 let (kind, discarded) = if restart {
                     let overhead = self.move_overhead(job, target);
-                    let discarded = self.jobs[job.as_usize()].attempt_progress();
-                    self.jobs[job.as_usize()]
+                    let discarded = self.jobs[job].attempt_progress();
+                    self.jobs[job]
                         .abort_for_restart(now, overhead)
                         .expect("suspended jobs can abort");
                     self.counters.restarts_from_suspend += 1;
                     (ReschedKind::RestartFromSuspend, discarded)
                 } else {
-                    let remaining = self.jobs[job.as_usize()]
+                    let remaining = self.jobs[job]
                         .migrate_out(now, self.config.migration.delay)
                         .expect("suspended jobs can migrate");
                     // The migrated copy runs `slowdown` slower (§2.3's 10-20%
@@ -1183,10 +1220,13 @@ impl Simulator {
                 // Only one live duplicate per original, and shadows never
                 // spawn their own duplicates.
                 if !self.dup_of.contains_key(&job) && !self.shadows.contains(&job) {
-                    let clone_id = JobId(self.jobs.len() as u64);
+                    let clone_id = JobId(self.next_id);
+                    self.next_id += 1;
                     spec.id = clone_id;
                     self.jobs.push(JobRecord::new(spec.clone()));
-                    self.fault_retries.push(0);
+                    if self.config.resilience.enabled {
+                        self.fault_retries.push(0);
+                    }
                     if !self.vpm_assignment.is_empty() {
                         let home = self.vpm_assignment[job.as_usize()];
                         self.vpm_assignment.push(home);
@@ -1195,9 +1235,7 @@ impl Simulator {
                     self.dup_of.insert(job, clone_id);
                     self.dup_of.insert(clone_id, job);
                     self.counters.duplicates_launched += 1;
-                    self.jobs[clone_id.as_usize()]
-                        .submit(now)
-                        .expect("fresh clone");
+                    self.jobs[clone_id].submit(now).expect("fresh clone");
                     self.emit(
                         now,
                         ObsEvent::DuplicateLaunched {
@@ -1222,25 +1260,43 @@ impl Simulator {
             self.counters.completed += 1;
         }
         self.decide_all(suspended, now, sched);
-        self.resolve_duplicate_race(job, now, sched);
+        if let Some(loser) = self.resolve_duplicate_race(job, now, sched) {
+            self.retire(loser);
+        }
+        self.retire(job);
+    }
+
+    /// Retires a settled job: nothing can change its record any more,
+    /// because it completed or was given up and it is not half of a
+    /// duplicate pair whose race is still open. An unobserved run takes
+    /// the record out of its table and folds it into the totals (a shadow
+    /// copy is dropped, not folded); an observed run keeps every record
+    /// in its dense table and folds them all when the run finishes.
+    fn retire(&mut self, job: JobId) {
+        if self.jobs.is_dense() || self.dup_of.contains_key(&job) {
+            return;
+        }
+        if !self.shadows.contains(&job) {
+            self.totals.add(&self.jobs[job]);
+        }
+        self.jobs.remove(job);
     }
 
     /// If `finisher` is half of a duplicate pair, cancel the other copy
     /// and settle the accounting: the loser's execution was redundant and
-    /// is charged to the original as rescheduling waste.
+    /// is charged to the original as rescheduling waste. Returns the
+    /// loser, whose race is now settled.
     fn resolve_duplicate_race(
         &mut self,
         finisher: JobId,
         now: SimTime,
         sched: &mut Scheduler<'_, Ev>,
-    ) {
-        let Some(loser) = self.dup_of.remove(&finisher) else {
-            return;
-        };
+    ) -> Option<JobId> {
+        let loser = self.dup_of.remove(&finisher)?;
         self.dup_of.remove(&loser);
         let clone_won = self.shadows.contains(&finisher);
         // Cancel the loser's pending events and evict it from its pool.
-        let rec = &mut self.jobs[loser.as_usize()];
+        let rec = &mut self.jobs[loser];
         if let Some(ev) = rec.completion_event.take() {
             sched.cancel(ev);
         }
@@ -1282,7 +1338,7 @@ impl Simulator {
             // closes its open run/suspend/wait segment).
             self.counters.duplicates_won += 1;
             let original = loser;
-            let rec = &mut self.jobs[original.as_usize()];
+            let rec = &mut self.jobs[original];
             if !rec.is_completed() {
                 rec.finish_by_proxy(now).expect("original is active");
                 self.counters.completed += 1;
@@ -1296,13 +1352,13 @@ impl Simulator {
             // The loser is the clone; close its running segment if any,
             // then charge its redundant execution to the original.
             let clone = loser;
-            let rec = &mut self.jobs[clone.as_usize()];
+            let rec = &mut self.jobs[clone];
             if !rec.is_completed() {
                 rec.finish_by_proxy(now).expect("clone is active");
                 proxied = true;
             }
             let wasted = rec.run_time();
-            self.jobs[finisher.as_usize()].add_external_waste(wasted);
+            self.jobs[finisher].add_external_waste(wasted);
         }
         if proxied {
             if let Some((from_phase, pool, machine)) = loser_state {
@@ -1317,10 +1373,11 @@ impl Simulator {
                 );
             }
         }
+        Some(loser)
     }
 
     fn handle_wait_check(&mut self, job: JobId, now: SimTime, sched: &mut Scheduler<'_, Ev>) {
-        let rec = &self.jobs[job.as_usize()];
+        let rec = &self.jobs[job];
         let JobPhase::Waiting { pool } = rec.phase() else {
             return; // Started or moved in the meantime; timer is stale.
         };
@@ -1338,7 +1395,7 @@ impl Simulator {
                 return;
             }
         }
-        let spec = self.jobs[job.as_usize()].spec().clone();
+        let spec = self.jobs[job].spec().clone();
         self.emit(now, ObsEvent::WaitTimeout { job, pool });
         let mut candidates = self.scratch.take_pool_list();
         self.eligible_candidates_into(&spec, now, &mut candidates);
@@ -1373,7 +1430,7 @@ impl Simulator {
                     .remove_waiting(job)
                     .expect("phase says waiting");
                 let overhead = self.move_overhead(job, target);
-                self.jobs[job.as_usize()]
+                self.jobs[job]
                     .abort_for_restart(now, overhead)
                     .expect("waiting jobs can abort");
                 self.counters.restarts_from_wait += 1;
@@ -1408,11 +1465,11 @@ impl Simulator {
         let Some(remaining) = self.migrating.remove(&job) else {
             return; // job was finished by other means in transit
         };
-        if self.jobs[job.as_usize()].is_completed() {
+        if self.jobs[job].is_completed() {
             return;
         }
         // Submit a spec carrying only the remaining (slowed) work.
-        let mut spec = self.jobs[job.as_usize()].spec().clone();
+        let mut spec = self.jobs[job].spec().clone();
         spec.runtime = remaining;
         let mut suspended = self.scratch.take_worklist();
         self.place(target, &spec, false, now, sched, &mut suspended);
@@ -1487,7 +1544,7 @@ impl Simulator {
         now: SimTime,
         sched: &mut Scheduler<'_, Ev>,
     ) {
-        let rec = &mut self.jobs[job.as_usize()];
+        let rec = &mut self.jobs[job];
         let (pool, machine, from_phase) = match rec.phase() {
             JobPhase::Running { pool, machine } => (pool, machine, PhaseTag::Running),
             JobPhase::Suspended { pool, machine } => (pool, machine, PhaseTag::Suspended),
@@ -1552,14 +1609,16 @@ impl Simulator {
     /// fully down the job parks at the VPM for another backoff interval
     /// (graceful degradation) instead of queueing on a dead pool.
     fn handle_retry_dispatch(&mut self, job: JobId, now: SimTime, sched: &mut Scheduler<'_, Ev>) {
-        let rec = &self.jobs[job.as_usize()];
+        let Some(rec) = self.jobs.get(job) else {
+            return; // retired: finished by a duplicate meanwhile
+        };
         if rec.is_completed()
             || !matches!(rec.phase(), JobPhase::AtVpm)
             || self.gave_up.contains(&job)
         {
             return; // finished (possibly by a duplicate) or moved meanwhile
         }
-        let spec = self.jobs[job.as_usize()].spec().clone();
+        let spec = self.jobs[job].spec().clone();
         let mut capable = self.scratch.take_pool_list();
         self.initial_candidates_into(&spec, &mut capable);
         capable.retain(|p| self.pools[p.as_usize()].is_eligible(spec.resources));
@@ -1593,6 +1652,7 @@ impl Simulator {
             // already established no pool can ever run the job.
             self.counters.unrunnable += 1;
             self.emit(now, ObsEvent::Unrunnable { job });
+            self.retire(job);
             return;
         }
         if self.gave_up.contains(&job) {
@@ -1616,6 +1676,8 @@ impl Simulator {
             };
             self.counters.unrunnable += 1;
             self.emit(now, ObsEvent::Unrunnable { job: original });
+            self.retire(job);
+            self.retire(partner);
             return;
         }
         self.gave_up.insert(job);
@@ -1623,6 +1685,7 @@ impl Simulator {
             self.counters.unrunnable += 1;
             self.emit(now, ObsEvent::Unrunnable { job });
         }
+        self.retire(job);
     }
 
     fn handle_machine_up(
@@ -1680,7 +1743,7 @@ impl Simulator {
         susp.clear();
         self.pools[pool.as_usize()].residents_into(machine, &mut running, &mut susp);
         running.retain(|j| {
-            let rec = &self.jobs[j.as_usize()];
+            let rec = &self.jobs[*j];
             // A running job's completion instant is its phase start plus
             // the wall remaining at that boundary; jobs that beat the
             // deadline are left to finish in place.
@@ -1690,7 +1753,7 @@ impl Simulator {
             // Re-read the job's phase: an earlier evacuee's freed cores
             // may have resumed this one meanwhile (resuming on a draining
             // machine is legal — only *new* placements are barred).
-            let from_phase = match self.jobs[job.as_usize()].phase() {
+            let from_phase = match self.jobs[job].phase() {
                 p if p == JobPhase::Running { pool, machine } => PhaseTag::Running,
                 p if p == JobPhase::Suspended { pool, machine } => PhaseTag::Suspended,
                 _ => continue, // moved or completed by a cascade in between
@@ -1704,7 +1767,7 @@ impl Simulator {
                     .window_id(pool, machine, now)
                     .unwrap_or(u32::MAX);
                 let remaining = match from_phase {
-                    PhaseTag::Running => self.jobs[job.as_usize()].remaining_wall(),
+                    PhaseTag::Running => self.jobs[job].remaining_wall(),
                     _ => SimDuration::ZERO,
                 };
                 self.emit(
@@ -1788,16 +1851,24 @@ impl Simulator {
         self.sampler.as_ref().map(PeriodicSampler::peek_tick)
     }
 
+    /// The next job to submit, if any: the cursor's position in the
+    /// submission order.
+    fn arrival(&self) -> Option<JobId> {
+        let k = self.next_arrival;
+        if k as u64 >= self.total_jobs {
+            return None;
+        }
+        Some(JobId(match self.arrivals.get(k) {
+            Some(&job) => u64::from(job),
+            None => k as u64,
+        }))
+    }
+
     /// Consumes the pending sample tick (streaming coordinator).
     pub(crate) fn consume_sample_tick(&mut self) {
         if let Some(s) = self.sampler.as_mut() {
             s.next_tick();
         }
-    }
-
-    /// Read access to the job records (used by tests).
-    pub fn jobs(&self) -> &[JobRecord] {
-        &self.jobs
     }
 
     /// Run counters so far.
@@ -1838,7 +1909,7 @@ impl PoolHost for SerialHost<'_, '_> {
     }
 
     fn job(&mut self, id: JobId) -> &mut JobRecord {
-        &mut self.sim.jobs[id.as_usize()]
+        &mut self.sim.jobs[id]
     }
 
     fn book(&mut self, at: SimTime, job: JobId) -> EventId {
@@ -1869,7 +1940,8 @@ impl Handler for Simulator {
         );
         match event {
             Ev::Submit(job) => {
-                self.jobs[job.as_usize()]
+                self.jobs
+                    .admit(job)
                     .submit(now)
                     .expect("submit events fire once per job");
                 self.emit(now, ObsEvent::Submit { job });
@@ -1877,7 +1949,7 @@ impl Handler for Simulator {
             }
             Ev::Complete(job) => self.handle_complete(job, now, sched),
             Ev::WaitCheck(job) => {
-                self.jobs[job.as_usize()].wait_timer_event = None;
+                self.jobs[job].wait_timer_event = None;
                 self.handle_wait_check(job, now, sched);
             }
             Ev::Sample => self.handle_sample(now, sched),
@@ -1900,22 +1972,26 @@ impl Handler for Simulator {
     }
 
     fn peek_arrival(&self) -> Option<SimTime> {
-        let &job = self.arrivals.get(self.next_arrival)?;
-        Some(self.jobs[job as usize].spec().submit_time)
+        Some(self.jobs.submit_time(self.arrival()?))
     }
 
     fn pop_arrival(&mut self) -> Option<Ev> {
-        let &job = self.arrivals.get(self.next_arrival)?;
+        let job = self.arrival()?;
         self.next_arrival += 1;
-        Some(Ev::Submit(JobId(u64::from(job))))
+        Some(Ev::Submit(job))
     }
 }
 
 /// Everything a finished run produces.
 #[derive(Debug)]
 pub struct SimOutput {
-    /// Final per-job records (all completed).
+    /// Final per-job records by id, shadow copies excluded. Kept only
+    /// when an observer rode the run; empty otherwise.
     pub jobs: Vec<JobRecord>,
+    /// Exact totals over the submitted jobs, whatever was observed: what
+    /// [`ExperimentResult`](crate::experiment::ExperimentResult) is
+    /// computed from.
+    pub totals: JobTotals,
     /// Aggregate counters.
     pub counters: RunCounters,
     /// Cumulative per-pool statistics (starts, suspensions, peaks).
@@ -1984,11 +2060,17 @@ mod tests {
         )
     }
 
+    /// Runs under the invariant checker, which, like any observer, also
+    /// makes the run keep every job's record for the test to read.
+    fn run(site: &SiteSpec, jobs: Vec<JobSpec>, mut config: SimConfig) -> SimOutput {
+        config.check_invariants = true;
+        Simulator::new(site, jobs, config).run_to_completion()
+    }
+
     #[test]
     fn single_job_runs_to_completion() {
         let site = tiny_site(1, 1, 1);
-        let sim = Simulator::new(&site, vec![spec(0, 5, 100)], SimConfig::default());
-        let out = sim.run_to_completion();
+        let out = run(&site, vec![spec(0, 5, 100)], SimConfig::default());
         assert_eq!(out.counters.completed, 1);
         assert_eq!(out.end_time, SimTime::from_minutes(105));
         let job = &out.jobs[0];
@@ -2001,7 +2083,7 @@ mod tests {
     fn queued_job_waits_for_capacity() {
         let site = tiny_site(1, 1, 1);
         let jobs = vec![spec(0, 0, 60), spec(1, 10, 30)];
-        let out = Simulator::new(&site, jobs, SimConfig::default()).run_to_completion();
+        let out = run(&site, jobs, SimConfig::default());
         assert_eq!(out.counters.completed, 2);
         // Job 1 waits 0..60 submit=10 → waits 50, runs 60..90.
         let j1 = &out.jobs[1];
@@ -2016,7 +2098,7 @@ mod tests {
             spec(0, 0, 100),
             spec(1, 40, 20).with_priority(Priority::HIGH),
         ];
-        let out = Simulator::new(&site, jobs, SimConfig::default()).run_to_completion();
+        let out = run(&site, jobs, SimConfig::default());
         let low = &out.jobs[0];
         assert!(low.was_suspended());
         assert_eq!(low.suspend_time().as_minutes(), 20);
@@ -2044,7 +2126,7 @@ mod tests {
             jobs[1].clone().with_affinity(PoolAffinity::from_ids(&[0])),
         ];
         let cfg = SimConfig::new(InitialKind::RoundRobin, StrategyKind::ResSusUtil);
-        let out = Simulator::new(&site, jobs, cfg).run_to_completion();
+        let out = run(&site, jobs, cfg);
         let low = &out.jobs[0];
         assert_eq!(out.counters.restarts_from_suspend, 1);
         // Restarted from scratch in pool 1 at t=40: completes at 140.
@@ -2072,7 +2154,7 @@ mod tests {
             jobs[2].clone().with_affinity(PoolAffinity::from_ids(&[0])),
         ];
         let cfg = SimConfig::new(InitialKind::RoundRobin, StrategyKind::ResSusUtil);
-        let out = Simulator::new(&site, jobs, cfg).run_to_completion();
+        let out = run(&site, jobs, cfg);
         let low = &out.jobs[1];
         assert!(low.was_suspended());
         assert_eq!(
@@ -2094,7 +2176,7 @@ mod tests {
             spec(1, 5, 50).with_affinity(PoolAffinity::from_ids(&[0, 1])),
         ];
         let cfg = SimConfig::new(InitialKind::RoundRobin, StrategyKind::ResSusWaitUtil);
-        let out = Simulator::new(&site, jobs, cfg).run_to_completion();
+        let out = run(&site, jobs, cfg);
         let j = &out.jobs[1];
         assert_eq!(out.counters.restarts_from_wait, 1);
         assert_eq!(j.restarts_from_wait(), 1);
@@ -2129,8 +2211,8 @@ mod tests {
             })
             .collect();
         let cfg = SimConfig::new(InitialKind::RoundRobin, StrategyKind::ResSusWaitRand);
-        let a = Simulator::new(&site, jobs.clone(), cfg.clone()).run_to_completion();
-        let b = Simulator::new(&site, jobs, cfg).run_to_completion();
+        let a = run(&site, jobs.clone(), cfg.clone());
+        let b = run(&site, jobs, cfg);
         assert_eq!(a.counters, b.counters);
         assert_eq!(a.end_time, b.end_time);
         for (ja, jb) in a.jobs.iter().zip(&b.jobs) {
@@ -2163,7 +2245,7 @@ mod tests {
         ] {
             for initial in [InitialKind::RoundRobin, InitialKind::UtilizationBased] {
                 let cfg = SimConfig::new(initial, strategy);
-                let out = Simulator::new(&site, jobs.clone(), cfg).run_to_completion();
+                let out = run(&site, jobs.clone(), cfg);
                 assert_eq!(
                     out.counters.completed, 80,
                     "{strategy:?}/{initial:?} must complete all jobs"
@@ -2184,7 +2266,7 @@ mod tests {
         ];
         let mut cfg = SimConfig::new(InitialKind::RoundRobin, StrategyKind::ResSusUtil);
         cfg.max_restarts = Some(0);
-        let out = Simulator::new(&site, jobs, cfg).run_to_completion();
+        let out = run(&site, jobs, cfg);
         assert_eq!(
             out.counters.restarts_from_suspend, 0,
             "cap of zero disables restarts"
@@ -2203,7 +2285,7 @@ mod tests {
         ];
         let mut cfg = SimConfig::new(InitialKind::RoundRobin, StrategyKind::ResSusUtil);
         cfg.restart_overhead = SimDuration::from_minutes(15);
-        let out = Simulator::new(&site, jobs, cfg).run_to_completion();
+        let out = run(&site, jobs, cfg);
         let low = &out.jobs[0];
         assert_eq!(low.resched_waste().as_minutes(), 40 + 15);
     }
@@ -2221,7 +2303,7 @@ mod tests {
             }],
             ..SimConfig::default()
         };
-        let out = Simulator::new(&site, jobs, cfg).run_to_completion();
+        let out = run(&site, jobs, cfg);
         assert_eq!(out.counters.failure_evictions, 1);
         assert_eq!(out.counters.completed, 1);
         let job = &out.jobs[0];
@@ -2246,7 +2328,7 @@ mod tests {
             }],
             ..SimConfig::default()
         };
-        let out = Simulator::new(&site, jobs, cfg).run_to_completion();
+        let out = run(&site, jobs, cfg);
         assert_eq!(out.counters.completed, 1);
         let job = &out.jobs[0];
         // Restarts at t=60 when the machine recovers; completes at 160.
@@ -2268,7 +2350,7 @@ mod tests {
             }],
             ..SimConfig::default()
         };
-        let out = Simulator::new(&site, jobs, cfg).run_to_completion();
+        let out = run(&site, jobs, cfg);
         // A down machine is still *capable*, so the jobs queue for it
         // rather than being dropped; with no recovery they never finish.
         assert_eq!(out.counters.completed, 0);
@@ -2292,7 +2374,7 @@ mod tests {
                 .with_affinity(PoolAffinity::from_ids(&[0])),
         ];
         let cfg = SimConfig::new(InitialKind::RoundRobin, StrategyKind::MigrateSusUtil);
-        let out = Simulator::new(&site, jobs, cfg).run_to_completion();
+        let out = run(&site, jobs, cfg);
         assert_eq!(out.counters.migrations, 1);
         let low = &out.jobs[0];
         // Ran 40 of 100; 60 remaining -> 69 slowed; arrives at t=70,
@@ -2316,7 +2398,7 @@ mod tests {
                 .with_affinity(PoolAffinity::from_ids(&[0])),
         ];
         let cfg = SimConfig::new(InitialKind::RoundRobin, StrategyKind::DupSusUtil);
-        let out = Simulator::new(&site, jobs, cfg).run_to_completion();
+        let out = run(&site, jobs, cfg);
         assert_eq!(out.counters.duplicates_launched, 1);
         assert_eq!(out.counters.duplicates_won, 1);
         assert_eq!(out.counters.completed, 2);
@@ -2348,7 +2430,7 @@ mod tests {
                 .with_affinity(PoolAffinity::from_ids(&[0])),
         ];
         let cfg = SimConfig::new(InitialKind::RoundRobin, StrategyKind::DupSusUtil);
-        let out = Simulator::new(&site, jobs, cfg).run_to_completion();
+        let out = run(&site, jobs, cfg);
         assert_eq!(out.counters.duplicates_launched, 1);
         assert_eq!(out.counters.duplicates_won, 0, "original resumes and wins");
         // Original: runs 0..90, suspended 90..95, resumes, done at 105.
@@ -2419,7 +2501,7 @@ mod tests {
         let confined = {
             let mut cfg = SimConfig::new(InitialKind::RoundRobin, StrategyKind::ResSusUtil);
             cfg.topology = Some(VpmTopology::contiguous(2, 2));
-            Simulator::new(&site, jobs.clone(), cfg).run_to_completion()
+            run(&site, jobs.clone(), cfg)
         };
         assert_eq!(confined.counters.restarts_from_suspend, 0);
         assert!(confined.jobs[0].suspend_time().as_minutes() > 0);
@@ -2427,7 +2509,7 @@ mod tests {
             let mut cfg = SimConfig::new(InitialKind::RoundRobin, StrategyKind::ResSusUtil);
             cfg.topology =
                 Some(VpmTopology::contiguous(2, 2).with_inter_site(SimDuration::from_minutes(45)));
-            Simulator::new(&site, jobs, cfg).run_to_completion()
+            run(&site, jobs, cfg)
         };
         assert_eq!(wan.counters.restarts_from_suspend, 1);
         // Waste = 40 minutes discarded + 45 minutes WAN surcharge.

@@ -12,8 +12,11 @@
 //!
 //! * peak memory is O(in-flight jobs): a job exists from the epoch it is
 //!   generated (two minutes of lookahead) until its completion is
-//!   processed, after which its record is dropped — unless observers are
-//!   attached, in which case records are retained for [`SimOutput::jobs`];
+//!   processed, after which its record is folded into the shard's
+//!   [`JobTotals`] and dropped — unless observers are attached, in which
+//!   case records are retained for [`SimOutput::jobs`] and folded when
+//!   the run finishes (the serial kernel's keep rule); shards' totals
+//!   merge by addition;
 //! * generation runs inside each shard's part of an epoch, so the shards
 //!   generate in parallel;
 //! * each shard's worker runs one [`EventQueue`] of `(lane, job)`
@@ -144,6 +147,8 @@ use netbatch_sim_engine::time::{SimDuration, SimTime};
 use netbatch_workload::trace::TraceRecord;
 use netbatch_workload::{TraceStream, WorkloadSpec};
 
+use crate::experiment::JobTotals;
+use crate::job_table::JobTable;
 use crate::observer::{InvariantChecker, ObsCtx, ObsEvent};
 use crate::pool_step::{self, PoolHost, Suspended};
 use crate::provenance::{SpanRecorder, COORD_MERGE, PHASE_COMPLETE, PHASE_GENERATE, PHASE_SUBMIT};
@@ -294,10 +299,13 @@ struct StreamWorker<'a> {
     /// Emptied minute buffers, reused by [`StreamWorker::refill`].
     spare: Vec<Vec<TraceRecord>>,
     /// Jobs currently in flight (submitted and not yet completed); the
-    /// O(in-flight) working set that replaces the dense `sim.jobs` vec.
+    /// O(in-flight) working set. A per-id slot table, as the serial
+    /// kernel uses, would grow with the horizon.
     jobs: IntMap<JobId, JobRecord>,
     /// Completed (and unrunnable) records, kept only when `observed`.
     finished: Vec<JobRecord>,
+    /// Totals of the retired jobs whose records were not kept.
+    totals: JobTotals,
     /// Observers are attached: keep finished records and buffer
     /// emissions for replay.
     observed: bool,
@@ -351,6 +359,7 @@ impl<'a> StreamWorker<'a> {
             spare: Vec::new(),
             jobs: IntMap::default(),
             finished: Vec::new(),
+            totals: JobTotals::default(),
             observed,
             profile,
             actions: Vec::new(),
@@ -368,6 +377,17 @@ impl<'a> StreamWorker<'a> {
     fn emit(&mut self, event: ObsEvent) {
         if self.observed {
             self.emissions.push((self.cur_pool, event));
+        }
+    }
+
+    /// The serial kernel's keep rule for a retired job (streaming runs
+    /// make no duplicates): an observed run keeps the record, and the run
+    /// folds it when it finishes; otherwise it is folded now and dropped.
+    fn retire(&mut self, record: JobRecord) {
+        if self.observed {
+            self.finished.push(record);
+        } else {
+            self.totals.add(&record);
         }
     }
 
@@ -541,9 +561,7 @@ impl<'a> StreamWorker<'a> {
                 let job = self.jobs.remove(&id).expect("inserted above");
                 self.unrunnable += 1;
                 self.emit(ObsEvent::Unrunnable { job: id });
-                if self.observed {
-                    self.finished.push(job);
-                }
+                self.retire(job);
             }
         }
         if let Some(t0) = t0 {
@@ -575,9 +593,7 @@ impl<'a> StreamWorker<'a> {
         });
         self.completed += 1;
         let done = self.jobs.remove(&job).expect("completed job is tracked");
-        if self.observed {
-            self.finished.push(done);
-        }
+        self.retire(done);
     }
 
     /// Runs one pool step on lane `li` with the worker's scratch batch and
@@ -668,7 +684,7 @@ impl PoolHost for StreamHost<'_, '_> {
 /// a run outside the fast class is never mistaken for a streaming one.
 fn validate(sim: &Simulator, workload: &WorkloadSpec) {
     assert!(
-        sim.jobs.is_empty(),
+        sim.jobs.specs().is_empty(),
         "streaming runs generate their own jobs; construct the Simulator with an empty spec list"
     );
     assert!(
@@ -776,7 +792,7 @@ pub(crate) fn run_streaming(
                 let mut worker = build(shard);
                 worker.prime();
                 if results.send(worker.report(None)).is_err() {
-                    return (worker.jobs, worker.finished);
+                    return (worker.jobs, worker.finished, worker.totals);
                 }
                 while let Ok(msg) = rx.recv() {
                     let epoch = msg.epoch;
@@ -785,7 +801,7 @@ pub(crate) fn run_streaming(
                         break;
                     }
                 }
-                (worker.jobs, worker.finished)
+                (worker.jobs, worker.finished, worker.totals)
             }));
         }
         drop(result_tx);
@@ -990,7 +1006,7 @@ pub(crate) fn run_streaming(
                     spare_emissions.append(&mut emission_runs);
                     let ctx = ObsCtx {
                         pools: &sim.pools,
-                        jobs: &sim.jobs,
+                        jobs: sim.jobs.observed(),
                         shadows: &sim.shadows,
                     };
                     for obs in &mut sim.observers {
@@ -1016,10 +1032,12 @@ pub(crate) fn run_streaming(
             "a drained run leaves no in-flight jobs"
         );
         let mut finished = worker0.finished;
+        sim.totals.merge(worker0.totals);
         for handle in handles {
-            let (jobs, mut fin) = handle.join().expect("worker thread panicked");
+            let (jobs, mut fin, totals) = handle.join().expect("worker thread panicked");
             assert!(jobs.is_empty(), "a drained run leaves no in-flight jobs");
             finished.append(&mut fin);
+            sim.totals.merge(totals);
         }
         if observed {
             finished.sort_by_key(JobRecord::id);
@@ -1028,7 +1046,7 @@ pub(crate) fn run_streaming(
                 next_job_id,
                 "observer runs retain every generated job"
             );
-            sim.jobs = finished;
+            sim.jobs = JobTable::dense(finished);
         }
         sim.total_jobs = next_job_id;
         sim.finish_run(end_time, events)

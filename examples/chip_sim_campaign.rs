@@ -52,12 +52,11 @@ fn main() {
     println!("campaign: {} jobs", trace.len());
 
     for strategy in [StrategyKind::NoRes, StrategyKind::ResSusWaitUtil] {
-        let sim = Simulator::new(
-            &site,
-            trace.to_specs(),
-            SimConfig::new(InitialKind::RoundRobin, strategy),
-        );
-        let out = sim.run_to_completion();
+        // Per-task figures need every job's record, which a run keeps
+        // only when an observer rides it: attach the invariant checker.
+        let mut config = SimConfig::new(InitialKind::RoundRobin, strategy);
+        config.check_invariants = true;
+        let out = Simulator::new(&site, trace.to_specs(), config).run_to_completion();
 
         // Task completion = completion of the task's last job.
         let mut task_done: HashMap<TaskId, (u64, u64, u64)> = HashMap::new(); // (n, submit_min, done_max)

@@ -179,10 +179,13 @@ cargo test --release -q --test streaming_conformance
 # The golden fixtures in a release build as well: both kernels run the
 # same generic pool step, and release builds wrap on overflow and drop
 # every debug_assert, so byte-identity checked only in debug would miss
-# what the shipped binary does.
-echo "==> golden fixtures (release)"
+# what the shipped binary does. The retirement suite rides along: an
+# unobserved run (records only while in flight) must report what an
+# observed one does, in the shipped binary too.
+echo "==> golden fixtures and record retirement (release)"
 cargo test --release -q --test golden_trace --test golden_chaos \
-  --test golden_lifecycle --test golden_staleness --test golden_matrix
+  --test golden_lifecycle --test golden_staleness --test golden_matrix \
+  --test retirement
 
 # Benchmark contract: perfbench's own tests check that the metric names
 # it prints match BENCHMARK.json and that instrumentation never changes
@@ -212,7 +215,9 @@ scripts/perfbench_digests.sh
 # Perf budgets that do not depend on timing: allocations per event on
 # two normal-load cells at scale 0.02 stay under a fixed ceiling, as do
 # allocations per record of generating a week and its specs and per job
-# of a streaming run (catching a per-job copy of a pool set), and a
+# of a streaming run (catching a per-job copy of a pool set), an
+# unobserved serial run's peak heap per job stays near its in-flight
+# records (catching a record table built up front), a
 # streaming run's peak heap stays flat when its horizon quadruples
 # (catching anything that retains per-job state past completion) and
 # when the same load spreads over ten times the pools (catching
@@ -220,7 +225,7 @@ scripts/perfbench_digests.sh
 # stays flat when a week is sampled every minute instead of every hour
 # (catching series that keep their samples). Timing is judged by
 # perfbench's paired runs on one host, not gated here.
-echo "==> perf budgets (allocs per event/record/job, streaming memory, telemetry memory)"
+echo "==> perf budgets (allocs per event/record/job, serial and streaming memory, telemetry memory)"
 cargo test --release -q -p netbatch-bench --test perf_budgets
 
 echo "ci: all green"

@@ -18,11 +18,10 @@ use netbatch::core::experiment::{Experiment, ExperimentResult};
 use netbatch::core::faults::{FaultModel, LifecycleModel, ResiliencePolicy};
 use netbatch::core::observer::TraceRecorder;
 use netbatch::core::policy::{InitialKind, StrategyKind};
-use netbatch::core::provenance::{perfetto_from_jsonl, SpanRecorder};
+use netbatch::core::provenance::{perfetto_from_jsonl, SpanQuery, SpanRecorder, SpansFile};
 use netbatch::core::simulator::{Backend, SimConfig, Simulator};
 use netbatch::core::telemetry::Telemetry;
 use netbatch::metrics::export::validate_exposition;
-use netbatch::metrics::json::{self, Value};
 use netbatch::sim_engine::time::SimDuration;
 use netbatch::workload::analysis::TraceAnalysis;
 use netbatch::workload::io::{read_csv, write_csv};
@@ -974,82 +973,14 @@ fn run(cmd: Command) -> Result<(), String> {
                     return Ok(());
                 }
             }
-            let file = parse_spans_file(&input, &text)?;
-            println!(
-                "{} | {} | {} initial | {} jobs, {} spans, {} decisions",
-                file.header
-                    .get("schema")
-                    .and_then(Value::as_str)
-                    .unwrap_or("?"),
-                file.header
-                    .get("strategy")
-                    .and_then(Value::as_str)
-                    .unwrap_or("?"),
-                file.header
-                    .get("initial")
-                    .and_then(Value::as_str)
-                    .unwrap_or("?"),
-                field_u64(&file.header, "jobs").unwrap_or(0),
-                field_u64(&file.header, "spans").unwrap_or(0),
-                field_u64(&file.header, "decisions").unwrap_or(0),
-            );
-            // --why J is a job filter plus the decision audit for J.
-            let job = why.or(job);
-            let selected: Vec<&Value> = file
-                .spans
-                .iter()
-                .filter(|s| job.is_none_or(|j| field_u64(s, "job") == Some(j)))
-                .filter(|s| pool.is_none_or(|p| field_u64(s, "pool") == Some(p)))
-                .filter(|s| {
-                    cause.as_deref().is_none_or(|c| {
-                        s.get("cause")
-                            .and_then(|v| v.get("type"))
-                            .and_then(Value::as_str)
-                            == Some(c)
-                    })
-                })
-                .collect();
-            if selected.is_empty() {
-                println!("no spans match the query");
-                return Ok(());
-            }
-            let mut current_job = None;
-            for span in &selected {
-                let id = field_u64(span, "job");
-                if current_job != id {
-                    current_job = id;
-                    println!("job {}:", id.unwrap_or(0));
-                }
-                println!("{}", format_span(span));
-            }
-            if let Some(j) = why {
-                // The decision audit: every policy/evacuation decision the
-                // job was subject to, plus the fault outages its causal
-                // chain cites, with the exact inputs behind each.
-                let outages: Vec<u64> = selected
-                    .iter()
-                    .filter_map(|s| s.get("cause"))
-                    .filter(|c| c.get("type").and_then(Value::as_str) == Some("fault"))
-                    .filter_map(|c| field_u64(c, "outage"))
-                    .collect();
-                let relevant: Vec<&Value> = file
-                    .decisions
-                    .iter()
-                    .filter(|d| match d.get("type").and_then(Value::as_str) {
-                        Some("fault") => {
-                            field_u64(d, "outage").is_some_and(|o| outages.contains(&o))
-                        }
-                        _ => field_u64(d, "job") == Some(j),
-                    })
-                    .collect();
-                println!("why job {j}:");
-                if relevant.is_empty() {
-                    println!("  no recorded decisions — every transition was mechanical");
-                }
-                for d in relevant {
-                    println!("{}", format_decision(d));
-                }
-            }
+            let file = SpansFile::parse(&input, &text)?;
+            let query = SpanQuery {
+                job,
+                pool,
+                cause,
+                why,
+            };
+            print!("{}", file.render(&query));
             Ok(())
         }
     }
@@ -1172,151 +1103,6 @@ fn write_sink(path: &str, text: &str) -> Result<(), String> {
     }
 }
 
-/// One parsed spans file: header, decision-audit lines, span lines.
-#[derive(Debug)]
-struct SpansFile {
-    header: Value,
-    decisions: Vec<Value>,
-    spans: Vec<Value>,
-}
-
-fn parse_spans_file(name: &str, text: &str) -> Result<SpansFile, String> {
-    let mut header = None;
-    let mut decisions = Vec::new();
-    let mut spans = Vec::new();
-    for (i, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let v = json::parse(line).map_err(|e| format!("{name}:{}: {e}", i + 1))?;
-        match v.get("kind").and_then(Value::as_str) {
-            Some("span") => spans.push(v),
-            Some("decision") => decisions.push(v),
-            _ if header.is_none() && v.get("schema").is_some() => header = Some(v),
-            _ => return Err(format!("{name}:{}: unrecognized line", i + 1)),
-        }
-    }
-    let header = header.ok_or_else(|| format!("{name}: missing netbatch-spans header line"))?;
-    let schema = header.get("schema").and_then(Value::as_str).unwrap_or("");
-    if schema != "netbatch-spans/1" {
-        return Err(format!(
-            "{name}: unsupported schema `{schema}` (expected netbatch-spans/1)"
-        ));
-    }
-    Ok(SpansFile {
-        header,
-        decisions,
-        spans,
-    })
-}
-
-fn field_u64(v: &Value, key: &str) -> Option<u64> {
-    v.get(key).and_then(Value::as_u64)
-}
-
-/// Renders a span's cause object as a one-line human-readable clause.
-fn describe_cause(c: &Value) -> String {
-    let kind = c.get("type").and_then(Value::as_str).unwrap_or("?");
-    match kind {
-        "dispatched" => match c.get("from_queue").and_then(Value::as_bool) {
-            Some(true) => "dispatched from queue".into(),
-            _ => "dispatched on submit".into(),
-        },
-        "policy" => {
-            let trigger = c.get("trigger").and_then(Value::as_str).unwrap_or("?");
-            let verdict = c.get("verdict").and_then(Value::as_str).unwrap_or("?");
-            let target = match field_u64(c, "target") {
-                Some(p) => format!(" to pool {p}"),
-                None => String::new(),
-            };
-            format!(
-                "policy {trigger} -> {verdict}{target} ({} candidates, util {:.1}% -> {:.1}%, \
-                 queue {} -> {})",
-                field_u64(c, "candidates").unwrap_or(0),
-                field_u64(c, "cur_util_milli").unwrap_or(0) as f64 / 10.0,
-                field_u64(c, "tgt_util_milli").unwrap_or(0) as f64 / 10.0,
-                field_u64(c, "cur_queue").unwrap_or(0),
-                field_u64(c, "tgt_queue").unwrap_or(0),
-            )
-        }
-        "fault" => {
-            let blacklist = match field_u64(c, "blacklisted_until") {
-                Some(t) => format!(", pool blacklisted until t={t}"),
-                None => String::new(),
-            };
-            format!(
-                "fault outage #{}{blacklist}",
-                field_u64(c, "outage").unwrap_or(0)
-            )
-        }
-        "evacuation" => format!(
-            "evacuation window #{}, kill deadline t={}",
-            field_u64(c, "window").unwrap_or(0),
-            field_u64(c, "deadline").unwrap_or(0),
-        ),
-        "retry" => format!("retry attempt {}", field_u64(c, "attempt").unwrap_or(0)),
-        other => other.into(),
-    }
-}
-
-/// Renders one span line of a causal chain.
-fn format_span(v: &Value) -> String {
-    let end = match field_u64(v, "end") {
-        Some(t) => t.to_string(),
-        None => "open".into(),
-    };
-    let mut location = match field_u64(v, "pool") {
-        Some(p) => format!("pool {p}"),
-        None => String::new(),
-    };
-    if let Some(m) = field_u64(v, "machine") {
-        location = format!("{location} machine {m}");
-    }
-    let cause = v
-        .get("cause")
-        .map(describe_cause)
-        .unwrap_or_else(|| "?".into());
-    format!(
-        "  [{:>6} .. {end:>6}] {:<10} {location:<20} <- {cause}",
-        field_u64(v, "start").unwrap_or(0),
-        v.get("phase").and_then(Value::as_str).unwrap_or("?"),
-    )
-}
-
-/// Renders one decision-audit line for `netbatch trace --why`.
-fn format_decision(v: &Value) -> String {
-    let t = field_u64(v, "t").unwrap_or(0);
-    match v.get("type").and_then(Value::as_str).unwrap_or("?") {
-        "policy" => format!(
-            "  t={t} {}",
-            describe_cause(v) // policy decisions carry the same fields as policy causes
-        ),
-        "evac" => format!(
-            "  t={t} evacuation of job {} off pool {} machine {}: window #{}, {} min \
-             remaining, kill deadline t={}",
-            field_u64(v, "job").unwrap_or(0),
-            field_u64(v, "pool").unwrap_or(0),
-            field_u64(v, "machine").unwrap_or(0),
-            field_u64(v, "window").unwrap_or(0),
-            field_u64(v, "remaining").unwrap_or(0),
-            field_u64(v, "deadline").unwrap_or(0),
-        ),
-        "fault" => {
-            let blacklist = match field_u64(v, "blacklisted_until") {
-                Some(until) => format!(", pool blacklisted until t={until}"),
-                None => String::new(),
-            };
-            format!(
-                "  t={t} fault outage #{} downed pool {} machine {}{blacklist}",
-                field_u64(v, "outage").unwrap_or(0),
-                field_u64(v, "pool").unwrap_or(0),
-                field_u64(v, "machine").unwrap_or(0),
-            )
-        }
-        other => format!("  t={t} {other}"),
-    }
-}
-
 fn load_trace(path: &str) -> Result<Trace, String> {
     let file = std::fs::File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
     read_csv(file).map_err(|e| e.to_string())
@@ -1343,6 +1129,8 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use netbatch::core::provenance::describe_cause;
+    use netbatch::metrics::json;
 
     fn args(s: &str) -> Vec<String> {
         s.split_whitespace().map(String::from).collect()
@@ -1797,18 +1585,18 @@ mod tests {
 
     #[test]
     fn trace_rejects_bad_spans_files() {
-        assert!(parse_spans_file("t", "{\"kind\":\"span\"}\n")
+        assert!(SpansFile::parse("t", "{\"kind\":\"span\"}\n")
             .unwrap_err()
             .contains("missing netbatch-spans header"));
         assert!(
-            parse_spans_file("t", "{\"schema\":\"netbatch-spans/99\"}\n")
+            SpansFile::parse("t", "{\"schema\":\"netbatch-spans/99\"}\n")
                 .unwrap_err()
                 .contains("unsupported schema")
         );
-        assert!(parse_spans_file("t", "not json\n")
+        assert!(SpansFile::parse("t", "not json\n")
             .unwrap_err()
             .contains("t:1"));
-        let ok = parse_spans_file(
+        let ok = SpansFile::parse(
             "t",
             "{\"schema\":\"netbatch-spans/1\",\"strategy\":\"NoRes\",\"initial\":\"rr\",\
              \"jobs\":1,\"spans\":1,\"decisions\":0}\n\

@@ -72,6 +72,8 @@ proptest! {
         let trace = Trace::from_records(records);
         let mut config = SimConfig::new(InitialKind::RoundRobin, strategy);
         config.seed = seed;
+        // The checker is an observer, so the run keeps every job's record.
+        config.check_invariants = true;
         let sim = Simulator::new(&site, trace.to_specs(), config);
         let out = sim.run_to_completion();
         prop_assert_eq!(out.counters.completed as usize, out.jobs.len());
@@ -112,7 +114,9 @@ proptest! {
         let site = small_site(2, 1, 2);
         let trace = Trace::from_records(records);
         let n = trace.len() as u64;
-        let sim = Simulator::new(&site, trace.to_specs(), SimConfig::new(InitialKind::RoundRobin, strategy));
+        let mut config = SimConfig::new(InitialKind::RoundRobin, strategy);
+        config.check_invariants = true;
+        let sim = Simulator::new(&site, trace.to_specs(), config);
         let out = sim.run_to_completion();
         prop_assert_eq!(out.counters.completed, n);
         // Generous bound: submissions + completions + restarts + wait

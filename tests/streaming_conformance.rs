@@ -9,7 +9,9 @@
 //! * streaming equals a **materialized** serial run job-for-job and
 //!   counter-for-counter when sampling is off (per-pool event sequences
 //!   coincide; only cross-pool interleaving within a minute differs,
-//!   which no per-job record or counter can see);
+//!   which no per-job record or counter can see), and an unobserved
+//!   streaming run, which keeps no records, reports the serial run's
+//!   Table metrics from its folded totals;
 //! * **run-ahead** and epoch **pipelining** are unobservable: an
 //!   observer-less run (whose workers drain completion minutes between
 //!   barrier duties, with two dispatches in flight) matches the same run
@@ -27,6 +29,7 @@ use netbatch::cluster::ids::PoolId;
 use netbatch::cluster::job::PoolAffinity;
 use netbatch::cluster::pool::PoolConfig;
 use netbatch::cluster::priority::Priority;
+use netbatch::core::experiment::ExperimentResult;
 use netbatch::core::observer::{InvariantChecker, TraceRecorder};
 use netbatch::core::policy::{InitialKind, StrategyKind};
 use netbatch::core::simulator::{Backend, SimConfig, SimOutput, Simulator};
@@ -41,6 +44,15 @@ fn base_config(backend: Backend) -> SimConfig {
     let mut config = SimConfig::new(InitialKind::RoundRobin, StrategyKind::NoRes);
     config.backend = backend;
     config
+}
+
+/// `config` with the invariant checker on: a serial run under an
+/// observer keeps every job's record, for comparing record by record.
+fn observed(config: &SimConfig) -> SimConfig {
+    SimConfig {
+        check_invariants: true,
+        ..config.clone()
+    }
 }
 
 /// A small pool-major workload with enough pressure (bursty pinned high
@@ -127,7 +139,8 @@ fn streaming_matches_materialized_run() {
     let mut config = base_config(Backend::Serial);
     config.seed = p.seed;
     let trace = workload.generate(p.seed);
-    let materialized = Simulator::new(&site, trace.to_specs(), config.clone()).run_to_completion();
+    let materialized =
+        Simulator::new(&site, trace.to_specs(), observed(&config)).run_to_completion();
 
     for backend in [Backend::Serial, Backend::Sharded { shards: 4 }] {
         let mut cfg = config.clone();
@@ -150,6 +163,37 @@ fn streaming_matches_materialized_run() {
             materialized.pool_stats, streamed.pool_stats,
             "{backend:?}: pools"
         );
+    }
+}
+
+/// The Table metrics come from exact totals folded as each job retires,
+/// whether or not its record is kept: an unobserved streaming run, which
+/// keeps none, reports the serial kernel's `ExperimentResult` field for
+/// field, on both pool-major workloads and at every shard count.
+#[test]
+fn unobserved_streaming_results_equal_the_serial_ones() {
+    let p = params();
+    let collision = collision_workload();
+    let cells = [
+        (p.build_site(), p.build_workload(), p.seed),
+        (two_one_core_pools(), collision, 3),
+    ];
+    for (site, workload, seed) in &cells {
+        let mut config = base_config(Backend::Serial);
+        config.seed = *seed;
+        let result = |out| ExperimentResult::from_output(config.initial, config.strategy, out);
+        let specs = || workload.generate(*seed).to_specs();
+        let serial = result(Simulator::new(site, specs(), config.clone()).run_to_completion());
+        assert!(serial.suspended_jobs() > 0, "the cell must suspend jobs");
+        let checked = result(Simulator::new(site, specs(), observed(&config)).run_to_completion());
+        assert_eq!(serial, checked, "serial, observed or not");
+        for shards in [1usize, 2, 4] {
+            let mut cfg = config.clone();
+            cfg.backend = Backend::Sharded { shards };
+            let streamed =
+                result(Simulator::new(site, Vec::new(), cfg).run_streaming(workload, *seed));
+            assert_eq!(serial, streamed, "{shards} shards");
+        }
     }
 }
 
@@ -181,7 +225,7 @@ fn every_job_shares_its_class_affinity_set() {
 
     let mut config = base_config(Backend::Serial);
     config.seed = p.seed;
-    let serial = Simulator::new(&site, specs, config.clone()).run_to_completion();
+    let serial = Simulator::new(&site, specs, observed(&config)).run_to_completion();
     config.backend = Backend::Sharded { shards: 2 };
     let mut sim = Simulator::new(&site, Vec::new(), config);
     sim.attach_observer(Box::new(TraceRecorder::in_memory()));
@@ -296,23 +340,17 @@ fn fixed_class(name: &str, priority: u8, runtime: f64, pool: u16) -> JobClass {
         .with_affinity(PoolAffinity::from_ids(&[pool]))
 }
 
-/// A high-priority submission at minute `e` preempts a job whose
-/// completion is due at `e` itself. Submissions run before completions
-/// within a minute, so the booking is already in the worker's due batch
-/// when the suspension cancels it; delivery must skip it. The preempted
-/// job resumes with no wall time left, so its new booking is due in the
-/// minute it is made — and drained in that minute.
-#[test]
-fn a_completion_due_at_a_preempting_submission_is_skipped() {
-    // Two one-core pools, each with a low job due at minute 10 and a
-    // high job arriving then. Pool 1's low job is booked first, so the
-    // minute's due batch pops lane 1 before lane 0 and the sort by lane
-    // has to reorder it.
-    let site = SiteSpec {
+fn two_one_core_pools() -> SiteSpec {
+    SiteSpec {
         pools: (0..2)
             .map(|p| PoolConfig::uniform(PoolId(p), 1, 1, 8192))
             .collect(),
-    };
+    }
+}
+
+/// Per pool, a low job due at minute 10 and a high job arriving then.
+/// Pool 1's low job is booked first.
+fn collision_workload() -> WorkloadSpec {
     let mut workload = WorkloadSpec::new(0, 100);
     for (pool, low_at) in [(0u16, 1u64), (1, 0)] {
         workload = workload
@@ -325,9 +363,26 @@ fn a_completion_due_at_a_preempting_submission_is_skipped() {
                 Box::new(At(vec![10])),
             ));
     }
+    workload
+}
+
+/// A high-priority submission at minute `e` preempts a job whose
+/// completion is due at `e` itself. Submissions run before completions
+/// within a minute, so the booking is already in the worker's due batch
+/// when the suspension cancels it; delivery must skip it. The preempted
+/// job resumes with no wall time left, so its new booking is due in the
+/// minute it is made — and drained in that minute.
+#[test]
+fn a_completion_due_at_a_preempting_submission_is_skipped() {
+    // Two one-core pools, each with a low job due at minute 10 and a
+    // high job arriving then. Pool 1's low job is booked first, so the
+    // minute's due batch pops lane 1 before lane 0 and the sort by lane
+    // has to reorder it.
+    let site = two_one_core_pools();
+    let workload = collision_workload();
     let seed = 3;
     let config = base_config(Backend::Serial);
-    let materialized = Simulator::new(&site, workload.generate(seed).to_specs(), config.clone())
+    let materialized = Simulator::new(&site, workload.generate(seed).to_specs(), observed(&config))
         .run_to_completion();
     // The collision happened: each low job was suspended at its due
     // minute 10, then finished at 15, the moment its high job left.
