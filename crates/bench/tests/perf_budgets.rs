@@ -3,9 +3,9 @@
 //! the high-load wait path), per generated record of a normal week and
 //! its specs, and per completed job on the streaming kernel, the serial
 //! kernel's heap per job beyond the caller's specs, streaming peak heap
-//! staying flat as the horizon grows and tracking in-flight jobs rather
-//! than the pool count, and Telemetry's heap staying flat as the
-//! sampling rate grows.
+//! per core of the site, staying flat as the horizon grows and tracking
+//! in-flight jobs rather than the pool count, and Telemetry's heap
+//! staying flat as the sampling rate grows.
 //!
 //! All of them read process-global counters kept by this file's counting
 //! allocator, so the tests take [`SERIAL`] to keep each other's
@@ -113,6 +113,16 @@ const FLAT_HORIZON: u64 = 2 * 24 * 60;
 /// leaves room for the per-pool state that must exist (pool, lane and
 /// generator structs) but not for per-pool queues.
 const MAX_POOL_SPREAD_RATIO: f64 = 1.5;
+
+/// Ceiling on the streaming peak heap per core of the site: 20 pools at
+/// scale 1.0 (7 680 cores) over eight days on one shard. The in-flight
+/// jobs follow the cores, and each holds a 216-byte record in its
+/// worker's slab plus a 16-byte bucket of the map from job id to slab
+/// entry. Measured 441 bytes per core (3.23 MiB); the ceiling is that
+/// figure × 1.5. It measured 872 (6.39 MiB) while each worker kept its
+/// in-flight records by value in a hash map, whose buckets grow to more
+/// than twice the in-flight set.
+const MAX_STREAM_PEAK_BYTES_PER_CORE: f64 = 441.0 * 1.5;
 
 /// Ceiling on Telemetry's heap for a week sampled every minute over the
 /// same week sampled every hour (60 times fewer samples). Telemetry folds
@@ -349,6 +359,33 @@ fn streaming_cost(pools: u16, scale: f64, horizon: u64, shards: usize) -> Stream
 /// of `pools` pools at `scale` over `horizon` minutes.
 fn streaming_peak_bytes(pools: u16, scale: f64, horizon: u64) -> u64 {
     streaming_cost(pools, scale, horizon, 1).peak_bytes
+}
+
+/// The streaming peak heap per core of the site may not pass
+/// [`MAX_STREAM_PEAK_BYTES_PER_CORE`].
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "debug assertions allocate on the hot path; run with --release"
+)]
+fn streaming_peak_heap_per_site_core() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let (pools, scale, horizon) = (20, 1.0, 4 * FLAT_HORIZON);
+    let cores = PerPoolParams::new(pools, scale, horizon)
+        .build_site()
+        .total_cores();
+    let peak = streaming_cost(pools, scale, horizon, 1).peak_bytes;
+    let per_core = peak as f64 / f64::from(cores);
+    println!(
+        "peak heap {:.2} MiB over {cores} cores = {per_core:.1} bytes/core",
+        peak as f64 / MIB
+    );
+    assert!(
+        per_core <= MAX_STREAM_PEAK_BYTES_PER_CORE,
+        "streaming peak heap per core regressed: {per_core:.1} bytes vs ceiling \
+         {MAX_STREAM_PEAK_BYTES_PER_CORE:.1} — in-flight records take more than a slab \
+         entry and an index bucket again"
+    );
 }
 
 /// Both horizons (8 and 32 days) sit past the warm-up of the worker's

@@ -1268,18 +1268,16 @@ impl Simulator {
 
     /// Retires a settled job: nothing can change its record any more,
     /// because it completed or was given up and it is not half of a
-    /// duplicate pair whose race is still open. An unobserved run takes
-    /// the record out of its table and folds it into the totals (a shadow
-    /// copy is dropped, not folded); an observed run keeps every record
-    /// in its dense table and folds them all when the run finishes.
+    /// duplicate pair whose race is still open. An unobserved run folds
+    /// the record into the totals and frees its entry (a shadow copy is
+    /// dropped, not folded); an observed run keeps every record in its
+    /// dense table and folds them all when the run finishes.
     fn retire(&mut self, job: JobId) {
-        if self.jobs.is_dense() || self.dup_of.contains_key(&job) {
+        if self.dup_of.contains_key(&job) {
             return;
         }
-        if !self.shadows.contains(&job) {
-            self.totals.add(&self.jobs[job]);
-        }
-        self.jobs.remove(job);
+        let totals = (!self.shadows.contains(&job)).then_some(&mut self.totals);
+        self.jobs.retire(job, totals);
     }
 
     /// If `finisher` is half of a duplicate pair, cancel the other copy

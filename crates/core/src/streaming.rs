@@ -12,11 +12,12 @@
 //!
 //! * peak memory is O(in-flight jobs): a job exists from the epoch it is
 //!   generated (two minutes of lookahead) until its completion is
-//!   processed, after which its record is folded into the shard's
-//!   [`JobTotals`] and dropped — unless observers are attached, in which
-//!   case records are retained for [`SimOutput::jobs`] and folded when
-//!   the run finishes (the serial kernel's keep rule); shards' totals
-//!   merge by addition;
+//!   processed. Its record lives in the shard's [`JobTable`], the serial
+//!   kernel's slab of in-flight records, and retiring it folds it into
+//!   the shard's [`JobTotals`] and frees its entry — unless observers are
+//!   attached, in which case the table keeps it for [`SimOutput::jobs`]
+//!   and it is folded when the run finishes (the serial kernel's keep
+//!   rule); shards' totals merge by addition;
 //! * generation runs inside each shard's part of an epoch, so the shards
 //!   generate in parallel;
 //! * each shard's worker runs one [`EventQueue`] of `(lane, job)`
@@ -141,7 +142,6 @@ use netbatch_cluster::ids::{JobId, PoolId};
 use netbatch_cluster::job::{JobRecord, JobSpec, PoolAffinity};
 use netbatch_cluster::pool::{PhysicalPool, PoolAction, SubmitKind};
 use netbatch_sim_engine::epoch::merge_sorted_runs;
-use netbatch_sim_engine::hash::IntMap;
 use netbatch_sim_engine::queue::{EventId, EventQueue};
 use netbatch_sim_engine::time::{SimDuration, SimTime};
 use netbatch_workload::trace::TraceRecord;
@@ -298,16 +298,14 @@ struct StreamWorker<'a> {
     changed: Vec<LaneAhead>,
     /// Emptied minute buffers, reused by [`StreamWorker::refill`].
     spare: Vec<Vec<TraceRecord>>,
-    /// Jobs currently in flight (submitted and not yet completed); the
-    /// O(in-flight) working set. A per-id slot table, as the serial
-    /// kernel uses, would grow with the horizon.
-    jobs: IntMap<JobId, JobRecord>,
-    /// Completed (and unrunnable) records, kept only when `observed`.
-    finished: Vec<JobRecord>,
+    /// Records of the jobs in flight (submitted and not yet completed),
+    /// the O(in-flight) working set, reached through a map from id to
+    /// slab entry: a per-id slot vector would grow with the horizon. An
+    /// observed run's table also keeps every retired record.
+    jobs: JobTable,
     /// Totals of the retired jobs whose records were not kept.
     totals: JobTotals,
-    /// Observers are attached: keep finished records and buffer
-    /// emissions for replay.
+    /// Observers are attached: buffer emissions for replay.
     observed: bool,
     profile: bool,
     /// The pool step's scratch batch and suspension worklist; reused.
@@ -357,8 +355,7 @@ impl<'a> StreamWorker<'a> {
             subs: Vec::new(),
             changed: Vec::new(),
             spare: Vec::new(),
-            jobs: IntMap::default(),
-            finished: Vec::new(),
+            jobs: JobTable::streaming(observed),
             totals: JobTotals::default(),
             observed,
             profile,
@@ -377,17 +374,6 @@ impl<'a> StreamWorker<'a> {
     fn emit(&mut self, event: ObsEvent) {
         if self.observed {
             self.emissions.push((self.cur_pool, event));
-        }
-    }
-
-    /// The serial kernel's keep rule for a retired job (streaming runs
-    /// make no duplicates): an observed run keeps the record, and the run
-    /// folds it when it finishes; otherwise it is folded now and dropped.
-    fn retire(&mut self, record: JobRecord) {
-        if self.observed {
-            self.finished.push(record);
-        } else {
-            self.totals.add(&record);
         }
     }
 
@@ -541,16 +527,15 @@ impl<'a> StreamWorker<'a> {
             let id = JobId(base + k as u64);
             self.executed += 1;
             self.emit(ObsEvent::Kernel { kind: "submit" });
-            let mut job = JobRecord::new(record.to_spec(id));
+            let job = self.jobs.push(JobRecord::new(record.to_spec(id)));
             job.submit(now).expect("streamed submissions fire once");
-            self.emit(ObsEvent::Submit { job: id });
             // The pool reads no affinity (routing is the VPM's), so this
             // copy without the pool list submits exactly like the record.
             let spec = JobSpec {
                 affinity: PoolAffinity::Any,
                 ..*job.spec()
             };
-            self.jobs.insert(id, job);
+            self.emit(ObsEvent::Submit { job: id });
             let kind = self.step(li, arena, |host, actions, suspended| {
                 pool_step::submit(host, pool, &spec, true, now, actions, suspended)
             });
@@ -558,10 +543,9 @@ impl<'a> StreamWorker<'a> {
                 // The serial give-up (unhardened): the job's only
                 // candidate pool can never run it. The record parks at
                 // the VPM.
-                let job = self.jobs.remove(&id).expect("inserted above");
                 self.unrunnable += 1;
                 self.emit(ObsEvent::Unrunnable { job: id });
-                self.retire(job);
+                self.jobs.retire(id, Some(&mut self.totals));
             }
         }
         if let Some(t0) = t0 {
@@ -576,12 +560,12 @@ impl<'a> StreamWorker<'a> {
     /// Delivers a popped booking unless it went stale: a same-minute
     /// suspension that ran after the booking left the queue clears the
     /// job's `completion_event` (and a resume books a new handle), so a
-    /// booking no longer named by its job is skipped. Completed records
-    /// leave the in-flight set.
+    /// booking no longer named by its job is skipped. Completed jobs
+    /// retire.
     fn deliver(&mut self, li: usize, id: EventId, job: JobId, now: SimTime, arena: &PoolArena) {
         let live = self
             .jobs
-            .get(&job)
+            .get(job)
             .is_some_and(|rec| rec.completion_event == Some(id));
         if !live {
             return;
@@ -592,8 +576,7 @@ impl<'a> StreamWorker<'a> {
             pool_step::complete(host, job, now, actions, suspended);
         });
         self.completed += 1;
-        let done = self.jobs.remove(&job).expect("completed job is tracked");
-        self.retire(done);
+        self.jobs.retire(job, Some(&mut self.totals));
     }
 
     /// Runs one pool step on lane `li` with the worker's scratch batch and
@@ -658,10 +641,7 @@ impl PoolHost for StreamHost<'_, '_> {
     }
 
     fn job(&mut self, id: JobId) -> &mut JobRecord {
-        self.worker
-            .jobs
-            .get_mut(&id)
-            .expect("the pool acts only on tracked jobs")
+        &mut self.worker.jobs[id]
     }
 
     fn book(&mut self, at: SimTime, job: JobId) -> EventId {
@@ -792,7 +772,7 @@ pub(crate) fn run_streaming(
                 let mut worker = build(shard);
                 worker.prime();
                 if results.send(worker.report(None)).is_err() {
-                    return (worker.jobs, worker.finished, worker.totals);
+                    return (worker.jobs, worker.totals);
                 }
                 while let Ok(msg) = rx.recv() {
                     let epoch = msg.epoch;
@@ -801,7 +781,7 @@ pub(crate) fn run_streaming(
                         break;
                     }
                 }
-                (worker.jobs, worker.finished, worker.totals)
+                (worker.jobs, worker.totals)
             }));
         }
         drop(result_tx);
@@ -1027,26 +1007,30 @@ pub(crate) fn run_streaming(
         }
 
         drop(work_txs);
-        assert!(
-            worker0.jobs.is_empty(),
+        assert_eq!(
+            sim.counters.completed + sim.counters.unrunnable,
+            next_job_id,
             "a drained run leaves no in-flight jobs"
         );
-        let mut finished = worker0.finished;
+        // What the workers' tables still hold: nothing when unobserved,
+        // every job (each in exactly one shard) when observed.
+        let mut kept = worker0.jobs.into_records();
         sim.totals.merge(worker0.totals);
         for handle in handles {
-            let (jobs, mut fin, totals) = handle.join().expect("worker thread panicked");
-            assert!(jobs.is_empty(), "a drained run leaves no in-flight jobs");
-            finished.append(&mut fin);
+            let (jobs, totals) = handle.join().expect("worker thread panicked");
+            kept.append(&mut jobs.into_records());
             sim.totals.merge(totals);
         }
         if observed {
-            finished.sort_by_key(JobRecord::id);
-            debug_assert_eq!(
-                finished.len() as u64,
+            assert_eq!(
+                kept.len() as u64,
                 next_job_id,
-                "observer runs retain every generated job"
+                "observer runs keep every generated job"
             );
-            sim.jobs = JobTable::dense(finished);
+            kept.sort_by_key(JobRecord::id);
+            sim.jobs = JobTable::dense(kept);
+        } else {
+            assert!(kept.is_empty(), "a drained run leaves no in-flight jobs");
         }
         sim.total_jobs = next_job_id;
         sim.finish_run(end_time, events)

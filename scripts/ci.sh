@@ -217,15 +217,18 @@ scripts/perfbench_digests.sh
 # allocations per record of generating a week and its specs and per job
 # of a streaming run (catching a per-job copy of a pool set), an
 # unobserved serial run's peak heap per job stays near its in-flight
-# records (catching a record table built up front), a
-# streaming run's peak heap stays flat when its horizon quadruples
-# (catching anything that retains per-job state past completion) and
-# when the same load spreads over ten times the pools (catching
-# per-pool structures that scale with the queue), and Telemetry's heap
-# stays flat when a week is sampled every minute instead of every hour
-# (catching series that keep their samples). Timing is judged by
-# perfbench's paired runs on one host, not gated here.
-echo "==> perf budgets (allocs per event/record/job, serial and streaming memory, telemetry memory)"
+# records (catching a record table built up front), a streaming run's
+# peak heap per core of the site stays near one slab entry and one
+# index bucket per in-flight job (streaming_peak_heap_per_site_core,
+# catching records kept by value in hash buckets) and stays flat when
+# its horizon quadruples (catching anything that retains per-job state
+# past completion) and when the same load spreads over ten times the
+# pools (catching per-pool structures that scale with the queue), and
+# Telemetry's heap stays flat when a week is sampled every minute
+# instead of every hour (catching series that keep their samples).
+# Timing is judged by perfbench's paired runs on one host, not gated
+# here.
+echo "==> perf budgets (allocs per event/record/job, serial memory, streaming_peak_heap_per_site_core and streaming memory flatness, telemetry memory)"
 cargo test --release -q -p netbatch-bench --test perf_budgets
 
 echo "ci: all green"
