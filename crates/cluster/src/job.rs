@@ -88,16 +88,6 @@ pub struct Resources {
     pub memory_mb: u64,
 }
 
-impl Resources {
-    /// A single-core footprint with the given memory.
-    pub const fn single_core(memory_mb: u64) -> Self {
-        Resources {
-            cores: 1,
-            memory_mb,
-        }
-    }
-}
-
 impl Default for Resources {
     fn default() -> Self {
         Resources {

@@ -176,11 +176,11 @@ pub struct PhysicalPool {
     /// down).
     nominal_cores: u32,
     busy_cores: u32,
-    /// Machines currently failed; maintained by `fail_machine` /
-    /// `restore_machine` so health queries are O(1).
+    /// Machines currently failed; maintained by `fail_machine_into` /
+    /// `restore_machine_into` so health queries are O(1).
     down_machines: usize,
     /// Machines currently draining or cordoned; maintained by
-    /// `drain_machine` / `undrain_machine`.
+    /// `drain_machine` / `undrain_machine_into`.
     draining_machines: usize,
     /// Health-weighted capacity of *available* (up, non-draining)
     /// machines, in core-millis: `Σ cores · health_milli`. Maintained
@@ -701,19 +701,9 @@ impl PhysicalPool {
 
     /// Fails a machine: every resident job is evicted (the caller must
     /// resubmit them — host-level state is lost, so they restart from
-    /// scratch). Returns `(running, suspended)` evicted job ids, or `None`
-    /// if the machine is already down or out of range.
-    pub fn fail_machine(&mut self, machine: MachineId) -> Option<(Vec<JobId>, Vec<JobId>)> {
-        let mut running = Vec::new();
-        let mut suspended = Vec::new();
-        self.fail_machine_into(machine, &mut running, &mut suspended)
-            .then_some((running, suspended))
-    }
-
-    /// Allocation-light variant of [`PhysicalPool::fail_machine`]: appends
-    /// the evicted running and suspended job ids to the caller's buffers
-    /// and returns whether the machine was up (nothing is appended when it
-    /// was not).
+    /// scratch). Appends the evicted running and suspended job ids to the
+    /// caller's buffers and returns whether the machine was up (nothing is
+    /// appended when it was down or out of range).
     pub fn fail_machine_into(
         &mut self,
         machine: MachineId,
@@ -746,17 +736,8 @@ impl PhysicalPool {
     }
 
     /// Restores a failed machine and immediately dispatches queued work
-    /// onto it. Returns the follow-on actions, or `None` if the machine
-    /// was not down.
-    pub fn restore_machine(&mut self, now: SimTime, machine: MachineId) -> Option<Vec<PoolAction>> {
-        let mut actions = Vec::new();
-        self.restore_machine_into(now, machine, &mut actions)
-            .then_some(actions)
-    }
-
-    /// Allocation-free variant of [`PhysicalPool::restore_machine`]:
-    /// appends the follow-on actions to `actions` and returns whether the
-    /// machine was down.
+    /// onto it. Appends the follow-on actions to `actions` and returns
+    /// whether the machine was down.
     pub fn restore_machine_into(
         &mut self,
         now: SimTime,
@@ -799,17 +780,8 @@ impl PhysicalPool {
     }
 
     /// Ends a machine's drain/cordon and immediately dispatches queued
-    /// work onto it. Returns the follow-on actions, or `None` if the
-    /// machine was not draining.
-    pub fn undrain_machine(&mut self, now: SimTime, machine: MachineId) -> Option<Vec<PoolAction>> {
-        let mut actions = Vec::new();
-        self.undrain_machine_into(now, machine, &mut actions)
-            .then_some(actions)
-    }
-
-    /// Allocation-free variant of [`PhysicalPool::undrain_machine`]:
-    /// appends the follow-on actions to `actions` and returns whether the
-    /// machine was draining.
+    /// work onto it. Appends the follow-on actions to `actions` and
+    /// returns whether the machine was draining.
     pub fn undrain_machine_into(
         &mut self,
         now: SimTime,
@@ -1629,21 +1601,11 @@ mod tests {
         bumps(&mut p, "restore_machine_into", |p| {
             p.restore_machine_into(t(6), MachineId(0), &mut actions);
         });
-        bumps(&mut p, "fail_machine", |p| {
-            p.fail_machine(MachineId(1));
-        });
-        bumps(&mut p, "restore_machine", |p| {
-            p.restore_machine(t(7), MachineId(1));
-        });
         bumps(&mut p, "drain_machine", |p| {
             p.drain_machine(MachineId(0));
         });
         bumps(&mut p, "undrain_machine_into", |p| {
             p.undrain_machine_into(t(8), MachineId(0), &mut actions);
-        });
-        p.drain_machine(MachineId(0));
-        bumps(&mut p, "undrain_machine", |p| {
-            p.undrain_machine(t(9), MachineId(0));
         });
         bumps(&mut p, "set_machine_health", |p| {
             p.set_machine_health(MachineId(1), 500);
@@ -1675,7 +1637,7 @@ mod tests {
         assert_eq!(p.effective_cores_milli(), 2 * 1000);
         assert!(p.check_invariants());
         // Undrain re-admits work.
-        p.undrain_machine(t(101), MachineId(0)).expect("draining");
+        assert!(p.undrain_machine_into(t(101), MachineId(0), &mut Vec::new()));
         assert_eq!(p.effective_cores_milli(), 4 * 1000);
         assert_eq!(p.draining_machine_count(), 0);
         assert!(p.check_invariants());
@@ -1690,7 +1652,8 @@ mod tests {
             SubmitOutcome::Queued,
             "draining pool queues instead of dispatching"
         );
-        let actions = p.undrain_machine(t(5), MachineId(0)).expect("draining");
+        let mut actions = Vec::new();
+        assert!(p.undrain_machine_into(t(5), MachineId(0), &mut actions));
         assert!(matches!(
             actions[0],
             PoolAction::Started { job: JobId(1), .. }
@@ -1705,9 +1668,9 @@ mod tests {
         p.set_machine_health(MachineId(0), 500);
         assert_eq!(p.effective_cores_milli(), 2 * 500 + 2 * 1000);
         // Failing the unhealthy machine removes its weighted share.
-        p.fail_machine(MachineId(0)).expect("up");
+        assert!(p.fail_machine_into(MachineId(0), &mut Vec::new(), &mut Vec::new()));
         assert_eq!(p.effective_cores_milli(), 2 * 1000);
-        p.restore_machine(t(1), MachineId(0)).expect("down");
+        assert!(p.restore_machine_into(t(1), MachineId(0), &mut Vec::new()));
         assert_eq!(p.effective_cores_milli(), 2 * 500 + 2 * 1000);
         assert!(p.check_invariants());
     }
@@ -1716,8 +1679,8 @@ mod tests {
     fn drain_survives_fail_restore_cycle() {
         let mut p = small_pool();
         assert!(p.drain_machine(MachineId(0)));
-        p.fail_machine(MachineId(0)).expect("up");
-        p.restore_machine(t(1), MachineId(0)).expect("down");
+        assert!(p.fail_machine_into(MachineId(0), &mut Vec::new(), &mut Vec::new()));
+        assert!(p.restore_machine_into(t(1), MachineId(0), &mut Vec::new()));
         assert_eq!(
             p.draining_machine_count(),
             1,
@@ -1725,7 +1688,7 @@ mod tests {
         );
         assert_eq!(p.effective_cores_milli(), 2 * 1000);
         assert!(p.check_invariants());
-        p.undrain_machine(t(2), MachineId(0)).expect("draining");
+        assert!(p.undrain_machine_into(t(2), MachineId(0), &mut Vec::new()));
         assert_eq!(p.effective_cores_milli(), 4 * 1000);
         assert!(p.check_invariants());
     }

@@ -52,13 +52,6 @@ impl Priority {
     pub const fn can_preempt(self, other: Priority) -> bool {
         self.0 > other.0
     }
-
-    /// Returns true if this is a high-class priority (at or above
-    /// [`Priority::HIGH`]); used by workload generators and reports to
-    /// bucket jobs the way the paper does.
-    pub const fn is_high_class(self) -> bool {
-        self.0 >= Self::HIGH.0
-    }
 }
 
 impl fmt::Display for Priority {
@@ -87,14 +80,6 @@ mod tests {
         assert!(Priority::HIGH.can_preempt(Priority::LOW));
         assert!(!Priority::LOW.can_preempt(Priority::HIGH));
         assert!(!Priority::new(5).can_preempt(Priority::new(5)));
-    }
-
-    #[test]
-    fn class_bucketing() {
-        assert!(Priority::HIGH.is_high_class());
-        assert!(Priority::MAX.is_high_class());
-        assert!(!Priority::LOW.is_high_class());
-        assert!(!Priority::new(9).is_high_class());
     }
 
     #[test]

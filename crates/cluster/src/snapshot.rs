@@ -85,15 +85,6 @@ impl PoolSnapshot {
         }
     }
 
-    /// Fraction of the pool's machines currently down, in `[0, 1]`.
-    pub fn down_fraction(&self) -> f64 {
-        if self.machines == 0 {
-            0.0
-        } else {
-            self.down_machines as f64 / self.machines as f64
-        }
-    }
-
     /// Health-weighted *effective* utilization: busy cores over the
     /// health-weighted available capacity. Exceeds plain utilization when
     /// machines are down, draining, or flaky, so health-aware policies
@@ -329,7 +320,7 @@ mod tests {
         assert_eq!(s.busy_cores, 1);
         assert_eq!(s.running, 1);
         assert_eq!(s.machines, 2);
-        assert_eq!(s.down_fraction(), 0.0);
+        assert_eq!(s.down_machines, 0);
         assert!((s.utilization() - 0.25).abs() < 1e-9);
     }
 

@@ -357,17 +357,6 @@ impl ResSusWait {
             health_aware: false,
         }
     }
-
-    /// Overrides the waiting threshold.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threshold` is zero.
-    pub fn with_threshold(mut self, threshold: SimDuration) -> Self {
-        assert!(!threshold.is_zero(), "wait threshold must be positive");
-        self.threshold = threshold;
-        self
-    }
 }
 
 impl ReschedPolicy for ResSusWait {
@@ -890,8 +879,6 @@ mod tests {
             p.on_waiting(&job(), PoolId(0), &pools(2), &v, &mut rng),
             Some(PoolId(1))
         );
-        let custom = ResSusWait::random().with_threshold(SimDuration::from_minutes(5));
-        assert_eq!(custom.wait_threshold(), Some(SimDuration::from_minutes(5)));
     }
 
     #[test]
@@ -985,11 +972,5 @@ mod tests {
     fn default_strategies_match_nores_baseline() {
         assert_eq!(StrategyKind::default(), StrategyKind::NoRes);
         assert_eq!(StrategyKind::NoRes.to_string(), "NoRes");
-    }
-
-    #[test]
-    #[should_panic(expected = "threshold must be positive")]
-    fn zero_threshold_rejected() {
-        ResSusWait::util().with_threshold(SimDuration::ZERO);
     }
 }

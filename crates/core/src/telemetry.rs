@@ -473,13 +473,6 @@ impl Telemetry {
         &self.spans
     }
 
-    /// Queue-wait latency histogram for one pool, if any span closed there.
-    pub fn pool_queue_wait(&self, pool: PoolId) -> Option<&LogHistogram> {
-        self.queue_wait_by_pool
-            .get(pool.as_usize())
-            .filter(|h| h.count() > 0)
-    }
-
     /// Per-job total suspension times (suspended completed jobs only) as
     /// the Figure 2 CDF.
     pub fn suspension_cdf(&self) -> Cdf {
@@ -1253,8 +1246,8 @@ mod tests {
         assert_eq!(tel.spans().phase(PHASE_QUEUE_WAIT).unwrap().sum(), 30.0);
         assert_eq!(tel.spans().phase(PHASE_SUSPENDED).unwrap().sum(), 25.0);
         assert_eq!(tel.spans().phase(PHASE_COMPLETION).unwrap().sum(), 155.0);
-        assert_eq!(tel.pool_queue_wait(pool).unwrap().count(), 1);
-        assert!(tel.pool_queue_wait(PoolId(0)).is_none());
+        assert_eq!(tel.queue_wait_by_pool[pool.as_usize()].count(), 1);
+        assert_eq!(tel.queue_wait_by_pool[0].count(), 0);
         assert_eq!(tel.open_spans(), 0);
         assert_eq!(tel.unmatched_ends(), 0);
 

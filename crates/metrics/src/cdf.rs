@@ -234,6 +234,37 @@ mod tests {
         Cdf::from_samples([f64::NAN]);
     }
 
+    /// A shrunk proptest case (29 zeros, then six large values), pinned
+    /// as a named test: `prop_quantile_inverse`'s inverse bound and
+    /// `prop_cdf_monotone`'s monotonicity and range hold on it.
+    #[test]
+    fn regression_zero_heavy_samples_invert_and_stay_monotone() {
+        let mut data = vec![0.0; 29];
+        data.extend([
+            550282.3154337547,
+            508917.58280983043,
+            210199.15380756455,
+            940274.4718611027,
+            775214.8692890264,
+            440042.61028524797,
+        ]);
+        let cdf = Cdf::from_samples(data.clone());
+        for &x in &data {
+            let q = cdf.quantile(cdf.at(x)).unwrap();
+            assert!(q <= x + 1e-9, "quantile(at({x})) = {q}");
+        }
+        let mut probes = data;
+        probes.push(1e6);
+        probes.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        let mut last = -1.0;
+        for p in probes {
+            let v = cdf.at(p);
+            assert!(v >= last, "at({p}) = {v} fell below {last}");
+            assert!((0.0..=1.0).contains(&v));
+            last = v;
+        }
+    }
+
     proptest! {
         /// at() is monotone non-decreasing.
         #[test]

@@ -130,27 +130,6 @@ impl LogHistogram {
             .filter(|&(_, &c)| c > 0)
             .map(|(i, &c)| (self.base.powi(i as i32), self.base.powi(i as i32 + 1), c))
     }
-
-    /// Renders a compact ASCII bar chart, for harness output.
-    pub fn render_ascii(&self, width: usize) -> String {
-        let max = self.bins.iter().copied().max().unwrap_or(0).max(1);
-        let mut out = String::new();
-        if self.underflow > 0 {
-            out.push_str(&format!("{:>12} | {}\n", "<1", self.underflow));
-        }
-        for (lo, hi, c) in self.iter_bins() {
-            let bar_len = ((c as f64 / max as f64) * width as f64).round() as usize;
-            out.push_str(&format!(
-                "{:>5}-{:<6} | {:<width$} {}\n",
-                lo as u64,
-                hi as u64,
-                "#".repeat(bar_len),
-                c,
-                width = width
-            ));
-        }
-        out
-    }
 }
 
 impl Default for LogHistogram {
@@ -225,15 +204,6 @@ mod tests {
         let mut h = LogHistogram::decades();
         h.extend([1.0, 3.0]);
         assert!((h.mean() - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn ascii_rendering_is_nonempty() {
-        let mut h = LogHistogram::decades();
-        h.extend([0.1, 2.0, 20.0, 20.0]);
-        let s = h.render_ascii(20);
-        assert!(s.contains("<1"));
-        assert!(s.contains('#'));
     }
 
     #[test]

@@ -82,11 +82,6 @@ impl Value {
         }
     }
 
-    /// True for `null`.
-    pub fn is_null(&self) -> bool {
-        matches!(self, Value::Null)
-    }
-
     /// Re-renders the value as compact JSON (key order preserved; numbers
     /// render as integers when integral, which round-trips everything the
     /// simulator writes).
@@ -387,10 +382,10 @@ mod tests {
             doc.get("c").unwrap().get("d").unwrap().as_str(),
             Some("e\nf")
         );
-        assert!(doc.get("a").unwrap().as_arr().unwrap()[2]
-            .get("b")
-            .unwrap()
-            .is_null());
+        assert_eq!(
+            doc.get("a").unwrap().as_arr().unwrap()[2].get("b"),
+            Some(&Value::Null)
+        );
     }
 
     #[test]

@@ -56,13 +56,6 @@ impl SpanCollector {
         }
     }
 
-    /// Drops an open span without recording it (e.g. an entity that left
-    /// the system through a path whose duration is not a latency).
-    /// Returns whether a span was open.
-    pub fn abandon(&mut self, entity: u64, phase: &'static str) -> bool {
-        self.open.remove(&(entity, phase)).is_some()
-    }
-
     /// Records a duration directly into a phase histogram — for spans
     /// both of whose ends arrive in a single event (e.g. the discarded
     /// progress carried by a reschedule transition).
@@ -151,14 +144,11 @@ mod tests {
     }
 
     #[test]
-    fn unmatched_end_and_abandon() {
+    fn unmatched_end_is_counted() {
         let mut c = SpanCollector::new();
         assert_eq!(c.end(3, "queue_wait", t(1)), None);
         assert_eq!(c.unmatched_ends(), 1);
-        c.begin(4, "queue_wait", t(0));
-        assert!(c.abandon(4, "queue_wait"));
-        assert!(!c.abandon(4, "queue_wait"));
-        // Abandoned spans record nothing.
+        // An unmatched end records nothing.
         assert!(c.phase("queue_wait").is_none());
     }
 

@@ -189,16 +189,6 @@ impl SampleSet {
         self.quantile(0.5)
     }
 
-    /// Fraction of samples strictly greater than `x`.
-    pub fn fraction_above(&mut self, x: f64) -> f64 {
-        if self.values.is_empty() {
-            return 0.0;
-        }
-        self.ensure_sorted();
-        let idx = self.values.partition_point(|&v| v <= x);
-        (self.values.len() - idx) as f64 / self.values.len() as f64
-    }
-
     /// Read-only access to the (possibly unsorted) samples.
     pub fn values(&self) -> &[f64] {
         &self.values
@@ -285,20 +275,11 @@ mod tests {
     }
 
     #[test]
-    fn fraction_above_counts_strictly_greater() {
-        let mut s: SampleSet = [1.0, 2.0, 2.0, 3.0].into_iter().collect();
-        assert!((s.fraction_above(2.0) - 0.25).abs() < 1e-12);
-        assert_eq!(s.fraction_above(0.0), 1.0);
-        assert_eq!(s.fraction_above(5.0), 0.0);
-    }
-
-    #[test]
     fn empty_sample_set() {
         let mut s = SampleSet::new();
         assert!(s.is_empty());
         assert_eq!(s.mean(), 0.0);
         assert_eq!(s.median(), None);
-        assert_eq!(s.fraction_above(1.0), 0.0);
     }
 
     #[test]

@@ -10,16 +10,6 @@ use std::fmt;
 use crate::queue::{EventId, EventQueue};
 use crate::time::{SimDuration, SimTime};
 
-/// The handler's verdict after processing one event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Control {
-    /// Keep running.
-    #[default]
-    Continue,
-    /// Stop the run after this event; [`Executor::run`] returns.
-    Stop,
-}
-
 /// A simulation component that reacts to events.
 ///
 /// Implementations receive each event together with a [`Scheduler`] through
@@ -38,12 +28,7 @@ pub trait Handler {
     type Event;
 
     /// Processes one event occurring at `now`.
-    fn handle(
-        &mut self,
-        now: SimTime,
-        event: Self::Event,
-        sched: &mut Scheduler<'_, Self::Event>,
-    ) -> Control;
+    fn handle(&mut self, now: SimTime, event: Self::Event, sched: &mut Scheduler<'_, Self::Event>);
 
     /// The instant of the next arrival, if any remain. Successive
     /// arrivals must come in non-decreasing time order, and never before
@@ -116,25 +101,9 @@ impl<'a, E> Scheduler<'a, E> {
     }
 }
 
-/// Why an [`Executor::run`] call returned.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RunOutcome {
-    /// The event queue drained completely and the handler has no
-    /// arrivals left.
-    Drained,
-    /// The handler returned [`Control::Stop`].
-    Stopped,
-    /// The time horizon was reached with events still pending.
-    HorizonReached,
-    /// The step budget was exhausted with events still pending.
-    StepBudgetExhausted,
-}
-
-/// Summary statistics for a completed run.
+/// Summary statistics for a drained run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunStats {
-    /// Why the run ended.
-    pub outcome: RunOutcome,
     /// Number of events delivered to the handler, arrivals included.
     pub events_processed: u64,
     /// Virtual time when the run ended.
@@ -146,18 +115,17 @@ pub struct RunStats {
 /// # Examples
 ///
 /// ```
-/// use netbatch_sim_engine::executor::{Control, Executor, Handler, Scheduler};
+/// use netbatch_sim_engine::executor::{Executor, Handler, Scheduler};
 /// use netbatch_sim_engine::time::{SimDuration, SimTime};
 ///
 /// struct Counter(u32);
 /// impl Handler for Counter {
 ///     type Event = ();
-///     fn handle(&mut self, _now: SimTime, _e: (), sched: &mut Scheduler<'_, ()>) -> Control {
+///     fn handle(&mut self, _now: SimTime, _e: (), sched: &mut Scheduler<'_, ()>) {
 ///         self.0 += 1;
 ///         if self.0 < 3 {
 ///             sched.schedule_in(SimDuration::MINUTE, ());
 ///         }
-///         Control::Continue
 ///     }
 /// }
 ///
@@ -171,20 +139,15 @@ pub struct RunStats {
 pub struct Executor<E> {
     queue: EventQueue<E>,
     now: SimTime,
-    horizon: SimTime,
-    step_budget: u64,
     events_processed: u64,
 }
 
 impl<E> Executor<E> {
-    /// Creates an executor starting at time zero with no horizon or step
-    /// limit.
+    /// Creates an executor starting at time zero.
     pub fn new() -> Self {
         Executor {
             queue: EventQueue::new(),
             now: SimTime::ZERO,
-            horizon: SimTime::MAX,
-            step_budget: u64::MAX,
             events_processed: 0,
         }
     }
@@ -210,30 +173,6 @@ impl<E> Executor<E> {
         }
     }
 
-    /// Sets an inclusive time horizon: events strictly after it are not
-    /// delivered.
-    pub fn with_horizon(mut self, horizon: SimTime) -> Self {
-        self.horizon = horizon;
-        self
-    }
-
-    /// Sets a maximum number of events (arrivals included) to deliver
-    /// across all `run` calls — a backstop against accidental event storms.
-    pub fn with_step_budget(mut self, budget: u64) -> Self {
-        self.step_budget = budget;
-        self
-    }
-
-    /// The current virtual time.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Total events delivered so far.
-    pub fn events_processed(&self) -> u64 {
-        self.events_processed
-    }
-
     /// Schedules an event before the run starts (or between runs).
     pub fn seed_event(&mut self, at: SimTime, event: E) -> EventId {
         assert!(
@@ -245,29 +184,26 @@ impl<E> Executor<E> {
     }
 
     /// Runs the event loop until the queue and the handler's arrivals are
-    /// both drained, the handler stops it, or a limit is hit.
+    /// both drained.
     ///
     /// Each step delivers the handler's next arrival when its minute is at
     /// or before the queue's next event, and pops the queue otherwise.
-    /// Arrivals count as events: toward [`RunStats::events_processed`],
-    /// the step budget and the horizon alike.
+    /// Arrivals count toward [`RunStats::events_processed`].
     pub fn run<H: Handler<Event = E>>(&mut self, handler: &mut H) -> RunStats {
         loop {
-            if self.events_processed >= self.step_budget {
-                return self.stats(RunOutcome::StepBudgetExhausted);
-            }
             let arrival = handler.peek_arrival();
             let queued = self.queue.peek_time();
             let (next_time, is_arrival) = match (arrival, queued) {
                 (Some(a), Some(q)) if a <= q => (a, true),
                 (Some(a), None) => (a, true),
                 (_, Some(q)) => (q, false),
-                (None, None) => return self.stats(RunOutcome::Drained),
+                (None, None) => {
+                    return RunStats {
+                        events_processed: self.events_processed,
+                        end_time: self.now,
+                    }
+                }
             };
-            if next_time > self.horizon {
-                self.now = self.horizon;
-                return self.stats(RunOutcome::HorizonReached);
-            }
             let (time, event) = if is_arrival {
                 let event = handler.pop_arrival().expect("peeked arrival exists");
                 (next_time, event)
@@ -281,17 +217,7 @@ impl<E> Executor<E> {
                 now: self.now,
                 queue: &mut self.queue,
             };
-            if handler.handle(time, event, &mut sched) == Control::Stop {
-                return self.stats(RunOutcome::Stopped);
-            }
-        }
-    }
-
-    fn stats(&self, outcome: RunOutcome) -> RunStats {
-        RunStats {
-            outcome,
-            events_processed: self.events_processed,
-            end_time: self.now,
+            handler.handle(time, event, &mut sched);
         }
     }
 }
@@ -316,83 +242,33 @@ impl<E> fmt::Debug for Executor<E> {
 mod tests {
     use super::*;
 
-    #[derive(Debug, PartialEq)]
-    enum Ev {
-        Tick,
-        Stop,
-    }
-
     struct Recorder {
         seen: Vec<(u64, &'static str)>,
     }
 
     impl Handler for Recorder {
-        type Event = Ev;
+        type Event = &'static str;
 
-        fn handle(&mut self, now: SimTime, event: Ev, _s: &mut Scheduler<'_, Ev>) -> Control {
-            match event {
-                Ev::Tick => {
-                    self.seen.push((now.as_minutes(), "tick"));
-                    Control::Continue
-                }
-                Ev::Stop => {
-                    self.seen.push((now.as_minutes(), "stop"));
-                    Control::Stop
-                }
-            }
+        fn handle(
+            &mut self,
+            now: SimTime,
+            event: &'static str,
+            _s: &mut Scheduler<'_, &'static str>,
+        ) {
+            self.seen.push((now.as_minutes(), event));
         }
     }
 
     #[test]
     fn drains_in_order() {
         let mut ex = Executor::new();
-        ex.seed_event(SimTime::from_minutes(5), Ev::Tick);
-        ex.seed_event(SimTime::from_minutes(1), Ev::Tick);
+        ex.seed_event(SimTime::from_minutes(5), "b");
+        ex.seed_event(SimTime::from_minutes(1), "a");
         let mut r = Recorder { seen: vec![] };
         let stats = ex.run(&mut r);
-        assert_eq!(stats.outcome, RunOutcome::Drained);
-        assert_eq!(r.seen, vec![(1, "tick"), (5, "tick")]);
+        assert_eq!(r.seen, vec![(1, "a"), (5, "b")]);
         assert_eq!(stats.end_time, SimTime::from_minutes(5));
-    }
-
-    #[test]
-    fn stop_control_halts_run() {
-        let mut ex = Executor::new();
-        ex.seed_event(SimTime::from_minutes(1), Ev::Stop);
-        ex.seed_event(SimTime::from_minutes(2), Ev::Tick);
-        let mut r = Recorder { seen: vec![] };
-        let stats = ex.run(&mut r);
-        assert_eq!(stats.outcome, RunOutcome::Stopped);
-        assert_eq!(r.seen.len(), 1);
-    }
-
-    #[test]
-    fn horizon_is_inclusive() {
-        let mut ex = Executor::new().with_horizon(SimTime::from_minutes(10));
-        ex.seed_event(SimTime::from_minutes(10), Ev::Tick);
-        ex.seed_event(SimTime::from_minutes(11), Ev::Tick);
-        let mut r = Recorder { seen: vec![] };
-        let stats = ex.run(&mut r);
-        assert_eq!(stats.outcome, RunOutcome::HorizonReached);
-        assert_eq!(r.seen, vec![(10, "tick")]);
-        assert_eq!(stats.end_time, SimTime::from_minutes(10));
-    }
-
-    #[test]
-    fn step_budget_bounds_events() {
-        struct Bomb;
-        impl Handler for Bomb {
-            type Event = ();
-            fn handle(&mut self, _n: SimTime, _e: (), s: &mut Scheduler<'_, ()>) -> Control {
-                s.schedule_in(SimDuration::MINUTE, ());
-                Control::Continue
-            }
-        }
-        let mut ex = Executor::new().with_step_budget(100);
-        ex.seed_event(SimTime::ZERO, ());
-        let stats = ex.run(&mut Bomb);
-        assert_eq!(stats.outcome, RunOutcome::StepBudgetExhausted);
-        assert_eq!(stats.events_processed, 100);
+        assert_eq!(stats.events_processed, 2);
     }
 
     #[test]
@@ -402,12 +278,11 @@ mod tests {
         }
         impl Handler for Chain {
             type Event = u64;
-            fn handle(&mut self, now: SimTime, e: u64, s: &mut Scheduler<'_, u64>) -> Control {
+            fn handle(&mut self, now: SimTime, e: u64, s: &mut Scheduler<'_, u64>) {
                 self.fired.push(now.as_minutes());
                 if e > 0 {
                     s.schedule_in(SimDuration::from_minutes(10), e - 1);
                 }
-                Control::Continue
             }
         }
         let mut ex = Executor::new();
@@ -425,14 +300,13 @@ mod tests {
         }
         impl Handler for Canceller {
             type Event = u8;
-            fn handle(&mut self, _n: SimTime, e: u8, s: &mut Scheduler<'_, u8>) -> Control {
+            fn handle(&mut self, _n: SimTime, e: u8, s: &mut Scheduler<'_, u8>) {
                 self.delivered += 1;
                 if e == 0 {
                     // First event cancels the second.
                     let id = self.pending.take().expect("id stored");
                     assert!(s.cancel(id));
                 }
-                Control::Continue
             }
         }
         let mut ex = Executor::new();
@@ -444,7 +318,7 @@ mod tests {
         };
         let stats = ex.run(&mut h);
         assert_eq!(h.delivered, 1);
-        assert_eq!(stats.outcome, RunOutcome::Drained);
+        assert_eq!(stats.end_time, SimTime::from_minutes(1));
     }
 
     #[test]
@@ -453,9 +327,8 @@ mod tests {
         struct PastScheduler;
         impl Handler for PastScheduler {
             type Event = ();
-            fn handle(&mut self, _n: SimTime, _e: (), s: &mut Scheduler<'_, ()>) -> Control {
+            fn handle(&mut self, _n: SimTime, _e: (), s: &mut Scheduler<'_, ()>) {
                 s.schedule_at(SimTime::ZERO, ());
-                Control::Continue
             }
         }
         let mut ex = Executor::new();
@@ -472,9 +345,8 @@ mod tests {
         }
         impl Handler for Collect {
             type Event = u32;
-            fn handle(&mut self, now: SimTime, e: u32, _s: &mut Scheduler<'_, u32>) -> Control {
+            fn handle(&mut self, now: SimTime, e: u32, _s: &mut Scheduler<'_, u32>) {
                 self.seen.push((now.as_minutes(), e));
-                Control::Continue
             }
         }
 
@@ -505,7 +377,7 @@ mod tests {
         impl Handler for Mixed {
             type Event = u32;
 
-            fn handle(&mut self, now: SimTime, e: u32, s: &mut Scheduler<'_, u32>) -> Control {
+            fn handle(&mut self, now: SimTime, e: u32, s: &mut Scheduler<'_, u32>) {
                 self.seen.push((now.as_minutes(), e));
                 if e.is_multiple_of(3) && self.next_follow_up < 100_400 {
                     let delay = SimDuration::from_minutes(u64::from(e % 7));
@@ -518,7 +390,6 @@ mod tests {
                         s.cancel(id);
                     }
                 }
-                Control::Continue
             }
 
             fn peek_arrival(&self) -> Option<SimTime> {
@@ -578,7 +449,7 @@ mod tests {
                 }
                 let mut h = Collect { seen: vec![] };
                 let stats = ex.run(&mut h);
-                prop_assert_eq!(stats.outcome, RunOutcome::Drained);
+                prop_assert_eq!(stats.events_processed, times.len() as u64);
                 prop_assert_eq!(h.seen.len(), times.len());
                 for w in h.seen.windows(2) {
                     prop_assert!(w[0].0 <= w[1].0, "time order violated");
@@ -589,25 +460,6 @@ mod tests {
                 let mut delivered: Vec<u32> = h.seen.iter().map(|&(_, e)| e).collect();
                 delivered.sort_unstable();
                 prop_assert_eq!(delivered, (0..times.len() as u32).collect::<Vec<_>>());
-            }
-
-            /// A horizon never lets an event past it through, and the
-            /// executor's clock never exceeds the horizon.
-            #[test]
-            fn prop_horizon_is_respected(
-                times in proptest::collection::vec(0u64..10_000, 1..100),
-                horizon in 0u64..10_000,
-            ) {
-                let mut ex = Executor::new().with_horizon(SimTime::from_minutes(horizon));
-                for (i, &t) in times.iter().enumerate() {
-                    ex.seed_event(SimTime::from_minutes(t), i as u32);
-                }
-                let mut h = Collect { seen: vec![] };
-                let stats = ex.run(&mut h);
-                prop_assert!(h.seen.iter().all(|&(t, _)| t <= horizon));
-                prop_assert!(stats.end_time <= SimTime::from_minutes(horizon));
-                let expected = times.iter().filter(|&&t| t <= horizon).count();
-                prop_assert_eq!(h.seen.len(), expected);
             }
         }
     }
@@ -633,12 +485,11 @@ mod tests {
     impl Handler for Stream {
         type Event = u32;
 
-        fn handle(&mut self, now: SimTime, e: u32, s: &mut Scheduler<'_, u32>) -> Control {
+        fn handle(&mut self, now: SimTime, e: u32, s: &mut Scheduler<'_, u32>) {
             self.seen.push((now.as_minutes(), e));
             if let Some(at) = self.chain_at.take() {
                 s.schedule_at(SimTime::from_minutes(at), 200);
             }
-            Control::Continue
         }
 
         fn peek_arrival(&self) -> Option<SimTime> {
@@ -659,35 +510,11 @@ mod tests {
         let mut h = Stream::new(&[(0, 1), (5, 2), (5, 3), (7, 4)]);
         h.chain_at = Some(5);
         let stats = ex.run(&mut h);
-        assert_eq!(stats.outcome, RunOutcome::Drained);
         assert_eq!(stats.events_processed, 6);
         assert_eq!(
             h.seen,
             vec![(0, 1), (5, 2), (5, 3), (5, 100), (5, 200), (7, 4)]
         );
-    }
-
-    #[test]
-    fn arrivals_consume_the_step_budget() {
-        let mut ex = Executor::new().with_step_budget(2);
-        ex.seed_event(SimTime::from_minutes(9), 100);
-        let mut h = Stream::new(&[(1, 1), (2, 2), (3, 3)]);
-        let stats = ex.run(&mut h);
-        assert_eq!(stats.outcome, RunOutcome::StepBudgetExhausted);
-        assert_eq!(stats.events_processed, 2);
-        assert_eq!(h.seen, vec![(1, 1), (2, 2)]);
-    }
-
-    #[test]
-    fn an_arrival_past_the_horizon_is_not_delivered() {
-        let mut ex = Executor::new().with_horizon(SimTime::from_minutes(10));
-        ex.seed_event(SimTime::from_minutes(4), 100);
-        let mut h = Stream::new(&[(10, 1), (11, 2)]);
-        let stats = ex.run(&mut h);
-        assert_eq!(stats.outcome, RunOutcome::HorizonReached);
-        assert_eq!(stats.end_time, SimTime::from_minutes(10));
-        assert_eq!(h.seen, vec![(4, 100), (10, 1)]);
-        assert_eq!(h.peek_arrival(), Some(SimTime::from_minutes(11)));
     }
 
     #[test]
@@ -697,30 +524,18 @@ mod tests {
         ex.seed_event(SimTime::from_minutes(1), 100);
         let mut h = Stream::new(&[(50, 1), (60, 2)]);
         let stats = ex.run(&mut h);
-        assert_eq!(stats.outcome, RunOutcome::Drained);
         assert_eq!(stats.end_time, SimTime::from_minutes(60));
         assert_eq!(h.seen, vec![(1, 100), (50, 1), (60, 2)]);
         // Arrivals alone, nothing ever queued.
         let mut ex = Executor::new();
         let mut h = Stream::new(&[(3, 1)]);
-        assert_eq!(ex.run(&mut h).outcome, RunOutcome::Drained);
+        assert_eq!(ex.run(&mut h).end_time, SimTime::from_minutes(3));
         assert_eq!(h.seen, vec![(3, 1)]);
         // The arrivals run out first: the queue still drains.
         let mut ex = Executor::new();
         ex.seed_event(SimTime::from_minutes(8), 100);
         let mut h = Stream::new(&[(2, 1)]);
-        assert_eq!(ex.run(&mut h).outcome, RunOutcome::Drained);
+        assert_eq!(ex.run(&mut h).end_time, SimTime::from_minutes(8));
         assert_eq!(h.seen, vec![(2, 1), (8, 100)]);
-    }
-
-    #[test]
-    fn run_resumes_after_stop() {
-        let mut ex = Executor::new();
-        ex.seed_event(SimTime::from_minutes(1), Ev::Stop);
-        ex.seed_event(SimTime::from_minutes(2), Ev::Tick);
-        let mut r = Recorder { seen: vec![] };
-        assert_eq!(ex.run(&mut r).outcome, RunOutcome::Stopped);
-        assert_eq!(ex.run(&mut r).outcome, RunOutcome::Drained);
-        assert_eq!(r.seen, vec![(1, "stop"), (2, "tick")]);
     }
 }

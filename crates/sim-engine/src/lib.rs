@@ -10,8 +10,8 @@
 //!   metric in the paper is reported in;
 //! * a cancellable, deterministically tie-broken future-event set
 //!   ([`queue::EventQueue`]);
-//! * a driver loop with horizons and step budgets
-//!   ([`executor::Executor`]);
+//! * an event loop that runs until the queue and the arrival stream are
+//!   both drained ([`executor::Executor`]);
 //! * per-minute sampling cadence helpers ([`sampler::PeriodicSampler`]),
 //!   mirroring ASCA's "sample each minute, aggregate per 100 minutes"
 //!   methodology;
@@ -36,13 +36,12 @@
 //!         now: SimTime,
 //!         event: &'static str,
 //!         sched: &mut Scheduler<'_, &'static str>,
-//!     ) -> Control {
+//!     ) {
 //!         assert_eq!(event, "ping");
 //!         self.0 += 1;
 //!         if self.0 < 5 {
 //!             sched.schedule_in(SimDuration::HOUR, "ping");
 //!         }
-//!         Control::Continue
 //!     }
 //! }
 //!
@@ -68,7 +67,7 @@ pub mod time;
 
 /// Convenient glob-import surface for downstream crates.
 pub mod prelude {
-    pub use crate::executor::{Control, Executor, Handler, RunOutcome, RunStats, Scheduler};
+    pub use crate::executor::{Executor, Handler, RunStats, Scheduler};
     pub use crate::observe::EventLabel;
     pub use crate::queue::{EventId, EventQueue};
     pub use crate::rng::DetRng;

@@ -129,19 +129,6 @@ impl DetRng {
             }
         }
     }
-
-    /// Fills `dest` with random bytes, little-endian per 64-bit draw.
-    pub fn fill_bytes(&mut self, dest: &mut [u8]) {
-        let mut chunks = dest.chunks_exact_mut(8);
-        for chunk in &mut chunks {
-            chunk.copy_from_slice(&self.next_u64_inner().to_le_bytes());
-        }
-        let rem = chunks.into_remainder();
-        if !rem.is_empty() {
-            let bytes = self.next_u64_inner().to_le_bytes();
-            rem.copy_from_slice(&bytes[..rem.len()]);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -226,14 +213,6 @@ mod tests {
     #[should_panic(expected = "bound must be positive")]
     fn next_below_zero_panics() {
         DetRng::from_seed_u64(0).next_below(0);
-    }
-
-    #[test]
-    fn fill_bytes_covers_partial_chunks() {
-        let mut rng = DetRng::from_seed_u64(21);
-        let mut buf = [0u8; 13];
-        rng.fill_bytes(&mut buf);
-        assert!(buf.iter().any(|&b| b != 0));
     }
 
     #[test]

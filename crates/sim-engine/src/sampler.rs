@@ -41,11 +41,6 @@ impl PeriodicSampler {
         }
     }
 
-    /// A sampler ticking every minute from time zero — ASCA's cadence.
-    pub fn every_minute() -> Self {
-        PeriodicSampler::new(SimTime::ZERO, SimDuration::MINUTE)
-    }
-
     /// The sampling interval.
     pub fn interval(&self) -> SimDuration {
         self.interval
@@ -61,17 +56,6 @@ impl PeriodicSampler {
         let t = self.next;
         self.next = self.next.saturating_add(self.interval);
         t
-    }
-
-    /// Advances the sampler so its next tick is strictly after `now`.
-    /// Returns how many ticks were skipped.
-    pub fn catch_up(&mut self, now: SimTime) -> u64 {
-        let mut skipped = 0;
-        while self.next <= now {
-            self.next = self.next.saturating_add(self.interval);
-            skipped += 1;
-        }
-        skipped
     }
 }
 
@@ -89,26 +73,11 @@ mod tests {
 
     #[test]
     fn peek_does_not_consume() {
-        let mut s = PeriodicSampler::every_minute();
+        let mut s = PeriodicSampler::new(SimTime::ZERO, SimDuration::MINUTE);
         assert_eq!(s.peek_tick(), SimTime::ZERO);
         assert_eq!(s.peek_tick(), SimTime::ZERO);
         s.next_tick();
         assert_eq!(s.peek_tick(), SimTime::from_minutes(1));
-    }
-
-    #[test]
-    fn catch_up_skips_past_ticks() {
-        let mut s = PeriodicSampler::every_minute();
-        let skipped = s.catch_up(SimTime::from_minutes(10));
-        assert_eq!(skipped, 11); // ticks 0..=10 inclusive
-        assert_eq!(s.peek_tick(), SimTime::from_minutes(11));
-    }
-
-    #[test]
-    fn catch_up_noop_when_already_ahead() {
-        let mut s = PeriodicSampler::new(SimTime::from_minutes(100), SimDuration::MINUTE);
-        assert_eq!(s.catch_up(SimTime::from_minutes(50)), 0);
-        assert_eq!(s.peek_tick(), SimTime::from_minutes(100));
     }
 
     #[test]

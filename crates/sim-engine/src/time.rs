@@ -54,16 +54,6 @@ impl SimTime {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
 
-    /// Returns the duration between the two instants regardless of order.
-    pub fn abs_diff(self, other: SimTime) -> SimDuration {
-        SimDuration(self.0.abs_diff(other.0))
-    }
-
-    /// Checked addition of a duration; `None` on overflow.
-    pub fn checked_add(self, d: SimDuration) -> Option<SimTime> {
-        self.0.checked_add(d.0).map(SimTime)
-    }
-
     /// Saturating addition of a duration.
     pub fn saturating_add(self, d: SimDuration) -> SimTime {
         SimTime(self.0.saturating_add(d.0))
@@ -246,23 +236,6 @@ mod tests {
         let a = SimTime::from_minutes(10);
         let b = SimTime::from_minutes(20);
         assert_eq!(b.since(a).as_minutes(), 10);
-    }
-
-    #[test]
-    fn abs_diff_is_symmetric() {
-        let a = SimTime::from_minutes(3);
-        let b = SimTime::from_minutes(8);
-        assert_eq!(a.abs_diff(b), b.abs_diff(a));
-        assert_eq!(a.abs_diff(b).as_minutes(), 5);
-    }
-
-    #[test]
-    fn checked_add_detects_overflow() {
-        assert_eq!(SimTime::MAX.checked_add(SimDuration::MINUTE), None);
-        assert_eq!(
-            SimTime::ZERO.checked_add(SimDuration::HOUR),
-            Some(SimTime::from_minutes(60))
-        );
     }
 
     #[test]

@@ -83,17 +83,6 @@ impl JobClass {
         self
     }
 
-    /// Caps sampled runtimes at `minutes`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `minutes` is zero.
-    pub fn with_max_runtime(mut self, minutes: u64) -> Self {
-        assert!(minutes > 0, "max runtime must be positive");
-        self.max_runtime = minutes;
-        self
-    }
-
     /// Instantiates the `seq`-th job of this class, arriving at
     /// `submit_minute`. `task_base` offsets task ids so different classes
     /// never collide.
@@ -165,7 +154,8 @@ mod tests {
 
     #[test]
     fn runtime_is_capped_and_floored() {
-        let huge = class().with_max_runtime(50);
+        let mut huge = class();
+        huge.max_runtime = 50;
         let mut rng = DetRng::from_seed_u64(1);
         assert_eq!(huge.instantiate(&mut rng, 0, 0, 0).runtime_minutes, 50);
         let tiny = JobClass::new("t", 0, Box::new(Constant(0.0)));

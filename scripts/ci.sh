@@ -10,12 +10,11 @@ cargo fmt --all -- --check
 echo "==> cargo clippy (all targets, warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
 
-# Rustdoc over the project crates (the vendor/ shims excluded): a broken
+# Rustdoc over the project crates (the vendor/ shim excluded): a broken
 # intra-doc link, such as one to an item that was deleted or is private,
 # fails the gate.
 echo "==> cargo doc (project crates, warnings are errors)"
-RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace \
-  --exclude proptest --exclude criterion
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --exclude proptest
 
 echo "==> cargo build --release"
 cargo build --release --workspace
@@ -161,7 +160,7 @@ cargo test --release -q --test provenance
 echo "==> streaming pipeline smoke (year window, 2 shards)"
 cargo run --release --bin netbatch -- simulate \
   --stream-workload --pools 8 --horizon year --scale 0.02 --seed 11 \
-  --backend sharded --shards 2 --profile-out "$tmpdir/stream.folded"
+  --shards 2 --profile-out "$tmpdir/stream.folded"
 grep -q '^netbatch;coordinator;merge ' "$tmpdir/stream.folded"
 grep -q '^netbatch;shard0;generate ' "$tmpdir/stream.folded"
 grep -q '^netbatch;shard1;submit ' "$tmpdir/stream.folded"
@@ -171,7 +170,7 @@ grep -q '^netbatch;shard1;submit ' "$tmpdir/stream.folded"
 echo "==> streaming pipeline smoke (year window, 1 shard, no worker thread)"
 cargo run --release --bin netbatch -- simulate \
   --stream-workload --pools 8 --horizon year --scale 0.02 --seed 11 \
-  --backend sharded --shards 1 --profile-out "$tmpdir/stream1.folded"
+  --shards 1 --profile-out "$tmpdir/stream1.folded"
 grep -q '^netbatch;coordinator;merge ' "$tmpdir/stream1.folded"
 grep -q '^netbatch;shard0;generate ' "$tmpdir/stream1.folded"
 echo "==> streaming conformance (golden matrix, materialized parity)"

@@ -47,7 +47,7 @@ USAGE:
                     [--lifecycle-maintenance-duration HOURS]
                     [--lifecycle-rolling-waves N] [--lifecycle-rolling-fraction FRAC]
                     [--lifecycle-cordon-below FRAC] [--health-aware]
-                    [--backend serial|sharded] [--shards N]
+                    [--shards N]
                     [--stream-workload] [--pools N] [--horizon week|year|MINUTES]
   netbatch report   [--trace FILE | --scenario NAME] [--scale S] [--seed N]
                     [--strategy NAME] [--initial rr|util] [--high-load]
@@ -78,10 +78,10 @@ knobs tune it (drain lead default 60 min, maintenance every 48h for 2h,
 `--health-aware` makes scheduling weight pools by health-adjusted
 effective capacity and proactively evacuates jobs off draining machines
 before the kill deadline (implies `--lifecycle` and `--hardened`).
-`--backend sharded` runs a `--stream-workload` run on `--shards N`
-worker threads (default 4; at most one per pool); output is
-byte-identical at any shard count. Materialized runs always use the
-serial executor and reject `--backend sharded`.
+`--shards N` runs a `--stream-workload` run on N worker threads
+(default 1; at most one per pool); output is byte-identical at any
+shard count. Materialized runs always use the serial executor and
+reject `--shards`.
 `--stream-workload` runs the streaming pipeline instead of a
 materialized trace: a pool-major workload (`--pools N` pools, default
 20, arrival rates scaled by `--scale`) is generated shard-locally epoch
@@ -196,22 +196,14 @@ fn parse_strategy(name: &str) -> Result<StrategyKind, String> {
         .ok_or_else(|| format!("unknown strategy `{name}` (try `netbatch strategies`)"))
 }
 
-fn parse_backend(name: Option<String>, shards: Option<u64>) -> Result<Backend, String> {
-    match name.as_deref().unwrap_or("serial") {
-        "serial" => match shards {
-            None => Ok(Backend::Serial),
-            Some(_) => Err("--shards only applies to --backend sharded".into()),
-        },
-        "sharded" => {
-            let shards = shards.unwrap_or(4);
-            if shards == 0 {
-                return Err("--shards must be at least 1".into());
-            }
-            Ok(Backend::Sharded {
-                shards: shards as usize,
-            })
-        }
-        other => Err(format!("unknown backend `{other}` (serial|sharded)")),
+/// Parses `--shards N`: absent runs the serial backend.
+fn parse_backend(shards: Option<u64>) -> Result<Backend, String> {
+    match shards {
+        None => Ok(Backend::Serial),
+        Some(0) => Err("--shards must be at least 1".into()),
+        Some(shards) => Ok(Backend::Sharded {
+            shards: shards as usize,
+        }),
     }
 }
 
@@ -364,7 +356,7 @@ fn parse_args(args: &[String]) -> Result<Command, String> {
             lifecycle_rolling_fraction: fnum("lifecycle-rolling-fraction")?.unwrap_or(0.25),
             lifecycle_cordon_below: fnum("lifecycle-cordon-below")?.unwrap_or(0.5),
             health_aware: has("health-aware"),
-            backend: parse_backend(get("backend"), int("shards")?)?,
+            backend: parse_backend(int("shards")?)?,
             stream_workload: has("stream-workload"),
             pools: int("pools")?,
             horizon: parse_horizon(get("horizon"))?,
@@ -536,7 +528,7 @@ fn run(cmd: Command) -> Result<(), String> {
                 return Err("--pools and --horizon apply only to --stream-workload runs".into());
             }
             if !stream_workload && backend != Backend::Serial {
-                return Err("--backend sharded applies only to --stream-workload runs \
+                return Err("--shards applies only to --stream-workload runs \
                      (materialized runs use the serial executor)"
                     .into());
             }
@@ -1442,28 +1434,21 @@ mod tests {
             other => panic!("expected simulate, got {other:?}"),
         };
         assert_eq!(backend_of("simulate"), Backend::Serial);
-        assert_eq!(backend_of("simulate --backend serial"), Backend::Serial);
         assert_eq!(
-            backend_of("simulate --backend sharded"),
-            Backend::Sharded { shards: 4 }
+            backend_of("simulate --shards 1"),
+            Backend::Sharded { shards: 1 }
         );
         assert_eq!(
-            backend_of("simulate --backend sharded --shards 8"),
+            backend_of("simulate --shards 8"),
             Backend::Sharded { shards: 8 }
         );
-        assert!(parse_args(&args("simulate --backend warp"))
-            .unwrap_err()
-            .contains("unknown backend"));
-        assert!(parse_args(&args("simulate --shards 2"))
-            .unwrap_err()
-            .contains("--backend sharded"));
-        assert!(parse_args(&args("simulate --backend sharded --shards 0"))
+        assert!(parse_args(&args("simulate --shards 0"))
             .unwrap_err()
             .contains("at least 1"));
         // Only streaming runs have a parallel kernel.
         let run_err = |s: &str| run(parse_args(&args(s)).unwrap()).unwrap_err();
-        assert!(run_err("simulate --backend sharded").contains("--stream-workload"));
-        assert!(run_err("simulate --backend sharded --shards 2").contains("--stream-workload"));
+        assert!(run_err("simulate --shards 1").contains("--stream-workload"));
+        assert!(run_err("simulate --shards 2").contains("--stream-workload"));
     }
 
     #[test]
