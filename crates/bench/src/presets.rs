@@ -15,11 +15,11 @@ use std::path::PathBuf;
 use netbatch_cluster::ids::PoolId;
 use netbatch_cluster::job::JobRecord;
 use netbatch_core::experiment::ExperimentResult;
-use netbatch_core::faults::{FaultModel, FaultPlan, LifecycleModel, ResiliencePolicy};
-use netbatch_core::policy::{InitialKind, ResSusWaitSmart, SmartWeights, StrategyKind};
-use netbatch_core::simulator::{
-    MachineFailure, MigrationParams, SimConfig, Simulator, VpmTopology,
+use netbatch_core::faults::{
+    FaultModel, FaultPlan, LifecycleModel, MachineOutage, ResiliencePolicy,
 };
+use netbatch_core::policy::{InitialKind, ResSusWaitSmart, SmartWeights, StrategyKind};
+use netbatch_core::simulator::{MigrationParams, SimConfig, Simulator, VpmTopology};
 use netbatch_metrics::table::Table;
 use netbatch_sim_engine::rng::DetRng;
 use netbatch_sim_engine::time::{SimDuration, SimTime};
@@ -1058,19 +1058,20 @@ pub fn failures(ctx: &Ctx) -> Result<Vec<ShapeCheck>, String> {
     // distinct outages. The plan normalization merges the duplicates;
     // report the effective count so the table is honest about intensity.
     let mut rng = DetRng::from_seed_u64(99).stream("failures");
-    let legacy: Vec<MachineFailure> = (0..80)
+    let legacy: Vec<MachineOutage> = (0..80)
         .map(|_| {
             let pool = rng.next_below(site.pools.len() as u64) as usize;
             let machine = rng.next_below(site.pools[pool].machines.len() as u64) as u32;
-            MachineFailure {
+            let from = SimTime::from_minutes(rng.next_below(9_000));
+            MachineOutage {
                 pool: site.pools[pool].id,
                 machine: machine.into(),
-                at: SimTime::from_minutes(rng.next_below(9_000)),
-                down_for: Some(SimDuration::from_hours(12)),
+                from,
+                until: Some(from + SimDuration::from_hours(12)),
             }
         })
         .collect();
-    let effective = FaultPlan::from_failures(&legacy).len();
+    let effective = FaultPlan::new(legacy).len();
     println!(
         "\nLegacy draw: 80 nominal failures -> {effective} effective outages after dedupe/merge"
     );

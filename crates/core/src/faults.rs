@@ -2,8 +2,9 @@
 //! hardens itself with.
 //!
 //! The paper's future work is validating dynamic rescheduling on the live
-//! platform — where hosts fail. This module turns the ad-hoc
-//! [`MachineFailure`] escape hatch into a first-class fault subsystem:
+//! platform — where hosts fail. This module is the fault subsystem; an
+//! explicit outage list (`SimConfig::failures`) is a plan input like any
+//! generated schedule:
 //!
 //! * [`FaultModel`] — deterministically generates a [`FaultPlan`] from the
 //!   run's [`DetRng`]: per-machine exponential MTBF/MTTR outages,
@@ -24,7 +25,7 @@ use netbatch_cluster::ids::{MachineId, PoolId};
 use netbatch_sim_engine::rng::DetRng;
 use netbatch_sim_engine::time::{SimDuration, SimTime};
 
-use crate::simulator::MachineFailure;
+use crate::config::{first_broken, ConfigError};
 
 /// One validated machine outage interval: down at `from`, back up at
 /// `until` (`None` = never repaired).
@@ -92,21 +93,6 @@ impl FaultPlan {
             }
         }
         FaultPlan { outages }
-    }
-
-    /// Normalizes the ad-hoc [`MachineFailure`] escape hatch into a plan.
-    pub fn from_failures(failures: &[MachineFailure]) -> Self {
-        FaultPlan::new(
-            failures
-                .iter()
-                .map(|f| MachineOutage {
-                    pool: f.pool,
-                    machine: f.machine,
-                    from: f.at,
-                    until: f.down_for.map(|d| f.at + d),
-                })
-                .collect(),
-        )
     }
 
     /// Merges two plans into one normalized schedule.
@@ -591,46 +577,37 @@ impl LifecycleModel {
 
     /// Rejects configurations that would panic or hang plan generation:
     /// non-positive horizons and durations, NaN or out-of-range fractions.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.horizon.as_minutes() == 0 {
-            return Err("lifecycle horizon must be positive".into());
-        }
-        if self.maintenance_every.as_minutes() > 0 && self.maintenance_duration.as_minutes() == 0 {
-            return Err("lifecycle maintenance duration must be positive".into());
-        }
-        if self.rolling_waves > 0 {
-            if self.rolling_fraction.is_nan()
-                || self.rolling_fraction <= 0.0
-                || self.rolling_fraction > 1.0
-            {
-                return Err(format!(
-                    "lifecycle rolling fraction must be in (0, 1], got {}",
-                    self.rolling_fraction
-                ));
-            }
-            if self.rolling_duration.as_minutes() == 0 {
-                return Err("lifecycle rolling duration must be positive".into());
-            }
-        }
-        if self.cordon_below_milli > 0 && self.cordon_duration.as_minutes() == 0 {
-            return Err("lifecycle cordon duration must be positive".into());
-        }
-        if self.probe_count == 0 {
-            return Err("lifecycle probe count must be positive".into());
-        }
-        if !(0.0..=1.0).contains(&self.probe_fail) || self.probe_fail.is_nan() {
-            return Err(format!(
-                "lifecycle probe failure rate must be in [0, 1], got {}",
-                self.probe_fail
-            ));
-        }
-        if !(0.0..=1.0).contains(&self.flaky_fraction) || self.flaky_fraction.is_nan() {
-            return Err(format!(
-                "lifecycle flaky fraction must be in [0, 1], got {}",
-                self.flaky_fraction
-            ));
-        }
-        Ok(())
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        let in_unit = |v: f64| (0.0..=1.0).contains(&v);
+        let rolling = self.rolling_waves > 0;
+        first_broken([
+            (self.horizon.is_zero(), ConfigError::LifecycleHorizon),
+            (
+                !self.maintenance_every.is_zero() && self.maintenance_duration.is_zero(),
+                ConfigError::LifecycleMaintenanceDuration,
+            ),
+            (
+                rolling && (self.rolling_fraction <= 0.0 || !in_unit(self.rolling_fraction)),
+                ConfigError::LifecycleRollingFraction(self.rolling_fraction),
+            ),
+            (
+                rolling && self.rolling_duration.is_zero(),
+                ConfigError::LifecycleRollingDuration,
+            ),
+            (
+                self.cordon_below_milli > 0 && self.cordon_duration.is_zero(),
+                ConfigError::LifecycleCordonDuration,
+            ),
+            (self.probe_count == 0, ConfigError::LifecycleProbeCount),
+            (
+                !in_unit(self.probe_fail),
+                ConfigError::LifecycleProbeFailure(self.probe_fail),
+            ),
+            (
+                !in_unit(self.flaky_fraction),
+                ConfigError::LifecycleFlakyFraction(self.flaky_fraction),
+            ),
+        ])
     }
 
     /// Generates the lifecycle plan for a site described as
@@ -886,14 +863,14 @@ mod tests {
     }
 
     #[test]
-    fn from_failures_dedupes_identical_draws() {
-        let f = MachineFailure {
+    fn identical_draws_dedupe() {
+        let f = MachineOutage {
             pool: PoolId(2),
             machine: MachineId(1),
-            at: SimTime::from_minutes(100),
-            down_for: Some(SimDuration::from_hours(12)),
+            from: SimTime::from_minutes(100),
+            until: Some(SimTime::from_minutes(820)),
         };
-        let plan = FaultPlan::from_failures(&[f, f, f]);
+        let plan = FaultPlan::new(vec![f, f, f]);
         assert_eq!(plan.len(), 1, "duplicate (pool, machine, at) draws merge");
     }
 
@@ -1100,22 +1077,82 @@ mod tests {
             .all(|w| w.kind == LifecycleKind::Cordoned && w.down_from.is_none()));
     }
 
+    /// A lifecycle model that validates, for one field to break.
+    fn lifecycle() -> LifecycleModel {
+        LifecycleModel::standard(SimDuration::from_hours(24 * 7))
+    }
+
     #[test]
-    fn lifecycle_validation_rejects_bad_knobs() {
-        let horizon = SimDuration::from_hours(24);
-        assert!(LifecycleModel::new(SimDuration::ZERO).validate().is_err());
-        let mut m = LifecycleModel::new(horizon).with_rolling(1, 0.5, SimDuration::from_hours(1));
-        m.rolling_fraction = f64::NAN;
-        assert!(m.validate().is_err(), "NaN fraction rejected");
-        m.rolling_fraction = -0.5;
-        assert!(m.validate().is_err(), "negative fraction rejected");
-        m.rolling_fraction = 0.5;
-        m.rolling_duration = SimDuration::ZERO;
-        assert!(m.validate().is_err(), "zero rolling duration rejected");
-        let mut m = LifecycleModel::new(horizon);
-        m.probe_fail = 1.5;
-        assert!(m.validate().is_err(), "probe failure rate > 1 rejected");
-        assert!(LifecycleModel::standard(horizon).validate().is_ok());
+    fn lifecycle_rejects_zero_horizon() {
+        let err = LifecycleModel::new(SimDuration::ZERO).validate();
+        assert_eq!(err, Err(ConfigError::LifecycleHorizon));
+    }
+
+    #[test]
+    fn lifecycle_rejects_zero_maintenance_duration() {
+        let err = lifecycle()
+            .with_maintenance(SimDuration::from_hours(1), SimDuration::ZERO)
+            .validate();
+        assert_eq!(err, Err(ConfigError::LifecycleMaintenanceDuration));
+    }
+
+    #[test]
+    fn lifecycle_rejects_rolling_fraction() {
+        let err = lifecycle()
+            .with_rolling(1, 0.0, SimDuration::from_hours(1))
+            .validate();
+        assert_eq!(err, Err(ConfigError::LifecycleRollingFraction(0.0)));
+        let mut model = lifecycle();
+        model.rolling_fraction = -0.5;
+        assert_eq!(
+            model.validate(),
+            Err(ConfigError::LifecycleRollingFraction(-0.5))
+        );
+        let err = lifecycle()
+            .with_rolling(1, f64::NAN, SimDuration::from_hours(1))
+            .validate();
+        assert!(matches!(err, Err(ConfigError::LifecycleRollingFraction(v)) if v.is_nan()));
+    }
+
+    #[test]
+    fn lifecycle_rejects_zero_rolling_duration() {
+        let err = lifecycle()
+            .with_rolling(1, 0.25, SimDuration::ZERO)
+            .validate();
+        assert_eq!(err, Err(ConfigError::LifecycleRollingDuration));
+    }
+
+    #[test]
+    fn lifecycle_rejects_zero_cordon_duration() {
+        let err = lifecycle().with_cordon(500, SimDuration::ZERO).validate();
+        assert_eq!(err, Err(ConfigError::LifecycleCordonDuration));
+    }
+
+    #[test]
+    fn lifecycle_rejects_zero_probe_count() {
+        let mut model = lifecycle();
+        model.probe_count = 0;
+        assert_eq!(model.validate(), Err(ConfigError::LifecycleProbeCount));
+    }
+
+    #[test]
+    fn lifecycle_rejects_probe_failure_rate() {
+        let mut model = lifecycle();
+        model.probe_fail = 1.5;
+        assert_eq!(
+            model.validate(),
+            Err(ConfigError::LifecycleProbeFailure(1.5))
+        );
+    }
+
+    #[test]
+    fn lifecycle_rejects_flaky_fraction() {
+        let mut model = lifecycle();
+        model.flaky_fraction = -0.5;
+        assert_eq!(
+            model.validate(),
+            Err(ConfigError::LifecycleFlakyFraction(-0.5))
+        );
     }
 
     #[test]

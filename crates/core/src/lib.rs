@@ -31,6 +31,7 @@
 
 #![warn(missing_docs)]
 
+pub mod config;
 pub mod experiment;
 pub mod faults;
 mod job_table;
@@ -42,6 +43,7 @@ pub mod simulator;
 mod streaming;
 pub mod telemetry;
 
+pub use config::ConfigError;
 pub use experiment::{
     render_results_table, Experiment, ExperimentResult, JobTotals, PAPER_TABLE_HEADER,
 };

@@ -331,7 +331,6 @@ impl ReschedPolicy for ResSus {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ResSusWait {
     selector: PoolSelector,
-    threshold: SimDuration,
     health_aware: bool,
 }
 
@@ -344,7 +343,6 @@ impl ResSusWait {
     pub fn util() -> Self {
         ResSusWait {
             selector: PoolSelector::LowestUtilization,
-            threshold: PAPER_WAIT_THRESHOLD,
             health_aware: false,
         }
     }
@@ -353,7 +351,6 @@ impl ResSusWait {
     pub fn random() -> Self {
         ResSusWait {
             selector: PoolSelector::Random,
-            threshold: PAPER_WAIT_THRESHOLD,
             health_aware: false,
         }
     }
@@ -386,7 +383,7 @@ impl ReschedPolicy for ResSusWait {
     }
 
     fn wait_threshold(&self) -> Option<SimDuration> {
-        Some(self.threshold)
+        Some(PAPER_WAIT_THRESHOLD)
     }
 
     fn on_waiting(
@@ -611,7 +608,6 @@ impl SmartWeights {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ResSusWaitSmart {
     weights: SmartWeights,
-    threshold: SimDuration,
     health_aware: bool,
 }
 
@@ -620,7 +616,6 @@ impl ResSusWaitSmart {
     pub fn new() -> Self {
         ResSusWaitSmart {
             weights: SmartWeights::default(),
-            threshold: PAPER_WAIT_THRESHOLD,
             health_aware: false,
         }
     }
@@ -661,7 +656,7 @@ impl ReschedPolicy for ResSusWaitSmart {
     }
 
     fn wait_threshold(&self) -> Option<SimDuration> {
-        Some(self.threshold)
+        Some(PAPER_WAIT_THRESHOLD)
     }
 
     fn on_waiting(

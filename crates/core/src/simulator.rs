@@ -26,7 +26,8 @@ use netbatch_workload::scenarios::SiteSpec;
 
 use crate::experiment::JobTotals;
 use crate::faults::{
-    FaultModel, FaultPlan, LifecycleModel, LifecyclePlan, LifecycleWindow, ResiliencePolicy,
+    FaultModel, FaultPlan, LifecycleModel, LifecyclePlan, LifecycleWindow, MachineOutage,
+    ResiliencePolicy,
 };
 use crate::job_table::JobTable;
 use crate::observer::{
@@ -68,12 +69,13 @@ pub struct SimConfig {
     pub view_staleness: SimDuration,
     /// Seed for policy randomness (`ResSusRand` et al.).
     pub seed: u64,
-    /// Machine failures to inject (extension; DESIGN.md §8). Each failure
-    /// evicts every resident job — evicted jobs restart from scratch
-    /// through the virtual pool manager, their lost progress accounted as
-    /// rescheduling waste. Validated before seeding: overlapping outages
-    /// of one machine are merged into non-overlapping intervals.
-    pub failures: Vec<MachineFailure>,
+    /// Machine outages to inject (extension; DESIGN.md §8), the raw
+    /// input of [`FaultPlan::new`]. Each outage evicts every resident job
+    /// — evicted jobs restart from scratch through the virtual pool
+    /// manager, their lost progress accounted as rescheduling waste.
+    /// Normalized before seeding: overlapping outages of one machine are
+    /// merged into non-overlapping intervals.
+    pub failures: Vec<MachineOutage>,
     /// Stochastic fault model (extension). When set, an outage schedule is
     /// generated deterministically from `seed` and merged with `failures`.
     pub fault_model: Option<FaultModel>,
@@ -246,19 +248,6 @@ impl Default for MigrationParams {
             slowdown_milli: 1150,
         }
     }
-}
-
-/// One injected machine failure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MachineFailure {
-    /// The pool containing the machine.
-    pub pool: PoolId,
-    /// The machine to fail.
-    pub machine: MachineId,
-    /// When it fails.
-    pub at: SimTime,
-    /// How long it stays down; `None` = forever.
-    pub down_for: Option<SimDuration>,
 }
 
 impl Default for SimConfig {
@@ -759,11 +748,9 @@ impl Simulator {
     ///
     /// # Panics
     ///
-    /// Panics when the configuration leaves the supported fast class
-    /// (`NoRes` + round-robin + zero staleness, no topology, faults,
-    /// lifecycle, resilience or dense-id observers) or when `workload` is
-    /// not pool-major pinned (see
-    /// [`netbatch_workload::WorkloadSpec::validate_pool_major`]).
+    /// Panics with the [`ConfigError`](crate::config::ConfigError) text
+    /// when [`Simulator::check_streaming`] rejects the configuration or
+    /// `workload`; call it first to get the error instead.
     pub fn run_streaming(self, workload: &netbatch_workload::WorkloadSpec, seed: u64) -> SimOutput {
         let shards = match self.config.backend {
             Backend::Serial => 1,
@@ -775,10 +762,10 @@ impl Simulator {
     /// The run's merged fault schedule: the ad-hoc failure list, the
     /// generated outages and the lifecycle kills, normalized into one plan.
     fn build_fault_plan(&self) -> FaultPlan {
-        // Validate the ad-hoc failure list and merge it with the generated
+        // Normalize the explicit outage list and merge it with the generated
         // schedule: per-machine intervals are non-overlapping afterwards,
         // so no up-event can resurrect a machine inside a later outage.
-        let mut plan = FaultPlan::from_failures(&self.config.failures);
+        let mut plan = FaultPlan::new(self.config.failures.clone());
         if let Some(model) = self.config.fault_model.as_ref() {
             let shape: Vec<(PoolId, u32)> = self
                 .pools
@@ -2287,11 +2274,11 @@ mod tests {
         let site = tiny_site(2, 1, 1);
         let jobs = vec![spec(0, 0, 100)];
         let cfg = SimConfig {
-            failures: vec![MachineFailure {
+            failures: vec![MachineOutage {
                 pool: PoolId(0),
                 machine: netbatch_cluster::ids::MachineId(0),
-                at: SimTime::from_minutes(40),
-                down_for: None,
+                from: SimTime::from_minutes(40),
+                until: None,
             }],
             ..SimConfig::default()
         };
@@ -2312,11 +2299,11 @@ mod tests {
         let site = tiny_site(1, 1, 1);
         let jobs = vec![spec(0, 0, 100)];
         let cfg = SimConfig {
-            failures: vec![MachineFailure {
+            failures: vec![MachineOutage {
                 pool: PoolId(0),
                 machine: netbatch_cluster::ids::MachineId(0),
-                at: SimTime::from_minutes(10),
-                down_for: Some(SimDuration::from_minutes(50)),
+                from: SimTime::from_minutes(10),
+                until: Some(SimTime::from_minutes(60)),
             }],
             ..SimConfig::default()
         };
@@ -2334,11 +2321,11 @@ mod tests {
         let site = tiny_site(1, 1, 1);
         let jobs = vec![spec(0, 0, 100), spec(1, 50, 10)];
         let cfg = SimConfig {
-            failures: vec![MachineFailure {
+            failures: vec![MachineOutage {
                 pool: PoolId(0),
                 machine: netbatch_cluster::ids::MachineId(0),
-                at: SimTime::from_minutes(10),
-                down_for: None,
+                from: SimTime::from_minutes(10),
+                until: None,
             }],
             ..SimConfig::default()
         };
@@ -2554,17 +2541,17 @@ mod tests {
         let cfg = SimConfig {
             check_invariants: true,
             failures: vec![
-                MachineFailure {
+                MachineOutage {
                     pool: PoolId(0),
                     machine: MachineId(0),
-                    at: SimTime::from_minutes(50),
-                    down_for: Some(SimDuration::from_minutes(40)),
+                    from: SimTime::from_minutes(50),
+                    until: Some(SimTime::from_minutes(90)),
                 },
-                MachineFailure {
+                MachineOutage {
                     pool: PoolId(1),
                     machine: MachineId(1),
-                    at: SimTime::from_minutes(80),
-                    down_for: None,
+                    from: SimTime::from_minutes(80),
+                    until: None,
                 },
             ],
             ..SimConfig::new(InitialKind::UtilizationBased, StrategyKind::ResSusUtil)

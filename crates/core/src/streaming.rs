@@ -121,13 +121,15 @@
 //!
 //! The fast class, enforced rather than degraded (the one configuration
 //! space where submissions and completions are provably pool-confined):
-//! `NoRes` + round-robin + zero staleness + no topology, faults,
-//! lifecycle or resilience — plus the streaming-specific contract that
-//! every stream is pinned to one pool in non-decreasing order. Observers
-//! must not index `ctx.jobs` (the run keeps it empty until drain);
+//! `NoRes` + round-robin + zero staleness + no topology, restart knobs,
+//! health awareness, faults, lifecycle or resilience — plus the
+//! streaming-specific contract that every stream is pinned to one pool in
+//! non-decreasing order. Observers must not index `ctx.jobs` (the run
+//! keeps it empty until drain);
 //! [`TraceRecorder`](crate::observer::TraceRecorder) qualifies; the invariant
 //! checker, telemetry and span observers do not, and are rejected whether
-//! attached directly or through their config switches.
+//! attached directly or through their config switches. The rules live in
+//! one gate, [`Simulator::check_streaming`], which the run asserts.
 //!
 //! Generation is the same code as a materialized run's: a shard's
 //! [`TraceStream`] is the workload's one generator, filtered to the
@@ -149,11 +151,10 @@ use netbatch_workload::{TraceStream, WorkloadSpec};
 
 use crate::experiment::JobTotals;
 use crate::job_table::JobTable;
-use crate::observer::{InvariantChecker, ObsCtx, ObsEvent};
+use crate::observer::{ObsCtx, ObsEvent};
 use crate::pool_step::{self, PoolHost, Suspended};
-use crate::provenance::{SpanRecorder, COORD_MERGE, PHASE_COMPLETE, PHASE_GENERATE, PHASE_SUBMIT};
+use crate::provenance::{COORD_MERGE, PHASE_COMPLETE, PHASE_GENERATE, PHASE_SUBMIT};
 use crate::simulator::{SimOutput, Simulator};
-use crate::telemetry::Telemetry;
 
 /// Lookahead depth in generated-but-unsubmitted minutes per pool. Two is
 /// the minimum that lets the coordinator pre-dispatch the next epoch
@@ -659,57 +660,6 @@ impl PoolHost for StreamHost<'_, '_> {
     }
 }
 
-/// Rejects every configuration the streaming kernel does not model.
-/// Panics (rather than silently falling back to the serial executor) so
-/// a run outside the fast class is never mistaken for a streaming one.
-fn validate(sim: &Simulator, workload: &WorkloadSpec) {
-    assert!(
-        sim.jobs.specs().is_empty(),
-        "streaming runs generate their own jobs; construct the Simulator with an empty spec list"
-    );
-    assert!(
-        sim.policy.is_no_res(),
-        "streaming backend supports only the NoRes fast class"
-    );
-    assert!(
-        sim.initial.is_round_robin(),
-        "streaming backend requires round-robin initial scheduling"
-    );
-    assert!(
-        sim.config.view_staleness.is_zero(),
-        "streaming backend requires zero view staleness"
-    );
-    assert!(
-        sim.config.topology.is_none(),
-        "streaming backend does not model VPM topologies"
-    );
-    assert!(
-        sim.config.failures.is_empty() && sim.config.fault_model.is_none(),
-        "streaming backend does not model machine faults"
-    );
-    assert!(
-        sim.config.lifecycle.is_none() && sim.config.drains.is_empty(),
-        "streaming backend does not model machine lifecycle"
-    );
-    assert!(
-        !sim.config.resilience.enabled,
-        "streaming backend does not model scheduler resilience"
-    );
-    // The config switches attach these same types in `Simulator::new`,
-    // so checking what is attached covers both routes.
-    assert!(
-        !sim.observers.iter().any(|o| {
-            let any = o.as_any();
-            any.is::<InvariantChecker>() || any.is::<Telemetry>() || any.is::<SpanRecorder>()
-        }),
-        "built-in dense-id observers cannot run on the streaming backend \
-         (ctx.jobs stays empty until drain)"
-    );
-    if let Err(err) = workload.validate_pool_major(sim.pool_count) {
-        panic!("streaming workload contract violated: {err}");
-    }
-}
-
 /// Entry point from [`Simulator::run_streaming`].
 pub(crate) fn run_streaming(
     mut sim: Simulator,
@@ -717,7 +667,12 @@ pub(crate) fn run_streaming(
     seed: u64,
     shards: usize,
 ) -> SimOutput {
-    validate(&sim, workload);
+    // A run outside the fast class panics rather than silently falling
+    // back to the serial executor, so it is never mistaken for a
+    // streaming one.
+    if let Err(err) = sim.check_streaming(workload) {
+        panic!("{err}");
+    }
     let pool_count = sim.pool_count as usize;
     // Shards past the pool count would own no pools; output does not
     // depend on the shard count, so spawn no idle workers.

@@ -145,11 +145,7 @@ pub struct Executor<E> {
 impl<E> Executor<E> {
     /// Creates an executor starting at time zero.
     pub fn new() -> Self {
-        Executor {
-            queue: EventQueue::new(),
-            now: SimTime::ZERO,
-            events_processed: 0,
-        }
+        Executor::with_queue(EventQueue::new())
     }
 
     /// Creates an executor whose queue is pre-sized for `capacity` stored
@@ -157,10 +153,7 @@ impl<E> Executor<E> {
     /// timers plus seeded events), not for the arrivals a handler streams
     /// in through [`Handler::pop_arrival`]: those never enter the queue.
     pub fn with_capacity(capacity: usize) -> Self {
-        Executor {
-            queue: EventQueue::with_capacity(capacity),
-            ..Executor::new()
-        }
+        Executor::with_queue(EventQueue::with_capacity(capacity))
     }
 
     /// Creates an executor driving the given queue — used to run a
@@ -169,7 +162,8 @@ impl<E> Executor<E> {
     pub fn with_queue(queue: EventQueue<E>) -> Self {
         Executor {
             queue,
-            ..Executor::new()
+            now: SimTime::ZERO,
+            events_processed: 0,
         }
     }
 

@@ -9,8 +9,9 @@
 
 use netbatch::cluster::ids::PoolId;
 use netbatch::core::experiment::Experiment;
+use netbatch::core::faults::MachineOutage;
 use netbatch::core::policy::{InitialKind, StrategyKind};
-use netbatch::core::simulator::{MachineFailure, SimConfig};
+use netbatch::core::simulator::SimConfig;
 use netbatch::sim_engine::time::{SimDuration, SimTime};
 use netbatch::workload::scenarios::ScenarioParams;
 
@@ -27,12 +28,13 @@ fn main() {
 
     // The outage: half of pool 4's machines go down at midweek for a day.
     let victims = site.pools[4].machines.len() / 2;
-    let failures: Vec<MachineFailure> = (0..victims as u32)
-        .map(|m| MachineFailure {
+    let from = SimTime::from_minutes(5_000);
+    let failures: Vec<MachineOutage> = (0..victims as u32)
+        .map(|m| MachineOutage {
             pool: PoolId(4),
             machine: m.into(),
-            at: SimTime::from_minutes(5_000),
-            down_for: Some(SimDuration::from_days(1)),
+            from,
+            until: Some(from + SimDuration::from_days(1)),
         })
         .collect();
     println!(

@@ -173,6 +173,16 @@ cargo run --release --bin netbatch -- simulate \
   --shards 1 --profile-out "$tmpdir/stream1.folded"
 grep -q '^netbatch;coordinator;merge ' "$tmpdir/stream1.folded"
 grep -q '^netbatch;shard0;generate ' "$tmpdir/stream1.folded"
+# The streaming run's sinks are the materialized run's code: a week on
+# 2 shards must write the series CSV under its header and a non-empty
+# trace JSONL.
+echo "==> streaming sinks smoke (series CSV, trace JSONL, 2 shards)"
+cargo run --release --bin netbatch -- simulate \
+  --stream-workload --pools 8 --horizon week --scale 0.02 --seed 11 \
+  --shards 2 --series-out "$tmpdir/stream.csv" --trace-out "$tmpdir/stream.jsonl"
+head -n 1 "$tmpdir/stream.csv" | grep -qx 'minute,suspended,utilization_pct,waiting'
+test "$(wc -l < "$tmpdir/stream.csv")" -gt 1
+test -s "$tmpdir/stream.jsonl"
 echo "==> streaming conformance (golden matrix, materialized parity)"
 cargo test --release -q --test streaming_conformance
 # The golden fixtures in a release build as well: both kernels run the

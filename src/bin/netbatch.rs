@@ -14,7 +14,7 @@
 use std::cell::Cell;
 use std::process::ExitCode;
 
-use netbatch::core::experiment::{Experiment, ExperimentResult};
+use netbatch::core::experiment::ExperimentResult;
 use netbatch::core::faults::{FaultModel, LifecycleModel, ResiliencePolicy};
 use netbatch::core::observer::TraceRecorder;
 use netbatch::core::policy::{InitialKind, StrategyKind};
@@ -88,8 +88,9 @@ materialized trace: a pool-major workload (`--pools N` pools, default
 by epoch over `--horizon` (week, year, or minutes; default week), so
 peak memory tracks in-flight jobs rather than total jobs — year-scale
 runs fit in tens of MiB. Streaming supports only `--strategy NoRes`
-with the round-robin initial scheduler; `--sample`, `--series-out`,
-`--trace-out` and `--profile-out` work as usual.
+with the round-robin initial scheduler and none of the fault, lifecycle,
+restart or staleness knobs; `--sample`, `--series-out`, `--trace-out`
+and `--profile-out` work as usual.
 `--spans-out` records every job's causal span tree (queue-wait, running,
 suspended, backoff, migrating segments, each with the typed cause that
 started it) plus the policy/evacuation/fault decision audit, as JSONL.
@@ -524,6 +525,9 @@ fn run(cmd: Command) -> Result<(), String> {
                     stdout_sinks.join(" and ")
                 ));
             }
+            // What the library's config gate cannot judge stays here: flags
+            // that never reach SimConfig on this kind of run, and outside
+            // input (hours and fractions) before it is converted.
             if !stream_workload && (pools.is_some() || horizon.is_some()) {
                 return Err("--pools and --horizon apply only to --stream-workload runs".into());
             }
@@ -533,62 +537,21 @@ fn run(cmd: Command) -> Result<(), String> {
                     .into());
             }
             if stream_workload {
-                // The streaming pipeline runs the NoRes fast class on its
-                // own pool-major generated workload; everything outside
-                // that class is a clear CLI error, never a silent fallback
-                // (the kernel itself would panic, not degrade).
-                let incompatible = [
+                // A streamed workload has no trace file and no halved site,
+                // and the fault knobs reach SimConfig only through a model.
+                let unseen = [
                     ("--trace", trace.is_some()),
                     ("--high-load", high_load),
-                    ("--restart-overhead", restart_overhead != 0),
-                    ("--staleness", staleness != 0),
-                    ("--max-restarts", max_restarts.is_some()),
-                    ("--metrics-out", metrics_out.is_some()),
-                    ("--spans-out", spans_out.is_some()),
-                    ("--check-invariants", check_invariants),
-                    ("--fault-mtbf", fault_mtbf.is_some()),
                     ("--fault-pool-outages", fault_pool_outages != 0),
                     ("--fault-flaky", fault_flaky != 0.0),
-                    ("--hardened", hardened),
-                    ("--lifecycle", lifecycle),
-                    ("--health-aware", health_aware),
                 ];
-                if let Some((name, _)) = incompatible.iter().find(|(_, on)| *on) {
+                if let Some((name, _)) = unseen.iter().find(|(_, on)| *on) {
                     return Err(format!("{name} is incompatible with --stream-workload"));
                 }
-                if strategy != StrategyKind::NoRes {
-                    return Err(format!(
-                        "--stream-workload supports only --strategy NoRes, got {}",
-                        strategy.name()
-                    ));
-                }
-                if initial != InitialKind::RoundRobin {
-                    return Err(
-                        "--stream-workload supports only the round-robin initial scheduler (rr)"
-                            .into(),
-                    );
-                }
-                let pools = pools.unwrap_or(20);
-                if !(1..=u64::from(u16::MAX)).contains(&pools) {
-                    return Err(format!("--pools must be in 1..=65535, got {pools}"));
-                }
-                return simulate_streaming(
-                    pools as u16,
-                    horizon.unwrap_or(7 * 24 * 60),
-                    scale,
-                    seed,
-                    sample,
-                    series_out,
-                    trace_out,
-                    profile_out,
-                    backend,
-                    stdout_sinks.len() == 1,
-                );
             }
-            // Validate fault/lifecycle rates up front: a NaN or negative
-            // rate must be a clear CLI error, never a panic (or a silent
-            // zero from an `as u64` saturating cast) deep in plan
-            // generation.
+            // A NaN or negative rate must be a clear CLI error, never a
+            // panic (or a silent zero from an `as u64` saturating cast)
+            // deep in plan generation.
             if let Some(v) = fault_mtbf {
                 if !v.is_finite() || v <= 0.0 {
                     return Err(format!(
@@ -634,20 +597,47 @@ fn run(cmd: Command) -> Result<(), String> {
                      {lifecycle_cordon_below}"
                 ));
             }
-            let params = scenario_params(&scenario, scale, seed)?;
-            let trace = match trace {
-                Some(path) => load_trace(&path)?,
-                None => params.generate_trace(),
-            };
-            let mut site = params.build_site();
-            if high_load {
-                site = site.halved();
-            }
             let mut config = SimConfig::new(initial, strategy);
+            // The workload: a pool-major spec the streaming kernel generates
+            // shard-locally epoch by epoch (never materialized, so peak
+            // memory tracks in-flight jobs), or a materialized trace.
+            let (site, specs, streamed, span, label) = if stream_workload {
+                let pools = pools.unwrap_or(20);
+                if !(1..=u64::from(u16::MAX)).contains(&pools) {
+                    return Err(format!("--pools must be in 1..=65535, got {pools}"));
+                }
+                let horizon = horizon.unwrap_or(7 * 24 * 60);
+                let mut p = PerPoolParams::new(pools as u16, scale, horizon);
+                if let Some(seed) = seed {
+                    p.seed = seed;
+                }
+                config.seed = p.seed;
+                let label = format!(
+                    " | streaming ({pools} pools, horizon {horizon} min, scale {scale}, seed {})",
+                    p.seed
+                );
+                let streamed = Some((p.build_workload(), p.seed));
+                (p.build_site(), Vec::new(), streamed, horizon, label)
+            } else {
+                let params = scenario_params(&scenario, scale, seed)?;
+                let trace = match trace {
+                    Some(path) => load_trace(&path)?,
+                    None => params.generate_trace(),
+                };
+                let mut site = params.build_site();
+                if high_load {
+                    site = site.halved();
+                }
+                if let Some(seed) = seed {
+                    config.seed = seed;
+                }
+                let span = TraceAnalysis::of(&trace).span_minutes;
+                let label = if high_load { " | high load" } else { "" };
+                (site, trace.to_specs(), None, span, label.to_string())
+            };
             config.restart_overhead = SimDuration::from_minutes(restart_overhead);
             config.view_staleness = SimDuration::from_minutes(staleness);
             config.max_restarts = max_restarts;
-            let span = TraceAnalysis::of(&trace).span_minutes;
             if let Some(mtbf_hours) = fault_mtbf {
                 // Faults are drawn across the trace's submission span plus
                 // one repair window, so late arrivals still see churn.
@@ -682,7 +672,7 @@ fn run(cmd: Command) -> Result<(), String> {
                         SimDuration::from_hours(24),
                     )
                     .with_flaky(fault_flaky, 16);
-                model.validate()?;
+                model.validate().map_err(|e| e.to_string())?;
                 config.lifecycle = Some(model);
             }
             config.health_aware = health_aware;
@@ -693,9 +683,6 @@ fn run(cmd: Command) -> Result<(), String> {
             } else {
                 ResiliencePolicy::disabled()
             };
-            if let Some(seed) = seed {
-                config.seed = seed;
-            }
             if sample || series_out.is_some() {
                 config = config.with_sampling();
             }
@@ -703,35 +690,28 @@ fn run(cmd: Command) -> Result<(), String> {
             config.telemetry = metrics_out.is_some();
             config.spans = spans_out.is_some();
             config.profile = profile_out.is_some();
+            config.backend = backend;
             let t0 = std::time::Instant::now();
-            // Observer-carrying runs drive the simulator directly; the
-            // plain path stays on the Experiment front door.
-            let direct = trace_out.is_some()
-                || metrics_out.is_some()
-                || spans_out.is_some()
-                || profile_out.is_some();
-            let (r, observers, profile) = if direct {
-                let mut sim = Simulator::new(&site, trace.to_specs(), config);
-                if let Some(path) = &trace_out {
-                    let rec = if path == "-" {
-                        TraceRecorder::to_stdout()
-                    } else {
-                        TraceRecorder::to_file(path)
-                            .map_err(|e| format!("cannot create {path}: {e}"))?
-                    };
-                    sim.attach_observer(Box::new(rec));
-                }
-                let mut output = sim.run_to_completion();
-                let observers = std::mem::take(&mut output.observers);
-                let profile = output.profile.take();
-                (
-                    ExperimentResult::from_output(initial, strategy, output),
-                    observers,
-                    profile,
-                )
-            } else {
-                (Experiment::new(site, trace, config).run(), Vec::new(), None)
+            let mut sim = Simulator::new(&site, specs, config);
+            if let Some((workload, _)) = &streamed {
+                sim.check_streaming(workload).map_err(|e| e.to_string())?;
+            }
+            if let Some(path) = &trace_out {
+                let rec = if path == "-" {
+                    TraceRecorder::to_stdout()
+                } else {
+                    TraceRecorder::to_file(path)
+                        .map_err(|e| format!("cannot create {path}: {e}"))?
+                };
+                sim.attach_observer(Box::new(rec));
+            }
+            let mut output = match &streamed {
+                Some((workload, seed)) => sim.run_streaming(workload, *seed),
+                None => sim.run_to_completion(),
             };
+            let observers = std::mem::take(&mut output.observers);
+            let profile = output.profile.take();
+            let r = ExperimentResult::from_output(initial, strategy, output);
             // A stdout sink owns stdout: the human-readable summary moves
             // to stderr so pipelines stay parseable.
             let quiet = stdout_sinks.len() == 1;
@@ -744,12 +724,7 @@ fn run(cmd: Command) -> Result<(), String> {
                     }
                 };
             }
-            status!(
-                "{} | {} initial{}",
-                strategy.name(),
-                initial.name(),
-                if high_load { " | high load" } else { "" }
-            );
+            status!("{} | {} initial{label}", strategy.name(), initial.name());
             status!("jobs                 {}", r.total_jobs);
             status!("suspend rate         {:.2}%", r.suspend_rate * 100.0);
             status!("AvgCT (suspended)    {:.1} min", r.avg_ct_suspended);
@@ -976,111 +951,6 @@ fn run(cmd: Command) -> Result<(), String> {
             Ok(())
         }
     }
-}
-
-/// `simulate --stream-workload`: the shard-local streaming pipeline on a
-/// pool-major generated workload. The trace is never materialized — each
-/// shard generates its own pools' arrivals epoch by epoch — so the run's
-/// peak memory tracks in-flight jobs, not total jobs.
-#[allow(clippy::too_many_arguments)]
-fn simulate_streaming(
-    pools: u16,
-    horizon: u64,
-    scale: f64,
-    seed: Option<u64>,
-    sample: bool,
-    series_out: Option<String>,
-    trace_out: Option<String>,
-    profile_out: Option<String>,
-    backend: Backend,
-    quiet: bool,
-) -> Result<(), String> {
-    let mut p = PerPoolParams::new(pools, scale, horizon);
-    if let Some(seed) = seed {
-        p.seed = seed;
-    }
-    let mut config = SimConfig::new(InitialKind::RoundRobin, StrategyKind::NoRes);
-    config.backend = backend;
-    config.seed = p.seed;
-    if sample || series_out.is_some() {
-        config = config.with_sampling();
-    }
-    config.profile = profile_out.is_some();
-    let site = p.build_site();
-    let workload = p.build_workload();
-    let mut sim = Simulator::new(&site, Vec::new(), config);
-    if let Some(path) = &trace_out {
-        let rec = if path == "-" {
-            TraceRecorder::to_stdout()
-        } else {
-            TraceRecorder::to_file(path).map_err(|e| format!("cannot create {path}: {e}"))?
-        };
-        sim.attach_observer(Box::new(rec));
-    }
-    let t0 = std::time::Instant::now();
-    let mut output = sim.run_streaming(&workload, p.seed);
-    macro_rules! status {
-        ($($arg:tt)*) => {
-            if quiet {
-                eprintln!($($arg)*);
-            } else {
-                println!($($arg)*);
-            }
-        };
-    }
-    status!(
-        "NoRes | RoundRobin initial | streaming ({pools} pools, horizon {horizon} min, \
-         scale {scale}, seed {})",
-        p.seed
-    );
-    status!(
-        "jobs                 {} ({} completed, {} unrunnable)",
-        output.counters.completed + output.counters.unrunnable,
-        output.counters.completed,
-        output.counters.unrunnable
-    );
-    status!("end time             {} min", output.end_time.as_minutes());
-    status!(
-        "simulated {} events in {:.2}s",
-        output.counters.events,
-        t0.elapsed().as_secs_f64()
-    );
-    if let Some(path) = series_out {
-        use std::io::Write;
-        let mut f =
-            std::fs::File::create(&path).map_err(|e| format!("cannot create {path}: {e}"))?;
-        writeln!(f, "minute,suspended,utilization_pct,waiting").map_err(|e| e.to_string())?;
-        for ((&(t, s), &(_, u)), &(_, w)) in output
-            .suspended_series
-            .samples()
-            .iter()
-            .zip(output.utilization_series.samples())
-            .zip(output.waiting_series.samples())
-        {
-            writeln!(f, "{},{s},{u:.2},{w}", t.as_minutes()).map_err(|e| e.to_string())?;
-        }
-        status!("series written to {path}");
-    }
-    for obs in &output.observers {
-        if let Some(rec) = obs.as_any().downcast_ref::<TraceRecorder>() {
-            if let Some(path) = &trace_out {
-                status!("trace: {} events written to {path}", rec.events());
-            }
-        }
-    }
-    if let Some(path) = &profile_out {
-        let profile = output
-            .profile
-            .take()
-            .ok_or("internal: kernel profile missing from run output")?;
-        write_sink(path, &profile.render_folded())?;
-        status!(
-            "profile: {} events over {} lanes written to {path}",
-            profile.total_events(),
-            profile.lane_count()
-        );
-    }
-    Ok(())
 }
 
 /// Writes `text` to `path`, or to stdout when `path` is `-`.
@@ -1503,13 +1373,35 @@ mod tests {
     #[test]
     fn stream_workload_rejects_incompatible_flags() {
         let run_err = |s: &str| run(parse_args(&args(s)).unwrap()).unwrap_err();
-        assert!(run_err("simulate --stream-workload --strategy ResSusUtil").contains("NoRes"));
-        assert!(run_err("simulate --stream-workload --initial util").contains("round-robin"));
-        assert!(run_err("simulate --stream-workload --fault-mtbf 48").contains("--fault-mtbf"));
-        assert!(run_err("simulate --stream-workload --lifecycle").contains("--lifecycle"));
-        assert!(
-            run_err("simulate --stream-workload --metrics-out m.prom").contains("--metrics-out")
-        );
+        // Every flag outside the streaming fast class, with the words of
+        // the rule its error names: the CLI's own for flags that never
+        // reach SimConfig, the library gate's for the rest.
+        for (flag, rule) in [
+            ("--trace t.csv", "--trace is incompatible"),
+            ("--high-load", "--high-load is incompatible"),
+            (
+                "--fault-pool-outages 2",
+                "--fault-pool-outages is incompatible",
+            ),
+            ("--fault-flaky 0.05", "--fault-flaky is incompatible"),
+            ("--restart-overhead 15", "restart overhead"),
+            ("--staleness 30", "zero view staleness"),
+            ("--max-restarts 3", "restart limits"),
+            ("--metrics-out m.prom", "dense-id observers"),
+            ("--spans-out s.jsonl", "dense-id observers"),
+            ("--check-invariants", "dense-id observers"),
+            ("--fault-mtbf 48", "machine faults"),
+            ("--hardened", "scheduler resilience"),
+            ("--lifecycle", "machine lifecycle"),
+            ("--health-aware", "health-aware scheduling"),
+            ("--strategy ResSusUtil", "only the NoRes fast class"),
+            ("--initial util", "round-robin initial scheduling"),
+        ] {
+            let err = run_err(&format!(
+                "simulate --stream-workload --pools 2 --horizon 60 --scale 0.01 {flag}"
+            ));
+            assert!(err.contains(rule), "{flag}: {err}");
+        }
         assert!(run_err("simulate --stream-workload --pools 0").contains("--pools"));
         // The streaming knobs are meaningless on materialized runs.
         assert!(run_err("simulate --pools 4").contains("--stream-workload"));

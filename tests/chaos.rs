@@ -16,10 +16,10 @@
 use netbatch::cluster::ids::PoolId;
 use netbatch::cluster::job::PoolAffinity;
 use netbatch::cluster::pool::PoolConfig;
-use netbatch::core::faults::{FaultModel, LifecycleModel, ResiliencePolicy};
+use netbatch::core::faults::{FaultModel, LifecycleModel, MachineOutage, ResiliencePolicy};
 use netbatch::core::observer::{InvariantChecker, TraceRecorder};
 use netbatch::core::policy::{InitialKind, StrategyKind};
-use netbatch::core::simulator::{MachineFailure, SimConfig, SimOutput, Simulator};
+use netbatch::core::simulator::{SimConfig, SimOutput, Simulator};
 use netbatch::sim_engine::time::{SimDuration, SimTime};
 use netbatch::workload::scenarios::SiteSpec;
 use netbatch::workload::trace::{Trace, TraceRecord};
@@ -312,17 +312,17 @@ fn overlapping_outages_do_not_resurrect_early() {
     config.check_invariants = true;
     // A long outage [10, 110) with a shorter one [50, 60) nested inside.
     config.failures = vec![
-        MachineFailure {
+        MachineOutage {
             pool: PoolId(0),
             machine: 0.into(),
-            at: SimTime::from_minutes(10),
-            down_for: Some(SimDuration::from_minutes(100)),
+            from: SimTime::from_minutes(10),
+            until: Some(SimTime::from_minutes(110)),
         },
-        MachineFailure {
+        MachineOutage {
             pool: PoolId(0),
             machine: 0.into(),
-            at: SimTime::from_minutes(50),
-            down_for: Some(SimDuration::from_minutes(10)),
+            from: SimTime::from_minutes(50),
+            until: Some(SimTime::from_minutes(60)),
         },
     ];
     let mut sim = Simulator::new(&site, trace.to_specs(), config);

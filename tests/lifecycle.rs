@@ -20,11 +20,11 @@ use netbatch::cluster::job::PoolAffinity;
 use netbatch::cluster::pool::PoolConfig;
 use netbatch::core::experiment::{Experiment, ExperimentResult};
 use netbatch::core::faults::{
-    FaultModel, LifecycleKind, LifecycleModel, LifecycleWindow, ResiliencePolicy,
+    FaultModel, LifecycleKind, LifecycleModel, LifecycleWindow, MachineOutage, ResiliencePolicy,
 };
 use netbatch::core::observer::TraceRecorder;
 use netbatch::core::policy::{InitialKind, StrategyKind};
-use netbatch::core::simulator::{MachineFailure, SimConfig, SimOutput, Simulator};
+use netbatch::core::simulator::{SimConfig, SimOutput, Simulator};
 use netbatch::sim_engine::time::{SimDuration, SimTime};
 use netbatch::workload::scenarios::SiteSpec;
 use netbatch::workload::trace::{Trace, TraceRecord};
@@ -207,11 +207,11 @@ fn outage_starting_at_the_horizon_is_dropped() {
         SimDuration::from_minutes(30),
         SimDuration::from_minutes(100),
     ));
-    config.failures = vec![MachineFailure {
+    config.failures = vec![MachineOutage {
         pool: PoolId(0),
         machine: MachineId(0),
-        at: SimTime::from_minutes(100),
-        down_for: None,
+        from: SimTime::from_minutes(100),
+        until: None,
     }];
     let out = run(vec![rec(0, 20)], config, site(1, 1, 2));
     assert_eq!(

@@ -18,11 +18,9 @@ use netbatch::cluster::job::{JobSpec, PoolAffinity};
 use netbatch::cluster::pool::PoolConfig;
 use netbatch::cluster::priority::Priority;
 use netbatch::core::experiment::{Experiment, ExperimentResult};
-use netbatch::core::faults::{FaultModel, LifecycleModel, ResiliencePolicy};
+use netbatch::core::faults::{FaultModel, LifecycleModel, MachineOutage, ResiliencePolicy};
 use netbatch::core::policy::{InitialKind, StrategyKind};
-use netbatch::core::simulator::{
-    MachineFailure, MigrationParams, SimConfig, Simulator, VpmTopology,
-};
+use netbatch::core::simulator::{MigrationParams, SimConfig, Simulator, VpmTopology};
 use netbatch::sim_engine::time::{SimDuration, SimTime};
 use netbatch::workload::scenarios::{ScenarioParams, SiteSpec};
 use netbatch::workload::trace::Trace;
@@ -157,11 +155,11 @@ fn jobs_that_never_finish_are_folded_when_the_run_ends() {
     // The only machine fails for good at minute 100: jobs 1 and 4 (the
     // latter queued behind it) never finish, job 3 is unrunnable.
     let config = SimConfig {
-        failures: vec![MachineFailure {
+        failures: vec![MachineOutage {
             pool: PoolId(0),
             machine: MachineId(0),
-            at: SimTime::from_minutes(100),
-            down_for: None,
+            from: SimTime::from_minutes(100),
+            until: None,
         }],
         ..SimConfig::default()
     };
@@ -201,11 +199,11 @@ fn a_settled_loser_retires_with_its_retry_pending() {
         .with_affinity(PoolAffinity::from_ids(&[0])),
     ];
     let config = SimConfig {
-        failures: vec![MachineFailure {
+        failures: vec![MachineOutage {
             pool: PoolId(0),
             machine: MachineId(0),
-            at: SimTime::from_minutes(24),
-            down_for: Some(SimDuration::from_minutes(100)),
+            from: SimTime::from_minutes(24),
+            until: Some(SimTime::from_minutes(124)),
         }],
         resilience: ResiliencePolicy::hardened(),
         ..SimConfig::new(InitialKind::RoundRobin, StrategyKind::DupSusUtil)
