@@ -307,6 +307,71 @@ mod tests {
         assert!(err.to_string().contains("the site has 2 pools"), "{err}");
     }
 
+    /// The streaming ledger: what the serial kernel runs and the streaming
+    /// one refuses, one `Streaming*` row each, with the ROADMAP item that
+    /// removes it. The match has no wildcard, so a new variant does not
+    /// compile until it is filed here; a new row then breaks the ceiling.
+    /// The ledger may only shrink: a kernel change that removes a row
+    /// lowers the ceiling with it.
+    #[test]
+    fn streaming_ledger_only_shrinks() {
+        use ConfigError::*;
+        const CEILING: usize = 13;
+        let owner = |e: &ConfigError| match e {
+            StreamingStrategy
+            | StreamingInitial
+            | StreamingStaleness
+            | StreamingRestartOverhead
+            | StreamingMaxRestarts => Some(4),
+            StreamingObservers => Some(3),
+            StreamingWorkload(_) | StreamingSpecs => Some(9),
+            StreamingFaults | StreamingLifecycle | StreamingResilience | StreamingHealthAware
+            | StreamingTopology => Some(14),
+            LifecycleHorizon
+            | LifecycleMaintenanceDuration
+            | LifecycleRollingFraction(_)
+            | LifecycleRollingDuration
+            | LifecycleCordonDuration
+            | LifecycleProbeCount
+            | LifecycleProbeFailure(_)
+            | LifecycleFlakyFraction(_) => None,
+        };
+        let every = [
+            StreamingSpecs,
+            StreamingStrategy,
+            StreamingInitial,
+            StreamingStaleness,
+            StreamingTopology,
+            StreamingRestartOverhead,
+            StreamingMaxRestarts,
+            StreamingHealthAware,
+            StreamingFaults,
+            StreamingLifecycle,
+            StreamingResilience,
+            StreamingObservers,
+            StreamingWorkload(String::new()),
+            LifecycleHorizon,
+            LifecycleMaintenanceDuration,
+            LifecycleRollingFraction(0.0),
+            LifecycleRollingDuration,
+            LifecycleCordonDuration,
+            LifecycleProbeCount,
+            LifecycleProbeFailure(0.0),
+            LifecycleFlakyFraction(0.0),
+        ];
+        let rows: Vec<_> = every.iter().filter(|e| owner(e).is_some()).collect();
+        assert!(
+            rows.iter()
+                .all(|e| format!("{e:?}").starts_with("Streaming")),
+            "only streaming rules are ledger rows: {rows:?}"
+        );
+        assert_eq!(
+            rows.len(),
+            CEILING,
+            "the ledger may not grow, and a removed row lowers CEILING: {rows:?}"
+        );
+    }
+
     #[test]
     fn display_names_the_rule_and_the_value() {
         assert_eq!(

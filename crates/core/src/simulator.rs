@@ -36,7 +36,7 @@ use crate::observer::{
 };
 use crate::policy::initial::{InitialKind, InitialScheduler};
 use crate::policy::resched::{Decision, ReschedPolicy, StrategyKind};
-use crate::pool_step::{self, PoolHost, Suspended};
+use crate::pool_step::{self, Evictees, MachineEvent, PoolHost, Suspended};
 use crate::provenance::KernelProfile;
 
 /// Simulator configuration: the experiment's policy axes plus extension
@@ -409,8 +409,8 @@ pub struct RunCounters {
 /// Buffers that can be live at several nesting depths at once are pooled
 /// as free lists rather than held as single fields: a rescheduling cascade
 /// can re-enter `route_via_vpm` (and thus need a second preference order
-/// and worklist) while an outer routing loop still holds its own. Buffers
-/// only used by non-reentrant handlers (machine failures) are plain fields
+/// and worklist) while an outer routing loop still holds its own. The one
+/// buffer of a non-reentrant handler (machine events) is a plain field
 /// taken with `std::mem::take` for the duration of the handler.
 #[derive(Default)]
 struct Scratch {
@@ -421,11 +421,8 @@ struct Scratch {
     actions: Vec<Vec<PoolAction>>,
     /// Free list of suspended-cascade worklists.
     worklists: Vec<Suspended>,
-    /// Machine-failure eviction lists (non-reentrant: one failure event is
-    /// fully handled before the next).
-    evict_running: Vec<JobId>,
-    /// Suspended-side eviction list for the same failure event.
-    evict_suspended: Vec<JobId>,
+    /// A machine event's evictees.
+    evictees: Evictees,
 }
 
 impl Scratch {
@@ -885,41 +882,65 @@ impl Simulator {
         self.view_snap.refresh(&self.pools);
     }
 
-    /// Emits a [`ObsEvent::PolicyAudit`] carrying the ranking inputs the
-    /// policy just saw in the (still-fresh) cluster view — the evidence
-    /// `netbatch trace --why` replays for each decision.
-    #[allow(clippy::too_many_arguments)]
-    fn emit_policy_audit(
+    /// Consults the rescheduling policy about `spec`'s job in `pool`, which
+    /// `trigger` put in front of it; a wait timeout's answer is a restart
+    /// elsewhere or a stay. With observers attached, a
+    /// [`ObsEvent::PolicyAudit`] then carries the ranking inputs the policy
+    /// just saw in the (still-fresh) cluster view, before the transition
+    /// its verdict produces: the evidence `netbatch trace --why` replays.
+    /// `NoRes` suspensions are not decisions (the streaming kernel never
+    /// consults the policy at all) and go unaudited.
+    fn consult(
         &mut self,
-        job: JobId,
+        spec: &JobSpec,
         pool: PoolId,
         trigger: AuditTrigger,
-        verdict: AuditVerdict,
-        target: Option<PoolId>,
-        candidates: u16,
         now: SimTime,
-    ) {
-        let health = self.config.health_aware;
-        let (cur_util_milli, cur_queue) =
-            crate::policy::resched::audit_inputs(&self.view_snap, pool, health);
-        let (tgt_util_milli, tgt_queue) = target.map_or((cur_util_milli, cur_queue), |t| {
-            crate::policy::resched::audit_inputs(&self.view_snap, t, health)
-        });
-        self.emit(
-            now,
-            ObsEvent::PolicyAudit {
-                job,
-                pool,
-                trigger,
-                verdict,
-                target,
-                candidates,
-                cur_util_milli,
-                tgt_util_milli,
-                cur_queue,
-                tgt_queue,
-            },
-        );
+    ) -> Decision {
+        let mut candidates = self.scratch.take_pool_list();
+        self.eligible_candidates_into(spec, now, &mut candidates);
+        self.refresh_view(now);
+        let (view, rng) = (&self.view_snap, &mut self.policy_rng);
+        let decision = match trigger {
+            AuditTrigger::Suspend => self.policy.on_suspended(spec, pool, &candidates, view, rng),
+            AuditTrigger::WaitTimeout => {
+                match self.policy.on_waiting(spec, pool, &candidates, view, rng) {
+                    Some(target) if target != pool => Decision::Restart(target),
+                    _ => Decision::Stay,
+                }
+            }
+        };
+        let candidate_count = candidates.len() as u16;
+        self.scratch.put_pool_list(candidates);
+        let audited = trigger == AuditTrigger::WaitTimeout || !self.policy.is_no_res();
+        if audited && !self.observers.is_empty() {
+            let (verdict, target) = match decision {
+                Decision::Stay => (AuditVerdict::Stay, None),
+                Decision::Restart(t) => (AuditVerdict::Restart, Some(t)),
+                Decision::Migrate(t) => (AuditVerdict::Migrate, Some(t)),
+                Decision::Duplicate(t) => (AuditVerdict::Duplicate, Some(t)),
+            };
+            let health = self.config.health_aware;
+            let inputs = |p| crate::policy::resched::audit_inputs(&self.view_snap, p, health);
+            let (cur_util_milli, cur_queue) = inputs(pool);
+            let (tgt_util_milli, tgt_queue) = target.map_or((cur_util_milli, cur_queue), inputs);
+            self.emit(
+                now,
+                ObsEvent::PolicyAudit {
+                    job: spec.id,
+                    pool,
+                    trigger,
+                    verdict,
+                    target,
+                    candidates: candidate_count,
+                    cur_util_milli,
+                    tgt_util_milli,
+                    cur_queue,
+                    tgt_queue,
+                },
+            );
+        }
+        decision
     }
 
     /// The pools this job may be rescheduled to: affinity candidates that
@@ -945,19 +966,6 @@ impl Simulator {
             return None;
         }
         Some(&topo.vpms[self.vpm_assignment[job.as_usize()]])
-    }
-
-    /// The restart overhead for moving `job` to `target`: the base cost
-    /// plus the inter-site surcharge when the move leaves the home VPM.
-    fn move_overhead(&self, job: JobId, target: PoolId) -> SimDuration {
-        let mut overhead = self.config.restart_overhead;
-        if let Some(topo) = self.config.topology.as_ref() {
-            let home = &topo.vpms[self.vpm_assignment[job.as_usize()]];
-            if !home.contains(&target) {
-                overhead += topo.inter_site_overhead;
-            }
-        }
-        overhead
     }
 
     /// Initial-routing candidates: affinity ∩ the home VPM's pools (a VPM
@@ -1062,18 +1070,54 @@ impl Simulator {
         }
     }
 
-    /// Applies a batch of pool actions, then runs rescheduling decisions
-    /// for any jobs the batch suspended.
-    fn apply_actions(
+    /// Moves `spec`'s job out of its pool through the pool step (its freed
+    /// capacity may start queued jobs there) to `target`, the policy's
+    /// choice: restarted from scratch and placed there now, paying the
+    /// move's overhead, or, migrating, landed there with its remaining work
+    /// once the transfer delay has elapsed.
+    fn move_to(
         &mut self,
-        pool: PoolId,
-        actions: &[PoolAction],
+        spec: &JobSpec,
+        kind: ReschedKind,
+        target: PoolId,
         now: SimTime,
         sched: &mut Scheduler<'_, Ev>,
+        suspended: &mut Suspended,
     ) {
-        let mut suspended = self.scratch.take_worklist();
-        pool_step::apply(&mut self.host(sched), pool, actions, now, &mut suspended);
-        self.decide_all(suspended, now, sched);
+        let (job, migrate) = (spec.id, kind == ReschedKind::Migrate);
+        let config = &self.config;
+        let cost = match config.topology.as_ref() {
+            _ if migrate => config.migration.delay,
+            // A restart that leaves the home VPM pays the inter-site
+            // surcharge on top of the base overhead.
+            Some(topo) if !topo.vpms[self.vpm_assignment[job.as_usize()]].contains(&target) => {
+                config.restart_overhead + topo.inter_site_overhead
+            }
+            _ => config.restart_overhead,
+        };
+        let exit = pool_step::Exit {
+            kind,
+            cost,
+            to: Some(target),
+        };
+        let mut actions = self.scratch.take_actions();
+        let host = &mut self.host(sched);
+        pool_step::withdraw(host, job, now, &mut actions);
+        let remaining = pool_step::restart(host, job, exit, &actions, now, suspended);
+        self.scratch.put_actions(actions);
+        if !migrate {
+            self.place(target, spec, false, now, sched, suspended);
+            return;
+        }
+        // The migrated copy runs `slowdown` slower (§2.3's 10-20%
+        // virtualization overhead), minimum one minute.
+        let slowed = (remaining.as_minutes() * u64::from(self.config.migration.slowdown_milli))
+            .div_ceil(1000)
+            .max(1);
+        self.migrating
+            .insert(job, SimDuration::from_minutes(slowed));
+        let arrive = now + self.config.migration.delay;
+        sched.schedule_at(arrive, Ev::MigrateArrive(job, target));
     }
 
     /// Decides every suspension on the worklist, then returns the list to
@@ -1105,98 +1149,26 @@ impl Simulator {
         let rec = &self.jobs[job];
         // The job may already have been resumed (or even completed) by a
         // cascade that ran between its suspension and this decision.
-        let machine = match rec.phase() {
-            JobPhase::Suspended { pool, machine } if pool == at_pool => machine,
-            _ => return,
-        };
+        if !matches!(rec.phase(), JobPhase::Suspended { pool, .. } if pool == at_pool) {
+            return;
+        }
         if let Some(cap) = self.config.max_restarts {
             if rec.restarts_from_suspend() + rec.restarts_from_wait() >= cap {
                 return;
             }
         }
         let mut spec = self.jobs[job].spec().clone();
-        let mut candidates = self.scratch.take_pool_list();
-        self.eligible_candidates_into(&spec, now, &mut candidates);
-        self.refresh_view(now);
-        let decision = self.policy.on_suspended(
-            &spec,
-            at_pool,
-            &candidates,
-            &self.view_snap,
-            &mut self.policy_rng,
-        );
-        let candidate_count = candidates.len() as u16;
-        self.scratch.put_pool_list(candidates);
-        // Decision audit: the exact ranking inputs the policy saw, emitted
-        // before the transition its verdict produces. Skipped for `NoRes`,
-        // whose suspensions are not decisions (and which the streaming
-        // kernel never consults at all).
-        if !self.observers.is_empty() && !self.policy.is_no_res() {
-            self.emit_policy_audit(
-                job,
-                at_pool,
-                AuditTrigger::Suspend,
-                decision_verdict(decision),
-                decision_target(decision),
-                candidate_count,
-                now,
-            );
-        }
-        match decision {
+        match self.consult(&spec, at_pool, AuditTrigger::Suspend, now) {
             Decision::Stay => {}
-            Decision::Restart(target) | Decision::Migrate(target) => {
-                // Pull the job out of its pool (frees its resident memory,
-                // which may start queued jobs there)...
-                let mut actions = self.scratch.take_actions();
-                let from = &mut self.pools[at_pool.as_usize()];
-                let was_suspended = from.remove_suspended_into(now, job, machine, &mut actions);
-                assert!(was_suspended, "checked suspended above");
-                let restart = matches!(decision, Decision::Restart(_));
-                let (kind, discarded) = if restart {
-                    let overhead = self.move_overhead(job, target);
-                    let discarded = self.jobs[job].attempt_progress();
-                    self.jobs[job]
-                        .abort_for_restart(now, overhead)
-                        .expect("suspended jobs can abort");
-                    self.counters.restarts_from_suspend += 1;
-                    (ReschedKind::RestartFromSuspend, discarded)
-                } else {
-                    let remaining = self.jobs[job]
-                        .migrate_out(now, self.config.migration.delay)
-                        .expect("suspended jobs can migrate");
-                    // The migrated copy runs `slowdown` slower (§2.3's 10-20%
-                    // virtualization overhead), minimum one minute.
-                    let slowed = (remaining.as_minutes()
-                        * u64::from(self.config.migration.slowdown_milli))
-                    .div_ceil(1000)
-                    .max(1);
-                    self.migrating
-                        .insert(job, SimDuration::from_minutes(slowed));
-                    self.counters.migrations += 1;
-                    (ReschedKind::Migrate, SimDuration::ZERO)
-                };
-                self.emit(
-                    now,
-                    ObsEvent::Reschedule {
-                        job,
-                        kind,
-                        from_pool: at_pool,
-                        machine: Some(machine),
-                        from_phase: PhaseTag::Suspended,
-                        to: Some(target),
-                        discarded,
-                    },
-                );
-                pool_step::apply(&mut self.host(sched), at_pool, &actions, now, suspended);
-                self.scratch.put_actions(actions);
-                // ...and restart it from scratch at the chosen pool, or
-                // land it there once the transfer delay has elapsed.
-                if restart {
-                    self.place(target, &spec, false, now, sched, suspended);
-                } else {
-                    let arrive = now + self.config.migration.delay;
-                    sched.schedule_at(arrive, Ev::MigrateArrive(job, target));
-                }
+            Decision::Restart(target) => {
+                let kind = ReschedKind::RestartFromSuspend;
+                self.move_to(&spec, kind, target, now, sched, suspended);
+                self.counters.restarts_from_suspend += 1;
+            }
+            Decision::Migrate(target) => {
+                let kind = ReschedKind::Migrate;
+                self.move_to(&spec, kind, target, now, sched, suspended);
+                self.counters.migrations += 1;
             }
             Decision::Duplicate(target) => {
                 // Only one live duplicate per original, and shadows never
@@ -1275,83 +1247,51 @@ impl Simulator {
         let loser = self.dup_of.remove(&finisher)?;
         self.dup_of.remove(&loser);
         let clone_won = self.shadows.contains(&finisher);
-        // Cancel the loser's pending events and evict it from its pool.
+        // Cancel the loser's pending events and take it out of its pool,
+        // noting where it was for the proxy-finish event emitted once the
+        // record is settled.
         let rec = &mut self.jobs[loser];
-        if let Some(ev) = rec.completion_event.take() {
+        let booked = [rec.completion_event.take(), rec.wait_timer_event.take()];
+        for ev in booked.into_iter().flatten() {
             sched.cancel(ev);
         }
-        if let Some(timer) = rec.wait_timer_event.take() {
-            sched.cancel(timer);
-        }
-        // Capture where the loser was before eviction, for the proxy-finish
-        // event emitted once the record is settled.
         let mut actions = self.scratch.take_actions();
-        let loser_state = match rec.phase() {
-            JobPhase::Running { pool, machine } => {
-                let from = &mut self.pools[pool.as_usize()];
-                let released = from.release_into(now, loser, machine, &mut actions);
-                assert!(released, "loser was running");
-                self.apply_actions(pool, &actions, now, sched);
-                Some((PhaseTag::Running, Some(pool), Some(machine)))
-            }
-            JobPhase::Suspended { pool, machine } => {
-                let from = &mut self.pools[pool.as_usize()];
-                let removed = from.remove_suspended_into(now, loser, machine, &mut actions);
-                assert!(removed, "loser was suspended");
-                self.apply_actions(pool, &actions, now, sched);
-                Some((PhaseTag::Suspended, Some(pool), Some(machine)))
-            }
-            JobPhase::Waiting { pool } => {
-                self.pools[pool.as_usize()]
-                    .remove_waiting(loser)
-                    .expect("loser was waiting");
-                Some((PhaseTag::Waiting, Some(pool), None))
-            }
-            JobPhase::AtVpm => Some((PhaseTag::AtVpm, None, None)),
-            JobPhase::Created | JobPhase::Completed => None,
-        };
+        let mut suspended = self.scratch.take_worklist();
+        let host = &mut self.host(sched);
+        let from = pool_step::withdraw(host, loser, now, &mut actions);
+        if let Some(from) = from {
+            pool_step::apply(host, from.pool, &actions, now, &mut suspended);
+        }
         self.scratch.put_actions(actions);
-        // Settle: the ORIGINAL record carries the metrics.
-        let mut proxied = false;
+        self.decide_all(suspended, now, sched);
+        // Settle: the ORIGINAL record carries the metrics. Stamping the
+        // loser completed closes its open run/suspend/wait segment; all it
+        // executed produced nothing, so it is charged to the original as
+        // waste (to itself when the clone won).
+        let rec = &mut self.jobs[loser];
+        let proxied = !rec.is_completed();
+        if proxied {
+            rec.finish_by_proxy(now).expect("the loser is active");
+        }
+        let wasted = rec.run_time();
+        let original = if clone_won { loser } else { finisher };
+        self.jobs[original].add_external_waste(wasted);
         if clone_won {
-            // The loser is the original; stamp it completed (this also
-            // closes its open run/suspend/wait segment).
             self.counters.duplicates_won += 1;
-            let original = loser;
-            let rec = &mut self.jobs[original];
-            if !rec.is_completed() {
-                rec.finish_by_proxy(now).expect("original is active");
+            if proxied {
                 self.counters.completed += 1;
-                proxied = true;
             }
-            // Everything the original executed produced nothing — the
-            // clone's result was used.
-            let wasted = rec.run_time();
-            rec.add_external_waste(wasted);
-        } else {
-            // The loser is the clone; close its running segment if any,
-            // then charge its redundant execution to the original.
-            let clone = loser;
-            let rec = &mut self.jobs[clone];
-            if !rec.is_completed() {
-                rec.finish_by_proxy(now).expect("clone is active");
-                proxied = true;
-            }
-            let wasted = rec.run_time();
-            self.jobs[finisher].add_external_waste(wasted);
         }
         if proxied {
-            if let Some((from_phase, pool, machine)) = loser_state {
-                self.emit(
-                    now,
-                    ObsEvent::ProxyFinish {
-                        job: loser,
-                        from_phase,
-                        pool,
-                        machine,
-                    },
-                );
-            }
+            self.emit(
+                now,
+                ObsEvent::ProxyFinish {
+                    job: loser,
+                    from_phase: from.map_or(PhaseTag::AtVpm, |p| p.phase),
+                    pool: from.map(|p| p.pool),
+                    machine: from.and_then(|p| p.machine),
+                },
+            );
         }
         Some(loser)
     }
@@ -1377,57 +1317,12 @@ impl Simulator {
         }
         let spec = self.jobs[job].spec().clone();
         self.emit(now, ObsEvent::WaitTimeout { job, pool });
-        let mut candidates = self.scratch.take_pool_list();
-        self.eligible_candidates_into(&spec, now, &mut candidates);
-        self.refresh_view(now);
-        let decision = self.policy.on_waiting(
-            &spec,
-            pool,
-            &candidates,
-            &self.view_snap,
-            &mut self.policy_rng,
-        );
-        let candidate_count = candidates.len() as u16;
-        self.scratch.put_pool_list(candidates);
-        if !self.observers.is_empty() {
-            let (verdict, target) = match decision {
-                Some(t) if t != pool => (AuditVerdict::Restart, Some(t)),
-                _ => (AuditVerdict::Stay, None),
-            };
-            self.emit_policy_audit(
-                job,
-                pool,
-                AuditTrigger::WaitTimeout,
-                verdict,
-                target,
-                candidate_count,
-                now,
-            );
-        }
-        match decision {
-            Some(target) if target != pool => {
-                self.pools[pool.as_usize()]
-                    .remove_waiting(job)
-                    .expect("phase says waiting");
-                let overhead = self.move_overhead(job, target);
-                self.jobs[job]
-                    .abort_for_restart(now, overhead)
-                    .expect("waiting jobs can abort");
-                self.counters.restarts_from_wait += 1;
-                self.emit(
-                    now,
-                    ObsEvent::Reschedule {
-                        job,
-                        kind: ReschedKind::RestartFromWait,
-                        from_pool: pool,
-                        machine: None,
-                        from_phase: PhaseTag::Waiting,
-                        to: Some(target),
-                        discarded: SimDuration::ZERO,
-                    },
-                );
+        match self.consult(&spec, pool, AuditTrigger::WaitTimeout, now) {
+            Decision::Restart(target) => {
                 let mut suspended = self.scratch.take_worklist();
-                self.place(target, &spec, false, now, sched, &mut suspended);
+                let kind = ReschedKind::RestartFromWait;
+                self.move_to(&spec, kind, target, now, sched, &mut suspended);
+                self.counters.restarts_from_wait += 1;
                 self.decide_all(suspended, now, sched);
             }
             // Stay put; check again one threshold later (bounded).
@@ -1456,66 +1351,125 @@ impl Simulator {
         self.decide_all(suspended, now, sched);
     }
 
-    fn handle_machine_down(
+    /// A machine event: the pool step changes the pool, announces it and
+    /// applies freed capacity; the kernel's policy then takes over a
+    /// failure's evictees and, when the resilience policy opts in, a kill
+    /// deadline's at-risk residents.
+    fn handle_machine(
         &mut self,
         pool: PoolId,
         machine: MachineId,
+        event: MachineEvent,
         now: SimTime,
         sched: &mut Scheduler<'_, Ev>,
     ) {
-        let mut running = std::mem::take(&mut self.scratch.evict_running);
-        let mut susp = std::mem::take(&mut self.scratch.evict_suspended);
-        running.clear();
-        susp.clear();
-        if !self.pools[pool.as_usize()].fail_machine_into(machine, &mut running, &mut susp) {
-            // Already down or unknown machine.
-            self.scratch.evict_running = running;
-            self.scratch.evict_suspended = susp;
-            return;
-        }
-        self.emit(now, ObsEvent::MachineDown { pool, machine });
-        let mut blacklisted_until = None;
-        if self.config.resilience.enabled {
-            // A pool that just lost a machine is unhealthy: exclude it
-            // from rescheduling targets for the cooldown window.
-            let until = now + self.config.resilience.blacklist_cooldown;
-            if self.blacklist[pool.as_usize()] < until {
-                self.blacklist[pool.as_usize()] = until;
-                self.emit(now, ObsEvent::PoolBlacklisted { pool, until });
-                blacklisted_until = Some(until);
+        let mut actions = self.scratch.take_actions();
+        let mut suspended = self.scratch.take_worklist();
+        let mut evictees = std::mem::take(&mut self.scratch.evictees);
+        let host = &mut self.host(sched);
+        let (a, s, e) = (&mut actions, &mut suspended, &mut evictees);
+        let changed = pool_step::machine_event(host, pool, machine, event, now, a, s, e);
+        self.scratch.put_actions(actions);
+        self.decide_all(suspended, now, sched);
+        match event {
+            _ if !changed => {}
+            // A failure: blacklist the pool when the scheduler is hardened,
+            // audit the fault, then restart every evictee.
+            MachineEvent::Down => {
+                let mut blacklisted_until = None;
+                if self.config.resilience.enabled {
+                    // A pool that just lost a machine is unhealthy: exclude it
+                    // from rescheduling targets for the cooldown window.
+                    let until = now + self.config.resilience.blacklist_cooldown;
+                    if self.blacklist[pool.as_usize()] < until {
+                        self.blacklist[pool.as_usize()] = until;
+                        self.emit(now, ObsEvent::PoolBlacklisted { pool, until });
+                        blacklisted_until = Some(until);
+                    }
+                }
+                if !self.observers.is_empty() {
+                    // Fault audit: name the outage behind this failure so span
+                    // causes and `trace --why` can cite it, before the per-job
+                    // evictions it triggers.
+                    let outage = self
+                        .fault_plan
+                        .outage_id(pool, machine, now)
+                        .unwrap_or(u32::MAX);
+                    self.emit(
+                        now,
+                        ObsEvent::FaultAudit {
+                            pool,
+                            machine,
+                            outage,
+                            blacklisted_until,
+                        },
+                    );
+                }
+                for job in evictees.iter() {
+                    self.counters.failure_evictions += 1;
+                    self.evict(job, ReschedKind::FailureEvict, &[], now, sched);
+                }
             }
+            MachineEvent::Drain(Some(deadline)) if self.config.resilience.evacuate_draining => {
+                self.evacuate(pool, machine, deadline, &evictees, now, sched);
+            }
+            _ => {}
         }
-        if !self.observers.is_empty() {
-            // Fault audit: name the outage behind this failure so span
-            // causes and `trace --why` can cite it, before the per-job
-            // evictions it triggers.
-            let outage = self
-                .fault_plan
-                .outage_id(pool, machine, now)
-                .unwrap_or(u32::MAX);
-            self.emit(
-                now,
-                ObsEvent::FaultAudit {
-                    pool,
-                    machine,
-                    outage,
-                    blacklisted_until,
-                },
-            );
-        }
-        for &job in running.iter().chain(&susp) {
-            self.counters.failure_evictions += 1;
-            self.evict(job, ReschedKind::FailureEvict, &[], now, sched);
-        }
-        self.scratch.evict_running = running;
-        self.scratch.evict_suspended = susp;
+        self.scratch.evictees = evictees;
     }
 
-    /// Restarts a job that a failure or a drain has just taken off its
-    /// machine, which its record still names: cancels its completion,
-    /// aborts its attempt, applies `freed` (what its removal from the pool
-    /// freed), then sends it back through the VPM, or into backoff when
-    /// the scheduler is hardened.
+    /// Proactive evacuation: moves the residents a drain's kill `deadline`
+    /// would catch off `machine` now, racing the drain instead of dying at
+    /// the kill. `at_risk` is a stable copy of the resident lists:
+    /// evacuating one job can resume another on this very machine.
+    fn evacuate(
+        &mut self,
+        pool: PoolId,
+        machine: MachineId,
+        deadline: SimTime,
+        at_risk: &Evictees,
+        now: SimTime,
+        sched: &mut Scheduler<'_, Ev>,
+    ) {
+        for job in at_risk.iter() {
+            // Re-read the job's phase: an earlier evacuee's freed cores
+            // may have resumed this one meanwhile (resuming on a draining
+            // machine is legal — only *new* placements are barred).
+            let remaining = match self.jobs[job].phase() {
+                p if p == JobPhase::Running { pool, machine } => self.jobs[job].remaining_wall(),
+                p if p == JobPhase::Suspended { pool, machine } => SimDuration::ZERO,
+                _ => continue, // moved or completed by a cascade in between
+            };
+            self.counters.evacuations += 1;
+            if !self.observers.is_empty() {
+                // Evacuation audit: which lifecycle window forced the
+                // move and what the job's remaining work was racing.
+                let window = self
+                    .lifecycle_plan
+                    .window_id(pool, machine, now)
+                    .unwrap_or(u32::MAX);
+                self.emit(
+                    now,
+                    ObsEvent::EvacAudit {
+                        job,
+                        pool,
+                        machine,
+                        window,
+                        remaining,
+                        deadline,
+                    },
+                );
+            }
+            let mut actions = self.scratch.take_actions();
+            pool_step::withdraw(&mut self.host(sched), job, now, &mut actions);
+            self.evict(job, ReschedKind::Evacuation, &actions, now, sched);
+            self.scratch.put_actions(actions);
+        }
+    }
+
+    /// Restarts a job a failure or a drain took off its machine (`freed` is
+    /// what its withdrawal freed), then routes it through the VPM, or into
+    /// backoff when the scheduler is hardened.
     fn evict(
         &mut self,
         job: JobId,
@@ -1524,36 +1478,14 @@ impl Simulator {
         now: SimTime,
         sched: &mut Scheduler<'_, Ev>,
     ) {
-        let rec = &mut self.jobs[job];
-        let (pool, machine, from_phase) = match rec.phase() {
-            JobPhase::Running { pool, machine } => (pool, machine, PhaseTag::Running),
-            JobPhase::Suspended { pool, machine } => (pool, machine, PhaseTag::Suspended),
-            _ => unreachable!("evicted jobs were running or suspended"),
+        let exit = pool_step::Exit {
+            kind,
+            cost: self.config.restart_overhead,
+            to: None,
         };
-        if let Some(ev) = rec.completion_event.take() {
-            sched.cancel(ev);
-        }
-        // A running job's progress counter lags its current stint;
-        // add the elapsed time since it (re)started on the machine.
-        let discarded = match from_phase {
-            PhaseTag::Running => rec.attempt_progress() + now.since(rec.phase_since()),
-            _ => rec.attempt_progress(),
-        };
-        rec.abort_for_restart(now, self.config.restart_overhead)
-            .expect("evicted jobs were running or suspended");
-        self.emit(
-            now,
-            ObsEvent::Reschedule {
-                job,
-                kind,
-                from_pool: pool,
-                machine: Some(machine),
-                from_phase,
-                to: None,
-                discarded,
-            },
-        );
-        self.apply_actions(pool, freed, now, sched);
+        let mut suspended = self.scratch.take_worklist();
+        pool_step::restart(&mut self.host(sched), job, exit, freed, now, &mut suspended);
+        self.decide_all(suspended, now, sched);
         if self.config.resilience.enabled {
             self.schedule_retry(job, now, sched);
         } else {
@@ -1668,131 +1600,6 @@ impl Simulator {
         self.retire(job);
     }
 
-    fn handle_machine_up(
-        &mut self,
-        pool: PoolId,
-        machine: MachineId,
-        now: SimTime,
-        sched: &mut Scheduler<'_, Ev>,
-    ) {
-        let mut actions = self.scratch.take_actions();
-        if self.pools[pool.as_usize()].restore_machine_into(now, machine, &mut actions) {
-            self.emit(now, ObsEvent::MachineUp { pool, machine });
-            self.apply_actions(pool, &actions, now, sched);
-        }
-        self.scratch.put_actions(actions);
-    }
-
-    /// A lifecycle window opens: the machine stops accepting new work
-    /// (running and suspended residents stay put and may still resume).
-    /// When the window carries a kill deadline and the resilience policy
-    /// opts into proactive evacuation, jobs that cannot finish before the
-    /// deadline — plus every suspended resident, which by definition makes
-    /// no progress while parked — are moved out now, racing the drain
-    /// instead of dying at the kill.
-    fn handle_drain_start(
-        &mut self,
-        pool: PoolId,
-        machine: MachineId,
-        deadline: Option<SimTime>,
-        now: SimTime,
-        sched: &mut Scheduler<'_, Ev>,
-    ) {
-        if !self.pools[pool.as_usize()].drain_machine(machine) {
-            return; // already draining or unknown machine
-        }
-        self.emit(
-            now,
-            ObsEvent::MachineDraining {
-                pool,
-                machine,
-                deadline,
-            },
-        );
-        let Some(deadline) = deadline else {
-            return; // cordon: no kill coming, nothing to evacuate
-        };
-        if !self.config.resilience.evacuate_draining {
-            return;
-        }
-        // Plan the evacuation from a stable copy of the resident lists
-        // (evacuating one job can resume another on this very machine).
-        let mut running = std::mem::take(&mut self.scratch.evict_running);
-        let mut susp = std::mem::take(&mut self.scratch.evict_suspended);
-        running.clear();
-        susp.clear();
-        self.pools[pool.as_usize()].residents_into(machine, &mut running, &mut susp);
-        running.retain(|j| {
-            let rec = &self.jobs[*j];
-            // A running job's completion instant is its phase start plus
-            // the wall remaining at that boundary; jobs that beat the
-            // deadline are left to finish in place.
-            rec.phase_since() + rec.remaining_wall() > deadline
-        });
-        for &job in running.iter().chain(&susp) {
-            // Re-read the job's phase: an earlier evacuee's freed cores
-            // may have resumed this one meanwhile (resuming on a draining
-            // machine is legal — only *new* placements are barred).
-            let from_phase = match self.jobs[job].phase() {
-                p if p == JobPhase::Running { pool, machine } => PhaseTag::Running,
-                p if p == JobPhase::Suspended { pool, machine } => PhaseTag::Suspended,
-                _ => continue, // moved or completed by a cascade in between
-            };
-            self.counters.evacuations += 1;
-            if !self.observers.is_empty() {
-                // Evacuation audit: which lifecycle window forced the
-                // move and what the job's remaining work was racing.
-                let window = self
-                    .lifecycle_plan
-                    .window_id(pool, machine, now)
-                    .unwrap_or(u32::MAX);
-                let remaining = match from_phase {
-                    PhaseTag::Running => self.jobs[job].remaining_wall(),
-                    _ => SimDuration::ZERO,
-                };
-                self.emit(
-                    now,
-                    ObsEvent::EvacAudit {
-                        job,
-                        pool,
-                        machine,
-                        window,
-                        remaining,
-                        deadline,
-                    },
-                );
-            }
-            let mut actions = self.scratch.take_actions();
-            let from = &mut self.pools[pool.as_usize()];
-            let removed = match from_phase {
-                PhaseTag::Running => from.release_into(now, job, machine, &mut actions),
-                _ => from.remove_suspended_into(now, job, machine, &mut actions),
-            };
-            assert!(removed, "phase re-checked above");
-            self.evict(job, ReschedKind::Evacuation, &actions, now, sched);
-            self.scratch.put_actions(actions);
-        }
-        self.scratch.evict_running = running;
-        self.scratch.evict_suspended = susp;
-    }
-
-    /// A lifecycle window closes: the machine re-opens for placement and
-    /// its freed capacity is offered to the pool's queue.
-    fn handle_drain_end(
-        &mut self,
-        pool: PoolId,
-        machine: MachineId,
-        now: SimTime,
-        sched: &mut Scheduler<'_, Ev>,
-    ) {
-        let mut actions = self.scratch.take_actions();
-        if self.pools[pool.as_usize()].undrain_machine_into(now, machine, &mut actions) {
-            self.emit(now, ObsEvent::MachineUndrained { pool, machine });
-            self.apply_actions(pool, &actions, now, sched);
-        }
-        self.scratch.put_actions(actions);
-    }
-
     fn handle_sample(&mut self, now: SimTime, sched: &mut Scheduler<'_, Ev>) {
         self.record_sample(now);
         let done = self.counters.completed + self.counters.unrunnable >= self.total_jobs;
@@ -1857,24 +1664,6 @@ impl Simulator {
     }
 }
 
-/// The audit label for a policy decision.
-fn decision_verdict(decision: Decision) -> AuditVerdict {
-    match decision {
-        Decision::Stay => AuditVerdict::Stay,
-        Decision::Restart(_) => AuditVerdict::Restart,
-        Decision::Migrate(_) => AuditVerdict::Migrate,
-        Decision::Duplicate(_) => AuditVerdict::Duplicate,
-    }
-}
-
-/// The target pool a policy decision names, if any.
-fn decision_target(decision: Decision) -> Option<PoolId> {
-    match decision {
-        Decision::Stay => None,
-        Decision::Restart(t) | Decision::Migrate(t) | Decision::Duplicate(t) => Some(t),
-    }
-}
-
 /// The pool step's host on the serial kernel: the simulator's pools and
 /// dense job records, with completions booked as [`Ev::Complete`] on the
 /// executor's queue.
@@ -1933,14 +1722,14 @@ impl Handler for Simulator {
                 self.handle_wait_check(job, now, sched);
             }
             Ev::Sample => self.handle_sample(now, sched),
-            Ev::MachineDown(pool, machine) => self.handle_machine_down(pool, machine, now, sched),
-            Ev::MachineUp(pool, machine) => self.handle_machine_up(pool, machine, now, sched),
+            Ev::MachineDown(p, m) => self.handle_machine(p, m, MachineEvent::Down, now, sched),
+            Ev::MachineUp(p, m) => self.handle_machine(p, m, MachineEvent::Up, now, sched),
             Ev::MigrateArrive(job, pool) => self.handle_migrate_arrive(job, pool, now, sched),
             Ev::RetryDispatch(job) => self.handle_retry_dispatch(job, now, sched),
-            Ev::DrainStart(pool, machine, deadline) => {
-                self.handle_drain_start(pool, machine, deadline, now, sched);
+            Ev::DrainStart(p, m, d) => {
+                self.handle_machine(p, m, MachineEvent::Drain(d), now, sched)
             }
-            Ev::DrainEnd(pool, machine) => self.handle_drain_end(pool, machine, now, sched),
+            Ev::DrainEnd(p, m) => self.handle_machine(p, m, MachineEvent::Undrain, now, sched),
         }
         if let Some(start) = profile_start {
             let nanos = start.elapsed().as_nanos() as u64;

@@ -108,6 +108,25 @@ grep -q '^## Site timeline (Figure 4, 100-minute buckets)$' "$tmpdir/report.md"
 test -s "$tmpdir/fig_cdf.csv" && test -s "$tmpdir/fig_timeline.csv" \
   && test -s "$tmpdir/fig_pools.csv"
 
+# Closed-stdout smoke: a reader that quits early closes the pipe, and the
+# rest of the output is dropped with exit 0 (pipefail is on, so a panic or
+# non-zero exit fails the step). `head -n 1` may still drain a short run's
+# output in time; `true` reads nothing and is gone before the summary is
+# printed, so the second run always writes into a closed pipe.
+echo "==> closed stdout is a clean exit"
+cargo run --release --bin netbatch -- simulate --scale 0.02 | head -n 1
+cargo run --release --bin netbatch -- simulate --scale 0.05 | true
+
+# Orphan tuning flags: a flag whose switch is off is rejected (exit 2),
+# naming the switch, instead of being silently ignored.
+echo "==> orphan tuning flags are rejected"
+if cargo run --release --bin netbatch -- simulate --scale 0.002 --fault-mttr 6 \
+  2> "$tmpdir/orphan.err"; then
+  echo "error: --fault-mttr without --fault-mtbf was accepted" >&2
+  exit 1
+fi
+grep -q 'needs --fault-mtbf' "$tmpdir/orphan.err"
+
 # Trace CSV round trip: a week generated to a CSV file and read back must
 # simulate exactly as the same week generated in memory, line for line
 # except the wall-time line.

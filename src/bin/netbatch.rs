@@ -75,6 +75,10 @@ windows, rolling-update waves and health cordons, each preceded by a
 drain during which the machine accepts no new work. The `--lifecycle-*`
 knobs tune it (drain lead default 60 min, maintenance every 48h for 2h,
 1 rolling wave over a quarter of each pool, cordon below health 0.5).
+A tuning flag needs its switch: `--fault-mttr` and `--fault-pool-outages`
+need `--fault-mtbf`, `--fault-flaky` needs `--fault-mtbf` or the
+lifecycle model, and the `--lifecycle-*` knobs need `--lifecycle` or
+`--health-aware`.
 `--health-aware` makes scheduling weight pools by health-adjusted
 effective capacity and proactively evacuates jobs off draining machines
 before the kill deadline (implies `--lifecycle` and `--hardened`).
@@ -138,18 +142,22 @@ enum Command {
         spans_out: Option<String>,
         profile_out: Option<String>,
         check_invariants: bool,
+        // Tuning flags are `None` when absent, and present only when their
+        // switch is on: `--fault-mtbf` for the fault model's, `--lifecycle`
+        // or `--health-aware` for the lifecycle model's, and any of those
+        // three for `--fault-flaky`.
         fault_mtbf: Option<f64>,
-        fault_mttr: f64,
-        fault_pool_outages: u32,
-        fault_flaky: f64,
+        fault_mttr: Option<f64>,
+        fault_pool_outages: Option<u32>,
+        fault_flaky: Option<f64>,
         hardened: bool,
         lifecycle: bool,
-        lifecycle_drain_lead: u64,
-        lifecycle_maintenance_every: f64,
-        lifecycle_maintenance_duration: f64,
-        lifecycle_rolling_waves: u32,
-        lifecycle_rolling_fraction: f64,
-        lifecycle_cordon_below: f64,
+        lifecycle_drain_lead: Option<u64>,
+        lifecycle_maintenance_every: Option<f64>,
+        lifecycle_maintenance_duration: Option<f64>,
+        lifecycle_rolling_waves: Option<u32>,
+        lifecycle_rolling_fraction: Option<f64>,
+        lifecycle_cordon_below: Option<f64>,
         health_aware: bool,
         backend: Backend,
         stream_workload: bool,
@@ -249,8 +257,15 @@ fn parse_args(args: &[String]) -> Result<Command, String> {
     let mut it = args.iter();
     let cmd = it.next().map(String::as_str).unwrap_or("help");
     // Flag scanner shared by the subcommands. Each flag carries a mark set
-    // when a subcommand reads it; a flag left unread is unknown to it.
-    let mut flags: Vec<(String, Option<String>, Cell<bool>)> = Vec::new();
+    // when a subcommand reads it; a flag left unread is unknown to it, or
+    // needs the switch named in its second mark, which is off.
+    type Flag = (
+        String,
+        Option<String>,
+        Cell<bool>,
+        Cell<Option<&'static str>>,
+    );
+    let mut flags: Vec<Flag> = Vec::new();
     let mut positional: Vec<String> = Vec::new();
     let rest: Vec<&String> = it.collect();
     let mut i = 0;
@@ -271,10 +286,11 @@ fn parse_args(args: &[String]) -> Result<Command, String> {
                 let v = rest
                     .get(i + 1)
                     .ok_or_else(|| format!("flag --{name} needs a value"))?;
-                flags.push((name.to_string(), Some(v.to_string()), Cell::new(false)));
+                let v = Some(v.to_string());
+                flags.push((name.to_string(), v, Cell::new(false), Cell::new(None)));
                 i += 2;
             } else {
-                flags.push((name.to_string(), None, Cell::new(false)));
+                flags.push((name.to_string(), None, Cell::new(false), Cell::new(None)));
                 i += 1;
             }
         } else {
@@ -285,7 +301,7 @@ fn parse_args(args: &[String]) -> Result<Command, String> {
     // Marks every occurrence of `name` read; the first one's value wins.
     let read = |name: &str| -> Option<Option<String>> {
         let mut value = None;
-        for (_, v, seen) in flags.iter().filter(|(n, ..)| n == name) {
+        for (_, v, seen, _) in flags.iter().filter(|(n, ..)| n == name) {
             seen.set(true);
             value.get_or_insert_with(|| v.clone());
         }
@@ -311,6 +327,31 @@ fn parse_args(args: &[String]) -> Result<Command, String> {
             None => Ok(None),
         }
     };
+    // A tuning flag is read only when its switch is on (`gate`: whether it
+    // is, and its name). Off, the flag stays unread, and the unread-flag
+    // check below rejects it, naming the switch.
+    let gated = |(on, switch): (bool, &'static str), name: &str| {
+        if !on {
+            for (.., needs) in flags.iter().filter(|(n, ..)| n == name) {
+                needs.set(Some(switch));
+            }
+        }
+        on
+    };
+    let int_if = |gate, name: &str| {
+        if gated(gate, name) {
+            int(name)
+        } else {
+            Ok(None)
+        }
+    };
+    let fnum_if = |gate, name: &str| {
+        if gated(gate, name) {
+            fnum(name)
+        } else {
+            Ok(None)
+        }
+    };
 
     let command = match cmd {
         "generate" => Ok(Command::Generate {
@@ -326,42 +367,57 @@ fn parse_args(args: &[String]) -> Result<Command, String> {
                 .ok_or("analyze needs a trace file argument")?,
             scale: parse_scale(get("scale"))?,
         }),
-        "simulate" => Ok(Command::Simulate {
-            trace: get("trace"),
-            scenario: get("scenario").unwrap_or_else(|| "normal".into()),
-            scale: parse_scale(get("scale"))?,
-            seed: int("seed")?,
-            strategy: parse_strategy(&get("strategy").unwrap_or_else(|| "NoRes".into()))?,
-            initial: parse_initial(&get("initial").unwrap_or_else(|| "rr".into()))?,
-            high_load: has("high-load"),
-            restart_overhead: int("restart-overhead")?.unwrap_or(0),
-            staleness: int("staleness")?.unwrap_or(0),
-            max_restarts: int("max-restarts")?.map(|v| v as u32),
-            sample: has("sample"),
-            series_out: get("series-out"),
-            trace_out: get("trace-out"),
-            metrics_out: get("metrics-out"),
-            spans_out: get("spans-out"),
-            profile_out: get("profile-out"),
-            check_invariants: has("check-invariants"),
-            fault_mtbf: fnum("fault-mtbf")?,
-            fault_mttr: fnum("fault-mttr")?.unwrap_or(12.0),
-            fault_pool_outages: int("fault-pool-outages")?.unwrap_or(0) as u32,
-            fault_flaky: fnum("fault-flaky")?.unwrap_or(0.0),
-            hardened: has("hardened"),
-            lifecycle: has("lifecycle"),
-            lifecycle_drain_lead: int("lifecycle-drain-lead")?.unwrap_or(60),
-            lifecycle_maintenance_every: fnum("lifecycle-maintenance-every")?.unwrap_or(48.0),
-            lifecycle_maintenance_duration: fnum("lifecycle-maintenance-duration")?.unwrap_or(2.0),
-            lifecycle_rolling_waves: int("lifecycle-rolling-waves")?.unwrap_or(1) as u32,
-            lifecycle_rolling_fraction: fnum("lifecycle-rolling-fraction")?.unwrap_or(0.25),
-            lifecycle_cordon_below: fnum("lifecycle-cordon-below")?.unwrap_or(0.5),
-            health_aware: has("health-aware"),
-            backend: parse_backend(int("shards")?)?,
-            stream_workload: has("stream-workload"),
-            pools: int("pools")?,
-            horizon: parse_horizon(get("horizon"))?,
-        }),
+        "simulate" => {
+            let faults = (get("fault-mtbf").is_some(), "--fault-mtbf");
+            let lifecycle = (
+                has("lifecycle") || has("health-aware"),
+                "--lifecycle or --health-aware",
+            );
+            let flaky = (
+                faults.0 || lifecycle.0,
+                "--fault-mtbf, --lifecycle or --health-aware",
+            );
+            Ok(Command::Simulate {
+                trace: get("trace"),
+                scenario: get("scenario").unwrap_or_else(|| "normal".into()),
+                scale: parse_scale(get("scale"))?,
+                seed: int("seed")?,
+                strategy: parse_strategy(&get("strategy").unwrap_or_else(|| "NoRes".into()))?,
+                initial: parse_initial(&get("initial").unwrap_or_else(|| "rr".into()))?,
+                high_load: has("high-load"),
+                restart_overhead: int("restart-overhead")?.unwrap_or(0),
+                staleness: int("staleness")?.unwrap_or(0),
+                max_restarts: int("max-restarts")?.map(|v| v as u32),
+                sample: has("sample"),
+                series_out: get("series-out"),
+                trace_out: get("trace-out"),
+                metrics_out: get("metrics-out"),
+                spans_out: get("spans-out"),
+                profile_out: get("profile-out"),
+                check_invariants: has("check-invariants"),
+                fault_mtbf: fnum("fault-mtbf")?,
+                fault_mttr: fnum_if(faults, "fault-mttr")?,
+                fault_pool_outages: int_if(faults, "fault-pool-outages")?.map(|v| v as u32),
+                fault_flaky: fnum_if(flaky, "fault-flaky")?,
+                hardened: has("hardened"),
+                lifecycle: has("lifecycle"),
+                lifecycle_drain_lead: int_if(lifecycle, "lifecycle-drain-lead")?,
+                lifecycle_maintenance_every: fnum_if(lifecycle, "lifecycle-maintenance-every")?,
+                lifecycle_maintenance_duration: fnum_if(
+                    lifecycle,
+                    "lifecycle-maintenance-duration",
+                )?,
+                lifecycle_rolling_waves: int_if(lifecycle, "lifecycle-rolling-waves")?
+                    .map(|v| v as u32),
+                lifecycle_rolling_fraction: fnum_if(lifecycle, "lifecycle-rolling-fraction")?,
+                lifecycle_cordon_below: fnum_if(lifecycle, "lifecycle-cordon-below")?,
+                health_aware: has("health-aware"),
+                backend: parse_backend(int("shards")?)?,
+                stream_workload: has("stream-workload"),
+                pools: int("pools")?,
+                horizon: parse_horizon(get("horizon"))?,
+            })
+        }
         "report" => Ok(Command::Report {
             trace: get("trace"),
             scenario: get("scenario").unwrap_or_else(|| "normal".into()),
@@ -388,10 +444,11 @@ fn parse_args(args: &[String]) -> Result<Command, String> {
         "help" | "--help" | "-h" => Ok(Command::Help),
         other => Err(format!("unknown command `{other}`; try `netbatch help`")),
     }?;
-    match flags.iter().find(|(.., seen)| !seen.get()) {
-        Some((name, ..)) => Err(format!(
-            "unknown flag --{name} for `{cmd}`; try `netbatch help`"
-        )),
+    match flags.iter().find(|(_, _, seen, _)| !seen.get()) {
+        Some((name, .., needs)) => Err(match needs.get() {
+            Some(switch) => format!("--{name} needs {switch}, which is not given"),
+            None => format!("unknown flag --{name} for `{cmd}`; try `netbatch help`"),
+        }),
         None => Ok(command),
     }
 }
@@ -409,10 +466,52 @@ fn scenario_params(name: &str, scale: f64, seed: Option<u64>) -> Result<Scenario
     Ok(params)
 }
 
+/// The command's stdout, locked once for the whole run. A reader that
+/// quits early (`netbatch simulate | head -n 1`) closes the pipe: the rest
+/// of the output is dropped, and the command still finishes, writing its
+/// file sinks, and exits 0.
+struct Out {
+    stdout: std::io::StdoutLock<'static>,
+    closed: bool,
+}
+
+impl Out {
+    fn lock() -> Self {
+        Out {
+            stdout: std::io::stdout().lock(),
+            closed: false,
+        }
+    }
+
+    /// Writes `text`, unless the reader has closed the pipe.
+    fn text(&mut self, text: &str) -> Result<(), String> {
+        use std::io::Write;
+        if self.closed {
+            return Ok(());
+        }
+        match self.stdout.write_all(text.as_bytes()) {
+            Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => {
+                self.closed = true;
+                Ok(())
+            }
+            written => written.map_err(|e| format!("cannot write to stdout: {e}")),
+        }
+    }
+}
+
+/// `println!` onto an [`Out`], failing the command on a write error other
+/// than a closed pipe.
+macro_rules! say {
+    ($out:expr, $($arg:tt)*) => {
+        $out.text(&format!("{}\n", format_args!($($arg)*)))?
+    };
+}
+
 fn run(cmd: Command) -> Result<(), String> {
+    let mut stdout = Out::lock();
     match cmd {
         Command::Help => {
-            print!("{USAGE}");
+            stdout.text(USAGE)?;
             Ok(())
         }
         Command::Strategies => {
@@ -427,7 +526,7 @@ fn run(cmd: Command) -> Result<(), String> {
                 StrategyKind::MigrateSusUtil,
                 StrategyKind::DupSusUtil,
             ] {
-                println!("{}", s.name());
+                say!(stdout, "{}", s.name());
             }
             Ok(())
         }
@@ -442,7 +541,8 @@ fn run(cmd: Command) -> Result<(), String> {
             let file =
                 std::fs::File::create(&out).map_err(|e| format!("cannot create {out}: {e}"))?;
             write_csv(file, &trace).map_err(|e| e.to_string())?;
-            println!(
+            say!(
+                stdout,
                 "wrote {} jobs ({} scenario, scale {scale}) to {out}",
                 trace.len(),
                 scenario
@@ -453,19 +553,21 @@ fn run(cmd: Command) -> Result<(), String> {
             let trace = load_trace(&file)?;
             let site = SiteSpec::paper_site(scale);
             let a = TraceAnalysis::of(&trace);
-            println!("jobs                 {}", a.jobs);
-            println!(
+            say!(stdout, "jobs                 {}", a.jobs);
+            say!(
+                stdout,
                 "high-priority        {} ({:.1}%)",
                 a.high_jobs,
                 a.high_fraction() * 100.0
             );
-            println!("pool-restricted      {}", a.restricted_jobs);
-            println!("mean runtime         {:.0} min", a.mean_runtime);
-            println!("median runtime       {:.0} min", a.median_runtime);
-            println!("p99 runtime          {:.0} min", a.p99_runtime);
-            println!("mean cores           {:.2}", a.mean_cores);
-            println!("span                 {} min", a.span_minutes);
-            println!(
+            say!(stdout, "pool-restricted      {}", a.restricted_jobs);
+            say!(stdout, "mean runtime         {:.0} min", a.mean_runtime);
+            say!(stdout, "median runtime       {:.0} min", a.median_runtime);
+            say!(stdout, "p99 runtime          {:.0} min", a.p99_runtime);
+            say!(stdout, "mean cores           {:.2}", a.mean_cores);
+            say!(stdout, "span                 {} min", a.span_minutes);
+            say!(
+                stdout,
                 "offered utilization  {:.1}% (vs paper_site at scale {scale}: {} cores)",
                 a.offered_utilization(site.total_cores()) * 100.0,
                 site.total_cores()
@@ -537,14 +639,8 @@ fn run(cmd: Command) -> Result<(), String> {
                     .into());
             }
             if stream_workload {
-                // A streamed workload has no trace file and no halved site,
-                // and the fault knobs reach SimConfig only through a model.
-                let unseen = [
-                    ("--trace", trace.is_some()),
-                    ("--high-load", high_load),
-                    ("--fault-pool-outages", fault_pool_outages != 0),
-                    ("--fault-flaky", fault_flaky != 0.0),
-                ];
+                // A streamed workload has no trace file and no halved site.
+                let unseen = [("--trace", trace.is_some()), ("--high-load", high_load)];
                 if let Some((name, _)) = unseen.iter().find(|(_, on)| *on) {
                     return Err(format!("{name} is incompatible with --stream-workload"));
                 }
@@ -559,6 +655,17 @@ fn run(cmd: Command) -> Result<(), String> {
                     ));
                 }
             }
+            // Absent tuning flags take their defaults, which pass the
+            // checks below.
+            let fault_mttr = fault_mttr.unwrap_or(12.0);
+            let fault_pool_outages = fault_pool_outages.unwrap_or(0);
+            let fault_flaky = fault_flaky.unwrap_or(0.0);
+            let lifecycle_drain_lead = lifecycle_drain_lead.unwrap_or(60);
+            let lifecycle_maintenance_every = lifecycle_maintenance_every.unwrap_or(48.0);
+            let lifecycle_maintenance_duration = lifecycle_maintenance_duration.unwrap_or(2.0);
+            let lifecycle_rolling_waves = lifecycle_rolling_waves.unwrap_or(1);
+            let lifecycle_rolling_fraction = lifecycle_rolling_fraction.unwrap_or(0.25);
+            let lifecycle_cordon_below = lifecycle_cordon_below.unwrap_or(0.5);
             if !fault_mttr.is_finite() || fault_mttr <= 0.0 {
                 return Err(format!(
                     "--fault-mttr must be a positive number of hours, got {fault_mttr}"
@@ -720,7 +827,7 @@ fn run(cmd: Command) -> Result<(), String> {
                     if quiet {
                         eprintln!($($arg)*);
                     } else {
-                        println!($($arg)*);
+                        say!(stdout, $($arg)*);
                     }
                 };
             }
@@ -809,13 +916,13 @@ fn run(cmd: Command) -> Result<(), String> {
                         let text = tel.render_prom();
                         let samples = validate_exposition(&text)
                             .map_err(|e| format!("internal: invalid exposition: {e}"))?;
-                        write_sink(path, &text)?;
+                        write_sink(&mut stdout, path, &text)?;
                         status!("metrics: {samples} samples written to {path}");
                     }
                 }
                 if let Some(spans) = obs.as_any().downcast_ref::<SpanRecorder>() {
                     if let Some(path) = &spans_out {
-                        write_sink(path, &spans.render_jsonl())?;
+                        write_sink(&mut stdout, path, &spans.render_jsonl())?;
                         status!(
                             "spans: {} spans across {} jobs, {} decisions written to {path}",
                             spans.span_count(),
@@ -827,7 +934,7 @@ fn run(cmd: Command) -> Result<(), String> {
             }
             if let Some(path) = &profile_out {
                 let profile = profile.ok_or("internal: kernel profile missing from run output")?;
-                write_sink(path, &profile.render_folded())?;
+                write_sink(&mut stdout, path, &profile.render_folded())?;
                 status!(
                     "profile: {} events over {} lanes written to {path}",
                     profile.total_events(),
@@ -886,7 +993,8 @@ fn run(cmd: Command) -> Result<(), String> {
             );
             doc.push_str(&tel.render_markdown());
             std::fs::write(&out, &doc).map_err(|e| format!("cannot write {out}: {e}"))?;
-            println!(
+            say!(
+                stdout,
                 "report: {} jobs, suspend rate {:.2}%, written to {out}",
                 summary.total_jobs,
                 summary.suspend_rate * 100.0
@@ -899,7 +1007,7 @@ fn run(cmd: Command) -> Result<(), String> {
                 ] {
                     let path = format!("{prefix}_{suffix}.csv");
                     std::fs::write(&path, body).map_err(|e| format!("cannot write {path}: {e}"))?;
-                    println!("series written to {path}");
+                    say!(stdout, "series written to {path}");
                 }
             }
             if let Some(path) = metrics_out {
@@ -907,7 +1015,7 @@ fn run(cmd: Command) -> Result<(), String> {
                 let samples = validate_exposition(&text)
                     .map_err(|e| format!("internal: invalid exposition: {e}"))?;
                 std::fs::write(&path, &text).map_err(|e| format!("cannot write {path}: {e}"))?;
-                println!("metrics: {samples} samples written to {path}");
+                say!(stdout, "metrics: {samples} samples written to {path}");
             }
             Ok(())
         }
@@ -931,9 +1039,9 @@ fn run(cmd: Command) -> Result<(), String> {
             };
             if let Some(path) = &perfetto_out {
                 let rendered = perfetto_from_jsonl(&text)?;
-                write_sink(path, &rendered)?;
+                write_sink(&mut stdout, path, &rendered)?;
                 if path != "-" {
-                    println!("perfetto trace written to {path}");
+                    say!(stdout, "perfetto trace written to {path}");
                 }
                 // Export-only invocation: no causal chain on top.
                 if job.is_none() && pool.is_none() && cause.is_none() && why.is_none() {
@@ -947,19 +1055,16 @@ fn run(cmd: Command) -> Result<(), String> {
                 cause,
                 why,
             };
-            print!("{}", file.render(&query));
+            stdout.text(&file.render(&query))?;
             Ok(())
         }
     }
 }
 
 /// Writes `text` to `path`, or to stdout when `path` is `-`.
-fn write_sink(path: &str, text: &str) -> Result<(), String> {
+fn write_sink(out: &mut Out, path: &str, text: &str) -> Result<(), String> {
     if path == "-" {
-        use std::io::Write;
-        std::io::stdout()
-            .write_all(text.as_bytes())
-            .map_err(|e| format!("cannot write to stdout: {e}"))
+        out.text(text)
     } else {
         std::fs::write(path, text).map_err(|e| format!("cannot write {path}: {e}"))
     }
@@ -1115,9 +1220,9 @@ mod tests {
             panic!("expected simulate")
         };
         assert_eq!(fault_mtbf, Some(48.0));
-        assert_eq!(fault_mttr, 6.0);
-        assert_eq!(fault_pool_outages, 2);
-        assert_eq!(fault_flaky, 0.05);
+        assert_eq!(fault_mttr, Some(6.0));
+        assert_eq!(fault_pool_outages, Some(2));
+        assert_eq!(fault_flaky, Some(0.05));
         assert!(hardened);
         // --hardened is boolean: the following flag must not be eaten.
         assert_eq!(seed, Some(4));
@@ -1138,9 +1243,9 @@ mod tests {
             panic!("expected simulate")
         };
         assert_eq!(fault_mtbf, None);
-        assert_eq!(fault_mttr, 12.0);
-        assert_eq!(fault_pool_outages, 0);
-        assert_eq!(fault_flaky, 0.0);
+        assert_eq!(fault_mttr, None);
+        assert_eq!(fault_pool_outages, None);
+        assert_eq!(fault_flaky, None);
         assert!(!hardened);
     }
 
@@ -1169,12 +1274,12 @@ mod tests {
             panic!("expected simulate")
         };
         assert!(lifecycle && health_aware);
-        assert_eq!(lifecycle_drain_lead, 30);
-        assert_eq!(lifecycle_maintenance_every, 24.0);
-        assert_eq!(lifecycle_maintenance_duration, 1.0);
-        assert_eq!(lifecycle_rolling_waves, 2);
-        assert_eq!(lifecycle_rolling_fraction, 0.5);
-        assert_eq!(lifecycle_cordon_below, 0.4);
+        assert_eq!(lifecycle_drain_lead, Some(30));
+        assert_eq!(lifecycle_maintenance_every, Some(24.0));
+        assert_eq!(lifecycle_maintenance_duration, Some(1.0));
+        assert_eq!(lifecycle_rolling_waves, Some(2));
+        assert_eq!(lifecycle_rolling_fraction, Some(0.5));
+        assert_eq!(lifecycle_cordon_below, Some(0.4));
         // Both booleans take no value: --seed must not be swallowed.
         assert_eq!(seed, Some(5));
     }
@@ -1192,7 +1297,56 @@ mod tests {
             panic!("expected simulate")
         };
         assert!(!lifecycle && !health_aware);
-        assert_eq!(lifecycle_drain_lead, 60);
+        assert_eq!(lifecycle_drain_lead, None);
+    }
+
+    #[test]
+    fn orphan_tuning_flags_name_their_switch() {
+        // A tuning flag whose switch is off is rejected at parse time (exit
+        // 2), naming the switch, instead of being silently ignored.
+        for (flag, switch) in [
+            ("--fault-mttr 6", "needs --fault-mtbf"),
+            ("--fault-pool-outages 2", "needs --fault-mtbf"),
+            ("--fault-flaky 0.05", "needs --fault-mtbf, --lifecycle or"),
+            (
+                "--lifecycle-drain-lead 30",
+                "needs --lifecycle or --health-aware",
+            ),
+            ("--lifecycle-maintenance-every 24", "needs --lifecycle or"),
+            ("--lifecycle-maintenance-duration 1", "needs --lifecycle or"),
+            ("--lifecycle-rolling-waves 2", "needs --lifecycle or"),
+            ("--lifecycle-rolling-fraction 0.5", "needs --lifecycle or"),
+            ("--lifecycle-cordon-below 0.4", "needs --lifecycle or"),
+        ] {
+            let err = parse_args(&args(&format!("simulate --scale 0.002 {flag}"))).unwrap_err();
+            let name = flag.split_whitespace().next().unwrap();
+            assert!(
+                err.starts_with(name) && err.contains(switch),
+                "{flag}: {err}"
+            );
+        }
+        // Each switch admits its flags, and `--fault-flaky` rides either.
+        for line in [
+            "--fault-mtbf 48 --fault-mttr 6 --fault-pool-outages 2 --fault-flaky 0.05",
+            "--lifecycle --fault-flaky 0.05 --lifecycle-drain-lead 30",
+            "--health-aware --lifecycle-cordon-below 0.4",
+        ] {
+            assert!(
+                parse_args(&args(&format!("simulate {line}"))).is_ok(),
+                "{line}"
+            );
+        }
+        // Another subcommand reads neither them nor their switches: there
+        // they stay unknown.
+        for flag in [
+            "--fault-mttr 6",
+            "--fault-mtbf 48",
+            "--lifecycle",
+            "--health-aware",
+        ] {
+            let err = parse_args(&args(&format!("report {flag}"))).unwrap_err();
+            assert!(err.contains("unknown flag --"), "{flag}: {err}");
+        }
     }
 
     #[test]
@@ -1210,8 +1364,11 @@ mod tests {
         assert!(
             run_err("simulate --scale 0.001 --fault-mtbf 48 --fault-mttr -1").contains("positive")
         );
-        assert!(run_err("simulate --scale 0.001 --fault-flaky 1.5").contains("--fault-flaky"));
-        assert!(run_err("simulate --scale 0.001 --fault-flaky NaN").contains("[0, 1]"));
+        assert!(
+            run_err("simulate --scale 0.001 --fault-mtbf 48 --fault-flaky 1.5")
+                .contains("--fault-flaky")
+        );
+        assert!(run_err("simulate --scale 0.001 --lifecycle --fault-flaky NaN").contains("[0, 1]"));
     }
 
     #[test]
@@ -1379,11 +1536,8 @@ mod tests {
         for (flag, rule) in [
             ("--trace t.csv", "--trace is incompatible"),
             ("--high-load", "--high-load is incompatible"),
-            (
-                "--fault-pool-outages 2",
-                "--fault-pool-outages is incompatible",
-            ),
-            ("--fault-flaky 0.05", "--fault-flaky is incompatible"),
+            ("--fault-mtbf 48 --fault-pool-outages 2", "machine faults"),
+            ("--lifecycle --fault-flaky 0.05", "machine lifecycle"),
             ("--restart-overhead 15", "restart overhead"),
             ("--staleness 30", "zero view staleness"),
             ("--max-restarts 3", "restart limits"),
