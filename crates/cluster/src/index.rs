@@ -30,8 +30,12 @@
 //! The module also provides [`MinMultiset`], the ordered counting multiset
 //! behind the pool's two other O(1) short-circuits: the lowest running
 //! priority (skip preemption planning when nothing is preemptible) and the
-//! wait queue's minimum footprint (stop `capacity_cycle` scans when the
-//! freed machine cannot fit anything waiting).
+//! wait queue's minimum footprint (skip `capacity_cycle`'s search of the
+//! queue when the freed machine cannot fit anything waiting). The
+//! searches behind them do not walk either: the queue's per-core
+//! sublists find the first waiting job that fits, and a failed
+//! preemption scan is remembered until a machine changes (see the pool
+//! module).
 
 use crate::job::Resources;
 use crate::machine::Machine;

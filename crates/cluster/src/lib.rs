@@ -16,19 +16,22 @@
 //!
 //! ```
 //! use netbatch_cluster::job::JobSpec;
-//! use netbatch_cluster::pool::{PhysicalPool, PoolConfig, SubmitOutcome};
+//! use netbatch_cluster::pool::{PhysicalPool, PoolAction, PoolConfig, SubmitKind};
 //! use netbatch_cluster::priority::Priority;
 //! use netbatch_sim_engine::time::{SimDuration, SimTime};
 //!
 //! let mut pool = PhysicalPool::new(PoolConfig::uniform(0.into(), 1, 1, 4096));
+//! let mut actions = Vec::new();
 //! let low = JobSpec::new(1.into(), SimTime::ZERO, SimDuration::from_hours(2));
-//! assert!(matches!(pool.submit(SimTime::ZERO, &low), SubmitOutcome::Dispatched(_)));
+//! assert_eq!(pool.submit_into(SimTime::ZERO, &low, &mut actions), SubmitKind::Dispatched);
 //!
 //! // A high-priority arrival preempts the low-priority job in place.
+//! actions.clear();
 //! let high = JobSpec::new(2.into(), SimTime::ZERO, SimDuration::from_hours(1))
 //!     .with_priority(Priority::HIGH);
-//! let out = pool.submit(SimTime::from_minutes(10), &high);
-//! assert!(matches!(out, SubmitOutcome::Dispatched(_)));
+//! let out = pool.submit_into(SimTime::from_minutes(10), &high, &mut actions);
+//! assert_eq!(out, SubmitKind::Dispatched);
+//! assert!(matches!(actions[0], PoolAction::Suspended { job, .. } if job == 1.into()));
 //! assert_eq!(pool.suspended_count(), 1);
 //! ```
 
@@ -47,6 +50,6 @@ pub use ids::{JobId, MachineId, PoolId, TaskId};
 pub use index::{AvailabilityIndex, MinMultiset};
 pub use job::{JobPhase, JobRecord, JobSpec, PhaseError, PoolAffinity, Resources};
 pub use machine::{Machine, MachineConfig};
-pub use pool::{PhysicalPool, PoolAction, PoolConfig, PoolStats, SubmitOutcome, WaitEntry};
+pub use pool::{PhysicalPool, PoolAction, PoolConfig, PoolStats, SubmitKind, WaitEntry};
 pub use priority::Priority;
 pub use snapshot::{ClusterSnapshot, PoolSnapshot};

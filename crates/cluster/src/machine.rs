@@ -249,30 +249,16 @@ impl Machine {
     }
 
     /// Plans a preemption: which running jobs must be suspended so that a
-    /// job with footprint `res` and priority `priority` fits.
+    /// job with footprint `res` and priority `priority` fits. Writes the
+    /// victim list (possibly empty if the job already fits) into `victims`
+    /// and returns whether a feasible plan exists. `keys` is a reusable
+    /// sort buffer owned by the caller; both buffers are cleared first.
     ///
     /// Only **strictly lower-priority** jobs are candidates. Victims are
     /// chosen lowest-priority-first, most-recently-started-first (minimizing
-    /// discarded progress). Suspension frees cores but *not* memory, so if
-    /// free memory is insufficient the plan fails regardless of victims.
-    ///
-    /// Returns the victim list (possibly empty if the job already fits), or
-    /// `None` if no feasible plan exists.
-    pub fn preemption_plan(&self, res: Resources, priority: Priority) -> Option<Vec<JobId>> {
-        let mut keys = ResidentKeys::new();
-        let mut victims = Vec::new();
-        self.preemption_plan_into(res, priority, &mut keys, &mut victims)
-            .then_some(victims)
-    }
-
-    /// Allocation-free preemption planning: writes the victim list
-    /// (possibly empty if the job already fits) into `victims` and returns
-    /// whether a feasible plan exists. `keys` is a reusable sort buffer
-    /// owned by the caller; both buffers are cleared first.
-    ///
-    /// Victim order is identical to [`Machine::preemption_plan`]: lowest
-    /// priority first, most recently started first among equals, original
-    /// list position as the final tie-break.
+    /// discarded progress), original list position as the final
+    /// tie-break. Suspension frees cores but *not* memory, so if free
+    /// memory is insufficient the plan fails regardless of victims.
     pub fn preemption_plan_into(
         &self,
         res: Resources,
@@ -291,6 +277,18 @@ impl Machine {
         if res.cores <= self.cores_free() {
             return true;
         }
+        let needed = res.cores - self.cores_free();
+        // Every candidate suspended still frees too few cores: no plan,
+        // and no need to build and sort the keys to find that out.
+        let preemptible: u32 = self
+            .running
+            .iter()
+            .filter(|r| priority.can_preempt(r.priority))
+            .map(|r| r.resources.cores)
+            .sum();
+        if preemptible < needed {
+            return false;
+        }
         keys.clear();
         keys.extend(
             self.running
@@ -301,7 +299,6 @@ impl Machine {
         );
         // Lowest priority first; among equals, most recently started first.
         keys.sort_unstable_by(|a, b| a.0.cmp(&b.0).then(b.1.cmp(&a.1)).then(a.2.cmp(&b.2)));
-        let needed = res.cores - self.cores_free();
         let mut freed = 0u32;
         for &(_, _, _, job, cores) in keys.iter() {
             if freed >= needed {
@@ -310,12 +307,8 @@ impl Machine {
             freed += cores;
             victims.push(job);
         }
-        if freed >= needed {
-            true
-        } else {
-            victims.clear();
-            false
-        }
+        debug_assert!(freed >= needed, "the candidates cover the need");
+        true
     }
 
     /// Starts a job on this machine.
@@ -377,18 +370,9 @@ impl Machine {
     }
 
     /// The suspended jobs that could be resumed with current free cores,
-    /// in resume order: highest priority first, earliest-suspended first.
-    pub fn resumable(&self) -> Vec<JobId> {
-        let mut keys = ResidentKeys::new();
-        let mut out = Vec::new();
-        self.resumable_into(&mut keys, &mut out);
-        out
-    }
-
-    /// Allocation-free variant of [`Machine::resumable`]: writes the resume
-    /// order into `out` using the caller's reusable `keys` sort buffer
-    /// (both cleared first). Order is identical: highest priority first,
+    /// written into `out` in resume order: highest priority first,
     /// earliest-suspended first, original list position as the tie-break.
+    /// `keys` is the caller's reusable sort buffer; both are cleared first.
     pub fn resumable_into(&self, keys: &mut ResidentKeys, out: &mut Vec<JobId>) {
         out.clear();
         keys.clear();
@@ -485,6 +469,21 @@ mod tests {
         SimTime::from_minutes(m)
     }
 
+    /// `preemption_plan_into` with fresh buffers: the victims, or `None`
+    /// when no plan exists.
+    fn plan(m: &Machine, res: Resources, priority: Priority) -> Option<Vec<JobId>> {
+        let mut victims = Vec::new();
+        m.preemption_plan_into(res, priority, &mut ResidentKeys::new(), &mut victims)
+            .then_some(victims)
+    }
+
+    /// `resumable_into` with fresh buffers.
+    fn resumable(m: &Machine) -> Vec<JobId> {
+        let mut out = Vec::new();
+        m.resumable_into(&mut ResidentKeys::new(), &mut out);
+        out
+    }
+
     #[test]
     fn capacity_tracking() {
         let mut m = mk(4, 8000);
@@ -554,26 +553,23 @@ mod tests {
         m.start(t(2), JobId(4), res(1, 100), Priority::new(3));
         // Need 2 cores for a HIGH job: should pick the two priority-1 jobs,
         // most recent (job3) first.
-        let plan = m
-            .preemption_plan(res(2, 100), Priority::HIGH)
-            .expect("feasible");
-        assert_eq!(plan, vec![JobId(3), JobId(2)]);
+        let victims = plan(&m, res(2, 100), Priority::HIGH).expect("feasible");
+        assert_eq!(victims, vec![JobId(3), JobId(2)]);
     }
 
     #[test]
     fn preemption_plan_empty_when_fits() {
         let mut m = mk(4, 8000);
         m.start(t(0), JobId(1), res(1, 100), Priority::LOW);
-        let plan = m.preemption_plan(res(1, 100), Priority::HIGH).unwrap();
-        assert!(plan.is_empty());
+        assert_eq!(plan(&m, res(1, 100), Priority::HIGH), Some(vec![]));
     }
 
     #[test]
     fn preemption_infeasible_against_equal_priority() {
         let mut m = mk(2, 8000);
         m.start(t(0), JobId(1), res(2, 100), Priority::HIGH);
-        assert!(m.preemption_plan(res(1, 100), Priority::HIGH).is_none());
-        assert!(m.preemption_plan(res(1, 100), Priority::LOW).is_none());
+        assert!(plan(&m, res(1, 100), Priority::HIGH).is_none());
+        assert!(plan(&m, res(1, 100), Priority::LOW).is_none());
     }
 
     #[test]
@@ -582,9 +578,9 @@ mod tests {
         m.start(t(0), JobId(1), res(4, 3500), Priority::LOW);
         // Suspending frees cores but not the 3500 MB, so a 1000 MB job
         // cannot be placed.
-        assert!(m.preemption_plan(res(1, 1000), Priority::HIGH).is_none());
+        assert!(plan(&m, res(1, 1000), Priority::HIGH).is_none());
         // A small-memory job can.
-        assert!(m.preemption_plan(res(1, 400), Priority::HIGH).is_some());
+        assert!(plan(&m, res(1, 400), Priority::HIGH).is_some());
     }
 
     #[test]
@@ -599,7 +595,7 @@ mod tests {
             m.suspend(t(start + 10), JobId(id)).unwrap();
         }
         assert_eq!(
-            m.resumable(),
+            resumable(&m),
             vec![JobId(2), JobId(1), JobId(3)],
             "high priority first, then earliest suspended"
         );
@@ -614,7 +610,7 @@ mod tests {
         m.suspend(t(3), JobId(2)).unwrap();
         m.start(t(4), JobId(3), res(2, 100), Priority::LOW);
         // 2 cores busy, 2 free: job1 (3 cores) does not fit, job2 (2) does.
-        assert_eq!(m.resumable(), vec![JobId(2)]);
+        assert_eq!(resumable(&m), vec![JobId(2)]);
     }
 
     #[test]
@@ -692,7 +688,7 @@ mod tests {
         // Still *capable* (jobs may queue for it) but not *available*.
         assert!(m.can_ever_run(res(1, 1)));
         assert!(!m.can_run_now(res(1, 1)));
-        assert!(m.preemption_plan(res(1, 1), Priority::HIGH).is_none());
+        assert!(plan(&m, res(1, 1), Priority::HIGH).is_none());
         assert!(m.check_invariants());
         m.restore();
         assert!(m.can_run_now(res(4, 8000)));
@@ -708,7 +704,7 @@ mod tests {
         assert!(m.is_draining());
         // No new placements or preemption plans...
         assert!(!m.can_run_now(res(1, 1)));
-        assert!(m.preemption_plan(res(1, 1), Priority::HIGH).is_none());
+        assert!(plan(&m, res(1, 1), Priority::HIGH).is_none());
         // ...but residents stay, may resume, and complete in place.
         assert_eq!(m.running().len(), 1);
         assert!(m.resume(t(2), JobId(2)).is_some());
@@ -803,6 +799,43 @@ mod tests {
                 }
             }
 
+            /// A plan exists exactly when the machine is up and not
+            /// draining, the footprint fits its memory now and its cores
+            /// once every strictly-lower-priority job is suspended — the
+            /// fact the planner's early reject and the pool's failed-scan
+            /// memo rest on.
+            #[test]
+            fn prop_plan_exists_iff_lower_priority_cores_cover_the_need(
+                seeds in proptest::collection::vec((1u32..4, 0u8..5, 64u64..3000), 1..8),
+                incoming in (0u32..9, 0u8..6, 0u64..5000),
+                drained in any::<bool>(),
+            ) {
+                let mut m = Machine::new(MachineConfig::new(MachineId(0), 8, 8192));
+                for (i, &(cores, prio, mem)) in seeds.iter().enumerate() {
+                    let r = res(cores, mem);
+                    if m.can_run_now(r) {
+                        m.start(t(i as u64), JobId(i as u64), r, Priority::new(prio));
+                    }
+                }
+                if drained {
+                    m.start_drain();
+                }
+                let (cores, prio, mem) = incoming;
+                let want = res(cores, mem);
+                let priority = Priority::new(prio);
+                let lower: u32 = m
+                    .running()
+                    .iter()
+                    .filter(|r| priority.can_preempt(r.priority))
+                    .map(|r| r.resources.cores)
+                    .sum();
+                let exists = !drained
+                    && m.can_ever_run(want)
+                    && mem <= m.memory_free()
+                    && m.cores_free() + lower >= cores;
+                prop_assert_eq!(plan(&m, want, priority).is_some(), exists);
+            }
+
             /// A feasible preemption plan, when executed, always makes room
             /// for the incoming footprint.
             #[test]
@@ -819,7 +852,7 @@ mod tests {
                     }
                 }
                 let want = Resources { cores: incoming_cores, memory_mb: 10 };
-                if let Some(victims) = m.preemption_plan(want, Priority::new(incoming_prio)) {
+                if let Some(victims) = plan(&m, want, Priority::new(incoming_prio)) {
                     for v in victims {
                         m.suspend(SimTime::from_minutes(100), v).expect("victim runs");
                     }

@@ -7,13 +7,24 @@
 //! machine runs a strictly lower-priority job, that job is suspended and the
 //! new one takes its place; otherwise the new job queues. If **no** machine
 //! in the pool is eligible at all, the job is bounced back to the virtual
-//! pool manager ([`SubmitOutcome::Ineligible`]).
+//! pool manager ([`SubmitKind::Ineligible`]).
 //!
 //! The "first eligible and available machine" is resolved through the
 //! incremental [`AvailabilityIndex`] rather than a linear scan — same
 //! chosen machine (verified against the retained reference scan,
 //! [`PhysicalPool::reference_first_fit`], in debug builds and property
 //! tests), one max-tree descent instead of O(machines) per dispatch.
+//!
+//! The two other searches do not walk either:
+//!
+//! * When capacity frees, the first waiting job that fits comes from the
+//!   wait queue's per-core sublists: per priority lane, only the entries
+//!   asking for at most the freed machine's free cores are looked at.
+//! * A preemption scan that found no plan is remembered, with its
+//!   request, until the next machine mutation. A later request that
+//!   dominates it (priority no higher, at least as many cores, at least as
+//!   much memory) cannot have a plan either, so it queues without a scan.
+//!   Debug builds run the scan anyway and assert that it finds nothing.
 
 use std::fmt;
 
@@ -117,32 +128,39 @@ pub enum PoolAction {
     },
 }
 
-/// Result of submitting a job to the pool.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SubmitOutcome {
-    /// The job was placed (possibly after preempting victims); the actions
-    /// include one `Started` for the submitted job and a `Suspended` per
-    /// victim, in execution order.
-    Dispatched(Vec<PoolAction>),
+/// Outcome of [`PhysicalPool::submit_into`], which appends the resulting
+/// actions to the caller's buffer, so the outcome itself carries no `Vec`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SubmitKind {
+    /// The job was placed (possibly after preempting victims); appended
+    /// were a `Suspended` per victim, then one `Started` for the job.
+    Dispatched,
     /// All eligible machines are saturated and non-preemptible; the job is
-    /// in the wait queue.
+    /// in the wait queue. No actions.
     Queued,
     /// No machine in this pool can ever run the job; the virtual pool
-    /// manager should try the next pool.
+    /// manager should try the next pool. No actions.
     Ineligible,
 }
 
-/// Outcome kind reported by [`PhysicalPool::submit_into`] — the
-/// allocation-free submit appends its actions to the caller's buffer, so
-/// the outcome itself carries no `Vec`.
+/// The request of a preemption scan that found no plan. It stays valid
+/// until the next machine mutation: every one goes through
+/// `PhysicalPool::sync_index`, which clears it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SubmitKind {
-    /// The job was placed; actions were appended to the caller's buffer.
-    Dispatched,
-    /// The job entered the wait queue; no actions.
-    Queued,
-    /// No machine here can ever run the job; no actions.
-    Ineligible,
+struct FailedScan {
+    priority: Priority,
+    res: Resources,
+}
+
+impl FailedScan {
+    /// True if a request for `res` at `priority` cannot have a plan on the
+    /// same machines either: its priority is no higher (no more victims)
+    /// and it asks for at least as many cores and as much memory.
+    fn dominates(self, priority: Priority, res: Resources) -> bool {
+        priority <= self.priority
+            && res.cores >= self.res.cores
+            && res.memory_mb >= self.res.memory_mb
+    }
 }
 
 /// Cumulative per-pool statistics over a run — the operator's view of
@@ -209,6 +227,9 @@ pub struct PhysicalPool {
     scratch_resume: Vec<JobId>,
     /// Sort-key buffer threaded through the machine-level planners.
     scratch_keys: crate::machine::ResidentKeys,
+    /// The last preemption scan that found no plan, while no machine has
+    /// changed since.
+    failed_scan: Option<FailedScan>,
     /// Mutation counter: every public `&mut self` mutator bumps it once,
     /// so an unchanged generation means an unchanged [`PoolSnapshot`].
     ///
@@ -234,10 +255,11 @@ impl PhysicalPool {
         let total_cores = config.total_cores();
         let machines: Vec<Machine> = config.machines.into_iter().map(Machine::new).collect();
         let index = AvailabilityIndex::new(&machines);
+        let max_cores = machines.iter().map(|m| m.config().cores).max().unwrap_or(0);
         PhysicalPool {
             id: config.id,
             machines,
-            queue: WaitQueue::default(),
+            queue: WaitQueue::new(max_cores),
             running: 0,
             suspended: 0,
             total_cores,
@@ -255,15 +277,18 @@ impl PhysicalPool {
             scratch_best: Vec::new(),
             scratch_resume: Vec::new(),
             scratch_keys: Vec::new(),
+            failed_scan: None,
             generation: 0,
         }
     }
 
     /// Re-syncs the availability index for machine `idx` after any state
     /// change. Every mutation path funnels through this, keeping index and
-    /// machines in lock-step.
+    /// machines in lock-step, and drops the failed-scan memo, whose answer
+    /// holds only for the machine state it was found in.
     fn sync_index(&mut self, idx: usize) {
         self.index.sync(idx, &self.machines[idx]);
+        self.failed_scan = None;
     }
 
     /// How many mutator calls this pool has seen: two reads at the same
@@ -358,11 +383,6 @@ impl PhysicalPool {
         self.machines.get(id.as_usize())
     }
 
-    /// Since when a job has been waiting in this pool's queue, if it is.
-    pub fn waiting_since(&self, job: JobId) -> Option<SimTime> {
-        self.queue.get(job).map(|e| e.enqueued_at)
-    }
-
     /// Iterates the wait queue in dispatch order (priority desc, FIFO).
     pub fn waiting_jobs(&self) -> impl Iterator<Item = &WaitEntry> {
         self.queue.iter()
@@ -401,19 +421,8 @@ impl PhysicalPool {
         self.running_prios.min()
     }
 
-    /// Submits a job to this pool (paper §2.1 dispatch protocol).
-    pub fn submit(&mut self, now: SimTime, spec: &JobSpec) -> SubmitOutcome {
-        let mut actions = Vec::new();
-        match self.submit_into(now, spec, &mut actions) {
-            SubmitKind::Dispatched => SubmitOutcome::Dispatched(actions),
-            SubmitKind::Queued => SubmitOutcome::Queued,
-            SubmitKind::Ineligible => SubmitOutcome::Ineligible,
-        }
-    }
-
-    /// Allocation-free submit: identical protocol and action order to
-    /// [`PhysicalPool::submit`], but any resulting actions are appended to
-    /// the caller's reusable buffer and the outcome carries no `Vec`.
+    /// Submits a job to this pool (paper §2.1 dispatch protocol),
+    /// appending any resulting actions to the caller's reusable buffer.
     pub fn submit_into(
         &mut self,
         now: SimTime,
@@ -467,52 +476,36 @@ impl PhysicalPool {
             self.enqueue(now, spec);
             return SubmitKind::Queued;
         }
+        // A scan since the last machine mutation found no plan for a request
+        // this one dominates, so this one has none either.
+        if self
+            .failed_scan
+            .is_some_and(|failed| failed.dominates(spec.priority, res))
+        {
+            debug_assert!(
+                self.best_preemption(
+                    res,
+                    spec.priority,
+                    &mut Vec::new(),
+                    &mut Vec::new(),
+                    &mut Vec::new()
+                )
+                .is_none(),
+                "the failed-scan memo skipped a feasible preemption"
+            );
+            self.enqueue(now, spec);
+            return SubmitKind::Queued;
+        }
         // The plan buffers are taken out of `self` for the scan so machine
         // mutations below don't fight the borrow checker; put back at the
         // end to keep their capacity for the next submit.
         let mut trial = std::mem::take(&mut self.scratch_plan);
         let mut best_plan = std::mem::take(&mut self.scratch_best);
         let mut keys = std::mem::take(&mut self.scratch_keys);
-        best_plan.clear();
-        let mut best: Option<(usize, SimTime)> = None;
-        for idx in 0..self.machines.len() {
-            if !self.machines[idx].can_ever_run(res) {
-                continue;
-            }
-            // Same argument per machine: no strictly-lower-priority job
-            // running here means no feasible plan here (cached, O(1)).
-            if !self.machines[idx]
-                .min_running_priority()
-                .is_some_and(|lowest| spec.priority.can_preempt(lowest))
-            {
-                continue;
-            }
-            if !self.machines[idx].preemption_plan_into(res, spec.priority, &mut keys, &mut trial) {
-                continue;
-            }
-            debug_assert!(!trial.is_empty(), "empty plan implies can_run_now");
-            // Freshest plan = latest earliest-start among its victims.
-            let earliest_start = trial
-                .iter()
-                .filter_map(|v| {
-                    self.machines[idx]
-                        .running()
-                        .iter()
-                        .find(|r| r.job == *v)
-                        .map(|r| r.since)
-                })
-                .min()
-                .unwrap_or(SimTime::ZERO);
-            let better = match &best {
-                Some((_, best_start)) => earliest_start > *best_start,
-                None => true,
-            };
-            if better {
-                best = Some((idx, earliest_start));
-                std::mem::swap(&mut best_plan, &mut trial);
-            }
-        }
-        let kind = if let Some((idx, _)) = best {
+        let best = self.best_preemption(res, spec.priority, &mut keys, &mut trial, &mut best_plan);
+        self.scratch_plan = trial;
+        self.scratch_keys = keys;
+        let kind = if let Some(idx) = best {
             let mid = self.machines[idx].id();
             actions.reserve(best_plan.len() + 1);
             for &victim in &best_plan {
@@ -546,13 +539,66 @@ impl PhysicalPool {
             SubmitKind::Dispatched
         } else {
             // 3. Queue.
+            self.failed_scan = Some(FailedScan {
+                priority: spec.priority,
+                res,
+            });
             self.enqueue(now, spec);
             SubmitKind::Queued
         };
-        self.scratch_plan = trial;
         self.scratch_best = best_plan;
-        self.scratch_keys = keys;
         kind
+    }
+
+    /// Step 2's scan: the machine whose preemption plan for a job of `res`
+    /// at `priority` loses the least progress (the latest earliest start
+    /// among its victims; the first such machine on ties), with its victims
+    /// left in `best_plan`. `keys` and `trial` are scratch buffers.
+    fn best_preemption(
+        &self,
+        res: Resources,
+        priority: Priority,
+        keys: &mut crate::machine::ResidentKeys,
+        trial: &mut Vec<JobId>,
+        best_plan: &mut Vec<JobId>,
+    ) -> Option<usize> {
+        best_plan.clear();
+        let mut best: Option<(usize, SimTime)> = None;
+        for (idx, machine) in self.machines.iter().enumerate() {
+            if !machine.can_ever_run(res) {
+                continue;
+            }
+            // Same argument per machine as the pool-wide short-circuit: no
+            // strictly-lower-priority job running here means no feasible
+            // plan here (cached, O(1)).
+            if !machine
+                .min_running_priority()
+                .is_some_and(|lowest| priority.can_preempt(lowest))
+            {
+                continue;
+            }
+            if !machine.preemption_plan_into(res, priority, keys, trial) {
+                continue;
+            }
+            debug_assert!(!trial.is_empty(), "empty plan implies can_run_now");
+            // Freshest plan = latest earliest-start among its victims.
+            let earliest_start = trial
+                .iter()
+                .filter_map(|v| {
+                    machine
+                        .running()
+                        .iter()
+                        .find(|r| r.job == *v)
+                        .map(|r| r.since)
+                })
+                .min()
+                .unwrap_or(SimTime::ZERO);
+            if best.is_none_or(|(_, best_start)| earliest_start > best_start) {
+                best = Some((idx, earliest_start));
+                std::mem::swap(best_plan, trial);
+            }
+        }
+        best.map(|(idx, _)| idx)
     }
 
     fn enqueue(&mut self, now: SimTime, spec: &JobSpec) {
@@ -656,9 +702,9 @@ impl PhysicalPool {
         self.scratch_resume = resumable;
         self.scratch_keys = keys;
         // 2. Dispatch queue onto this machine while anything fits. The
-        // queue's min-footprint summary bounds the scan: once the machine
-        // can't cover even the smallest waiting core or memory ask,
-        // nothing in the queue fits and the O(queue) scan is skipped.
+        // queue's min-footprint summary answers "nothing fits" in O(1):
+        // once the machine can't cover even the smallest waiting core or
+        // memory ask, the queue is not searched at all.
         loop {
             let machine = &self.machines[idx];
             let can_fit_something = !machine.is_down()
@@ -678,7 +724,11 @@ impl PhysicalPool {
                 );
                 break;
             }
-            let Some(entry) = self.queue.take_first(|e| machine.can_run_now(e.resources)) else {
+            let free = Resources {
+                cores: machine.cores_free(),
+                memory_mb: machine.memory_free(),
+            };
+            let Some(entry) = self.queue.take_fitting(free) else {
                 break;
             };
             self.queue_cores.remove(entry.resources.cores);
@@ -909,6 +959,14 @@ mod tests {
         JobSpec::new(JobId(id), t(0), d(runtime)).with_priority(prio)
     }
 
+    /// `submit_into` with a fresh action buffer: the outcome and the
+    /// actions it appended.
+    fn submit(p: &mut PhysicalPool, now: SimTime, spec: &JobSpec) -> (SubmitKind, Vec<PoolAction>) {
+        let mut actions = Vec::new();
+        let kind = p.submit_into(now, spec, &mut actions);
+        (kind, actions)
+    }
+
     fn small_pool() -> PhysicalPool {
         // 2 machines × 2 cores × 4 GB.
         PhysicalPool::new(PoolConfig::uniform(PoolId(0), 2, 2, 4096))
@@ -948,8 +1006,8 @@ mod tests {
     #[test]
     fn dispatch_to_first_available_machine() {
         let mut p = small_pool();
-        let out = p.submit(t(0), &spec(1, Priority::LOW, 100));
-        let SubmitOutcome::Dispatched(actions) = out else {
+        let out = submit(&mut p, t(0), &spec(1, Priority::LOW, 100));
+        let (SubmitKind::Dispatched, actions) = out else {
             panic!("expected dispatch, got {out:?}")
         };
         assert_eq!(
@@ -969,29 +1027,30 @@ mod tests {
         let mut p = small_pool();
         for id in 1..=4 {
             assert!(matches!(
-                p.submit(t(0), &spec(id, Priority::LOW, 10)),
-                SubmitOutcome::Dispatched(_)
+                submit(&mut p, t(0), &spec(id, Priority::LOW, 10)),
+                (SubmitKind::Dispatched, _)
             ));
         }
         assert_eq!(p.busy_cores(), 4);
         assert_eq!(p.utilization(), 1.0);
         // Fifth job queues.
         assert_eq!(
-            p.submit(t(1), &spec(5, Priority::LOW, 10)),
-            SubmitOutcome::Queued
+            submit(&mut p, t(1), &spec(5, Priority::LOW, 10)),
+            (SubmitKind::Queued, vec![])
         );
         assert_eq!(p.queue_len(), 1);
-        assert_eq!(p.waiting_since(JobId(5)), Some(t(1)));
+        let waiting: Vec<_> = p.waiting_jobs().map(|e| (e.job, e.enqueued_at)).collect();
+        assert_eq!(waiting, vec![(JobId(5), t(1))]);
     }
 
     #[test]
     fn high_priority_preempts_low() {
         let mut p = small_pool();
         for id in 1..=4 {
-            p.submit(t(0), &spec(id, Priority::LOW, 100));
+            submit(&mut p, t(0), &spec(id, Priority::LOW, 100));
         }
-        let out = p.submit(t(5), &spec(9, Priority::HIGH, 50));
-        let SubmitOutcome::Dispatched(actions) = out else {
+        let out = submit(&mut p, t(5), &spec(9, Priority::HIGH, 50));
+        let (SubmitKind::Dispatched, actions) = out else {
             panic!("expected preemption dispatch")
         };
         assert_eq!(actions.len(), 2);
@@ -1018,11 +1077,11 @@ mod tests {
     fn equal_priority_queues_instead_of_preempting() {
         let mut p = small_pool();
         for id in 1..=4 {
-            p.submit(t(0), &spec(id, Priority::HIGH, 100));
+            submit(&mut p, t(0), &spec(id, Priority::HIGH, 100));
         }
         assert_eq!(
-            p.submit(t(5), &spec(9, Priority::HIGH, 50)),
-            SubmitOutcome::Queued
+            submit(&mut p, t(5), &spec(9, Priority::HIGH, 50)),
+            (SubmitKind::Queued, vec![])
         );
         assert_eq!(p.suspended_count(), 0);
     }
@@ -1031,9 +1090,9 @@ mod tests {
     fn ineligible_when_no_machine_big_enough() {
         let mut p = small_pool();
         let big = JobSpec::new(JobId(1), t(0), d(10)).with_cores(8);
-        assert_eq!(p.submit(t(0), &big), SubmitOutcome::Ineligible);
+        assert_eq!(submit(&mut p, t(0), &big), (SubmitKind::Ineligible, vec![]));
         let fat = JobSpec::new(JobId(2), t(0), d(10)).with_memory_mb(1 << 20);
-        assert_eq!(p.submit(t(0), &fat), SubmitOutcome::Ineligible);
+        assert_eq!(submit(&mut p, t(0), &fat), (SubmitKind::Ineligible, vec![]));
     }
 
     #[test]
@@ -1041,13 +1100,13 @@ mod tests {
         let mut p = small_pool();
         // Fill machine 0 with two low jobs, machine 1 with two low jobs.
         for id in 1..=4 {
-            p.submit(t(0), &spec(id, Priority::LOW, 100));
+            submit(&mut p, t(0), &spec(id, Priority::LOW, 100));
         }
         // Preempt on machine 0 with a 2-core high job (suspends jobs 1+2).
         let high = JobSpec::new(JobId(9), t(1), d(30))
             .with_priority(Priority::HIGH)
             .with_cores(2);
-        let SubmitOutcome::Dispatched(a) = p.submit(t(1), &high) else {
+        let (SubmitKind::Dispatched, a) = submit(&mut p, t(1), &high) else {
             panic!()
         };
         assert_eq!(
@@ -1060,7 +1119,7 @@ mod tests {
             panic!("the high job starts last")
         };
         // Queue a low job as well.
-        p.submit(t(2), &spec(20, Priority::LOW, 10));
+        submit(&mut p, t(2), &spec(20, Priority::LOW, 10));
         assert_eq!(p.queue_len(), 1);
         // High job completes: suspended jobs resume first and fill the
         // machine; queued job stays.
@@ -1077,10 +1136,10 @@ mod tests {
     #[test]
     fn completion_starts_queued_in_priority_then_fifo_order() {
         let mut p = PhysicalPool::new(PoolConfig::uniform(PoolId(0), 1, 1, 4096));
-        p.submit(t(0), &spec(1, Priority::HIGH, 50)); // occupies the core
-        p.submit(t(1), &spec(2, Priority::LOW, 10));
-        p.submit(t(2), &spec(3, Priority::HIGH, 10)); // equal prio: queues
-        p.submit(t(3), &spec(4, Priority::LOW, 10));
+        submit(&mut p, t(0), &spec(1, Priority::HIGH, 50)); // occupies the core
+        submit(&mut p, t(1), &spec(2, Priority::LOW, 10));
+        submit(&mut p, t(2), &spec(3, Priority::HIGH, 10)); // equal prio: queues
+        submit(&mut p, t(3), &spec(4, Priority::LOW, 10));
         assert_eq!(p.queue_len(), 3);
         let actions = release(&mut p, t(50), JobId(1), MachineId(0)).expect("running");
         // Highest-priority waiter (job 3) starts on the freed core.
@@ -1095,9 +1154,9 @@ mod tests {
     #[test]
     fn preemption_then_completion_resume_cycle() {
         let mut p = PhysicalPool::new(PoolConfig::uniform(PoolId(0), 1, 1, 4096));
-        p.submit(t(0), &spec(1, Priority::LOW, 50));
-        let out = p.submit(t(10), &spec(2, Priority::HIGH, 20));
-        assert!(matches!(out, SubmitOutcome::Dispatched(_)));
+        submit(&mut p, t(0), &spec(1, Priority::LOW, 50));
+        let out = submit(&mut p, t(10), &spec(2, Priority::HIGH, 20));
+        assert!(matches!(out, (SubmitKind::Dispatched, _)));
         assert_eq!(p.suspended_count(), 1);
         let actions = release(&mut p, t(30), JobId(2), MachineId(0)).expect("high job running");
         assert_eq!(
@@ -1114,8 +1173,8 @@ mod tests {
     #[test]
     fn remove_waiting_for_rescheduling() {
         let mut p = PhysicalPool::new(PoolConfig::uniform(PoolId(0), 1, 1, 4096));
-        p.submit(t(0), &spec(1, Priority::LOW, 50));
-        p.submit(t(1), &spec(2, Priority::LOW, 10));
+        submit(&mut p, t(0), &spec(1, Priority::LOW, 50));
+        submit(&mut p, t(1), &spec(2, Priority::LOW, 10));
         let entry = p.remove_waiting(JobId(2)).expect("waiting");
         assert_eq!(entry.enqueued_at, t(1));
         assert_eq!(p.queue_len(), 0);
@@ -1131,14 +1190,14 @@ mod tests {
             .with_priority(Priority::LOW)
             .with_cores(2)
             .with_memory_mb(3000);
-        p.submit(t(0), &fat_low);
+        submit(&mut p, t(0), &fat_low);
         let high = JobSpec::new(JobId(2), t(1), d(50))
             .with_priority(Priority::HIGH)
             .with_cores(1)
             .with_memory_mb(1000);
         assert!(matches!(
-            p.submit(t(1), &high),
-            SubmitOutcome::Dispatched(_)
+            submit(&mut p, t(1), &high),
+            (SubmitKind::Dispatched, _)
         ));
         // A queued job needing 2000 MB cannot start while job 1 sits
         // suspended holding 3000 MB.
@@ -1146,7 +1205,7 @@ mod tests {
             .with_priority(Priority::LOW)
             .with_cores(1)
             .with_memory_mb(2000);
-        assert_eq!(p.submit(t(2), &waiter), SubmitOutcome::Queued);
+        assert_eq!(submit(&mut p, t(2), &waiter), (SubmitKind::Queued, vec![]));
         // Reschedule job 1 away: its memory frees, job 3 starts.
         let actions = remove_suspended(&mut p, t(3), JobId(1), MachineId(0)).expect("suspended");
         assert!(actions
@@ -1170,9 +1229,9 @@ mod tests {
         // job in that state, or no machine at all.
         let mut p = small_pool();
         for id in 1..=4 {
-            p.submit(t(0), &spec(id, Priority::LOW, 100));
+            submit(&mut p, t(0), &spec(id, Priority::LOW, 100));
         }
-        let SubmitOutcome::Dispatched(a) = p.submit(t(1), &spec(9, Priority::HIGH, 50)) else {
+        let (SubmitKind::Dispatched, a) = submit(&mut p, t(1), &spec(9, Priority::HIGH, 50)) else {
             panic!("the high job preempts")
         };
         let Some(&PoolAction::Suspended {
@@ -1225,10 +1284,10 @@ mod tests {
     fn utilization_tracks_busy_cores() {
         let mut p = small_pool();
         assert_eq!(p.utilization(), 0.0);
-        p.submit(t(0), &spec(1, Priority::LOW, 10));
+        submit(&mut p, t(0), &spec(1, Priority::LOW, 10));
         assert!((p.utilization() - 0.25).abs() < 1e-9);
         let two_core = JobSpec::new(JobId(2), t(0), d(10)).with_cores(2);
-        p.submit(t(0), &two_core);
+        submit(&mut p, t(0), &two_core);
         assert!((p.utilization() - 0.75).abs() < 1e-9);
     }
 
@@ -1244,9 +1303,9 @@ mod tests {
     #[test]
     fn pool_stats_accumulate() {
         let mut p = PhysicalPool::new(PoolConfig::uniform(PoolId(0), 1, 1, 4096));
-        p.submit(t(0), &spec(1, Priority::LOW, 50));
-        p.submit(t(1), &spec(2, Priority::LOW, 10)); // queues
-        p.submit(t(2), &spec(3, Priority::HIGH, 10)); // preempts job 1
+        submit(&mut p, t(0), &spec(1, Priority::LOW, 50));
+        submit(&mut p, t(1), &spec(2, Priority::LOW, 10)); // queues
+        submit(&mut p, t(2), &spec(3, Priority::HIGH, 10)); // preempts job 1
         let s = p.stats();
         assert_eq!(s.starts, 2);
         assert_eq!(s.suspensions, 1);
@@ -1259,6 +1318,124 @@ mod tests {
         assert_eq!(p.stats().starts, 2);
         release(&mut p, t(62), JobId(1), MachineId(0));
         assert_eq!(p.stats().starts, 3);
+    }
+
+    fn sized(id: u64, prio: Priority, cores: u32, memory_mb: u64) -> JobSpec {
+        JobSpec::new(JobId(id), t(0), d(100))
+            .with_priority(prio)
+            .with_cores(cores)
+            .with_memory_mb(memory_mb)
+    }
+
+    /// Three 4-core, 16 GB machines: machine 2 down, machine 0 running a
+    /// 1-core LOW job (1) and a 3-core HIGH job (2), machine 1 a 4-core
+    /// HIGH job (3). A (HIGH, 2 cores, 4 GB) request then scans, finds no
+    /// plan (only job 1's core is preemptible) and queues as job 4.
+    fn jammed() -> PhysicalPool {
+        let mut p = PhysicalPool::new(PoolConfig::uniform(PoolId(0), 3, 4, 16_384));
+        assert!(p.fail_machine_into(MachineId(2), &mut Vec::new(), &mut Vec::new()));
+        for (id, prio, cores) in [
+            (1, Priority::LOW, 1),
+            (2, Priority::HIGH, 3),
+            (3, Priority::HIGH, 4),
+        ] {
+            assert_eq!(
+                submit(&mut p, t(0), &sized(id, prio, cores, 1024)).0,
+                SubmitKind::Dispatched
+            );
+        }
+        assert_eq!(p.failed_scan, None);
+        assert_eq!(
+            submit(&mut p, t(1), &sized(4, Priority::HIGH, 2, 4096)).0,
+            SubmitKind::Queued
+        );
+        assert_eq!(p.failed_scan, Some(failed(Priority::HIGH, 2, 4096)));
+        p
+    }
+
+    fn failed(priority: Priority, cores: u32, memory_mb: u64) -> FailedScan {
+        FailedScan {
+            priority,
+            res: Resources { cores, memory_mb },
+        }
+    }
+
+    #[test]
+    fn a_failed_scan_skips_only_the_requests_it_dominates() {
+        // More cores at the same priority: no scan, so the memo still
+        // names the request that failed (a scan would have replaced it).
+        let mut p = jammed();
+        assert_eq!(
+            submit(&mut p, t(2), &sized(10, Priority::HIGH, 4, 4096)).0,
+            SubmitKind::Queued
+        );
+        assert_eq!(p.failed_scan, Some(failed(Priority::HIGH, 2, 4096)));
+        // So does a lower priority asking for more memory.
+        let low_high = Priority::new(5);
+        assert_eq!(
+            submit(&mut p, t(2), &sized(11, low_high, 2, 8192)).0,
+            SubmitKind::Queued
+        );
+        assert_eq!(p.failed_scan, Some(failed(Priority::HIGH, 2, 4096)));
+        // Fewer cores: it scans, and suspending job 1 makes room.
+        let mut p = jammed();
+        let (kind, actions) = submit(&mut p, t(2), &sized(12, Priority::HIGH, 1, 4096));
+        assert_eq!(kind, SubmitKind::Dispatched);
+        assert!(matches!(
+            actions[0],
+            PoolAction::Suspended { job: JobId(1), .. }
+        ));
+        // A higher priority: it scans, and may suspend the HIGH jobs too.
+        let mut p = jammed();
+        assert_eq!(
+            submit(&mut p, t(2), &sized(13, Priority::new(11), 2, 4096)).0,
+            SubmitKind::Dispatched
+        );
+        // Less memory: it scans, finds nothing and becomes the memo.
+        let mut p = jammed();
+        assert_eq!(
+            submit(&mut p, t(2), &sized(14, Priority::HIGH, 2, 2048)).0,
+            SubmitKind::Queued
+        );
+        assert_eq!(p.failed_scan, Some(failed(Priority::HIGH, 2, 2048)));
+        assert!(p.check_invariants());
+    }
+
+    #[test]
+    fn every_machine_mutation_clears_the_failed_scan() {
+        type Mutation = fn(&mut PhysicalPool);
+        let mutations: [(&str, Mutation); 5] = [
+            ("start", |p| {
+                let (kind, _) = submit(p, t(2), &sized(20, Priority::HIGH, 1, 1024));
+                assert_eq!(kind, SubmitKind::Dispatched);
+            }),
+            ("release", |p| {
+                assert!(p.release_into(t(2), JobId(1), MachineId(0), &mut Vec::new()));
+            }),
+            ("fail", |p| {
+                assert!(p.fail_machine_into(MachineId(0), &mut Vec::new(), &mut Vec::new()));
+            }),
+            ("restore", |p| {
+                assert!(p.restore_machine_into(t(2), MachineId(2), &mut Vec::new()));
+            }),
+            ("drain", |p| assert!(p.drain_machine(MachineId(1)))),
+        ];
+        for (what, mutate) in mutations {
+            let mut p = jammed();
+            mutate(&mut p);
+            assert_eq!(p.failed_scan, None, "{what} must clear the memo");
+            assert!(p.check_invariants());
+        }
+        // What leaves every machine as it was keeps it, although each of
+        // these bumps the generation.
+        let mut p = jammed();
+        assert_eq!(
+            submit(&mut p, t(2), &sized(21, Priority::LOW, 1, 1024)).0,
+            SubmitKind::Queued
+        );
+        assert!(p.remove_waiting(JobId(4)).is_some());
+        p.set_machine_health(MachineId(0), 500);
+        assert_eq!(p.failed_scan, Some(failed(Priority::HIGH, 2, 4096)));
     }
 
     mod prop {
@@ -1304,6 +1481,36 @@ mod tests {
                 (0u32..4).prop_map(Op::DrainMachine),
                 (0u32..4).prop_map(Op::UndrainMachine),
                 (0u32..5, 0u32..1200).prop_map(|(m, health)| Op::SetHealth(m, health)),
+            ]
+        }
+
+        /// Mostly submits, at three priorities and a spread of footprints,
+        /// so failed scans repeat between machine changes, with releases
+        /// and fail, restore, drain and undrain steps between them.
+        fn arb_memo_op() -> impl Strategy<Value = Op> {
+            let submit = || {
+                (
+                    proptest::sample::select(vec![0u8, 5, 10]),
+                    1u32..5,
+                    proptest::sample::select(vec![512u64, 2048, 3000, 6000]),
+                )
+                    .prop_map(|(prio, cores, mem)| Op::Submit {
+                        prio,
+                        cores,
+                        mem,
+                        runtime: 60,
+                    })
+            };
+            prop_oneof![
+                submit(),
+                submit(),
+                submit(),
+                submit(),
+                (0usize..200).prop_map(Op::Release),
+                (0u32..5).prop_map(Op::FailMachine),
+                (0u32..5).prop_map(Op::RestoreMachine),
+                (0u32..5).prop_map(Op::DrainMachine),
+                (0u32..5).prop_map(Op::UndrainMachine),
             ]
         }
 
@@ -1521,6 +1728,46 @@ mod tests {
                 }
             }
 
+            /// The failed-scan memo is exact: under submit-heavy sequences
+            /// mixing priorities and footprints with fail, restore and drain
+            /// steps, every submit the memo answers finds no plan in a full
+            /// scan of the same state and queues. In debug builds the pool
+            /// makes the same cross-check itself on every memo hit.
+            #[test]
+            fn prop_failed_scan_memo_matches_a_full_scan(
+                ops in proptest::collection::vec(arb_memo_op(), 1..160),
+            ) {
+                let mut pool = heterogeneous_pool();
+                let mut next_id = 0u64;
+                let mut known: Vec<JobId> = Vec::new();
+                let mut placed = Placement::default();
+                for (now, op) in (1u64..).zip(ops) {
+                    let memo_hit = match op {
+                        Op::Submit { prio, cores, mem, .. } => {
+                            let res = Resources { cores, memory_mb: mem };
+                            let priority = Priority::new(prio);
+                            let hit = pool.failed_scan.is_some_and(|f| f.dominates(priority, res));
+                            if hit {
+                                let mut scratch = (Vec::new(), Vec::new(), Vec::new());
+                                let best = pool.best_preemption(
+                                    res, priority, &mut scratch.0, &mut scratch.1, &mut scratch.2,
+                                );
+                                prop_assert_eq!(best, None, "memo hit with a feasible plan: {:?}", op);
+                            }
+                            hit
+                        }
+                        _ => false,
+                    };
+                    apply(&mut pool, &op, SimTime::from_minutes(now), &mut next_id, &mut known, &mut placed);
+                    if memo_hit {
+                        let job = JobId(next_id - 1);
+                        prop_assert!(pool.waiting_jobs().any(|e| e.job == job), "memo hit did not queue");
+                    }
+                    prop_assert!(placed.matches(&pool), "placement diverged after {op:?}");
+                    prop_assert!(pool.check_invariants(), "invariants violated after {op:?}");
+                }
+            }
+
             /// Differential check for the generation-stamped view: under
             /// arbitrary sequences of every mutator across two pools, each
             /// call bumps exactly its own pool's generation, and the
@@ -1569,29 +1816,27 @@ mod tests {
         bumps(&mut p, "submit_into", |p| {
             p.submit_into(t(0), &spec(1, Priority::LOW, 10), &mut actions);
         });
-        bumps(&mut p, "submit", |p| {
-            p.submit(t(0), &spec(2, Priority::LOW, 10));
-        });
+        submit(&mut p, t(0), &spec(2, Priority::LOW, 10));
         bumps(&mut p, "release_into", |p| {
             p.release_into(t(1), JobId(1), MachineId(0), &mut actions);
         });
         for id in 3..7 {
-            p.submit(t(2), &spec(id, Priority::LOW, 10));
+            submit(&mut p, t(2), &spec(id, Priority::LOW, 10));
         }
         // Four low jobs fill the pool; a high one suspends one of them.
-        let victim = |out: SubmitOutcome| match out {
-            SubmitOutcome::Dispatched(a) => match a[0] {
+        let victim = |out: (SubmitKind, Vec<PoolAction>)| match out {
+            (SubmitKind::Dispatched, a) => match a[0] {
                 PoolAction::Suspended { job, machine } => (job, machine),
                 other => panic!("expected a suspension, got {other:?}"),
             },
             other => panic!("expected a preemption, got {other:?}"),
         };
-        let (job, machine) = victim(p.submit(t(3), &spec(7, Priority::HIGH, 10)));
+        let (job, machine) = victim(submit(&mut p, t(3), &spec(7, Priority::HIGH, 10)));
         bumps(&mut p, "remove_suspended_into", |p| {
             p.remove_suspended_into(t(4), job, machine, &mut actions);
         });
-        p.submit(t(5), &spec(9, Priority::LOW, 10));
-        assert!(p.waiting_since(JobId(9)).is_some());
+        submit(&mut p, t(5), &spec(9, Priority::LOW, 10));
+        assert!(p.waiting_jobs().any(|e| e.job == JobId(9)));
         bumps(&mut p, "remove_waiting", |p| {
             p.remove_waiting(JobId(9));
         });
@@ -1616,11 +1861,11 @@ mod tests {
     #[test]
     fn draining_machine_takes_no_new_work_but_residents_finish() {
         let mut p = small_pool();
-        p.submit(t(0), &spec(1, Priority::LOW, 100)); // lands on machine 0
+        submit(&mut p, t(0), &spec(1, Priority::LOW, 100)); // lands on machine 0
         assert!(p.drain_machine(MachineId(0)));
         assert_eq!(p.draining_machine_count(), 1);
         // Fresh submits skip the draining machine.
-        let SubmitOutcome::Dispatched(a) = p.submit(t(1), &spec(2, Priority::LOW, 10)) else {
+        let (SubmitKind::Dispatched, a) = submit(&mut p, t(1), &spec(2, Priority::LOW, 10)) else {
             panic!("machine 1 is free")
         };
         assert!(matches!(
@@ -1648,8 +1893,8 @@ mod tests {
         let mut p = PhysicalPool::new(PoolConfig::uniform(PoolId(0), 1, 1, 4096));
         assert!(p.drain_machine(MachineId(0)));
         assert_eq!(
-            p.submit(t(0), &spec(1, Priority::LOW, 10)),
-            SubmitOutcome::Queued,
+            submit(&mut p, t(0), &spec(1, Priority::LOW, 10)),
+            (SubmitKind::Queued, vec![]),
             "draining pool queues instead of dispatching"
         );
         let mut actions = Vec::new();
@@ -1696,11 +1941,11 @@ mod tests {
     #[test]
     fn wait_queue_orders_priority_then_fifo() {
         let mut p = PhysicalPool::new(PoolConfig::uniform(PoolId(0), 1, 1, 1024));
-        p.submit(t(0), &spec(1, Priority::HIGH, 1000)); // occupies the core
-        p.submit(t(1), &spec(2, Priority::LOW, 10));
-        p.submit(t(2), &spec(3, Priority::HIGH, 10));
-        p.submit(t(3), &spec(4, Priority::LOW, 10));
-        p.submit(t(4), &spec(5, Priority::HIGH, 10));
+        submit(&mut p, t(0), &spec(1, Priority::HIGH, 1000)); // occupies the core
+        submit(&mut p, t(1), &spec(2, Priority::LOW, 10));
+        submit(&mut p, t(2), &spec(3, Priority::HIGH, 10));
+        submit(&mut p, t(3), &spec(4, Priority::LOW, 10));
+        submit(&mut p, t(4), &spec(5, Priority::HIGH, 10));
         let order: Vec<JobId> = p.waiting_jobs().map(|e| e.job).collect();
         assert_eq!(order, vec![JobId(3), JobId(5), JobId(2), JobId(4)]);
     }

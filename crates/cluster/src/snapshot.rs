@@ -311,9 +311,10 @@ mod tests {
     #[test]
     fn capture_reflects_live_pool() {
         let mut pool = crate::pool::PhysicalPool::new(PoolConfig::uniform(PoolId(3), 2, 2, 4096));
-        pool.submit(
+        pool.submit_into(
             SimTime::ZERO,
             &JobSpec::new(1.into(), SimTime::ZERO, SimDuration::from_minutes(5)),
+            &mut Vec::new(),
         );
         let s = PoolSnapshot::capture(&pool);
         assert_eq!(s.id, PoolId(3));

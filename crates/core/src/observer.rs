@@ -1368,6 +1368,8 @@ enum Sink {
     File(std::io::BufWriter<std::fs::File>),
     /// Buffered stdout, for `--trace-out -` pipeline use.
     Stdout(std::io::BufWriter<std::io::Stdout>),
+    /// A stdout sink whose reader closed the pipe: the rest is dropped.
+    Closed,
 }
 
 /// Streams every lifecycle event as one JSON object per line (JSONL).
@@ -1427,7 +1429,7 @@ impl TraceRecorder {
     pub fn lines(&self) -> &str {
         match &self.sink {
             Sink::Memory(buf) => buf,
-            Sink::File(_) | Sink::Stdout(_) => "",
+            Sink::File(_) | Sink::Stdout(_) | Sink::Closed => "",
         }
     }
 
@@ -1436,7 +1438,8 @@ impl TraceRecorder {
         &self.counts
     }
 
-    /// Total recorded events.
+    /// Total recorded events (on a stdout sink whose reader closed the
+    /// pipe, those rendered before it closed).
     pub fn events(&self) -> u64 {
         self.events
     }
@@ -1451,8 +1454,21 @@ impl TraceRecorder {
                 writeln!(w, "{line}").expect("trace write failed");
             }
             Sink::Stdout(w) => {
-                writeln!(w, "{line}").expect("trace write failed");
+                let written = writeln!(w, "{line}");
+                self.stdout_written(written);
             }
+            Sink::Closed => {}
+        }
+    }
+
+    /// Takes the result of a write to the stdout sink. A closed pipe (the
+    /// reader quit early, as in `--trace-out - | head`) drops the rest of
+    /// the trace and lets the run finish, as the CLI's other stdout sinks
+    /// do; any other error is fatal.
+    fn stdout_written(&mut self, written: std::io::Result<()>) {
+        match written {
+            Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => self.sink = Sink::Closed,
+            written => written.expect("trace write failed"),
         }
     }
 
@@ -1618,6 +1634,9 @@ fn opt_u64(v: Option<u64>) -> String {
 
 impl SimObserver for TraceRecorder {
     fn on_event(&mut self, now: SimTime, event: &ObsEvent, _ctx: &ObsCtx<'_>) {
+        if matches!(self.sink, Sink::Closed) {
+            return; // the reader is gone: render nothing more
+        }
         if let Some(line) = Self::render(now, event) {
             *self.counts.entry(event.label()).or_insert(0) += 1;
             self.events += 1;
@@ -1628,8 +1647,11 @@ impl SimObserver for TraceRecorder {
     fn on_run_end(&mut self, _now: SimTime, _ctx: &ObsCtx<'_>) {
         match &mut self.sink {
             Sink::File(w) => w.flush().expect("trace flush failed"),
-            Sink::Stdout(w) => w.flush().expect("trace flush failed"),
-            Sink::Memory(_) => {}
+            Sink::Stdout(w) => {
+                let flushed = w.flush();
+                self.stdout_written(flushed);
+            }
+            Sink::Memory(_) | Sink::Closed => {}
         }
     }
 

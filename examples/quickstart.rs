@@ -96,8 +96,12 @@ fn main() {
         .with_affinity(PoolAffinity::from_ids(&[0]));
     let high = JobSpec::new(101.into(), SimTime::ZERO, SimDuration::from_hours(1))
         .with_priority(Priority::HIGH);
-    pool.submit(SimTime::ZERO, &low);
-    let outcome = pool.submit(SimTime::from_minutes(30), &high);
-    println!("direct pool API: submitting a high-priority job over a low one -> {outcome:?}");
+    let mut actions = Vec::new();
+    pool.submit_into(SimTime::ZERO, &low, &mut actions);
+    actions.clear();
+    let outcome = pool.submit_into(SimTime::from_minutes(30), &high, &mut actions);
+    println!(
+        "direct pool API: submitting a high-priority job over a low one -> {outcome:?} {actions:?}"
+    );
     println!("suspended jobs in pool: {}", pool.suspended_count());
 }

@@ -27,8 +27,10 @@ cargo test --workspace -q
 
 # Deeper differential pass over the kernel's oracles: the timer wheel vs
 # the reference heap, the executor's arrival merge vs seeding arrivals
-# into the heap, and the pools' lane wait queue vs an ordered map — 16x
-# the default 64 proptest cases, about a second in release.
+# into the heap, the pools' lane wait queue and its per-core sublists
+# (take_fitting) vs an ordered map, and the failed-preemption memo vs a
+# full scan — 16x the default 64 proptest cases, about a second in
+# release.
 echo "==> differential proptests, 1024 cases (engine, cluster)"
 PROPTEST_CASES=1024 cargo test --release -q -p netbatch-sim-engine -p netbatch-cluster
 
@@ -112,10 +114,12 @@ test -s "$tmpdir/fig_cdf.csv" && test -s "$tmpdir/fig_timeline.csv" \
 # rest of the output is dropped with exit 0 (pipefail is on, so a panic or
 # non-zero exit fails the step). `head -n 1` may still drain a short run's
 # output in time; `true` reads nothing and is gone before the summary is
-# printed, so the second run always writes into a closed pipe.
+# printed, so the second run always writes into a closed pipe. The third
+# does the same with the JSONL event trace on stdout (`--trace-out -`).
 echo "==> closed stdout is a clean exit"
 cargo run --release --bin netbatch -- simulate --scale 0.02 | head -n 1
 cargo run --release --bin netbatch -- simulate --scale 0.05 | true
+cargo run --release --bin netbatch -- simulate --scale 0.05 --trace-out - | true
 
 # Orphan tuning flags: a flag whose switch is off is rejected (exit 2),
 # naming the switch, instead of being silently ignored.

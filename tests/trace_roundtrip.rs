@@ -101,3 +101,24 @@ fn cli_rejects_trace_minutes_past_the_cap() {
         std::fs::remove_file(&path).ok();
     }
 }
+
+#[test]
+fn cli_trace_out_to_a_closed_stdout_exits_cleanly() {
+    // The reader is gone before the run writes its first event: the rest
+    // of the JSONL trace is dropped and the run still finishes, exit 0.
+    let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_netbatch"))
+        .args(["simulate", "--scale", "0.002", "--trace-out", "-"])
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("run netbatch");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("wait for netbatch");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{:?}: {stderr}", out.status);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(
+        stderr.contains("trace: "),
+        "the summary still goes to stderr: {stderr}"
+    );
+}
