@@ -13,26 +13,38 @@
 //! immediately when no observer is attached, so table experiments pay
 //! nothing for it.
 //!
-//! Three observers ship built in:
+//! Where an observer runs is its own declaration: one whose
+//! [`SimObserver::reads_state`] is false reads nothing but the events,
+//! and the serial kernel ships its events in batches of [`RELAY_BATCH`]
+//! to one helper thread that runs alongside the kernel thread. The
+//! observers that compare live state keep running on the kernel thread.
+//!
+//! Two observers are defined here (telemetry and span recording live in
+//! their own modules):
 //!
 //! * [`InvariantChecker`] — validates conservation (busy cores vs pool
 //!   accounting, per-machine resident memory), lifecycle tiling (wait +
 //!   suspend + run segments tile each completed job's lifetime), queue
 //!   order (priority then FIFO) and resume order (suspended jobs resume
 //!   before queued jobs start, per machine) *online*, panicking with a
-//!   replayable event context on the first violation;
+//!   replayable event context on the first violation. It reads the
+//!   pools at every kernel boundary, so it stays on the kernel thread;
 //! * [`TraceRecorder`] — streams a deterministic JSONL event log
 //!   (hand-written JSON; the workspace carries no serde) for golden-trace
-//!   conformance tests and cross-run differential debugging.
+//!   conformance tests and cross-run differential debugging. With a
+//!   memory or file sink it runs on the helper thread, with a stdout
+//!   sink on the kernel thread.
 
 use std::any::Any;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
 use std::io::Write as _;
+use std::sync::mpsc;
 
 use netbatch_cluster::ids::{JobId, MachineId, PoolId};
 use netbatch_cluster::job::JobRecord;
 use netbatch_cluster::pool::PhysicalPool;
+use netbatch_cluster::snapshot::PoolSnapshot;
 use netbatch_sim_engine::time::{SimDuration, SimTime};
 
 /// Why a job left its pool through the rescheduling path.
@@ -390,6 +402,32 @@ pub enum ObsEvent {
         /// booked (or extended) one.
         blacklisted_until: Option<SimTime>,
     },
+    /// One pool's load at a sample tick: emitted once per pool, in pool
+    /// order, immediately before each [`ObsEvent::Sample`], so observers
+    /// that read only the event stream can sample pool state. The fields
+    /// are the [`PoolSnapshot`] readings telemetry keeps. Not rendered into JSONL traces and not
+    /// counted as an event kind: it annotates the sample tick.
+    PoolSample {
+        /// The sampled pool.
+        pool: PoolId,
+        /// Cores running jobs.
+        busy_cores: u32,
+        /// Cores on machines that are up.
+        total_cores: u32,
+        /// Jobs in the wait queue.
+        waiting: u32,
+        /// Suspended jobs resident on machines.
+        suspended: u32,
+        /// Machines in the pool, healthy or not.
+        machines: u32,
+        /// Machines currently down.
+        down_machines: u32,
+        /// Machines currently draining or cordoned.
+        draining_machines: u32,
+        /// The pool's health in `[0, 1]` as `f64` bits (bits keep the
+        /// event `Eq`; read it back with `f64::from_bits`).
+        health_bits: u64,
+    },
     /// The per-minute state sample tick (ASCA's sampling cadence).
     Sample,
 }
@@ -425,13 +463,33 @@ impl ObsEvent {
             ObsEvent::PolicyAudit { .. } => "policy_audit",
             ObsEvent::EvacAudit { .. } => "evac_audit",
             ObsEvent::FaultAudit { .. } => "fault_audit",
+            ObsEvent::PoolSample { .. } => "pool_sample",
             ObsEvent::Sample => "sample",
+        }
+    }
+
+    /// The per-pool sample of `pool`'s current state (see
+    /// [`ObsEvent::PoolSample`]).
+    pub fn pool_sample(pool: &PhysicalPool) -> Self {
+        let s = PoolSnapshot::capture(pool);
+        let count = |n: usize| u32::try_from(n).expect("pool counts fit in u32");
+        ObsEvent::PoolSample {
+            pool: s.id,
+            busy_cores: s.busy_cores,
+            total_cores: s.total_cores,
+            waiting: count(s.waiting),
+            suspended: count(s.suspended),
+            machines: count(s.machines),
+            down_machines: count(s.down_machines),
+            draining_machines: count(s.draining_machines),
+            health_bits: s.health().to_bits(),
         }
     }
 }
 
 /// Read-only view of the simulator's state, handed to observers alongside
-/// each event.
+/// each event. Observers fed on the serial kernel's helper thread (see
+/// [`SimObserver::reads_state`]) get an empty one with their events.
 pub struct ObsCtx<'a> {
     /// The physical pools, in id order.
     pub pools: &'a [PhysicalPool],
@@ -448,12 +506,32 @@ pub struct ObsCtx<'a> {
 /// same-seed runs (no wall-clock times, no pointer values): observers ride
 /// inside [`SimOutput`](crate::simulator::SimOutput), whose debug
 /// rendering the determinism suite compares byte-for-byte.
-pub trait SimObserver: std::fmt::Debug {
+///
+/// Observers are `Send`: one whose [`SimObserver::reads_state`] is false
+/// receives its events on a helper thread (DESIGN.md §8).
+pub trait SimObserver: std::fmt::Debug + Send {
+    /// Called once on the calling thread before the first event, with the
+    /// initial state (every observer, wherever its events go): the place
+    /// to size per-job or per-pool tables.
+    fn on_run_start(&mut self, _now: SimTime, _ctx: &ObsCtx<'_>) {}
+
     /// Called for every observable transition, in deterministic order.
     fn on_event(&mut self, now: SimTime, event: &ObsEvent, ctx: &ObsCtx<'_>);
 
-    /// Called once after the event loop drains, with the final state.
+    /// Called once after the event loop drains, with the final state, on
+    /// the calling thread, in attach order.
     fn on_run_end(&mut self, _now: SimTime, _ctx: &ObsCtx<'_>) {}
+
+    /// Whether [`SimObserver::on_event`] reads `ctx` (or needs to run on
+    /// the calling thread for another reason). The serial kernel delivers
+    /// the events of an observer that answers `false` in batches on one
+    /// helper thread while the kernel runs on, with an empty `ctx`; its
+    /// `on_run_start` and `on_run_end` still run on the calling thread
+    /// with the real state. The default is `true`, so a wrapper that does
+    /// not forward this method keeps its inner observer inline.
+    fn reads_state(&self) -> bool {
+        true
+    }
 
     /// Called instead of [`SimObserver::on_event`] when the streaming
     /// backend replays the events its workers buffered during one epoch.
@@ -581,7 +659,8 @@ impl std::fmt::Debug for InvariantChecker {
 }
 
 impl InvariantChecker {
-    /// A fresh checker; sizes itself lazily from the first event's context.
+    /// A fresh checker; sizes itself in `on_run_start` (or at the first
+    /// kernel marker, when a wrapper does not forward that hook).
     pub fn new() -> Self {
         InvariantChecker {
             phases: Vec::new(),
@@ -962,8 +1041,14 @@ impl InvariantChecker {
 }
 
 impl SimObserver for InvariantChecker {
-    fn on_event(&mut self, now: SimTime, event: &ObsEvent, ctx: &ObsCtx<'_>) {
+    fn on_run_start(&mut self, _now: SimTime, ctx: &ObsCtx<'_>) {
         self.ensure_init(ctx);
+    }
+
+    fn on_event(&mut self, now: SimTime, event: &ObsEvent, ctx: &ObsCtx<'_>) {
+        if matches!(event, ObsEvent::PoolSample { .. }) {
+            return; // a sample annotation: the checker reads the pools itself
+        }
         if now < self.last_now {
             self.violation(now, &format!("time regressed from {}", self.last_now));
         }
@@ -976,6 +1061,9 @@ impl SimObserver for InvariantChecker {
 
         match *event {
             ObsEvent::Kernel { .. } => {
+                // Every serial run opens with a kernel marker: this sizes
+                // a checker whose wrapper did not forward `on_run_start`.
+                self.ensure_init(ctx);
                 self.queue_started.clear();
                 self.check_touched(now, ctx);
                 let interval = DEEP_SWEEP_EVERY.max(ctx.jobs.len() as u64 + self.machine_total);
@@ -1344,7 +1432,7 @@ impl SimObserver for InvariantChecker {
             // (evacuation reschedules, machine_down evictions) carry their
             // own invariants.
             ObsEvent::EvacAudit { .. } | ObsEvent::FaultAudit { .. } => {}
-            ObsEvent::Sample => {}
+            ObsEvent::Sample | ObsEvent::PoolSample { .. } => {}
         }
     }
 
@@ -1485,7 +1573,8 @@ impl TraceRecorder {
             | ObsEvent::BatchStart { .. }
             | ObsEvent::PolicyAudit { .. }
             | ObsEvent::EvacAudit { .. }
-            | ObsEvent::FaultAudit { .. } => return None,
+            | ObsEvent::FaultAudit { .. }
+            | ObsEvent::PoolSample { .. } => return None,
             ObsEvent::Submit { job } | ObsEvent::Unrunnable { job } => {
                 let _ = write!(s, r#"{{"t":{t},"ev":"{ev}","job":{}}}"#, job.as_u64());
             }
@@ -1633,6 +1722,13 @@ fn opt_u64(v: Option<u64>) -> String {
 }
 
 impl SimObserver for TraceRecorder {
+    /// A stdout sink stays on the calling thread: the CLI holds the
+    /// stdout lock for the whole command, so a helper thread writing to
+    /// stdout would wait on it forever.
+    fn reads_state(&self) -> bool {
+        matches!(self.sink, Sink::Stdout(_) | Sink::Closed)
+    }
+
     fn on_event(&mut self, now: SimTime, event: &ObsEvent, _ctx: &ObsCtx<'_>) {
         if matches!(self.sink, Sink::Closed) {
             return; // the reader is gone: render nothing more
@@ -1657,6 +1753,135 @@ impl SimObserver for TraceRecorder {
 
     fn as_any(&self) -> &dyn Any {
         self
+    }
+}
+
+// ---------------------------------------------------------------------
+// Helper-thread delivery
+// ---------------------------------------------------------------------
+
+/// Events per batch the serial kernel ships to the helper thread that
+/// feeds the observers whose [`SimObserver::reads_state`] is false.
+pub const RELAY_BATCH: usize = 2048;
+
+/// Full batches the channel to the helper thread holds. With the batch
+/// the kernel fills and the one the helper delivers, at most
+/// `RELAY_DEPTH + 2` batch buffers ever exist (about 384 KiB): a new one
+/// is allocated only when no emptied buffer has come back.
+const RELAY_DEPTH: usize = 2;
+
+type Batch = Vec<(SimTime, ObsEvent)>;
+
+/// The kernel-thread end of helper-thread delivery, attached as the last
+/// inline observer: it copies every event into a batch and ships full
+/// batches over a bounded channel, reusing the buffers the helper sends
+/// back. Dropping it ships the partial batch and hangs up, which ends
+/// the helper's [`Feed::deliver`] loop. If the helper has gone (an
+/// observer panicked), the next shipment stops the kernel with a
+/// [`HelperGone`] panic.
+pub(crate) struct Relay {
+    batch: Batch,
+    full: mpsc::SyncSender<Batch>,
+    empty: mpsc::Receiver<Batch>,
+}
+
+/// The helper-thread end of helper-thread delivery.
+pub(crate) struct Feed {
+    full: mpsc::Receiver<Batch>,
+    empty: mpsc::Sender<Batch>,
+}
+
+/// A connected relay and feed.
+pub(crate) fn relay() -> (Relay, Feed) {
+    let (full_tx, full_rx) = mpsc::sync_channel(RELAY_DEPTH);
+    let (empty_tx, empty_rx) = mpsc::channel();
+    let relay = Relay {
+        batch: Vec::with_capacity(RELAY_BATCH),
+        full: full_tx,
+        empty: empty_rx,
+    };
+    let feed = Feed {
+        full: full_rx,
+        empty: empty_tx,
+    };
+    (relay, feed)
+}
+
+impl Relay {
+    fn ship(&mut self) {
+        let full = std::mem::take(&mut self.batch);
+        self.batch = match self.full.send(full) {
+            Ok(()) => self
+                .empty
+                .try_recv()
+                .unwrap_or_else(|_| Vec::with_capacity(RELAY_BATCH)),
+            // The helper hung up, which it does only by panicking: stop
+            // the kernel, and the run's join re-raises the helper's panic.
+            Err(_) => std::panic::resume_unwind(Box::new(HelperGone)),
+        };
+    }
+}
+
+/// The panic payload that stops the kernel once the helper thread is
+/// gone; the run replaces it with the helper's own panic.
+struct HelperGone;
+
+impl Drop for Relay {
+    fn drop(&mut self) {
+        if !self.batch.is_empty() {
+            // Fails only if the helper is gone, and then nothing reads it.
+            let _ = self.full.send(std::mem::take(&mut self.batch));
+        }
+    }
+}
+
+impl std::fmt::Debug for Relay {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Relay")
+            .field("pending", &self.batch.len())
+            .finish()
+    }
+}
+
+impl SimObserver for Relay {
+    fn on_event(&mut self, now: SimTime, event: &ObsEvent, _ctx: &ObsCtx<'_>) {
+        self.batch.push((now, *event));
+        if self.batch.len() == RELAY_BATCH {
+            self.ship();
+        }
+    }
+
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+}
+
+impl Feed {
+    /// Delivers every batch to `observers`, in order, until the relay
+    /// hangs up; then hands the observers back. Each observer takes a
+    /// whole batch in turn, with an empty [`ObsCtx`].
+    pub(crate) fn deliver(
+        self,
+        mut observers: Vec<Box<dyn SimObserver>>,
+    ) -> Vec<Box<dyn SimObserver>> {
+        let Feed { full, empty } = self;
+        let shadows = std::collections::HashSet::new();
+        let ctx = ObsCtx {
+            pools: &[],
+            jobs: &[],
+            shadows: &shadows,
+        };
+        for mut batch in full {
+            for obs in &mut observers {
+                for (now, event) in &batch {
+                    obs.on_event(*now, event, &ctx);
+                }
+            }
+            batch.clear();
+            // The relay may be gone already (the run ended): that is fine.
+            let _ = empty.send(batch);
+        }
+        observers
     }
 }
 
@@ -1686,6 +1911,39 @@ mod tests {
         );
     }
 
+    /// Every event is copied into the helper thread's batches (and into
+    /// the checker's history), so its size is part of the observer
+    /// layer's cost.
+    #[test]
+    fn events_stay_at_most_40_bytes() {
+        assert!(std::mem::size_of::<ObsEvent>() <= 40);
+    }
+
+    #[test]
+    fn pool_samples_carry_the_snapshot_readings() {
+        let pool = PhysicalPool::new(netbatch_cluster::pool::PoolConfig::uniform(
+            PoolId(3),
+            2,
+            4,
+            1024,
+        ));
+        let s = PoolSnapshot::capture(&pool);
+        let ObsEvent::PoolSample {
+            pool: id,
+            busy_cores,
+            total_cores,
+            machines,
+            health_bits,
+            ..
+        } = ObsEvent::pool_sample(&pool)
+        else {
+            panic!("not a pool sample");
+        };
+        assert_eq!((id, busy_cores, total_cores), (PoolId(3), 0, 8));
+        assert_eq!(machines, 2);
+        assert_eq!(f64::from_bits(health_bits), s.health());
+    }
+
     #[test]
     fn trace_lines_are_valid_shape() {
         let line = TraceRecorder::render(
@@ -1703,10 +1961,17 @@ mod tests {
             line,
             r#"{"t":7,"ev":"dispatch","job":3,"pool":1,"machine":0,"wall":50,"from_queue":true}"#
         );
-        // Markers are never rendered.
+        // Markers and pool samples are never rendered.
         assert!(
             TraceRecorder::render(SimTime::ZERO, &ObsEvent::Kernel { kind: "submit" }).is_none()
         );
+        let pool = PhysicalPool::new(netbatch_cluster::pool::PoolConfig::uniform(
+            PoolId(0),
+            2,
+            4,
+            1024,
+        ));
+        assert!(TraceRecorder::render(SimTime::ZERO, &ObsEvent::pool_sample(&pool)).is_none());
         // Option fields render as JSON null.
         let resched = TraceRecorder::render(
             SimTime::ZERO,

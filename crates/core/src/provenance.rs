@@ -15,7 +15,8 @@
 //! Determinism: the recorder consumes only `(time, event)` — never the
 //! mid-stream [`ObsCtx`] — so its span trees are a pure function of the
 //! event stream: byte-identical on both event-queue backends
-//! (`tests/provenance.rs`).
+//! (`tests/provenance.rs`), and free to run on the serial kernel's helper
+//! thread.
 
 use std::fmt::{self, Write as _};
 
@@ -582,6 +583,10 @@ impl fmt::Debug for SpanRecorder {
 }
 
 impl SimObserver for SpanRecorder {
+    fn reads_state(&self) -> bool {
+        false
+    }
+
     fn on_event(&mut self, now: SimTime, event: &ObsEvent, _ctx: &ObsCtx<'_>) {
         match *event {
             ObsEvent::Submit { job } => {
@@ -744,6 +749,7 @@ impl SimObserver for SpanRecorder {
             | ObsEvent::MachineUndrained { .. }
             | ObsEvent::PoolBlacklisted { .. }
             | ObsEvent::Sample
+            | ObsEvent::PoolSample { .. }
             | ObsEvent::Kernel { .. }
             | ObsEvent::BatchStart { .. } => {}
         }

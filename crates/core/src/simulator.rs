@@ -10,6 +10,8 @@
 //! "we execute these jobs on the ASCA simulator until all 248000 jobs are
 //! completed").
 
+use std::panic::{self, AssertUnwindSafe};
+
 use netbatch_cluster::ids::{JobId, MachineId, PoolId};
 use netbatch_cluster::job::{JobPhase, JobRecord, JobSpec};
 use netbatch_cluster::pool::{PhysicalPool, PoolAction, SubmitKind};
@@ -701,6 +703,15 @@ impl Simulator {
     /// [`SimOutput::jobs`] holds every job's record only when an observer
     /// is attached: otherwise a record exists only while its job is in
     /// flight, and the Table metrics come from [`SimOutput::totals`].
+    ///
+    /// Observers whose [`SimObserver::reads_state`] is false receive
+    /// their events on one helper thread while the kernel runs on
+    /// (DESIGN.md §8).
+    ///
+    /// # Panics
+    ///
+    /// Re-raises an observer's panic, with its payload, wherever the
+    /// observer ran.
     pub fn run_to_completion(mut self) -> SimOutput {
         // Submissions arrive from the jobs themselves, in submit-time
         // order; the stable sort keeps job-index order within a minute.
@@ -725,8 +736,79 @@ impl Simulator {
             Executor::with_capacity(cores + 2 * plan + 64)
         };
         self.seed_initial_events(&mut executor);
-        let stats = executor.run(&mut self);
-        self.finish_run(stats.end_time, stats.events_processed)
+        self.start_observers();
+        if self.observers.iter().all(|o| o.reads_state()) {
+            let stats = executor.run(&mut self);
+            return self.finish_run(stats.end_time, stats.events_processed);
+        }
+        self.run_with_helper(&mut executor)
+    }
+
+    /// The serial run with the observers that read only events fed on one
+    /// helper thread: a `Relay` attached as the last inline observer
+    /// batches every event for the helper's `Feed`, the kernel thread
+    /// keeps the observers that read state, and both groups see the same
+    /// events in the same order. After the loop, or a panic on this
+    /// thread, the relay hangs up and the helper is joined; a panic on
+    /// either thread is then re-raised with its payload, the helper's
+    /// first. Otherwise the observers go back in attach order and
+    /// `finish_run` runs `on_run_end` for all of them on this thread.
+    fn run_with_helper(mut self, executor: &mut Executor<Ev>) -> SimOutput {
+        let on_helper: Vec<bool> = self.observers.iter().map(|o| !o.reads_state()).collect();
+        let (mut inline, mut offloaded) = (Vec::new(), Vec::new());
+        for (obs, &off) in std::mem::take(&mut self.observers)
+            .into_iter()
+            .zip(&on_helper)
+        {
+            if off {
+                offloaded.push(obs);
+            } else {
+                inline.push(obs);
+            }
+        }
+        std::thread::scope(|scope| {
+            let (relay, feed) = crate::observer::relay();
+            let helper = std::thread::Builder::new()
+                .name("observers".into())
+                .spawn_scoped(scope, move || feed.deliver(offloaded))
+                .expect("spawn the observer thread");
+            self.observers = inline;
+            self.observers.push(Box::new(relay));
+            // A panic on this thread (an invariant violation, or the relay
+            // finding the helper gone) is caught so that the relay hangs
+            // up before the join; the helper would wait for it otherwise.
+            let run = panic::catch_unwind(AssertUnwindSafe(|| executor.run(&mut self)));
+            // Dropping the relay ships its last batch and hangs up.
+            drop(self.observers.pop());
+            // The helper's panic goes first: the kernel's may be the relay
+            // noticing it.
+            let offloaded = helper
+                .join()
+                .unwrap_or_else(|payload| panic::resume_unwind(payload));
+            let stats = run.unwrap_or_else(|payload| panic::resume_unwind(payload));
+            let mut inline = std::mem::take(&mut self.observers).into_iter();
+            let mut offloaded = offloaded.into_iter();
+            self.observers = on_helper
+                .iter()
+                .map(|&off| {
+                    let next = if off { offloaded.next() } else { inline.next() };
+                    next.expect("one observer per attach slot")
+                })
+                .collect();
+            self.finish_run(stats.end_time, stats.events_processed)
+        })
+    }
+
+    /// Runs every observer's `on_run_start` with the initial state.
+    pub(crate) fn start_observers(&mut self) {
+        let ctx = ObsCtx {
+            pools: &self.pools,
+            jobs: self.jobs.observed(),
+            shadows: &self.shadows,
+        };
+        for obs in &mut self.observers {
+            obs.on_run_start(SimTime::ZERO, &ctx);
+        }
     }
 
     /// Runs a workload to completion with *streaming* generation: jobs
@@ -1614,9 +1696,16 @@ impl Simulator {
     }
 
     /// The sampling body shared by the serial handler and the streaming
-    /// coordinator: emits the observer event and records the Figure-4
-    /// series. Scheduling the next tick is the caller's concern.
+    /// coordinator: emits one pool sample per pool and the sample event,
+    /// and records the Figure-4 series. Scheduling the next tick is the
+    /// caller's concern.
     pub(crate) fn record_sample(&mut self, now: SimTime) {
+        if !self.observers.is_empty() {
+            for i in 0..self.pools.len() {
+                let sample = ObsEvent::pool_sample(&self.pools[i]);
+                self.emit(now, sample);
+            }
+        }
         self.emit(now, ObsEvent::Sample);
         let suspended: usize = self.pools.iter().map(PhysicalPool::suspended_count).sum();
         let waiting: usize = self.pools.iter().map(PhysicalPool::queue_len).sum();

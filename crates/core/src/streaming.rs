@@ -688,6 +688,7 @@ pub(crate) fn run_streaming(
     // pipelining (workers mutating pools while the coordinator replays)
     // is on exactly when no observer is attached.
     let observed = !sim.observers.is_empty();
+    sim.start_observers();
     let profile_on = sim.profile.is_some();
     if let Some(profile) = sim.profile.as_mut() {
         profile.init_shards(shards);

@@ -15,11 +15,11 @@
 //!   (time-in-queue, time-suspended, restart-wasted-work), both globally
 //!   and per pool;
 //! * a **per-pool time-series sampler** (utilization, queue depth, down
-//!   machines, suspended jobs) driven by the existing per-minute sample
-//!   tick. Nothing renders a single sample, so each series is folded
-//!   online into the reductions the renderers read ([`SeriesStats`]),
-//!   and the four site series into the Figure 4 timeline's
-//!   [`TIMELINE_BUCKET`] means ([`BucketMeans`]): memory is
+//!   machines, suspended jobs) fed by the [`ObsEvent::PoolSample`]s of
+//!   each per-minute sample tick. Nothing renders a single sample, so
+//!   each series is folded online into the reductions the renderers
+//!   read ([`SeriesStats`]), and the four site series into the Figure 4
+//!   timeline's [`TIMELINE_BUCKET`] means ([`BucketMeans`]): memory is
 //!   O(pools + horizon / bucket), not O(samples × pools);
 //! * a **Table-1-shape summary** (suspend rate, AvgCT, AvgST, AvgWCT)
 //!   accumulated online at job completion, so the paper's headline
@@ -33,9 +33,11 @@
 //!
 //! Like every observer, telemetry costs nothing when not attached: the
 //! simulator's emit path returns before building the event when the
-//! observer list is empty. [`Registry`] additionally supports an
-//! explicit disabled mode for embedding in code that cannot rely on
-//! that seam.
+//! observer list is empty. It reads nothing but the events (shadow
+//! copies come from `DuplicateLaunched`, pool state from `PoolSample`),
+//! so the serial kernel runs it on its helper thread. [`Registry`]
+//! additionally supports an explicit disabled mode for embedding in code
+//! that cannot rely on that seam.
 //!
 //! Determinism: all state is sim-domain (counts, sim-minutes, series);
 //! no wall clock is read anywhere in this module, so the `Debug`
@@ -47,7 +49,6 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use netbatch_cluster::ids::{JobId, PoolId};
-use netbatch_cluster::snapshot::PoolSnapshot;
 use netbatch_metrics::cdf::Cdf;
 use netbatch_metrics::export::{MetricKind, PromWriter};
 use netbatch_metrics::histogram::LogHistogram;
@@ -55,6 +56,7 @@ use netbatch_metrics::spans::SpanCollector;
 use netbatch_metrics::summary::OnlineStats;
 use netbatch_metrics::table::{fmt_minutes, fmt_percent, Table};
 use netbatch_metrics::timeseries::{BucketMeans, SeriesStats};
+use netbatch_sim_engine::hash::IntSet;
 use netbatch_sim_engine::time::{SimDuration, SimTime};
 
 use crate::observer::{ObsCtx, ObsEvent, PhaseTag, ReschedKind, SimObserver};
@@ -74,7 +76,7 @@ pub const PHASE_RETRY_BACKOFF: &str = "retry_backoff";
 pub const TIMELINE_BUCKET: SimDuration = SimDuration::from_minutes(100);
 
 /// Labels of the counted event kinds, in [`event_index`] order. Kernel
-/// and batch markers are filtered out before counting.
+/// and batch markers and pool samples are filtered out before counting.
 const EVENT_KINDS: [&str; 26] = [
     "submit",
     "pool_chosen",
@@ -137,8 +139,8 @@ fn event_index(event: &ObsEvent) -> usize {
         ObsEvent::PolicyAudit { .. } => 23,
         ObsEvent::EvacAudit { .. } => 24,
         ObsEvent::FaultAudit { .. } => 25,
-        ObsEvent::Kernel { .. } | ObsEvent::BatchStart { .. } => {
-            unreachable!("markers are filtered before counting")
+        ObsEvent::Kernel { .. } | ObsEvent::BatchStart { .. } | ObsEvent::PoolSample { .. } => {
+            unreachable!("markers and pool samples are filtered before counting")
         }
     }
 }
@@ -353,6 +355,18 @@ struct PoolSeries {
 /// percent, waiting jobs and down machines, summed over the pools.
 const TIMELINE_LANES: usize = 4;
 
+/// The site totals of the sample tick in progress, summed over its
+/// [`ObsEvent::PoolSample`]s until the [`ObsEvent::Sample`] that closes
+/// the tick.
+#[derive(Debug, Clone, Copy, Default)]
+struct SiteTick {
+    busy: u64,
+    total: u64,
+    suspended: u64,
+    waiting: u64,
+    down: u64,
+}
+
 /// The Table-1-shape numbers telemetry accumulates online.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TelemetrySummary {
@@ -394,8 +408,11 @@ pub struct Telemetry {
     queue_wait_by_pool: Vec<LogHistogram>,
     suspended_by_pool: Vec<LogHistogram>,
     pools: Vec<PoolSeries>,
+    tick: SiteTick,
     // The site series of every sample, bucketed for Figure 4.
     timeline: BucketMeans<TIMELINE_LANES>,
+    // Duplicate (shadow) copies, learned from `DuplicateLaunched`.
+    shadows: IntSet<JobId>,
     ct_all: OnlineStats,
     ct_susp: OnlineStats,
     st: OnlineStats,
@@ -438,7 +455,9 @@ impl Telemetry {
             queue_wait_by_pool: Vec::new(),
             suspended_by_pool: Vec::new(),
             pools: Vec::new(),
+            tick: SiteTick::default(),
             timeline: BucketMeans::new(TIMELINE_BUCKET),
+            shadows: IntSet::default(),
             ct_all: OnlineStats::new(),
             ct_susp: OnlineStats::new(),
             st: OnlineStats::new(),
@@ -559,8 +578,8 @@ impl Telemetry {
         self.jobs[job.as_usize()].susp_min += len.as_minutes();
     }
 
-    fn finish_job(&mut self, job: JobId, now: SimTime, ctx: &ObsCtx<'_>) {
-        let shadow = ctx.shadows.contains(&job);
+    fn finish_job(&mut self, job: JobId, now: SimTime) {
+        let shadow = self.shadows.contains(&job);
         let t = self.track(job);
         let (ct, suspended) = match std::mem::replace(&mut t.life, Life::Done) {
             Life::Done => return,
@@ -593,31 +612,61 @@ impl Telemetry {
         }
     }
 
-    fn sample(&mut self, now: SimTime, ctx: &ObsCtx<'_>) {
+    /// Folds one pool's reading of the current sample tick into its
+    /// series and the tick's site totals.
+    fn pool_sample(&mut self, now: SimTime, sample: &ObsEvent) {
+        let ObsEvent::PoolSample {
+            pool,
+            busy_cores,
+            total_cores,
+            waiting,
+            suspended,
+            machines,
+            down_machines,
+            draining_machines,
+            health_bits,
+        } = *sample
+        else {
+            unreachable!("called with pool samples only");
+        };
+        let i = pool.as_usize();
+        if i >= self.pools.len() {
+            self.pools.resize(i + 1, PoolSeries::default());
+        }
+        // `PoolSnapshot::utilization`, from the same two readings.
+        let utilization = if total_cores == 0 {
+            0.0
+        } else {
+            f64::from(busy_cores) / f64::from(total_cores)
+        };
+        let series = &mut self.pools[i];
+        series.utilization_pct.push(now, utilization * 100.0);
+        series.queue_depth.push(now, f64::from(waiting));
+        series.suspended.push(now, f64::from(suspended));
+        series.down_machines.push(now, f64::from(down_machines));
+        series
+            .draining_machines
+            .push(now, f64::from(draining_machines));
+        series.health.push(now, f64::from_bits(health_bits));
+        series.machines = u64::from(machines);
+        let tick = &mut self.tick;
+        tick.busy += u64::from(busy_cores);
+        tick.total += u64::from(total_cores);
+        tick.suspended += u64::from(suspended);
+        tick.waiting += u64::from(waiting);
+        tick.down += u64::from(down_machines);
+    }
+
+    /// Closes a sample tick: its site totals become one timeline point.
+    fn sample(&mut self, now: SimTime) {
         self.samples += 1;
-        if self.pools.len() < ctx.pools.len() {
-            self.pools.resize(ctx.pools.len(), PoolSeries::default());
-        }
-        let (mut busy, mut total) = (0u64, 0u64);
-        let (mut suspended, mut waiting, mut down) = (0usize, 0usize, 0usize);
-        for (i, pool) in ctx.pools.iter().enumerate() {
-            let s = PoolSnapshot::capture(pool);
-            let series = &mut self.pools[i];
-            series.utilization_pct.push(now, s.utilization() * 100.0);
-            series.queue_depth.push(now, s.waiting as f64);
-            series.suspended.push(now, s.suspended as f64);
-            series.down_machines.push(now, s.down_machines as f64);
-            series
-                .draining_machines
-                .push(now, s.draining_machines as f64);
-            series.health.push(now, s.health());
-            series.machines = s.machines as u64;
-            busy += u64::from(s.busy_cores);
-            total += u64::from(s.total_cores);
-            suspended += s.suspended;
-            waiting += s.waiting;
-            down += s.down_machines;
-        }
+        let SiteTick {
+            busy,
+            total,
+            suspended,
+            waiting,
+            down,
+        } = std::mem::take(&mut self.tick);
         let util_pct = if total == 0 {
             0.0
         } else {
@@ -1049,16 +1098,26 @@ fn pool_hist(hists: &mut Vec<LogHistogram>, pool: PoolId) -> &mut LogHistogram {
 }
 
 impl SimObserver for Telemetry {
-    fn on_event(&mut self, now: SimTime, event: &ObsEvent, ctx: &ObsCtx<'_>) {
-        if matches!(event, ObsEvent::Kernel { .. } | ObsEvent::BatchStart { .. }) {
-            return;
-        }
-        if self.jobs.capacity() == 0 {
-            // Size the per-job table once: every job the run submits
-            // already has a record in `ctx.jobs` (duplicate clones append
-            // later and grow it), so growth by doubling would leave up to
-            // half of it unused.
-            self.jobs.reserve_exact(ctx.jobs.len());
+    fn on_run_start(&mut self, _now: SimTime, ctx: &ObsCtx<'_>) {
+        // Size the per-job and per-pool tables once: every job the run
+        // submits already has a record in `ctx.jobs` (duplicate clones
+        // append later and grow it), so growth by doubling would leave up
+        // to half of it unused.
+        self.jobs.reserve_exact(ctx.jobs.len());
+        self.pools.reserve_exact(ctx.pools.len());
+    }
+
+    /// Telemetry reads only the event stream: shadow copies come from
+    /// `DuplicateLaunched`, pool state from `PoolSample`.
+    fn reads_state(&self) -> bool {
+        false
+    }
+
+    fn on_event(&mut self, now: SimTime, event: &ObsEvent, _ctx: &ObsCtx<'_>) {
+        match event {
+            ObsEvent::Kernel { .. } | ObsEvent::BatchStart { .. } => return,
+            ObsEvent::PoolSample { .. } => return self.pool_sample(now, event),
+            _ => {}
         }
         let idx = event_index(event);
         debug_assert_eq!(EVENT_KINDS[idx], event.label());
@@ -1072,7 +1131,7 @@ impl SimObserver for Telemetry {
                 // Gave up at the VPM: no completion latency to record, so
                 // `Life::Done` closes the completion span without observing
                 // it.
-                let shadow = ctx.shadows.contains(&job);
+                let shadow = self.shadows.contains(&job);
                 let t = self.track(job);
                 if !matches!(t.life, Life::Done) {
                     t.life = Life::Done;
@@ -1128,6 +1187,7 @@ impl SimObserver for Telemetry {
             }
             ObsEvent::DuplicateLaunched { clone, .. } => {
                 // The shadow copy never gets its own Submit event.
+                self.shadows.insert(clone);
                 self.track(clone).life.open(now);
             }
             ObsEvent::ProxyFinish {
@@ -1141,16 +1201,16 @@ impl SimObserver for Telemetry {
                     (PhaseTag::Waiting, Some(p)) => self.end_queue_span(job, p, now),
                     _ => {}
                 }
-                self.finish_job(job, now, ctx);
+                self.finish_job(job, now);
             }
             ObsEvent::Complete { job, .. } => {
-                self.finish_job(job, now, ctx);
+                self.finish_job(job, now);
             }
             ObsEvent::RetryScheduled { resume_at, .. } => {
                 self.spans
                     .observe(PHASE_RETRY_BACKOFF, resume_at.since(now));
             }
-            ObsEvent::Sample => self.sample(now, ctx),
+            ObsEvent::Sample => self.sample(now),
             ObsEvent::PoolChosen { .. }
             | ObsEvent::WaitTimeout { .. }
             | ObsEvent::MachineDown { .. }
@@ -1161,7 +1221,9 @@ impl SimObserver for Telemetry {
             | ObsEvent::PolicyAudit { .. }
             | ObsEvent::EvacAudit { .. }
             | ObsEvent::FaultAudit { .. } => {}
-            ObsEvent::Kernel { .. } | ObsEvent::BatchStart { .. } => unreachable!(),
+            ObsEvent::Kernel { .. } | ObsEvent::BatchStart { .. } | ObsEvent::PoolSample { .. } => {
+                unreachable!("handled above")
+            }
         }
     }
 
@@ -1271,8 +1333,9 @@ mod tests {
 
     #[test]
     fn shadow_jobs_feed_histograms_but_not_the_summary() {
-        let mut shadows = std::collections::HashSet::new();
-        shadows.insert(JobId(1));
+        // The context names no shadows: telemetry learns the clone from
+        // its DuplicateLaunched event.
+        let shadows = Default::default();
         let c = ctx(&shadows);
         let mut tel = Telemetry::new("DupSusUtil", "RoundRobin");
         let (orig, clone) = (JobId(0), JobId(1));

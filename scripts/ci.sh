@@ -219,6 +219,16 @@ cargo test --release -q --test golden_trace --test golden_chaos \
   --test golden_lifecycle --test golden_staleness --test golden_matrix \
   --test retirement
 
+# The observer layer in a release build too: there the helper thread
+# that feeds the observers reading only events (Telemetry, the span
+# recorder, trace recorders with a memory or file sink) really overlaps
+# the kernel, batches fill faster than the helper drains them, and a
+# race in the hand-off would show. The renderings must stay pinned and
+# equal to kernel-thread delivery, and panics must not hang.
+echo "==> observer renderings, conformance and helper-thread delivery (release)"
+cargo test --release -q --test render_digests --test observer_conformance \
+  --test observer_delivery
+
 # Benchmark contract: perfbench's own tests check that the metric names
 # it prints match BENCHMARK.json and that instrumentation never changes
 # what is simulated; the smoke run then drives every workload at a short

@@ -102,6 +102,17 @@ fn every_event() -> Vec<ObsEvent> {
             outage: 0,
             blacklisted_until: Some(t),
         },
+        ObsEvent::PoolSample {
+            pool,
+            busy_cores: 4,
+            total_cores: 8,
+            waiting: 1,
+            suspended: 0,
+            machines: 2,
+            down_machines: 0,
+            draining_machines: 0,
+            health_bits: 1.0f64.to_bits(),
+        },
     ];
     // Exhaustiveness: one entry per variant plus one per extra
     // ReschedKind. A new variant (or mechanism) must be added above AND
@@ -131,6 +142,7 @@ fn every_event() -> Vec<ObsEvent> {
             | ObsEvent::PolicyAudit { .. }
             | ObsEvent::EvacAudit { .. }
             | ObsEvent::FaultAudit { .. }
+            | ObsEvent::PoolSample { .. }
             | ObsEvent::Sample => {}
         }
     }
@@ -141,7 +153,7 @@ fn every_event() -> Vec<ObsEvent> {
 /// *retired, never reused*: if a kind goes away its label must not be
 /// given a new meaning later — queries against archived traces would
 /// silently change meaning.
-const PINNED_EVENT_LABELS: [&str; 28] = [
+const PINNED_EVENT_LABELS: [&str; 29] = [
     "kernel",
     "batch",
     "submit",
@@ -170,6 +182,7 @@ const PINNED_EVENT_LABELS: [&str; 28] = [
     "policy_audit",
     "evac_audit",
     "fault_audit",
+    "pool_sample",
 ];
 
 /// Pinned span-phase registry (`netbatch trace` groups and Perfetto
