@@ -994,22 +994,19 @@ pub fn alternatives(ctx: &Ctx) -> Result<Vec<ShapeCheck>, String> {
 /// rescheduling with a swept WAN surcharge.
 pub fn intersite(ctx: &Ctx) -> Result<Vec<ShapeCheck>, String> {
     let (site, trace) = build_scenario(Load::High, ctx.scale);
+    let split = |vpms| VpmTopology::contiguous(20, vpms).map_err(|e| e.to_string());
+    let four = split(4)?;
     let mut cells = vec![
         ("1 VPM x 20 pools (paper setup)".to_string(), None),
-        (
-            "2 VPMs, confined".to_string(),
-            Some(VpmTopology::contiguous(20, 2)),
-        ),
-        (
-            "4 VPMs, confined".to_string(),
-            Some(VpmTopology::contiguous(20, 4)),
-        ),
+        ("2 VPMs, confined".to_string(), Some(split(2)?)),
+        ("4 VPMs, confined".to_string(), Some(four.clone())),
     ];
     cells.extend([0u64, 30, 120, 480].map(|overhead| {
         (
             format!("4 VPMs, inter-site (+{overhead}m WAN)"),
             Some(
-                VpmTopology::contiguous(20, 4).with_inter_site(SimDuration::from_minutes(overhead)),
+                four.clone()
+                    .with_inter_site(SimDuration::from_minutes(overhead)),
             ),
         )
     }));

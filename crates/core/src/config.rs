@@ -66,6 +66,14 @@ pub enum ConfigError {
     LifecycleProbeFailure(f64),
     /// The flaky-machine fraction is outside `[0, 1]`.
     LifecycleFlakyFraction(f64),
+    /// A VPM topology asks for no VPM, or for more VPMs than pools (a
+    /// VPM would serve no pool).
+    TopologyVpms {
+        /// VPMs asked for.
+        vpms: u16,
+        /// Pools of the site.
+        pools: u16,
+    },
 }
 
 impl fmt::Display for ConfigError {
@@ -106,6 +114,12 @@ impl fmt::Display for ConfigError {
             }
             LifecycleFlakyFraction(v) => {
                 return write!(f, "lifecycle flaky fraction must be in [0, 1], got {v}")
+            }
+            TopologyVpms { vpms, pools } => {
+                return write!(
+                    f,
+                    "a topology of {pools} pools needs 1 to {pools} VPMs, got {vpms}"
+                )
             }
         };
         f.write_str(rule)
@@ -232,7 +246,7 @@ mod tests {
 
     #[test]
     fn streaming_rejects_topology() {
-        let err = streaming(|c| c.topology = Some(VpmTopology::contiguous(4, 2)));
+        let err = streaming(|c| c.topology = Some(VpmTopology::contiguous(4, 2).unwrap()));
         assert_eq!(err, Err(ConfigError::StreamingTopology));
     }
 
@@ -334,7 +348,8 @@ mod tests {
             | LifecycleCordonDuration
             | LifecycleProbeCount
             | LifecycleProbeFailure(_)
-            | LifecycleFlakyFraction(_) => None,
+            | LifecycleFlakyFraction(_)
+            | TopologyVpms { .. } => None,
         };
         let every = [
             StreamingSpecs,
@@ -358,6 +373,7 @@ mod tests {
             LifecycleProbeCount,
             LifecycleProbeFailure(0.0),
             LifecycleFlakyFraction(0.0),
+            TopologyVpms { vpms: 0, pools: 0 },
         ];
         let rows: Vec<_> = every.iter().filter(|e| owner(e).is_some()).collect();
         assert!(

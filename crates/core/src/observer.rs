@@ -534,9 +534,10 @@ pub trait SimObserver: std::fmt::Debug + Send {
     }
 
     /// Called instead of [`SimObserver::on_event`] when the streaming
-    /// backend replays the events its workers buffered during one epoch.
-    /// Semantically identical to `on_event` — same events, same
-    /// deterministic order — but delivered *after* the epoch's mutations
+    /// backend replays the events its workers buffered during one active
+    /// minute (an observed run stops at every one). Semantically
+    /// identical to `on_event` — same events, same deterministic order —
+    /// but delivered *after* the minute's mutations
     /// have all been applied, so `ctx` reflects the post-barrier state
     /// rather than the state at the instant each event fired (and
     /// `ctx.jobs` stays empty until drain). Observers that only read the
@@ -545,7 +546,7 @@ pub trait SimObserver: std::fmt::Debug + Send {
         self.on_event(now, event, ctx);
     }
 
-    /// Called by the streaming backend once per epoch, after every
+    /// Called by the streaming backend once per active minute, after every
     /// buffered event has been replayed and all barrier state is settled.
     fn on_settle(&mut self, _now: SimTime, _ctx: &ObsCtx<'_>) {}
 

@@ -1153,8 +1153,8 @@ pub const KERNEL_EV_KINDS: [&str; 10] = [
 ];
 
 /// Labels for the worker-side phases the streaming backend attributes:
-/// epoch submits, epoch completions and lazy shard-local trace
-/// generation.
+/// submits, completions and lazy shard-local trace generation (job-id
+/// numbering included).
 const SHARD_PHASES: [&str; 3] = ["submit", "complete", "generate"];
 
 /// Worker phase indices for [`KernelProfile::record_shard`].
@@ -1165,7 +1165,7 @@ pub(crate) const PHASE_COMPLETE: usize = 1;
 pub(crate) const PHASE_GENERATE: usize = 2;
 
 /// Coordinator barrier phases beyond the per-event kinds: `merge` is the
-/// serial report-fold + emission-reduce section at each epoch barrier —
+/// serial report-fold + emission-reduce section at each barrier —
 /// the Amdahl-relevant serial fraction, readable straight from the folded
 /// stacks as `netbatch;coordinator;merge` vs the `netbatch;shardN;*` lanes.
 const COORD_PHASES: [&str; 1] = ["merge"];
@@ -1208,7 +1208,7 @@ impl KernelProfile {
         cell.1 += 1;
     }
 
-    /// Folds one shard's epoch work into its lane.
+    /// Folds one shard's reported work into its lane.
     pub(crate) fn record_shard(&mut self, shard: usize, phase: usize, nanos: u64, items: u64) {
         let cell = &mut self.shards[shard][phase];
         cell.0 += nanos;
@@ -1220,6 +1220,12 @@ impl KernelProfile {
         let cell = &mut self.coord_phases[phase];
         cell.0 += nanos;
         cell.1 += items;
+    }
+
+    /// Coordinator barrier folds recorded (the merge phase's count).
+    #[cfg(test)]
+    pub(crate) fn merges(&self) -> u64 {
+        self.coord_phases[COORD_MERGE].1
     }
 
     /// Number of execution lanes: 1 (serial or coordinator) plus one per

@@ -26,6 +26,7 @@ use netbatch_sim_engine::sampler::PeriodicSampler;
 use netbatch_sim_engine::time::{SimDuration, SimTime};
 use netbatch_workload::scenarios::SiteSpec;
 
+use crate::config::ConfigError;
 use crate::experiment::JobTotals;
 use crate::faults::{
     FaultModel, FaultPlan, LifecycleModel, LifecyclePlan, LifecycleWindow, MachineOutage,
@@ -44,9 +45,9 @@ use crate::provenance::KernelProfile;
 /// Simulator configuration: the experiment's policy axes plus extension
 /// knobs (all defaults match the paper's setup).
 ///
-/// Epoch pipelining on the streaming kernel
-/// ([`Simulator::run_streaming`]) has no knob here: it is on exactly when
-/// no observer is attached, the one condition under which it is sound.
+/// The streaming kernel's barrier cadence ([`Simulator::run_streaming`])
+/// has no knob here: it stops at every active minute exactly when an
+/// observer is attached, the one case whose replay needs it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimConfig {
     /// Virtual-pool-manager scheduler.
@@ -153,9 +154,10 @@ pub enum Backend {
     /// One streaming shard, run on the calling thread.
     #[default]
     Serial,
-    /// Pool-sharded streaming workers synchronized at minute-epoch
-    /// barriers. The calling thread runs shard 0 as well as the barrier
-    /// merge; shards 1.. run under `std::thread::scope`.
+    /// Pool-sharded streaming workers synchronized at the barriers the
+    /// model needs (sample ticks, observer replay, the end). The calling
+    /// thread runs shard 0 as well as the barrier merge; shards 1.. run
+    /// under `std::thread::scope`.
     Sharded {
         /// Number of shards, and so of threads including the calling one
         /// (pools are assigned round-robin by pool id). Clamped to
@@ -181,26 +183,34 @@ pub struct VpmTopology {
 }
 
 impl VpmTopology {
-    /// Splits `pool_count` pools into `vpms` contiguous groups.
+    /// Splits `pool_count` pools into `vpms` contiguous groups, as evenly
+    /// as possible: the first `pool_count % vpms` groups hold one pool
+    /// more than the others.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `vpms` is zero or exceeds `pool_count`.
-    pub fn contiguous(pool_count: u16, vpms: u16) -> Self {
-        assert!(vpms > 0 && vpms <= pool_count, "need 1..=pool_count VPMs");
-        let per = pool_count.div_ceil(vpms);
+    /// [`ConfigError::TopologyVpms`] unless `1 <= vpms <= pool_count`.
+    pub fn contiguous(pool_count: u16, vpms: u16) -> Result<Self, ConfigError> {
+        if vpms == 0 || vpms > pool_count {
+            return Err(ConfigError::TopologyVpms {
+                vpms,
+                pools: pool_count,
+            });
+        }
+        let (per, extra) = (pool_count / vpms, pool_count % vpms);
+        let mut first = 0;
         let groups = (0..vpms)
             .map(|v| {
-                (v * per..((v + 1) * per).min(pool_count))
-                    .map(PoolId)
-                    .collect()
+                let len = per + u16::from(v < extra);
+                first += len;
+                (first - len..first).map(PoolId).collect()
             })
             .collect();
-        VpmTopology {
+        Ok(VpmTopology {
             vpms: groups,
             inter_site_resched: false,
             inter_site_overhead: SimDuration::ZERO,
-        }
+        })
     }
 
     /// Enables inter-site rescheduling with the given per-move overhead.
@@ -812,7 +822,7 @@ impl Simulator {
     }
 
     /// Runs a workload to completion with *streaming* generation: jobs
-    /// are generated shard-locally epoch by epoch from `workload`'s RNG
+    /// are generated shard-locally minute by minute from `workload`'s RNG
     /// substreams (`seed` must be the trace seed a materialized run would
     /// use), so peak memory is proportional to the in-flight job count,
     /// not the trace length. The simulator must be constructed with an
@@ -827,7 +837,7 @@ impl Simulator {
     ///
     /// # Panics
     ///
-    /// Panics with the [`ConfigError`](crate::config::ConfigError) text
+    /// Panics with the [`ConfigError`] text
     /// when [`Simulator::check_streaming`] rejects the configuration or
     /// `workload`; call it first to get the error instead.
     pub fn run_streaming(self, workload: &netbatch_workload::WorkloadSpec, seed: u64) -> SimOutput {
@@ -2299,11 +2309,32 @@ mod tests {
     }
 
     #[test]
+    fn contiguous_topology_splits_evenly_and_rejects_empty_vpms() {
+        use crate::simulator::VpmTopology;
+        let sizes = |pools, vpms| -> Vec<usize> {
+            let topo = VpmTopology::contiguous(pools, vpms).unwrap();
+            let flat: Vec<PoolId> = topo.vpms.concat();
+            assert_eq!(flat, (0..pools).map(PoolId).collect::<Vec<_>>());
+            topo.vpms.iter().map(Vec::len).collect()
+        };
+        assert_eq!(sizes(9, 4), [3, 2, 2, 2]);
+        assert_eq!(sizes(5, 2), [3, 2]);
+        assert_eq!(sizes(20, 4), [5; 4]);
+        assert_eq!(sizes(3, 3), [1; 3]);
+        for vpms in [0, 5] {
+            assert_eq!(
+                VpmTopology::contiguous(4, vpms),
+                Err(ConfigError::TopologyVpms { vpms, pools: 4 })
+            );
+        }
+    }
+
+    #[test]
     fn topology_confines_routing_and_rescheduling() {
         use crate::simulator::VpmTopology;
         // 4 pools, 2 VPMs: {0,1} and {2,3}. Job 0 belongs to VPM 0.
         let site = tiny_site(4, 1, 1);
-        let topo = VpmTopology::contiguous(4, 2);
+        let topo = VpmTopology::contiguous(4, 2).unwrap();
         assert_eq!(topo.vpms.len(), 2);
         assert_eq!(topo.vpms[0], vec![PoolId(0), PoolId(1)]);
         // Job 0 (VPM 0) and a blocking high job pinned to pool 0: without
@@ -2357,15 +2388,18 @@ mod tests {
         ];
         let confined = {
             let mut cfg = SimConfig::new(InitialKind::RoundRobin, StrategyKind::ResSusUtil);
-            cfg.topology = Some(VpmTopology::contiguous(2, 2));
+            cfg.topology = Some(VpmTopology::contiguous(2, 2).unwrap());
             run(&site, jobs.clone(), cfg)
         };
         assert_eq!(confined.counters.restarts_from_suspend, 0);
         assert!(confined.jobs[0].suspend_time().as_minutes() > 0);
         let wan = {
             let mut cfg = SimConfig::new(InitialKind::RoundRobin, StrategyKind::ResSusUtil);
-            cfg.topology =
-                Some(VpmTopology::contiguous(2, 2).with_inter_site(SimDuration::from_minutes(45)));
+            cfg.topology = Some(
+                VpmTopology::contiguous(2, 2)
+                    .unwrap()
+                    .with_inter_site(SimDuration::from_minutes(45)),
+            );
             run(&site, jobs, cfg)
         };
         assert_eq!(wan.counters.restarts_from_suspend, 1);

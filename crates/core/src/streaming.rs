@@ -1,25 +1,26 @@
 //! The streaming simulation backend: shard-local lazy workload
-//! generation under minute-epoch barriers, with coordinator offload,
-//! run-ahead and epoch pipelining.
+//! generation, workers that number their own jobs, and barriers only
+//! where the model reads quiescent pools.
 //!
 //! # Why a second kernel
 //!
 //! The serial executor materializes every [`netbatch_cluster::job::JobSpec`]
 //! before t=0, so a year-scale 200-pool run holds tens of millions of
 //! specs and records in memory, and generation itself is serial work
-//! ahead of the run. Here each worker owns a [`TraceStream`] filtered to
-//! its own pools' streams and pulls arrivals epoch by epoch, so:
+//! ahead of the run. Here each worker owns a [`TraceStream`] per pool,
+//! filtered to that pool's streams, and draws a minute's records when it
+//! submits them, so:
 //!
-//! * peak memory is O(in-flight jobs): a job exists from the epoch it is
-//!   generated (two minutes of lookahead) until its completion is
-//!   processed. Its record lives in the shard's [`JobTable`], the serial
-//!   kernel's slab of in-flight records, and retiring it folds it into
-//!   the shard's [`JobTotals`] and frees its entry — unless observers are
-//!   attached, in which case the table keeps it for [`SimOutput::jobs`]
-//!   and it is folded when the run finishes (the serial kernel's keep
-//!   rule); shards' totals merge by addition;
-//! * generation runs inside each shard's part of an epoch, so the shards
-//!   generate in parallel;
+//! * peak memory is O(in-flight jobs): a job exists from its submission
+//!   until its completion is processed. Its record lives in the shard's
+//!   [`JobTable`], the serial kernel's slab of in-flight records, and
+//!   retiring it folds it into the shard's [`JobTotals`] and frees its
+//!   entry — unless observers are attached, in which case the table
+//!   keeps it for [`SimOutput::jobs`] and it is folded when the run
+//!   finishes (the serial kernel's keep rule); shards' totals merge by
+//!   addition;
+//! * generation runs inside each shard's part of a dispatch, so the
+//!   shards generate in parallel;
 //! * each shard's worker runs one [`EventQueue`] of `(lane, job)`
 //!   completion bookings for all of its pools, so queue effects apply
 //!   immediately and never cross a shard; the coordinator's own
@@ -34,60 +35,50 @@
 //! A run on N shards uses N threads. The coordinator thread drives shard
 //! 0's worker itself; shards 1.. run on scoped threads. Each dispatch
 //! goes to the spawned shards first, then the coordinator runs shard 0's
-//! part inline and stashes its report, which the barrier fold picks up
-//! like any other. A barrier thus waits on N − 1 cross-thread reports,
-//! and a 1-shard run spawns no thread and sends no message. The channels
-//! are locals of the scope closure: if shard 0 panics on the coordinator
+//! part inline. A barrier thus waits on N − 1 cross-thread reports, and
+//! a 1-shard run spawns no thread and sends no message. The channels are
+//! locals of the scope closure: if shard 0 panics on the coordinator
 //! thread, unwinding closes them and the spawned workers exit.
 //!
-//! # The epoch protocol
+//! # Job ids
 //!
-//! The coordinator tracks, per pool, the submission minutes the pool's
-//! lookahead holds (`(minute, record-count)`, at most [`LOOKAHEAD`]
-//! deep) and whether its stream has run dry, plus, per worker, the
-//! earliest booking left in the worker's queue. Each dispatch names the
-//! lowest known minute `e`, the dense job-id bases of every pool
-//! submitting at `e` (ascending pool order, so ids match the materialized
-//! trace exactly — see [`WorkloadSpec::validate_pool_major`]) and an
-//! exclusive bound. A worker runs `e`, then keeps delivering its own
-//! bookings due before the bound without another round trip, and
-//! reports back.
-//!
-//! An epoch visits only its active lanes: the lanes submitting at `e`
-//! and the lanes with a booking due at `e`. A report carries only the
-//! lanes whose lookahead changed (the submitting ones, re-filled in the
-//! same epoch), and the coordinator updates only those pools.
+//! A job's id is its record's position in the materialized trace, and
+//! each worker numbers its own jobs. Its [`IdClock`] walks every stream's
+//! arrival substream, minutes only, and at each of the worker's
+//! submission minutes yields the id of each stream's first record there:
+//! the records of all earlier minutes plus those at this minute on lower
+//! streams. A pool's streams are consecutive
+//! ([`WorkloadSpec::validate_pool_major`]), so the pool's records at a
+//! minute take consecutive ids from its first stream's. Ids thus match
+//! [`WorkloadSpec::generate`]'s exactly, and none crosses a thread.
 //!
 //! # Barrier duties
 //!
-//! The coordinator has two duties that need the workers stopped: handing
-//! out job-id bases at a submission minute (the bases depend on every
-//! pool's record count at that minute) and reading pool state at a
-//! sample tick (the pools must be quiescent). A dispatch's bound is
-//! therefore the earliest known next submission minute over all pools,
-//! capped at the next sample tick. A pool that is not dry but whose next
-//! minute is not yet reported (its report is still in flight) pins the
-//! bound to `e+1`. Between two duties the workers drain their completion
-//! minutes on their own, so the barrier count follows the submission
-//! minutes and sample ticks, not the completion minutes; after the last
-//! submission of an unsampled run the whole tail drains in one dispatch.
+//! With local ids, and jobs that never leave their pool, the workers
+//! stop only where the model reads pools that no worker is changing:
 //!
-//! Observer runs keep one barrier per active minute (bound `e+1`):
-//! replay and [`SimObserver::on_settle`](crate::observer::SimObserver::on_settle)
-//! read the pools at barrier time. Every observer-less run pipelines;
-//! there is no switch, because having no observer attached is the one
-//! condition under which pipelining is sound. The coordinator then keeps
-//! up to two dispatches in flight: the next one goes out early when its
-//! minute is the current bound (it is then the next minute whatever the
-//! pending reports say) and no sample tick lands at or before it.
-//! The two-minute lookahead makes that sound: consuming a minute refills
-//! the buffer in the same epoch, so a pool's next submission minute is
-//! known one dispatch early.
+//! * at each sample tick, where the coordinator records the sample;
+//! * at each active minute of an observed run, where it replays the
+//!   minute's emissions and calls
+//!   [`SimObserver::on_settle`](crate::observer::SimObserver::on_settle);
+//! * at the end, where it folds the workers' counters and tables.
+//!
+//! Every report carries the worker's next active minute: its earliest
+//! submission minute or booking. The coordinator takes the earliest,
+//! `e`, over the workers, records the sample ticks at or before `e`, and
+//! sends every worker the bound of the next duty: `e + 1` in an observed
+//! run, else the next sample tick, else none. A worker runs each of its
+//! own active minutes before the bound and reports. An unsampled,
+//! unobserved run is therefore one dispatch per worker, and the barrier
+//! count follows the model's cadence, never the workload's.
+//!
+//! A minute visits only its active lanes: the lanes submitting at it and
+//! the lanes with a booking due.
 //!
 //! # Canonical order
 //!
 //! The streaming backend defines its own canonical within-minute order —
-//! sample tick first (pools quiescent), then per pool ascending: buffered
+//! sample tick first (pools quiescent), then per pool ascending:
 //! submissions, then due completions in booking order. One queue per
 //! worker keeps this order: at minute `e` the worker pops every booking
 //! due at `e` and stable-sorts the batch by lane. Same-minute bookings
@@ -98,14 +89,15 @@
 //! after that lane's batch, behind the earlier ones, again as a per-pool
 //! queue would. Since the order is per pool, it is *shard-count
 //! independent*: the merged sequence is identical for 1 or N workers,
-//! wheel or reference heap, with or without run-ahead and pipelining (the
-//! conformance suite asserts golden traces byte-identical across all of
-//! them). It is *not* the serial backend's global event-id order:
-//! cross-pool completion interleaving within a minute differs. Per-pool
-//! event sequences are identical, so job records and run counters match
-//! a materialized serial run exactly when sampling is off; with sampling
-//! on, series values at minutes where a tick coincides with events may
-//! differ (the serial sampler pops mid-minute).
+//! wheel or reference heap, with a barrier at every minute or only at
+//! the duties (the conformance suite asserts golden traces
+//! byte-identical across all of them). It is *not* the serial backend's
+//! global event-id order: cross-pool completion interleaving within a
+//! minute differs. Per-pool event sequences are identical, so job
+//! records and run counters match a materialized serial run exactly when
+//! sampling is off; with sampling on, series values at minutes where a
+//! tick coincides with events may differ (the serial sampler pops
+//! mid-minute).
 //!
 //! # Staleness skip
 //!
@@ -131,14 +123,14 @@
 //! attached directly or through their config switches. The rules live in
 //! one gate, [`Simulator::check_streaming`], which the run asserts.
 //!
-//! Generation is the same code as a materialized run's: a shard's
+//! Generation is the same code as a materialized run's: a lane's
 //! [`TraceStream`] is the workload's one generator, filtered to the
-//! shard's pools, and [`WorkloadSpec::generate`] drains the unfiltered
+//! lane's pool, and [`WorkloadSpec::generate`] drains the unfiltered
 //! stream.
 
-use std::collections::VecDeque;
 use std::mem::take;
-use std::sync::{mpsc, Arc};
+use std::sync::mpsc;
+use std::time::Instant;
 
 use netbatch_cluster::ids::{JobId, PoolId};
 use netbatch_cluster::job::{JobRecord, JobSpec, PoolAffinity};
@@ -147,7 +139,7 @@ use netbatch_sim_engine::epoch::merge_sorted_runs;
 use netbatch_sim_engine::queue::{EventId, EventQueue};
 use netbatch_sim_engine::time::{SimDuration, SimTime};
 use netbatch_workload::trace::TraceRecord;
-use netbatch_workload::{TraceStream, WorkloadSpec};
+use netbatch_workload::{IdClock, TraceStream, WorkloadSpec};
 
 use crate::experiment::JobTotals;
 use crate::job_table::JobTable;
@@ -156,18 +148,8 @@ use crate::pool_step::{self, PoolHost, Suspended};
 use crate::provenance::{COORD_MERGE, PHASE_COMPLETE, PHASE_GENERATE, PHASE_SUBMIT};
 use crate::simulator::{SimOutput, Simulator};
 
-/// Lookahead depth in generated-but-unsubmitted minutes per pool. Two is
-/// the minimum that lets the coordinator pre-dispatch the next epoch
-/// before the current one's results return: consuming a minute refills
-/// the buffer in the same epoch, so every submission minute is reported
-/// at least one epoch before it is due.
-const LOOKAHEAD: usize = 2;
-
-/// Maximum dispatches in flight when pipelining (no observers attached).
-const PIPELINE_DEPTH: usize = 2;
-
 /// Raw view into the simulator's pool storage, shipped to workers for
-/// the duration of the in-flight epochs.
+/// the duration of a dispatch.
 ///
 /// # Safety
 ///
@@ -176,9 +158,9 @@ const PIPELINE_DEPTH: usize = 2;
 /// partitioned by `pool_id % shards`, and a worker only touches pools it
 /// owns. Shard 0's worker runs on the coordinator thread, so the
 /// coordinator does mutate its own shard's pools while other shards'
-/// epochs are in flight, but only through the arena, like any worker.
-/// Beyond that the coordinator forms no reference into `sim.pools` while
-/// an epoch is in flight (sampling and observer replay both require a
+/// dispatches run, but only through the arena, like any worker. Beyond
+/// that the coordinator forms no reference into `sim.pools` while a
+/// dispatch runs (sampling and observer replay both happen at a
 /// quiescent barrier), and workers derive only short-lived per-element
 /// references, never whole-slice `&mut` views.
 #[derive(Clone, Copy)]
@@ -210,48 +192,26 @@ impl PoolArena {
     }
 }
 
-/// Dense job-id base per pool submitting at a dispatched minute,
-/// ascending pool order; one buffer shared by every worker.
-type Bases = Arc<Vec<(u16, u64)>>;
-
 /// One dispatch's work order, broadcast to every worker.
-struct FlushMsg {
-    /// The dispatched minute: the earliest known submission or booking.
-    epoch: SimTime,
-    /// Exclusive run-ahead bound: after `epoch` the worker keeps
-    /// delivering its own bookings due before it. No submission minute
-    /// and no sample tick lies in `(epoch, bound)`.
+struct Dispatch {
+    /// Exclusive bound: the next barrier duty. The worker runs each of
+    /// its own active minutes before it.
     bound: SimTime,
-    /// Pools absent from the list have no buffered minute due.
-    bases: Bases,
     arena: PoolArena,
-    /// Emptied report buffers of a folded epoch, handed back so the
-    /// worker refills them instead of growing fresh ones.
-    lanes: Vec<LaneAhead>,
+    /// An emptied emission buffer of a folded report, handed back so the
+    /// worker refills it instead of growing a fresh one.
     emissions: Vec<(u32, ObsEvent)>,
 }
 
-/// A lane's lookahead after it changed: what the coordinator plans
-/// job-id bases and run-ahead bounds from.
-#[derive(Clone, Copy)]
-struct LaneAhead {
-    pool: u16,
-    /// Buffered `(minute, record-count)`, oldest first.
-    minutes: [Option<(SimTime, u32)>; LOOKAHEAD],
-    /// The stream holds no minute beyond `minutes`.
-    exhausted: bool,
-}
-
-/// What a worker hands back after each dispatch (and once at priming).
-struct EpochResult {
+/// What a worker hands back once it is built and after each dispatch.
+struct Report {
     shard: usize,
-    /// The dispatched minute; `None` for the priming report sent before
-    /// any epoch runs.
-    epoch: Option<SimTime>,
     /// Buffered observer events keyed by pool id (ascending within the
     /// run; pools are worker-disjoint, so a k-way merge by pool restores
     /// the canonical order).
     emissions: Vec<(u32, ObsEvent)>,
+    /// Jobs submitted (records drawn).
+    submitted: u64,
     completed: u64,
     unrunnable: u64,
     /// Events executed (submissions incl. unrunnable ones, plus delivered
@@ -259,12 +219,9 @@ struct EpochResult {
     executed: u64,
     /// Latest minute at which an event executed.
     last_active: Option<SimTime>,
-    /// Lookahead of every lane that consumed a minute (every lane in the
-    /// priming report).
-    lanes: Vec<LaneAhead>,
-    /// Earliest booking left in the worker's queue (at or past the
-    /// dispatch's bound).
-    next_local: Option<SimTime>,
+    /// The worker's next active minute: its earliest submission minute
+    /// or booking, at or past the dispatch's bound.
+    next: Option<SimTime>,
     /// Per-phase `(items, nanos)` self-profile (submit/complete/generate);
     /// zeros when profiling is off.
     profile: [(u64, u64); 3],
@@ -273,32 +230,37 @@ struct EpochResult {
 /// One pool's streaming state inside a worker.
 struct PoolLane<'a> {
     pool: PoolId,
+    /// The pool's streams; a minute's records are drawn when they are
+    /// submitted.
     stream: TraceStream<'a>,
-    /// Generated-but-unsubmitted minutes, oldest first, at most
-    /// [`LOOKAHEAD`] deep.
-    ahead: VecDeque<(u64, Vec<TraceRecord>)>,
+    /// The pool's first stream: the pool's records at a minute take
+    /// consecutive ids from that stream's first id there.
+    first_stream: usize,
 }
 
-/// Per-thread streaming executor: generates its pools' arrivals, feeds
-/// them and its due completions through the pool step both kernels share
-/// (so record transitions, pool calls and emission order are the serial
-/// kernel's), and keeps its pools' completion bookings in its own queue.
+/// Per-thread streaming executor: generates its pools' arrivals, numbers
+/// them, feeds them and its due completions through the pool step both
+/// kernels share (so record transitions, pool calls and emission order
+/// are the serial kernel's), and keeps its pools' completion bookings in
+/// its own queue.
 struct StreamWorker<'a> {
     shard: usize,
-    shards: usize,
     /// Owned pools, ascending: lane `li` is pool `shard + li * shards`.
     lanes: Vec<PoolLane<'a>>,
+    /// Trace ids of every stream's records, walked to this worker's
+    /// submission minutes.
+    clock: IdClock,
+    /// The earliest minute any lane submits at, if any.
+    next_submit: Option<u64>,
     /// Completion bookings of every owned pool, as `(lane, job)`.
     queue: EventQueue<(u32, JobId)>,
     /// The current minute's due bookings `(lane, handle, job)`; reused.
     due: Vec<(u32, EventId, JobId)>,
-    /// `(lane, job-id base)` of the owned pools submitting at the
-    /// dispatched minute; reused.
+    /// `(lane, job-id base)` of the lanes submitting at the current
+    /// minute, ascending; reused.
     subs: Vec<(u32, u64)>,
-    /// Lanes whose lookahead changed since the last report.
-    changed: Vec<LaneAhead>,
-    /// Emptied minute buffers, reused by [`StreamWorker::refill`].
-    spare: Vec<Vec<TraceRecord>>,
+    /// The submitting lane's records; reused.
+    records: Vec<TraceRecord>,
     /// Records of the jobs in flight (submitted and not yet completed),
     /// the O(in-flight) working set, reached through a map from id to
     /// slab entry: a per-id slot vector would grow with the horizon. An
@@ -313,6 +275,7 @@ struct StreamWorker<'a> {
     actions: Vec<PoolAction>,
     suspended: Suspended,
     emissions: Vec<(u32, ObsEvent)>,
+    submitted: u64,
     completed: u64,
     unrunnable: u64,
     executed: u64,
@@ -320,6 +283,11 @@ struct StreamWorker<'a> {
     profile_nanos: [(u64, u64); 3],
     /// Emission key of the pool currently being processed.
     cur_pool: u32,
+}
+
+/// The earlier of two optional minutes.
+fn earliest<T: Ord>(a: Option<T>, b: Option<T>) -> Option<T> {
+    a.into_iter().chain(b).min()
 }
 
 impl<'a> StreamWorker<'a> {
@@ -335,18 +303,21 @@ impl<'a> StreamWorker<'a> {
         observed: bool,
         profile: bool,
     ) -> Self {
-        let lanes = (shard..pool_count as usize)
+        let t0 = profile.then(Instant::now);
+        let lanes: Vec<PoolLane<'a>> = (shard..pool_count as usize)
             .step_by(shards)
             .map(|p| PoolLane {
                 pool: PoolId(p as u16),
                 stream: TraceStream::filtered(spec, seed, |i| pinned[i] as usize == p),
-                ahead: VecDeque::new(),
+                first_stream: pinned.partition_point(|&q| (q as usize) < p),
             })
             .collect();
-        StreamWorker {
+        let next_submit = lanes.iter().filter_map(|l| l.stream.peek_minute()).min();
+        let mut worker = StreamWorker {
             shard,
-            shards,
             lanes,
+            clock: IdClock::new(spec, seed),
+            next_submit,
             queue: if reference_queue {
                 EventQueue::with_reference_heap()
             } else {
@@ -354,8 +325,7 @@ impl<'a> StreamWorker<'a> {
             },
             due: Vec::new(),
             subs: Vec::new(),
-            changed: Vec::new(),
-            spare: Vec::new(),
+            records: Vec::new(),
             jobs: JobTable::streaming(observed),
             totals: JobTotals::default(),
             observed,
@@ -363,13 +333,16 @@ impl<'a> StreamWorker<'a> {
             actions: Vec::new(),
             suspended: Suspended::new(),
             emissions: Vec::new(),
+            submitted: 0,
             completed: 0,
             unrunnable: 0,
             executed: 0,
             last_active: None,
             profile_nanos: [(0, 0); 3],
             cur_pool: 0,
-        }
+        };
+        worker.charge(PHASE_GENERATE, 0, t0);
+        worker
     }
 
     fn emit(&mut self, event: ObsEvent) {
@@ -378,90 +351,64 @@ impl<'a> StreamWorker<'a> {
         }
     }
 
-    /// Tops up one lane's lookahead to [`LOOKAHEAD`] minutes, in buffers
-    /// recycled from consumed minutes, and queues the lane's new
-    /// lookahead for the next report. This is where generation cost is
-    /// paid — inside the shard's part of the epoch, in parallel with the
-    /// other shards, off the coordinator's merge.
-    fn refill(&mut self, li: usize) {
-        let t0 = self.profile.then(std::time::Instant::now);
-        let mut generated = 0u64;
-        let lane = &mut self.lanes[li];
-        while lane.ahead.len() < LOOKAHEAD {
-            let Some(m) = lane.stream.peek_minute() else {
-                break;
-            };
-            let mut records = self.spare.pop().unwrap_or_default();
-            generated += lane.stream.drain_minute(m, &mut records) as u64;
-            lane.ahead.push_back((m, records));
-        }
+    /// Books the time since `t0` (none when profiling is off) and `items`
+    /// under a worker phase.
+    fn charge(&mut self, phase: usize, items: u64, t0: Option<Instant>) {
         if let Some(t0) = t0 {
-            let cell = &mut self.profile_nanos[PHASE_GENERATE];
-            cell.0 += generated;
+            let cell = &mut self.profile_nanos[phase];
+            cell.0 += items;
             cell.1 += t0.elapsed().as_nanos() as u64;
         }
-        // The refill stops short of LOOKAHEAD only on a dry stream.
-        let lane = &self.lanes[li];
-        let mut minutes = [None; LOOKAHEAD];
-        for (slot, (m, records)) in minutes.iter_mut().zip(&lane.ahead) {
-            *slot = Some((SimTime::from_minutes(*m), records.len() as u32));
-        }
-        self.changed.push(LaneAhead {
-            pool: lane.pool.as_usize() as u16,
-            minutes,
-            exhausted: lane.ahead.len() < LOOKAHEAD,
-        });
     }
 
-    /// Fills every lane's lookahead before the first epoch, so the
-    /// priming report carries the workload's first minutes.
-    fn prime(&mut self) {
-        for li in 0..self.lanes.len() {
-            self.refill(li);
-        }
+    /// The worker's next active minute: its earliest submission minute
+    /// or booking.
+    fn next_active(&mut self) -> Option<SimTime> {
+        earliest(
+            self.next_submit.map(SimTime::from_minutes),
+            self.queue.peek_time(),
+        )
     }
 
-    /// Executes one dispatch: the dispatched minute, then every minute
-    /// of this worker's own bookings due before the bound. Consuming the
-    /// message releases its shared bases before the worker reports: once
-    /// every report of an epoch is in, the coordinator holds the only
-    /// handle and reuses the buffer.
-    fn run_dispatch(&mut self, msg: FlushMsg) {
-        debug_assert!(
-            !self.observed || msg.bound == msg.epoch + SimDuration::MINUTE,
-            "observer runs barrier every minute"
-        );
-        debug_assert!(
-            self.queue.peek_time().is_none_or(|t| t >= msg.epoch),
-            "no booking lies before the dispatched minute"
-        );
-        // The last report took the worker's buffers; fill the ones the
+    /// Executes one dispatch: every active minute of this worker's before
+    /// the bound.
+    fn run_dispatch(&mut self, msg: Dispatch) {
+        // The last report took the worker's buffer; fill the one the
         // coordinator handed back.
-        debug_assert!(self.changed.is_empty() && self.emissions.is_empty());
-        debug_assert!(msg.lanes.is_empty() && msg.emissions.is_empty());
-        self.changed = msg.lanes;
+        debug_assert!(self.emissions.is_empty() && msg.emissions.is_empty());
         self.emissions = msg.emissions;
-        let mut subs = std::mem::take(&mut self.subs);
-        subs.extend(
-            msg.bases
-                .iter()
-                .filter(|&&(p, _)| p as usize % self.shards == self.shard)
-                .map(|&(p, base)| ((p as usize / self.shards) as u32, base)),
-        );
-        self.run_minute(msg.epoch, &subs, &msg.arena);
-        subs.clear();
-        self.subs = subs;
-        while let Some(t) = self.queue.peek_time().filter(|&t| t < msg.bound) {
-            self.run_minute(t, &[], &msg.arena);
+        while let Some(now) = self.next_active().filter(|&t| t < msg.bound) {
+            self.run_minute(now, &msg.arena);
         }
+    }
+
+    /// Lists the lanes submitting at `minute`, ascending, with the id
+    /// base of each, and moves `next_submit` to the earliest later minute
+    /// of the other lanes; each submitting lane folds in its own once its
+    /// records are drawn. The clock's walk is booked as generation.
+    fn plan_submissions(&mut self, minute: u64) {
+        let t0 = self.profile.then(Instant::now);
+        let ids = self.clock.seek(minute);
+        self.next_submit = None;
+        for (li, lane) in self.lanes.iter().enumerate() {
+            match lane.stream.peek_minute() {
+                Some(m) if m == minute => self.subs.push((li as u32, ids[lane.first_stream])),
+                later => self.next_submit = earliest(self.next_submit, later),
+            }
+        }
+        self.charge(PHASE_GENERATE, 0, t0);
     }
 
     /// Executes one minute over its active lanes, ascending: per lane,
-    /// deliver the buffered submissions (`subs`, ascending by lane), then
-    /// the lane's due completions in booking order.
-    fn run_minute(&mut self, now: SimTime, subs: &[(u32, u64)], arena: &PoolArena) {
+    /// submit the minute's records, then deliver the lane's due
+    /// completions in booking order.
+    fn run_minute(&mut self, now: SimTime, arena: &PoolArena) {
         let executed_before = self.executed;
-        let mut due = std::mem::take(&mut self.due);
+        if self.next_submit == Some(now.as_minutes()) {
+            self.plan_submissions(now.as_minutes());
+        }
+        let mut subs = take(&mut self.subs);
+        let mut due = take(&mut self.due);
         while self.queue.peek_time() == Some(now) {
             let (_, id, (lane, job)) = self.queue.pop_with_id().expect("time peeked");
             due.push((lane, id, job));
@@ -483,7 +430,7 @@ impl<'a> StreamWorker<'a> {
                 self.submit_minute(li, base, now, arena);
                 si += 1;
             }
-            let t0 = self.profile.then(std::time::Instant::now);
+            let t0 = self.profile.then(Instant::now);
             let first = di;
             while let Some(&(_, id, job)) = due.get(di).filter(|d| d.0 == lane) {
                 self.deliver(li, id, job, now, arena);
@@ -498,32 +445,31 @@ impl<'a> StreamWorker<'a> {
                 self.deliver(li, id, job, now, arena);
                 popped += 1;
             }
-            if let Some(t0) = t0 {
-                let cell = &mut self.profile_nanos[PHASE_COMPLETE];
-                cell.0 += popped;
-                cell.1 += t0.elapsed().as_nanos() as u64;
-            }
+            self.charge(PHASE_COMPLETE, popped, t0);
         }
         due.clear();
         self.due = due;
+        subs.clear();
+        self.subs = subs;
         if self.executed > executed_before {
             self.last_active = Some(now);
         }
     }
 
-    /// Submits a lane's buffered minute under the coordinator's job-id
-    /// base, then refills the lookahead with the emptied buffer. Each
-    /// record becomes a job here (its spec never existed before) and goes
-    /// through the pool step to the lane's pool, its only candidate.
+    /// Draws a lane's records at `now` and submits them under ids from
+    /// `base` on. Each record becomes a job here (its spec never existed
+    /// before) and goes through the pool step to the lane's pool, its
+    /// only candidate.
     fn submit_minute(&mut self, li: usize, base: u64, now: SimTime, arena: &PoolArena) {
-        let (m, mut records) = self.lanes[li]
-            .ahead
-            .pop_front()
-            .expect("coordinator assigns bases only to reported minutes");
-        debug_assert_eq!(m, now.as_minutes(), "bases name the lane's oldest minute");
-        let t0 = self.profile.then(std::time::Instant::now);
-        let n = records.len() as u64;
-        let pool = self.lanes[li].pool;
+        let t0 = self.profile.then(Instant::now);
+        let mut records = take(&mut self.records);
+        let lane = &mut self.lanes[li];
+        let n = lane.stream.drain_minute(now.as_minutes(), &mut records) as u64;
+        self.next_submit = earliest(self.next_submit, lane.stream.peek_minute());
+        let pool = lane.pool;
+        self.charge(PHASE_GENERATE, n, t0);
+        let t0 = self.profile.then(Instant::now);
+        self.submitted += n;
         for (k, record) in records.drain(..).enumerate() {
             let id = JobId(base + k as u64);
             self.executed += 1;
@@ -549,13 +495,8 @@ impl<'a> StreamWorker<'a> {
                 self.jobs.retire(id, Some(&mut self.totals));
             }
         }
-        if let Some(t0) = t0 {
-            let cell = &mut self.profile_nanos[PHASE_SUBMIT];
-            cell.0 += n;
-            cell.1 += t0.elapsed().as_nanos() as u64;
-        }
-        self.spare.push(records);
-        self.refill(li);
+        self.records = records;
+        self.charge(PHASE_SUBMIT, n, t0);
     }
 
     /// Delivers a popped booking unless it went stale: a same-minute
@@ -601,21 +542,19 @@ impl<'a> StreamWorker<'a> {
         out
     }
 
-    /// Packages the buffered progress since the last report plus the
-    /// changed lanes' lookahead and the queue's earliest booking, which
-    /// the coordinator schedules from.
-    fn report(&mut self, epoch: Option<SimTime>) -> EpochResult {
-        EpochResult {
+    /// Packages the progress since the last report and the worker's next
+    /// active minute, which the coordinator schedules from.
+    fn report(&mut self) -> Report {
+        Report {
             shard: self.shard,
-            epoch,
-            emissions: std::mem::take(&mut self.emissions),
-            completed: std::mem::take(&mut self.completed),
-            unrunnable: std::mem::take(&mut self.unrunnable),
-            executed: std::mem::take(&mut self.executed),
+            emissions: take(&mut self.emissions),
+            submitted: take(&mut self.submitted),
+            completed: take(&mut self.completed),
+            unrunnable: take(&mut self.unrunnable),
+            executed: take(&mut self.executed),
             last_active: self.last_active.take(),
-            lanes: std::mem::take(&mut self.changed),
-            next_local: self.queue.peek_time(),
-            profile: std::mem::take(&mut self.profile_nanos),
+            next: self.next_active(),
+            profile: take(&mut self.profile_nanos),
         }
     }
 }
@@ -682,11 +621,9 @@ pub(crate) fn run_streaming(
         .iter()
         .map(|s| s.pinned_pool().expect("validated pool-major"))
         .collect();
-    // Observer runs retain finished records and replay emissions at the
-    // barrier; benchmark runs drop records at completion, which is what
-    // keeps memory flat. Replay reads pool state at the barrier, so
-    // pipelining (workers mutating pools while the coordinator replays)
-    // is on exactly when no observer is attached.
+    // Observer runs retain finished records and replay emissions at a
+    // barrier after every active minute; benchmark runs drop records at
+    // completion, which is what keeps memory flat.
     let observed = !sim.observers.is_empty();
     sim.start_observers();
     let profile_on = sim.profile.is_some();
@@ -715,257 +652,137 @@ pub(crate) fn run_streaming(
         // them and the spawned workers exit instead of waiting forever.
         // They are bounded, so their buffers are allocated once here
         // rather than block by block as messages flow. A worker holds at
-        // most PIPELINE_DEPTH unfolded dispatches, so neither bound ever
-        // makes a send wait.
-        let (result_tx, result_rx) = mpsc::sync_channel::<EpochResult>(PIPELINE_DEPTH * shards);
+        // most one dispatch and one report, so neither bound ever makes a
+        // send wait.
+        let (report_tx, report_rx) = mpsc::sync_channel::<Report>(shards);
         let mut work_txs = Vec::with_capacity(shards - 1);
         let mut handles = Vec::with_capacity(shards - 1);
         for shard in 1..shards {
-            let (tx, rx) = mpsc::sync_channel::<FlushMsg>(PIPELINE_DEPTH);
+            let (tx, rx) = mpsc::sync_channel::<Dispatch>(1);
             work_txs.push(tx);
-            let results = result_tx.clone();
+            let reports = report_tx.clone();
             handles.push(scope.spawn(move || {
                 let mut worker = build(shard);
-                worker.prime();
-                if results.send(worker.report(None)).is_err() {
-                    return (worker.jobs, worker.totals);
-                }
-                while let Ok(msg) = rx.recv() {
-                    let epoch = msg.epoch;
+                while reports.send(worker.report()).is_ok() {
+                    let Ok(msg) = rx.recv() else { break };
                     worker.run_dispatch(msg);
-                    if results.send(worker.report(Some(epoch))).is_err() {
-                        break;
-                    }
                 }
                 (worker.jobs, worker.totals)
             }));
         }
-        drop(result_tx);
+        drop(report_tx);
         // Shard 0 runs inline: this thread executes its part of every
         // dispatch between sending the others theirs and the barrier.
         let mut worker0 = build(0);
-        worker0.prime();
 
-        // Scheduling state: per-pool pending minutes (each ≤ LOOKAHEAD
-        // deep) and dryness, replaced for the lanes a report names; per
-        // shard the earliest local booking. Reported minutes and bookings
-        // below the frontier (the exclusive bound of the last dispatch)
-        // are already covered by a dispatch in flight and are dropped, so
-        // a pre-dispatched minute cannot re-trigger itself.
-        let mut pend: Vec<VecDeque<(SimTime, u32)>> = vec![VecDeque::new(); pool_count];
-        let mut exhausted = vec![false; pool_count];
-        let mut next_local: Vec<Option<SimTime>> = vec![None; shards];
-        let mut frontier = SimTime::ZERO;
-        let mut inflight: VecDeque<(SimTime, Bases)> = VecDeque::new();
-        // Buffers of folded epochs, emptied and ready for reuse: bases
-        // (unshared again) and the report buffers that go back to the
-        // workers with the next dispatches.
-        let mut spare_bases: Vec<Bases> = Vec::new();
-        let mut spare_lanes: Vec<Vec<LaneAhead>> = Vec::new();
+        // Per shard, its next active minute, from its latest report.
+        let mut next: Vec<Option<SimTime>> = vec![None; shards];
+        // Emission buffers of folded reports, emptied and ready to go back
+        // to the workers with the next dispatch.
         let mut spare_emissions: Vec<Vec<(u32, ObsEvent)>> = Vec::new();
         // Observer runs: one barrier's emission runs and their merge.
-        let mut emission_runs: Vec<Vec<(u32, ObsEvent)>> = Vec::new();
+        let mut emission_runs: Vec<Vec<(u32, ObsEvent)>> = Vec::with_capacity(shards);
         let mut merged: Vec<(u32, ObsEvent)> = Vec::new();
-        let mut stash: Vec<EpochResult> = Vec::new();
-        let mut results: Vec<EpochResult> = Vec::with_capacity(shards);
-        let mut next_job_id: u64 = 0;
+        let mut reports: Vec<Report> = Vec::with_capacity(shards);
+        let mut jobs: u64 = 0;
         let mut events: u64 = 0;
         let mut end_time = SimTime::ZERO;
+        // The first active minute of the dispatch being folded; `None` at
+        // the first barrier, which folds the reports the workers send
+        // once built.
+        let mut dispatched: Option<SimTime> = None;
+        reports.push(worker0.report());
 
-        macro_rules! apply_report {
-            ($r:expr) => {{
-                let mut r: EpochResult = $r;
+        loop {
+            // Barrier: every worker has reported.
+            while reports.len() < shards {
+                reports.push(report_rx.recv().expect("worker panicked"));
+            }
+            let t0 = (profile_on && dispatched.is_some()).then(Instant::now);
+            reports.sort_by_key(|r| r.shard);
+            for r in reports.drain(..) {
                 sim.counters.completed += r.completed;
                 sim.counters.unrunnable += r.unrunnable;
-                for lane in &r.lanes {
-                    let p = lane.pool as usize;
-                    pend[p].clear();
-                    pend[p].extend(
-                        lane.minutes
-                            .iter()
-                            .flatten()
-                            .filter(|&&(m, _)| m >= frontier),
-                    );
-                    exhausted[p] = lane.exhausted;
-                }
-                r.lanes.clear();
-                spare_lanes.push(take(&mut r.lanes));
-                next_local[r.shard] = r.next_local.filter(|&m| m >= frontier);
+                jobs += r.submitted;
+                events += r.executed;
+                next[r.shard] = r.next;
                 end_time = end_time.max(r.last_active.unwrap_or(SimTime::ZERO));
                 if let Some(profile) = sim.profile.as_mut() {
                     for (phase, &(items, nanos)) in r.profile.iter().enumerate() {
                         profile.record_shard(r.shard, phase, nanos, items);
                     }
                 }
-                r
-            }};
-        }
-
-        macro_rules! dispatch {
-            ($e:expr) => {{
-                let e: SimTime = $e;
-                let mut shared = spare_bases.pop().unwrap_or_default();
-                let bases = Arc::get_mut(&mut shared).expect("a folded epoch's bases are unshared");
-                bases.clear();
-                // Run ahead to the next barrier duty: the earliest next
-                // submission, a pool whose next minute is unreported, or
-                // the next sample tick. Observer runs stop every minute.
-                let mut bound = if observed {
-                    e + SimDuration::MINUTE
-                } else {
-                    sim.peek_sample_tick().unwrap_or(SimTime::MAX)
+                emission_runs.push(r.emissions);
+            }
+            if let Some(e) = dispatched.filter(|_| observed) {
+                merge_sorted_runs(&mut emission_runs, |run| run.0, &mut merged);
+                let ctx = ObsCtx {
+                    pools: &sim.pools,
+                    jobs: sim.jobs.observed(),
+                    shadows: &sim.shadows,
                 };
-                for (p, q) in pend.iter_mut().enumerate() {
-                    if q.front().map(|&(m, _)| m) == Some(e) {
-                        let (_, n) = q.pop_front().expect("front checked");
-                        bases.push((p as u16, next_job_id));
-                        next_job_id += u64::from(n);
+                for obs in &mut sim.observers {
+                    for (_, event) in &merged {
+                        obs.on_replayed_event(e, event, &ctx);
                     }
-                    match q.front() {
-                        Some(&(m, _)) => bound = bound.min(m),
-                        None if !exhausted[p] => bound = bound.min(e + SimDuration::MINUTE),
-                        None => {}
-                    }
+                    obs.on_settle(e, &ctx);
                 }
-                debug_assert!(bound > e, "a dispatch covers its own minute");
-                frontier = bound;
-                let arena = PoolArena::of(&mut sim);
-                let mut order = || FlushMsg {
-                    epoch: e,
-                    bound,
-                    bases: Arc::clone(&shared),
-                    arena,
-                    lanes: spare_lanes.pop().unwrap_or_default(),
-                    emissions: spare_emissions.pop().unwrap_or_default(),
-                };
-                for tx in &work_txs {
-                    tx.send(order())
-                        .expect("worker alive while coordinator runs");
-                }
-                // Shard 0's report waits in the stash for the barrier fold,
-                // like a spawned worker's report that arrived early.
-                worker0.run_dispatch(order());
-                stash.push(worker0.report(Some(e)));
-                inflight.push_back((e, shared));
-                // Bookings below the bound are now the workers' problem;
-                // a next_local entry there must not re-trigger dispatch.
-                for nl in next_local.iter_mut() {
-                    if nl.is_some_and(|m| m < frontier) {
-                        *nl = None;
-                    }
-                }
-            }};
-        }
-
-        apply_report!(worker0.report(None));
-        for _ in 1..shards {
-            let r = result_rx.recv().expect("worker panicked while priming");
-            debug_assert!(r.epoch.is_none(), "first report is the priming one");
-            apply_report!(r);
-        }
-
-        loop {
-            let next_known: Option<SimTime> = pend
-                .iter()
-                .filter_map(|d| d.front().map(|&(m, _)| m))
-                .chain(next_local.iter().flatten().copied())
-                .min();
-            let next_sample = sim.peek_sample_tick();
-            if inflight.is_empty() {
-                let Some(e) = next_known else {
-                    // Drained. Mirror the serial run's trailing tick: the
-                    // first tick at which the sampler observes completion.
-                    if let Some(t) = next_sample {
-                        sim.record_sample(t);
-                        sim.consume_sample_tick();
-                        events += 1;
-                        end_time = end_time.max(t);
-                    }
-                    break;
-                };
-                if let Some(s) = next_sample {
-                    if s <= e {
-                        // Quiescent barrier: safe to read pool state.
-                        sim.record_sample(s);
-                        sim.consume_sample_tick();
-                        events += 1;
-                        end_time = end_time.max(s);
-                        continue;
-                    }
-                }
-                dispatch!(e);
-            } else {
-                // The frontier is the next minute whatever the pending
-                // reports say once something is known to happen there.
-                let may_pipeline = !observed
-                    && inflight.len() < PIPELINE_DEPTH
-                    && next_known == Some(frontier)
-                    && next_sample.is_none_or(|s| s > frontier);
-                if may_pipeline {
-                    dispatch!(frontier);
-                    continue;
-                }
-                // Barrier: fold in the oldest in-flight dispatch.
-                let (e, shared) = inflight.pop_front().expect("nonempty checked");
-                let mut i = 0;
-                while i < stash.len() {
-                    if stash[i].epoch == Some(e) {
-                        results.push(stash.swap_remove(i));
-                    } else {
-                        i += 1;
-                    }
-                }
-                while results.len() < shards {
-                    let r = result_rx.recv().expect("worker panicked during epoch");
-                    if r.epoch == Some(e) {
-                        results.push(r);
-                    } else {
-                        stash.push(r);
-                    }
-                }
-                // Every worker dropped its handle before reporting.
-                spare_bases.push(shared);
-                let t0 = profile_on.then(std::time::Instant::now);
-                results.sort_by_key(|r| r.shard);
-                let mut executed = 0u64;
-                for r in results.drain(..) {
-                    let r = apply_report!(r);
-                    executed += r.executed;
-                    if observed {
-                        emission_runs.push(r.emissions);
-                    }
-                }
-                events += executed;
-                if observed {
-                    debug_assert!(inflight.is_empty(), "replay requires quiescent workers");
-                    merge_sorted_runs(&mut emission_runs, |run| run.0, &mut merged);
-                    spare_emissions.append(&mut emission_runs);
-                    let ctx = ObsCtx {
-                        pools: &sim.pools,
-                        jobs: sim.jobs.observed(),
-                        shadows: &sim.shadows,
-                    };
-                    for obs in &mut sim.observers {
-                        for (_, event) in &merged {
-                            obs.on_replayed_event(e, event, &ctx);
-                        }
-                        obs.on_settle(e, &ctx);
-                    }
-                    merged.clear();
-                }
-                if let Some(t0) = t0 {
-                    let nanos = t0.elapsed().as_nanos() as u64;
-                    if let Some(profile) = sim.profile.as_mut() {
-                        profile.record_coord_phase(COORD_MERGE, nanos, 1);
-                    }
+                merged.clear();
+            }
+            spare_emissions.append(&mut emission_runs);
+            if let Some(t0) = t0 {
+                let nanos = t0.elapsed().as_nanos() as u64;
+                if let Some(profile) = sim.profile.as_mut() {
+                    profile.record_coord_phase(COORD_MERGE, nanos, 1);
                 }
             }
+
+            // Quiescent pools: record the sample ticks up to the next
+            // active minute. Once the run is drained, record the first
+            // tick left, as the serial run's trailing tick observes the
+            // drained state.
+            let next_active = next.iter().flatten().min().copied();
+            while let Some(s) = sim
+                .peek_sample_tick()
+                .filter(|&s| next_active.is_none_or(|e| s <= e))
+            {
+                sim.record_sample(s);
+                sim.consume_sample_tick();
+                events += 1;
+                end_time = end_time.max(s);
+                if next_active.is_none() {
+                    break;
+                }
+            }
+            let Some(e) = next_active else {
+                break;
+            };
+            // Run up to the next barrier duty.
+            let bound = if observed {
+                e + SimDuration::MINUTE
+            } else {
+                sim.peek_sample_tick().unwrap_or(SimTime::MAX)
+            };
+            debug_assert!(bound > e, "a dispatch covers its first minute");
+            let arena = PoolArena::of(&mut sim);
+            let mut order = || Dispatch {
+                bound,
+                arena,
+                emissions: spare_emissions.pop().unwrap_or_default(),
+            };
+            for tx in &work_txs {
+                tx.send(order())
+                    .expect("worker alive while coordinator runs");
+            }
+            worker0.run_dispatch(order());
+            reports.push(worker0.report());
+            dispatched = Some(e);
         }
 
         drop(work_txs);
         assert_eq!(
             sim.counters.completed + sim.counters.unrunnable,
-            next_job_id,
+            jobs,
             "a drained run leaves no in-flight jobs"
         );
         // What the workers' tables still hold: nothing when unobserved,
@@ -980,7 +797,7 @@ pub(crate) fn run_streaming(
         if observed {
             assert_eq!(
                 kept.len() as u64,
-                next_job_id,
+                jobs,
                 "observer runs keep every generated job"
             );
             kept.sort_by_key(JobRecord::id);
@@ -988,7 +805,80 @@ pub(crate) fn run_streaming(
         } else {
             assert!(kept.is_empty(), "a drained run leaves no in-flight jobs");
         }
-        sim.total_jobs = next_job_id;
+        sim.total_jobs = jobs;
         sim.finish_run(end_time, events)
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use std::any::Any;
+    use std::collections::BTreeSet;
+
+    use netbatch_workload::scenarios::PerPoolParams;
+
+    use super::*;
+    use crate::observer::SimObserver;
+    use crate::policy::{InitialKind, StrategyKind};
+    use crate::simulator::{Backend, SimConfig};
+
+    /// The minutes at which events happened.
+    #[derive(Debug, Default)]
+    struct ActiveMinutes(BTreeSet<u64>);
+
+    impl SimObserver for ActiveMinutes {
+        fn on_event(&mut self, now: SimTime, _event: &ObsEvent, _ctx: &ObsCtx<'_>) {
+            self.0.insert(now.as_minutes());
+        }
+
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+    }
+
+    /// A profiled run of the conformance suite's 8-pool workload, sampled
+    /// every `sample` minutes if given, with [`ActiveMinutes`] attached if
+    /// `observed`. Returns the run and its coordinator folds.
+    fn run(shards: usize, sample: Option<u64>, observed: bool) -> (SimOutput, u64) {
+        let p = PerPoolParams::new(8, 0.3, 2_000).with_high_bursts();
+        let mut config = SimConfig::new(InitialKind::RoundRobin, StrategyKind::NoRes);
+        config.backend = Backend::Sharded { shards };
+        config.profile = true;
+        config.sample_interval = sample.map(SimDuration::from_minutes);
+        let mut sim = Simulator::new(&p.build_site(), Vec::new(), config);
+        if observed {
+            sim.attach_observer(Box::new(ActiveMinutes::default()));
+        }
+        let out = sim.run_streaming(&p.build_workload(), p.seed);
+        let folds = out.profile.as_ref().expect("profiled").merges();
+        (out, folds)
+    }
+
+    /// Barriers follow the model's duties, not the workload's minutes:
+    /// an unsampled, unobserved run folds once, at the end; a sampled one
+    /// once per sample interval holding an active minute (each dispatch
+    /// runs from its first active minute to the next tick, so its fold is
+    /// that tick's, and the last one is the final fold); an observed one
+    /// once per active minute.
+    #[test]
+    fn barriers_follow_the_duties() {
+        for shards in [1, 2, 3] {
+            let (out, observed_folds) = run(shards, None, true);
+            let active = &out.observer::<ActiveMinutes>().expect("attached").0;
+            assert!(active.len() > 500, "the workload is active most minutes");
+            assert_eq!(
+                observed_folds,
+                active.len() as u64,
+                "shards={shards}: observed"
+            );
+            assert_eq!(run(shards, None, false).1, 1, "shards={shards}: unsampled");
+            let intervals: BTreeSet<u64> = active.iter().map(|m| m / 10).collect();
+            assert!(intervals.len() < active.len());
+            assert_eq!(
+                run(shards, Some(10), false).1,
+                intervals.len() as u64,
+                "shards={shards}: sampled"
+            );
+        }
+    }
 }

@@ -46,5 +46,5 @@ pub mod trace;
 
 pub use generator::{JobClass, Stream, WorkloadSpec};
 pub use scenarios::{ScenarioParams, SiteSpec};
-pub use stream::TraceStream;
+pub use stream::{IdClock, TraceStream};
 pub use trace::{Trace, TraceRecord};

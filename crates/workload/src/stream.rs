@@ -8,7 +8,13 @@
 //! Streaming is what lets year-scale runs keep memory flat and what lets
 //! the streaming kernel move generation out of the coordinator's serial
 //! section: each shard builds a [`TraceStream`] filtered to its own pools'
-//! streams and pulls arrivals epoch by epoch.
+//! streams and pulls arrivals minute by minute.
+//!
+//! [`IdClock`] is the generator's id authority for such a shard: it walks
+//! every stream's arrival substream, drawing no job attributes, and tells
+//! the shard which dense trace id each stream's first record at a minute
+//! gets in the full trace. A shard thus numbers its own records exactly as
+//! [`WorkloadSpec::generate`] does without seeing the other shards'.
 
 use netbatch_cluster::job::PoolAffinity;
 use netbatch_sim_engine::rng::DetRng;
@@ -62,6 +68,17 @@ impl WorkloadSpec {
     }
 }
 
+/// Stream `i`'s arrival minutes, one per record, non-decreasing: the
+/// substream both [`TraceStream`] and [`IdClock`] walk.
+fn arrival_cursor(
+    spec: &WorkloadSpec,
+    root: &DetRng,
+    i: usize,
+) -> Box<dyn Iterator<Item = u64> + Send> {
+    let rng = root.stream_indexed("arrivals", i as u64);
+    spec.streams[i].arrivals.cursor(rng, spec.start, spec.end)
+}
+
 /// One stream's lazy generation state.
 struct Lane {
     /// Index of this stream in the spec (the RNG substream index).
@@ -102,15 +119,11 @@ impl<'a> TraceStream<'a> {
         mut keep: impl FnMut(usize) -> bool,
     ) -> Self {
         let root = DetRng::from_seed_u64(seed);
-        let lanes = spec
-            .streams
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| keep(*i))
-            .map(|(i, stream)| {
-                let arr_rng = root.stream_indexed("arrivals", i as u64);
+        let lanes = (0..spec.streams.len())
+            .filter(|&i| keep(i))
+            .map(|i| {
                 let job_rng = root.stream_indexed("jobs", i as u64);
-                let mut cursor = stream.arrivals.cursor(arr_rng, spec.start, spec.end);
+                let mut cursor = arrival_cursor(spec, &root, i);
                 let pending = cursor.next();
                 Lane {
                     stream_idx: i,
@@ -143,6 +156,75 @@ impl<'a> TraceStream<'a> {
     }
 }
 
+/// Dense trace ids without records: one arrival cursor per stream of
+/// the workload, walked in step with the minutes a caller asks about.
+///
+/// A record's id is its position in canonical order, so the first record
+/// of stream `i` at minute `m` gets the count of records before `m` plus
+/// the count at `m` on streams below `i`. Counting needs only arrival
+/// minutes, which come from their own RNG substream, so the clock draws
+/// no job attribute and costs one cursor step per record of the workload.
+pub struct IdClock {
+    /// Per stream: its arrival cursor and next uncounted minute.
+    cursors: Vec<(Box<dyn Iterator<Item = u64> + Send>, Option<u64>)>,
+    /// Per stream: the id of its first record at the last sought minute.
+    first_ids: Vec<u64>,
+    /// Records at minutes up to and including the last sought one.
+    issued: u64,
+    /// The last sought minute.
+    at: Option<u64>,
+}
+
+impl IdClock {
+    /// A clock before the workload's first minute.
+    pub fn new(spec: &WorkloadSpec, seed: u64) -> Self {
+        let root = DetRng::from_seed_u64(seed);
+        let cursors = (0..spec.streams.len())
+            .map(|i| {
+                let mut cursor = arrival_cursor(spec, &root, i);
+                let pending = cursor.next();
+                (cursor, pending)
+            })
+            .collect();
+        IdClock {
+            cursors,
+            first_ids: vec![0; spec.streams.len()],
+            issued: 0,
+            at: None,
+        }
+    }
+
+    /// Moves the clock to `minute` and returns, per stream, the id its
+    /// first record at `minute` gets in the full trace (for a stream with
+    /// no record there, the id the next stream's first record gets).
+    /// Minutes must increase from call to call; any may be skipped.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `minute` does not lie past the last sought minute.
+    pub fn seek(&mut self, minute: u64) -> &[u64] {
+        assert!(
+            self.at.is_none_or(|at| at < minute),
+            "the id clock only moves forward"
+        );
+        self.at = Some(minute);
+        for (cursor, pending) in &mut self.cursors {
+            while pending.is_some_and(|m| m < minute) {
+                self.issued += 1;
+                *pending = cursor.next();
+            }
+        }
+        for ((cursor, pending), first) in self.cursors.iter_mut().zip(&mut self.first_ids) {
+            *first = self.issued;
+            while *pending == Some(minute) {
+                self.issued += 1;
+                *pending = cursor.next();
+            }
+        }
+        &self.first_ids
+    }
+}
+
 impl Iterator for TraceStream<'_> {
     type Item = (usize, TraceRecord);
 
@@ -167,7 +249,8 @@ impl Iterator for TraceStream<'_> {
 mod tests {
     use super::*;
     use crate::distributions::Constant;
-    use crate::generator::{BurstArrivals, JobClass, PoissonArrivals};
+    use crate::generator::{ArrivalProcess, BurstArrivals, JobClass, PoissonArrivals};
+    use proptest::prelude::*;
 
     fn pinned_spec() -> WorkloadSpec {
         let mut spec = WorkloadSpec::new(0, 30_000);
@@ -227,6 +310,86 @@ mod tests {
             total += stream2.drain_minute(m, &mut recs);
         }
         assert_eq!(total, flat);
+    }
+
+    /// A pool-major spec over `[start, start + len)`: per pool, its
+    /// streams as `(bursty, rate in tenths of a job per minute)`, so
+    /// pools without streams, minutes without arrivals and minutes with
+    /// several all occur.
+    fn spec_of(start: u64, len: u64, pools: &[Vec<(bool, u8)>]) -> WorkloadSpec {
+        let mut spec = WorkloadSpec::new(start, start + len);
+        for (pool, streams) in pools.iter().enumerate() {
+            for (k, &(bursty, tenths)) in streams.iter().enumerate() {
+                let rate = f64::from(tenths) / 10.0;
+                let arrivals: Box<dyn ArrivalProcess + Send + Sync> = if bursty {
+                    Box::new(BurstArrivals::new(rate / 10.0, rate, 40.0, 15.0))
+                } else {
+                    Box::new(PoissonArrivals::new(rate))
+                };
+                let class = JobClass::new(format!("p{pool}s{k}"), 0, Box::new(Constant(5.0)))
+                    .with_affinity(PoolAffinity::from_ids(&[pool as u16]));
+                spec = spec.stream(Stream::new(class, arrivals));
+            }
+        }
+        spec
+    }
+
+    proptest! {
+        /// Every shard's clock, sought only at its own pools' submission
+        /// minutes, gives each of its pools the id that pool's first
+        /// record at the minute has in the materialized trace, at 1–5
+        /// shards (pool `p` on shard `p % shards`).
+        #[test]
+        fn prop_id_clock_matches_materialized_ids(
+            start in 0u64..100,
+            len in 1u64..400,
+            pools in prop::collection::vec(
+                prop::collection::vec((prop::bool::ANY, 1u8..25), 0..3),
+                1..7,
+            ),
+            seed in any::<u64>(),
+        ) {
+            let spec = spec_of(start, len, &pools);
+            let trace = spec.generate(seed);
+            // (minute, pool) -> (first id, records), from the trace itself.
+            let pinned: Vec<u16> = spec.streams.iter().map(|s| s.pinned_pool().unwrap()).collect();
+            let mut firsts: std::collections::BTreeMap<(u64, u16), (u64, u64)> = Default::default();
+            for (id, (stream, record)) in TraceStream::new(&spec, seed).enumerate() {
+                prop_assert_eq!(&trace.records()[id], &record);
+                let cell = firsts.entry((record.submit_minute, pinned[stream])).or_insert((id as u64, 0));
+                prop_assert_eq!(cell.0 + cell.1, id as u64, "a pool's records at a minute are contiguous");
+                cell.1 += 1;
+            }
+            let first_stream = |pool: u16| pinned.iter().position(|&p| p == pool).unwrap();
+            for shards in 1..=5u16 {
+                for shard in 0..shards {
+                    let mut clock = IdClock::new(&spec, seed);
+                    let (mut last, mut ids) = (None, Vec::new());
+                    for (&(minute, pool), &(id, _)) in &firsts {
+                        if pool % shards != shard {
+                            continue;
+                        }
+                        if last != Some(minute) {
+                            last = Some(minute);
+                            ids = clock.seek(minute).to_vec();
+                        }
+                        prop_assert_eq!(
+                            ids[first_stream(pool)], id,
+                            "shards={} pool={} minute={}", shards, pool, minute
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "the id clock only moves forward")]
+    fn id_clock_rejects_a_minute_already_passed() {
+        let spec = pinned_spec();
+        let mut clock = IdClock::new(&spec, 1);
+        clock.seek(5);
+        clock.seek(5);
     }
 
     #[test]

@@ -28,11 +28,13 @@ cargo test --workspace -q
 # Deeper differential pass over the kernel's oracles: the timer wheel vs
 # the reference heap, the executor's arrival merge vs seeding arrivals
 # into the heap, the pools' lane wait queue and its per-core sublists
-# (take_fitting) vs an ordered map, and the failed-preemption memo vs a
-# full scan — 16x the default 64 proptest cases, about a second in
-# release.
-echo "==> differential proptests, 1024 cases (engine, cluster)"
-PROPTEST_CASES=1024 cargo test --release -q -p netbatch-sim-engine -p netbatch-cluster
+# (take_fitting) vs an ordered map, the failed-preemption memo vs a
+# full scan, and the streaming workers' id clock vs the materialized
+# trace's ids at 1-5 shards — 16x the default 64 proptest cases, about
+# two seconds in release.
+echo "==> differential proptests, 1024 cases (engine, cluster, workload)"
+PROPTEST_CASES=1024 cargo test --release -q -p netbatch-sim-engine -p netbatch-cluster \
+  -p netbatch-workload
 
 # Proptest persistence discipline: a shrunk failure worth keeping gets
 # promoted to an explicit named regression test (see
@@ -175,10 +177,10 @@ cargo test --release -q --test provenance
 
 # Streaming pipeline smoke: a year-window run through the CLI front end
 # on 2 shards (shard 0 runs on the coordinator thread, shard 1 on a
-# worker thread). The workload is generated shard-locally epoch by
-# epoch (never materialized), so this exercises the full pipeline —
-# per-shard generation, coordinator merge, kernel profiler lanes — at
-# the paper's full trace span in under a second. The greps pin the
+# worker thread). The workload is generated and numbered shard-locally
+# minute by minute (never materialized), so this exercises the full
+# pipeline — per-shard generation, coordinator merge, kernel profiler
+# lanes — at the paper's full trace span in under a second. The greps pin the
 # profiler's lane split: coordinator merge vs per-shard generate.
 echo "==> streaming pipeline smoke (year window, 2 shards)"
 cargo run --release --bin netbatch -- simulate \

@@ -88,8 +88,8 @@ shard count. Materialized runs always use the serial executor and
 reject `--shards`.
 `--stream-workload` runs the streaming pipeline instead of a
 materialized trace: a pool-major workload (`--pools N` pools, default
-20, arrival rates scaled by `--scale`) is generated shard-locally epoch
-by epoch over `--horizon` (week, year, or minutes; default week), so
+20, arrival rates scaled by `--scale`) is generated shard-locally minute
+by minute over `--horizon` (week, year, or minutes; default week), so
 peak memory tracks in-flight jobs rather than total jobs — year-scale
 runs fit in tens of MiB. Streaming supports only `--strategy NoRes`
 with the round-robin initial scheduler and none of the fault, lifecycle,
@@ -706,7 +706,7 @@ fn run(cmd: Command) -> Result<(), String> {
             }
             let mut config = SimConfig::new(initial, strategy);
             // The workload: a pool-major spec the streaming kernel generates
-            // shard-locally epoch by epoch (never materialized, so peak
+            // shard-locally minute by minute (never materialized, so peak
             // memory tracks in-flight jobs), or a materialized trace.
             let (site, specs, streamed, span, label) = if stream_workload {
                 let pools = pools.unwrap_or(20);

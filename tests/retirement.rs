@@ -66,7 +66,9 @@ fn variants(strategy: StrategyKind, pools: u16) -> Vec<(&'static str, SimConfig)
     };
     let topology = SimConfig {
         topology: Some(
-            VpmTopology::contiguous(pools, 2).with_inter_site(SimDuration::from_minutes(20)),
+            VpmTopology::contiguous(pools, 2)
+                .expect("a site of at least two pools")
+                .with_inter_site(SimDuration::from_minutes(20)),
         ),
         ..plain.clone()
     };

@@ -12,11 +12,10 @@
 //!   which no per-job record or counter can see), and an unobserved
 //!   streaming run, which keeps no records, reports the serial run's
 //!   Table metrics from its folded totals;
-//! * **run-ahead** and epoch **pipelining** are unobservable: an
-//!   observer-less run (whose workers drain completion minutes between
-//!   barrier duties, with two dispatches in flight) matches the same run
-//!   with a recorder attached (one barrier per active minute, no
-//!   pipelining) and the 1-shard run;
+//! * **barrier cadence** is unobservable: an observer-less run (whose
+//!   workers number their own jobs and stop only at sample ticks and at
+//!   the end) matches the same run with a recorder attached (one barrier
+//!   per active minute) and the 1-shard run;
 //! * every job of a class shares the class's pool set, from generated
 //!   record through spec to job record, on both kernels;
 //! * a booking due in the minute a submission preempts its job is skipped,
@@ -239,16 +238,15 @@ fn every_job_shares_its_class_affinity_set() {
     }
 }
 
-/// Observer-less runs take the run-ahead, pipelined path: workers drain
-/// their completion minutes between barrier duties (submission minutes,
-/// sample ticks) without a round trip, and the coordinator keeps up to two
-/// dispatches in flight; unsampled, that is the path perfbench measures.
-/// Attaching a recorder forces a barrier every active minute and turns
-/// pipelining off, so equal counters (events included), end time, pool
-/// stats and series prove both unobservable. Every cell also equals the
-/// 1-shard barriered run, job records included.
+/// Observer-less runs stop only at their barrier duties: workers number
+/// their own jobs and run every minute between two sample ticks (or, if
+/// unsampled, the whole run, the path perfbench measures) without a round
+/// trip. Attaching a recorder forces a barrier every active minute, so
+/// equal counters (events included), end time, pool stats and series
+/// prove the cadence unobservable. Every cell also equals the 1-shard
+/// barriered run, job records included.
 #[test]
-fn run_ahead_matches_per_minute_barriers() {
+fn duty_barriers_match_per_minute_barriers() {
     let p = params();
     let site = p.build_site();
     let workload = p.build_workload();
@@ -434,11 +432,11 @@ fn a_completion_due_at_a_preempting_submission_is_skipped() {
             let fast = Simulator::new(&site, Vec::new(), cfg).run_streaming(&workload, seed);
             assert_eq!(
                 materialized.counters, fast.counters,
-                "{label}: run-ahead counters"
+                "{label}: unobserved counters"
             );
             assert_eq!(
                 materialized.end_time, fast.end_time,
-                "{label}: run-ahead end time"
+                "{label}: unobserved end time"
             );
         }
     }
