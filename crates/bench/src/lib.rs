@@ -33,6 +33,7 @@
 //! `--scale` scales site capacity and arrival rates together (default
 //! 0.1; 1.0 = the paper's full 248k-job week).
 
+mod grid;
 pub mod paper;
 pub mod presets;
 pub mod runner;

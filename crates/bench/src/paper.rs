@@ -3,8 +3,9 @@
 //! Computing Platform"*, Middleware 2010 — Tables 1–5, Figure 2's summary
 //! statistics and Figure 3's waste decomposition.
 //!
-//! Every harness binary prints its measured rows side by side with these,
-//! so paper-vs-measured comparisons never require opening the PDF.
+//! `repro` prints its measured rows side by side with these, and its shape
+//! checks quote their paper figures from here, so paper-vs-measured
+//! comparisons never require opening the PDF.
 
 use netbatch_core::policy::StrategyKind;
 

@@ -2,12 +2,13 @@
 //! ablation sweep and for the calibration run.
 //!
 //! Every preset builds its scenarios from [`Ctx::scale`], runs its cells
-//! through [`run_configs`] (or [`run_cells`] where a cell needs more than
-//! an [`ExperimentResult`]) and prints its rows. Configs come from
-//! [`Ctx::config`], so `--check-invariants` reaches every cell of every
-//! preset. [`all`] is the full reproduction: the table and figure
-//! sections in sequence, then the shape checks — the paper's qualitative
-//! claims — which it returns for the caller to gate on.
+//! as a grid (`grid.rs`) or through [`run_configs`] (or [`run_cells`]
+//! where a cell needs more than an [`ExperimentResult`]) and prints its
+//! rows. Configs come from [`Ctx::config`], so `--check-invariants`
+//! reaches every cell of every preset. [`all`] is the full reproduction:
+//! one grid of every distinct table and figure cell, the sections read
+//! from it, then the shape checks (`paper_claims`), which it returns for
+//! the caller to gate on.
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -24,16 +25,17 @@ use netbatch_metrics::table::Table;
 use netbatch_sim_engine::rng::DetRng;
 use netbatch_sim_engine::time::{SimDuration, SimTime};
 use netbatch_workload::analysis::TraceAnalysis;
-use netbatch_workload::scenarios::{ScenarioParams, SiteSpec};
-use netbatch_workload::trace::Trace;
+use netbatch_workload::scenarios::YEAR_MINUTES;
 
+pub use crate::grid::ShapeCheck;
+use crate::grid::{Cell, Claim, Grid, Metric, Relation, Scenario, Than, Value};
 use crate::paper::{
-    figure2, figure3, figure4, high_suspension, PaperRow, TABLE_1, TABLE_2, TABLE_3, TABLE_4,
-    TABLE_5,
+    claims, figure2, figure3, figure4, high_suspension, PaperRow, TABLE_1, TABLE_2, TABLE_3,
+    TABLE_4, TABLE_5,
 };
 use crate::runner::{
-    build_scenario, markdown_comparison, print_comparison, print_reductions, reduction, run_cells,
-    run_configs, Load, DEFAULT_SCALE,
+    markdown_comparison, print_comparison, print_reductions, reduction, run_cells, run_configs,
+    DEFAULT_SCALE,
 };
 
 /// What every preset reads: the `repro` command line, plus where file
@@ -72,35 +74,18 @@ impl Ctx {
         config
     }
 
-    /// Runs default cells, one per strategy, over one scenario.
+    /// Runs default cells, one per strategy, with the round-robin initial
+    /// scheduler on one scenario.
     fn run_strategies(
         &self,
-        site: &SiteSpec,
-        trace: &Trace,
-        initial: InitialKind,
+        scenario: Scenario,
         strategies: &[StrategyKind],
     ) -> Vec<ExperimentResult> {
-        let configs: Vec<SimConfig> = strategies
+        let cells = strategies
             .iter()
-            .map(|&strategy| self.config(initial, strategy))
-            .collect();
-        run_configs(site, trace, &configs)
+            .map(|&s| Cell(scenario, InitialKind::RoundRobin, s));
+        Grid::run(self, cells.clone()).results(cells)
     }
-}
-
-/// One of the paper's qualitative claims, judged on a run.
-#[derive(Debug)]
-pub struct ShapeCheck {
-    /// The claim.
-    pub name: &'static str,
-    /// Whether the run reproduced it.
-    pub pass: bool,
-    /// The measured numbers behind the verdict.
-    pub detail: String,
-}
-
-fn check(name: &'static str, pass: bool, detail: String) -> ShapeCheck {
-    ShapeCheck { name, pass, detail }
 }
 
 /// A preset: prints its section and returns the shape checks it judged
@@ -112,12 +97,12 @@ pub type Preset = fn(&Ctx) -> Result<Vec<ShapeCheck>, String>;
 /// them.
 pub const PRESETS: [(&str, Preset); 20] = [
     ("all", all),
-    ("table1", table1),
-    ("table2", table2),
+    ("table1", |ctx| table(ctx, &TABLES[0])),
+    ("table2", |ctx| table(ctx, &TABLES[1])),
     ("table2b", table2b),
-    ("table3", table3),
-    ("table4", table4),
-    ("table5", table5),
+    ("table3", |ctx| table(ctx, &TABLES[2])),
+    ("table4", |ctx| table(ctx, &TABLES[3])),
+    ("table5", |ctx| table(ctx, &TABLES[4])),
     ("fig2", fig2),
     ("fig3", fig3),
     ("fig4", fig4),
@@ -146,61 +131,64 @@ pub fn find(name: &str) -> Option<Preset> {
 struct PaperTable {
     name: &'static str,
     setting: &'static str,
-    load: Load,
+    scenario: Scenario,
     initial: InitialKind,
-    strategies: [StrategyKind; 3],
-    paper: &'static [PaperRow],
+    paper: &'static [PaperRow; 3],
 }
 
+impl PaperTable {
+    /// One cell per strategy the paper's table reports, in its order.
+    fn cells(&self) -> [Cell; 3] {
+        self.paper
+            .map(|row| Cell(self.scenario, self.initial, row.strategy))
+    }
+}
+
+/// The paper's Tables 1-5, which the `table1`..`table5` presets print.
 const TABLES: [PaperTable; 5] = [
     PaperTable {
         name: "Table 1",
         setting: "normal load, round-robin initial",
-        load: Load::Normal,
+        scenario: Scenario::Normal,
         initial: InitialKind::RoundRobin,
-        strategies: StrategyKind::PAPER_SUSPEND_ONLY,
         paper: &TABLE_1,
     },
     PaperTable {
         name: "Table 2",
         setting: "high load, round-robin initial",
-        load: Load::High,
+        scenario: Scenario::High,
         initial: InitialKind::RoundRobin,
-        strategies: StrategyKind::PAPER_SUSPEND_ONLY,
         paper: &TABLE_2,
     },
     PaperTable {
         name: "Table 3",
         setting: "high load, utilization-based initial",
-        load: Load::High,
+        scenario: Scenario::High,
         initial: InitialKind::UtilizationBased,
-        strategies: StrategyKind::PAPER_SUSPEND_ONLY,
         paper: &TABLE_3,
     },
     PaperTable {
         name: "Table 4",
         setting: "wait rescheduling, round-robin initial",
-        load: Load::High,
+        scenario: Scenario::High,
         initial: InitialKind::RoundRobin,
-        strategies: StrategyKind::PAPER_WITH_WAIT,
         paper: &TABLE_4,
     },
     PaperTable {
         name: "Table 5",
         setting: "wait rescheduling, utilization-based initial",
-        load: Load::High,
+        scenario: Scenario::High,
         initial: InitialKind::UtilizationBased,
-        strategies: StrategyKind::PAPER_WITH_WAIT,
         paper: &TABLE_5,
     },
 ];
 
-/// Runs and prints one paper table on the given scenario.
-fn run_table(ctx: &Ctx, t: &PaperTable, site: &SiteSpec, trace: &Trace) -> Vec<ExperimentResult> {
-    let results = ctx.run_strategies(site, trace, t.initial, &t.strategies);
+/// Prints one paper table from its cells in `grid`.
+fn print_table(t: &PaperTable, grid: &Grid) {
+    let results = grid.results(t.cells());
     print_comparison(&format!("{}: {}", t.name, t.setting), &results, t.paper);
     print_reductions(&results);
-    if t.strategies == StrategyKind::PAPER_WITH_WAIT {
+    if t.cells().map(|cell| cell.2) == StrategyKind::PAPER_WITH_WAIT {
         // The §3.3 caveat: the random scheme's simplicity costs restarts.
         for r in &results {
             println!(
@@ -211,67 +199,38 @@ fn run_table(ctx: &Ctx, t: &PaperTable, site: &SiteSpec, trace: &Trace) -> Vec<E
             );
         }
     }
-    results
 }
 
-fn table_markdown(t: &PaperTable, results: &[ExperimentResult]) -> String {
+fn table_markdown(t: &PaperTable, grid: &Grid) -> String {
     format!(
         "\n### {} ({})\n\n{}",
         t.name,
         t.setting,
-        markdown_comparison(results, t.paper)
+        markdown_comparison(&grid.results(t.cells()), t.paper)
     )
 }
 
 fn table(ctx: &Ctx, t: &PaperTable) -> Result<Vec<ShapeCheck>, String> {
-    let (site, trace) = build_scenario(t.load, ctx.scale);
-    let results = run_table(ctx, t, &site, &trace);
+    let grid = Grid::run(ctx, t.cells());
+    print_table(t, &grid);
     if ctx.markdown {
         println!(
             "\n---- markdown for EXPERIMENTS.md ----{}",
-            table_markdown(t, &results)
+            table_markdown(t, &grid)
         );
     }
     Ok(Vec::new())
 }
 
-/// Table 1: the paper's suspend-only strategies under normal load.
-pub fn table1(ctx: &Ctx) -> Result<Vec<ShapeCheck>, String> {
-    table(ctx, &TABLES[0])
+/// The §3.2.1 cells: the suspend-only strategies, round-robin initial,
+/// on the high-suspension week.
+fn high_suspension_cells() -> [Cell; 3] {
+    StrategyKind::PAPER_SUSPEND_ONLY
+        .map(|strategy| Cell(Scenario::HighSuspension, InitialKind::RoundRobin, strategy))
 }
 
-/// Table 2: the same strategies under high load (every machine's cores
-/// halved, trace unchanged).
-pub fn table2(ctx: &Ctx) -> Result<Vec<ShapeCheck>, String> {
-    table(ctx, &TABLES[1])
-}
-
-/// Table 3: suspended-job rescheduling with the utilization-based
-/// initial scheduler under high load.
-pub fn table3(ctx: &Ctx) -> Result<Vec<ShapeCheck>, String> {
-    table(ctx, &TABLES[2])
-}
-
-/// Table 4: combined suspended + waiting rescheduling (30-minute
-/// threshold) with the round-robin initial scheduler under high load.
-pub fn table4(ctx: &Ctx) -> Result<Vec<ShapeCheck>, String> {
-    table(ctx, &TABLES[3])
-}
-
-/// Table 5: combined rescheduling with the utilization-based initial
-/// scheduler under high load.
-pub fn table5(ctx: &Ctx) -> Result<Vec<ShapeCheck>, String> {
-    table(ctx, &TABLES[4])
-}
-
-fn high_suspension_section(ctx: &Ctx) -> Vec<ExperimentResult> {
-    let params = ScenarioParams::high_suspension_week(ctx.scale);
-    let results = ctx.run_strategies(
-        &params.build_site(),
-        &params.generate_trace(),
-        InitialKind::RoundRobin,
-        &StrategyKind::PAPER_SUSPEND_ONLY,
-    );
+fn high_suspension_section(grid: &Grid) {
+    let results = grid.results(high_suspension_cells());
     print_comparison("High-suspension scenario (§3.2.1)", &results, &[]);
     print_reductions(&results);
     println!(
@@ -284,14 +243,13 @@ fn high_suspension_section(ctx: &Ctx) -> Vec<ExperimentResult> {
         reduction(results[0].avg_ct_all, results[1].avg_ct_all) * 100.0,
         reduction(results[0].avg_ct_suspended, results[1].avg_ct_suspended) * 100.0
     );
-    results
 }
 
 /// The §3.2.1 high-suspension scenario: a trace engineered for a much
 /// higher suspend rate (paper: ResSusUtil cuts AvgCT by 7% over all jobs
 /// and 44% over suspended jobs).
 pub fn table2b(ctx: &Ctx) -> Result<Vec<ShapeCheck>, String> {
-    high_suspension_section(ctx);
+    high_suspension_section(&Grid::run(ctx, high_suspension_cells()));
     Ok(Vec::new())
 }
 
@@ -299,33 +257,38 @@ pub fn table2b(ctx: &Ctx) -> Result<Vec<ShapeCheck>, String> {
 // Figures 2-4
 // ---------------------------------------------------------------------
 
-/// The year trace runs at half the table scale.
-const YEAR_SCALE_FACTOR: f64 = 0.5;
+/// The production configuration (NoRes, round-robin initial) over the
+/// year trace, sampled every minute: the run behind Figures 2 and 4.
+const YEAR: Cell = Cell(Scenario::Year, InitialKind::RoundRobin, StrategyKind::NoRes);
 
 /// Figure 4's aggregation interval.
 const BUCKET: SimDuration = SimDuration::from_minutes(100);
 
-/// The production configuration (NoRes, round-robin initial) over the
-/// year trace, sampled every minute. Returns the result and the trace's
-/// submission horizon in minutes.
-fn year_run(ctx: &Ctx) -> (ExperimentResult, u64) {
-    let params = ScenarioParams::year(ctx.scale * YEAR_SCALE_FACTOR);
-    let config = ctx
-        .config(InitialKind::RoundRobin, StrategyKind::NoRes)
-        .with_sampling();
-    let mut results = run_configs(&params.build_site(), &params.generate_trace(), &[config]);
-    (results.remove(0), params.horizon)
+// Figure 2's statistics: median and mean suspension time (minutes) and
+// the fraction of suspended jobs above the paper's tail threshold.
+const MEDIAN_SUSPENSION: Metric = |year| year.suspension_cdf().median().unwrap_or(0.0);
+const MEAN_SUSPENSION: Metric = |year| year.suspension_cdf().mean();
+const SUSPENSION_TAIL: Metric = |year| 1.0 - year.suspension_cdf().at(figure2::TAIL_THRESHOLD_MIN);
+
+/// Utilization samples (%) of the submission year. Figure 4 covers that
+/// year; the post-horizon drain, where heavy-tail jobs finish on an
+/// otherwise empty site, is left out.
+fn year_utilization(year: &ExperimentResult) -> Vec<f64> {
+    year.utilization_series
+        .samples()
+        .iter()
+        .filter(|&&(t, _)| t.as_minutes() < YEAR_MINUTES)
+        .map(|&(_, u)| u)
+        .collect()
 }
 
-/// Figure 2's summary statistics: median and mean suspension time (min)
-/// and the fraction of suspended jobs above the paper's tail threshold.
-struct Fig2Stats {
-    median: f64,
-    mean: f64,
-    tail: f64,
+/// Mean utilization (%) of the submission year, Figure 4.
+fn mean_utilization(year: &ExperimentResult) -> f64 {
+    let in_horizon = year_utilization(year);
+    in_horizon.iter().sum::<f64>() / in_horizon.len().max(1) as f64
 }
 
-fn fig2_section(year: &ExperimentResult) -> Fig2Stats {
+fn fig2_section(year: &ExperimentResult) {
     let cdf = year.suspension_cdf();
     println!("\n== Figure 2: suspension-time distribution (year trace) ==");
     println!("suspension-time CDF (x = minutes, y = % of suspended jobs ≤ x):");
@@ -333,40 +296,35 @@ fn fig2_section(year: &ExperimentResult) -> Fig2Stats {
         let bar = "#".repeat((pct / 2.0).round() as usize);
         println!("{x:>10.0}  {pct:>5.1}%  {bar}");
     }
-    let stats = Fig2Stats {
-        median: cdf.median().unwrap_or(0.0),
-        mean: cdf.mean(),
-        tail: 1.0 - cdf.at(figure2::TAIL_THRESHOLD_MIN),
-    };
     println!("\n                      measured     paper");
     println!(
         "median suspension   {:>9.0}  {:>9.0}",
-        stats.median,
+        MEDIAN_SUSPENSION(year),
         figure2::MEDIAN_MIN
     );
     println!(
         "mean suspension     {:>9.0}  {:>9.0}",
-        stats.mean,
+        MEAN_SUSPENSION(year),
         figure2::MEAN_MIN
     );
     println!(
         "fraction > {:.0} min {:>8.1}%  {:>8.1}%",
         figure2::TAIL_THRESHOLD_MIN,
-        stats.tail * 100.0,
+        SUSPENSION_TAIL(year) * 100.0,
         figure2::FRACTION_ABOVE_1100 * 100.0
     );
     println!("suspended jobs: {}", cdf.len());
-    stats
 }
 
-fn fig3_section(results: &[ExperimentResult]) {
+fn fig3_section(grid: &Grid) {
     println!("\n== Figure 3: wasted completion time breakdown (normal load) ==");
     println!("average wasted completion time per job (minutes):");
     println!(
         "{:<14} {:>8} {:>9} {:>9} {:>8}   stacked bar (1 char = 2 min)",
         "strategy", "wait", "suspend", "resched", "total"
     );
-    for r in results {
+    for cell in TABLES[0].cells() {
+        let r = &grid[cell];
         let (w, s, x) = (
             r.waste.avg_wait(),
             r.waste.avg_suspend(),
@@ -391,8 +349,8 @@ fn fig3_section(results: &[ExperimentResult]) {
 }
 
 /// Prints Figure 4 and writes its full series as CSV under
-/// [`Ctx::out_dir`]. Returns the mean in-horizon utilization (%).
-fn fig4_section(ctx: &Ctx, year: &ExperimentResult, horizon: u64) -> Result<f64, String> {
+/// [`Ctx::out_dir`].
+fn fig4_section(ctx: &Ctx, year: &ExperimentResult) -> Result<(), String> {
     let susp = year.suspended_series.aggregate(BUCKET);
     let util = year.utilization_series.aggregate(BUCKET);
     println!("\n== Figure 4: utilization / suspension over the year ==");
@@ -421,16 +379,7 @@ fn fig4_section(ctx: &Ctx, year: &ExperimentResult, horizon: u64) -> Result<f64,
         println!("{:>8} | {u:>5.1} | {s:>7.0} {bar}", t.as_minutes());
     }
 
-    // Figure 4 covers the submission year; exclude the post-horizon drain
-    // (where heavy-tail jobs finish on an otherwise empty site).
-    let in_horizon: Vec<f64> = year
-        .utilization_series
-        .samples()
-        .iter()
-        .filter(|&&(t, _)| t.as_minutes() < horizon)
-        .map(|&(_, u)| u)
-        .collect();
-    let mean_util = in_horizon.iter().sum::<f64>() / in_horizon.len().max(1) as f64;
+    let in_horizon = year_utilization(year);
     let (lo, hi) = figure4::TYPICAL_UTILIZATION_BAND_PCT;
     let in_band = in_horizon
         .iter()
@@ -438,7 +387,8 @@ fn fig4_section(ctx: &Ctx, year: &ExperimentResult, horizon: u64) -> Result<f64,
         .count() as f64
         / in_horizon.len().max(1) as f64;
     println!(
-        "\nmean utilization: {mean_util:.1}% (paper: around {:.0}%)",
+        "\nmean utilization: {:.1}% (paper: around {:.0}%)",
+        mean_utilization(year),
         figure4::MEAN_UTILIZATION_PCT
     );
     println!(
@@ -450,30 +400,27 @@ fn fig4_section(ctx: &Ctx, year: &ExperimentResult, horizon: u64) -> Result<f64,
         year.suspended_series.max().unwrap_or(0.0),
         year.suspended_series.mean()
     );
-    Ok(mean_util)
+    Ok(())
 }
 
 /// Figure 2: the CDF of job suspension time over the year trace (paper:
 /// median 437 min, mean 905 min, 20% above 1100 min).
 pub fn fig2(ctx: &Ctx) -> Result<Vec<ShapeCheck>, String> {
-    fig2_section(&year_run(ctx).0);
+    fig2_section(&Grid::run(ctx, [YEAR])[YEAR]);
     Ok(Vec::new())
 }
 
 /// Figure 3: average wasted completion time split into wait, suspend and
 /// rescheduling waste for the Table 1 strategies.
 pub fn fig3(ctx: &Ctx) -> Result<Vec<ShapeCheck>, String> {
-    let t = &TABLES[0];
-    let (site, trace) = build_scenario(t.load, ctx.scale);
-    fig3_section(&ctx.run_strategies(&site, &trace, t.initial, &t.strategies));
+    fig3_section(&Grid::run(ctx, TABLES[0].cells()));
     Ok(Vec::new())
 }
 
 /// Figure 4: suspended-job count and utilization over the year trace in
 /// 100-minute buckets; the full series goes to `fig4_timeline.csv`.
 pub fn fig4(ctx: &Ctx) -> Result<Vec<ShapeCheck>, String> {
-    let (year, horizon) = year_run(ctx);
-    fig4_section(ctx, &year, horizon)?;
+    fig4_section(ctx, &Grid::run(ctx, [YEAR])[YEAR])?;
     Ok(Vec::new())
 }
 
@@ -481,47 +428,46 @@ pub fn fig4(ctx: &Ctx) -> Result<Vec<ShapeCheck>, String> {
 // The full reproduction
 // ---------------------------------------------------------------------
 
+/// Every cell `all` reads: the five tables', the high-suspension week's
+/// and the year run, shared cells listed once per table.
+fn all_cells() -> impl Iterator<Item = Cell> {
+    TABLES
+        .iter()
+        .flat_map(PaperTable::cells)
+        .chain(high_suspension_cells())
+        .chain([YEAR])
+}
+
 /// Every table and figure in sequence, then the known deviations and the
 /// shape checks, which it returns.
 pub fn all(ctx: &Ctx) -> Result<Vec<ShapeCheck>, String> {
     let t0 = std::time::Instant::now();
-    let (normal_site, trace) = build_scenario(Load::Normal, ctx.scale);
-    let high_site = normal_site.halved();
-    let results: Vec<Vec<ExperimentResult>> = TABLES
-        .iter()
-        .map(|t| {
-            let site = match t.load {
-                Load::Normal => &normal_site,
-                Load::High => &high_site,
-            };
-            run_table(ctx, t, site, &trace)
-        })
-        .collect();
-    let hs = high_suspension_section(ctx);
-    let (year, horizon) = year_run(ctx);
-    let f2 = fig2_section(&year);
-    fig3_section(&results[0]);
-    let mean_util = fig4_section(ctx, &year, horizon)?;
+    let grid = Grid::run(ctx, all_cells());
+    for t in &TABLES {
+        print_table(t, &grid);
+    }
+    high_suspension_section(&grid);
+    fig2_section(&grid[YEAR]);
+    fig3_section(&grid);
+    fig4_section(ctx, &grid[YEAR])?;
 
-    let [t1, t2, t3, t4, t5] = [0, 1, 2, 3, 4].map(|i| &results[i][..]);
-    let checks = shape_checks(t1, t2, t3, t4, t5, &hs, &f2, mean_util);
-
+    let (claims, deviations) = paper_claims();
+    let judge = |claim: &Claim| claim.judge(|cell| &grid[cell]);
     println!("\n== known deviations from the paper (see EXPERIMENTS.md) ==");
+    for d in deviations.iter().map(judge) {
+        println!("{}: {}", d.name, d.detail);
+    }
+    let [nores3, util3, _] = TABLES[2].cells();
     println!(
-        "D1: ResSusRand's backfire appears on AvgWCT/AvgCT(all) but its AvgCT(susp) \n    did not exceed NoRes's ({:.0} vs {:.0}); in the paper it did (6485 vs 5846).",
-        t2[2].avg_ct_suspended, t2[0].avg_ct_suspended
-    );
-    println!(
-        "D2: the utilization-based initial scheduler LOWERS the NoRes suspend rate here \n    ({:.2}% vs {:.2}% under RR); the paper reports a small increase (1.26% -> 1.50%).\n    A perfectly balanced site rarely fills any single pool, so host-level preemption \n    has fewer opportunities in our packing model.",
-        t3[0].suspend_rate * 100.0,
-        t2[0].suspend_rate * 100.0
-    );
-    println!(
-        "D3: under util-based initial, ResSusUtil's AvgWCT is {:.0} vs NoRes {:.0} \n    (paper: 408 vs 457, an 11% cut).",
-        t3[1].avg_wct(),
-        t3[0].avg_wct()
+        "D3: under util-based initial, ResSusUtil's AvgWCT is {:.0} vs NoRes {:.0} \n    (paper: {:.0} vs {:.0}, an {:.0}% cut).",
+        grid[util3].avg_wct(),
+        grid[nores3].avg_wct(),
+        TABLE_3[1].avg_wct,
+        TABLE_3[0].avg_wct,
+        reduction(TABLE_3[0].avg_wct, TABLE_3[1].avg_wct) * 100.0
     );
 
+    let checks: Vec<ShapeCheck> = claims.iter().map(judge).collect();
     println!("\n== shape checks (the paper's qualitative claims) ==");
     for c in &checks {
         println!(
@@ -539,166 +485,214 @@ pub fn all(ctx: &Ctx) -> Result<Vec<ShapeCheck>, String> {
     );
     if ctx.markdown {
         println!("\n---- markdown for EXPERIMENTS.md ----");
-        for (t, r) in TABLES.iter().zip(&results) {
-            print!("{}", table_markdown(t, r));
+        for t in &TABLES {
+            print!("{}", table_markdown(t, &grid));
         }
     }
     Ok(checks)
 }
 
-#[allow(clippy::too_many_arguments)]
-fn shape_checks(
-    t1: &[ExperimentResult],
-    t2: &[ExperimentResult],
-    t3: &[ExperimentResult],
-    t4: &[ExperimentResult],
-    t5: &[ExperimentResult],
-    hs: &[ExperimentResult],
-    f2: &Fig2Stats,
-    mean_util: f64,
-) -> Vec<ShapeCheck> {
-    let (nores1, util1, rand1) = (&t1[0], &t1[1], &t1[2]);
-    let (nores2, util2, rand2) = (&t2[0], &t2[1], &t2[2]);
-    let (nores3, util3) = (&t3[0], &t3[1]);
-    let (wait_util4, wait_rand4) = (&t4[1], &t4[2]);
-    let (wait_util5, wait_rand5) = (&t5[1], &t5[2]);
-    let Fig2Stats { median, mean, tail } = *f2;
-    vec![
-        check(
-            "T1: ResSusUtil cuts AvgCT(susp) vs NoRes (paper: -50%)",
-            util1.avg_ct_suspended < nores1.avg_ct_suspended * 0.85,
-            format!(
-                "{:.0} -> {:.0} ({:+.0}%)",
-                nores1.avg_ct_suspended,
-                util1.avg_ct_suspended,
-                -reduction(nores1.avg_ct_suspended, util1.avg_ct_suspended) * 100.0
-            ),
-        ),
-        check(
-            "T1: ResSusUtil cuts AvgWCT vs NoRes (paper: -33%)",
-            util1.avg_wct() < nores1.avg_wct() * 0.8,
-            format!("{:.1} -> {:.1}", nores1.avg_wct(), util1.avg_wct()),
-        ),
-        check(
-            "T1: rescheduling raises the suspend rate",
-            util1.suspend_rate > nores1.suspend_rate,
-            format!(
-                "{:.2}% -> {:.2}%",
-                nores1.suspend_rate * 100.0,
-                util1.suspend_rate * 100.0
-            ),
-        ),
-        check(
-            "T1: ResSusRand is worse than ResSusUtil (poor pool choice hurts)",
-            rand1.avg_wct() > util1.avg_wct(),
-            format!("WCT {:.1} vs {:.1}", rand1.avg_wct(), util1.avg_wct()),
-        ),
-        check(
-            "T2: high load roughly doubles NoRes AvgCT(all) vs normal",
-            nores2.avg_ct_all > nores1.avg_ct_all * 1.5,
-            format!("{:.0} -> {:.0}", nores1.avg_ct_all, nores2.avg_ct_all),
-        ),
-        check(
-            "T2: rescheduling benefit grows under high load (paper: -75%)",
-            reduction(nores2.avg_ct_suspended, util2.avg_ct_suspended)
-                > reduction(nores1.avg_ct_suspended, util1.avg_ct_suspended),
-            format!(
-                "normal {:+.0}%, high {:+.0}%",
-                -reduction(nores1.avg_ct_suspended, util1.avg_ct_suspended) * 100.0,
-                -reduction(nores2.avg_ct_suspended, util2.avg_ct_suspended) * 100.0
-            ),
-        ),
-        check(
-            "T2: ResSusRand backfires vs NoRes (worst overall: WCT and AvgCT-all)",
-            rand2.avg_wct() > nores2.avg_wct() && rand2.avg_ct_all > nores2.avg_ct_all,
-            format!(
-                "WCT {:.0} vs {:.0}, CT(all) {:.0} vs {:.0}",
-                rand2.avg_wct(),
-                nores2.avg_wct(),
-                rand2.avg_ct_all,
-                nores2.avg_ct_all
-            ),
-        ),
-        check(
-            "T3: ResSusUtil still cuts AvgCT(susp) under util-based initial (paper: -75%)",
-            util3.avg_ct_suspended < nores3.avg_ct_suspended * 0.9,
-            format!(
-                "CT(s) {:.0} -> {:.0} ({:+.0}%)",
-                nores3.avg_ct_suspended,
-                util3.avg_ct_suspended,
-                -reduction(nores3.avg_ct_suspended, util3.avg_ct_suspended) * 100.0
-            ),
-        ),
-        check(
-            "T4: wait rescheduling beats suspend-only on AvgCT(all)",
-            wait_util4.avg_ct_all < util2.avg_ct_all,
-            format!("{:.0} vs {:.0}", wait_util4.avg_ct_all, util2.avg_ct_all),
-        ),
-        check(
-            "T4: random performs close to utilization-based with wait resched",
-            wait_rand4.avg_ct_suspended < 1.35 * wait_util4.avg_ct_suspended,
-            format!(
-                "{:.0} vs {:.0}",
-                wait_rand4.avg_ct_suspended, wait_util4.avg_ct_suspended
-            ),
-        ),
-        check(
-            "T4: ResSusWaitRand fixes the random backfire seen in T2",
-            wait_rand4.avg_ct_suspended < rand2.avg_ct_suspended,
-            format!(
-                "{:.0} vs {:.0}",
-                wait_rand4.avg_ct_suspended, rand2.avg_ct_suspended
-            ),
-        ),
-        check(
-            "T4: random wait-resched costs far more restarts (paper's caveat)",
-            wait_rand4.counters.restarts_from_wait > 2 * wait_util4.counters.restarts_from_wait,
-            format!(
-                "{} vs {}",
-                wait_rand4.counters.restarts_from_wait, wait_util4.counters.restarts_from_wait
-            ),
-        ),
-        check(
-            "T5: both wait strategies beat NoRes under util-based initial",
-            wait_util5.avg_wct() < t5[0].avg_wct() && wait_rand5.avg_wct() < t5[0].avg_wct(),
-            format!(
-                "WCT {:.1} / {:.1} vs {:.1}",
-                wait_util5.avg_wct(),
-                wait_rand5.avg_wct(),
-                t5[0].avg_wct()
-            ),
-        ),
-        check(
-            "HS: high-suspension scenario has a much higher suspend rate",
-            hs[0].suspend_rate > 2.0 * nores1.suspend_rate,
-            format!(
-                "{:.1}% vs {:.2}%",
-                hs[0].suspend_rate * 100.0,
-                nores1.suspend_rate * 100.0
-            ),
-        ),
-        check(
-            "HS: rescheduling strongly cuts AvgCT(susp) (paper: -44%)",
-            reduction(hs[0].avg_ct_suspended, hs[1].avg_ct_suspended) > 0.3,
-            format!(
-                "{:+.0}%",
-                -reduction(hs[0].avg_ct_suspended, hs[1].avg_ct_suspended) * 100.0
-            ),
-        ),
-        check(
-            "F2: suspension times are heavy-tailed (median well below mean)",
-            median < mean && tail > 0.05,
-            format!(
-                "median {median:.0}, mean {mean:.0}, tail {:.0}%",
-                tail * 100.0
-            ),
-        ),
-        check(
-            "F4: mean utilization in the paper's typical band",
-            (20.0..=60.0).contains(&mean_util),
-            format!("{mean_util:.1}%"),
-        ),
-    ]
+// The numbers the claims read off a cell.
+const CT_SUSP: Metric = |r| r.avg_ct_suspended;
+const CT_ALL: Metric = |r| r.avg_ct_all;
+const WCT: Metric = ExperimentResult::avg_wct;
+const SUSP_RATE: Metric = |r| r.suspend_rate;
+const WAIT_RESTARTS: Metric = |r| r.counters.restarts_from_wait as f64;
+
+/// Why D2 deviates from the paper, when it does.
+const WHY_D2: &str = "\n    A perfectly balanced site rarely fills any single pool, so host-level preemption \n    has fewer opportunities in our packing model.";
+
+/// `b -> a (change%)`, the detail of a claimed cut from `b` to `a`.
+fn cut_detail(v: &[f64]) -> String {
+    format!(
+        "{:.0} -> {:.0} ({:+.0}%)",
+        v[1],
+        v[0],
+        -reduction(v[1], v[0]) * 100.0
+    )
+}
+
+/// `a vs b`, rounded to whole numbers.
+fn vs(v: &[f64]) -> String {
+    format!("{:.0} vs {:.0}", v[0], v[1])
+}
+
+/// The paper's qualitative claims, read from `all`'s grid: the shape
+/// checks, which gate `repro`'s exit code, and the known deviations D1
+/// and D2, which gate nothing and are worded from their verdicts.
+pub(crate) fn paper_claims() -> (Vec<Claim>, Vec<Claim>) {
+    use Relation::{Above, Below, CutsMore, Within};
+    use Value::{Fixed, Of};
+    let [nores1, util1, rand1] = TABLES[0].cells();
+    let [nores2, util2, rand2] = TABLES[1].cells();
+    let [nores3, util3, _] = TABLES[2].cells();
+    let [_, wutil4, wrand4] = TABLES[3].cells();
+    let [_, wutil5, wrand5] = TABLES[4].cells();
+    let [hs_nores, hs_util, _] = high_suspension_cells();
+    let (lo, hi) = figure4::TYPICAL_UTILIZATION_BAND_PCT;
+    let t3_cut = reduction(TABLE_3[0].avg_ct_suspended, TABLE_3[1].avg_ct_suspended);
+    let shape = vec![
+        Claim {
+            text: "T1: ResSusUtil cuts AvgCT(susp) vs NoRes",
+            paper: Some(claims::NORMAL_CT_SUSPENDED_REDUCTION),
+            holds: vec![Below(Of(util1, CT_SUSP), 0.85, Of(nores1, CT_SUSP))],
+            detail: |_, v| cut_detail(v),
+        },
+        Claim {
+            text: "T1: ResSusUtil cuts AvgWCT vs NoRes",
+            paper: Some(claims::NORMAL_WCT_REDUCTION),
+            holds: vec![Below(Of(util1, WCT), 0.8, Of(nores1, WCT))],
+            detail: |_, v| format!("{:.1} -> {:.1}", v[1], v[0]),
+        },
+        Claim {
+            text: "T1: rescheduling raises the suspend rate",
+            paper: None,
+            holds: vec![Above(Of(util1, SUSP_RATE), 1.0, Of(nores1, SUSP_RATE))],
+            detail: |_, v| format!("{:.2}% -> {:.2}%", v[1] * 100.0, v[0] * 100.0),
+        },
+        Claim {
+            text: "T1: ResSusRand is worse than ResSusUtil (poor pool choice hurts)",
+            paper: None,
+            holds: vec![Above(Of(rand1, WCT), 1.0, Of(util1, WCT))],
+            detail: |_, v| format!("WCT {:.1} vs {:.1}", v[0], v[1]),
+        },
+        Claim {
+            text: "T2: high load roughly doubles NoRes AvgCT(all) vs normal",
+            paper: None,
+            holds: vec![Above(Of(nores2, CT_ALL), 1.5, Of(nores1, CT_ALL))],
+            detail: |_, v| format!("{:.0} -> {:.0}", v[1], v[0]),
+        },
+        Claim {
+            text: "T2: rescheduling benefit grows under high load",
+            paper: Some(claims::HIGH_CT_SUSPENDED_REDUCTION),
+            holds: vec![CutsMore(CT_SUSP, nores2, util2, Than::Cut(nores1, util1))],
+            detail: |_, v| format!("normal {:+.0}%, high {:+.0}%", -v[1] * 100.0, -v[0] * 100.0),
+        },
+        Claim {
+            text: "T2: ResSusRand backfires vs NoRes (worst overall: WCT and AvgCT-all)",
+            paper: None,
+            holds: vec![
+                Above(Of(rand2, WCT), 1.0, Of(nores2, WCT)),
+                Above(Of(rand2, CT_ALL), 1.0, Of(nores2, CT_ALL)),
+            ],
+            detail: |_, v| format!("WCT {}, CT(all) {}", vs(&v[..2]), vs(&v[2..])),
+        },
+        Claim {
+            text: "T3: ResSusUtil still cuts AvgCT(susp) under util-based initial",
+            paper: Some(t3_cut),
+            holds: vec![Below(Of(util3, CT_SUSP), 0.9, Of(nores3, CT_SUSP))],
+            detail: |_, v| format!("CT(s) {}", cut_detail(v)),
+        },
+        Claim {
+            text: "T4: wait rescheduling beats suspend-only on AvgCT(all)",
+            paper: None,
+            holds: vec![Below(Of(wutil4, CT_ALL), 1.0, Of(util2, CT_ALL))],
+            detail: |_, v| vs(v),
+        },
+        Claim {
+            text: "T4: random performs close to utilization-based with wait resched",
+            paper: None,
+            holds: vec![Below(Of(wrand4, CT_SUSP), 1.35, Of(wutil4, CT_SUSP))],
+            detail: |_, v| vs(v),
+        },
+        Claim {
+            text: "T4: ResSusWaitRand fixes the random backfire seen in T2",
+            paper: None,
+            holds: vec![Below(Of(wrand4, CT_SUSP), 1.0, Of(rand2, CT_SUSP))],
+            detail: |_, v| vs(v),
+        },
+        Claim {
+            text: "T4: random wait-resched costs far more restarts (paper's caveat)",
+            paper: None,
+            holds: vec![Above(
+                Of(wrand4, WAIT_RESTARTS),
+                2.0,
+                Of(wutil4, WAIT_RESTARTS),
+            )],
+            detail: |_, v| vs(v),
+        },
+        Claim {
+            text: "T5: both wait strategies beat NoRes under util-based initial",
+            paper: None,
+            holds: vec![
+                Below(Of(wutil5, WCT), 1.0, Of(nores3, WCT)),
+                Below(Of(wrand5, WCT), 1.0, Of(nores3, WCT)),
+            ],
+            detail: |_, v| format!("WCT {:.1} / {:.1} vs {:.1}", v[0], v[2], v[1]),
+        },
+        Claim {
+            text: "HS: high-suspension scenario has a much higher suspend rate",
+            paper: None,
+            holds: vec![Above(Of(hs_nores, SUSP_RATE), 2.0, Of(nores1, SUSP_RATE))],
+            detail: |_, v| format!("{:.1}% vs {:.2}%", v[0] * 100.0, v[1] * 100.0),
+        },
+        Claim {
+            text: "HS: rescheduling strongly cuts AvgCT(susp)",
+            paper: Some(high_suspension::CT_SUSPENDED_REDUCTION),
+            holds: vec![CutsMore(CT_SUSP, hs_nores, hs_util, Than::Fraction(0.3))],
+            detail: |_, v| format!("{:+.0}%", -v[0] * 100.0),
+        },
+        Claim {
+            text: "F2: suspension times are heavy-tailed (median well below mean)",
+            paper: None,
+            holds: vec![
+                Below(Of(YEAR, MEDIAN_SUSPENSION), 1.0, Of(YEAR, MEAN_SUSPENSION)),
+                Above(Of(YEAR, SUSPENSION_TAIL), 1.0, Fixed(0.05)),
+            ],
+            detail: |_, v| {
+                format!(
+                    "median {:.0}, mean {:.0}, tail {:.0}%",
+                    v[0],
+                    v[1],
+                    v[2] * 100.0
+                )
+            },
+        },
+        Claim {
+            text: "F4: mean utilization in the paper's typical band",
+            paper: None,
+            holds: vec![Within(Of(YEAR, mean_utilization), lo, hi)],
+            detail: |_, v| format!("{:.1}%", v[0]),
+        },
+    ];
+    let deviations = vec![
+        Claim {
+            text: "D1",
+            paper: None,
+            holds: vec![Above(Of(rand2, CT_SUSP), 1.0, Of(nores2, CT_SUSP))],
+            detail: |exceeded, v| {
+                let (joint, verb, paper) = if exceeded {
+                    ("and", "exceeded", ", as in the paper")
+                } else {
+                    ("but", "did not exceed", "; in the paper it did")
+                };
+                let p = [TABLE_2[2].avg_ct_suspended, TABLE_2[0].avg_ct_suspended];
+                format!(
+                    "ResSusRand's backfire appears on AvgWCT/AvgCT(all) {joint} its AvgCT(susp) \n    {verb} NoRes's ({}){paper} ({}).",
+                    vs(v),
+                    vs(&p)
+                )
+            },
+        },
+        Claim {
+            text: "D2",
+            paper: None,
+            holds: vec![Above(Of(nores3, SUSP_RATE), 1.0, Of(nores2, SUSP_RATE))],
+            detail: |raises, v| {
+                let (verb, paper, why) = if raises {
+                    ("raises", ", as the paper reports", "")
+                } else {
+                    ("LOWERS", "; the paper reports a small increase", WHY_D2)
+                };
+                let [ub, rr] = [v[0] * 100.0, v[1] * 100.0];
+                let [p_rr, p_ub] = [&TABLE_2, &TABLE_3].map(|t| t[0].suspend_rate * 100.0);
+                format!(
+                    "the utilization-based initial scheduler {verb} the NoRes suspend rate here \n    ({ub:.2}% vs {rr:.2}% under RR){paper} ({p_rr:.2}% -> {p_ub:.2}%).{why}"
+                )
+            },
+        },
+    ];
+    (shape, deviations)
 }
 
 // ---------------------------------------------------------------------
@@ -715,7 +709,7 @@ fn restarts(r: &ExperimentResult) -> u64 {
 /// `ResSusRand` (which needs no signal) and `NoRes` as reference lines.
 pub fn staleness(ctx: &Ctx) -> Result<Vec<ShapeCheck>, String> {
     const AGES_MIN: [u64; 6] = [0, 10, 30, 120, 480, 1440];
-    let (site, trace) = build_scenario(Load::High, ctx.scale);
+    let (site, trace) = Scenario::High.build(ctx.scale);
     let mut configs: Vec<SimConfig> = AGES_MIN
         .iter()
         .map(|&minutes| SimConfig {
@@ -756,7 +750,7 @@ pub fn staleness(ctx: &Ctx) -> Result<Vec<ShapeCheck>, String> {
 /// strategies' restarts stop paying off against `NoRes`.
 pub fn overhead(ctx: &Ctx) -> Result<Vec<ShapeCheck>, String> {
     const OVERHEADS_MIN: [u64; 7] = [0, 5, 15, 30, 60, 120, 240];
-    let (site, trace) = build_scenario(Load::High, ctx.scale);
+    let (site, trace) = Scenario::High.build(ctx.scale);
     let mut configs = vec![ctx.config(InitialKind::RoundRobin, StrategyKind::NoRes)];
     for strategy in [StrategyKind::ResSusWaitUtil, StrategyKind::ResSusWaitRand] {
         configs.extend(OVERHEADS_MIN.iter().map(|&minutes| SimConfig {
@@ -799,7 +793,7 @@ pub fn overhead(ctx: &Ctx) -> Result<Vec<ShapeCheck>, String> {
 /// restart operations").
 pub fn max_restarts(ctx: &Ctx) -> Result<Vec<ShapeCheck>, String> {
     const CAPS: [Option<u32>; 6] = [Some(0), Some(1), Some(2), Some(4), Some(8), None];
-    let (site, trace) = build_scenario(Load::High, ctx.scale);
+    let (site, trace) = Scenario::High.build(ctx.scale);
     let mut configs = vec![ctx.config(InitialKind::RoundRobin, StrategyKind::NoRes)];
     configs.extend(CAPS.iter().map(|&cap| SimConfig {
         max_restarts: cap,
@@ -832,19 +826,12 @@ pub fn max_restarts(ctx: &Ctx) -> Result<Vec<ShapeCheck>, String> {
 /// the paper's diagnosis suggests: random selection fails by "choosing a
 /// pool that already has a lot of waiting jobs".
 pub fn queue_policy(ctx: &Ctx) -> Result<Vec<ShapeCheck>, String> {
-    for (label, load) in [("normal load", Load::Normal), ("high load", Load::High)] {
-        let (site, trace) = build_scenario(load, ctx.scale);
-        let results = ctx.run_strategies(
-            &site,
-            &trace,
-            InitialKind::RoundRobin,
-            &[
-                StrategyKind::NoRes,
-                StrategyKind::ResSusUtil,
-                StrategyKind::ResSusQueue,
-                StrategyKind::ResSusRand,
-            ],
-        );
+    use StrategyKind::{NoRes, ResSusQueue, ResSusRand, ResSusUtil};
+    for (label, scenario) in [
+        ("normal load", Scenario::Normal),
+        ("high load", Scenario::High),
+    ] {
+        let results = ctx.run_strategies(scenario, &[NoRes, ResSusUtil, ResSusQueue, ResSusRand]);
         print_comparison(&format!("Queue-policy ablation: {label}"), &results, &[]);
         print_reductions(&results);
     }
@@ -855,17 +842,11 @@ pub fn queue_policy(ctx: &Ctx) -> Result<Vec<ShapeCheck>, String> {
 /// (utilization, queue length and predicted wait) against the published
 /// strategies, plus a weight sweep showing each signal's marginal value.
 pub fn smart_policy(ctx: &Ctx) -> Result<Vec<ShapeCheck>, String> {
-    let (site, trace) = build_scenario(Load::High, ctx.scale);
+    use StrategyKind::{NoRes, ResSusWaitRand, ResSusWaitUtil};
+    let smart = StrategyKind::ResSusWaitSmart;
     let results = ctx.run_strategies(
-        &site,
-        &trace,
-        InitialKind::RoundRobin,
-        &[
-            StrategyKind::NoRes,
-            StrategyKind::ResSusWaitUtil,
-            StrategyKind::ResSusWaitRand,
-            StrategyKind::ResSusWaitSmart,
-        ],
+        Scenario::High,
+        &[NoRes, ResSusWaitUtil, ResSusWaitRand, smart],
     );
     print_comparison("Smart-policy ablation: high load", &results, &[]);
     print_reductions(&results);
@@ -881,8 +862,9 @@ pub fn smart_policy(ctx: &Ctx) -> Result<Vec<ShapeCheck>, String> {
     ];
     let config = SimConfig {
         seed: 1,
-        ..ctx.config(InitialKind::RoundRobin, StrategyKind::ResSusWaitSmart)
+        ..ctx.config(InitialKind::RoundRobin, smart)
     };
+    let (site, trace) = Scenario::High.build(ctx.scale);
     let swept = run_cells(&sweep, |&(_, (w_util, w_queue, w_wait))| {
         let weights = SmartWeights {
             w_util,
@@ -912,20 +894,13 @@ pub fn smart_policy(ctx: &Ctx) -> Result<Vec<ShapeCheck>, String> {
 /// All three mechanisms use lowest-utilization targets; a migration-cost
 /// sweep then finds where migration overtakes restarting.
 pub fn alternatives(ctx: &Ctx) -> Result<Vec<ShapeCheck>, String> {
-    let mut high = None;
-    for (label, load) in [("normal load", Load::Normal), ("high load", Load::High)] {
-        let (site, trace) = build_scenario(load, ctx.scale);
-        let results = ctx.run_strategies(
-            &site,
-            &trace,
-            InitialKind::RoundRobin,
-            &[
-                StrategyKind::NoRes,
-                StrategyKind::ResSusUtil,
-                StrategyKind::MigrateSusUtil,
-                StrategyKind::DupSusUtil,
-            ],
-        );
+    use StrategyKind::{DupSusUtil, MigrateSusUtil, NoRes, ResSusUtil};
+    for (label, scenario) in [
+        ("normal load", Scenario::Normal),
+        ("high load", Scenario::High),
+    ] {
+        let results =
+            ctx.run_strategies(scenario, &[NoRes, ResSusUtil, MigrateSusUtil, DupSusUtil]);
         println!("\n== Rescheduling-mechanism ablation: {label} ==");
         let mut table = Table::new([
             "mechanism",
@@ -947,14 +922,13 @@ pub fn alternatives(ctx: &Ctx) -> Result<Vec<ShapeCheck>, String> {
             ]);
         }
         print!("{table}");
-        high = Some((site, trace));
     }
 
     // Where does migration overtake restarting? Sweep the transfer delay
     // (the slowdown stays at the paper's mid-range 15%).
     const DELAYS_MIN: [u64; 6] = [0, 15, 30, 60, 120, 480];
-    let (site, trace) = high.expect("the loop ends on high load");
-    let mut configs = vec![ctx.config(InitialKind::RoundRobin, StrategyKind::ResSusUtil)];
+    let (site, trace) = Scenario::High.build(ctx.scale);
+    let mut configs = vec![ctx.config(InitialKind::RoundRobin, ResSusUtil)];
     configs.extend(DELAYS_MIN.iter().map(|&delay| SimConfig {
         migration: MigrationParams {
             delay: SimDuration::from_minutes(delay),
@@ -993,7 +967,7 @@ pub fn alternatives(ctx: &Ctx) -> Result<Vec<ShapeCheck>, String> {
 /// VPMs, confine routing to each VPM, then re-enable inter-site
 /// rescheduling with a swept WAN surcharge.
 pub fn intersite(ctx: &Ctx) -> Result<Vec<ShapeCheck>, String> {
-    let (site, trace) = build_scenario(Load::High, ctx.scale);
+    let (site, trace) = Scenario::High.build(ctx.scale);
     let split = |vpms| VpmTopology::contiguous(20, vpms).map_err(|e| e.to_string());
     let four = split(4)?;
     let mut cells = vec![
@@ -1043,7 +1017,7 @@ pub fn intersite(ctx: &Ctx) -> Result<Vec<ShapeCheck>, String> {
 /// resilience policy (retry budgets, backoff, pool blacklisting) claws
 /// back. Evicted jobs reuse exactly the restart path.
 pub fn failures(ctx: &Ctx) -> Result<Vec<ShapeCheck>, String> {
-    let (site, trace) = build_scenario(Load::Normal, ctx.scale);
+    let (site, trace) = Scenario::Normal.build(ctx.scale);
     let shape: Vec<(PoolId, u32)> = site
         .pools
         .iter()
@@ -1162,7 +1136,7 @@ pub fn failures(ctx: &Ctx) -> Result<Vec<ShapeCheck>, String> {
 /// evacuation off draining machines) differs. `tests/lifecycle.rs` gates
 /// the heavy-tier delta.
 pub fn lifecycle(ctx: &Ctx) -> Result<Vec<ShapeCheck>, String> {
-    let (site, trace) = build_scenario(Load::Normal, ctx.scale);
+    let (site, trace) = Scenario::Normal.build(ctx.scale);
 
     // A week of simulated time plus one repair window of slack, same as
     // the chaos ablation.
@@ -1279,18 +1253,12 @@ pub fn calibrate(ctx: &Ctx) -> Result<Vec<ShapeCheck>, String> {
         StrategyKind::ResSusWaitRand,
     ];
     let scale = ctx.scale;
-    for (name, params, halved) in [
-        ("normal", ScenarioParams::normal_week(scale), false),
-        ("high", ScenarioParams::normal_week(scale), true),
-        (
-            "highsus",
-            ScenarioParams::high_suspension_week(scale),
-            false,
-        ),
+    for (name, scenario) in [
+        ("normal", Scenario::Normal),
+        ("high", Scenario::High),
+        ("highsus", Scenario::HighSuspension),
     ] {
-        let site = params.build_site();
-        let site = if halved { site.halved() } else { site };
-        let trace = params.generate_trace();
+        let (site, trace) = scenario.build(scale);
         let analysis = TraceAnalysis::of(&trace);
         println!("\n== Calibration: {name} week ==");
         println!(
@@ -1369,4 +1337,62 @@ pub fn calibrate(ctx: &Ctx) -> Result<Vec<ShapeCheck>, String> {
         }
     }
     Ok(Vec::new())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::grid::distinct;
+    use crate::grid::tests::synthetic;
+
+    #[test]
+    fn all_runs_seventeen_distinct_cells() {
+        // Tables 2 and 4 share their NoRes cell, Tables 3 and 5 theirs.
+        assert_eq!(all_cells().count(), 19);
+        let cells = distinct(all_cells());
+        assert_eq!(cells.len(), 17);
+        for (i, cell) in cells.iter().enumerate() {
+            assert!(!cells[i + 1..].contains(cell), "{cell:?} is listed twice");
+        }
+    }
+
+    #[test]
+    fn claims_read_only_cells_of_the_grid() {
+        let cells = distinct(all_cells());
+        let any = synthetic(StrategyKind::NoRes, 0.0);
+        let (shape, deviations) = paper_claims();
+        assert_eq!((shape.len(), deviations.len()), (17, 2));
+        for claim in shape.iter().chain(&deviations) {
+            claim.judge(|cell| {
+                assert!(
+                    cells.contains(&cell),
+                    "{}: {cell:?} is not in the grid",
+                    claim.text
+                );
+                &any
+            });
+        }
+    }
+
+    #[test]
+    fn deviations_are_worded_from_their_verdicts() {
+        let (_, deviations) = paper_claims();
+        let d1 = &deviations[0];
+        let exceeded = (d1.detail)(true, &[2329.0, 2133.0]);
+        assert!(exceeded.contains("and its AvgCT(susp)"), "{exceeded}");
+        assert!(
+            exceeded.contains("exceeded NoRes's (2329 vs 2133), as in the paper (6485 vs 5846).")
+        );
+        let not = (d1.detail)(false, &[3164.0, 3460.0]);
+        assert!(not.contains("did not exceed NoRes's (3164 vs 3460); in the paper it did"));
+        let d2 = &deviations[1];
+        let lowers = (d2.detail)(false, &[0.0075, 0.0168]);
+        assert!(
+            lowers.contains("LOWERS the NoRes suspend rate here \n    (0.75% vs 1.68% under RR)")
+        );
+        assert!(lowers.contains("(1.26% -> 1.50%)") && lowers.contains("packing model."));
+        let raises = (d2.detail)(true, &[0.0168, 0.0075]);
+        assert!(raises.contains("raises the NoRes suspend rate"), "{raises}");
+        assert!(!raises.contains("packing model"), "{raises}");
+    }
 }

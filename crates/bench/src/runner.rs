@@ -11,7 +11,7 @@
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use netbatch_core::experiment::ExperimentResult;
+use netbatch_core::experiment::{ExperimentResult, PAPER_TABLE_HEADER};
 use netbatch_core::policy::StrategyKind;
 use netbatch_core::simulator::{SimConfig, Simulator};
 use netbatch_metrics::table::{fmt_minutes, fmt_percent, Table};
@@ -87,13 +87,41 @@ pub fn run_cells<T: Sync, R: Send>(items: &[T], cell: impl Fn(&T) -> R + Sync) -
         .collect()
 }
 
+/// Runs one experiment: `config` over the scenario.
+pub(crate) fn run_config(site: &SiteSpec, trace: &Trace, config: &SimConfig) -> ExperimentResult {
+    let output = Simulator::new(site, trace.to_specs(), config.clone()).run_to_completion();
+    ExperimentResult::from_output(config.initial, config.strategy, output)
+}
+
 /// Runs one experiment per config over the same scenario, in parallel
 /// (see [`run_cells`]), returning results in config order.
 pub fn run_configs(site: &SiteSpec, trace: &Trace, configs: &[SimConfig]) -> Vec<ExperimentResult> {
-    run_cells(configs, |config| {
-        let output = Simulator::new(site, trace.to_specs(), config.clone()).run_to_completion();
-        ExperimentResult::from_output(config.initial, config.strategy, output)
-    })
+    run_cells(configs, |config| run_config(site, trace, config))
+}
+
+/// The measured-vs-paper table: each measured row followed by the
+/// paper's published row for its strategy, if it has one, labelled by
+/// `paper_label` from the strategy's name.
+fn comparison_table(
+    results: &[ExperimentResult],
+    paper: &[PaperRow],
+    paper_label: fn(&str) -> String,
+) -> Table {
+    let mut table = Table::new(PAPER_TABLE_HEADER);
+    for r in results {
+        table.row(r.paper_row());
+        if let Some(p) = paper.iter().find(|p| p.strategy == r.strategy) {
+            table.row([
+                paper_label(p.strategy.name()),
+                fmt_percent(p.suspend_rate),
+                fmt_minutes(p.avg_ct_suspended),
+                fmt_minutes(p.avg_ct_all),
+                fmt_minutes(p.avg_st),
+                fmt_minutes(p.avg_wct),
+            ]);
+        }
+    }
+    table
 }
 
 /// Prints a measured-vs-paper comparison table.
@@ -103,28 +131,10 @@ pub fn run_configs(site: &SiteSpec, trace: &Trace, configs: &[SimConfig]) -> Vec
 /// glance.
 pub fn print_comparison(title: &str, results: &[ExperimentResult], paper: &[PaperRow]) {
     println!("\n== {title} ==");
-    let mut table = Table::new([
-        "strategy",
-        "Suspend rate",
-        "AvgCT (susp)",
-        "AvgCT (all)",
-        "AvgST",
-        "AvgWCT",
-    ]);
-    for r in results {
-        table.row(r.paper_row());
-        if let Some(p) = paper.iter().find(|p| p.strategy == r.strategy) {
-            table.row([
-                format!("  {} (paper)", p.strategy.name()),
-                fmt_percent(p.suspend_rate),
-                fmt_minutes(p.avg_ct_suspended),
-                fmt_minutes(p.avg_ct_all),
-                fmt_minutes(p.avg_st),
-                fmt_minutes(p.avg_wct),
-            ]);
-        }
-    }
-    print!("{table}");
+    print!(
+        "{}",
+        comparison_table(results, paper, |name| format!("  {name} (paper)"))
+    );
 }
 
 /// Prints the reduction-vs-baseline summary the paper quotes in prose
@@ -165,28 +175,7 @@ pub fn reduction(from: f64, to: f64) -> f64 {
 /// Markdown rendering of a comparison, appended to stdout for
 /// EXPERIMENTS.md.
 pub fn markdown_comparison(results: &[ExperimentResult], paper: &[PaperRow]) -> String {
-    let mut table = Table::new([
-        "strategy",
-        "Suspend rate",
-        "AvgCT (susp)",
-        "AvgCT (all)",
-        "AvgST",
-        "AvgWCT",
-    ]);
-    for r in results {
-        table.row(r.paper_row());
-        if let Some(p) = paper.iter().find(|p| p.strategy == r.strategy) {
-            table.row([
-                format!("*{} (paper)*", p.strategy.name()),
-                fmt_percent(p.suspend_rate),
-                fmt_minutes(p.avg_ct_suspended),
-                fmt_minutes(p.avg_ct_all),
-                fmt_minutes(p.avg_st),
-                fmt_minutes(p.avg_wct),
-            ]);
-        }
-    }
-    table.render_markdown()
+    comparison_table(results, paper, |name| format!("*{name} (paper)*")).render_markdown()
 }
 
 #[cfg(test)]

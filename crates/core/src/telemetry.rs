@@ -35,9 +35,7 @@
 //! simulator's emit path returns before building the event when the
 //! observer list is empty. It reads nothing but the events (shadow
 //! copies come from `DuplicateLaunched`, pool state from `PoolSample`),
-//! so the serial kernel runs it on its helper thread. [`Registry`]
-//! additionally supports an explicit disabled mode for embedding in code
-//! that cannot rely on that seam.
+//! so the serial kernel runs it on its helper thread.
 //!
 //! Determinism: all state is sim-domain (counts, sim-minutes, series);
 //! no wall clock is read anywhere in this module, so the `Debug`
