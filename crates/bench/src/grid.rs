@@ -133,15 +133,6 @@ pub(crate) enum Value {
     Fixed(f64),
 }
 
-/// What the reduction of a [`Relation::CutsMore`] must exceed.
-#[derive(Clone, Copy)]
-pub(crate) enum Than {
-    /// A fixed fraction.
-    Fraction(f64),
-    /// The reduction of the same metric from one cell to another.
-    Cut(Cell, Cell),
-}
-
 /// How a claim's values must relate.
 #[derive(Clone, Copy)]
 pub(crate) enum Relation {
@@ -149,9 +140,9 @@ pub(crate) enum Relation {
     Below(Value, f64, Value),
     /// `a > k·b`.
     Above(Value, f64, Value),
-    /// The [`reduction`] of a metric from one cell to another is larger
-    /// than [`Than`].
-    CutsMore(Metric, Cell, Cell, Than),
+    /// The [`reduction`] of a metric from the first cell of a pair to the
+    /// second is larger over the first pair than over the second.
+    CutsMore(Metric, [Cell; 2], [Cell; 2]),
     /// `lo ≤ a ≤ hi`.
     Within(Value, f64, f64),
 }
@@ -166,8 +157,7 @@ pub(crate) struct Claim {
     /// The relations, all of which must hold.
     pub(crate) holds: Vec<Relation>,
     /// Words the verdict and the values the relations read, in order:
-    /// `a` and `b`, the reduction and what it must exceed, the banded
-    /// value.
+    /// `a` and `b`, the two reductions, the banded value.
     pub(crate) detail: fn(bool, &[f64]) -> String,
 }
 
@@ -183,13 +173,10 @@ impl Claim {
         for &relation in &self.holds {
             let read = match relation {
                 Relation::Below(a, _, b) | Relation::Above(a, _, b) => vec![value(a), value(b)],
-                Relation::CutsMore(metric, from, to, than) => {
-                    let cut = |from, to| reduction(metric(cell(from)), metric(cell(to)));
-                    let than = match than {
-                        Than::Fraction(f) => f,
-                        Than::Cut(from, to) => cut(from, to),
-                    };
-                    vec![cut(from, to), than]
+                Relation::CutsMore(metric, a, b) => {
+                    let cut =
+                        |[from, to]: [Cell; 2]| reduction(metric(cell(from)), metric(cell(to)));
+                    vec![cut(a), cut(b)]
                 }
                 Relation::Within(a, ..) => vec![value(a)],
             };
@@ -303,13 +290,11 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn cuts_more_compares_reductions() {
-        let fraction = Relation::CutsMore(CT, BASE, NEW, Than::Fraction(0.3));
-        assert_eq!(judge(fraction, 60.0, 0.0), (true, "[0.4, 0.3]".into()));
-        assert!(!judge(fraction, 70.0, 0.0).0, "a 30% cut is not larger");
-        let cut = Relation::CutsMore(CT, BASE, NEW, Than::Cut(BASE, OTHER));
-        assert_eq!(judge(cut, 50.0, 75.0), (true, "[0.5, 0.25]".into()));
-        assert!(!judge(cut, 80.0, 75.0).0);
+    fn cuts_more_compares_two_reductions() {
+        let relation = Relation::CutsMore(CT, [BASE, NEW], [BASE, OTHER]);
+        assert_eq!(judge(relation, 50.0, 75.0), (true, "[0.5, 0.25]".into()));
+        assert!(!judge(relation, 75.0, 75.0).0, "an equal cut is not larger");
+        assert!(!judge(relation, 80.0, 75.0).0);
     }
 
     #[test]
