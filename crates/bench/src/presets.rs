@@ -1316,12 +1316,12 @@ pub fn calibrate(ctx: &Ctx) -> Result<Vec<ShapeCheck>, String> {
             "restS",
             "restW"
         );
-        for (result, diagnostics, elapsed) in &cells {
+        for (result, diagnostics, _) in &cells {
             if let Some(line) = diagnostics {
                 println!("{line}");
             }
             println!(
-                "{:<16} {:>8.2}% {:>12.1} {:>10.1} {:>9.1} {:>8.1} {:>9.1} {:>8} {:>8}  ({:.1}s, {} events)",
+                "{:<16} {:>8.2}% {:>12.1} {:>10.1} {:>9.1} {:>8.1} {:>9.1} {:>8} {:>8}  ({} events)",
                 result.strategy.name(),
                 result.suspend_rate * 100.0,
                 result.avg_ct_suspended,
@@ -1331,10 +1331,18 @@ pub fn calibrate(ctx: &Ctx) -> Result<Vec<ShapeCheck>, String> {
                 result.avg_wait_all,
                 result.counters.restarts_from_suspend,
                 result.counters.restarts_from_wait,
-                elapsed.as_secs_f64(),
                 result.counters.events,
             );
         }
+        // Wall times differ from run to run: one line of their own keeps
+        // the rows above comparable byte for byte.
+        let walls: Vec<String> = cells
+            .iter()
+            .map(|(result, _, elapsed)| {
+                format!("{} {:.1}s", result.strategy.name(), elapsed.as_secs_f64())
+            })
+            .collect();
+        println!("wall time per cell: {}", walls.join(", "));
     }
     Ok(Vec::new())
 }

@@ -17,7 +17,9 @@
 //! [`SimObserver::reads_state`] is false reads nothing but the events,
 //! and the serial kernel ships its events in batches of [`RELAY_BATCH`]
 //! to one helper thread that runs alongside the kernel thread. The
-//! observers that compare live state keep running on the kernel thread.
+//! observers that compare live state keep running on the kernel thread,
+//! except the invariant checker: the kernel thread only reads state for
+//! it, and the readings ride to the helper thread with the events.
 //!
 //! Two observers are defined here (telemetry and span recording live in
 //! their own modules):
@@ -27,8 +29,10 @@
 //!   suspend + run segments tile each completed job's lifetime), queue
 //!   order (priority then FIFO) and resume order (suspended jobs resume
 //!   before queued jobs start, per machine) *online*, panicking with a
-//!   replayable event context on the first violation. It reads the
-//!   pools at every kernel boundary, so it stays on the kernel thread;
+//!   replayable event context on the first violation. Its probe reads
+//!   the touched pools and machines at every kernel boundary on the
+//!   kernel thread; its shadow accounting and comparisons run on the
+//!   helper thread;
 //! * [`TraceRecorder`] — streams a deterministic JSONL event log
 //!   (hand-written JSON; the workspace carries no serde) for golden-trace
 //!   conformance tests and cross-run differential debugging. With a
@@ -42,7 +46,7 @@ use std::io::Write as _;
 use std::sync::mpsc;
 
 use netbatch_cluster::ids::{JobId, MachineId, PoolId};
-use netbatch_cluster::job::JobRecord;
+use netbatch_cluster::job::{JobPhase, JobRecord};
 use netbatch_cluster::pool::PhysicalPool;
 use netbatch_cluster::snapshot::PoolSnapshot;
 use netbatch_sim_engine::time::{SimDuration, SimTime};
@@ -508,8 +512,10 @@ pub struct ObsCtx<'a> {
 /// rendering the determinism suite compares byte-for-byte.
 ///
 /// Observers are `Send`: one whose [`SimObserver::reads_state`] is false
-/// receives its events on a helper thread (DESIGN.md §8).
-pub trait SimObserver: std::fmt::Debug + Send {
+/// receives its events on a helper thread (DESIGN.md §8). They are also
+/// `Any` (every boxed observer is `'static`), which lets the serial
+/// kernel recognize an [`InvariantChecker`] among them.
+pub trait SimObserver: std::fmt::Debug + Send + Any {
     /// Called once on the calling thread before the first event, with the
     /// initial state (every observer, wherever its events go): the place
     /// to size per-job or per-pool tables.
@@ -528,7 +534,9 @@ pub trait SimObserver: std::fmt::Debug + Send {
     /// helper thread while the kernel runs on, with an empty `ctx`; its
     /// `on_run_start` and `on_run_end` still run on the calling thread
     /// with the real state. The default is `true`, so a wrapper that does
-    /// not forward this method keeps its inner observer inline.
+    /// not forward this method keeps its inner observer inline. The
+    /// [`InvariantChecker`] answers `false` too, and gets the kernel
+    /// thread's readings of the state in place of `ctx`.
     fn reads_state(&self) -> bool {
         true
     }
@@ -571,8 +579,55 @@ enum SPhase {
     InTransit,
     /// Parked at the VPM waiting out a failure-retry backoff that expires
     /// at the carried instant (the record shows `AtVpm`).
-    Backoff(SimTime),
+    Backoff(Expiry),
     Done,
+}
+
+/// A backoff's expiry in whole minutes: four bytes keep an [`SPhase`],
+/// which the checker holds for every job, at eight. It prints as the
+/// `SimTime` it stands for.
+#[derive(Clone, Copy, PartialEq, Eq)]
+struct Expiry(u32);
+
+impl Expiry {
+    fn new(at: SimTime) -> Self {
+        Expiry(u32::try_from(at.as_minutes()).expect("backoff expiries fit in u32 minutes"))
+    }
+
+    fn time(self) -> SimTime {
+        SimTime::from_minutes(u64::from(self.0))
+    }
+}
+
+impl std::fmt::Debug for Expiry {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.time().fmt(f)
+    }
+}
+
+/// The checker's shadow of one machine, driven by the events.
+#[derive(Debug, Clone, Copy)]
+struct MachineShadow {
+    /// Resident memory, in MB.
+    mem: u64,
+    /// Kill deadline (minutes) while draining; `u64::MAX` = cordon or not
+    /// draining. Evacuations must land at or before this instant.
+    drain_deadline: u64,
+    /// Down, by MachineDown/MachineUp.
+    down: bool,
+    /// Draining or cordoned, by MachineDraining/MachineUndrained.
+    draining: bool,
+}
+
+impl Default for MachineShadow {
+    fn default() -> Self {
+        MachineShadow {
+            mem: 0,
+            drain_deadline: u64::MAX,
+            down: false,
+            draining: false,
+        }
+    }
 }
 
 /// How many events the replayable panic context retains.
@@ -617,31 +672,51 @@ const DEEP_SWEEP_EVERY: u64 = 1024;
 ///   retries keep strictly increasing attempt numbers with non-decreasing
 ///   delays and never re-dispatch before their booked instant, and no
 ///   rescheduling move targets a pool inside its blacklist cooldown.
+///
+/// The checker has two parts. A probe reads state and nothing else: at
+/// each kernel marker the busy and total cores of the pools touched
+/// since the previous marker and the resident memory of the touched
+/// machines; the footprint of each job an event moves; each finished
+/// record's lifecycle tiling (a check that reads only the record); and,
+/// at the deep-sweep cadence, the pools' internal checks and queue order
+/// with a copy of every record's phase and every pool's busy cores. The
+/// shadow holds everything else — the phase machine, the busy, memory,
+/// down, draining, backoff and blacklist shadows, the history — and
+/// makes every comparison against those readings, in event order.
+///
+/// Attached plainly to a serial run, the checker answers
+/// [`SimObserver::reads_state`] `false`: the kernel thread runs the probe
+/// and ships its readings with the events, and the shadow runs on the
+/// helper thread (DESIGN.md §8). Behind a wrapper that keeps
+/// `reads_state() == true`, or fed by hand, the checker probes the live
+/// [`ObsCtx`] it is given; both ways feed the same comparisons.
 pub struct InvariantChecker {
+    shadow: Shadow,
+    /// The state reads when the checker is fed the live state; after a
+    /// helper-thread run, the relay's probe, for `on_run_end`.
+    probe: Probe,
+    /// The inline probe's readings for the event in hand.
+    readings: Readings,
+}
+
+/// The checker's model of the run, built from the events alone, and
+/// the comparisons against the probe's readings.
+struct Shadow {
     phases: Vec<SPhase>,
     busy: Vec<u64>,
-    mem: Vec<Vec<u64>>,
-    /// Shadow machine health per pool, driven by MachineDown/MachineUp.
-    down: Vec<Vec<bool>>,
-    /// Shadow draining state per pool, driven by
-    /// MachineDraining/MachineUndrained.
-    draining: Vec<Vec<bool>>,
-    /// Kill deadline (minutes) per draining machine; `u64::MAX` = cordon
-    /// or not draining. Evacuations must land at or before this instant.
-    drain_deadline: Vec<Vec<u64>>,
+    /// Shadow machines, pool-major: pool `p`'s are
+    /// `machines[first_machine[p]..first_machine[p + 1]]`.
+    machines: Vec<MachineShadow>,
+    first_machine: Vec<usize>,
     /// Blacklisted-until (minutes) per pool; only ever set by observed
     /// `PoolBlacklisted` events, so unhardened runs check trivially.
     blacklist_until: Vec<u64>,
     /// Last observed (attempt, delay-minutes) per retried job.
     retry_state: BTreeMap<JobId, (u32, u64)>,
-    touched_pools: Vec<usize>,
-    touched_machines: Vec<(usize, usize)>,
     queue_started: Vec<(usize, usize)>,
     history: VecDeque<(SimTime, ObsEvent)>,
     last_now: SimTime,
     events_seen: u64,
-    last_sweep: u64,
-    machine_total: u64,
     initialized: bool,
 }
 
@@ -654,7 +729,7 @@ impl Default for InvariantChecker {
 impl std::fmt::Debug for InvariantChecker {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("InvariantChecker")
-            .field("events_seen", &self.events_seen)
+            .field("events_seen", &self.shadow.events_seen)
             .finish()
     }
 }
@@ -664,59 +739,67 @@ impl InvariantChecker {
     /// kernel marker, when a wrapper does not forward that hook).
     pub fn new() -> Self {
         InvariantChecker {
-            phases: Vec::new(),
-            busy: Vec::new(),
-            mem: Vec::new(),
-            down: Vec::new(),
-            draining: Vec::new(),
-            drain_deadline: Vec::new(),
-            blacklist_until: Vec::new(),
-            retry_state: BTreeMap::new(),
-            touched_pools: Vec::new(),
-            touched_machines: Vec::new(),
-            queue_started: Vec::new(),
-            history: VecDeque::with_capacity(HISTORY),
-            last_now: SimTime::ZERO,
-            events_seen: 0,
-            last_sweep: 0,
-            machine_total: 0,
-            initialized: false,
+            shadow: Shadow {
+                phases: Vec::new(),
+                busy: Vec::new(),
+                machines: Vec::new(),
+                first_machine: Vec::new(),
+                blacklist_until: Vec::new(),
+                retry_state: BTreeMap::new(),
+                queue_started: Vec::new(),
+                history: VecDeque::with_capacity(HISTORY),
+                last_now: SimTime::ZERO,
+                events_seen: 0,
+                initialized: false,
+            },
+            probe: Probe::default(),
+            readings: Readings::default(),
         }
     }
 
     /// Events observed so far (including markers).
     pub fn events_seen(&self) -> u64 {
-        self.events_seen
+        self.shadow.events_seen
     }
 
+    /// Takes over the probe that read the state for this checker on the
+    /// kernel thread, so that `on_run_end` compares what the run's last
+    /// events touched.
+    pub(crate) fn adopt_probe(&mut self, probe: Probe) {
+        self.probe = probe;
+    }
+
+    /// Checks a batch of events against the readings the relay's probe
+    /// took while they were emitted (the helper thread's delivery).
+    pub(crate) fn replay(&mut self, events: &[(SimTime, ObsEvent)], readings: &Readings) {
+        debug_assert!(self.shadow.initialized, "on_run_start sizes the checker");
+        let mut cursor = readings.cursor();
+        for (now, event) in events {
+            self.shadow.check(*now, event, &mut cursor);
+        }
+        debug_assert!(cursor.list.next().is_none(), "readings left over");
+    }
+}
+
+impl Shadow {
     fn ensure_init(&mut self, ctx: &ObsCtx<'_>) {
         if self.initialized {
             return;
         }
         self.busy = vec![0; ctx.pools.len()];
-        self.mem = ctx
-            .pools
-            .iter()
-            .map(|p| vec![0; p.machine_count()])
+        self.first_machine = std::iter::once(0)
+            .chain(ctx.pools.iter().scan(0, |n, p| {
+                *n += p.machine_count();
+                Some(*n)
+            }))
             .collect();
-        self.down = ctx
-            .pools
-            .iter()
-            .map(|p| vec![false; p.machine_count()])
-            .collect();
-        self.draining = ctx
-            .pools
-            .iter()
-            .map(|p| vec![false; p.machine_count()])
-            .collect();
-        self.drain_deadline = ctx
-            .pools
-            .iter()
-            .map(|p| vec![u64::MAX; p.machine_count()])
-            .collect();
+        let machines = *self
+            .first_machine
+            .last()
+            .expect("one entry per pool, plus one");
+        self.machines = vec![MachineShadow::default(); machines];
         self.blacklist_until = vec![0; ctx.pools.len()];
         self.phases = vec![SPhase::Unsubmitted; ctx.jobs.len()];
-        self.machine_total = ctx.pools.iter().map(|p| p.machine_count() as u64).sum();
         self.initialized = true;
     }
 
@@ -734,21 +817,6 @@ impl InvariantChecker {
             self.phases.resize(i + 1, SPhase::Unsubmitted);
         }
         self.phases[i] = phase;
-    }
-
-    fn touch_pool(&mut self, pool: PoolId) {
-        let p = pool.as_usize();
-        if !self.touched_pools.contains(&p) {
-            self.touched_pools.push(p);
-        }
-    }
-
-    fn touch_machine(&mut self, pool: PoolId, machine: MachineId) {
-        self.touch_pool(pool);
-        let key = (pool.as_usize(), machine.as_usize());
-        if !self.touched_machines.contains(&key) {
-            self.touched_machines.push(key);
-        }
     }
 
     #[cold]
@@ -770,16 +838,29 @@ impl InvariantChecker {
         }
     }
 
-    /// A job's resource footprint, read from its record.
-    fn resources(&self, ctx: &ObsCtx<'_>, job: JobId) -> (u64, u64) {
-        let res = ctx.jobs[job.as_usize()].spec().resources;
-        (u64::from(res.cores), res.memory_mb)
+    /// The shadow of `pool`'s `machine`.
+    fn machine(&self, pool: PoolId, machine: MachineId) -> &MachineShadow {
+        &self.machines[self.slot(pool, machine)]
+    }
+
+    fn machine_mut(&mut self, pool: PoolId, machine: MachineId) -> &mut MachineShadow {
+        let slot = self.slot(pool, machine);
+        &mut self.machines[slot]
+    }
+
+    fn slot(&self, pool: PoolId, machine: MachineId) -> usize {
+        let (p, m) = (pool.as_usize(), machine.as_usize());
+        let first = self.first_machine[p];
+        assert!(
+            m < self.first_machine[p + 1] - first,
+            "{pool} has no machine {machine}"
+        );
+        first + m
     }
 
     fn add_usage(&mut self, pool: PoolId, machine: MachineId, cores: u64, mem: u64) {
         self.busy[pool.as_usize()] += cores;
-        self.mem[pool.as_usize()][machine.as_usize()] += mem;
-        self.touch_machine(pool, machine);
+        self.machine_mut(pool, machine).mem += mem;
     }
 
     fn sub_usage(&mut self, now: SimTime, pool: PoolId, machine: MachineId, cores: u64, mem: u64) {
@@ -790,82 +871,94 @@ impl InvariantChecker {
             );
         };
         self.busy[pool.as_usize()] = b;
-        let Some(m) = self.mem[pool.as_usize()][machine.as_usize()].checked_sub(mem) else {
+        let Some(m) = self.machine(pool, machine).mem.checked_sub(mem) else {
             self.violation(
                 now,
                 &format!("resident-memory underflow on {pool}/{machine} (releasing {mem} MB)"),
             );
         };
-        self.mem[pool.as_usize()][machine.as_usize()] = m;
-        self.touch_machine(pool, machine);
+        self.machine_mut(pool, machine).mem = m;
     }
 
-    /// O(touched) comparisons against the pools' own accounting; runs at
-    /// every kernel boundary (state is settled there).
-    fn check_touched(&mut self, now: SimTime, ctx: &ObsCtx<'_>) {
-        while let Some(p) = self.touched_pools.pop() {
-            self.check_pool(now, ctx, p);
+    /// The comparisons of one kernel boundary (state is settled there):
+    /// the touched pools and machines, O(touched), then the deep sweep
+    /// when the probe took one.
+    fn check_marker(&self, now: SimTime, cursor: &mut Cursor<'_>) {
+        let (touched, sweep) = match *cursor.next("kernel") {
+            Reading::Kernel { touched, sweep } => (touched, sweep),
+            ref other => out_of_step("kernel", other),
+        };
+        for _ in 0..touched {
+            match *cursor.next("pool or machine") {
+                Reading::Pool { pool, busy, total } => self.check_pool(now, pool, busy, total),
+                Reading::Machine {
+                    pool,
+                    machine,
+                    used,
+                    capacity,
+                } => self.check_machine(now, pool, machine, used, capacity),
+                Reading::NoMachine { pool, machine } => self.violation(
+                    now,
+                    &format!("unknown machine m{} in {pool}", machine.as_usize()),
+                ),
+                ref other => out_of_step("pool or machine", other),
+            }
         }
-        while let Some((p, m)) = self.touched_machines.pop() {
-            self.check_machine(now, ctx, p, m);
+        if sweep {
+            self.deep_sweep(now, cursor.sweep());
         }
     }
 
-    fn check_pool(&self, now: SimTime, ctx: &ObsCtx<'_>, p: usize) {
-        let pool = &ctx.pools[p];
-        let shadow = self.busy[p];
-        let actual = u64::from(pool.busy_cores());
+    fn check_pool(&self, now: SimTime, pool: PoolId, busy: u32, total: u32) {
+        let shadow = self.busy[pool.as_usize()];
+        let actual = u64::from(busy);
         if shadow != actual {
             self.violation(
                 now,
                 &format!(
-                    "busy-core conservation broken in {}: events say {shadow}, pool says {actual}",
-                    pool.id()
+                    "busy-core conservation broken in {pool}: events say {shadow}, pool says {actual}"
                 ),
             );
         }
-        let total = u64::from(pool.total_cores());
+        let total = u64::from(total);
         if shadow > total {
             self.violation(
                 now,
-                &format!("{} runs {shadow} cores but only has {total}", pool.id()),
+                &format!("{pool} runs {shadow} cores but only has {total}"),
             );
         }
     }
 
-    fn check_machine(&self, now: SimTime, ctx: &ObsCtx<'_>, p: usize, m: usize) {
-        let pool = &ctx.pools[p];
-        let Some(mach) = pool.machine(MachineId(m as u32)) else {
-            self.violation(now, &format!("unknown machine m{m} in {}", pool.id()));
-        };
-        let shadow = self.mem[p][m];
-        let actual = mach.memory_used();
+    fn check_machine(
+        &self,
+        now: SimTime,
+        pool: PoolId,
+        machine: MachineId,
+        actual: u64,
+        capacity: u64,
+    ) {
+        let MachineShadow {
+            mem: shadow, down, ..
+        } = *self.machine(pool, machine);
+        let m = machine.as_usize();
         if shadow != actual {
             self.violation(
                 now,
                 &format!(
-                    "memory accounting broken on {}/m{m}: events say {shadow} MB, machine says {actual} MB",
-                    pool.id()
+                    "memory accounting broken on {pool}/m{m}: events say {shadow} MB, machine says {actual} MB"
                 ),
             );
         }
-        if shadow > mach.config().memory_mb {
+        if shadow > capacity {
             self.violation(
                 now,
-                &format!(
-                    "{}/m{m} holds {shadow} MB resident but has {} MB",
-                    pool.id(),
-                    mach.config().memory_mb
-                ),
+                &format!("{pool}/m{m} holds {shadow} MB resident but has {capacity} MB"),
             );
         }
-        if self.down[p][m] && shadow != 0 {
+        if down && shadow != 0 {
             self.violation(
                 now,
-                &format!(
-                    "down machine {}/m{m} still hosts {shadow} MB resident",
-                    pool.id()
-                ),
+                &format!("down machine {pool}/m{m} still hosts {shadow} MB resident"),
             );
         }
     }
@@ -876,7 +969,8 @@ impl InvariantChecker {
     fn expect_dispatchable(&mut self, now: SimTime, job: JobId, at: &str) {
         match self.phase(job) {
             SPhase::AtVpm | SPhase::InTransit => {}
-            SPhase::Backoff(resume_at) => {
+            SPhase::Backoff(expiry) => {
+                let resume_at = expiry.time();
                 if now < resume_at {
                     self.violation(
                         now,
@@ -909,14 +1003,17 @@ impl InvariantChecker {
     /// deadline — an evacuation after the kill would be racing a machine
     /// that is already down.
     fn check_evacuation_window(&self, now: SimTime, pool: PoolId, machine: MachineId) {
-        let (p, m) = (pool.as_usize(), machine.as_usize());
-        if !self.draining[p][m] {
+        let MachineShadow {
+            draining,
+            drain_deadline: deadline,
+            ..
+        } = *self.machine(pool, machine);
+        if !draining {
             self.violation(
                 now,
                 &format!("evacuation off non-draining machine {pool}/{machine}"),
             );
         }
-        let deadline = self.drain_deadline[p][m];
         if now.as_minutes() > deadline {
             self.violation(
                 now,
@@ -927,70 +1024,36 @@ impl InvariantChecker {
         }
     }
 
-    /// Full-state sweep: every pool's internal invariants, queue order,
-    /// and the shadow phase machine against the job records.
-    fn deep_sweep(&self, now: SimTime, ctx: &ObsCtx<'_>) {
-        for (p, pool) in ctx.pools.iter().enumerate() {
-            if self.busy[p] != u64::from(pool.busy_cores()) {
+    /// Full-state sweep: every pool's busy cores, internal invariants and
+    /// queue order, and the shadow phase machine against the job records.
+    fn deep_sweep(&self, now: SimTime, sweep: &Sweep) {
+        for (p, &(pool, busy)) in sweep.busy.iter().enumerate() {
+            if self.busy[p] != u64::from(busy) {
                 self.violation(
                     now,
                     &format!(
-                        "busy-core conservation broken in {} (deep sweep): events say {}, pool says {}",
-                        pool.id(),
-                        self.busy[p],
-                        pool.busy_cores()
+                        "busy-core conservation broken in {pool} (deep sweep): events say {}, pool says {busy}",
+                        self.busy[p]
                     ),
                 );
             }
-            if !pool.check_invariants() {
-                self.violation(now, &format!("{} fails its internal invariants", pool.id()));
-            }
-            let mut prev: Option<(netbatch_cluster::priority::Priority, SimTime)> = None;
-            for entry in pool.waiting_jobs() {
-                if let Some((prio, at)) = prev {
-                    if entry.priority > prio {
-                        self.violation(
-                            now,
-                            &format!(
-                                "queue order broken in {}: {:?} queued behind {:?}",
-                                pool.id(),
-                                entry.priority,
-                                prio
-                            ),
-                        );
-                    }
-                    if entry.priority == prio && entry.enqueued_at < at {
-                        self.violation(
-                            now,
-                            &format!(
-                                "FIFO order broken in {} for priority {:?}: {} enqueued at {} sits behind {}",
-                                pool.id(),
-                                prio,
-                                entry.job,
-                                entry.enqueued_at,
-                                at
-                            ),
-                        );
-                    }
-                }
-                prev = Some((entry.priority, entry.enqueued_at));
+            if let Some((_, msg)) = sweep.fault.as_ref().filter(|(at, _)| *at == p) {
+                self.violation(now, msg);
             }
         }
-        for (i, rec) in ctx.jobs.iter().enumerate() {
+        for (i, &record) in sweep.phases.iter().enumerate() {
+            let id = JobId(i as u64);
             let shadow = self.phases.get(i).copied().unwrap_or(SPhase::Unsubmitted);
             if let SPhase::Running(p, m) | SPhase::Suspended(p, m) = shadow {
-                if self.down[p.as_usize()][m.as_usize()] {
+                if self.machine(p, m).down {
                     self.violation(
                         now,
-                        &format!(
-                            "{} is {shadow:?} on down machine {p}/{m} (deep sweep)",
-                            rec.id()
-                        ),
+                        &format!("{id} is {shadow:?} on down machine {p}/{m} (deep sweep)"),
                     );
                 }
             }
             use netbatch_cluster::job::JobPhase as JP;
-            let ok = match (shadow, rec.phase()) {
+            let ok = match (shadow, record) {
                 (SPhase::Unsubmitted, JP::Created) => true,
                 (SPhase::AtVpm | SPhase::InTransit | SPhase::Backoff(_), JP::AtVpm) => true,
                 (SPhase::Waiting(p), JP::Waiting { pool }) => p == pool,
@@ -1005,48 +1068,24 @@ impl InvariantChecker {
                 self.violation(
                     now,
                     &format!(
-                        "phase cross-check failed for {}: events imply {shadow:?}, record says {}",
-                        rec.id(),
-                        rec.phase().name()
+                        "phase cross-check failed for {id}: events imply {shadow:?}, record says {}",
+                        record.name()
                     ),
                 );
             }
         }
     }
 
-    /// wait + suspend + run must tile submission → completion exactly.
-    fn check_tiling(&self, now: SimTime, ctx: &ObsCtx<'_>, job: JobId) {
-        if ctx.shadows.contains(&job) {
-            // Duplicate clones inherit the original's submit stamp but only
-            // come to life at launch time; their span is not tileable.
-            return;
-        }
-        let rec = &ctx.jobs[job.as_usize()];
-        let Some(done) = rec.completed_at() else {
-            self.violation(now, &format!("{job} reported complete without a timestamp"));
-        };
-        let span = done.since(rec.spec().submit_time);
-        let tiled = rec.wait_time() + rec.suspend_time() + rec.run_time();
-        if span != tiled {
-            self.violation(
-                now,
-                &format!(
-                    "lifecycle tiling broken for {job}: span {span} != wait {} + suspend {} + run {}",
-                    rec.wait_time(),
-                    rec.suspend_time(),
-                    rec.run_time()
-                ),
-            );
+    /// The lifecycle tiling the probe checked at a completion.
+    fn check_tiling(&self, now: SimTime, cursor: &mut Cursor<'_>) {
+        if let Some(broken) = cursor.tiling() {
+            self.violation(now, broken);
         }
     }
-}
 
-impl SimObserver for InvariantChecker {
-    fn on_run_start(&mut self, _now: SimTime, ctx: &ObsCtx<'_>) {
-        self.ensure_init(ctx);
-    }
-
-    fn on_event(&mut self, now: SimTime, event: &ObsEvent, ctx: &ObsCtx<'_>) {
+    /// Checks one event against the shadow, taking the readings it needs
+    /// from `cursor`, then applies it to the shadow.
+    fn check(&mut self, now: SimTime, event: &ObsEvent, cursor: &mut Cursor<'_>) {
         if matches!(event, ObsEvent::PoolSample { .. }) {
             return; // a sample annotation: the checker reads the pools itself
         }
@@ -1062,16 +1101,8 @@ impl SimObserver for InvariantChecker {
 
         match *event {
             ObsEvent::Kernel { .. } => {
-                // Every serial run opens with a kernel marker: this sizes
-                // a checker whose wrapper did not forward `on_run_start`.
-                self.ensure_init(ctx);
                 self.queue_started.clear();
-                self.check_touched(now, ctx);
-                let interval = DEEP_SWEEP_EVERY.max(ctx.jobs.len() as u64 + self.machine_total);
-                if self.events_seen - self.last_sweep >= interval {
-                    self.deep_sweep(now, ctx);
-                    self.last_sweep = self.events_seen;
-                }
+                self.check_marker(now, cursor);
             }
             ObsEvent::BatchStart { .. } => self.queue_started.clear(),
             ObsEvent::Submit { job } => {
@@ -1112,32 +1143,32 @@ impl SimObserver for InvariantChecker {
                 if wall.is_zero() {
                     self.violation(now, &format!("dispatch: {job} started with zero wall time"));
                 }
-                if self.down[pool.as_usize()][machine.as_usize()] {
+                if self.machine(pool, machine).down {
                     self.violation(
                         now,
                         &format!("dispatch: {job} placed on down machine {pool}/{machine}"),
                     );
                 }
-                if self.draining[pool.as_usize()][machine.as_usize()] {
+                if self.machine(pool, machine).draining {
                     self.violation(
                         now,
                         &format!("dispatch: {job} placed on draining machine {pool}/{machine}"),
                     );
                 }
-                let (cores, mem) = self.resources(ctx, job);
+                let (cores, mem) = cursor.footprint();
                 self.add_usage(pool, machine, cores, mem);
                 self.set_phase(job, SPhase::Running(pool, machine));
             }
             ObsEvent::Suspend { job, pool, machine } => {
                 self.expect_phase(now, job, SPhase::Running(pool, machine), "suspend");
-                let (cores, _) = self.resources(ctx, job);
+                let (cores, _) = cursor.footprint();
                 // Suspension releases cores but keeps resident memory.
                 self.sub_usage(now, pool, machine, cores, 0);
                 self.set_phase(job, SPhase::Suspended(pool, machine));
             }
             ObsEvent::Resume { job, pool, machine } => {
                 self.expect_phase(now, job, SPhase::Suspended(pool, machine), "resume");
-                if self.down[pool.as_usize()][machine.as_usize()] {
+                if self.machine(pool, machine).down {
                     self.violation(
                         now,
                         &format!("resume: {job} resumed on down machine {pool}/{machine}"),
@@ -1155,16 +1186,16 @@ impl SimObserver for InvariantChecker {
                         ),
                     );
                 }
-                let (cores, _) = self.resources(ctx, job);
+                let (cores, _) = cursor.footprint();
                 self.add_usage(pool, machine, cores, 0);
                 self.set_phase(job, SPhase::Running(pool, machine));
             }
             ObsEvent::Complete { job, pool, machine } => {
                 self.expect_phase(now, job, SPhase::Running(pool, machine), "complete");
-                let (cores, mem) = self.resources(ctx, job);
+                let (cores, mem) = cursor.footprint();
                 self.sub_usage(now, pool, machine, cores, mem);
                 self.set_phase(job, SPhase::Done);
-                self.check_tiling(now, ctx, job);
+                self.check_tiling(now, cursor);
             }
             ObsEvent::WaitTimeout { job, pool } => {
                 self.expect_phase(now, job, SPhase::Waiting(pool), "wait_timeout");
@@ -1181,7 +1212,7 @@ impl SimObserver for InvariantChecker {
                 if let Some(target) = to {
                     self.check_not_blacklisted(now, target, kind.label());
                 }
-                let (cores, mem) = self.resources(ctx, job);
+                let (cores, mem) = cursor.footprint();
                 match (kind, from_phase) {
                     (
                         ReschedKind::RestartFromSuspend | ReschedKind::Migrate,
@@ -1269,7 +1300,7 @@ impl SimObserver for InvariantChecker {
                 pool,
                 machine,
             } => {
-                let (cores, mem) = self.resources(ctx, job);
+                let (cores, mem) = cursor.footprint();
                 match from_phase {
                     PhaseTag::Running => {
                         let (p, m) = (pool.unwrap(), machine.unwrap());
@@ -1297,29 +1328,27 @@ impl SimObserver for InvariantChecker {
                     },
                 }
                 self.set_phase(job, SPhase::Done);
-                self.check_tiling(now, ctx, job);
+                self.check_tiling(now, cursor);
             }
             ObsEvent::MachineDown { pool, machine } => {
                 // Evictions follow as failure_evict reschedules; once they
                 // all land, the shadow reaches the drained machine state.
-                if self.down[pool.as_usize()][machine.as_usize()] {
+                if self.machine(pool, machine).down {
                     self.violation(
                         now,
                         &format!("machine_down: {pool}/{machine} failed while already down"),
                     );
                 }
-                self.down[pool.as_usize()][machine.as_usize()] = true;
-                self.touch_machine(pool, machine);
+                self.machine_mut(pool, machine).down = true;
             }
             ObsEvent::MachineUp { pool, machine } => {
-                if !self.down[pool.as_usize()][machine.as_usize()] {
+                if !self.machine(pool, machine).down {
                     self.violation(
                         now,
                         &format!("machine_up: {pool}/{machine} restored while not down"),
                     );
                 }
-                self.down[pool.as_usize()][machine.as_usize()] = false;
-                self.touch_machine(pool, machine);
+                self.machine_mut(pool, machine).down = false;
             }
             ObsEvent::MachineDraining {
                 pool,
@@ -1329,8 +1358,7 @@ impl SimObserver for InvariantChecker {
                 // Draining while down is legal (a merged window can open
                 // during a stochastic outage); draining twice is not —
                 // the plan normalization guarantees alternation.
-                let (p, m) = (pool.as_usize(), machine.as_usize());
-                if self.draining[p][m] {
+                if self.machine(pool, machine).draining {
                     self.violation(
                         now,
                         &format!(
@@ -1346,12 +1374,12 @@ impl SimObserver for InvariantChecker {
                         );
                     }
                 }
-                self.draining[p][m] = true;
-                self.drain_deadline[p][m] = deadline.map_or(u64::MAX, |d| d.as_minutes());
+                let shadow = self.machine_mut(pool, machine);
+                shadow.draining = true;
+                shadow.drain_deadline = deadline.map_or(u64::MAX, |d| d.as_minutes());
             }
             ObsEvent::MachineUndrained { pool, machine } => {
-                let (p, m) = (pool.as_usize(), machine.as_usize());
-                if !self.draining[p][m] {
+                if !self.machine(pool, machine).draining {
                     self.violation(
                         now,
                         &format!(
@@ -1359,8 +1387,9 @@ impl SimObserver for InvariantChecker {
                         ),
                     );
                 }
-                self.draining[p][m] = false;
-                self.drain_deadline[p][m] = u64::MAX;
+                let shadow = self.machine_mut(pool, machine);
+                shadow.draining = false;
+                shadow.drain_deadline = u64::MAX;
             }
             ObsEvent::RetryScheduled {
                 job,
@@ -1407,7 +1436,7 @@ impl SimObserver for InvariantChecker {
                     );
                 }
                 self.retry_state.insert(job, (attempt, delay));
-                self.set_phase(job, SPhase::Backoff(resume_at));
+                self.set_phase(job, SPhase::Backoff(Expiry::new(resume_at)));
             }
             ObsEvent::PoolBlacklisted { pool, until } => {
                 let u = until.as_minutes();
@@ -1436,16 +1465,372 @@ impl SimObserver for InvariantChecker {
             ObsEvent::Sample | ObsEvent::PoolSample { .. } => {}
         }
     }
+}
+
+impl SimObserver for InvariantChecker {
+    fn on_run_start(&mut self, _now: SimTime, ctx: &ObsCtx<'_>) {
+        self.shadow.ensure_init(ctx);
+    }
+
+    /// `false`: a serial run reads the state for the checker on the
+    /// kernel thread, where the relay runs its probe, and the checker
+    /// makes its comparisons on the helper thread. It is the one observer
+    /// that answers `false` and still gets readings of the state.
+    fn reads_state(&self) -> bool {
+        false
+    }
+
+    /// Probes `ctx` (the live state), then checks the event against
+    /// those readings.
+    fn on_event(&mut self, now: SimTime, event: &ObsEvent, ctx: &ObsCtx<'_>) {
+        if matches!(event, ObsEvent::Kernel { .. }) {
+            // Every serial run opens with a kernel marker: this sizes
+            // a checker whose wrapper did not forward `on_run_start`.
+            self.shadow.ensure_init(ctx);
+        }
+        self.probe.observe(event, ctx, &mut self.readings);
+        self.shadow.check(now, event, &mut self.readings.cursor());
+        self.probe.reclaim(&mut self.readings);
+    }
 
     fn on_run_end(&mut self, now: SimTime, ctx: &ObsCtx<'_>) {
-        self.ensure_init(ctx);
-        self.check_touched(now, ctx);
-        self.deep_sweep(now, ctx);
+        self.shadow.ensure_init(ctx);
+        self.probe.read(ctx, true, &mut self.readings);
+        self.shadow.check_marker(now, &mut self.readings.cursor());
+        // The run is over: the buffers go.
+        self.probe = Probe::default();
+        self.readings = Readings::default();
     }
 
     fn as_any(&self) -> &dyn Any {
         self
     }
+}
+
+/// One state read the checker's shadow compares against, taken on the
+/// thread that owns the simulator's state.
+#[derive(Debug, Clone, Copy)]
+enum Reading {
+    /// Opens a kernel boundary's readings: `touched` pool and machine
+    /// readings follow, and a deep sweep when `sweep`.
+    Kernel { touched: u32, sweep: bool },
+    /// A pool touched since the previous boundary: busy and total cores.
+    Pool { pool: PoolId, busy: u32, total: u32 },
+    /// A machine touched since the previous boundary: resident and
+    /// installed memory, in MB.
+    Machine {
+        pool: PoolId,
+        machine: MachineId,
+        used: u64,
+        capacity: u64,
+    },
+    /// A touched machine id its pool does not have.
+    NoMachine { pool: PoolId, machine: MachineId },
+    /// The footprint of the job an event moves: cores and resident MB.
+    Footprint { cores: u32, memory: u64 },
+    /// Whether a finished job's lifecycle tiling holds (it does for a
+    /// duplicate copy); when it does not, the broken rule's message is
+    /// the next of the readings' `broken`.
+    Tiling { holds: bool },
+}
+
+/// A deep sweep's readings.
+#[derive(Debug, Default, Clone)]
+struct Sweep {
+    /// Every pool's id and busy cores, in pool order.
+    busy: Vec<(PoolId, u32)>,
+    /// The first pool (by index) failing its internal invariants or queue
+    /// order, with the broken rule's message.
+    fault: Option<(usize, String)>,
+    /// Every record's phase, indexed by job id.
+    phases: Vec<JobPhase>,
+}
+
+/// What a probe read over a run of events, in event order. Sweeps sit
+/// apart, so that their buffers can be reused.
+#[derive(Debug, Default)]
+pub(crate) struct Readings {
+    list: Vec<Reading>,
+    sweeps: Vec<Sweep>,
+    /// The messages of broken tilings, in order.
+    broken: Vec<String>,
+}
+
+impl Readings {
+    fn cursor(&self) -> Cursor<'_> {
+        Cursor {
+            list: self.list.iter(),
+            sweeps: self.sweeps.iter(),
+            broken: self.broken.iter(),
+        }
+    }
+}
+
+/// Reads a [`Readings`] back in the order the probe took them.
+struct Cursor<'a> {
+    list: std::slice::Iter<'a, Reading>,
+    sweeps: std::slice::Iter<'a, Sweep>,
+    broken: std::slice::Iter<'a, String>,
+}
+
+impl<'a> Cursor<'a> {
+    fn next(&mut self, want: &str) -> &'a Reading {
+        self.list
+            .next()
+            .unwrap_or_else(|| panic!("checker readings ran out before a {want} reading"))
+    }
+
+    fn footprint(&mut self) -> (u64, u64) {
+        match *self.next("footprint") {
+            Reading::Footprint { cores, memory } => (u64::from(cores), memory),
+            ref other => out_of_step("footprint", other),
+        }
+    }
+
+    fn tiling(&mut self) -> Option<&'a str> {
+        match *self.next("tiling") {
+            Reading::Tiling { holds: true } => None,
+            Reading::Tiling { holds: false } => Some(
+                self.broken
+                    .next()
+                    .expect("a message for each broken tiling"),
+            ),
+            ref other => out_of_step("tiling", other),
+        }
+    }
+
+    fn sweep(&mut self) -> &'a Sweep {
+        self.sweeps
+            .next()
+            .expect("a sweep for the kernel boundary that took one")
+    }
+}
+
+#[cold]
+fn out_of_step(want: &str, got: &Reading) -> ! {
+    panic!("checker readings out of step with the events: expected a {want} reading, got {got:?}")
+}
+
+/// The checker's state reads (see [`InvariantChecker`]). It follows the
+/// events to know which pools and machines they touch and when a deep
+/// sweep is due, and reads what their rules need from the live state.
+/// It runs on the thread that owns the state: inside a checker fed the
+/// live [`ObsCtx`], or in the [`Relay`] for a checker on the helper
+/// thread.
+#[derive(Debug, Default, Clone)]
+pub(crate) struct Probe {
+    touched_pools: Vec<PoolId>,
+    touched_machines: Vec<(PoolId, MachineId)>,
+    events_seen: u64,
+    last_sweep: u64,
+    machine_total: Option<u64>,
+    /// Sweeps already checked, reused for the next ones.
+    spare: Vec<Sweep>,
+}
+
+impl Probe {
+    /// Reads what the rules of `event` need from `ctx` into `out`.
+    fn observe(&mut self, event: &ObsEvent, ctx: &ObsCtx<'_>, out: &mut Readings) {
+        if matches!(event, ObsEvent::PoolSample { .. }) {
+            return;
+        }
+        self.events_seen += 1;
+        match *event {
+            ObsEvent::Kernel { .. } => {
+                assert!(
+                    !ctx.pools.is_empty(),
+                    "the invariant checker reads the simulator's state: \
+                     a wrapper around it must keep reads_state() true"
+                );
+                let machines = *self.machine_total.get_or_insert_with(|| {
+                    ctx.pools.iter().map(|p| p.machine_count() as u64).sum()
+                });
+                let interval = DEEP_SWEEP_EVERY.max(ctx.jobs.len() as u64 + machines);
+                let sweep = self.events_seen - self.last_sweep >= interval;
+                if sweep {
+                    self.last_sweep = self.events_seen;
+                }
+                self.read(ctx, sweep, out);
+            }
+            ObsEvent::Dispatch {
+                job, pool, machine, ..
+            }
+            | ObsEvent::Suspend { job, pool, machine }
+            | ObsEvent::Resume { job, pool, machine } => {
+                footprint(ctx, job, out);
+                self.touch(pool, machine);
+            }
+            ObsEvent::Complete { job, pool, machine } => {
+                footprint(ctx, job, out);
+                self.touch(pool, machine);
+                tiling(ctx, job, out);
+            }
+            ObsEvent::Reschedule {
+                job,
+                from_pool,
+                machine,
+                from_phase,
+                ..
+            } => {
+                footprint(ctx, job, out);
+                if let (Some(m), PhaseTag::Running | PhaseTag::Suspended) = (machine, from_phase) {
+                    self.touch(from_pool, m);
+                }
+            }
+            ObsEvent::ProxyFinish {
+                job,
+                from_phase,
+                pool,
+                machine,
+            } => {
+                footprint(ctx, job, out);
+                if let (Some(p), Some(m), PhaseTag::Running | PhaseTag::Suspended) =
+                    (pool, machine, from_phase)
+                {
+                    self.touch(p, m);
+                }
+                tiling(ctx, job, out);
+            }
+            ObsEvent::MachineDown { pool, machine } | ObsEvent::MachineUp { pool, machine } => {
+                self.touch(pool, machine);
+            }
+            _ => {}
+        }
+    }
+
+    fn touch(&mut self, pool: PoolId, machine: MachineId) {
+        if !self.touched_pools.contains(&pool) {
+            self.touched_pools.push(pool);
+        }
+        if !self.touched_machines.contains(&(pool, machine)) {
+            self.touched_machines.push((pool, machine));
+        }
+    }
+
+    /// Reads one kernel boundary: the pools and machines touched since
+    /// the previous one and, when `sweep`, the whole state.
+    fn read(&mut self, ctx: &ObsCtx<'_>, sweep: bool, out: &mut Readings) {
+        let touched = self.touched_pools.len() + self.touched_machines.len();
+        out.list.push(Reading::Kernel {
+            touched: u32::try_from(touched).expect("touched counts fit in u32"),
+            sweep,
+        });
+        while let Some(pool) = self.touched_pools.pop() {
+            let p = &ctx.pools[pool.as_usize()];
+            out.list.push(Reading::Pool {
+                pool,
+                busy: p.busy_cores(),
+                total: p.total_cores(),
+            });
+        }
+        while let Some((pool, machine)) = self.touched_machines.pop() {
+            out.list
+                .push(match ctx.pools[pool.as_usize()].machine(machine) {
+                    Some(m) => Reading::Machine {
+                        pool,
+                        machine,
+                        used: m.memory_used(),
+                        capacity: m.config().memory_mb,
+                    },
+                    None => Reading::NoMachine { pool, machine },
+                });
+        }
+        if sweep {
+            let mut s = self.spare.pop().unwrap_or_default();
+            s.busy.clear();
+            s.busy
+                .extend(ctx.pools.iter().map(|p| (p.id(), p.busy_cores())));
+            s.fault = ctx
+                .pools
+                .iter()
+                .enumerate()
+                .find_map(|(p, pool)| pool_fault(pool).map(|msg| (p, msg)));
+            s.phases.clear();
+            s.phases.extend(ctx.jobs.iter().map(JobRecord::phase));
+            out.sweeps.push(s);
+        }
+    }
+
+    /// Empties checked readings, keeping their sweeps for reuse.
+    fn reclaim(&mut self, readings: &mut Readings) {
+        readings.list.clear();
+        if !readings.sweeps.is_empty() {
+            self.spare.append(&mut readings.sweeps);
+        }
+        readings.broken.clear();
+    }
+}
+
+fn footprint(ctx: &ObsCtx<'_>, job: JobId, out: &mut Readings) {
+    let res = ctx.jobs[job.as_usize()].spec().resources;
+    out.list.push(Reading::Footprint {
+        cores: res.cores,
+        memory: res.memory_mb,
+    });
+}
+
+/// wait + suspend + run must tile submission → completion exactly.
+fn tiling(ctx: &ObsCtx<'_>, job: JobId, out: &mut Readings) {
+    let broken = tiling_broken(ctx, job);
+    out.list.push(Reading::Tiling {
+        holds: broken.is_none(),
+    });
+    out.broken.extend(broken);
+}
+
+fn tiling_broken(ctx: &ObsCtx<'_>, job: JobId) -> Option<String> {
+    if ctx.shadows.contains(&job) {
+        // Duplicate clones inherit the original's submit stamp but only
+        // come to life at launch time; their span is not tileable.
+        return None;
+    }
+    let rec = &ctx.jobs[job.as_usize()];
+    let Some(done) = rec.completed_at() else {
+        return Some(format!("{job} reported complete without a timestamp"));
+    };
+    let span = done.since(rec.spec().submit_time);
+    let tiled = rec.wait_time() + rec.suspend_time() + rec.run_time();
+    (span != tiled).then(|| {
+        format!(
+            "lifecycle tiling broken for {job}: span {span} != wait {} + suspend {} + run {}",
+            rec.wait_time(),
+            rec.suspend_time(),
+            rec.run_time()
+        )
+    })
+}
+
+/// The first pool-internal rule `pool` breaks: its own invariants, then
+/// queue order (priority-descending, FIFO within a priority class).
+fn pool_fault(pool: &PhysicalPool) -> Option<String> {
+    if !pool.check_invariants() {
+        return Some(format!("{} fails its internal invariants", pool.id()));
+    }
+    let mut prev: Option<(netbatch_cluster::priority::Priority, SimTime)> = None;
+    for entry in pool.waiting_jobs() {
+        if let Some((prio, at)) = prev {
+            if entry.priority > prio {
+                return Some(format!(
+                    "queue order broken in {}: {:?} queued behind {:?}",
+                    pool.id(),
+                    entry.priority,
+                    prio
+                ));
+            }
+            if entry.priority == prio && entry.enqueued_at < at {
+                return Some(format!(
+                    "FIFO order broken in {} for priority {:?}: {} enqueued at {} sits behind {}",
+                    pool.id(),
+                    prio,
+                    entry.job,
+                    entry.enqueued_at,
+                    at
+                ));
+            }
+        }
+        prev = Some((entry.priority, entry.enqueued_at));
+    }
+    None
 }
 
 // ---------------------------------------------------------------------
@@ -1767,21 +2152,46 @@ pub const RELAY_BATCH: usize = 2048;
 
 /// Full batches the channel to the helper thread holds. With the batch
 /// the kernel fills and the one the helper delivers, at most
-/// `RELAY_DEPTH + 2` batch buffers ever exist (about 384 KiB): a new one
-/// is allocated only when no emptied buffer has come back.
+/// `RELAY_DEPTH + 2` batch buffers ever exist (about 384 KiB of events,
+/// plus the probe's readings when a checker rides along): a new one is
+/// allocated only when no emptied buffer has come back.
 const RELAY_DEPTH: usize = 2;
 
-type Batch = Vec<(SimTime, ObsEvent)>;
+/// One shipment to the helper thread: a run of events, and what the
+/// probe read while they were emitted (nothing unless an
+/// [`InvariantChecker`] is on the helper thread).
+#[derive(Default)]
+struct Batch {
+    events: Vec<(SimTime, ObsEvent)>,
+    readings: Readings,
+}
+
+impl Batch {
+    /// An empty batch; `probed` sizes it for the probe's readings too
+    /// (a little over one per event).
+    fn new(probed: bool) -> Self {
+        Batch {
+            events: Vec::with_capacity(RELAY_BATCH),
+            readings: Readings {
+                list: Vec::with_capacity(if probed { 2 * RELAY_BATCH } else { 0 }),
+                ..Readings::default()
+            },
+        }
+    }
+}
 
 /// The kernel-thread end of helper-thread delivery, attached as the last
 /// inline observer: it copies every event into a batch and ships full
 /// batches over a bounded channel, reusing the buffers the helper sends
-/// back. Dropping it ships the partial batch and hangs up, which ends
-/// the helper's [`Feed::deliver`] loop. If the helper has gone (an
-/// observer panicked), the next shipment stops the kernel with a
-/// [`HelperGone`] panic.
+/// back. For the invariant checkers on the helper thread it runs their
+/// [`Probe`], whose readings ride in the same batches. Dropping it ships
+/// the partial batch and hangs up, which ends the helper's
+/// [`Feed::deliver`] loop. If the helper has gone (an observer
+/// panicked), the next shipment stops the kernel with a [`HelperGone`]
+/// panic.
 pub(crate) struct Relay {
     batch: Batch,
+    probe: Option<Probe>,
     full: mpsc::SyncSender<Batch>,
     empty: mpsc::Receiver<Batch>,
 }
@@ -1792,12 +2202,16 @@ pub(crate) struct Feed {
     empty: mpsc::Sender<Batch>,
 }
 
-/// A connected relay and feed.
-pub(crate) fn relay() -> (Relay, Feed) {
+/// A connected relay and feed for `offloaded`, the observers the helper
+/// thread will feed; the relay probes the state when one of them is an
+/// [`InvariantChecker`].
+pub(crate) fn relay(offloaded: &[Box<dyn SimObserver>]) -> (Relay, Feed) {
     let (full_tx, full_rx) = mpsc::sync_channel(RELAY_DEPTH);
     let (empty_tx, empty_rx) = mpsc::channel();
+    let checked = offloaded.iter().any(|o| as_checker(o.as_ref()).is_some());
     let relay = Relay {
-        batch: Vec::with_capacity(RELAY_BATCH),
+        batch: Batch::new(checked),
+        probe: checked.then(Probe::default),
         full: full_tx,
         empty: empty_rx,
     };
@@ -1808,14 +2222,49 @@ pub(crate) fn relay() -> (Relay, Feed) {
     (relay, feed)
 }
 
+/// `obs` itself as an [`InvariantChecker`]; `None` for any other
+/// observer, a wrapper around a checker included.
+fn as_checker(obs: &dyn SimObserver) -> Option<&InvariantChecker> {
+    (obs as &dyn Any).downcast_ref()
+}
+
+/// Hangs up `relay` (shipping its partial batch) and returns its probe,
+/// if it ran one: the checkers it read for take it over for their
+/// `on_run_end` through [`hand_over`].
+pub(crate) fn hang_up(relay: Box<dyn SimObserver>) -> Option<Probe> {
+    let relay: Box<dyn Any> = relay;
+    let mut relay = relay.downcast::<Relay>().ok()?;
+    relay.probe.take()
+}
+
+/// Hands `probe` to the [`InvariantChecker`]s among `observers` (a
+/// copy to each after the first).
+pub(crate) fn hand_over(probe: Probe, observers: &mut [Box<dyn SimObserver>]) {
+    let mut checkers = observers
+        .iter_mut()
+        .filter_map(|o| (&mut **o as &mut dyn Any).downcast_mut::<InvariantChecker>());
+    let Some(first) = checkers.next() else {
+        return;
+    };
+    for other in checkers {
+        other.adopt_probe(probe.clone());
+    }
+    first.adopt_probe(probe);
+}
+
 impl Relay {
     fn ship(&mut self) {
         let full = std::mem::take(&mut self.batch);
         self.batch = match self.full.send(full) {
-            Ok(()) => self
-                .empty
-                .try_recv()
-                .unwrap_or_else(|_| Vec::with_capacity(RELAY_BATCH)),
+            Ok(()) => match self.empty.try_recv() {
+                Ok(mut batch) => {
+                    if let Some(probe) = &mut self.probe {
+                        probe.reclaim(&mut batch.readings);
+                    }
+                    batch
+                }
+                Err(_) => Batch::new(self.probe.is_some()),
+            },
             // The helper hung up, which it does only by panicking: stop
             // the kernel, and the run's join re-raises the helper's panic.
             Err(_) => std::panic::resume_unwind(Box::new(HelperGone)),
@@ -1829,7 +2278,7 @@ struct HelperGone;
 
 impl Drop for Relay {
     fn drop(&mut self) {
-        if !self.batch.is_empty() {
+        if !self.batch.events.is_empty() {
             // Fails only if the helper is gone, and then nothing reads it.
             let _ = self.full.send(std::mem::take(&mut self.batch));
         }
@@ -1839,15 +2288,18 @@ impl Drop for Relay {
 impl std::fmt::Debug for Relay {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Relay")
-            .field("pending", &self.batch.len())
+            .field("pending", &self.batch.events.len())
             .finish()
     }
 }
 
 impl SimObserver for Relay {
-    fn on_event(&mut self, now: SimTime, event: &ObsEvent, _ctx: &ObsCtx<'_>) {
-        self.batch.push((now, *event));
-        if self.batch.len() == RELAY_BATCH {
+    fn on_event(&mut self, now: SimTime, event: &ObsEvent, ctx: &ObsCtx<'_>) {
+        if let Some(probe) = &mut self.probe {
+            probe.observe(event, ctx, &mut self.batch.readings);
+        }
+        self.batch.events.push((now, *event));
+        if self.batch.events.len() == RELAY_BATCH {
             self.ship();
         }
     }
@@ -1860,7 +2312,8 @@ impl SimObserver for Relay {
 impl Feed {
     /// Delivers every batch to `observers`, in order, until the relay
     /// hangs up; then hands the observers back. Each observer takes a
-    /// whole batch in turn, with an empty [`ObsCtx`].
+    /// whole batch in turn: an [`InvariantChecker`] with the batch's
+    /// readings, every other observer with an empty [`ObsCtx`].
     pub(crate) fn deliver(
         self,
         mut observers: Vec<Box<dyn SimObserver>>,
@@ -1874,11 +2327,16 @@ impl Feed {
         };
         for mut batch in full {
             for obs in &mut observers {
-                for (now, event) in &batch {
-                    obs.on_event(*now, event, &ctx);
+                let any: &mut dyn Any = &mut **obs;
+                if let Some(checker) = any.downcast_mut::<InvariantChecker>() {
+                    checker.replay(&batch.events, &batch.readings);
+                } else {
+                    for (now, event) in &batch.events {
+                        obs.on_event(*now, event, &ctx);
+                    }
                 }
             }
-            batch.clear();
+            batch.events.clear();
             // The relay may be gone already (the run ended): that is fine.
             let _ = empty.send(batch);
         }
@@ -1918,6 +2376,217 @@ mod tests {
     #[test]
     fn events_stay_at_most_40_bytes() {
         assert!(std::mem::size_of::<ObsEvent>() <= 40);
+    }
+
+    /// The checker holds one phase per job; a backoff phase prints its
+    /// expiry as the `SimTime` it once carried.
+    #[test]
+    fn shadow_phases_stay_at_8_bytes_and_print_as_before() {
+        assert_eq!(std::mem::size_of::<SPhase>(), 8);
+        let parked = SPhase::Backoff(Expiry::new(SimTime::from_minutes(7)));
+        assert_eq!(format!("{parked:?}"), "Backoff(SimTime(7))");
+    }
+
+    /// The probe's readings ride with the events in the same batches.
+    #[test]
+    fn readings_stay_at_most_24_bytes() {
+        assert!(std::mem::size_of::<Reading>() <= 24);
+    }
+
+    // Rule parity: each rule the probe's readings feed, broken by a
+    // stream that disagrees with the state, reports the same violation
+    // whether the checker probes the live state itself (inline, as a
+    // wrapper that keeps `reads_state() == true` feeds it) or the relay
+    // probes for it and the feed replays the batch (the helper-thread
+    // path, here run on one thread).
+
+    const P0: PoolId = PoolId(0);
+    const M0: MachineId = MachineId(0);
+    const J0: JobId = JobId(0);
+
+    /// One pool of two 4-core, 1024 MB machines, and one 1-core,
+    /// 100 MB job submitted at t=0 that needs 10 minutes, whose record
+    /// `record` prepares (the pool itself never hosts it).
+    fn state(record: impl FnOnce(&mut JobRecord)) -> (Vec<PhysicalPool>, Vec<JobRecord>) {
+        let pool = PhysicalPool::new(netbatch_cluster::pool::PoolConfig::uniform(P0, 2, 4, 1024));
+        let spec =
+            netbatch_cluster::job::JobSpec::new(J0, SimTime::ZERO, SimDuration::from_minutes(10))
+                .with_cores(1)
+                .with_memory_mb(100);
+        let mut job = JobRecord::new(spec);
+        record(&mut job);
+        (vec![pool], vec![job])
+    }
+
+    fn at(minute: u64, event: ObsEvent) -> (SimTime, ObsEvent) {
+        (SimTime::from_minutes(minute), event)
+    }
+
+    /// Submit, pool choice and a fresh dispatch of the job onto m0.
+    fn dispatched(minute: u64) -> Vec<(SimTime, ObsEvent)> {
+        vec![
+            at(minute, ObsEvent::Kernel { kind: "submit" }),
+            at(minute, ObsEvent::Submit { job: J0 }),
+            at(minute, ObsEvent::PoolChosen { job: J0, pool: P0 }),
+            at(
+                minute,
+                ObsEvent::Dispatch {
+                    job: J0,
+                    pool: P0,
+                    machine: M0,
+                    wall: SimDuration::from_minutes(10),
+                    from_queue: false,
+                },
+            ),
+        ]
+    }
+
+    /// Checks `events` against the fixed `state` to the end of the run,
+    /// probing inline or through a relay and feed, and returns the
+    /// violation's panic message.
+    fn violation(
+        events: &[(SimTime, ObsEvent)],
+        (pools, jobs): &(Vec<PhysicalPool>, Vec<JobRecord>),
+        helper: bool,
+    ) -> String {
+        let shadows = std::collections::HashSet::new();
+        let ctx = ObsCtx {
+            pools,
+            jobs,
+            shadows: &shadows,
+        };
+        let end = events.last().map_or(SimTime::ZERO, |&(t, _)| t);
+        let mut checker: Box<dyn SimObserver> = Box::new(InvariantChecker::new());
+        checker.on_run_start(SimTime::ZERO, &ctx);
+        let ended = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
+            if helper {
+                let mut observers = vec![checker];
+                let (mut relay, feed) = relay(&observers);
+                for (now, event) in events {
+                    relay.on_event(*now, event, &ctx);
+                }
+                // The stream fits one batch, so the channel holds it
+                // until the feed below runs on this same thread.
+                assert!(events.len() < RELAY_BATCH);
+                let probe = hang_up(Box::new(relay)).expect("the relay probes for a checker");
+                observers = feed.deliver(observers);
+                hand_over(probe, &mut observers);
+                observers[0].on_run_end(end, &ctx);
+            } else {
+                for (now, event) in events {
+                    checker.on_event(*now, event, &ctx);
+                }
+                checker.on_run_end(end, &ctx);
+            }
+        }));
+        let payload = ended.expect_err("the stream breaks a rule");
+        payload
+            .downcast_ref::<String>()
+            .expect("the checker panics with a formatted message")
+            .clone()
+    }
+
+    /// The violation `events` raise, the same on either path.
+    fn same_violation(
+        events: &[(SimTime, ObsEvent)],
+        state: &(Vec<PhysicalPool>, Vec<JobRecord>),
+    ) -> String {
+        let inline = violation(events, state, false);
+        let helper = violation(events, state, true);
+        assert_eq!(inline, helper, "the two paths report differently");
+        inline
+    }
+
+    #[test]
+    fn busy_core_conservation_reads_the_same_on_either_path() {
+        let mut events = dispatched(0);
+        events.push(at(1, ObsEvent::Kernel { kind: "sample" }));
+        let msg = same_violation(&events, &state(|_| {}));
+        assert!(
+            msg.starts_with(
+                "invariant violated at t+1m: busy-core conservation broken in pool0: \
+                 events say 1, pool says 0\nlast 5 observed events"
+            ),
+            "{msg}"
+        );
+    }
+
+    #[test]
+    fn resident_memory_reads_the_same_on_either_path() {
+        // Suspension releases the core, so the pool's count agrees, but
+        // the shadow keeps the job's memory on m0, which holds none.
+        let mut events = dispatched(0);
+        events.push(at(
+            2,
+            ObsEvent::Suspend {
+                job: J0,
+                pool: P0,
+                machine: M0,
+            },
+        ));
+        events.push(at(2, ObsEvent::Kernel { kind: "submit" }));
+        let msg = same_violation(&events, &state(|_| {}));
+        assert!(
+            msg.starts_with(
+                "invariant violated at t+2m: memory accounting broken on pool0/m0: \
+                 events say 100 MB, machine says 0 MB\n"
+            ),
+            "{msg}"
+        );
+    }
+
+    #[test]
+    fn lifecycle_tiling_reads_the_same_on_either_path() {
+        // The record was submitted five minutes after its spec says, so
+        // its wait and run miss five minutes of the span.
+        let state = state(|job| {
+            let t = SimTime::from_minutes;
+            job.submit(t(5)).unwrap();
+            job.start(t(5), P0, M0, SimDuration::from_minutes(10))
+                .unwrap();
+            job.complete(t(15)).unwrap();
+        });
+        let mut events = dispatched(5);
+        events.push(at(
+            15,
+            ObsEvent::Complete {
+                job: J0,
+                pool: P0,
+                machine: M0,
+            },
+        ));
+        let msg = same_violation(&events, &state);
+        assert!(
+            msg.starts_with(
+                "invariant violated at t+15m: lifecycle tiling broken for job0: \
+                 span 15m != wait 0m + suspend 0m + run 10m\n"
+            ),
+            "{msg}"
+        );
+    }
+
+    #[test]
+    fn the_sweeps_phase_cross_check_reads_the_same_on_either_path() {
+        // The job is submitted by the events but its record was never
+        // touched; the first deep sweep, DEEP_SWEEP_EVERY events in,
+        // finds it still created.
+        let mut events = vec![
+            at(0, ObsEvent::Kernel { kind: "submit" }),
+            at(0, ObsEvent::Submit { job: J0 }),
+        ];
+        for minute in 1..=DEEP_SWEEP_EVERY + 8 {
+            events.push(at(minute, ObsEvent::Kernel { kind: "sample" }));
+        }
+        let msg = same_violation(&events, &state(|_| {}));
+        // The marker at minute m is event m + 2.
+        let swept = DEEP_SWEEP_EVERY - 2;
+        assert!(
+            msg.starts_with(&format!(
+                "invariant violated at t+{swept}m: phase cross-check failed for job0: \
+                 events imply AtVpm, record says created\n"
+            )),
+            "{msg}"
+        );
     }
 
     #[test]

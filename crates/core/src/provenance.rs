@@ -366,13 +366,16 @@ impl SpanRecorder {
     ///
     /// Linear in the output: segments are grouped by job through a prefix
     /// sum over the per-job segment counts, not a sort, and a counting pass
-    /// sizes the buffer exactly before the writing pass fills it.
+    /// sizes the buffer exactly before the writing pass fills it, a whole
+    /// line at a time.
     pub fn render_jsonl(&self) -> String {
         let order = self.render_order();
         let mut len = ByteCount(0);
         self.write_jsonl(&order, &mut len);
         let mut out = String::with_capacity(len.0);
-        self.write_jsonl(&order, &mut out);
+        let mut lines = Lines::new(&mut out);
+        self.write_jsonl(&order, &mut lines);
+        lines.flush();
         debug_assert_eq!(out.len(), len.0, "the counting pass sized the buffer");
         out
     }
@@ -450,24 +453,91 @@ trait Sink {
     }
 }
 
-impl Sink for String {
+/// Bytes in a line buffer of [`Lines`]: span and decision lines are a
+/// few hundred bytes, and a longer one only costs extra appends.
+const LINE_BYTES: usize = 512;
+
+/// Writes into a `String` a line at a time: each line is assembled in a
+/// stack buffer and appended with one `push_str` when its `\n` arrives
+/// (or when it outgrows the buffer). [`Lines::flush`] appends the rest.
+struct Lines<'a> {
+    out: &'a mut String,
+    buf: [u8; LINE_BYTES],
+    len: usize,
+}
+
+impl<'a> Lines<'a> {
+    fn new(out: &'a mut String) -> Self {
+        Lines {
+            out,
+            buf: [0; LINE_BYTES],
+            len: 0,
+        }
+    }
+
+    fn flush(&mut self) {
+        // Whole `&str` pieces and ASCII digits only, so valid UTF-8.
+        let line = std::str::from_utf8(&self.buf[..self.len]).expect("UTF-8 pieces");
+        self.out.push_str(line);
+        self.len = 0;
+    }
+
+    /// Room for `n` more bytes, flushing first when they do not fit.
+    fn reserve(&mut self, n: usize) -> bool {
+        if self.len + n > LINE_BYTES {
+            self.flush();
+        }
+        n <= LINE_BYTES
+    }
+}
+
+impl Sink for Lines<'_> {
     fn text(&mut self, s: &str) {
-        self.push_str(s);
+        if self.reserve(s.len()) {
+            self.buf[self.len..self.len + s.len()].copy_from_slice(s.as_bytes());
+            self.len += s.len();
+        } else {
+            self.out.push_str(s);
+        }
+        if s.ends_with('\n') {
+            self.flush();
+        }
     }
 
     fn uint(&mut self, mut v: u64) {
-        let mut buf = [0u8; 20];
-        let mut i = buf.len();
-        loop {
-            i -= 1;
-            buf[i] = b'0' + (v % 10) as u8;
-            v /= 10;
-            if v == 0 {
-                break;
-            }
+        let n = decimal_len(v);
+        self.reserve(n);
+        // Two digits at a time, from the right.
+        let mut i = self.len + n;
+        while v >= 10 {
+            let pair = (v % 100) as usize * 2;
+            v /= 100;
+            i -= 2;
+            self.buf[i..i + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
         }
-        self.push_str(std::str::from_utf8(&buf[i..]).expect("ASCII digits"));
+        if i > self.len {
+            i -= 1;
+            self.buf[i] = b'0' + v as u8;
+        }
+        debug_assert_eq!(i, self.len);
+        self.len += n;
     }
+}
+
+/// `"00" "01" .. "99"`: the decimal digits of every number below 100.
+const DIGIT_PAIRS: [u8; 200] = {
+    let mut pairs = [0u8; 200];
+    let mut i = 0;
+    while i < 100 {
+        pairs[2 * i] = b'0' + (i / 10) as u8;
+        pairs[2 * i + 1] = b'0' + (i % 10) as u8;
+        i += 1;
+    }
+    pairs
+};
+
+fn decimal_len(v: u64) -> usize {
+    v.checked_ilog10().map_or(1, |d| d as usize + 1)
 }
 
 /// Counts the bytes a render would write.
@@ -479,7 +549,7 @@ impl Sink for ByteCount {
     }
 
     fn uint(&mut self, v: u64) {
-        self.0 += v.checked_ilog10().map_or(1, |d| d as usize + 1);
+        self.0 += decimal_len(v);
     }
 }
 
@@ -1289,6 +1359,41 @@ impl fmt::Debug for KernelProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The line sink writes exactly what the counting pass counts across
+    /// line ends and for text longer than its buffer.
+    #[test]
+    fn lines_write_what_the_count_counts() {
+        let long = "x".repeat(LINE_BYTES + 3);
+        let feed = |sink: &mut dyn FnMut(Option<u64>, &str)| {
+            for v in [0, 7, 101, 1_000_000, u64::MAX] {
+                sink(Some(v), ",");
+            }
+            sink(None, &long);
+            sink(Some(42), "\n");
+            sink(None, "tail");
+        };
+        let mut want = String::new();
+        feed(&mut |v, t| {
+            if let Some(v) = v {
+                want.push_str(&v.to_string());
+            }
+            want.push_str(t);
+        });
+        let (mut out, mut count) = (String::new(), ByteCount(0));
+        let mut lines = Lines::new(&mut out);
+        feed(&mut |v, t| {
+            if let Some(v) = v {
+                lines.uint(v);
+                count.uint(v);
+            }
+            lines.text(t);
+            count.text(t);
+        });
+        lines.flush();
+        assert_eq!(out, want);
+        assert_eq!(count.0, want.len());
+    }
 
     /// The span JSONL renderer as it was before the linear-time one:
     /// arena indices sorted by (job, seq), every line written with
@@ -2150,7 +2255,9 @@ mod tests {
     fn integer_sink_writes_and_counts_every_width() {
         for v in [0, 1, 9, 10, 99, 100, 12_345, u64::from(u32::MAX), u64::MAX] {
             let mut text = String::new();
-            text.uint(v);
+            let mut lines = Lines::new(&mut text);
+            lines.uint(v);
+            lines.flush();
             let mut len = ByteCount(0);
             len.uint(v);
             assert_eq!(text, v.to_string());

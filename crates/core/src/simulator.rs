@@ -758,10 +758,12 @@ impl Simulator {
     /// helper thread: a `Relay` attached as the last inline observer
     /// batches every event for the helper's `Feed`, the kernel thread
     /// keeps the observers that read state, and both groups see the same
-    /// events in the same order. After the loop, or a panic on this
-    /// thread, the relay hangs up and the helper is joined; a panic on
-    /// either thread is then re-raised with its payload, the helper's
-    /// first. Otherwise the observers go back in attach order and
+    /// events in the same order. For an invariant checker on the helper,
+    /// the relay also reads the state it compares, into the same batches.
+    /// After the loop, or a panic on this thread, the relay hangs up and
+    /// the helper is joined; a panic on either thread is then re-raised
+    /// with its payload, the helper's first. Otherwise the relay's probe
+    /// goes to the checkers, the observers go back in attach order and
     /// `finish_run` runs `on_run_end` for all of them on this thread.
     fn run_with_helper(mut self, executor: &mut Executor<Ev>) -> SimOutput {
         let on_helper: Vec<bool> = self.observers.iter().map(|o| !o.reads_state()).collect();
@@ -777,7 +779,7 @@ impl Simulator {
             }
         }
         std::thread::scope(|scope| {
-            let (relay, feed) = crate::observer::relay();
+            let (relay, feed) = crate::observer::relay(&offloaded);
             let helper = std::thread::Builder::new()
                 .name("observers".into())
                 .spawn_scoped(scope, move || feed.deliver(offloaded))
@@ -788,14 +790,18 @@ impl Simulator {
             // finding the helper gone) is caught so that the relay hangs
             // up before the join; the helper would wait for it otherwise.
             let run = panic::catch_unwind(AssertUnwindSafe(|| executor.run(&mut self)));
-            // Dropping the relay ships its last batch and hangs up.
-            drop(self.observers.pop());
+            // Hanging up ships the relay's last batch; its probe, if it
+            // read state for a checker, goes back to the checker below.
+            let probe = crate::observer::hang_up(self.observers.pop().expect("relay attached"));
             // The helper's panic goes first: the kernel's may be the relay
             // noticing it.
-            let offloaded = helper
+            let mut offloaded = helper
                 .join()
                 .unwrap_or_else(|payload| panic::resume_unwind(payload));
             let stats = run.unwrap_or_else(|payload| panic::resume_unwind(payload));
+            if let Some(probe) = probe {
+                crate::observer::hand_over(probe, &mut offloaded);
+            }
             let mut inline = std::mem::take(&mut self.observers).into_iter();
             let mut offloaded = offloaded.into_iter();
             self.observers = on_helper

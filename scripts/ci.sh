@@ -25,6 +25,13 @@ cargo build --release --workspace --examples
 echo "==> cargo test (workspace)"
 cargo test --workspace -q
 
+# Helper-thread delivery in release: there the kernel outruns a helper
+# thread that carries the invariant checker's comparisons, so the relay
+# waits on a full channel and reuses the batches (and sweep buffers) the
+# helper sends back. The debug run above rarely gets that far ahead.
+echo "==> observer delivery and conformance (release)"
+cargo test --release -q --test observer_delivery --test observer_conformance
+
 # Deeper differential pass over the kernel's oracles: the timer wheel vs
 # the reference heap, the executor's arrival merge vs seeding arrivals
 # into the heap, the pools' lane wait queue and its per-core sublists

@@ -6,9 +6,12 @@
 //!
 //! Kernel-thread delivery is forced by [`Inline`], an adapter that keeps
 //! the trait's default `reads_state() == true`. Each cell runs twice —
-//! Telemetry, the span recorder and an in-memory trace recorder attached
-//! plainly (helper thread) and through [`Inline`] (kernel thread) — over
-//! at least ten batches, and every rendering must be byte-identical:
+//! Telemetry, the span recorder, an in-memory trace recorder and the
+//! invariant checker attached plainly (helper thread; the kernel thread
+//! reads the state for the checker) and through [`Inline`] (kernel
+//! thread) — over at least ten batches; every rendering must be
+//! byte-identical and the checker must end clean, having seen as many
+//! events either way:
 //!
 //! * a normal week sampled every minute;
 //! * a DupSusUtil chaos run, whose duplicates are shadow copies;
@@ -114,15 +117,16 @@ fn simulator(cell: Cell) -> Simulator {
 }
 
 /// Runs `cell` with Telemetry, the span recorder, an in-memory trace
-/// recorder and an event counter attached, all forced onto the kernel
-/// thread when `inline`.
+/// recorder, an event counter and the invariant checker attached, all
+/// forced onto the kernel thread when `inline`.
 fn run(cell: Cell, inline: bool) -> SimOutput {
     let mut sim = simulator(cell);
-    let observers: [Box<dyn SimObserver>; 4] = [
+    let observers: [Box<dyn SimObserver>; 5] = [
         Box::new(Telemetry::new("cell", "RoundRobin")),
         Box::new(SpanRecorder::new("cell", "RoundRobin")),
         Box::new(TraceRecorder::in_memory()),
         Box::new(Count::default()),
+        Box::new(InvariantChecker::new()),
     ];
     for obs in observers {
         assert!(!obs.reads_state(), "{obs:?} should leave the kernel thread");
@@ -167,11 +171,25 @@ fn assert_same_on_either_thread(cell: Cell) -> SimOutput {
         assert!(!a.is_empty(), "{name} rendered nothing");
         assert!(*a == b, "{name} differs between helper and kernel thread");
     }
+    // Both checkers ended clean (a violation panics the run), over the
+    // same stream.
+    let checked = |out: &SimOutput| {
+        out.observer::<InvariantChecker>()
+            .expect("checker attached")
+            .events_seen()
+    };
+    assert!(
+        checked(&helper) > 2 * RELAY_BATCH as u64,
+        "the checker saw {} events",
+        checked(&helper)
+    );
+    assert_eq!(checked(&helper), checked(&kernel));
     // Attach order survives the round trip through the helper thread.
     let o = &helper.observers;
-    assert_eq!(o.len(), 4);
+    assert_eq!(o.len(), 5);
     assert!(o[0].as_any().is::<Telemetry>() && o[1].as_any().is::<SpanRecorder>());
     assert!(o[2].as_any().is::<TraceRecorder>() && o[3].as_any().is::<Count>());
+    assert!(o[4].as_any().is::<InvariantChecker>());
     helper
 }
 
